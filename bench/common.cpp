@@ -97,16 +97,11 @@ DetectorHandle fit_or_load_detector(Env& env, core::NoveltyDetectorConfig config
     std::fprintf(stderr, "[fit] loading cached detector from %s\n", cache_path.c_str());
     try {
       core::LoadedPipeline loaded = core::PipelineIo::load_file(cache_path);
-      if (loaded.detector->has_quant_calibrations()) {
-        handle.steering = std::move(loaded.steering_model);
-        handle.detector = std::move(loaded.detector);
-        return handle;
-      }
-      // Legacy (pre-v3) cache without int8 rung calibrations: refit so the
-      // precision benches compare against a fully quantized pipeline.
-      std::fprintf(stderr, "[fit] cached detector predates quantized rungs; refitting\n");
+      handle.steering = std::move(loaded.steering_model);
+      handle.detector = std::move(loaded.detector);
+      return handle;
     } catch (const SerializationError& err) {
-      // Pre-trailer or damaged cache entry: refit and overwrite it.
+      // Damaged or older-format cache entry: refit and overwrite it.
       std::fprintf(stderr, "[fit] cached detector unusable (%s); refitting\n", err.what());
     }
   }

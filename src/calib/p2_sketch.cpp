@@ -55,7 +55,8 @@ P2Sketch::P2Sketch(std::vector<double> tracked_quantiles, int64_t warmup)
     throw std::invalid_argument("P2Sketch: warmup " + std::to_string(warmup_) +
                                 " smaller than marker bank (" + std::to_string(markers) + ")");
   }
-  buffer_.reserve(static_cast<size_t>(warmup_));
+  // No up-front reserve: the buffer grows with the samples that arrive, so a
+  // huge (or, when loading, corrupt) warm-up never allocates by itself.
 }
 
 void P2Sketch::init_markers() {
@@ -234,6 +235,7 @@ P2Sketch P2Sketch::load(std::istream& is) {
       throw SerializationError("P2Sketch::load: buffer size " + std::to_string(buffered) +
                                " inconsistent with count/warmup");
     }
+    check_count(is, buffered, warmup, sizeof(double), "P2Sketch::load: buffer size");
     sketch.buffer_.resize(static_cast<size_t>(buffered));
     for (auto& v : sketch.buffer_) v = read_f64(is);
   } else {

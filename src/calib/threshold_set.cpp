@@ -10,9 +10,8 @@ namespace salnov::calib {
 namespace {
 
 constexpr char kThresholdSetMagic[] = "salnov-thresholds";
-// v1: one block per float variant (3). v2: one block per variant (5, the q8
-// rungs appended). v1 files still load — the q8 slots are filled from their
-// float peers, matching the serving fallback for unquantized pipelines.
+// One block per DetectorVariant (the q8 rungs included). Older versions are
+// rejected.
 constexpr uint32_t kThresholdSetVersion = 2;
 
 }  // namespace
@@ -28,25 +27,13 @@ void ThresholdSet::save(std::ostream& os) const {
 }
 
 ThresholdSet ThresholdSet::load(std::istream& is) {
-  const std::string magic = read_string(is);
-  if (magic != kThresholdSetMagic) {
-    throw SerializationError("ThresholdSet::load: expected magic '" +
-                             std::string(kThresholdSetMagic) + "', got '" + magic + "'");
-  }
-  const uint32_t version = read_u32(is);
-  if (version != 1 && version != kThresholdSetVersion) {
-    throw SerializationError("ThresholdSet::load: version " + std::to_string(version) +
-                             " unsupported (want 1 or " + std::to_string(kThresholdSetVersion) +
-                             ")");
-  }
-  const int stored =
-      version == 1 ? core::kDetectorFloatVariantCount : core::kDetectorVariantCount;
+  read_header(is, kThresholdSetMagic, kThresholdSetVersion);
   ThresholdSet set;
   set.epoch = read_i64(is);
   if (set.epoch < 0) {
     throw SerializationError("ThresholdSet::load: negative epoch " + std::to_string(set.epoch));
   }
-  for (int i = 0; i < stored; ++i) {
+  for (int i = 0; i < core::kDetectorVariantCount; ++i) {
     set.thresholds[static_cast<size_t>(i)] = core::NoveltyThreshold::load(is);
     set.shadow_samples[static_cast<size_t>(i)] = read_i64(is);
     if (set.shadow_samples[static_cast<size_t>(i)] < 0) {
@@ -57,18 +44,6 @@ ThresholdSet ThresholdSet::load(std::istream& is) {
       throw SerializationError("ThresholdSet::load: rebuilt flag out of range");
     }
     set.rebuilt[static_cast<size_t>(i)] = static_cast<uint8_t>(flag);
-  }
-  if (version == 1) {
-    // Pre-quantization sets: serve each q8 rung with its float peer's
-    // threshold (same metric, unquantized distribution — the conservative
-    // stand-in until a refit or recalibration provides q8-specific ones).
-    for (int i = stored; i < core::kDetectorVariantCount; ++i) {
-      const auto peer = static_cast<size_t>(
-          core::detector_variant_float_peer(static_cast<core::DetectorVariant>(i)));
-      set.thresholds[static_cast<size_t>(i)] = set.thresholds[peer];
-      set.shadow_samples[static_cast<size_t>(i)] = 0;
-      set.rebuilt[static_cast<size_t>(i)] = 0;
-    }
   }
   return set;
 }

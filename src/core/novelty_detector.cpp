@@ -250,12 +250,12 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
       raw_mse_scores, ScoreOrientation::kHighIsNovel, config_.threshold_percentile);
   threshold_ = variant_calibrations_[0]->threshold;
 
-  // Stage 4 (optional): int8 quantization. Fits per-layer activation scales
-  // over the training set, builds the quantized model views, and calibrates
-  // the q8 variants against their own training-score ECDFs. Draws nothing
-  // from `rng`, so enabling or disabling quantization leaves every float
-  // artifact (weights, thresholds) bit-identical.
-  if (config_.fit_quantization && quant_supported()) {
+  // Stage 4: int8 quantization (raw and VBP preprocessing only). Fits
+  // per-layer activation scales over the training set, builds the quantized
+  // model views, and calibrates the q8 variants against their own
+  // training-score ECDFs. Draws nothing from `rng`, so every float artifact
+  // (weights, thresholds) is unaffected by this stage.
+  if (quant_supported()) {
     // Activation maxima are computed over the stacked batch tensors — the
     // per-layer max of a batch forward equals the max over batch-1 calls.
     ae_quant_scales_ = nn::QuantizedForward::calibrate(autoencoder_, {&data});

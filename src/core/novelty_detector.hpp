@@ -110,12 +110,6 @@ struct NoveltyDetectorConfig {
   bool validate_frames = true;
   FrameValidatorConfig frame_validator;
 
-  /// When true (default), fit() also calibrates the int8 quantization scales
-  /// and the q8 variants' ECDF thresholds, enabling the vbp+ssim-q8 /
-  /// vbp+mse-q8 serving rungs. Skipped silently for gradient/LRP
-  /// preprocessing (no quantized saliency path exists for the ablations).
-  bool fit_quantization = true;
-
   /// The paper's proposed configuration (VBP + SSIM).
   static NoveltyDetectorConfig proposed();
   /// The Richter & Roy baseline (raw images + MSE).
@@ -235,8 +229,8 @@ class NoveltyDetector {
   /// the q8 slots of a pipeline fitted or loaded without quantization).
   const VariantCalibration* variant_calibration_if(DetectorVariant variant) const;
 
-  /// True when every FLOAT variant is calibrated — the contract older
-  /// pipelines already satisfy; the q8 slots are optional extras.
+  /// True when every FLOAT variant is calibrated; the q8 slots are optional
+  /// (gradient/LRP pipelines have no quantized path).
   bool has_variant_calibrations() const;
 
   /// True when both q8 variants are calibrated.

@@ -11,14 +11,23 @@ namespace salnov::core {
 namespace {
 
 constexpr const char* kMagic = "salnov-pipeline";
-// v2: appends the per-variant fallback-chain calibrations (ECDF + threshold
-// for primary, preproc+MSE, raw+MSE) after the primary threshold. Older v1
-// files are rejected on load (callers refit; the bench cache does so
-// automatically), so every loadable pipeline can serve the full ladder.
-// v3: per-variant presence flags (the q8 calibrations are optional), the two
-// q8 rung calibrations, and the int8 activation-scale blocks for the
-// autoencoder and steering forwards. v2 files load with empty q8 state —
-// the serving layer falls back to the float ladder/thresholds.
+// Layout: config, primary threshold, one presence flag + calibration (ECDF +
+// threshold) per DetectorVariant, the autoencoder, the optional steering
+// model, and the int8 activation-scale blocks for the autoencoder and
+// steering forwards. The float calibrations are mandatory, so every loadable
+// pipeline can serve the full ladder; absent q8 calibrations make the
+// serving layer fall back to the float ladder. Older versions are rejected
+// (callers refit; the bench cache does so automatically).
+
+/// Reads a u32 that must be 0 or 1.
+bool read_flag(std::istream& is, const char* what) {
+  const uint32_t value = read_u32(is);
+  if (value > 1) {
+    throw SerializationError(std::string("pipeline: ") + what + " " + std::to_string(value) +
+                             " out of range");
+  }
+  return value == 1;
+}
 
 void write_quant_scales(std::ostream& os, const nn::QuantScales& scales) {
   write_u32(os, static_cast<uint32_t>(scales.act_scales.size()));
@@ -92,7 +101,7 @@ NoveltyDetectorConfig read_config(std::istream& is) {
   config.height = read_i64(is);
   config.width = read_i64(is);
   config.preprocessing = preprocessing_from_tag(read_u32(is));
-  config.score = read_u32(is) == 1 ? ReconstructionScore::kSsim : ReconstructionScore::kMse;
+  config.score = read_flag(is, "score tag") ? ReconstructionScore::kSsim : ReconstructionScore::kMse;
   const uint32_t hidden_count = read_u32(is);
   if (hidden_count > 64) throw SerializationError("pipeline: implausible hidden layer count");
   config.autoencoder.hidden_units.clear();
@@ -112,10 +121,7 @@ NoveltyDetectorConfig read_config(std::istream& is) {
 }  // namespace
 
 void PipelineIo::save(std::ostream& os, const NoveltyDetector& detector,
-                      nn::Sequential* steering_model, uint32_t version) {
-  if (version != kCurrentVersion && version != kLegacyVersion) {
-    throw std::invalid_argument("PipelineIo::save: unsupported version " + std::to_string(version));
-  }
+                      nn::Sequential* steering_model) {
   if (!detector.is_fitted()) {
     throw std::logic_error("PipelineIo::save: detector is not fitted");
   }
@@ -125,21 +131,13 @@ void PipelineIo::save(std::ostream& os, const NoveltyDetector& detector,
   if (!detector.has_variant_calibrations()) {
     throw std::logic_error("PipelineIo::save: detector lacks variant calibrations (refit required)");
   }
-  write_header(os, kMagic, version);
+  write_header(os, kMagic, kCurrentVersion);
   write_config(os, detector.config());
   detector.threshold().save(os);
-  const int variant_count =
-      version == kLegacyVersion ? kDetectorFloatVariantCount : kDetectorVariantCount;
-  write_u32(os, static_cast<uint32_t>(variant_count));
-  for (int v = 0; v < variant_count; ++v) {
+  write_u32(os, static_cast<uint32_t>(kDetectorVariantCount));
+  for (int v = 0; v < kDetectorVariantCount; ++v) {
     const VariantCalibration* calibration =
         detector.variant_calibration_if(static_cast<DetectorVariant>(v));
-    if (version == kLegacyVersion) {
-      // The float calibrations are guaranteed by the precondition; v2 has no
-      // presence flags.
-      calibration->save(os);
-      continue;
-    }
     write_u32(os, calibration != nullptr ? 1u : 0u);
     if (calibration != nullptr) calibration->save(os);
   }
@@ -147,10 +145,8 @@ void PipelineIo::save(std::ostream& os, const NoveltyDetector& detector,
   nn::save_model(os, const_cast<NoveltyDetector&>(detector).autoencoder());
   write_u32(os, steering_model != nullptr ? 1u : 0u);
   if (steering_model != nullptr) nn::save_model(os, *steering_model);
-  if (version >= kCurrentVersion) {
-    write_quant_scales(os, detector.ae_quant_scales_);
-    write_quant_scales(os, detector.steering_quant_scales_);
-  }
+  write_quant_scales(os, detector.ae_quant_scales_);
+  write_quant_scales(os, detector.steering_quant_scales_);
 }
 
 void PipelineIo::save_file(const std::string& path, const NoveltyDetector& detector,
@@ -159,39 +155,28 @@ void PipelineIo::save_file(const std::string& path, const NoveltyDetector& detec
 }
 
 LoadedPipeline PipelineIo::load(std::istream& is) {
-  const std::string magic = read_string(is);
-  if (magic != kMagic) {
-    throw SerializationError("pipeline: expected magic '" + std::string(kMagic) + "', got '" +
-                             magic + "'");
-  }
-  const uint32_t version = read_u32(is);
-  if (version != kLegacyVersion && version != kCurrentVersion) {
-    throw SerializationError("pipeline: version " + std::to_string(version) +
-                             " unsupported (want " + std::to_string(kLegacyVersion) + " or " +
-                             std::to_string(kCurrentVersion) + ")");
-  }
+  read_header(is, kMagic, kCurrentVersion);
   const NoveltyDetectorConfig config = read_config(is);
   const NoveltyThreshold threshold = NoveltyThreshold::load(is);
 
   LoadedPipeline pipeline;
-  pipeline.detector = std::make_unique<NoveltyDetector>(config);
-  const uint32_t expected_variants = static_cast<uint32_t>(
-      version == kLegacyVersion ? kDetectorFloatVariantCount : kDetectorVariantCount);
+  try {
+    pipeline.detector = std::make_unique<NoveltyDetector>(config);
+  } catch (const std::invalid_argument& err) {
+    throw SerializationError(std::string("pipeline: invalid detector configuration: ") +
+                             err.what());
+  }
   const uint32_t variant_count = read_u32(is);
-  if (variant_count != expected_variants) {
-    throw SerializationError("pipeline: expected " + std::to_string(expected_variants) +
+  if (variant_count != static_cast<uint32_t>(kDetectorVariantCount)) {
+    throw SerializationError("pipeline: expected " + std::to_string(kDetectorVariantCount) +
                              " variant calibrations, file has " + std::to_string(variant_count));
   }
   for (uint32_t v = 0; v < variant_count; ++v) {
-    if (version >= kCurrentVersion) {
-      const uint32_t present = read_u32(is);
-      if (present > 1) throw SerializationError("pipeline: calibration presence flag out of range");
-      if (present == 0) {
-        if (v < static_cast<uint32_t>(kDetectorFloatVariantCount)) {
-          throw SerializationError("pipeline: float variant calibration missing");
-        }
-        continue;  // absent q8 calibration: the float peer serves the rung
+    if (!read_flag(is, "calibration presence flag")) {
+      if (v < static_cast<uint32_t>(kDetectorFloatVariantCount)) {
+        throw SerializationError("pipeline: float variant calibration missing");
       }
+      continue;  // absent q8 calibration: the float peer serves the rung
     }
     pipeline.detector->variant_calibrations_[v] = VariantCalibration::load(is);
   }
@@ -199,29 +184,26 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
   pipeline.detector->threshold_ = threshold;
   pipeline.detector->fitted_ = true;
 
-  const uint32_t has_steering = read_u32(is);
-  if (has_steering == 1) {
+  if (read_flag(is, "steering presence flag")) {
     pipeline.steering_model = std::make_unique<nn::Sequential>(nn::load_model(is));
     pipeline.detector->attach_steering_model(pipeline.steering_model.get());
   } else if (uses_saliency(config.preprocessing)) {
     throw SerializationError("pipeline: saliency configuration but no steering model in file");
   }
-  if (version >= kCurrentVersion) {
-    pipeline.detector->ae_quant_scales_ = read_quant_scales(is);
-    pipeline.detector->steering_quant_scales_ = read_quant_scales(is);
-    if (!pipeline.detector->ae_quant_scales_.empty() &&
-        pipeline.detector->ae_quant_scales_.act_scales.size() !=
-            static_cast<size_t>(
-                nn::QuantizedForward::count_quantizable(pipeline.detector->autoencoder_))) {
-      throw SerializationError("pipeline: autoencoder quant scale count mismatch");
-    }
-    if (!pipeline.detector->steering_quant_scales_.empty() &&
-        (pipeline.steering_model == nullptr ||
-         pipeline.detector->steering_quant_scales_.act_scales.size() !=
-             static_cast<size_t>(
-                 nn::QuantizedForward::count_quantizable(*pipeline.steering_model)))) {
-      throw SerializationError("pipeline: steering quant scale count mismatch");
-    }
+  pipeline.detector->ae_quant_scales_ = read_quant_scales(is);
+  pipeline.detector->steering_quant_scales_ = read_quant_scales(is);
+  if (!pipeline.detector->ae_quant_scales_.empty() &&
+      pipeline.detector->ae_quant_scales_.act_scales.size() !=
+          static_cast<size_t>(
+              nn::QuantizedForward::count_quantizable(pipeline.detector->autoencoder_))) {
+    throw SerializationError("pipeline: autoencoder quant scale count mismatch");
+  }
+  if (!pipeline.detector->steering_quant_scales_.empty() &&
+      (pipeline.steering_model == nullptr ||
+       pipeline.detector->steering_quant_scales_.act_scales.size() !=
+           static_cast<size_t>(
+               nn::QuantizedForward::count_quantizable(*pipeline.steering_model)))) {
+    throw SerializationError("pipeline: steering quant scale count mismatch");
   }
   // Builds the quantized wrappers from the freshly loaded weights + scales
   // (attach_steering_model above ran too early — before the scales existed).

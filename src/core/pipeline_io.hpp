@@ -23,17 +23,14 @@ struct LoadedPipeline {
 
 class PipelineIo {
  public:
-  /// Current file format. v3 appends per-variant presence flags, the q8
-  /// rung calibrations, and the int8 activation-scale blocks; v2 files
-  /// (pre-quantization) still load with the q8 slots empty.
+  /// The file format written and the only one load() accepts: per-variant
+  /// calibrations with presence flags (the q8 rungs are optional), the
+  /// model weights, and the int8 activation-scale blocks.
   static constexpr uint32_t kCurrentVersion = 3;
-  static constexpr uint32_t kLegacyVersion = 2;
 
   /// `steering_model` may be null when the detector uses raw preprocessing.
-  /// `version` selects the written format (kLegacyVersion writes a v2 file,
-  /// dropping any quantization state — used to exercise the legacy loader).
   static void save(std::ostream& os, const NoveltyDetector& detector,
-                   nn::Sequential* steering_model, uint32_t version = kCurrentVersion);
+                   nn::Sequential* steering_model);
 
   /// Crash-safe save: writes payload + CRC32 trailer to a temp file and
   /// atomically renames it over `path`, so a kill mid-save never leaves a

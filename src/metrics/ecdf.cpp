@@ -29,10 +29,8 @@ void EmpiricalCdf::save(std::ostream& os) const {
 
 EmpiricalCdf EmpiricalCdf::load(std::istream& is) {
   const int64_t count = read_i64(is);
-  if (count <= 0 || count > (int64_t{1} << 32)) {
-    throw SerializationError("EmpiricalCdf::load: implausible sample count " +
-                             std::to_string(count));
-  }
+  if (count == 0) throw SerializationError("EmpiricalCdf::load: empty sample set");
+  check_count(is, count, int64_t{1} << 32, sizeof(double), "EmpiricalCdf::load: sample count");
   std::vector<double> samples;
   samples.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) samples.push_back(read_f64(is));

@@ -1,15 +1,13 @@
 #include "nn/model_io.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
-#include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
-#include "nn/pooling.hpp"
 #include "tensor/serialize.hpp"
 
 namespace salnov::nn {
@@ -18,11 +16,27 @@ namespace {
 constexpr const char* kMagic = "salnov-model";
 constexpr uint32_t kVersion = 1;
 
+/// Checks that a layer's weight shape, read from its config block, is
+/// positive and that the weights it implies are still in the stream, so a
+/// corrupt dimension fails typed before anything is allocated.
+Shape checked_weight_shape(std::istream& is, Shape shape) {
+  int64_t numel = 1;
+  for (const int64_t d : shape) {
+    if (d <= 0 || __builtin_mul_overflow(numel, d, &numel)) {
+      throw SerializationError("load_model: implausible weight shape " + shape_to_string(shape));
+    }
+  }
+  check_count(is, numel, std::numeric_limits<int64_t>::max(), sizeof(float),
+              "load_model: weight elements");
+  return shape;
+}
+
 std::unique_ptr<Layer> make_layer(const std::string& type, std::istream& is) {
   if (type == "dense") {
     const int64_t in = read_i64(is);
     const int64_t out = read_i64(is);
-    return std::make_unique<Dense>(Tensor::zeros({in, out}), Tensor::zeros({out}));
+    const Shape weight_shape = checked_weight_shape(is, {in, out});  // before any allocation
+    return std::make_unique<Dense>(Tensor::zeros(weight_shape), Tensor::zeros({out}));
   }
   if (type == "conv2d") {
     Conv2dConfig config;
@@ -32,37 +46,15 @@ std::unique_ptr<Layer> make_layer(const std::string& type, std::istream& is) {
     config.kernel_w = read_i64(is);
     config.stride = read_i64(is);
     config.padding = read_i64(is);
-    return std::make_unique<Conv2d>(
-        config,
-        Tensor::zeros({config.out_channels, config.in_channels, config.kernel_h, config.kernel_w}),
-        Tensor::zeros({config.out_channels}));
+    const Shape weight_shape = checked_weight_shape(
+        is, {config.out_channels, config.in_channels, config.kernel_h, config.kernel_w});
+    return std::make_unique<Conv2d>(config, Tensor::zeros(weight_shape),
+                                    Tensor::zeros({config.out_channels}));
   }
   if (type == "relu") return std::make_unique<ReLU>();
   if (type == "sigmoid") return std::make_unique<Sigmoid>();
   if (type == "tanh") return std::make_unique<Tanh>();
   if (type == "flatten") return std::make_unique<Flatten>();
-  if (type == "batchnorm") {
-    const int64_t features = read_i64(is);
-    const double momentum = read_f64(is);
-    const double epsilon = read_f64(is);
-    auto layer = std::make_unique<BatchNorm>(features, momentum, epsilon);
-    Tensor mean = read_tensor(is);
-    Tensor var = read_tensor(is);
-    layer->set_running_stats(std::move(mean), std::move(var));
-    return layer;
-  }
-  if (type == "dropout") {
-    const double probability = read_f64(is);
-    // The mask stream is training-only state; a loaded model gets a fresh
-    // deterministic stream (inference behaviour is unaffected).
-    Rng rng(0x5eed);
-    return std::make_unique<Dropout>(probability, rng);
-  }
-  if (type == "maxpool2d") {
-    const int64_t kernel = read_i64(is);
-    const int64_t stride = read_i64(is);
-    return std::make_unique<MaxPool2d>(kernel, stride);
-  }
   throw SerializationError("load_model: unknown layer type '" + type + "'");
 }
 
@@ -94,7 +86,13 @@ Sequential load_model(std::istream& is) {
   Sequential model;
   for (uint32_t i = 0; i < layer_count; ++i) {
     const std::string type = read_string(is);
-    auto layer = make_layer(type, is);
+    std::unique_ptr<Layer> layer;
+    try {
+      layer = make_layer(type, is);
+    } catch (const std::invalid_argument& err) {
+      // A layer constructor refused the config block (e.g. a zero stride).
+      throw SerializationError("load_model: layer '" + type + "': " + err.what());
+    }
     const uint32_t param_count = read_u32(is);
     const auto params = layer->parameters();
     if (param_count != params.size()) {

@@ -5,7 +5,6 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
-#include "nn/pooling.hpp"
 
 namespace salnov::saliency {
 namespace {
@@ -84,39 +83,6 @@ Tensor propagate_conv(const nn::Conv2d& conv, const Tensor& input, const Tensor&
   return result;
 }
 
-/// Max-pool winner-take-all: all relevance goes to the window maximum.
-Tensor propagate_maxpool(const nn::MaxPool2d& pool, const Tensor& input, const Tensor& relevance) {
-  const int64_t batch = input.dim(0), channels = input.dim(1);
-  const int64_t in_h = input.dim(2), in_w = input.dim(3);
-  const int64_t out_h = relevance.dim(2), out_w = relevance.dim(3);
-  const int64_t k = pool.kernel(), stride = pool.stride();
-  Tensor result(input.shape());
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * in_h * in_w;
-      float* res_plane = result.data() + (n * channels + c) * in_h * in_w;
-      const float* r_plane = relevance.data() + (n * channels + c) * out_h * out_w;
-      for (int64_t oy = 0; oy < out_h; ++oy) {
-        for (int64_t ox = 0; ox < out_w; ++ox) {
-          int64_t best_at = (oy * stride) * in_w + ox * stride;
-          float best = plane[best_at];
-          for (int64_t ky = 0; ky < k; ++ky) {
-            for (int64_t kx = 0; kx < k; ++kx) {
-              const int64_t at = (oy * stride + ky) * in_w + (ox * stride + kx);
-              if (plane[at] > best) {
-                best = plane[at];
-                best_at = at;
-              }
-            }
-          }
-          res_plane[best_at] += r_plane[oy * out_w + ox];
-        }
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 Tensor LayerwiseRelevancePropagation::relevance(nn::Sequential& model, const Image& input) const {
@@ -135,8 +101,6 @@ Tensor LayerwiseRelevancePropagation::relevance(nn::Sequential& model, const Ima
       r = propagate_dense(dynamic_cast<const nn::Dense&>(layer), layer_input, layer_output, r, epsilon_);
     } else if (type == "conv2d") {
       r = propagate_conv(dynamic_cast<const nn::Conv2d&>(layer), layer_input, layer_output, r, epsilon_);
-    } else if (type == "maxpool2d") {
-      r = propagate_maxpool(dynamic_cast<const nn::MaxPool2d&>(layer), layer_input, r);
     } else if (type == "flatten") {
       r = r.reshape(layer_input.shape());
     } else if (type == "relu" || type == "sigmoid" || type == "tanh") {

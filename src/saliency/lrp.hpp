@@ -4,7 +4,7 @@
 // network backwards: each neuron's relevance is redistributed to its inputs
 // proportionally to their contribution z_ij = x_i w_ij, stabilized by
 // R_i = sum_j (z_ij / (z_j + eps * sign(z_j))) R_j. Activation layers pass
-// relevance through; max-pooling routes it winner-take-all.
+// relevance through.
 //
 // This is the comparison method for the paper's claim that VBP is "an order
 // of magnitude faster" than relevance-decomposition saliency: LRP must

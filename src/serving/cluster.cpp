@@ -184,12 +184,14 @@ void ServingCluster::resume() {
 }
 
 void ServingCluster::drain() {
-  resume();
   {
     // Final watchdog pass before the flush: frames stranded on a replica
     // with an active outage fault must migrate (or fall back inline), not
     // be flushed through the "dead" replica — so watchdog-enabled drains
-    // force-quarantine such replicas even below the miss threshold.
+    // force-quarantine such replicas even below the miss threshold. It runs
+    // before resume(): paused workers must not seal batches from queues
+    // this pass is about to migrate, or the batch composition would depend
+    // on thread scheduling.
     std::lock_guard<std::mutex> route_lock(routing_mu_);
     const int64_t now = clock_->now_ns();
     tick_locked(now);
@@ -211,6 +213,7 @@ void ServingCluster::drain() {
       if (changed) rebalance_locked(now);
     }
   }
+  resume();
   for (auto& replica : replicas_) {
     {
       std::lock_guard<std::mutex> lock(replica->mu);

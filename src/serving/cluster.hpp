@@ -303,7 +303,7 @@ class ServingCluster {
   std::atomic<bool> stopped_{false};
 
   /// Accepted frames not yet processed; the worker's decrement-to-zero
-  /// notifies idle_cv_ (same idiom as ServingServer).
+  /// notifies idle_cv_, which drain() waits on.
   std::atomic<int64_t> outstanding_{0};
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;

@@ -153,8 +153,6 @@ std::string HealthSnapshot::to_json() const {
   os << "\"swap_persist_failures\":" << swap_persist_failures << ",";
   os << "\"threshold_epoch\":" << threshold_epoch << ",";
   os << "\"drift_state\":\"" << drift_state << "\",";
-  os << "\"queue_capacity\":" << queue_capacity << ",";
-  os << "\"queue_high_water\":" << queue_high_water << ",";
   os << "\"queue_shed\":" << queue_shed << ",";
   os << "\"stages\":[";
   for (size_t s = 0; s < stages.size(); ++s) {

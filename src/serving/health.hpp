@@ -131,8 +131,8 @@ struct ClusterStats {
 };
 
 /// Point-in-time view of the serving runtime, exportable as JSON from the
-/// CLI (`salnov_cli serve`). Queue fields are zero for a bare Supervisor
-/// and filled in by ServingServer.
+/// CLI (`salnov_cli serve`). `queue_shed` is zero for a bare Supervisor and
+/// filled in by ServingCluster (frames shed by admission credits).
 struct HealthSnapshot {
   ServingMode mode = ServingMode::kVbpSsim;
   BreakerState breaker_state = BreakerState::kClosed;
@@ -162,8 +162,6 @@ struct HealthSnapshot {
   int64_t threshold_epoch = 0;     ///< epoch of the served ThresholdSet (0 = fitted)
   std::string drift_state = "off"; ///< "off" | "stable" | "alert" | "drifted"
 
-  int64_t queue_capacity = 0;
-  int64_t queue_high_water = 0;
   int64_t queue_shed = 0;
 
   std::array<StageHealth, kStageCount> stages;

@@ -34,8 +34,9 @@ Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* st
       monitor_(detector, config_.monitor),
       breaker_(config_.breaker),
       saliency_configured_(core::uses_saliency(detector.config().preprocessing)),
-      // Silent degrade, not an error: a pipeline fitted without quantization
-      // (or loaded from a pre-quant file) simply serves the float ladder.
+      // Silent degrade, not an error: a pipeline without int8 calibrations
+      // (gradient/LRP preprocessing has no quantized path) serves the float
+      // ladder.
       quant_rungs_active_(config_.enable_quant_rungs && detector.has_quant_calibrations() &&
                           detector.has_quant_path()) {
   if (!detector.has_variant_calibrations()) {
@@ -47,7 +48,6 @@ Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* st
   if (config_.demote_after_bad_frames < 1 || config_.promote_after_healthy_frames < 1) {
     throw std::invalid_argument("Supervisor: ladder hysteresis counts must be >= 1");
   }
-  for (auto& ring : rings_) ring = LatencyRing(config_.latency_window);
   if (config_.calibration.enabled) {
     calibrator_.emplace(detector_, config_.calibration);  // validates the config
   }

@@ -82,9 +82,6 @@ struct SupervisorConfig {
 
   /// Optional deterministic stall schedule (not owned; may be null).
   const faults::TimingFaultInjector* timing_faults = nullptr;
-
-  /// Latency-ring window per stage.
-  size_t latency_window = 256;
 };
 
 /// Per-frame outcome.

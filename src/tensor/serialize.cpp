@@ -44,6 +44,19 @@ constexpr int64_t kMaxReasonableElements = int64_t{1} << 32;
 /// anything longer means the length field is garbage.
 constexpr uint32_t kMaxReasonableString = 1u << 20;
 
+/// Bytes between the read position and the end of a seekable stream; -1
+/// when the stream cannot tell.
+int64_t bytes_left(std::istream& is) {
+  std::streambuf* buf = is.rdbuf();
+  if (buf == nullptr) return -1;
+  const std::streampos here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) return -1;
+  const std::streampos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  buf->pubseekpos(here, std::ios::in);
+  if (end == std::streampos(-1)) return -1;
+  return static_cast<int64_t>(end - here);
+}
+
 /// File trailer: u64 payload size + u32 crc + 4-byte magic.
 constexpr size_t kTrailerSize = 16;
 constexpr char kTrailerMagic[4] = {'S', 'N', 'V', 'C'};
@@ -77,11 +90,22 @@ int64_t read_i64(std::istream& is) { return read_raw<int64_t>(is); }
 float read_f32(std::istream& is) { return read_raw<float>(is); }
 double read_f64(std::istream& is) { return read_raw<double>(is); }
 
+void check_count(std::istream& is, int64_t count, int64_t max_count, int64_t bytes_each,
+                 const char* what) {
+  if (count < 0 || count > max_count) {
+    throw SerializationError(std::string(what) + ": implausible count " + std::to_string(count));
+  }
+  const int64_t left = bytes_left(is);
+  if (left >= 0 && bytes_each > 0 && count > left / bytes_each) {
+    throw SerializationError(std::string(what) + ": count " + std::to_string(count) + " needs " +
+                             std::to_string(bytes_each) + " bytes each but only " +
+                             std::to_string(left) + " remain");
+  }
+}
+
 std::string read_string(std::istream& is) {
   const uint32_t size = read_u32(is);
-  if (size > kMaxReasonableString) {
-    throw SerializationError("read_string: implausible string length " + std::to_string(size));
-  }
+  check_count(is, size, kMaxReasonableString, 1, "read_string: length");
   std::string value(size, '\0');
   is.read(value.data(), static_cast<std::streamsize>(size));
   if (!is) throw SerializationError("read_string: unexpected end of stream");
@@ -104,9 +128,7 @@ Tensor read_tensor(std::istream& is) {
     }
     n *= d;
   }
-  if (n > kMaxReasonableElements) {
-    throw SerializationError("read_tensor: implausible element count " + std::to_string(n));
-  }
+  check_count(is, n, kMaxReasonableElements, sizeof(float), "read_tensor: element count");
   Tensor tensor(std::move(shape));
   is.read(reinterpret_cast<char*>(tensor.data()), static_cast<std::streamsize>(n * sizeof(float)));
   if (!is) throw SerializationError("read_tensor: unexpected end of stream");

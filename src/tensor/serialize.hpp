@@ -50,6 +50,13 @@ double read_f64(std::istream& is);
 std::string read_string(std::istream& is);
 Tensor read_tensor(std::istream& is);
 
+/// Throws SerializationError unless `count` is in [0, max_count] and, when
+/// the stream can report its length, at least `count * bytes_each` bytes are
+/// left in it. Loaders call this before sizing anything from a count read off
+/// the stream, so a corrupt count fails typed instead of allocating.
+void check_count(std::istream& is, int64_t count, int64_t max_count, int64_t bytes_each,
+                 const char* what);
+
 /// Writes `magic` + `version`; used at the head of every model file.
 void write_header(std::ostream& os, const std::string& magic, uint32_t version);
 

@@ -18,19 +18,25 @@ namespace salnov::trace {
 namespace {
 
 constexpr const char* kTraceMagic = "salnov-trace";
-// v1: original format. v2 appends the online-calibration spec block, the
-// per-frame swap flag + epoch, and the drift/swap health counters. v3
-// appends the multi-stream cluster spec block and the per-frame stream_id.
-// v4 appends the failure-domain spec block (watchdog knobs, admission
-// credits, replica-fault schedule), the cluster event log, and the
-// cluster-health counters. v5 appends the quantized-ladder flag (the q8
-// serving rungs; per-frame modes widen through the same checked_enum range).
-// save() always writes the current version; load() accepts every version
-// back to kTraceVersionMin (checked-in goldens span v1..v5) and fills newer
-// fields with their feature-off defaults (calibration off, single stream,
-// no watchdog/faults, quant rungs off).
+// Layout: spec (scene stream, stall and camera-fault schedules, supervisor
+// knobs, online-calibration block, cluster shape, failure-domain block,
+// quantized-ladder flag, pipeline guard), the frame records, the health
+// counters, then the cluster event log and cluster-health counters. The
+// checked-in goldens are all this version; older traces are rejected.
 constexpr uint32_t kTraceVersion = 5;
-constexpr uint32_t kTraceVersionMin = 1;
+
+// Plausibility caps for the counts a trace carries; each count is also
+// checked against the bytes left in the stream before anything is sized
+// from it.
+constexpr int64_t kMaxScheduleEntries = int64_t{1} << 20;  // stalls, faults, forced swaps
+constexpr int64_t kMaxRecords = int64_t{1} << 32;          // frames, events
+
+// Serialized sizes of the repeated records, for the bytes-left check.
+constexpr int64_t kStallBytes = 5 * 8;
+constexpr int64_t kCameraFaultBytes = 4 + 4 * 8;
+constexpr int64_t kReplicaFaultBytes = 4 + 6 * 8;
+constexpr int64_t kFrameBytes = 6 * 4 + 5 * 8 + serving::kStageCount * 8;
+constexpr int64_t kEventBytes = 4 + 4 * 8;
 
 // Frame-record flag bits (TraceFrame bools packed into one u32).
 constexpr uint32_t kFlagScored = 1u << 0;
@@ -38,7 +44,8 @@ constexpr uint32_t kFlagAbandoned = 1u << 1;
 constexpr uint32_t kFlagDeadlineOverrun = 1u << 2;
 constexpr uint32_t kFlagSensorBad = 1u << 3;
 constexpr uint32_t kFlagNovel = 1u << 4;
-constexpr uint32_t kFlagSwapped = 1u << 5;  // v2
+constexpr uint32_t kFlagSwapped = 1u << 5;
+constexpr uint32_t kKnownFlags = (kFlagSwapped << 1) - 1;
 
 uint32_t checked_enum(std::istream& is, uint32_t limit, const char* what) {
   const uint32_t value = read_u32(is);
@@ -48,6 +55,8 @@ uint32_t checked_enum(std::istream& is, uint32_t limit, const char* what) {
   }
   return value;
 }
+
+bool checked_bool(std::istream& is, const char* what) { return checked_enum(is, 2, what) != 0; }
 
 std::string format_i64(int64_t value) { return std::to_string(value); }
 
@@ -297,8 +306,8 @@ void Trace::save(std::ostream& os) const {
   write_i64(os, sup.monitor.sensor_release_frames);
   write_u32(os, sup.monitor.detect_frozen_frames ? 1 : 0);
 
-  // v2: online-calibration block. store_path is deliberately omitted (a
-  // replay must never write operator files).
+  // Online-calibration block. store_path is deliberately omitted (a replay
+  // must never write operator files).
   const calib::OnlineCalibrationConfig& cal = sup.calibration;
   write_u32(os, cal.enabled ? 1 : 0);
   write_u32(os, cal.auto_swap ? 1 : 0);
@@ -312,14 +321,14 @@ void Trace::save(std::ostream& os) const {
   write_u32(os, static_cast<uint32_t>(cal.forced_swap_frames.size()));
   for (int64_t frame : cal.forced_swap_frames) write_i64(os, frame);
 
-  // v3: multi-stream cluster block.
+  // Multi-stream cluster block.
   write_i64(os, spec.cluster.streams);
   write_i64(os, spec.cluster.replicas);
   write_i64(os, spec.cluster.gather_window_ns);
   write_i64(os, spec.cluster.max_batch);
   write_i64(os, spec.cluster.arrival_period_ns);
 
-  // v4: failure-domain block (watchdog, admission credits, fault schedule).
+  // Failure-domain block (watchdog, admission credits, fault schedule).
   const serving::WatchdogConfig& wd = spec.cluster.watchdog;
   write_u32(os, wd.enabled ? 1 : 0);
   write_i64(os, wd.batch_deadline_ns);
@@ -343,7 +352,7 @@ void Trace::save(std::ostream& os) const {
     write_i64(os, static_cast<int64_t>(fault.seed));
   }
 
-  // v5: quantized-ladder block.
+  // Quantized-ladder flag.
   write_u32(os, sup.enable_quant_rungs ? 1 : 0);
 
   write_u32(os, spec.pipeline_crc);
@@ -369,7 +378,7 @@ void Trace::save(std::ostream& os) const {
     write_u32(os, static_cast<uint32_t>(frame.mode_after));
     write_u32(os, static_cast<uint32_t>(frame.breaker_after));
     write_i64(os, frame.epoch_after);
-    write_i64(os, frame.stream_id);  // v3
+    write_i64(os, frame.stream_id);
   }
 
   write_i64(os, health.frames_total);
@@ -390,7 +399,7 @@ void Trace::save(std::ostream& os) const {
   write_i64(os, health.threshold_swaps);
   write_i64(os, health.threshold_epoch);
 
-  // v4: failure-domain event log + cluster-health counters.
+  // Failure-domain event log + cluster-health counters.
   write_i64(os, static_cast<int64_t>(events.size()));
   for (const auto& event : events) {
     write_u32(os, static_cast<uint32_t>(event.kind));
@@ -410,20 +419,7 @@ void Trace::save(std::ostream& os) const {
 }
 
 Trace Trace::load(std::istream& is) {
-  // Hand-rolled header read (read_header demands one exact version): every
-  // version in [kTraceVersionMin, kTraceVersion] must keep loading so the
-  // checked-in v1 goldens stay replayable.
-  const std::string got_magic = read_string(is);
-  if (got_magic != kTraceMagic) {
-    throw SerializationError("trace: expected magic '" + std::string(kTraceMagic) + "', got '" +
-                             got_magic + "'");
-  }
-  const uint32_t version = read_u32(is);
-  if (version < kTraceVersionMin || version > kTraceVersion) {
-    throw SerializationError("trace: version " + std::to_string(version) + " unsupported (want " +
-                             std::to_string(kTraceVersionMin) + ".." +
-                             std::to_string(kTraceVersion) + ")");
-  }
+  read_header(is, kTraceMagic, kTraceVersion);
   Trace trace;
   TraceRunSpec& spec = trace.spec;
 
@@ -435,6 +431,7 @@ Trace Trace::load(std::istream& is) {
   spec.width = read_i64(is);
 
   const uint32_t n_stalls = read_u32(is);
+  check_count(is, n_stalls, kMaxScheduleEntries, kStallBytes, "trace: stall count");
   spec.stalls.resize(n_stalls);
   for (auto& stall : spec.stalls) {
     stall.stage = static_cast<int>(read_i64(is));
@@ -445,6 +442,7 @@ Trace Trace::load(std::istream& is) {
   }
 
   const uint32_t n_camera = read_u32(is);
+  check_count(is, n_camera, kMaxScheduleEntries, kCameraFaultBytes, "trace: camera-fault count");
   spec.camera_faults.resize(n_camera);
   for (auto& fault : spec.camera_faults) {
     fault.fault = static_cast<faults::CameraFault>(checked_enum(is, 8, "camera fault"));
@@ -466,80 +464,71 @@ Trace Trace::load(std::istream& is) {
   sup.monitor.score_smoothing = read_f64(is);
   sup.monitor.sensor_trigger_frames = read_i64(is);
   sup.monitor.sensor_release_frames = read_i64(is);
-  sup.monitor.detect_frozen_frames = read_u32(is) != 0;
+  sup.monitor.detect_frozen_frames = checked_bool(is, "detect_frozen_frames");
 
-  if (version >= 2) {
-    calib::OnlineCalibrationConfig& cal = sup.calibration;
-    cal.enabled = read_u32(is) != 0;
-    cal.auto_swap = read_u32(is) != 0;
-    cal.percentile = read_f64(is);
-    cal.warmup = read_i64(is);
-    cal.min_samples = read_i64(is);
-    cal.drift_tolerance = read_f64(is);
-    cal.check_every_frames = read_i64(is);
-    cal.trigger_checks = read_i64(is);
-    cal.release_checks = read_i64(is);
-    const uint32_t n_forced = read_u32(is);
-    if (n_forced > (1u << 20)) {
-      throw SerializationError("trace: implausible forced-swap count " + std::to_string(n_forced));
-    }
-    cal.forced_swap_frames.resize(n_forced);
-    for (int64_t& frame : cal.forced_swap_frames) frame = read_i64(is);
-  }  // v1: calibration-off defaults
+  calib::OnlineCalibrationConfig& cal = sup.calibration;
+  cal.enabled = checked_bool(is, "calibration enabled");
+  cal.auto_swap = checked_bool(is, "calibration auto_swap");
+  cal.percentile = read_f64(is);
+  cal.warmup = read_i64(is);
+  cal.min_samples = read_i64(is);
+  cal.drift_tolerance = read_f64(is);
+  cal.check_every_frames = read_i64(is);
+  cal.trigger_checks = read_i64(is);
+  cal.release_checks = read_i64(is);
+  const uint32_t n_forced = read_u32(is);
+  check_count(is, n_forced, kMaxScheduleEntries, 8, "trace: forced-swap count");
+  cal.forced_swap_frames.resize(n_forced);
+  for (int64_t& frame : cal.forced_swap_frames) frame = read_i64(is);
 
-  if (version >= 3) {
-    spec.cluster.streams = read_i64(is);
-    spec.cluster.replicas = read_i64(is);
-    spec.cluster.gather_window_ns = read_i64(is);
-    spec.cluster.max_batch = read_i64(is);
-    spec.cluster.arrival_period_ns = read_i64(is);
-  }  // v1/v2: single-stream defaults
+  spec.cluster.streams = read_i64(is);
+  spec.cluster.replicas = read_i64(is);
+  spec.cluster.gather_window_ns = read_i64(is);
+  spec.cluster.max_batch = read_i64(is);
+  spec.cluster.arrival_period_ns = read_i64(is);
 
-  if (version >= 4) {
-    serving::WatchdogConfig& wd = spec.cluster.watchdog;
-    wd.enabled = read_u32(is) != 0;
-    wd.batch_deadline_ns = read_i64(is);
-    wd.heartbeat_timeout_ns = read_i64(is);
-    wd.missed_deadlines_to_quarantine = read_i64(is);
-    wd.canary_period_ns = read_i64(is);
-    wd.canary_failures_to_quarantine = read_i64(is);
-    wd.probe_backoff_ns = read_i64(is);
-    wd.max_probe_backoff_ns = read_i64(is);
-    wd.max_redispatches = read_i64(is);
-    wd.canary_epsilon = read_f64(is);
-    spec.cluster.admission_credits = read_i64(is);
-    const uint32_t n_replica_faults = read_u32(is);
-    if (n_replica_faults > (1u << 20)) {
-      throw SerializationError("trace: implausible replica-fault count " +
-                               std::to_string(n_replica_faults));
-    }
-    spec.cluster.replica_faults.resize(n_replica_faults);
-    for (auto& fault : spec.cluster.replica_faults) {
-      fault.replica = read_i64(is);
-      fault.kind = static_cast<faults::ReplicaFaultKind>(checked_enum(is, 4, "replica fault"));
-      fault.start_ns = read_i64(is);
-      fault.end_ns = read_i64(is);
-      fault.slow_penalty_ns = read_i64(is);
-      fault.weight_bits = read_i64(is);
-      fault.seed = static_cast<uint64_t>(read_i64(is));
-    }
-  }  // v1..v3: no watchdog, no faults, no admission control
+  serving::WatchdogConfig& wd = spec.cluster.watchdog;
+  wd.enabled = checked_bool(is, "watchdog enabled");
+  wd.batch_deadline_ns = read_i64(is);
+  wd.heartbeat_timeout_ns = read_i64(is);
+  wd.missed_deadlines_to_quarantine = read_i64(is);
+  wd.canary_period_ns = read_i64(is);
+  wd.canary_failures_to_quarantine = read_i64(is);
+  wd.probe_backoff_ns = read_i64(is);
+  wd.max_probe_backoff_ns = read_i64(is);
+  wd.max_redispatches = read_i64(is);
+  wd.canary_epsilon = read_f64(is);
+  spec.cluster.admission_credits = read_i64(is);
+  const uint32_t n_replica_faults = read_u32(is);
+  check_count(is, n_replica_faults, kMaxScheduleEntries, kReplicaFaultBytes,
+              "trace: replica-fault count");
+  spec.cluster.replica_faults.resize(n_replica_faults);
+  for (auto& fault : spec.cluster.replica_faults) {
+    fault.replica = read_i64(is);
+    fault.kind = static_cast<faults::ReplicaFaultKind>(checked_enum(is, 4, "replica fault"));
+    fault.start_ns = read_i64(is);
+    fault.end_ns = read_i64(is);
+    fault.slow_penalty_ns = read_i64(is);
+    fault.weight_bits = read_i64(is);
+    fault.seed = static_cast<uint64_t>(read_i64(is));
+  }
 
-  if (version >= 5) {
-    sup.enable_quant_rungs = read_u32(is) != 0;
-  }  // v1..v4: float ladder only
+  sup.enable_quant_rungs = checked_bool(is, "enable_quant_rungs");
 
   spec.pipeline_crc = read_u32(is);
   spec.pipeline_bytes = read_i64(is);
 
   const int64_t n_frames = read_i64(is);
-  if (n_frames < 0) throw SerializationError("trace: negative frame-record count");
+  check_count(is, n_frames, kMaxRecords, kFrameBytes, "trace: frame-record count");
   trace.frames.resize(static_cast<size_t>(n_frames));
   for (auto& frame : trace.frames) {
     frame.frame_index = read_i64(is);
     frame.mode = static_cast<serving::ServingMode>(
         checked_enum(is, serving::kServingModeCount, "serving mode"));
     const uint32_t flags = read_u32(is);
+    if ((flags & ~kKnownFlags) != 0) {
+      throw SerializationError("trace: unknown frame flag bits " + std::to_string(flags));
+    }
     frame.scored = (flags & kFlagScored) != 0;
     frame.abandoned = (flags & kFlagAbandoned) != 0;
     frame.deadline_overrun = (flags & kFlagDeadlineOverrun) != 0;
@@ -555,8 +544,8 @@ Trace Trace::load(std::istream& is) {
         checked_enum(is, serving::kServingModeCount, "serving mode"));
     frame.breaker_after =
         static_cast<serving::BreakerState>(checked_enum(is, 3, "breaker state"));
-    if (version >= 2) frame.epoch_after = read_i64(is);
-    if (version >= 3) frame.stream_id = read_i64(is);
+    frame.epoch_after = read_i64(is);
+    frame.stream_id = read_i64(is);
   }
 
   TraceHealth& health = trace.health;
@@ -573,36 +562,30 @@ Trace Trace::load(std::istream& is) {
   health.breaker_trips = read_i64(is);
   health.probe_successes = read_i64(is);
   health.probe_failures = read_i64(is);
-  if (version >= 2) {
-    health.drift_checks = read_i64(is);
-    health.drift_detections = read_i64(is);
-    health.threshold_swaps = read_i64(is);
-    health.threshold_epoch = read_i64(is);
-  }
+  health.drift_checks = read_i64(is);
+  health.drift_detections = read_i64(is);
+  health.threshold_swaps = read_i64(is);
+  health.threshold_epoch = read_i64(is);
 
-  if (version >= 4) {
-    const int64_t n_events = read_i64(is);
-    if (n_events < 0 || n_events > (1 << 24)) {
-      throw SerializationError("trace: implausible event count " + std::to_string(n_events));
-    }
-    trace.events.resize(static_cast<size_t>(n_events));
-    for (auto& event : trace.events) {
-      event.kind = static_cast<serving::ClusterEventKind>(checked_enum(is, 7, "cluster event"));
-      event.at_ns = read_i64(is);
-      event.replica = read_i64(is);
-      event.stream = read_i64(is);
-      event.detail = read_i64(is);
-    }
-    TraceClusterHealth& cluster_health = trace.cluster_health;
-    cluster_health.quarantines = read_i64(is);
-    cluster_health.probe_attempts = read_i64(is);
-    cluster_health.probe_failures = read_i64(is);
-    cluster_health.restores = read_i64(is);
-    cluster_health.failovers = read_i64(is);
-    cluster_health.redispatched_frames = read_i64(is);
-    cluster_health.fallback_frames = read_i64(is);
-    cluster_health.shed_frames = read_i64(is);
-  }  // v1..v3: empty event log, zero counters
+  const int64_t n_events = read_i64(is);
+  check_count(is, n_events, kMaxRecords, kEventBytes, "trace: event count");
+  trace.events.resize(static_cast<size_t>(n_events));
+  for (auto& event : trace.events) {
+    event.kind = static_cast<serving::ClusterEventKind>(checked_enum(is, 7, "cluster event"));
+    event.at_ns = read_i64(is);
+    event.replica = read_i64(is);
+    event.stream = read_i64(is);
+    event.detail = read_i64(is);
+  }
+  TraceClusterHealth& cluster_health = trace.cluster_health;
+  cluster_health.quarantines = read_i64(is);
+  cluster_health.probe_attempts = read_i64(is);
+  cluster_health.probe_failures = read_i64(is);
+  cluster_health.restores = read_i64(is);
+  cluster_health.failovers = read_i64(is);
+  cluster_health.redispatched_frames = read_i64(is);
+  cluster_health.fallback_frames = read_i64(is);
+  cluster_health.shed_frames = read_i64(is);
   return trace;
 }
 
@@ -828,7 +811,7 @@ ReplayReport compare(const Trace& recorded, const std::vector<TraceFrame>& repla
     diff.check_i64("health", "threshold_epoch", rec.threshold_epoch, rep.threshold_epoch);
   }
 
-  // v4: the failure-domain event log and cluster-health counters must replay
+  // The failure-domain event log and cluster-health counters must replay
   // bit-exactly — a recovery path that fires at a different fake time, moves
   // a different frame count, or quarantines a different replica is a policy
   // divergence even when every per-frame decision matches.

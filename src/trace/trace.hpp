@@ -60,7 +60,7 @@ struct TraceCameraFault {
   int64_t period = 1;
 };
 
-/// Multi-stream scenario shape (format v3). `streams == 0` selects the
+/// Multi-stream scenario shape. `streams == 0` selects the
 /// legacy single-supervisor driver; `streams > 0` drives a ServingCluster:
 /// stream s draws its scene stream from frame_seed + s and its camera-fault
 /// variates from fault_seed + s, `frames` becomes frames *per stream*, and
@@ -76,9 +76,8 @@ struct TraceClusterSpec {
   int64_t max_batch = 16;
   int64_t arrival_period_ns = 1'000'000;  ///< fake time between arrival rounds
 
-  // Format v4: the replica failure domain. All feature-off defaults, so a
-  // v3 trace loads as a cluster without watchdog, faults, or admission
-  // control and replays exactly as before.
+  // The replica failure domain. All feature-off defaults: a cluster without
+  // watchdog, faults, or admission control.
   serving::WatchdogConfig watchdog;
   int64_t admission_credits = 0;  ///< per-stream pending bound (0 = off)
   std::vector<faults::ReplicaFault> replica_faults;
@@ -99,14 +98,14 @@ struct TraceRunSpec {
   std::vector<TraceCameraFault> camera_faults;   ///< deterministic pixel faults
 
   /// Supervisor/monitor/breaker knobs for the run, including the online
-  /// calibration loop (format v2). `timing_faults` is ignored here — the
+  /// calibration loop. `timing_faults` is ignored here — the
   /// replayer rebuilds the injector from `stalls` — and
   /// `calibration.store_path` is machine-local and never serialized:
   /// replaying a trace must not write operator files.
   serving::SupervisorConfig supervisor;
 
   /// Multi-stream cluster shape; default (streams == 0) keeps the
-  /// single-stream driver and serializes backward-compatibly.
+  /// single-stream driver.
   TraceClusterSpec cluster;
 
   /// Integrity guard for the pipeline the trace was recorded against:
@@ -138,14 +137,15 @@ struct TraceFrame {
   serving::BreakerState breaker_after = serving::BreakerState::kClosed;
   bool swapped = false;       ///< a threshold hot-swap completed on this frame
   int64_t epoch_after = 0;    ///< served ThresholdSet epoch after the frame
-  int64_t stream_id = 0;      ///< owning stream (v3; 0 in single-stream runs)
+  int64_t stream_id = 0;      ///< owning stream (0 in single-stream runs)
 
   static TraceFrame from(const serving::ServeResult& result, serving::ServingMode mode_after,
                          serving::BreakerState breaker_after);
 };
 
-/// Exact end-of-run counters (the HealthSnapshot minus queue/latency fields,
-/// which belong to the server and the real clock respectively).
+/// Exact end-of-run counters (the HealthSnapshot minus the shed count and
+/// latency fields, which belong to the cluster's admission control and the
+/// real clock respectively).
 struct TraceHealth {
   int64_t frames_total = 0;
   int64_t frames_scored = 0;
@@ -168,8 +168,8 @@ struct TraceHealth {
   static TraceHealth from(const serving::HealthSnapshot& snapshot);
 };
 
-/// Exact end-of-run failure-domain counters (format v4; all zero for older
-/// traces and for runs without a watchdog).
+/// Exact end-of-run failure-domain counters (all zero for runs without a
+/// watchdog).
 struct TraceClusterHealth {
   int64_t quarantines = 0;
   int64_t probe_attempts = 0;
@@ -183,16 +183,16 @@ struct TraceClusterHealth {
   static TraceClusterHealth from(const serving::ClusterStats& stats);
 };
 
-/// A recorded run: spec + per-frame decision stream + final counters. v4
-/// traces additionally carry the failure-domain event log (quarantine /
-/// probe / restore / failover / fallback / shed, in decision order) and the
-/// cluster-health counters, both diffed on replay.
+/// A recorded run: spec + per-frame decision stream + final counters, plus
+/// the failure-domain event log (quarantine / probe / restore / failover /
+/// fallback / shed, in decision order) and the cluster-health counters, both
+/// diffed on replay. load() accepts only the current format version.
 struct Trace {
   TraceRunSpec spec;
   std::vector<TraceFrame> frames;
   TraceHealth health;
-  std::vector<serving::ClusterEvent> events;  // v4
-  TraceClusterHealth cluster_health;          // v4
+  std::vector<serving::ClusterEvent> events;
+  TraceClusterHealth cluster_health;
 
   void save(std::ostream& os) const;
   static Trace load(std::istream& is);
@@ -256,7 +256,7 @@ struct ReplayReport {
 
 /// Diffs a recorded trace against a freshly replayed stream (used by the
 /// replayer and by perturbation tests that tamper with a trace in memory).
-/// When `replayed_events` / `replayed_cluster` are provided, the v4
+/// When `replayed_events` / `replayed_cluster` are provided, the
 /// failure-domain event log and cluster-health counters are diffed too —
 /// every quarantine, failover, fallback, and shed must replay bit-exactly.
 ReplayReport compare(const Trace& recorded, const std::vector<TraceFrame>& replayed,

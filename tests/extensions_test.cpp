@@ -1,9 +1,6 @@
-// Tests for the extension features: MS-SSIM, Dropout, horizontal-flip
-// augmentation, and the umbrella header.
+// Tests for the extension features: horizontal-flip augmentation and the
+// umbrella header.
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <sstream>
 
 #include "salnov.hpp"
 
@@ -13,181 +10,6 @@ namespace {
 Image random_image(int64_t h, int64_t w, uint64_t seed, double lo = 0.0, double hi = 1.0) {
   Rng rng(seed);
   return Image(h, w, rng.uniform_tensor({h * w}, lo, hi));
-}
-
-// ---------------------------------------------------------------------------
-// MS-SSIM.
-
-TEST(MsSsim, IdentityScoresOne) {
-  const Image img = random_image(64, 96, 1);
-  EXPECT_NEAR(ms_ssim(img, img), 1.0, 1e-9);
-}
-
-TEST(MsSsim, BoundedZeroOne) {
-  for (uint64_t seed = 2; seed < 8; ++seed) {
-    const Image a = random_image(48, 48, seed);
-    const Image b = random_image(48, 48, seed + 50);
-    const double s = ms_ssim(a, b);
-    EXPECT_GE(s, 0.0);
-    EXPECT_LE(s, 1.0 + 1e-12);
-  }
-}
-
-TEST(MsSsim, Symmetric) {
-  const Image a = random_image(48, 64, 9);
-  const Image b = random_image(48, 64, 10);
-  EXPECT_NEAR(ms_ssim(a, b), ms_ssim(b, a), 1e-12);
-}
-
-TEST(MsSsim, DecreasesWithNoise) {
-  const Image base = random_image(64, 64, 11, 0.3, 0.7);
-  double previous = 1.1;
-  for (double sigma : {0.02, 0.08, 0.25}) {
-    Rng rng(12);
-    const double s = ms_ssim(base, add_gaussian_noise(base, sigma, rng));
-    EXPECT_LT(s, previous);
-    previous = s;
-  }
-}
-
-TEST(MsSsim, ScaleCountRespectsImageSize) {
-  EXPECT_EQ(ms_ssim_scale_count(176, 176), 5);
-  EXPECT_EQ(ms_ssim_scale_count(44, 44), 3);   // 44 -> 22 -> 11, then 5 < 11
-  EXPECT_EQ(ms_ssim_scale_count(11, 11), 1);
-  EXPECT_EQ(ms_ssim_scale_count(8, 8), 0);
-  MsSsimOptions capped;
-  capped.max_scales = 2;
-  EXPECT_EQ(ms_ssim_scale_count(176, 176, capped), 2);
-}
-
-TEST(MsSsim, TooSmallImageThrows) {
-  EXPECT_THROW(ms_ssim(Image(8, 8), Image(8, 8)), std::invalid_argument);
-  EXPECT_THROW(ms_ssim(random_image(32, 32, 1), random_image(32, 30, 1)), std::invalid_argument);
-}
-
-TEST(MsSsim, MoreTolerantOfBrightnessThanSingleScaleIsOfNoise) {
-  // MS-SSIM keeps the Fig. 3 property: a brightness shift stays near 1.
-  Image base(64, 64);
-  for (int64_t y = 0; y < 64; ++y) {
-    for (int64_t x = 0; x < 64; ++x) base(y, x) = 0.3f + 0.4f * static_cast<float>(x + y) / 126.0f;
-  }
-  Rng rng(13);
-  const Image bright = adjust_brightness(base, 0.1);
-  const Image noisy = add_gaussian_noise(base, 0.1, rng);
-  EXPECT_GT(ms_ssim(base, bright), ms_ssim(base, noisy));
-}
-
-TEST(Downsample2x, AveragesBlocks) {
-  Image img(2, 4, Tensor({8}, {0.0f, 1.0f, 0.5f, 0.5f, 1.0f, 0.0f, 0.5f, 0.5f}));
-  const Image out = downsample2x(img);
-  EXPECT_EQ(out.height(), 1);
-  EXPECT_EQ(out.width(), 2);
-  EXPECT_NEAR(out(0, 0), 0.5f, 1e-6f);
-  EXPECT_NEAR(out(0, 1), 0.5f, 1e-6f);
-}
-
-TEST(Downsample2x, DropsOddTrailingEdge) {
-  const Image out = downsample2x(Image(5, 7));
-  EXPECT_EQ(out.height(), 2);
-  EXPECT_EQ(out.width(), 3);
-}
-
-// ---------------------------------------------------------------------------
-// Dropout.
-
-TEST(DropoutLayer, InferenceIsIdentity) {
-  Rng rng(1);
-  nn::Dropout dropout(0.5, rng);
-  const Tensor input = rng.uniform_tensor({4, 8}, -1.0, 1.0);
-  EXPECT_EQ(dropout.forward(input, nn::Mode::kInfer), input);
-}
-
-TEST(DropoutLayer, TrainingDropsApproximatelyP) {
-  Rng rng(2);
-  nn::Dropout dropout(0.3, rng);
-  const Tensor input = Tensor::ones({100, 100});
-  const Tensor out = dropout.forward(input, nn::Mode::kTrain);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    if (out[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(out[i], 1.0f / 0.7f, 1e-5f);  // inverted scaling
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(out.numel()), 0.3, 0.02);
-}
-
-TEST(DropoutLayer, ExpectationPreserved) {
-  Rng rng(3);
-  nn::Dropout dropout(0.4, rng);
-  const Tensor input = Tensor::ones({200, 200});
-  const Tensor out = dropout.forward(input, nn::Mode::kTrain);
-  EXPECT_NEAR(out.mean(), 1.0f, 0.02f);
-}
-
-TEST(DropoutLayer, BackwardUsesSameMask) {
-  Rng rng(4);
-  nn::Dropout dropout(0.5, rng);
-  const Tensor input = Tensor::ones({6, 6});
-  const Tensor out = dropout.forward(input, nn::Mode::kTrain);
-  const Tensor grad = dropout.backward(Tensor::ones({6, 6}));
-  // Gradient must be zero exactly where the activation was dropped.
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    EXPECT_EQ(out[i] == 0.0f, grad[i] == 0.0f) << "at " << i;
-  }
-}
-
-TEST(DropoutLayer, ZeroProbabilityIsIdentityInTraining) {
-  Rng rng(5);
-  nn::Dropout dropout(0.0, rng);
-  const Tensor input = rng.uniform_tensor({3, 3}, -1.0, 1.0);
-  EXPECT_EQ(dropout.forward(input, nn::Mode::kTrain), input);
-}
-
-TEST(DropoutLayer, InvalidProbabilityThrows) {
-  Rng rng(6);
-  EXPECT_THROW(nn::Dropout(-0.1, rng), std::invalid_argument);
-  EXPECT_THROW(nn::Dropout(1.0, rng), std::invalid_argument);
-}
-
-TEST(DropoutLayer, SurvivesModelRoundTrip) {
-  Rng rng(7);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(4, 4, rng);
-  model.emplace<nn::Dropout>(0.25, rng);
-  model.emplace<nn::Dense>(4, 1, rng);
-  std::stringstream ss;
-  nn::save_model(ss, model);
-  nn::Sequential loaded = nn::load_model(ss);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.layer(1).type_name(), "dropout");
-  const Tensor probe = rng.uniform_tensor({2, 4}, -1.0, 1.0);
-  // Inference path is deterministic and identical after the round trip.
-  EXPECT_EQ(loaded.forward(probe, nn::Mode::kInfer), model.forward(probe, nn::Mode::kInfer));
-}
-
-TEST(DropoutLayer, TrainingStillLearnsWithDropout) {
-  Rng rng(8);
-  nn::Sequential model;
-  model.emplace<nn::Dense>(1, 16, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::Dropout>(0.2, rng);
-  model.emplace<nn::Dense>(16, 1, rng);
-  nn::MseLoss loss;
-  nn::Adam optimizer(0.02);
-  nn::Trainer trainer(model, loss, optimizer, rng.split());
-  const int64_t n = 64;
-  Tensor x({n, 1}), y({n, 1});
-  Rng data_rng(9);
-  for (int64_t i = 0; i < n; ++i) {
-    x[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
-    y[i] = 0.5f * x[i] + 0.2f;
-  }
-  nn::TrainOptions options;
-  options.epochs = 150;
-  trainer.fit(x, y, options);
-  EXPECT_LT(trainer.evaluate(x, y), 0.02);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
-#include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
 #include "test_util.hpp"
 
@@ -195,36 +194,6 @@ TEST(Tanh, GradientCheck) {
   const Tensor input = rng.uniform_tensor({2, 5}, -1.5, 1.5);
   test::check_layer_gradients(tanh_layer, input, rng);
 }
-
-TEST(MaxPool2d, ForwardPicksWindowMaxima) {
-  MaxPool2d pool(2);
-  const Tensor input = Tensor({1, 1, 2, 4}, {1, 5, 2, 0, 3, 4, 8, 1});
-  const Tensor out = pool.forward(input, Mode::kInfer);
-  EXPECT_EQ(out.shape(), (Shape{1, 1, 1, 2}));
-  EXPECT_FLOAT_EQ(out[0], 5.0f);
-  EXPECT_FLOAT_EQ(out[1], 8.0f);
-}
-
-TEST(MaxPool2d, BackwardRoutesToWinner) {
-  MaxPool2d pool(2);
-  const Tensor input = Tensor({1, 1, 2, 2}, {1, 9, 2, 3});
-  pool.forward(input, Mode::kTrain);
-  const Tensor grad = pool.backward(Tensor({1, 1, 1, 1}, {5.0f}));
-  test::expect_tensors_near(grad, Tensor({1, 1, 2, 2}, {0, 5, 0, 0}));
-}
-
-TEST(MaxPool2d, GradientCheck) {
-  Rng rng(19);
-  MaxPool2d pool(2);
-  // Distinct values avoid argmax ties, which break finite differences.
-  Tensor input({1, 2, 4, 4});
-  for (int64_t i = 0; i < input.numel(); ++i) {
-    input[i] = static_cast<float>((i * 7919) % 97) / 97.0f;
-  }
-  test::check_layer_gradients(pool, input, rng);
-}
-
-TEST(MaxPool2d, InvalidConfigThrows) { EXPECT_THROW(MaxPool2d(0), std::invalid_argument); }
 
 TEST(Flatten, CollapsesTrailingDims) {
   Flatten flatten;

@@ -14,7 +14,6 @@
 #include "nn/loss.hpp"
 #include "nn/model_io.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/pooling.hpp"
 #include "nn/ssim_loss.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/serialize.hpp"
@@ -298,9 +297,8 @@ TEST(ModelIo, RoundTripPreservesArchitectureAndWeights) {
   Conv2dConfig cfg{1, 3, 3, 3, 2, 1};
   model.emplace<Conv2d>(cfg, rng);
   model.emplace<ReLU>();
-  model.emplace<MaxPool2d>(2, 2);
   model.emplace<Flatten>();
-  model.emplace<Dense>(12, 4, rng);
+  model.emplace<Dense>(48, 4, rng);
   model.emplace<Tanh>();
   model.emplace<Dense>(4, 1, rng);
   model.emplace<Sigmoid>();

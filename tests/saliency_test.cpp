@@ -11,7 +11,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
-#include "nn/pooling.hpp"
 #include "roadsim/outdoor_generator.hpp"
 #include "roadsim/rasterizer.hpp"
 #include "saliency/gradient_saliency.hpp"
@@ -216,21 +215,6 @@ TEST(Lrp, ConservationOnBiasFreeConvNet) {
   const Tensor r = lrp.relevance(model, input);
   const double output = model.forward(input.as_nchw(), nn::Mode::kInfer)[0];
   EXPECT_NEAR(r.sum(), output, std::abs(output) * 0.05 + 1e-4);
-}
-
-TEST(Lrp, HandlesMaxPool) {
-  Rng rng(16);
-  nn::Sequential model;
-  nn::Conv2dConfig cfg{1, 2, 3, 3, 1, 0};
-  model.emplace<nn::Conv2d>(cfg, rng);
-  model.emplace<nn::ReLU>();
-  model.emplace<nn::MaxPool2d>(2, 2);
-  model.emplace<nn::Flatten>();
-  model.emplace<nn::Dense>(2 * 3 * 3, 1, rng);
-  LayerwiseRelevancePropagation lrp;
-  const Image input(8, 8, rng.uniform_tensor({64}, 0.0, 1.0));
-  const Image mask = lrp.compute(model, input);
-  EXPECT_EQ(mask.height(), 8);
 }
 
 TEST(SaliencySpeed, VbpFasterThanLrp) {

@@ -1,14 +1,23 @@
 // Failure-injection tests for every serialized format in the library:
-// model files, pipeline files, and PNM images. A loader must never crash or
-// silently accept corrupted input — every injected fault must surface as a
-// typed exception.
+// model files, pipeline files, traces, calibration files, and PNM images. A
+// loader must never crash or silently accept corrupted input — every
+// injected fault must surface as a typed exception, and a corrupt count must
+// fail before it sizes any allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <new>
 #include <sstream>
+#include <streambuf>
+#include <vector>
 
 #include "calib/p2_sketch.hpp"
 #include "calib/threshold_set.hpp"
@@ -21,8 +30,35 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/model_io.hpp"
+#include "prop.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
+#include "trace/trace.hpp"
+
+// Allocation probe: this binary replaces the global operator new so a test
+// can ask for the largest single allocation made while a loader ran. A
+// corrupt count must fail typed *before* it sizes a container.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_allocation.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the inlined free() with new-expressions and warns; the pairing
+// is correct because operator new above allocates with malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace salnov {
 namespace {
@@ -153,10 +189,9 @@ TEST(ModelCorruption, WrongParameterCountRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized pipeline blocks (format v3): the act-scale blocks for the
-// autoencoder and steering model sit at the very end of the stream, so
-// tail-targeted truncation and corruption exercise them precisely. Legacy
-// writes (v2) must still round-trip with the float ladder intact.
+// Quantized pipeline blocks: the act-scale blocks for the autoencoder and
+// steering model sit at the very end of the stream, so tail-targeted
+// truncation and corruption exercise them precisely.
 
 /// A fitted VBP+steering pipeline so both quant scale blocks are non-empty.
 struct QuantPipelineBytes {
@@ -256,38 +291,6 @@ TEST(QuantBlockCorruption, FutureVersionRejected) {
   EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
 }
 
-TEST(QuantLegacyFormat, LegacyV2WriteRoundTripsWithFloatLadderOnly) {
-  // A v2 write must stay loadable by this build (and by older builds that
-  // predate quantization): float calibrations intact, q8 state absent.
-  Rng rng(9);
-  nn::Sequential steering = driving::build_pilotnet(driving::PilotNetConfig::tiny(16, 20), rng);
-  core::NoveltyDetectorConfig config;
-  config.height = 16;
-  config.width = 20;
-  config.preprocessing = core::Preprocessing::kVbp;
-  config.score = core::ReconstructionScore::kSsim;
-  config.autoencoder = core::AutoencoderConfig::tiny(16, 20);
-  config.train_epochs = 2;
-  core::NoveltyDetector detector(config);
-  detector.attach_steering_model(&steering);
-  std::vector<Image> images;
-  for (int i = 0; i < 6; ++i) images.emplace_back(16, 20, rng.uniform_tensor({320}, 0.0, 1.0));
-  detector.fit(images, rng);
-  ASSERT_TRUE(detector.has_quant_calibrations());
-
-  std::stringstream legacy;
-  core::PipelineIo::save(legacy, detector, &steering, core::PipelineIo::kLegacyVersion);
-  core::LoadedPipeline loaded = core::PipelineIo::load(legacy);
-  EXPECT_FALSE(loaded.detector->has_quant_calibrations());
-  EXPECT_EQ(nullptr, loaded.detector->quant_autoencoder());
-  EXPECT_EQ(nullptr, loaded.detector->quant_steering());
-
-  // The float ladder still serves: same scores as the original detector.
-  Rng probe_rng(17);
-  const Image probe(16, 20, probe_rng.uniform_tensor({320}, 0.0, 1.0));
-  EXPECT_EQ(detector.score(probe), loaded.detector->score(probe));
-}
-
 TEST(QuantLegacyFormat, CurrentWriteRoundTripsQuantizedScoresBitExactly) {
   // v3 round-trip: the reloaded quantized rung must score bit-identically —
   // scales travel exactly (f32 in, f32 out), weights quantize from the same
@@ -313,6 +316,32 @@ TEST(PipelineCorruption, UnknownPreprocessingTagRejected) {
   // width, u32 preprocessing tag.
   const size_t offset = (4 + std::string("salnov-pipeline").size() + 4) + 8 + 8;
   data[offset] = 17;
+  std::stringstream ss(data);
+  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
+}
+
+TEST(PipelineCorruption, UnknownScoreTagRejected) {
+  std::string data = serialized_pipeline();
+  // Config layout after the header: i64 height, i64 width, u32
+  // preprocessing tag, u32 score tag (0 = MSE, 1 = SSIM).
+  const size_t offset = (4 + std::string("salnov-pipeline").size() + 4) + 8 + 8 + 4;
+  data[offset] = 2;
+  std::stringstream ss(data);
+  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
+}
+
+TEST(PipelineCorruption, SteeringFlagOutOfRangeRejected) {
+  std::string data = serialized_pipeline();
+  int64_t ae_scales = 0;
+  {
+    std::stringstream ss(data);
+    core::LoadedPipeline loaded = core::PipelineIo::load(ss);
+    ae_scales = nn::QuantizedForward::count_quantizable(loaded.detector->autoencoder());
+  }
+  // A raw pipeline ends with the steering presence flag, the autoencoder
+  // scale block (u32 count + f32 scales) and an empty steering block.
+  const size_t offset = data.size() - 4 - (4 + 4 * static_cast<size_t>(ae_scales)) - 4;
+  data[offset] = 2;
   std::stringstream ss(data);
   EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
 }
@@ -442,6 +471,372 @@ TEST(ThresholdSetCorruption, BadOrientationTagRejected) {
   data[offset] = 9;
   std::stringstream ss(data);
   EXPECT_THROW(calib::ThresholdSet::load(ss), SerializationError);
+}
+
+// ---------------------------------------------------------------------------
+// Structure-aware fuzzing of the loaders the runtime persists through:
+// Trace, PipelineIo, ThresholdSet and P2Sketch. Fields are located by
+// replaying a valid payload through a logging stream buffer, so every scalar
+// the loader reads gets mutated without the test restating any layout.
+
+enum class Outcome { kLoaded, kTypedError, kOtherError };
+
+struct LoadResult {
+  Outcome outcome = Outcome::kLoaded;
+  std::string what;
+  size_t largest_allocation = 0;
+};
+
+/// A loader under test: parses one payload from a stream.
+using Loader = std::function<void(std::istream&)>;
+
+/// Runs `load` on `bytes` from a seekable stream (as the checked-file
+/// loaders do) and classifies how it ended.
+LoadResult try_load(const std::string& bytes, const Loader& load) {
+  std::istringstream is(bytes, std::ios::binary);
+  LoadResult result;
+  g_largest_allocation.store(0);
+  g_track_allocations.store(true);
+  try {
+    load(is);
+  } catch (const SerializationError& err) {
+    result.outcome = Outcome::kTypedError;
+    result.what = err.what();
+  } catch (const std::exception& err) {
+    result.outcome = Outcome::kOtherError;
+    result.what = err.what();
+  }
+  g_track_allocations.store(false);
+  result.largest_allocation = g_largest_allocation.load();
+  return result;
+}
+
+/// No loader may allocate more than a few times its payload at once.
+size_t allocation_bound(const std::string& bytes) { return (size_t{1} << 20) + 4 * bytes.size(); }
+
+/// One read the loader made: byte offset and size in the payload.
+struct Field {
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+/// Read-only buffer over a payload that logs each sgetn. Every scalar,
+/// string body and tensor block arrives as one read, so the log is the
+/// format's field layout as the loader walks it.
+class ReadLog : public std::streambuf {
+ public:
+  explicit ReadLog(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+  std::vector<Field> reads;
+
+ protected:
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    reads.push_back({static_cast<size_t>(gptr() - eback()), static_cast<size_t>(n)});
+    return std::streambuf::xsgetn(s, n);
+  }
+
+ private:
+  std::string bytes_;
+};
+
+/// The 4- and 8-byte reads a loader makes on a valid payload.
+std::vector<Field> scalar_fields(const std::string& bytes, const Loader& load) {
+  ReadLog log(bytes);
+  std::istream is(&log);
+  load(is);
+  std::vector<Field> fields;
+  for (const Field& f : log.reads) {
+    if (f.size == 4 || f.size == 8) fields.push_back(f);
+  }
+  return fields;
+}
+
+std::string with_field(std::string bytes, const Field& field, uint64_t value) {
+  std::memcpy(&bytes[field.offset], &value, field.size);
+  return bytes;
+}
+
+/// Extreme values every scalar field is overwritten with: all-ones (a u32
+/// 0xFFFFFFFF count, an i64 -1), INT64_MAX / INT32_MAX, the sign bit, zero.
+std::vector<uint64_t> extreme_values(size_t size) {
+  if (size == 4) return {0xFFFFFFFFull, 0x7FFFFFFFull, 0x80000000ull, 0};
+  return {~uint64_t{0}, static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
+          uint64_t{1} << 63, 0};
+}
+
+/// Checks one load of a damaged payload: a typed error or a clean load, and
+/// no allocation beyond the bound. Returns false (with a failure) otherwise.
+bool typed_and_bounded(const std::string& bytes, const Loader& load, const std::string& where) {
+  const LoadResult result = try_load(bytes, load);
+  if (result.outcome == Outcome::kOtherError) {
+    ADD_FAILURE() << where << ": untyped error '" << result.what << "'";
+    return false;
+  }
+  if (result.largest_allocation > allocation_bound(bytes)) {
+    ADD_FAILURE() << where << ": allocated " << result.largest_allocation << " bytes at once for a "
+                  << bytes.size() << "-byte payload";
+    return false;
+  }
+  return true;
+}
+
+struct FuzzTarget {
+  const char* name;
+  std::string bytes;
+  Loader load;
+};
+
+/// A trace with every repeated block non-empty, so every count field exists.
+trace::Trace sample_trace() {
+  trace::Trace t;
+  t.spec.frames = 2;
+  t.spec.stalls.push_back({static_cast<int>(serving::Stage::kSaliency), 1000, 0, 1, 1});
+  t.spec.camera_faults.push_back(trace::TraceCameraFault{});
+  t.spec.supervisor.calibration.forced_swap_frames = {1};
+  t.spec.cluster.streams = 2;
+  faults::ReplicaFault fault;
+  fault.kind = faults::ReplicaFaultKind::kSlow;
+  fault.end_ns = 10;
+  t.spec.cluster.replica_faults.push_back(fault);
+  t.frames.resize(2);
+  t.frames[1].frame_index = 1;
+  t.events.resize(1);
+  return t;
+}
+
+std::string serialized(const trace::Trace& t) {
+  std::stringstream ss;
+  t.save(ss);
+  return ss.str();
+}
+
+const std::vector<FuzzTarget>& fuzz_targets() {
+  static const std::vector<FuzzTarget> targets = [] {
+    std::vector<FuzzTarget> out;
+    out.push_back({"trace", serialized(sample_trace()),
+                   [](std::istream& is) { (void)trace::Trace::load(is); }});
+    out.push_back({"pipeline", serialized_quant_pipeline().bytes,
+                   [](std::istream& is) { (void)core::PipelineIo::load(is); }});
+    out.push_back({"threshold-set", serialized_threshold_set(),
+                   [](std::istream& is) { (void)calib::ThresholdSet::load(is); }});
+    out.push_back({"sketch-warmup", serialized_sketch(false),
+                   [](std::istream& is) { (void)calib::P2Sketch::load(is); }});
+    out.push_back({"sketch-streaming", serialized_sketch(true),
+                   [](std::istream& is) { (void)calib::P2Sketch::load(is); }});
+    return out;
+  }();
+  return targets;
+}
+
+TEST(LoaderFuzz, EveryPrefixTruncationIsTyped) {
+  for (const FuzzTarget& target : fuzz_targets()) {
+    ASSERT_EQ(try_load(target.bytes, target.load).outcome, Outcome::kLoaded) << target.name;
+    for (size_t keep = 0; keep < target.bytes.size(); ++keep) {
+      const std::string cut = target.bytes.substr(0, keep);
+      const LoadResult result = try_load(cut, target.load);
+      ASSERT_EQ(result.outcome, Outcome::kTypedError)
+          << target.name << " cut to " << keep << "/" << target.bytes.size()
+          << " bytes: " << result.what;
+      ASSERT_LE(result.largest_allocation, allocation_bound(cut)) << target.name << " cut to " << keep;
+    }
+  }
+}
+
+TEST(LoaderFuzz, ExtremeValueInEveryFieldIsTypedOrLoads) {
+  for (const FuzzTarget& target : fuzz_targets()) {
+    const std::vector<Field> fields = scalar_fields(target.bytes, target.load);
+    ASSERT_FALSE(fields.empty()) << target.name;
+    for (const Field& field : fields) {
+      for (const uint64_t value : extreme_values(field.size)) {
+        const std::string where = std::string(target.name) + " field @" +
+                                  std::to_string(field.offset) + " = " + std::to_string(value);
+        if (!typed_and_bounded(with_field(target.bytes, field, value), target.load, where)) return;
+      }
+    }
+  }
+}
+
+/// One seeded mutation: a target, one of its fields, and the bits written.
+struct FieldMutation {
+  size_t target = 0;
+  Field field;
+  uint64_t value = 0;
+};
+
+std::string describe(const FieldMutation& m) {
+  return std::string(fuzz_targets()[m.target].name) + " field @" + std::to_string(m.field.offset) +
+         " (" + std::to_string(m.field.size) + " bytes) = " + std::to_string(m.value);
+}
+
+TEST(LoaderFuzz, SeededFieldMutationsAreTypedOrLoad) {
+  std::vector<std::vector<Field>> fields;
+  for (const FuzzTarget& target : fuzz_targets()) {
+    fields.push_back(scalar_fields(target.bytes, target.load));
+  }
+  const auto gen = [&](Rng& rng) {
+    FieldMutation m;
+    m.target = static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(fields.size()) - 1));
+    const std::vector<Field>& pool = fields[m.target];
+    m.field = pool[static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(pool.size()) - 1))];
+    // Half the draws are large magnitudes (the oversized-count regime), half
+    // are small, so enum tags and flags see near-range values too.
+    const uint64_t bits = rng.next_u64();
+    m.value = rng.uniform_int(0, 1) == 0 ? bits : bits % 64;
+    if (m.field.size == 4) m.value &= 0xFFFFFFFFull;
+    return m;
+  };
+  const auto holds = [&](const FieldMutation& m) {
+    const FuzzTarget& target = fuzz_targets()[m.target];
+    return typed_and_bounded(with_field(target.bytes, m.field, m.value), target.load, describe(m));
+  };
+  prop::for_all<FieldMutation>("damaged field is typed or loads", gen, holds, {400, 0x5a17});
+}
+
+// ---------------------------------------------------------------------------
+// Named count, length and enum fields must reject out-of-range values. Each
+// field is located by serializing the object twice with only that field
+// changed: the payloads first differ at the field.
+
+size_t first_difference(const std::string& a, const std::string& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return i;
+  }
+  return n;
+}
+
+struct NamedField {
+  const char* name;
+  std::function<void(trace::Trace&)> edit;  ///< moves only this field
+  size_t size;                             ///< 4 (u32) or 8 (i64)
+};
+
+TEST(LoaderFuzz, TraceCountAndEnumFieldsRejectOutOfRangeValues) {
+  const trace::Trace base = sample_trace();
+  const std::string bytes = serialized(base);
+  const Loader load = [](std::istream& is) { (void)trace::Trace::load(is); };
+  const std::vector<NamedField> named = {
+      {"dataset length", [](trace::Trace& t) { t.spec.dataset = "indoor"; }, 4},
+      {"stall count", [](trace::Trace& t) { t.spec.stalls.push_back(t.spec.stalls[0]); }, 4},
+      {"camera-fault count",
+       [](trace::Trace& t) { t.spec.camera_faults.push_back(t.spec.camera_faults[0]); }, 4},
+      {"camera-fault kind",
+       [](trace::Trace& t) { t.spec.camera_faults[0].fault = faults::CameraFault::kOcclusion; }, 4},
+      {"detect_frozen_frames",
+       [](trace::Trace& t) {
+         t.spec.supervisor.monitor.detect_frozen_frames =
+             !t.spec.supervisor.monitor.detect_frozen_frames;
+       },
+       4},
+      {"calibration enabled", [](trace::Trace& t) { t.spec.supervisor.calibration.enabled = true; }, 4},
+      {"forced-swap count",
+       [](trace::Trace& t) { t.spec.supervisor.calibration.forced_swap_frames.push_back(2); }, 4},
+      {"watchdog enabled", [](trace::Trace& t) { t.spec.cluster.watchdog.enabled = true; }, 4},
+      {"replica-fault count",
+       [](trace::Trace& t) {
+         t.spec.cluster.replica_faults.push_back(t.spec.cluster.replica_faults[0]);
+       },
+       4},
+      {"replica-fault kind",
+       [](trace::Trace& t) {
+         t.spec.cluster.replica_faults[0].kind = faults::ReplicaFaultKind::kHang;
+       },
+       4},
+      {"quant-rungs flag", [](trace::Trace& t) { t.spec.supervisor.enable_quant_rungs = true; }, 4},
+      {"frame-record count", [](trace::Trace& t) { t.frames.push_back(t.frames[0]); }, 8},
+      {"frame mode", [](trace::Trace& t) { t.frames[0].mode = serving::ServingMode::kRawMse; }, 4},
+      {"frame flags", [](trace::Trace& t) { t.frames[0].scored = true; }, 4},
+      {"monitor state",
+       [](trace::Trace& t) { t.frames[0].monitor_state = core::MonitorState::kAlert; }, 4},
+      {"fallback path",
+       [](trace::Trace& t) { t.frames[0].fallback_path = core::FallbackPath::kNovelty; }, 4},
+      {"mode after", [](trace::Trace& t) { t.frames[0].mode_after = serving::ServingMode::kRawMse; },
+       4},
+      {"breaker after",
+       [](trace::Trace& t) { t.frames[0].breaker_after = serving::BreakerState::kOpen; }, 4},
+      {"event count", [](trace::Trace& t) { t.events.push_back(t.events[0]); }, 8},
+      {"event kind",
+       [](trace::Trace& t) { t.events[0].kind = serving::ClusterEventKind::kShed; }, 4},
+  };
+  const auto gen = [](Rng& rng) {
+    // Out of range for every count and enum in the format: at least 2^32.
+    return static_cast<uint64_t>(
+        rng.uniform_int(int64_t{1} << 32, std::numeric_limits<int64_t>::max()));
+  };
+  for (const NamedField& f : named) {
+    trace::Trace edited = base;
+    f.edit(edited);
+    const Field field{first_difference(bytes, serialized(edited)), f.size};
+    ASSERT_LT(field.offset, bytes.size()) << f.name;
+    std::vector<uint64_t> values = extreme_values(f.size);
+    values.pop_back();  // zero is in range for most of these
+    for (const uint64_t value : values) {
+      const LoadResult result = try_load(with_field(bytes, field, value), load);
+      EXPECT_EQ(result.outcome, Outcome::kTypedError) << f.name << " = " << value;
+      EXPECT_LE(result.largest_allocation, allocation_bound(bytes)) << f.name << " = " << value;
+    }
+    if (f.size == 4) continue;  // u32 fields: every all-ones/INT_MAX/sign value is covered
+    prop::for_all<uint64_t>(
+        f.name, gen,
+        [&](uint64_t value) {
+          return try_load(with_field(bytes, field, value), load).outcome == Outcome::kTypedError;
+        },
+        {50, 0x7ace});
+  }
+}
+
+TEST(TraceCorruption, OversizedScheduleCountFailsTypedWithoutAllocating) {
+  // A v5 trace cut right after its stall count, which claims 2^32 - 1 (and,
+  // separately, 20 million) stall records: the loader must reject the count
+  // against the bytes left instead of sizing a vector from it.
+  for (const uint32_t n_stalls : {0xFFFFFFFFu, 20'000'000u}) {
+    std::stringstream ss;
+    write_header(ss, "salnov-trace", 5);
+    write_string(ss, "outdoor");
+    for (int i = 0; i < 5; ++i) write_i64(ss, 1);  // seeds, frames, height, width
+    write_u32(ss, n_stalls);
+    const std::string payload = ss.str();
+    const LoadResult result =
+        try_load(payload, [](std::istream& is) { (void)trace::Trace::load(is); });
+    EXPECT_EQ(result.outcome, Outcome::kTypedError) << n_stalls << ": " << result.what;
+    EXPECT_NE(result.what.find("stall count"), std::string::npos) << result.what;
+    EXPECT_LE(result.largest_allocation, allocation_bound(payload)) << n_stalls;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Removed format versions: each loader accepts only its current version and
+// names the rejected one.
+
+std::string with_version(std::string bytes, const std::string& magic, uint32_t version) {
+  std::memcpy(&bytes[4 + magic.size()], &version, sizeof version);
+  return bytes;
+}
+
+void expect_version_rejected(const std::string& bytes, const Loader& load, uint32_t version) {
+  const LoadResult result = try_load(bytes, load);
+  EXPECT_EQ(result.outcome, Outcome::kTypedError) << "version " << version;
+  EXPECT_NE(result.what.find("version " + std::to_string(version)), std::string::npos)
+      << result.what;
+}
+
+TEST(RemovedFormatVersions, TraceV1ToV4Rejected) {
+  const std::string bytes = serialized(sample_trace());
+  for (uint32_t version = 1; version <= 4; ++version) {
+    expect_version_rejected(with_version(bytes, "salnov-trace", version),
+                            [](std::istream& is) { (void)trace::Trace::load(is); }, version);
+  }
+}
+
+TEST(RemovedFormatVersions, PipelineV2Rejected) {
+  expect_version_rejected(with_version(serialized_pipeline(), "salnov-pipeline", 2),
+                          [](std::istream& is) { (void)core::PipelineIo::load(is); }, 2);
+}
+
+TEST(RemovedFormatVersions, ThresholdSetV1Rejected) {
+  expect_version_rejected(with_version(serialized_threshold_set(), "salnov-thresholds", 1),
+                          [](std::istream& is) { (void)calib::ThresholdSet::load(is); }, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Serving-runtime tests: deadline watchdog, degraded-mode ladder, circuit
-// breaker, bounded queue, and health accounting.
+// breaker, admission-credit shedding, and health accounting.
 //
 // Every timing scenario runs under a FakeClock with a deterministic
 // TimingFaultInjector: injected stalls are the ONLY thing that advances
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -23,9 +22,8 @@
 #include "faults/timing_faults.hpp"
 #include "serving/circuit_breaker.hpp"
 #include "serving/clock.hpp"
-#include "serving/frame_queue.hpp"
+#include "serving/cluster.hpp"
 #include "serving/health.hpp"
-#include "serving/server.hpp"
 #include "serving/supervisor.hpp"
 
 namespace salnov::serving {
@@ -91,6 +89,15 @@ class ServingFixture : public ::testing::Test {
     config.stage_budget_ns = {kMs, kMs, kMs, kMs, kMs};
     config.frame_budget_ns = 1000 * kMs;
     config.timing_faults = faults;
+    return config;
+  }
+
+  /// The serving front end: one stream on one replica, admitting at most
+  /// `credits` pending frames (the oldest queued frame is shed past that).
+  static ClusterConfig front_end(SupervisorConfig supervisor, int64_t credits) {
+    ClusterConfig config;
+    config.supervisor = std::move(supervisor);
+    config.admission_credits = credits;
     return config;
   }
 
@@ -234,39 +241,6 @@ TEST(CircuitBreakerTest, HalfOpenHoldsUntilAProbeResultArrives) {
   breaker.record_success();
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_EQ(breaker.probe_successes(), 1);
-}
-
-TEST(FrameQueueTest, ShedsOldestWhenFull) {
-  FrameQueue queue(3);
-  for (int64_t id = 0; id < 5; ++id) {
-    QueuedFrame item;
-    item.id = id;
-    item.frame = Image(2, 2);
-    const FrameQueue::PushResult result = queue.push(std::move(item));
-    EXPECT_TRUE(result.accepted);
-    EXPECT_EQ(result.shed, id < 3 ? 0u : 1u);
-  }
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.high_water_mark(), 3u);
-  EXPECT_EQ(queue.shed_total(), 2);
-  QueuedFrame out;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 2) << "frames 0 and 1 were shed; the freshest survive";
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 3);
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 4);
-  EXPECT_FALSE(queue.try_pop(out));
-}
-
-TEST(FrameQueueTest, CloseUnblocksAndRejects) {
-  FrameQueue queue(2);
-  queue.close();
-  QueuedFrame item;
-  item.frame = Image(2, 2);
-  EXPECT_FALSE(queue.push(std::move(item)).accepted);
-  QueuedFrame out;
-  EXPECT_FALSE(queue.pop_wait(out));
 }
 
 TEST(LatencyRingTest, NearestRankPercentiles) {
@@ -548,51 +522,44 @@ TEST_F(ServingFixture, IdenticalSchedulesProduceIdenticalHealth) {
 }
 
 // ---------------------------------------------------------------------------
-// ServingServer: queue + worker thread. These also run under TSan (see
-// tools/run_tsan.sh).
+// The serving front end: a one-stream, one-replica ServingCluster with
+// admission credits, fed by producer threads. These also run under TSan
+// (see tools/run_tsan.sh).
 
 TEST_F(ServingFixture, ServerProcessesEverythingItAccepts) {
-  Supervisor supervisor(*detector_, steering_, tight_config(nullptr));
-  ServerConfig server_config;
-  server_config.queue_capacity = 8;
-  ServingServer server(supervisor, server_config);
+  ServingCluster cluster(*detector_, steering_, front_end(tight_config(nullptr), 8));
   Rng rng(63);
-  int64_t shed = 0;
-  for (int i = 0; i < 50; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 50);
-  EXPECT_EQ(health.queue_shed, shed);
-  EXPECT_LE(health.queue_high_water, 8);
-  EXPECT_EQ(health.queue_capacity, 8);
-  const std::vector<ServeResult> results = server.take_results();
+  for (int i = 0; i < 50; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.drain();
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 50);
+  EXPECT_EQ(health.queue_shed, cluster.shed_for_stream(0));
+  const std::vector<ClusterResult> results = cluster.take_results();
   EXPECT_EQ(static_cast<int64_t>(results.size()), health.frames_total);
-  server.stop();
+  cluster.stop();
 }
 
 TEST_F(ServingFixture, ServerBurstRespectsQueueBound) {
   // Stall every frame's saliency stage on a real clock so the worker is
-  // genuinely slower than the producer; the queue must cap, shed the oldest,
-  // and never exceed its capacity.
+  // genuinely slower than the producer; admission control must shed past
+  // the credits (oldest queued frame first) and account for every
+  // submission exactly once.
   faults::TimingFaultInjector faults;
   faults.add({static_cast<int>(Stage::kSaliency), 2 * kMs, 0,
               std::numeric_limits<int64_t>::max() - 1, 1});
   SupervisorConfig config = tight_config(&faults);
   config.breaker.failure_threshold = 1'000'000;
-  Supervisor supervisor(*detector_, steering_, config);
-  ServerConfig server_config;
-  server_config.queue_capacity = 4;
-  server_config.keep_results = false;
-  ServingServer server(supervisor, server_config);
+  ClusterConfig cluster_config = front_end(config, 4);
+  cluster_config.keep_results = false;
+  ServingCluster cluster(*detector_, steering_, cluster_config);
   Rng rng(65);
-  int64_t shed = 0;
-  for (int i = 0; i < 64; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 64);
-  EXPECT_LE(health.queue_high_water, 4);
-  EXPECT_TRUE(server.take_results().empty());
-  server.stop();
+  for (int i = 0; i < 64; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.drain();
+  const HealthSnapshot health = cluster.aggregate_health();
+  EXPECT_EQ(health.frames_total + health.queue_shed, 64);
+  EXPECT_EQ(health.cluster.shed_frames, health.queue_shed);
+  EXPECT_TRUE(cluster.take_results().empty());
+  cluster.stop();
 }
 
 TEST_F(ServingFixture, PersistentStallFailsEveryProbeWithoutRetripping) {
@@ -630,11 +597,11 @@ TEST_F(ServingFixture, PersistentStallFailsEveryProbeWithoutRetripping) {
 }
 
 TEST_F(ServingFixture, ProbeDuringQueueBurstRestoresLadder) {
-  // The half-open probe fires while the server is absorbing a producer
+  // The half-open probe fires while the front end is absorbing a producer
   // burst: shedding changes which *camera* frames are processed, but stalls
   // key off the supervisor's own frame counter, so the trip -> backoff ->
   // probe -> restore cycle happens on exactly the same processed-frame
-  // indices regardless of queue pressure.
+  // indices regardless of admission pressure.
   faults::TimingFaultInjector faults;
   faults.add({static_cast<int>(Stage::kSaliency), 10 * kMs, /*first_frame=*/0,
               /*last_frame=*/1, /*period=*/1});
@@ -643,17 +610,13 @@ TEST_F(ServingFixture, ProbeDuringQueueBurstRestoresLadder) {
   config.breaker.failure_threshold = 2;
   config.breaker.open_frames = 2;
   config.promote_after_healthy_frames = 2;
-  Supervisor supervisor(*detector_, steering_, config, &clock);
-  ServerConfig server_config;
-  server_config.queue_capacity = 8;
-  ServingServer server(supervisor, server_config);
+  ServingCluster cluster(*detector_, steering_, front_end(config, 8), &clock);
   Rng rng(73);
-  int64_t shed = 0;
-  for (int i = 0; i < 60; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 60);
-  // Even in the worst burst case the drain processes >= queue_capacity
+  for (int i = 0; i < 60; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.drain();
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 60);
+  // Even in the worst burst case the drain processes >= admission_credits
   // frames, which covers trip (frame 1), backoff (2..3), and the successful
   // probe that restores the top rung.
   ASSERT_GE(health.frames_total, 8);
@@ -662,9 +625,9 @@ TEST_F(ServingFixture, ProbeDuringQueueBurstRestoresLadder) {
   EXPECT_EQ(health.probe_successes, 1);
   EXPECT_EQ(health.breaker_state, BreakerState::kClosed);
   EXPECT_EQ(health.mode, ServingMode::kVbpSsim);
-  const std::vector<ServeResult> results = server.take_results();
+  const std::vector<ClusterResult> results = cluster.take_results();
   EXPECT_EQ(static_cast<int64_t>(results.size()), health.frames_total);
-  server.stop();
+  cluster.stop();
 }
 
 TEST_F(ServingFixture, HotSwapChangesVerdictsWithoutInterruptingService) {
@@ -719,14 +682,13 @@ TEST_F(ServingFixture, HotSwapChangesVerdictsWithoutInterruptingService) {
 
 TEST_F(ServingFixture, ServerConcurrentHotSwapNeverBlocksScoring) {
   // Hot-swap thread-safety under load (runs under TSan, see
-  // tools/run_tsan.sh): one thread streams frames through the server while
-  // another repeatedly installs fresh ThresholdSets and reads health
-  // snapshots. The scorer's acquire is wait-free, so every accepted frame is
-  // processed and the served epoch only moves forward.
-  Supervisor supervisor(*detector_, steering_, tight_config(nullptr));
-  ServerConfig server_config;
-  server_config.queue_capacity = 16;
-  ServingServer server(supervisor, server_config);
+  // tools/run_tsan.sh): one thread streams frames through the front end
+  // while another repeatedly installs fresh ThresholdSets on the stream's
+  // supervisor and reads health snapshots. The scorer's acquire is
+  // wait-free, so every accepted frame is processed and the served epoch
+  // only moves forward.
+  ServingCluster cluster(*detector_, steering_, front_end(tight_config(nullptr), 16));
+  Supervisor& supervisor = cluster.stream_supervisor(0);
 
   constexpr int64_t kInstalls = 200;
   std::thread installer([&] {
@@ -738,50 +700,43 @@ TEST_F(ServingFixture, ServerConcurrentHotSwapNeverBlocksScoring) {
             detector_->variant_calibration(static_cast<core::DetectorVariant>(v)).threshold;
       }
       supervisor.install_thresholds(std::move(set));
-      (void)server.health();
+      (void)cluster.stream_health(0);
     }
   });
 
   Rng rng(77);
-  int64_t shed = 0;
-  for (int i = 0; i < 40; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
+  for (int i = 0; i < 40; ++i) cluster.submit(0, familiar_frame(rng));
   installer.join();
-  server.drain();
+  cluster.drain();
 
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 40);
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 40);
   EXPECT_EQ(health.threshold_swaps, kInstalls);
-  const std::vector<ServeResult> results = server.take_results();
+  const std::vector<ClusterResult> results = cluster.take_results();
   int64_t last_epoch = 0;
-  for (const ServeResult& result : results) {
-    EXPECT_GE(result.threshold_epoch, last_epoch) << "served epoch must be monotone";
-    last_epoch = std::max(last_epoch, result.threshold_epoch);
+  for (const ClusterResult& cr : results) {
+    EXPECT_GE(cr.result.threshold_epoch, last_epoch) << "served epoch must be monotone";
+    last_epoch = std::max(last_epoch, cr.result.threshold_epoch);
   }
-  server.stop();
+  cluster.stop();
 }
 
 TEST_F(ServingFixture, ServerConcurrentProducersAndSnapshots) {
-  Supervisor supervisor(*detector_, steering_, tight_config(nullptr));
-  ServerConfig server_config;
-  server_config.queue_capacity = 16;
-  ServingServer server(supervisor, server_config);
+  ServingCluster cluster(*detector_, steering_, front_end(tight_config(nullptr), 16));
 
-  std::atomic<int64_t> shed{0};
   const auto produce = [&](int seed) {
     Rng rng(seed);
-    for (int i = 0; i < 25; ++i) {
-      shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-    }
+    for (int i = 0; i < 25; ++i) cluster.submit(0, familiar_frame(rng));
   };
   std::thread a(produce, 67);
   std::thread b(produce, 69);
-  for (int i = 0; i < 10; ++i) (void)server.health();  // concurrent snapshots
+  for (int i = 0; i < 10; ++i) (void)cluster.aggregate_health();  // concurrent snapshots
   a.join();
   b.join();
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed.load(), 50);
-  server.stop();
+  cluster.drain();
+  const HealthSnapshot health = cluster.aggregate_health();
+  EXPECT_EQ(health.frames_total + health.queue_shed, 50);
+  cluster.stop();
 }
 
 }  // namespace

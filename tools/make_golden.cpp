@@ -18,9 +18,9 @@
 // Usage: make_golden --out tests/golden [--only SCENARIO]
 // Re-run it (and commit the result) whenever an intentional pipeline change
 // invalidates the goldens; CI replays them on every push. --only records a
-// single scenario, leaving the other checked-in traces untouched — older
-// traces at earlier format versions deliberately stay as-is, so the replay
-// job keeps exercising the loader's version gating.
+// single scenario, leaving the other checked-in traces untouched (the trace
+// loader accepts only the current format version, so those must already be
+// current).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
