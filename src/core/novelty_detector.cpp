@@ -42,6 +42,13 @@ void fan_out(int64_t n, bool parallel_ok, const std::function<void(int64_t)>& fn
   });
 }
 
+std::vector<Image> copy_images(const std::vector<const Image*>& inputs) {
+  std::vector<Image> out;
+  out.reserve(inputs.size());
+  for (const Image* input : inputs) out.push_back(*input);
+  return out;
+}
+
 }  // namespace
 
 const char* detector_variant_name(DetectorVariant variant) {
@@ -260,11 +267,9 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
     // per-layer max of a batch forward equals the max over batch-1 calls.
     ae_quant_scales_ = nn::QuantizedForward::calibrate(autoencoder_, {&data});
     if (saliency_configured && steering_model_ != nullptr) {
-      Tensor steer_data({n, 1, config_.height, config_.width});
-      for (int64_t i = 0; i < n; ++i) {
-        std::memcpy(steer_data.data() + i * dim, training_images[static_cast<size_t>(i)].tensor().data(),
-                    static_cast<size_t>(dim) * sizeof(float));
-      }
+      std::vector<const Image*> frames;
+      for (const Image& image : training_images) frames.push_back(&image);
+      const Tensor steer_data = stack_nchw(frames);
       steering_quant_scales_ = nn::QuantizedForward::calibrate(*steering_model_, {&steer_data});
     }
     rebuild_quant_path();
@@ -311,8 +316,8 @@ double NoveltyDetector::variant_score_pair(DetectorVariant variant, const Image&
   return ssim_.mean_ssim(reconstruction.flattened(), preprocessed.flattened());
 }
 
-std::vector<Image> NoveltyDetector::variant_preprocess_batch(
-    DetectorVariant variant, const std::vector<const Image*>& inputs) const {
+bool NoveltyDetector::validate_batch(DetectorVariant variant,
+                                     const std::vector<const Image*>& inputs) const {
   const bool saliency = uses_saliency(variant_preprocessing(variant));
   for (const Image* input : inputs) {
     if (input == nullptr) {
@@ -320,19 +325,33 @@ std::vector<Image> NoveltyDetector::variant_preprocess_batch(
     }
     validate_input(*input, saliency);
   }
-  if (!saliency) {
-    std::vector<Image> out;
-    out.reserve(inputs.size());
-    for (const Image* input : inputs) out.push_back(*input);
-    return out;
+  if (saliency && detector_variant_quantized(variant) &&
+      (quant_steering_ == nullptr || vbp_ == nullptr)) {
+    throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
   }
+  return saliency;
+}
+
+std::vector<Image> NoveltyDetector::variant_preprocess_batch(
+    DetectorVariant variant, const std::vector<const Image*>& inputs) const {
+  if (!validate_batch(variant, inputs)) return copy_images(inputs);
   if (detector_variant_quantized(variant)) {
-    if (quant_steering_ == nullptr || vbp_ == nullptr) {
-      throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
-    }
     return vbp_->compute_batch_quantized(*quant_steering_, inputs);
   }
   return saliency_->compute_batch(*steering_model_, inputs);
+}
+
+std::vector<Image> NoveltyDetector::variant_preprocess_batch(
+    DetectorVariant variant, const std::vector<const Image*>& inputs,
+    const nn::StagedForward& pass, const std::vector<int64_t>& rows) const {
+  if (!validate_batch(variant, inputs)) return copy_images(inputs);
+  if (vbp_ == nullptr) {
+    throw std::logic_error("NoveltyDetector: only VBP preprocessing reads a steering pass");
+  }
+  if (rows.size() != inputs.size()) {
+    throw std::invalid_argument("variant_preprocess_batch: one pass row per input required");
+  }
+  return vbp_->masks(*steering_model_, pass.conv_stages, rows, config_.height, config_.width);
 }
 
 std::vector<Image> NoveltyDetector::reconstruct_batch(

@@ -211,6 +211,23 @@ class NoveltyDetector {
   std::vector<Image> variant_preprocess_batch(DetectorVariant variant,
                                               const std::vector<const Image*>& inputs) const;
 
+  /// True when the saliency stage reads the steering CNN's conv stages
+  /// (VBP preprocessing): a caller that already ran forward_stages() over
+  /// steering_model() — or over quant_steering() for the q8 variants — can
+  /// hand that pass to the overload below instead of paying for a second
+  /// forward.
+  bool saliency_reads_steering_pass() const { return vbp_ != nullptr; }
+
+  /// As variant_preprocess_batch(variant, inputs), with the same validation
+  /// in the same order, but mask i is built from row rows[i] of `pass`, a
+  /// forward_stages() that already ran at the variant's precision. Same
+  /// bits as the two-forward path. Throws std::logic_error when
+  /// saliency_reads_steering_pass() is false.
+  std::vector<Image> variant_preprocess_batch(DetectorVariant variant,
+                                              const std::vector<const Image*>& inputs,
+                                              const nn::StagedForward& pass,
+                                              const std::vector<int64_t>& rows) const;
+
   /// Batched autoencoder reconstruction: one [B, H*W] forward. Element i is
   /// bit-identical to reconstruct(*preprocessed[i]).
   std::vector<Image> reconstruct_batch(const std::vector<const Image*>& preprocessed) const;
@@ -244,6 +261,8 @@ class NoveltyDetector {
   /// The quantized model views, or nullptr when has_quant_path() is false
   /// (steering also requires attach_steering_model()).
   const nn::QuantizedForward* quant_autoencoder() const { return quant_ae_.get(); }
+  /// The attached steering model (null before attach_steering_model()).
+  const nn::Sequential* steering_model() const { return steering_model_; }
   const nn::QuantizedForward* quant_steering() const { return quant_steering_.get(); }
 
   bool is_fitted() const { return fitted_; }
@@ -259,6 +278,11 @@ class NoveltyDetector {
 
   /// Shared entry guard: size check, wiring check, content validation.
   void validate_input(const Image& input, bool needs_saliency) const;
+
+  /// The batch entries' guard: validates every input, then checks that a
+  /// q8 saliency variant has its quantized path. Returns true when the
+  /// variant computes a mask (false: the inputs pass through unchanged).
+  bool validate_batch(DetectorVariant variant, const std::vector<const Image*>& inputs) const;
 
   /// True when batches may be preprocessed/scored on multiple threads:
   /// either no saliency stage, or one whose compute() is reentrant.

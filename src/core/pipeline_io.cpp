@@ -29,6 +29,25 @@ bool read_flag(std::istream& is, const char* what) {
   return value == 1;
 }
 
+/// A loaded model must map `input` to `expected`; a chain that does not
+/// (a wrong dense width, a two-output head) fails here, typed, instead of at
+/// the first forward.
+void require_model_shape(const nn::Sequential& model, const Shape& input, const Shape& expected,
+                         const char* what) {
+  Shape output;
+  try {
+    output = model.output_shape(input);
+  } catch (const std::invalid_argument& err) {
+    throw SerializationError(std::string("pipeline: ") + what + " does not accept " +
+                             shape_to_string(input) + ": " + err.what());
+  }
+  if (output != expected) {
+    throw SerializationError(std::string("pipeline: ") + what + " maps " +
+                             shape_to_string(input) + " to " + shape_to_string(output) +
+                             ", expected " + shape_to_string(expected));
+  }
+}
+
 void write_quant_scales(std::ostream& os, const nn::QuantScales& scales) {
   write_u32(os, static_cast<uint32_t>(scales.act_scales.size()));
   for (float s : scales.act_scales) write_f32(os, s);
@@ -181,11 +200,18 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
     pipeline.detector->variant_calibrations_[v] = VariantCalibration::load(is);
   }
   pipeline.detector->autoencoder_ = nn::load_model(is);
+  int64_t pixels = 0;
+  if (__builtin_mul_overflow(config.height, config.width, &pixels)) {
+    throw SerializationError("pipeline: implausible image size");
+  }
+  require_model_shape(pipeline.detector->autoencoder_, {1, pixels}, {1, pixels}, "autoencoder");
   pipeline.detector->threshold_ = threshold;
   pipeline.detector->fitted_ = true;
 
   if (read_flag(is, "steering presence flag")) {
     pipeline.steering_model = std::make_unique<nn::Sequential>(nn::load_model(is));
+    require_model_shape(*pipeline.steering_model, {1, 1, config.height, config.width}, {1, 1},
+                        "steering model");
     pipeline.detector->attach_steering_model(pipeline.steering_model.get());
   } else if (uses_saliency(config.preprocessing)) {
     throw SerializationError("pipeline: saliency configuration but no steering model in file");

@@ -35,7 +35,15 @@ SteeringTrainResult train_steering_model(nn::Sequential& model,
 /// Mean absolute steering error of the model over a dataset.
 double steering_mae(nn::Sequential& model, const roadsim::DrivingDataset& dataset);
 
-/// Predicts the steering angle for one image.
+/// The steering angles in the output of a forward over `frames` frames
+/// (Sequential::forward or forward_stages, float or quantized). Throws
+/// std::logic_error unless the model produced one scalar per frame.
+std::vector<double> steering_angles(const Tensor& output, int64_t frames);
+
+/// Predicts the steering angle for one image. Every predict_steering* entry
+/// is one inference forward plus steering_angles(); a caller that also needs
+/// the VisualBackProp mask runs forward_stages() instead and reads both from
+/// the one pass.
 double predict_steering(nn::Sequential& model, const Image& image);
 
 /// Predicts steering angles for a batch of same-sized images with one fused

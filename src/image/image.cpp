@@ -1,6 +1,7 @@
 #include "image/image.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace salnov {
@@ -41,6 +42,25 @@ void Image::normalize_minmax() {
     return;
   }
   pixels_.apply([lo, range](float v) { return (v - lo) / range; });
+}
+
+Tensor stack_nchw(const std::vector<const Image*>& images) {
+  if (images.empty()) throw std::invalid_argument("stack_nchw: no images");
+  for (const Image* image : images) {
+    if (image == nullptr) throw std::invalid_argument("stack_nchw: null image");
+  }
+  const int64_t h = images[0]->height();
+  const int64_t w = images[0]->width();
+  Tensor stacked({static_cast<int64_t>(images.size()), 1, h, w});
+  float* dst = stacked.data();
+  for (const Image* image : images) {
+    if (image->height() != h || image->width() != w) {
+      throw std::invalid_argument("stack_nchw: mixed image sizes in one batch");
+    }
+    std::memcpy(dst, image->tensor().data(), static_cast<size_t>(h * w) * sizeof(float));
+    dst += h * w;
+  }
+  return stacked;
 }
 
 RgbImage::RgbImage(int64_t height, int64_t width)

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -73,6 +74,11 @@ class Image {
   int64_t width_ = 0;
   Tensor pixels_{Shape{0}};
 };
+
+/// Stacks same-sized images into one [B, 1, H, W] network input, the batched
+/// counterpart of Image::as_nchw(). Throws std::invalid_argument on an empty
+/// list, a null entry, or mixed sizes.
+Tensor stack_nchw(const std::vector<const Image*>& images);
 
 /// Three-channel (RGB) float image with values nominally in [0, 1].
 class RgbImage {

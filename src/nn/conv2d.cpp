@@ -44,7 +44,14 @@ void Conv2d::validate_config() const {
 }
 
 int64_t Conv2d::out_size(int64_t in_size, int64_t kernel) const {
-  return (in_size + 2 * config_.padding - kernel) / config_.stride + 1;
+  // A loaded model's padding and a loaded pipeline's frame size come from a
+  // file, so the padded size is computed with overflow checks.
+  int64_t padded = 0;
+  if (__builtin_mul_overflow(config_.padding, int64_t{2}, &padded) ||
+      __builtin_add_overflow(in_size, padded, &padded)) {
+    throw std::invalid_argument("Conv2d: padded input size overflows");
+  }
+  return (padded - kernel) / config_.stride + 1;
 }
 
 Shape Conv2d::output_shape(const Shape& input) const {

@@ -6,9 +6,7 @@ namespace salnov::nn {
 
 Shape Flatten::output_shape(const Shape& input) const {
   if (input.empty()) throw std::invalid_argument("Flatten: rank-0 input");
-  int64_t rest = 1;
-  for (size_t i = 1; i < input.size(); ++i) rest *= input[i];
-  return {input[0], rest};
+  return {input[0], shape_numel(Shape(input.begin() + 1, input.end()))};
 }
 
 Tensor Flatten::forward(const Tensor& input, Mode mode) {

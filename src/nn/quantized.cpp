@@ -251,19 +251,39 @@ Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& 
   return out;
 }
 
-Tensor QuantizedForward::forward(const Tensor& input) const {
+Tensor QuantizedForward::forward_layer(size_t i, const Tensor& input) const {
+  const int slot = layer_slot_[i];
+  if (slot < 0) return const_cast<Layer&>(model_.layer(i)).forward(input, Mode::kInfer);
+  const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
+  return ql.is_conv ? forward_quant_conv(ql, input) : forward_quant_dense(ql, input);
+}
+
+Tensor QuantizedForward::run(const Tensor& input, std::vector<Tensor>* conv_stages) const {
   ensure_fresh();
-  Tensor cur = input;
+  // Same in-place hand-off as Sequential::infer: a kept conv stage feeds the
+  // next layer from its slot in `conv_stages`.
+  const Tensor* current = &input;
+  Tensor owned;
   for (size_t i = 0; i < model_.size(); ++i) {
-    const int slot = layer_slot_[i];
-    if (slot >= 0) {
-      const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
-      cur = ql.is_conv ? forward_quant_conv(ql, cur) : forward_quant_dense(ql, cur);
+    Tensor next = forward_layer(i, *current);
+    if (conv_stages != nullptr && model_.ends_conv_stage(i)) {
+      conv_stages->push_back(std::move(next));
+      current = &conv_stages->back();
     } else {
-      cur = const_cast<Layer&>(model_.layer(i)).forward(cur, Mode::kInfer);
+      owned = std::move(next);
+      current = &owned;
     }
   }
-  return cur;
+  if (current == &owned) return owned;
+  return *current;
+}
+
+Tensor QuantizedForward::forward(const Tensor& input) const { return run(input, nullptr); }
+
+StagedForward QuantizedForward::forward_stages(const Tensor& input) const {
+  StagedForward result;
+  result.output = run(input, &result.conv_stages);
+  return result;
 }
 
 std::vector<Tensor> QuantizedForward::forward_collect(const Tensor& input) const {
@@ -272,13 +292,7 @@ std::vector<Tensor> QuantizedForward::forward_collect(const Tensor& input) const
   outputs.reserve(model_.size());
   Tensor cur = input;
   for (size_t i = 0; i < model_.size(); ++i) {
-    const int slot = layer_slot_[i];
-    if (slot >= 0) {
-      const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
-      cur = ql.is_conv ? forward_quant_conv(ql, cur) : forward_quant_dense(ql, cur);
-    } else {
-      cur = const_cast<Layer&>(model_.layer(i)).forward(cur, Mode::kInfer);
-    }
+    cur = forward_layer(i, cur);
     outputs.push_back(cur);
   }
   return outputs;

@@ -8,7 +8,7 @@
 // at the store. Every other layer (ReLU, Sigmoid, Tanh, Flatten, ...)
 // runs its float forward on the dequantized activations, so the quantized
 // chain is a drop-in replacement for Sequential::forward /
-// forward_collect with bounded score drift.
+// forward_stages / forward_collect with bounded score drift.
 //
 // Determinism contract (what the q8 ladder rungs and trace replay rely
 // on): the quantize -> exact integer GEMM -> dequant chain performs the
@@ -59,9 +59,14 @@ class QuantizedForward {
   /// Quantized counterpart of Sequential::forward(input, kInfer).
   Tensor forward(const Tensor& input) const;
 
+  /// Quantized counterpart of Sequential::forward_stages: the same chain as
+  /// forward(), also keeping each conv stage's post-ReLU output. The q8
+  /// steering prediction and the q8 VisualBackProp mask share this pass.
+  StagedForward forward_stages(const Tensor& input) const;
+
   /// Quantized counterpart of Sequential::forward_collect: one output per
-  /// layer, result[size()-1] is the final output. VisualBackProp consumes
-  /// this for the q8 saliency path.
+  /// layer, result[size()-1] is the final output (for layer-by-layer drift
+  /// checks).
   std::vector<Tensor> forward_collect(const Tensor& input) const;
 
   const Sequential& model() const { return model_; }
@@ -98,6 +103,13 @@ class QuantizedForward {
   /// alias).
   void ensure_fresh() const;
   static void requantize(QuantLayer& ql);
+
+  /// Runs layer `i` on `input`: the int8 GEMM for Dense / Conv2d, the
+  /// float forward for everything else.
+  Tensor forward_layer(size_t i, const Tensor& input) const;
+  /// The chain behind forward() and forward_stages(); appends each conv
+  /// stage's output to `conv_stages` when it is non-null.
+  Tensor run(const Tensor& input, std::vector<Tensor>* conv_stages) const;
 
   Tensor forward_quant_dense(const QuantLayer& ql, const Tensor& input) const;
   Tensor forward_quant_conv(const QuantLayer& ql, const Tensor& input) const;

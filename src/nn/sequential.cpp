@@ -36,21 +36,52 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Sequential::forward(const Tensor& input, Mode mode) {
+  if (mode == Mode::kInfer) return infer(input, nullptr);
   Tensor current = input;
-  if (mode == Mode::kInfer) {
-    for (size_t i = 0; i < layers_.size(); ++i) {
-      Tensor fused;
-      if (try_fused_infer(layers_, i, current, fused)) {
-        current = std::move(fused);
-        ++i;  // the ReLU ran inside the GEMM epilogue
-      } else {
-        current = layers_[i]->forward(current, mode);
-      }
-    }
-    return current;
-  }
   for (auto& layer : layers_) current = layer->forward(current, mode);
   return current;
+}
+
+StagedForward Sequential::forward_stages(const Tensor& input) const {
+  StagedForward result;
+  result.output = infer(input, &result.conv_stages);
+  return result;
+}
+
+bool Sequential::ends_conv_stage(size_t index) const {
+  const auto is_conv = [&](size_t i) {
+    return dynamic_cast<const Conv2d*>(layers_.at(i).get()) != nullptr;
+  };
+  if (layers_.at(index)->type_name() == "relu") return index > 0 && is_conv(index - 1);
+  return is_conv(index) &&
+         (index + 1 == layers_.size() || layers_[index + 1]->type_name() != "relu");
+}
+
+Tensor Sequential::infer(const Tensor& input, std::vector<Tensor>* conv_stages) const {
+  // Layers read the previous output in place: a kept conv stage feeds the
+  // next layer from its slot in `conv_stages` (only the last slot is read,
+  // and only before the next push), everything else from `owned`.
+  const Tensor* current = &input;
+  Tensor owned;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    // forward() is non-const on Layer because of training caches; inference
+    // mode leaves caches untouched, making this call logically const.
+    Tensor next;
+    if (try_fused_infer(layers_, i, *current, next)) {
+      ++i;  // the ReLU ran inside the GEMM epilogue
+    } else {
+      next = layers_[i]->forward(*current, Mode::kInfer);
+    }
+    if (conv_stages != nullptr && ends_conv_stage(i)) {
+      conv_stages->push_back(std::move(next));
+      current = &conv_stages->back();
+    } else {
+      owned = std::move(next);
+      current = &owned;
+    }
+  }
+  if (current == &owned) return owned;
+  return *current;
 }
 
 std::vector<Tensor> Sequential::forward_collect(const Tensor& input) const {

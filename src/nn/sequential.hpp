@@ -1,7 +1,10 @@
 // Sequential container: a chain of layers trained end-to-end.
 //
-// Also the introspection point for saliency: forward_collect() returns every
-// intermediate activation, which VisualBackProp and LRP consume.
+// Also the introspection point for saliency: forward_stages() runs the fused
+// inference chain once and keeps the post-ReLU output of each conv stage,
+// which is all VisualBackProp reads, so a steering prediction and its mask
+// share one forward. forward_collect() returns every intermediate activation
+// for LRP, which needs the pre-ReLU conv outputs too.
 #pragma once
 
 #include <memory>
@@ -10,6 +13,14 @@
 #include "nn/layer.hpp"
 
 namespace salnov::nn {
+
+/// An inference forward's output plus the post-activation output of each
+/// convolutional stage (a Conv2d, through the ReLU that follows it if any),
+/// shallow to deep, as [B, C, h, w] tensors.
+struct StagedForward {
+  Tensor output;
+  std::vector<Tensor> conv_stages;
+};
 
 class Sequential {
  public:
@@ -34,6 +45,16 @@ class Sequential {
   /// Runs the full chain. kTrain mode arms every layer's backward cache.
   Tensor forward(const Tensor& input, Mode mode = Mode::kInfer);
 
+  /// The inference forward (the same fused chain as forward(input, kInfer),
+  /// bit-identical output) that also keeps each conv stage's output. Only
+  /// those stages are kept; every other activation is freed as the chain
+  /// moves on.
+  StagedForward forward_stages(const Tensor& input) const;
+
+  /// True when layer `index` closes a conv stage: a Conv2d not followed by
+  /// a ReLU, or a ReLU that follows a Conv2d.
+  bool ends_conv_stage(size_t index) const;
+
   /// Runs the chain and returns all intermediate outputs:
   /// result[0] is layer 0's output, ..., result[size()-1] the final output.
   /// Always runs in inference mode (no caches disturbed).
@@ -54,6 +75,10 @@ class Sequential {
   int64_t parameter_count();
 
  private:
+  /// The fused inference chain behind forward(kInfer) and forward_stages();
+  /// appends each conv stage's output to `conv_stages` when it is non-null.
+  Tensor infer(const Tensor& input, std::vector<Tensor>* conv_stages) const;
+
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "nn/conv2d.hpp"
 #include "parallel/parallel_for.hpp"
@@ -11,23 +12,17 @@
 namespace salnov::saliency {
 namespace {
 
-struct ConvStage {
-  const nn::Conv2d* conv = nullptr;
-  size_t output_index = 0;  ///< index into forward_collect results (post-ReLU)
-};
-
-std::vector<ConvStage> find_conv_stages(const nn::Sequential& model) {
-  std::vector<ConvStage> stages;
+/// The model's conv layers, shallow to deep: the geometry the relevance
+/// chain deconvolves through, one per forward_stages() conv stage.
+std::vector<const nn::Conv2d*> conv_layers(const nn::Sequential& model) {
+  std::vector<const nn::Conv2d*> convs;
   for (size_t i = 0; i < model.size(); ++i) {
-    const auto* conv = dynamic_cast<const nn::Conv2d*>(&model.layer(i));
-    if (conv == nullptr) continue;
-    ConvStage stage;
-    stage.conv = conv;
-    stage.output_index =
-        (i + 1 < model.size() && model.layer(i + 1).type_name() == "relu") ? i + 1 : i;
-    stages.push_back(stage);
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&model.layer(i))) convs.push_back(conv);
   }
-  return stages;
+  if (convs.empty()) {
+    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
+  }
+  return convs;
 }
 
 /// Mean over channels of sample `n` of a [B, C, H, W] activation -> [H, W].
@@ -40,14 +35,15 @@ Tensor channel_average_sample(const Tensor& activation, int64_t n) {
                            shape_to_string(activation.shape()));
   }
   const int64_t channels = activation.dim(1);
-  const int64_t h = activation.dim(2);
-  const int64_t w = activation.dim(3);
-  Tensor avg({h, w});
-  const float* src = activation.data() + n * channels * h * w;
+  const int64_t plane = activation.dim(2) * activation.dim(3);
+  Tensor avg({activation.dim(2), activation.dim(3)});
+  float* dst = avg.data();
+  const float* src = activation.data() + n * channels * plane;
   for (int64_t c = 0; c < channels; ++c) {
-    for (int64_t i = 0; i < h * w; ++i) avg[i] += src[c * h * w + i];
+    for (int64_t i = 0; i < plane; ++i) dst[i] += src[c * plane + i];
   }
-  avg *= 1.0f / static_cast<float>(channels);
+  const float inv = 1.0f / static_cast<float>(channels);
+  for (int64_t i = 0; i < plane; ++i) dst[i] *= inv;
   return avg;
 }
 
@@ -89,7 +85,7 @@ void deconv_ones_into(const float* map, int64_t in_h, int64_t in_w, int64_t kern
 /// relevance map into the next stage's averaged activation, and returns the
 /// normalized input-resolution mask. Shared by the batch-1 and batched
 /// entries so they cannot drift apart.
-Image relevance_chain(const std::vector<ConvStage>& stages,
+Image relevance_chain(const std::vector<const nn::Conv2d*>& stages,
                       const std::vector<Tensor>& averaged_maps, int64_t in_h, int64_t in_w) {
   // The relevance chain ping-pongs between two workspace buffers sized for
   // the largest intermediate map, so steady-state frames allocate nothing.
@@ -106,7 +102,7 @@ Image relevance_chain(const std::vector<ConvStage>& stages,
   normalize_by_max(cur, cur_h * cur_w);
 
   for (size_t i = stages.size() - 1; i-- > 0;) {
-    const nn::Conv2dConfig& geo = stages[i + 1].conv->config();
+    const nn::Conv2dConfig& geo = stages[i + 1]->config();
     const Tensor& target = averaged_maps[i];
     const int64_t th = target.dim(0);
     const int64_t tw = target.dim(1);
@@ -119,7 +115,7 @@ Image relevance_chain(const std::vector<ConvStage>& stages,
     cur_w = tw;
   }
 
-  const nn::Conv2dConfig& first = stages.front().conv->config();
+  const nn::Conv2dConfig& first = stages.front()->config();
   Tensor relevance({in_h, in_w});
   deconv_ones_into(cur, cur_h, cur_w, first.kernel_h, first.kernel_w, first.stride, first.padding,
                    in_h, in_w, relevance.data());
@@ -127,6 +123,25 @@ Image relevance_chain(const std::vector<ConvStage>& stages,
   Image mask(in_h, in_w, std::move(relevance));
   mask.normalize_minmax();
   return mask;
+}
+
+/// The mask of sample `n`: channel averages of each conv stage, then the
+/// relevance chain. Every entry point ends here.
+Image stage_mask(const std::vector<const nn::Conv2d*>& convs, const std::vector<Tensor>& conv_stages,
+                 int64_t n, int64_t height, int64_t width, std::vector<Tensor>& averaged_maps) {
+  if (conv_stages.size() != convs.size()) {
+    throw std::invalid_argument("VisualBackProp: expected one activation per conv stage");
+  }
+  averaged_maps.clear();
+  averaged_maps.reserve(conv_stages.size());
+  for (const Tensor& stage : conv_stages) averaged_maps.push_back(channel_average_sample(stage, n));
+  return relevance_chain(convs, averaged_maps, height, width);
+}
+
+std::vector<int64_t> all_rows(size_t count) {
+  std::vector<int64_t> rows(count);
+  for (size_t i = 0; i < count; ++i) rows[i] = static_cast<int64_t>(i);
+  return rows;
 }
 
 }  // namespace
@@ -142,111 +157,57 @@ Tensor deconv_ones(const Tensor& map, int64_t kernel_h, int64_t kernel_w, int64_
   return out;
 }
 
-Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
+Image VisualBackProp::mask(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
+                           int64_t n, int64_t height, int64_t width) const {
   std::vector<Tensor> averaged_maps;
-  return compute_with_maps(model, input, averaged_maps);
+  return stage_mask(conv_layers(model), conv_stages, n, height, width, averaged_maps);
+}
+
+std::vector<Image> VisualBackProp::masks(const nn::Sequential& model,
+                                         const std::vector<Tensor>& conv_stages,
+                                         const std::vector<int64_t>& rows, int64_t height,
+                                         int64_t width) const {
+  const auto convs = conv_layers(model);
+  std::vector<Image> out(rows.size());
+  parallel::parallel_for(0, static_cast<int64_t>(rows.size()), 1, [&](int64_t begin, int64_t end) {
+    std::vector<Tensor> averaged_maps;
+    for (int64_t i = begin; i < end; ++i) {
+      out[static_cast<size_t>(i)] = stage_mask(convs, conv_stages, rows[static_cast<size_t>(i)],
+                                               height, width, averaged_maps);
+    }
+  });
+  return out;
+}
+
+Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
+  return mask(model, model.forward_stages(input.as_nchw()).conv_stages, 0, input.height(),
+              input.width());
 }
 
 Image VisualBackProp::compute_with_maps(nn::Sequential& model, const Image& input,
                                         std::vector<Tensor>& averaged_maps) const {
-  const auto stages = find_conv_stages(model);
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const auto activations = model.forward_collect(input.as_nchw());
-
-  averaged_maps.clear();
-  averaged_maps.reserve(stages.size());
-  for (const auto& stage : stages) {
-    averaged_maps.push_back(channel_average_sample(activations[stage.output_index], 0));
-  }
-  return relevance_chain(stages, averaged_maps, input.height(), input.width());
+  return stage_mask(conv_layers(model), model.forward_stages(input.as_nchw()).conv_stages, 0,
+                    input.height(), input.width(), averaged_maps);
 }
 
 Image VisualBackProp::compute_quantized(const nn::QuantizedForward& model,
                                         const Image& input) const {
-  const auto stages = find_conv_stages(model.model());
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const auto activations = model.forward_collect(input.as_nchw());
-  std::vector<Tensor> averaged_maps;
-  averaged_maps.reserve(stages.size());
-  for (const auto& stage : stages) {
-    averaged_maps.push_back(channel_average_sample(activations[stage.output_index], 0));
-  }
-  return relevance_chain(stages, averaged_maps, input.height(), input.width());
-}
-
-std::vector<Image> VisualBackProp::compute_batch_quantized(
-    const nn::QuantizedForward& model, const std::vector<const Image*>& inputs) const {
-  if (inputs.empty()) return {};
-  const auto stages = find_conv_stages(model.model());
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const int64_t batch = static_cast<int64_t>(inputs.size());
-  const int64_t h = inputs[0]->height();
-  const int64_t w = inputs[0]->width();
-  Tensor stacked({batch, 1, h, w});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image& input = *inputs[static_cast<size_t>(n)];
-    if (input.height() != h || input.width() != w) {
-      throw std::invalid_argument("VisualBackProp: mixed image sizes in one batch");
-    }
-    std::memcpy(stacked.data() + n * h * w, input.tensor().data(),
-                static_cast<size_t>(h * w) * sizeof(float));
-  }
-  const auto activations = model.forward_collect(stacked);
-  std::vector<Image> masks(inputs.size());
-  parallel::parallel_for(0, batch, 1, [&](int64_t begin, int64_t end) {
-    for (int64_t n = begin; n < end; ++n) {
-      std::vector<Tensor> averaged_maps;
-      averaged_maps.reserve(stages.size());
-      for (const auto& stage : stages) {
-        averaged_maps.push_back(channel_average_sample(activations[stage.output_index], n));
-      }
-      masks[static_cast<size_t>(n)] = relevance_chain(stages, averaged_maps, h, w);
-    }
-  });
-  return masks;
+  return mask(model.model(), model.forward_stages(input.as_nchw()).conv_stages, 0, input.height(),
+              input.width());
 }
 
 std::vector<Image> VisualBackProp::compute_batch(nn::Sequential& model,
                                                  const std::vector<const Image*>& inputs) {
   if (inputs.empty()) return {};
-  const auto stages = find_conv_stages(model);
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const int64_t batch = static_cast<int64_t>(inputs.size());
-  const int64_t h = inputs[0]->height();
-  const int64_t w = inputs[0]->width();
-  Tensor stacked({batch, 1, h, w});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image& input = *inputs[static_cast<size_t>(n)];
-    if (input.height() != h || input.width() != w) {
-      throw std::invalid_argument("VisualBackProp: mixed image sizes in one batch");
-    }
-    std::memcpy(stacked.data() + n * h * w, input.tensor().data(),
-                static_cast<size_t>(h * w) * sizeof(float));
-  }
-  // One forward pass for the whole batch: this is where the batch-B GEMMs
-  // replace B batch-1 calls. The activations are shared read-only below.
-  const auto activations = model.forward_collect(stacked);
+  return masks(model, model.forward_stages(stack_nchw(inputs)).conv_stages,
+               all_rows(inputs.size()), inputs[0]->height(), inputs[0]->width());
+}
 
-  std::vector<Image> masks(inputs.size());
-  parallel::parallel_for(0, batch, 1, [&](int64_t begin, int64_t end) {
-    for (int64_t n = begin; n < end; ++n) {
-      std::vector<Tensor> averaged_maps;
-      averaged_maps.reserve(stages.size());
-      for (const auto& stage : stages) {
-        averaged_maps.push_back(channel_average_sample(activations[stage.output_index], n));
-      }
-      masks[static_cast<size_t>(n)] = relevance_chain(stages, averaged_maps, h, w);
-    }
-  });
-  return masks;
+std::vector<Image> VisualBackProp::compute_batch_quantized(
+    const nn::QuantizedForward& model, const std::vector<const Image*>& inputs) const {
+  if (inputs.empty()) return {};
+  return masks(model.model(), model.forward_stages(stack_nchw(inputs)).conv_stages,
+               all_rows(inputs.size()), inputs[0]->height(), inputs[0]->width());
 }
 
 }  // namespace salnov::saliency

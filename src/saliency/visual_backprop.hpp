@@ -9,9 +9,12 @@
 // ones-deconvolution through the first conv layer brings the mask to input
 // resolution; the result is min-max normalized.
 //
-// The cost is one forward pass plus channel averages and O(pixels)
+// VBP reads only the post-ReLU conv stages of the forward pass the steering
+// prediction already runs (nn::Sequential::forward_stages), so next to the
+// steering forward its cost is the channel averages and O(pixels)
 // upsampling — no backward pass through weights — which is what makes VBP
-// an order of magnitude faster than decomposition methods like LRP.
+// an order of magnitude faster than decomposition methods like LRP. Every
+// entry below is one forward_stages() pass plus mask().
 #pragma once
 
 #include <cstdint>
@@ -31,14 +34,10 @@ class VisualBackProp : public SaliencyMethod {
   /// the detector's parallel scoring fan-out relies on this.
   Image compute(nn::Sequential& model, const Image& input) override;
 
-  /// Cross-frame batched VBP: one forward_collect over the stacked
+  /// Cross-frame batched VBP: one forward_stages over the stacked
   /// [B, 1, H, W] input (conv layers loop per sample with identical
-  /// im2col + GEMM calls; dense layers accumulate each output row in the
-  /// same ascending-k order at any batch size), then per-sample channel
-  /// averages and deconvolution chains. Element i is bit-identical to
-  /// compute(model, *inputs[i]) for any batch composition. The per-sample
-  /// relevance chains fan out across the worker pool (they are pure and
-  /// write disjoint outputs).
+  /// im2col + GEMM calls), then masks(). Element i is bit-identical to
+  /// compute(model, *inputs[i]) for any batch composition.
   std::vector<Image> compute_batch(nn::Sequential& model,
                                    const std::vector<const Image*>& inputs) override;
 
@@ -60,6 +59,19 @@ class VisualBackProp : public SaliencyMethod {
   /// compute_quantized(model, *inputs[i]) for any batch composition.
   std::vector<Image> compute_batch_quantized(const nn::QuantizedForward& model,
                                              const std::vector<const Image*>& inputs) const;
+
+  /// The mask of sample `n` from a forward that already ran:
+  /// `conv_stages` is forward_stages(...).conv_stages of `model` (or of its
+  /// quantized view) over a [B, 1, height, width] input. A serving path
+  /// that ran that forward for the steering angle builds the mask here
+  /// without a second forward.
+  Image mask(const nn::Sequential& model, const std::vector<Tensor>& conv_stages, int64_t n,
+             int64_t height, int64_t width) const;
+
+  /// mask() for each sample in `rows`; the per-sample chains are pure and
+  /// write disjoint outputs, so they fan out across the worker pool.
+  std::vector<Image> masks(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
+                           const std::vector<int64_t>& rows, int64_t height, int64_t width) const;
 };
 
 /// Transposed convolution with all-ones weights: scatters each input value

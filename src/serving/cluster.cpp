@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -809,27 +811,66 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
   // --- Batched compute: steer, saliency, reconstruct ----------------------
   // Any batched entry that throws simply provides nothing: each supervisor's
   // own stage recomputes (or registers the identical failure) in-line.
+  //
+  // Per precision, one stacked steering forward serves both stages: it runs
+  // over every frame that needs an angle or a mask at that precision, and
+  // the masks come from its conv stages whenever the detector's saliency
+  // reads this model's forward (VBP on the detector's own steering model).
+  // Otherwise the masks run their own batched forward.
   for (int p = 0; p < 2; ++p) {
-    const StageFan& fan = steer_fan[static_cast<size_t>(p)];
-    if (fan.in.empty()) continue;
-    try {
-      const std::vector<double> angles =
-          p == 1 ? driving::predict_steering_q8_batch(*detector_.quant_steering(), fan.in)
-                 : driving::predict_steering_batch(*steering_model_, fan.in);
-      for (size_t k = 0; k < fan.at.size(); ++k) {
-        slots[fan.at[k]].provided.steering = angles[k];
-      }
-    } catch (const std::exception&) {
+    const StageFan& steer = steer_fan[static_cast<size_t>(p)];
+    const StageFan& sal = sal_fan[static_cast<size_t>(p)];
+    const core::DetectorVariant mask_variant =
+        p == 1 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
+    const bool shared = !sal.in.empty() && detector_.saliency_reads_steering_pass() &&
+                        (p == 1 ? steer_q8_available
+                                : steering_model_ != nullptr &&
+                                      steering_model_ == detector_.steering_model());
+    // The pass's frames in slot order (both fans are in slot order).
+    std::vector<size_t> pass_at = steer.at;
+    if (shared) {
+      pass_at.clear();
+      std::set_union(steer.at.begin(), steer.at.end(), sal.at.begin(), sal.at.end(),
+                     std::back_inserter(pass_at));
     }
-  }
-  for (int p = 0; p < 2; ++p) {
-    const StageFan& fan = sal_fan[static_cast<size_t>(p)];
-    if (fan.in.empty()) continue;
+    const auto rows_of = [&](const StageFan& fan) {
+      std::vector<int64_t> rows;
+      rows.reserve(fan.at.size());
+      for (const size_t at : fan.at) {
+        rows.push_back(std::lower_bound(pass_at.begin(), pass_at.end(), at) - pass_at.begin());
+      }
+      return rows;
+    };
+    std::optional<nn::StagedForward> pass;
+    if (!pass_at.empty()) {
+      try {
+        std::vector<const Image*> frames;
+        frames.reserve(pass_at.size());
+        for (const size_t at : pass_at) frames.push_back(&batch[at].frame);
+        const Tensor stacked = stack_nchw(frames);
+        pass = p == 1 ? detector_.quant_steering()->forward_stages(stacked)
+                      : steering_model_->forward_stages(stacked);
+      } catch (const std::exception&) {
+      }
+    }
+    if (pass.has_value() && !steer.in.empty()) {
+      try {
+        const std::vector<double> angles =
+            driving::steering_angles(pass->output, static_cast<int64_t>(pass_at.size()));
+        const std::vector<int64_t> rows = rows_of(steer);
+        for (size_t k = 0; k < steer.at.size(); ++k) {
+          slots[steer.at[k]].provided.steering = angles[static_cast<size_t>(rows[k])];
+        }
+      } catch (const std::exception&) {
+      }
+    }
+    if (sal.in.empty() || (shared && !pass.has_value())) continue;
     try {
-      std::vector<Image> masks = detector_.variant_preprocess_batch(
-          p == 1 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary, fan.in);
-      for (size_t k = 0; k < fan.at.size(); ++k) {
-        slots[fan.at[k]].provided.saliency_mask = std::move(masks[k]);
+      std::vector<Image> masks =
+          shared ? detector_.variant_preprocess_batch(mask_variant, sal.in, *pass, rows_of(sal))
+                 : detector_.variant_preprocess_batch(mask_variant, sal.in);
+      for (size_t k = 0; k < sal.at.size(); ++k) {
+        slots[sal.at[k]].provided.saliency_mask = std::move(masks[k]);
       }
     } catch (const std::exception&) {
     }

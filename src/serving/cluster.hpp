@@ -10,12 +10,13 @@
 //
 // What IS shared is compute. A BatchAssembler (one per replica) gathers
 // frames arriving within a bounded window across streams and runs the pure
-// compute stages as batch-B forward passes — one stacked steering forward,
-// one stacked VBP forward_collect, one [B, H*W] autoencoder GEMM — instead
-// of B per-frame matvecs. The per-frame results are handed to each frame's
-// own Supervisor through ProvidedCompute, and the supervisor replays its
-// normal staged pipeline consuming them. Because every *decision* (budget,
-// ladder, breaker, monitor, calibration) still runs inside the supervisor,
+// compute stages as batch-B forward passes — one stacked steering forward
+// per precision, whose conv stages also give the VBP masks, and one
+// [B, H*W] autoencoder GEMM — instead of B per-frame matvecs. The per-frame
+// results are handed to each frame's own Supervisor through
+// ProvidedCompute, and the supervisor replays its normal staged pipeline
+// consuming them. Because every *decision* (budget, ladder, breaker,
+// monitor, calibration) still runs inside the supervisor,
 // and every batched kernel is bit-identical per sample to its batch-1
 // counterpart (see NoveltyDetector's batched-scoring contract), scores and
 // transitions are bit-identical regardless of which batch a frame landed

@@ -1,6 +1,7 @@
 #include "serving/supervisor.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "driving/steering_trainer.hpp"
@@ -273,17 +274,25 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   // every mode that reaches this point. On a q8 rung it comes from the
   // quantized steering forward — the same network the q8 saliency mask is
   // backpropped through.
+  //
+  // When the stage runs the forward itself it keeps the conv stages, so the
+  // saliency stage can build the VBP mask without a second forward.
   const bool steer_q8 = quant_frame && detector_.quant_steering() != nullptr;
+  std::optional<nn::StagedForward> steer_pass;
   if (steering_model_ != nullptr) {
     const StageOutcome steer = run_stage(Stage::kSteer, index, result, [&] {
       // A provided angle is the batched forward's row for this frame —
       // bit-identical to the direct call (per-row GEMM identity; exact for
       // q8 too, since integer accumulation is associative).
-      result.steering = provided_ok && provided->steering.has_value()
-                            ? *provided->steering
-                        : steer_q8
-                            ? driving::predict_steering_q8(*detector_.quant_steering(), frame)
-                            : driving::predict_steering(*steering_model_, frame);
+      if (provided_ok && provided->steering.has_value()) {
+        result.steering = *provided->steering;
+        return;
+      }
+      nn::StagedForward pass = steer_q8
+                                   ? detector_.quant_steering()->forward_stages(frame.as_nchw())
+                                   : steering_model_->forward_stages(frame.as_nchw());
+      result.steering = driving::steering_angles(pass.output, 1)[0];
+      steer_pass = std::move(pass);
     });
     if (!steer.ok()) frame_bad = true;
     if (steer.threw) ++scoring_failures_;
@@ -307,16 +316,28 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     // it computes must be the float mask; only a q8 rung that will itself
     // consume the mask computes it quantized.
     const bool mask_q8 = quant_frame && mode_uses_saliency(mode_used);
+    const core::DetectorVariant mask_variant =
+        mask_q8 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
+    // The steer stage's pass is the mask's forward only when it ran at the
+    // mask's precision through the detector's own steering model; otherwise
+    // (provided or failed steering, a q8 rung without a quantized steering
+    // model, another saliency method) the stage computes its own forward.
+    const bool reuse_pass = steer_pass.has_value() && steer_q8 == mask_q8 &&
+                            detector_.saliency_reads_steering_pass() &&
+                            (steer_q8 || steering_model_ == detector_.steering_model());
     Image mask;
     const StageOutcome saliency = run_stage(Stage::kSaliency, index, result, [&] {
       // A provided mask skips only the compute: the frame already passed the
       // same validator in the kValidate stage, so the direct call could not
       // have rejected it either.
-      mask = provided_ok && provided->saliency_mask.has_value()
-                 ? *provided->saliency_mask
-                 : detector_.variant_preprocess(mask_q8 ? core::DetectorVariant::kPrimaryQ8
-                                                        : core::DetectorVariant::kPrimary,
-                                                frame);
+      if (provided_ok && provided->saliency_mask.has_value()) {
+        mask = *provided->saliency_mask;
+      } else if (reuse_pass) {
+        mask = std::move(
+            detector_.variant_preprocess_batch(mask_variant, {&frame}, *steer_pass, {0})[0]);
+      } else {
+        mask = detector_.variant_preprocess(mask_variant, frame);
+      }
     });
     if (saliency.ok()) {
       breaker_.record_success();
@@ -357,6 +378,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     // serve raw for this frame.
     mode_used = ServingMode::kRawMse;
   }
+  steer_pass.reset();  // the conv stages are not needed past this point
 
   // --- Stage 3: reconstruct ----------------------------------------------
   const core::DetectorVariant variant = variant_for(mode_used);

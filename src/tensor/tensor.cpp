@@ -66,14 +66,9 @@ int64_t Tensor::dim(int64_t d) const {
   return shape_[static_cast<size_t>(d)];
 }
 
-int64_t Tensor::check_flat(int64_t flat_index) const {
-#ifndef NDEBUG
-  if (flat_index < 0 || flat_index >= numel()) {
-    throw std::out_of_range("Tensor: flat index " + std::to_string(flat_index) + " out of range [0, " +
-                            std::to_string(numel()) + ")");
-  }
-#endif
-  return flat_index;
+void Tensor::throw_flat_out_of_range(int64_t flat_index) const {
+  throw std::out_of_range("Tensor: flat index " + std::to_string(flat_index) + " out of range [0, " +
+                          std::to_string(numel()) + ")");
 }
 
 int64_t Tensor::offset(std::initializer_list<int64_t> idx) const {
@@ -211,17 +206,6 @@ Tensor& Tensor::operator+=(float value) {
 Tensor& Tensor::operator*=(float value) {
   for (float& v : data_) v *= value;
   return *this;
-}
-
-Tensor& Tensor::apply(const std::function<float(float)>& fn) {
-  for (float& v : data_) v = fn(v);
-  return *this;
-}
-
-Tensor Tensor::map(const std::function<float(float)>& fn) const {
-  Tensor out = *this;
-  out.apply(fn);
-  return out;
 }
 
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }

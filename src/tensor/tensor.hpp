@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace salnov {
@@ -106,10 +106,20 @@ class Tensor {
   friend Tensor operator*(Tensor lhs, float rhs) { return lhs *= rhs; }
   friend Tensor operator*(float lhs, Tensor rhs) { return rhs *= lhs; }
 
-  /// Applies `fn` to every element in place and returns *this.
-  Tensor& apply(const std::function<float(float)>& fn);
+  /// Applies `fn` to every element in place and returns *this. A template
+  /// on the functor, so a lambda inlines into the loop.
+  template <typename Fn>
+  Tensor& apply(Fn&& fn) {
+    for (float& v : data_) v = fn(v);
+    return *this;
+  }
   /// Returns a copy with `fn` applied to every element.
-  Tensor map(const std::function<float(float)>& fn) const;
+  template <typename Fn>
+  Tensor map(Fn&& fn) const {
+    Tensor out = *this;
+    out.apply(std::forward<Fn>(fn));
+    return out;
+  }
 
   void fill(float value);
 
@@ -135,7 +145,14 @@ class Tensor {
   bool allclose(const Tensor& other, float tol = 1e-5f) const;
 
  private:
-  int64_t check_flat(int64_t flat_index) const;
+  /// Inline so operator[] costs no call; the throw stays out of line.
+  int64_t check_flat(int64_t flat_index) const {
+#ifndef NDEBUG
+    if (flat_index < 0 || flat_index >= numel()) throw_flat_out_of_range(flat_index);
+#endif
+    return flat_index;
+  }
+  [[noreturn]] void throw_flat_out_of_range(int64_t flat_index) const;
   int64_t offset(std::initializer_list<int64_t> idx) const;
   void require_same_shape(const Tensor& other, const char* op) const;
 

@@ -2,6 +2,7 @@
 // and numerical gradient checks (central differences) for every layer.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
@@ -126,6 +127,20 @@ TEST(Conv2d, WrongChannelCountThrows) {
   Rng rng(1);
   Conv2d conv(cfg, rng);
   EXPECT_THROW(conv.forward(Tensor({1, 1, 5, 5}), Mode::kInfer), std::invalid_argument);
+}
+
+TEST(Conv2d, OverflowingPaddedSizeThrows) {
+  // Padding and frame size can come from a file; their sum must not wrap.
+  Conv2dConfig cfg{1, 1, 3, 3, 1, std::numeric_limits<int64_t>::max() / 2};
+  Rng rng(1);
+  Conv2d conv(cfg, rng);
+  EXPECT_THROW(conv.output_shape({1, 1, 8, 8}), std::invalid_argument);
+}
+
+TEST(Flatten, OverflowingFeatureCountThrows) {
+  Flatten flatten;
+  EXPECT_THROW(flatten.output_shape({1, std::numeric_limits<int64_t>::max(), 2}),
+               std::invalid_argument);
 }
 
 TEST(Conv2d, GradientCheckValidConv) {

@@ -29,6 +29,7 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/flatten.hpp"
 #include "nn/model_io.hpp"
 #include "prop.hpp"
 #include "tensor/rng.hpp"
@@ -343,6 +344,75 @@ TEST(PipelineCorruption, SteeringFlagOutOfRangeRejected) {
   const size_t offset = data.size() - 4 - (4 + 4 * static_cast<size_t>(ae_scales)) - 4;
   data[offset] = 2;
   std::stringstream ss(data);
+  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
+}
+
+/// A raw 16x20 pipeline saved with `autoencoder` in place of the fitted one
+/// (when non-null) and with `steering` as its steering model.
+std::string pipeline_with_models(nn::Sequential* autoencoder, nn::Sequential* steering) {
+  core::NoveltyDetectorConfig config;
+  config.height = 16;
+  config.width = 20;
+  config.preprocessing = core::Preprocessing::kRaw;
+  config.score = core::ReconstructionScore::kMse;
+  config.autoencoder = core::AutoencoderConfig::tiny(16, 20);
+  config.train_epochs = 1;
+  core::NoveltyDetector detector(config);
+  Rng rng(2);
+  std::vector<Image> images;
+  for (int i = 0; i < 6; ++i) images.emplace_back(16, 20, rng.uniform_tensor({320}, 0.0, 1.0));
+  detector.fit(images, rng);
+  if (autoencoder != nullptr) detector.autoencoder() = std::move(*autoencoder);
+  std::stringstream ss;
+  core::PipelineIo::save(ss, detector, steering);
+  return ss.str();
+}
+
+/// conv 3x3 (1 -> 2) + ReLU + flatten over a 16x20 frame (2 x 14 x 18 = 504
+/// features), then a dense head of the given shape.
+nn::Sequential steering_with_head(int64_t in_features, int64_t outputs) {
+  Rng rng(3);
+  nn::Sequential model;
+  model.emplace<nn::Conv2d>(nn::Conv2dConfig{1, 2, 3, 3, 1, 0}, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Flatten>();
+  model.emplace<nn::Dense>(in_features, outputs, rng);
+  return model;
+}
+
+TEST(PipelineCorruption, WellFormedSteeringModelLoads) {
+  nn::Sequential steering = steering_with_head(504, 1);
+  std::stringstream ss(pipeline_with_models(nullptr, &steering));
+  EXPECT_NE(nullptr, core::PipelineIo::load(ss).steering_model);
+}
+
+TEST(PipelineCorruption, AutoencoderDenseWidthMismatchRejected) {
+  Rng rng(4);
+  nn::Sequential autoencoder;
+  autoencoder.emplace<nn::Dense>(300, 320, rng);  // the frame has 320 pixels
+  autoencoder.emplace<nn::Sigmoid>();
+  std::stringstream ss(pipeline_with_models(&autoencoder, nullptr));
+  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
+}
+
+TEST(PipelineCorruption, AutoencoderOutputWidthMismatchRejected) {
+  Rng rng(4);
+  nn::Sequential autoencoder;
+  autoencoder.emplace<nn::Dense>(320, 300, rng);
+  autoencoder.emplace<nn::Sigmoid>();
+  std::stringstream ss(pipeline_with_models(&autoencoder, nullptr));
+  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
+}
+
+TEST(PipelineCorruption, SteeringDenseWidthMismatchRejected) {
+  nn::Sequential steering = steering_with_head(500, 1);
+  std::stringstream ss(pipeline_with_models(nullptr, &steering));
+  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
+}
+
+TEST(PipelineCorruption, TwoOutputSteeringHeadRejected) {
+  nn::Sequential steering = steering_with_head(504, 2);
+  std::stringstream ss(pipeline_with_models(nullptr, &steering));
   EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
 }
 
