@@ -38,6 +38,7 @@ Env& environment() {
       std::fprintf(stderr, "[env] loading cached steering model from %s\n", model_path.c_str());
       try {
         e->steering = nn::load_model_file(model_path);
+        nn::require_model_shape(e->steering, {1, 1, kHeight, kWidth}, {1, 1}, "cached steering model");
         loaded = true;
       } catch (const SerializationError& err) {
         std::fprintf(stderr, "[env] cached model unusable (%s); retraining\n", err.what());

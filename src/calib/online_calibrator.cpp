@@ -50,7 +50,13 @@ const core::VariantCalibration& OnlineCalibrator::fit_calibration(
     core::DetectorVariant variant) const {
   const core::VariantCalibration* cal = detector_.variant_calibration_if(variant);
   if (cal == nullptr) {
-    cal = detector_.variant_calibration_if(core::detector_variant_float_peer(variant));
+    // An absent q8 slot serves with its float peer's fitted calibration.
+    const core::Rung& row = core::rung(variant);
+    for (const core::Rung& peer : core::kRungs) {
+      if (cal == nullptr && !peer.q8 && peer.raw == row.raw && peer.mse == row.mse) {
+        cal = detector_.variant_calibration_if(peer.variant);
+      }
+    }
   }
   if (cal == nullptr) {
     throw std::logic_error("OnlineCalibrator: variant has no fitted calibration");

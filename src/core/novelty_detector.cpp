@@ -1,5 +1,7 @@
 #include "core/novelty_detector.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -42,30 +44,14 @@ void fan_out(int64_t n, bool parallel_ok, const std::function<void(int64_t)>& fn
   });
 }
 
-std::vector<Image> copy_images(const std::vector<const Image*>& inputs) {
-  std::vector<Image> out;
-  out.reserve(inputs.size());
-  for (const Image* input : inputs) out.push_back(*input);
+std::vector<const Image*> pointers(const std::vector<Image>& images) {
+  std::vector<const Image*> out;
+  out.reserve(images.size());
+  for (const Image& image : images) out.push_back(&image);
   return out;
 }
 
 }  // namespace
-
-const char* detector_variant_name(DetectorVariant variant) {
-  switch (variant) {
-    case DetectorVariant::kPrimary:
-      return "primary";
-    case DetectorVariant::kPreprocessedMse:
-      return "preproc+mse";
-    case DetectorVariant::kRawMse:
-      return "raw+mse";
-    case DetectorVariant::kPrimaryQ8:
-      return "primary-q8";
-    case DetectorVariant::kPreprocessedMseQ8:
-      return "preproc+mse-q8";
-  }
-  return "unknown";
-}
 
 NoveltyDetectorConfig NoveltyDetectorConfig::proposed() { return NoveltyDetectorConfig{}; }
 
@@ -148,29 +134,142 @@ Image NoveltyDetector::preprocess(const Image& input) const {
   return variant_preprocess(DetectorVariant::kPrimary, input);
 }
 
-Preprocessing NoveltyDetector::variant_preprocessing(DetectorVariant variant) const {
-  return variant == DetectorVariant::kRawMse ? Preprocessing::kRaw : config_.preprocessing;
-}
-
-ReconstructionScore NoveltyDetector::variant_score_metric(DetectorVariant variant) const {
-  return detector_variant_float_peer(variant) == DetectorVariant::kPrimary
-             ? config_.score
-             : ReconstructionScore::kMse;
-}
-
 Image NoveltyDetector::variant_preprocess(DetectorVariant variant, const Image& input) const {
-  const bool saliency = uses_saliency(variant_preprocessing(variant));
-  validate_input(input, saliency);
-  if (!saliency) return input;
-  if (detector_variant_quantized(variant)) {
-    if (quant_steering_ == nullptr || vbp_ == nullptr) {
-      throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
-    }
-    return vbp_->compute_quantized(*quant_steering_, input);
+  return std::move(preprocess_frames(rung(variant), {&input})[0]);
+}
+
+std::vector<Image> NoveltyDetector::variant_preprocess_batch(
+    DetectorVariant variant, const std::vector<const Image*>& inputs) const {
+  return preprocess_frames(rung(variant), inputs);
+}
+
+std::vector<Image> NoveltyDetector::variant_preprocess_batch(
+    DetectorVariant variant, const std::vector<const Image*>& inputs,
+    const nn::StagedForward& pass, const std::vector<int64_t>& rows) const {
+  return preprocess_frames(rung(variant), inputs, &pass, &rows);
+}
+
+std::vector<Image> NoveltyDetector::preprocess_frames(const Rung& rung,
+                                                      const std::vector<const Image*>& inputs,
+                                                      const nn::StagedForward* pass,
+                                                      const std::vector<int64_t>* rows) const {
+  const bool saliency = uses_saliency(rung.preprocessing(config_.preprocessing));
+  for (const Image* input : inputs) {
+    if (input == nullptr) throw std::invalid_argument("NoveltyDetector: null input image");
+    validate_input(*input, saliency);
   }
+  if (!saliency) {
+    std::vector<Image> out;
+    out.reserve(inputs.size());
+    for (const Image* input : inputs) out.push_back(*input);
+    return out;
+  }
+  if (rung.q8 && quant_steering_ == nullptr) {
+    throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
+  }
+  if (pass != nullptr) {
+    if (vbp_ == nullptr) {
+      throw std::logic_error("NoveltyDetector: only VBP preprocessing reads a steering pass");
+    }
+    if (rows->size() != inputs.size()) {
+      throw std::invalid_argument("NoveltyDetector: one pass row per input required");
+    }
+    return vbp_->masks(*steering_model_, pass->conv_stages, *rows, config_.height, config_.width);
+  }
+  if (rung.q8) return vbp_->compute_batch_quantized(*quant_steering_, inputs);
   // saliency_ exists since construction, so this const path mutates nothing
   // of the detector's and is safe under the concurrent batch fan-out.
-  return saliency_->compute(*steering_model_, input);
+  return saliency_->compute_batch(*steering_model_, inputs);
+}
+
+Image NoveltyDetector::reconstruct(const Image& preprocessed) const {
+  return variant_reconstruct(DetectorVariant::kPrimary, preprocessed);
+}
+
+Image NoveltyDetector::variant_reconstruct(DetectorVariant variant,
+                                           const Image& preprocessed) const {
+  return std::move(reconstruct_frames(rung(variant), {&preprocessed})[0]);
+}
+
+std::vector<Image> NoveltyDetector::reconstruct_batch(
+    const std::vector<const Image*>& preprocessed) const {
+  return reconstruct_frames(rung(DetectorVariant::kPrimary), preprocessed);
+}
+
+std::vector<Image> NoveltyDetector::variant_reconstruct_batch(
+    DetectorVariant variant, const std::vector<const Image*>& preprocessed) const {
+  return reconstruct_frames(rung(variant), preprocessed);
+}
+
+std::vector<Image> NoveltyDetector::reconstruct_frames(
+    const Rung& rung, const std::vector<const Image*>& preprocessed) const {
+  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
+  if (rung.q8 && quant_ae_ == nullptr) {
+    throw std::logic_error("NoveltyDetector: quantized autoencoder path is not available");
+  }
+  if (preprocessed.empty()) return {};
+  const int64_t batch = static_cast<int64_t>(preprocessed.size());
+  const int64_t dim = config_.height * config_.width;
+  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
+  Tensor input({batch, dim});
+  for (int64_t n = 0; n < batch; ++n) {
+    const Image* image = preprocessed[static_cast<size_t>(n)];
+    if (image == nullptr) throw std::invalid_argument("NoveltyDetector: null image");
+    if (image->numel() != dim) {
+      throw std::invalid_argument("NoveltyDetector: image size does not match the pipeline");
+    }
+    std::memcpy(input.data() + n * dim, image->tensor().data(), row_bytes);
+  }
+  // forward() is stateless in inference mode; the const_cast mirrors
+  // Sequential::forward_collect's reasoning.
+  const Tensor output =
+      rung.q8 ? quant_ae_->forward(input)
+              : const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
+  std::vector<Image> result;
+  result.reserve(preprocessed.size());
+  for (int64_t n = 0; n < batch; ++n) {
+    Tensor pixels({config_.height, config_.width});
+    std::memcpy(pixels.data(), output.data() + n * dim, row_bytes);
+    result.emplace_back(config_.height, config_.width, std::move(pixels));
+  }
+  return result;
+}
+
+double NoveltyDetector::variant_score_pair(DetectorVariant variant, const Image& preprocessed,
+                                           const Image& reconstruction) const {
+  return score_frames(rung(variant), {&preprocessed}, {&reconstruction})[0];
+}
+
+std::vector<double> NoveltyDetector::score_frames(
+    const Rung& rung, const std::vector<const Image*>& preprocessed,
+    const std::vector<const Image*>& reconstructions) const {
+  if (reconstructions.size() != preprocessed.size()) {
+    throw std::invalid_argument("NoveltyDetector: one reconstruction per input required");
+  }
+  const bool mse_metric = rung.metric(config_.score) == ReconstructionScore::kMse;
+  std::vector<double> scores(preprocessed.size());
+  for (size_t i = 0; i < scores.size(); ++i) {
+    const Image& input = *preprocessed[i];
+    const Image& recon = *reconstructions[i];
+    scores[i] = mse_metric ? mse(recon, input) : ssim_.mean_ssim(recon.flattened(), input.flattened());
+  }
+  return scores;
+}
+
+double NoveltyDetector::score(const Image& input) const {
+  return score_variant(DetectorVariant::kPrimary, input);
+}
+
+double NoveltyDetector::score_variant(DetectorVariant variant, const Image& input) const {
+  return score_batch(variant, {&input})[0];
+}
+
+std::vector<double> NoveltyDetector::score_batch(DetectorVariant variant,
+                                                 const std::vector<const Image*>& inputs) const {
+  const Rung& row = rung(variant);
+  const std::vector<Image> preprocessed = preprocess_frames(row, inputs);
+  const std::vector<const Image*> views = pointers(preprocessed);
+  return score_frames(row, views, pointers(reconstruct_frames(row, views)));
 }
 
 bool NoveltyDetector::batch_parallel_safe() const {
@@ -186,8 +285,9 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
   quant_steering_.reset();
   ae_quant_scales_ = {};
   steering_quant_scales_ = {};
-  variant_calibrations_[static_cast<size_t>(DetectorVariant::kPrimaryQ8)].reset();
-  variant_calibrations_[static_cast<size_t>(DetectorVariant::kPreprocessedMseQ8)].reset();
+  for (const Rung& row : kRungs) {
+    if (row.q8) variant_calibrations_[static_cast<size_t>(row.variant)].reset();
+  }
 
   // Stage 1: preprocess every training image (VBP mask or pass-through),
   // one image per pool chunk.
@@ -223,39 +323,9 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
 
   // Stage 3: calibrate the novelty threshold on the training-score ECDF —
   // once per scoring variant, so the serving runtime's degraded modes each
-  // test against their own fitted distribution. Reconstruction + scoring per
-  // image is independent (inference-mode forwards only), so calibration fans
-  // out unconditionally.
-  const bool saliency_configured = uses_saliency(config_.preprocessing);
-  std::vector<double> primary_scores(preprocessed.size());
-  std::vector<double> preproc_mse_scores(preprocessed.size());
-  std::vector<double> raw_mse_scores(preprocessed.size());
-  fan_out(n, true, [&](int64_t i) {
-    const size_t s = static_cast<size_t>(i);
-    const Image& image = preprocessed[s];
-    const Image recon = reconstruct(image);
-    primary_scores[s] = variant_score_pair(DetectorVariant::kPrimary, image, recon);
-    preproc_mse_scores[s] = variant_score_pair(DetectorVariant::kPreprocessedMse, image, recon);
-    if (saliency_configured) {
-      // The raw variant feeds the raw frame through the same autoencoder;
-      // its threshold is meaningful because it is calibrated on exactly
-      // this statistic over the training set.
-      const Image& raw = training_images[s];
-      raw_mse_scores[s] = variant_score_pair(DetectorVariant::kRawMse, raw, reconstruct(raw));
-    } else {
-      raw_mse_scores[s] = preproc_mse_scores[s];
-    }
-  });
-  const ScoreOrientation orientation = config_.score == ReconstructionScore::kMse
-                                           ? ScoreOrientation::kHighIsNovel
-                                           : ScoreOrientation::kLowIsNovel;
-  variant_calibrations_[0] =
-      VariantCalibration::calibrate(primary_scores, orientation, config_.threshold_percentile);
-  variant_calibrations_[1] = VariantCalibration::calibrate(
-      preproc_mse_scores, ScoreOrientation::kHighIsNovel, config_.threshold_percentile);
-  variant_calibrations_[2] = VariantCalibration::calibrate(
-      raw_mse_scores, ScoreOrientation::kHighIsNovel, config_.threshold_percentile);
-  threshold_ = variant_calibrations_[0]->threshold;
+  // test against their own fitted distribution.
+  calibrate_rows(/*q8=*/false, training_images, preprocessed);
+  threshold_ = variant_calibrations_[static_cast<size_t>(DetectorVariant::kPrimary)]->threshold;
 
   // Stage 4: int8 quantization (raw and VBP preprocessing only). Fits
   // per-layer activation scales over the training set, builds the quantized
@@ -266,183 +336,59 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
     // Activation maxima are computed over the stacked batch tensors — the
     // per-layer max of a batch forward equals the max over batch-1 calls.
     ae_quant_scales_ = nn::QuantizedForward::calibrate(autoencoder_, {&data});
-    if (saliency_configured && steering_model_ != nullptr) {
-      std::vector<const Image*> frames;
-      for (const Image& image : training_images) frames.push_back(&image);
-      const Tensor steer_data = stack_nchw(frames);
+    if (uses_saliency(config_.preprocessing) && steering_model_ != nullptr) {
+      const Tensor steer_data = stack_nchw(pointers(training_images));
       steering_quant_scales_ = nn::QuantizedForward::calibrate(*steering_model_, {&steer_data});
     }
     rebuild_quant_path();
-    if (has_quant_path()) {
-      std::vector<double> primary_q8_scores(preprocessed.size());
-      std::vector<double> preproc_mse_q8_scores(preprocessed.size());
-      fan_out(n, true, [&](int64_t i) {
-        const size_t s = static_cast<size_t>(i);
-        const Image pq = variant_preprocess(DetectorVariant::kPrimaryQ8, training_images[s]);
-        const Image rq = variant_reconstruct(DetectorVariant::kPrimaryQ8, pq);
-        primary_q8_scores[s] = variant_score_pair(DetectorVariant::kPrimaryQ8, pq, rq);
-        preproc_mse_q8_scores[s] =
-            variant_score_pair(DetectorVariant::kPreprocessedMseQ8, pq, rq);
-      });
-      variant_calibrations_[static_cast<size_t>(DetectorVariant::kPrimaryQ8)] =
-          VariantCalibration::calibrate(primary_q8_scores, orientation,
-                                        config_.threshold_percentile);
-      variant_calibrations_[static_cast<size_t>(DetectorVariant::kPreprocessedMseQ8)] =
-          VariantCalibration::calibrate(preproc_mse_q8_scores, ScoreOrientation::kHighIsNovel,
-                                        config_.threshold_percentile);
-    }
+    if (has_quant_path()) calibrate_rows(/*q8=*/true, training_images, preprocessed);
   }
   return history;
 }
 
-Image NoveltyDetector::reconstruct(const Image& preprocessed) const {
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  const Tensor input = preprocessed.flattened().reshape({1, config_.height * config_.width});
-  // forward() is stateless in inference mode; the const_cast mirrors
-  // Sequential::forward_collect's reasoning.
-  const Tensor output = const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
-  return Image(config_.height, config_.width, output.reshape({config_.height, config_.width}));
-}
-
-double NoveltyDetector::score_pair(const Image& preprocessed, const Image& reconstruction) const {
-  return variant_score_pair(DetectorVariant::kPrimary, preprocessed, reconstruction);
-}
-
-double NoveltyDetector::variant_score_pair(DetectorVariant variant, const Image& preprocessed,
-                                           const Image& reconstruction) const {
-  if (variant_score_metric(variant) == ReconstructionScore::kMse) {
-    return mse(reconstruction, preprocessed);
-  }
-  return ssim_.mean_ssim(reconstruction.flattened(), preprocessed.flattened());
-}
-
-bool NoveltyDetector::validate_batch(DetectorVariant variant,
-                                     const std::vector<const Image*>& inputs) const {
-  const bool saliency = uses_saliency(variant_preprocessing(variant));
-  for (const Image* input : inputs) {
-    if (input == nullptr) {
-      throw std::invalid_argument("variant_preprocess_batch: null input image");
+void NoveltyDetector::calibrate_rows(bool q8, const std::vector<Image>& frames,
+                                     const std::vector<Image>& preprocessed) {
+  // One group per distinct preprocessing at this precision (configured and
+  // raw; a raw configuration has one). A group's rows share one
+  // reconstruction per frame; each row owning a slot scores it. The
+  // per-frame work is inference-mode forwards only, so it fans out
+  // unconditionally.
+  const std::array<Preprocessing, 2> groups = {config_.preprocessing, Preprocessing::kRaw};
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (g > 0 && groups[g] == groups[0]) break;
+    std::vector<const Rung*> rows;
+    for (const Rung& row : kRungs) {
+      if (row.q8 == q8 && &rung(row.variant) == &row &&
+          row.preprocessing(config_.preprocessing) == groups[g]) {
+        rows.push_back(&row);
+      }
     }
-    validate_input(*input, saliency);
-  }
-  if (saliency && detector_variant_quantized(variant) &&
-      (quant_steering_ == nullptr || vbp_ == nullptr)) {
-    throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
-  }
-  return saliency;
-}
-
-std::vector<Image> NoveltyDetector::variant_preprocess_batch(
-    DetectorVariant variant, const std::vector<const Image*>& inputs) const {
-  if (!validate_batch(variant, inputs)) return copy_images(inputs);
-  if (detector_variant_quantized(variant)) {
-    return vbp_->compute_batch_quantized(*quant_steering_, inputs);
-  }
-  return saliency_->compute_batch(*steering_model_, inputs);
-}
-
-std::vector<Image> NoveltyDetector::variant_preprocess_batch(
-    DetectorVariant variant, const std::vector<const Image*>& inputs,
-    const nn::StagedForward& pass, const std::vector<int64_t>& rows) const {
-  if (!validate_batch(variant, inputs)) return copy_images(inputs);
-  if (vbp_ == nullptr) {
-    throw std::logic_error("NoveltyDetector: only VBP preprocessing reads a steering pass");
-  }
-  if (rows.size() != inputs.size()) {
-    throw std::invalid_argument("variant_preprocess_batch: one pass row per input required");
-  }
-  return vbp_->masks(*steering_model_, pass.conv_stages, rows, config_.height, config_.width);
-}
-
-std::vector<Image> NoveltyDetector::reconstruct_batch(
-    const std::vector<const Image*>& preprocessed) const {
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  if (preprocessed.empty()) return {};
-  const int64_t batch = static_cast<int64_t>(preprocessed.size());
-  const int64_t dim = config_.height * config_.width;
-  Tensor input({batch, dim});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image* image = preprocessed[static_cast<size_t>(n)];
-    if (image == nullptr) throw std::invalid_argument("reconstruct_batch: null image");
-    if (image->numel() != dim) {
-      throw std::invalid_argument("reconstruct_batch: image size does not match the pipeline");
+    if (rows.empty()) continue;
+    std::vector<std::vector<double>> scores(rows.size(), std::vector<double>(frames.size()));
+    fan_out(static_cast<int64_t>(frames.size()), true, [&](int64_t i) {
+      const size_t s = static_cast<size_t>(i);
+      // Raw frames feed the autoencoder as they are, and stage 1 already
+      // ran the configured float preprocessing.
+      std::vector<Image> mask;
+      const Image* input = &frames[s];
+      if (groups[g] != Preprocessing::kRaw) {
+        if (q8) mask = preprocess_frames(*rows[0], {&frames[s]});
+        input = q8 ? &mask[0] : &preprocessed[s];
+      }
+      const std::vector<Image> recon = reconstruct_frames(*rows[0], {input});
+      for (size_t r = 0; r < rows.size(); ++r) {
+        scores[r][s] = score_frames(*rows[r], {input}, {&recon[0]})[0];
+      }
+    });
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const ScoreOrientation orientation =
+          rows[r]->metric(config_.score) == ReconstructionScore::kMse
+              ? ScoreOrientation::kHighIsNovel
+              : ScoreOrientation::kLowIsNovel;
+      variant_calibrations_[static_cast<size_t>(rows[r]->variant)] =
+          VariantCalibration::calibrate(scores[r], orientation, config_.threshold_percentile);
     }
-    input.set_slice0(n, image->flattened());
   }
-  const Tensor output = const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
-  std::vector<Image> result(preprocessed.size());
-  for (int64_t n = 0; n < batch; ++n) {
-    Tensor row({dim});
-    std::memcpy(row.data(), output.data() + n * dim, static_cast<size_t>(dim) * sizeof(float));
-    result[static_cast<size_t>(n)] =
-        Image(config_.height, config_.width, row.reshape({config_.height, config_.width}));
-  }
-  return result;
-}
-
-std::vector<double> NoveltyDetector::score_batch(DetectorVariant variant,
-                                                 const std::vector<const Image*>& inputs) const {
-  const std::vector<Image> preprocessed = variant_preprocess_batch(variant, inputs);
-  std::vector<const Image*> views;
-  views.reserve(preprocessed.size());
-  for (const Image& image : preprocessed) views.push_back(&image);
-  const std::vector<Image> reconstructions = variant_reconstruct_batch(variant, views);
-  std::vector<double> scores(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    scores[i] = variant_score_pair(variant, preprocessed[i], reconstructions[i]);
-  }
-  return scores;
-}
-
-Image NoveltyDetector::variant_reconstruct(DetectorVariant variant,
-                                           const Image& preprocessed) const {
-  if (!detector_variant_quantized(variant)) return reconstruct(preprocessed);
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  if (quant_ae_ == nullptr) {
-    throw std::logic_error("NoveltyDetector: quantized autoencoder path is not available");
-  }
-  const Tensor input = preprocessed.flattened().reshape({1, config_.height * config_.width});
-  const Tensor output = quant_ae_->forward(input);
-  return Image(config_.height, config_.width, output.reshape({config_.height, config_.width}));
-}
-
-std::vector<Image> NoveltyDetector::variant_reconstruct_batch(
-    DetectorVariant variant, const std::vector<const Image*>& preprocessed) const {
-  if (!detector_variant_quantized(variant)) return reconstruct_batch(preprocessed);
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  if (quant_ae_ == nullptr) {
-    throw std::logic_error("NoveltyDetector: quantized autoencoder path is not available");
-  }
-  if (preprocessed.empty()) return {};
-  const int64_t batch = static_cast<int64_t>(preprocessed.size());
-  const int64_t dim = config_.height * config_.width;
-  Tensor input({batch, dim});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image* image = preprocessed[static_cast<size_t>(n)];
-    if (image == nullptr) throw std::invalid_argument("variant_reconstruct_batch: null image");
-    if (image->numel() != dim) {
-      throw std::invalid_argument("variant_reconstruct_batch: image size does not match the pipeline");
-    }
-    input.set_slice0(n, image->flattened());
-  }
-  const Tensor output = quant_ae_->forward(input);
-  std::vector<Image> result(preprocessed.size());
-  for (int64_t n = 0; n < batch; ++n) {
-    Tensor row({dim});
-    std::memcpy(row.data(), output.data() + n * dim, static_cast<size_t>(dim) * sizeof(float));
-    result[static_cast<size_t>(n)] =
-        Image(config_.height, config_.width, row.reshape({config_.height, config_.width}));
-  }
-  return result;
-}
-
-double NoveltyDetector::score(const Image& input) const {
-  return score_variant(DetectorVariant::kPrimary, input);
-}
-
-double NoveltyDetector::score_variant(DetectorVariant variant, const Image& input) const {
-  const Image p = variant_preprocess(variant, input);
-  return variant_score_pair(variant, p, variant_reconstruct(variant, p));
 }
 
 const VariantCalibration& NoveltyDetector::variant_calibration(DetectorVariant variant) const {
@@ -461,16 +407,15 @@ const VariantCalibration* NoveltyDetector::variant_calibration_if(DetectorVarian
 }
 
 bool NoveltyDetector::has_variant_calibrations() const {
-  for (int v = 0; v < kDetectorFloatVariantCount; ++v) {
-    if (!variant_calibrations_[static_cast<size_t>(v)].has_value()) return false;
-  }
-  return true;
+  return std::all_of(kRungs.begin(), kRungs.end(), [&](const Rung& row) {
+    return row.q8 || variant_calibration_if(row.variant) != nullptr;
+  });
 }
 
 bool NoveltyDetector::has_quant_calibrations() const {
-  return variant_calibrations_[static_cast<size_t>(DetectorVariant::kPrimaryQ8)].has_value() &&
-         variant_calibrations_[static_cast<size_t>(DetectorVariant::kPreprocessedMseQ8)]
-             .has_value();
+  return std::all_of(kRungs.begin(), kRungs.end(), [&](const Rung& row) {
+    return !row.q8 || variant_calibration_if(row.variant) != nullptr;
+  });
 }
 
 std::vector<double> NoveltyDetector::scores(const std::vector<Image>& inputs) const {

@@ -19,6 +19,7 @@
 
 #include "core/autoencoder.hpp"
 #include "core/frame_validator.hpp"
+#include "core/rung.hpp"
 #include "core/threshold.hpp"
 #include "image/image.hpp"
 #include "nn/quantized.hpp"
@@ -33,62 +34,6 @@ class VisualBackProp;
 }
 
 namespace salnov::core {
-
-enum class Preprocessing {
-  kRaw,       ///< feed the grayscale image directly (baseline)
-  kVbp,       ///< feed the VisualBackProp mask of the steering model (proposed)
-  kGradient,  ///< gradient-saliency mask (ablation; slower than VBP)
-  kLrp,       ///< layer-wise relevance propagation mask (ablation; slowest)
-};
-
-/// True for any preprocessing mode that needs the steering model.
-constexpr bool uses_saliency(Preprocessing preprocessing) {
-  return preprocessing != Preprocessing::kRaw;
-}
-
-enum class ReconstructionScore {
-  kMse,   ///< pixel-wise reconstruction error; high = novel (baseline)
-  kSsim,  ///< structural similarity; low = novel (proposed)
-};
-
-/// Scoring variants of one fitted detector, ordered by cost. They form the
-/// serving runtime's degradation ladder (see serving/supervisor.hpp): when
-/// the preferred path blows its deadline or misbehaves, the supervisor steps
-/// down to a cheaper variant that shares the same trained autoencoder but
-/// skips the expensive stages. Each variant is calibrated against its *own*
-/// training-score ECDF at fit() time, so every rung has a meaningful
-/// threshold.
-enum class DetectorVariant : int {
-  kPrimary = 0,        ///< configured preprocessing + configured score (VBP+SSIM as proposed)
-  kPreprocessedMse,    ///< configured preprocessing + MSE score (skips the SSIM pass)
-  kRawMse,             ///< raw pass-through + MSE (skips saliency entirely; Richter & Roy floor)
-  kPrimaryQ8,          ///< kPrimary with int8-quantized forwards (bounded score drift)
-  kPreprocessedMseQ8,  ///< kPreprocessedMse with int8-quantized forwards
-};
-/// The quantized variants are APPENDED (serialized ordinals are
-/// load-bearing); ladder order lives in serving/health.hpp's rank table.
-inline constexpr int kDetectorVariantCount = 5;
-/// The float variants form a prefix: slots [0, kDetectorFloatVariantCount).
-inline constexpr int kDetectorFloatVariantCount = 3;
-
-/// True for the int8-quantized scoring variants.
-constexpr bool detector_variant_quantized(DetectorVariant variant) {
-  return variant == DetectorVariant::kPrimaryQ8 ||
-         variant == DetectorVariant::kPreprocessedMseQ8;
-}
-
-/// The float variant a quantized variant mirrors (identity for float ones).
-/// A q8 variant shares its peer's preprocessing and score metric; only the
-/// forward passes (and therefore the calibrated ECDF) differ.
-constexpr DetectorVariant detector_variant_float_peer(DetectorVariant variant) {
-  return variant == DetectorVariant::kPrimaryQ8            ? DetectorVariant::kPrimary
-         : variant == DetectorVariant::kPreprocessedMseQ8 ? DetectorVariant::kPreprocessedMse
-                                                           : variant;
-}
-
-/// Stable tag for logs and artifacts ("primary", "preproc+mse", "raw+mse",
-/// "primary-q8", "preproc+mse-q8").
-const char* detector_variant_name(DetectorVariant variant);
 
 struct NoveltyDetectorConfig {
   int64_t height = 60;   ///< Paper's pipeline resolution (60 x 160).
@@ -164,78 +109,69 @@ class NoveltyDetector {
 
   // --- Variant scoring (degraded-mode fallback chain) ----------------------
   // The serving runtime executes the pipeline stage by stage under per-stage
-  // deadlines, so the variant API exposes each stage separately on top of
-  // the whole-pipeline score_variant() convenience.
-
-  /// The preprocessing a variant actually runs: kRawMse is always raw, the
-  /// other variants use the configured preprocessing.
-  Preprocessing variant_preprocessing(DetectorVariant variant) const;
-
-  /// The score metric a variant uses: kPrimary follows the configuration,
-  /// the degraded variants use MSE.
-  ReconstructionScore variant_score_metric(DetectorVariant variant) const;
+  // deadlines, so the variant API exposes each stage separately. What a
+  // variant runs is its row in core/rung.hpp.
+  //
+  // Every entry, batch 1 or batch B, float or q8, is one call of the same
+  // per-stage body over a list of frames (batch 1 is a list of one). The
+  // batched forwards (autoencoder GEMMs, VBP forward) keep strict bitwise
+  // equivalence: element i of a batched call is bit-identical to the batch-1
+  // call, regardless of batch size or composition. (Conv layers loop per
+  // sample; dense GEMM kernels accumulate each output row in the same
+  // ascending-k order at any m; packing pads with zeros.)
 
   /// Preprocessing stage for a variant (validated pass-through for kRawMse).
   Image variant_preprocess(DetectorVariant variant, const Image& input) const;
 
-  /// Scores a reconstruction against its variant-preprocessed input.
-  double variant_score_pair(DetectorVariant variant, const Image& preprocessed,
-                            const Image& reconstruction) const;
-
-  /// Variant-aware autoencoder reconstruction: the q8 variants run the
-  /// int8-quantized forward (bit-identical across kernels/threads/batch
-  /// sizes), the float variants are identical to reconstruct().
-  Image variant_reconstruct(DetectorVariant variant, const Image& preprocessed) const;
-
-  /// Batched counterpart; element i is bit-identical to
-  /// variant_reconstruct(variant, *preprocessed[i]).
-  std::vector<Image> variant_reconstruct_batch(DetectorVariant variant,
-                                               const std::vector<const Image*>& preprocessed) const;
-
-  /// Full pipeline score under one variant. score_variant(kPrimary, x) is
-  /// identical to score(x).
-  double score_variant(DetectorVariant variant, const Image& input) const;
-
-  // --- Cross-frame batched scoring (serving-cluster hot path) --------------
-  // These aggregate many frames into batch-B forward passes (autoencoder
-  // GEMMs, VBP forward) instead of B batch-1 matvecs. The contract is strict
-  // bitwise equivalence: element i of every batched call is bit-identical to
-  // the corresponding batch-1 call, regardless of batch size or composition.
-  // (Conv layers loop per sample; dense GEMM kernels accumulate each output
-  // row in the same ascending-k order at any m; packing pads with zeros.)
-
-  /// Batched preprocessing stage. Element i is bit-identical to
-  /// variant_preprocess(variant, *inputs[i]); saliency-backed configurations
-  /// share one batched VBP pass. Validates every input (same checks, same
-  /// order, as the batch-1 entry).
+  /// Batched preprocessing stage; saliency-backed configurations share one
+  /// batched VBP pass. Validates every input in order.
   std::vector<Image> variant_preprocess_batch(DetectorVariant variant,
                                               const std::vector<const Image*>& inputs) const;
 
-  /// True when the saliency stage reads the steering CNN's conv stages
-  /// (VBP preprocessing): a caller that already ran forward_stages() over
-  /// steering_model() — or over quant_steering() for the q8 variants — can
-  /// hand that pass to the overload below instead of paying for a second
-  /// forward.
-  bool saliency_reads_steering_pass() const { return vbp_ != nullptr; }
-
-  /// As variant_preprocess_batch(variant, inputs), with the same validation
-  /// in the same order, but mask i is built from row rows[i] of `pass`, a
-  /// forward_stages() that already ran at the variant's precision. Same
-  /// bits as the two-forward path. Throws std::logic_error when
-  /// saliency_reads_steering_pass() is false.
+  /// As variant_preprocess_batch(variant, inputs), with the same validation,
+  /// but mask i is built from row rows[i] of `pass`, a forward_stages() that
+  /// already ran over the steering model at the variant's precision. Same
+  /// bits as the two-forward path. Throws std::logic_error unless
+  /// mask_reads_steer_pass() holds for that precision.
   std::vector<Image> variant_preprocess_batch(DetectorVariant variant,
                                               const std::vector<const Image*>& inputs,
                                               const nn::StagedForward& pass,
                                               const std::vector<int64_t>& rows) const;
 
-  /// Batched autoencoder reconstruction: one [B, H*W] forward. Element i is
-  /// bit-identical to reconstruct(*preprocessed[i]).
+  /// Autoencoder reconstruction of variant-preprocessed images: the q8
+  /// variants run the int8-quantized forward (bit-identical across
+  /// kernels/threads/batch sizes), the float variants the float one.
+  Image variant_reconstruct(DetectorVariant variant, const Image& preprocessed) const;
+  std::vector<Image> variant_reconstruct_batch(DetectorVariant variant,
+                                               const std::vector<const Image*>& preprocessed) const;
+  /// Float reconstruction as one [B, H*W] forward.
   std::vector<Image> reconstruct_batch(const std::vector<const Image*>& preprocessed) const;
 
-  /// Batched full-pipeline scoring under one variant. Element i is
-  /// bit-identical to score_variant(variant, *inputs[i]).
+  /// Scores a reconstruction against its variant-preprocessed input.
+  double variant_score_pair(DetectorVariant variant, const Image& preprocessed,
+                            const Image& reconstruction) const;
+
+  /// Full pipeline score under one variant. score_variant(kPrimary, x) is
+  /// identical to score(x).
+  double score_variant(DetectorVariant variant, const Image& input) const;
   std::vector<double> score_batch(DetectorVariant variant,
                                   const std::vector<const Image*>& inputs) const;
+
+  // --- The steer stage's shared forward ------------------------------------
+
+  /// True when the steer stage on a rung of precision `q8` runs the int8
+  /// view of the steering model (it exists), false when it runs the float one.
+  bool steers_quantized(bool q8) const { return q8 && quant_steering_ != nullptr; }
+
+  /// The pass-reuse rule: true when masks at precision `q8` read the conv
+  /// stages of the steer stage's forward over `steering` at that precision
+  /// (VBP on the detector's own steering model, or on its int8 view), so a
+  /// caller that ran that forward hands it to variant_preprocess_batch
+  /// instead of paying for a second one.
+  bool mask_reads_steer_pass(bool q8, const nn::Sequential* steering) const {
+    return vbp_ != nullptr && (q8 ? quant_steering_ != nullptr
+                                  : steering != nullptr && steering == steering_model_);
+  }
 
   /// Per-variant calibration (training-score ECDF + threshold), fitted for
   /// all variants by fit() and persisted through PipelineIo. Throws
@@ -261,8 +197,6 @@ class NoveltyDetector {
   /// The quantized model views, or nullptr when has_quant_path() is false
   /// (steering also requires attach_steering_model()).
   const nn::QuantizedForward* quant_autoencoder() const { return quant_ae_.get(); }
-  /// The attached steering model (null before attach_steering_model()).
-  const nn::Sequential* steering_model() const { return steering_model_; }
   const nn::QuantizedForward* quant_steering() const { return quant_steering_.get(); }
 
   bool is_fitted() const { return fitted_; }
@@ -273,16 +207,26 @@ class NoveltyDetector {
  private:
   friend class PipelineIo;
 
-  /// Scores a reconstruction against its (preprocessed) input.
-  double score_pair(const Image& preprocessed, const Image& reconstruction) const;
+  /// The stage bodies every public entry calls, over a list of frames.
+  /// preprocess_frames validates every input (size, wiring, content) and
+  /// builds masks from `pass` rows when given; reconstruct_frames runs the
+  /// rung's precision; score_frames scores pair i with the rung's metric.
+  std::vector<Image> preprocess_frames(const Rung& rung, const std::vector<const Image*>& inputs,
+                                       const nn::StagedForward* pass = nullptr,
+                                       const std::vector<int64_t>* rows = nullptr) const;
+  std::vector<Image> reconstruct_frames(const Rung& rung,
+                                        const std::vector<const Image*>& preprocessed) const;
+  std::vector<double> score_frames(const Rung& rung, const std::vector<const Image*>& preprocessed,
+                                   const std::vector<const Image*>& reconstructions) const;
 
-  /// Shared entry guard: size check, wiring check, content validation.
+  /// Size check, wiring check, content validation of one input.
   void validate_input(const Image& input, bool needs_saliency) const;
 
-  /// The batch entries' guard: validates every input, then checks that a
-  /// q8 saliency variant has its quantized path. Returns true when the
-  /// variant computes a mask (false: the inputs pass through unchanged).
-  bool validate_batch(DetectorVariant variant, const std::vector<const Image*>& inputs) const;
+  /// Calibrates every slot owned by a row of precision `q8` on the training
+  /// frames. Rows that share preprocessing share one reconstruction;
+  /// `preprocessed` holds the configured float preprocessing of `frames`.
+  void calibrate_rows(bool q8, const std::vector<Image>& frames,
+                      const std::vector<Image>& preprocessed);
 
   /// True when batches may be preprocessed/scored on multiple threads:
   /// either no saliency stage, or one whose compute() is reentrant.

@@ -29,25 +29,6 @@ bool read_flag(std::istream& is, const char* what) {
   return value == 1;
 }
 
-/// A loaded model must map `input` to `expected`; a chain that does not
-/// (a wrong dense width, a two-output head) fails here, typed, instead of at
-/// the first forward.
-void require_model_shape(const nn::Sequential& model, const Shape& input, const Shape& expected,
-                         const char* what) {
-  Shape output;
-  try {
-    output = model.output_shape(input);
-  } catch (const std::invalid_argument& err) {
-    throw SerializationError(std::string("pipeline: ") + what + " does not accept " +
-                             shape_to_string(input) + ": " + err.what());
-  }
-  if (output != expected) {
-    throw SerializationError(std::string("pipeline: ") + what + " maps " +
-                             shape_to_string(input) + " to " + shape_to_string(output) +
-                             ", expected " + shape_to_string(expected));
-  }
-}
-
 void write_quant_scales(std::ostream& os, const nn::QuantScales& scales) {
   write_u32(os, static_cast<uint32_t>(scales.act_scales.size()));
   for (float s : scales.act_scales) write_f32(os, s);
@@ -68,39 +49,10 @@ nn::QuantScales read_quant_scales(std::istream& is) {
   return scales;
 }
 
-uint32_t preprocessing_tag(Preprocessing preprocessing) {
-  switch (preprocessing) {
-    case Preprocessing::kRaw:
-      return 0;
-    case Preprocessing::kVbp:
-      return 1;
-    case Preprocessing::kGradient:
-      return 2;
-    case Preprocessing::kLrp:
-      return 3;
-  }
-  throw std::logic_error("preprocessing_tag: unknown preprocessing");
-}
-
-Preprocessing preprocessing_from_tag(uint32_t tag) {
-  switch (tag) {
-    case 0:
-      return Preprocessing::kRaw;
-    case 1:
-      return Preprocessing::kVbp;
-    case 2:
-      return Preprocessing::kGradient;
-    case 3:
-      return Preprocessing::kLrp;
-    default:
-      throw SerializationError("pipeline: unknown preprocessing tag " + std::to_string(tag));
-  }
-}
-
 void write_config(std::ostream& os, const NoveltyDetectorConfig& config) {
   write_i64(os, config.height);
   write_i64(os, config.width);
-  write_u32(os, preprocessing_tag(config.preprocessing));
+  write_u32(os, static_cast<uint32_t>(config.preprocessing));
   write_u32(os, config.score == ReconstructionScore::kSsim ? 1u : 0u);
   write_u32(os, static_cast<uint32_t>(config.autoencoder.hidden_units.size()));
   for (int64_t units : config.autoencoder.hidden_units) write_i64(os, units);
@@ -119,7 +71,11 @@ NoveltyDetectorConfig read_config(std::istream& is) {
   NoveltyDetectorConfig config;
   config.height = read_i64(is);
   config.width = read_i64(is);
-  config.preprocessing = preprocessing_from_tag(read_u32(is));
+  const uint32_t preprocessing = read_u32(is);
+  if (preprocessing >= kPreprocessingCount) {
+    throw SerializationError("pipeline: unknown preprocessing tag " + std::to_string(preprocessing));
+  }
+  config.preprocessing = static_cast<Preprocessing>(preprocessing);
   config.score = read_flag(is, "score tag") ? ReconstructionScore::kSsim : ReconstructionScore::kMse;
   const uint32_t hidden_count = read_u32(is);
   if (hidden_count > 64) throw SerializationError("pipeline: implausible hidden layer count");
@@ -192,7 +148,7 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
   }
   for (uint32_t v = 0; v < variant_count; ++v) {
     if (!read_flag(is, "calibration presence flag")) {
-      if (v < static_cast<uint32_t>(kDetectorFloatVariantCount)) {
+      if (!rung(static_cast<DetectorVariant>(v)).q8) {
         throw SerializationError("pipeline: float variant calibration missing");
       }
       continue;  // absent q8 calibration: the float peer serves the rung
@@ -204,14 +160,15 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
   if (__builtin_mul_overflow(config.height, config.width, &pixels)) {
     throw SerializationError("pipeline: implausible image size");
   }
-  require_model_shape(pipeline.detector->autoencoder_, {1, pixels}, {1, pixels}, "autoencoder");
+  nn::require_model_shape(pipeline.detector->autoencoder_, {1, pixels}, {1, pixels},
+                          "pipeline: autoencoder");
   pipeline.detector->threshold_ = threshold;
   pipeline.detector->fitted_ = true;
 
   if (read_flag(is, "steering presence flag")) {
     pipeline.steering_model = std::make_unique<nn::Sequential>(nn::load_model(is));
-    require_model_shape(*pipeline.steering_model, {1, 1, config.height, config.width}, {1, 1},
-                        "steering model");
+    nn::require_model_shape(*pipeline.steering_model, {1, 1, config.height, config.width}, {1, 1},
+                            "pipeline: steering model");
     pipeline.detector->attach_steering_model(pipeline.steering_model.get());
   } else if (uses_saliency(config.preprocessing)) {
     throw SerializationError("pipeline: saliency configuration but no steering model in file");

@@ -123,4 +123,19 @@ Sequential load_model_file(const std::string& path) {
   return load_model(is);
 }
 
+void require_model_shape(const Sequential& model, const Shape& input, const Shape& expected,
+                         const std::string& what) {
+  Shape output;
+  try {
+    output = model.output_shape(input);
+  } catch (const std::invalid_argument& err) {
+    throw SerializationError(what + " does not accept " + shape_to_string(input) + ": " +
+                             err.what());
+  }
+  if (output != expected) {
+    throw SerializationError(what + " maps " + shape_to_string(input) + " to " +
+                             shape_to_string(output) + ", expected " + shape_to_string(expected));
+  }
+}
+
 }  // namespace salnov::nn

@@ -26,4 +26,11 @@ Sequential load_model(std::istream& is);
 /// CorruptFileError (both SerializationError) on damaged files.
 Sequential load_model_file(const std::string& path);
 
+/// A loaded model must map `input` to `expected`: a layer chain that does
+/// not (a dense width that disagrees with the conv output, a two-output
+/// head) fails here with a SerializationError naming `what`, instead of at
+/// the first forward. A steering model checks [1, 1, H, W] -> [1, 1].
+void require_model_shape(const Sequential& model, const Shape& input, const Shape& expected,
+                         const std::string& what);
+
 }  // namespace salnov::nn

@@ -157,12 +157,6 @@ Tensor deconv_ones(const Tensor& map, int64_t kernel_h, int64_t kernel_w, int64_
   return out;
 }
 
-Image VisualBackProp::mask(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
-                           int64_t n, int64_t height, int64_t width) const {
-  std::vector<Tensor> averaged_maps;
-  return stage_mask(conv_layers(model), conv_stages, n, height, width, averaged_maps);
-}
-
 std::vector<Image> VisualBackProp::masks(const nn::Sequential& model,
                                          const std::vector<Tensor>& conv_stages,
                                          const std::vector<int64_t>& rows, int64_t height,
@@ -180,20 +174,13 @@ std::vector<Image> VisualBackProp::masks(const nn::Sequential& model,
 }
 
 Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
-  return mask(model, model.forward_stages(input.as_nchw()).conv_stages, 0, input.height(),
-              input.width());
+  return std::move(compute_batch(model, {&input})[0]);
 }
 
 Image VisualBackProp::compute_with_maps(nn::Sequential& model, const Image& input,
                                         std::vector<Tensor>& averaged_maps) const {
   return stage_mask(conv_layers(model), model.forward_stages(input.as_nchw()).conv_stages, 0,
                     input.height(), input.width(), averaged_maps);
-}
-
-Image VisualBackProp::compute_quantized(const nn::QuantizedForward& model,
-                                        const Image& input) const {
-  return mask(model.model(), model.forward_stages(input.as_nchw()).conv_stages, 0, input.height(),
-              input.width());
 }
 
 std::vector<Image> VisualBackProp::compute_batch(nn::Sequential& model,

@@ -14,7 +14,7 @@
 // steering forward its cost is the channel averages and O(pixels)
 // upsampling — no backward pass through weights — which is what makes VBP
 // an order of magnitude faster than decomposition methods like LRP. Every
-// entry below is one forward_stages() pass plus mask().
+// entry below is one forward_stages() pass plus masks().
 #pragma once
 
 #include <cstdint>
@@ -53,23 +53,15 @@ class VisualBackProp : public SaliencyMethod {
   /// the steering model (exact-int32 GEMMs, bit-identical at any kernel /
   /// thread count / batch size); the channel averages and relevance chain
   /// are the same float code as the float path. Used by the q8 ladder rungs.
-  Image compute_quantized(const nn::QuantizedForward& model, const Image& input) const;
-
-  /// Batched counterpart; element i is bit-identical to
-  /// compute_quantized(model, *inputs[i]) for any batch composition.
   std::vector<Image> compute_batch_quantized(const nn::QuantizedForward& model,
                                              const std::vector<const Image*>& inputs) const;
 
-  /// The mask of sample `n` from a forward that already ran:
+  /// The masks of samples `rows` from a forward that already ran:
   /// `conv_stages` is forward_stages(...).conv_stages of `model` (or of its
   /// quantized view) over a [B, 1, height, width] input. A serving path
-  /// that ran that forward for the steering angle builds the mask here
-  /// without a second forward.
-  Image mask(const nn::Sequential& model, const std::vector<Tensor>& conv_stages, int64_t n,
-             int64_t height, int64_t width) const;
-
-  /// mask() for each sample in `rows`; the per-sample chains are pure and
-  /// write disjoint outputs, so they fan out across the worker pool.
+  /// that ran that forward for the steering angle builds the masks here
+  /// without a second forward. The per-sample chains are pure and write
+  /// disjoint outputs, so they fan out across the worker pool.
   std::vector<Image> masks(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
                            const std::vector<int64_t>& rows, int64_t height, int64_t width) const;
 };

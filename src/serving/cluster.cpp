@@ -312,7 +312,7 @@ HealthSnapshot ServingCluster::aggregate_health() const {
     const HealthSnapshot h = stream_health(s);
     // Ladder rank, not enum ordinal: the q8 rungs are appended to the enum
     // (serialized ordinals are load-bearing) but sit mid-ladder.
-    if (serving_mode_ladder_rank(h.mode) > serving_mode_ladder_rank(agg.mode)) {
+    if (core::rung(h.mode).rank > core::rung(agg.mode).rank) {
       agg.mode = h.mode;
     }
     if (breaker_severity(h.breaker_state) > breaker_severity(agg.breaker_state)) {
@@ -749,7 +749,6 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
     Supervisor* supervisor = nullptr;
     ProvidedCompute provided;
     bool valid = false;
-    const Image* recon_in = nullptr;
   };
   std::vector<Slot> slots(b);
 
@@ -767,14 +766,11 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
   // sub-batch per stage — never a mixed forward, because the supervisor only
   // trusts provided results whose precision matches the serving rung
   // (ProvidedCompute::quantized).
-  struct StageFan {
-    std::vector<const Image*> in;
-    std::vector<size_t> at;
-  };
-  std::array<StageFan, 2> steer_fan;  // [0]=float, [1]=q8
-  std::array<StageFan, 2> sal_fan;
+  // Slot indices per stage and precision ([0]=float, [1]=q8), in slot order.
+  std::array<std::vector<size_t>, 2> steer_at;
+  std::array<std::vector<size_t>, 2> sal_at;
+  std::array<std::vector<size_t>, 2> recon_at;
   int64_t prescreen_rejects = 0;
-  const bool steer_q8_available = detector_.quant_steering() != nullptr;
   for (size_t i = 0; i < b; ++i) {
     Slot& slot = slots[i];
     slot.supervisor = supervisors_[static_cast<size_t>(batch[i].stream_id)].get();
@@ -783,28 +779,24 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
       ++prescreen_rejects;
       continue;
     }
-    const bool q8 = serving_mode_quantized(slot.supervisor->mode());
-    slot.provided.quantized = q8;
+    const core::Rung& rung = core::rung(slot.supervisor->mode());
+    slot.provided.quantized = rung.q8;
     if (withhold) continue;
+    recon_at[rung.q8 ? 1 : 0].push_back(i);
     if (steering_model_ != nullptr) {
-      // Mirror the supervisor's rule: a q8 rung steers quantized only when
-      // the quantized steering forward exists.
-      StageFan& fan = steer_fan[q8 && steer_q8_available ? 1 : 0];
-      fan.in.push_back(&batch[i].frame);
-      fan.at.push_back(i);
+      // The supervisor's rule: a q8 rung steers quantized only when the
+      // quantized steering forward exists.
+      steer_at[detector_.steers_quantized(rung.q8) ? 1 : 0].push_back(i);
     }
     const BreakerState breaker = slot.supervisor->breaker_state();
     const bool want_saliency =
         saliency_configured_ && breaker != BreakerState::kOpen &&
-        (Supervisor::mode_uses_saliency(slot.supervisor->mode()) ||
-         breaker == BreakerState::kHalfOpen);
+        (!rung.raw || breaker == BreakerState::kHalfOpen);
     if (want_saliency) {
       // A half-open probe serves float on success, and a probing stream's
       // mode is below the saliency rungs, so q8 is false there — the mask
       // precision always matches what the supervisor will consume.
-      StageFan& fan = sal_fan[q8 ? 1 : 0];
-      fan.in.push_back(&batch[i].frame);
-      fan.at.push_back(i);
+      sal_at[rung.q8 ? 1 : 0].push_back(i);
     }
   }
 
@@ -817,26 +809,30 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
   // the masks come from its conv stages whenever the detector's saliency
   // reads this model's forward (VBP on the detector's own steering model).
   // Otherwise the masks run their own batched forward.
+  const auto frames_of = [&](const std::vector<size_t>& at) {
+    std::vector<const Image*> frames;
+    frames.reserve(at.size());
+    for (const size_t i : at) frames.push_back(&batch[i].frame);
+    return frames;
+  };
   for (int p = 0; p < 2; ++p) {
-    const StageFan& steer = steer_fan[static_cast<size_t>(p)];
-    const StageFan& sal = sal_fan[static_cast<size_t>(p)];
-    const core::DetectorVariant mask_variant =
+    const std::vector<size_t>& steer = steer_at[static_cast<size_t>(p)];
+    const std::vector<size_t>& sal = sal_at[static_cast<size_t>(p)];
+    // The masks and reconstructions a precision provides are its top rung's.
+    const core::DetectorVariant variant =
         p == 1 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
-    const bool shared = !sal.in.empty() && detector_.saliency_reads_steering_pass() &&
-                        (p == 1 ? steer_q8_available
-                                : steering_model_ != nullptr &&
-                                      steering_model_ == detector_.steering_model());
+    const bool shared = !sal.empty() && detector_.mask_reads_steer_pass(p == 1, steering_model_);
     // The pass's frames in slot order (both fans are in slot order).
-    std::vector<size_t> pass_at = steer.at;
+    std::vector<size_t> pass_at = steer;
     if (shared) {
       pass_at.clear();
-      std::set_union(steer.at.begin(), steer.at.end(), sal.at.begin(), sal.at.end(),
+      std::set_union(steer.begin(), steer.end(), sal.begin(), sal.end(),
                      std::back_inserter(pass_at));
     }
-    const auto rows_of = [&](const StageFan& fan) {
+    const auto rows_of = [&](const std::vector<size_t>& fan) {
       std::vector<int64_t> rows;
-      rows.reserve(fan.at.size());
-      for (const size_t at : fan.at) {
+      rows.reserve(fan.size());
+      for (const size_t at : fan) {
         rows.push_back(std::lower_bound(pass_at.begin(), pass_at.end(), at) - pass_at.begin());
       }
       return rows;
@@ -844,63 +840,49 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
     std::optional<nn::StagedForward> pass;
     if (!pass_at.empty()) {
       try {
-        std::vector<const Image*> frames;
-        frames.reserve(pass_at.size());
-        for (const size_t at : pass_at) frames.push_back(&batch[at].frame);
-        const Tensor stacked = stack_nchw(frames);
+        const Tensor stacked = stack_nchw(frames_of(pass_at));
         pass = p == 1 ? detector_.quant_steering()->forward_stages(stacked)
                       : steering_model_->forward_stages(stacked);
       } catch (const std::exception&) {
       }
     }
-    if (pass.has_value() && !steer.in.empty()) {
+    if (pass.has_value() && !steer.empty()) {
       try {
         const std::vector<double> angles =
             driving::steering_angles(pass->output, static_cast<int64_t>(pass_at.size()));
         const std::vector<int64_t> rows = rows_of(steer);
-        for (size_t k = 0; k < steer.at.size(); ++k) {
-          slots[steer.at[k]].provided.steering = angles[static_cast<size_t>(rows[k])];
+        for (size_t k = 0; k < steer.size(); ++k) {
+          slots[steer[k]].provided.steering = angles[static_cast<size_t>(rows[k])];
         }
       } catch (const std::exception&) {
       }
     }
-    if (sal.in.empty() || (shared && !pass.has_value())) continue;
-    try {
-      std::vector<Image> masks =
-          shared ? detector_.variant_preprocess_batch(mask_variant, sal.in, *pass, rows_of(sal))
-                 : detector_.variant_preprocess_batch(mask_variant, sal.in);
-      for (size_t k = 0; k < sal.at.size(); ++k) {
-        slots[sal.at[k]].provided.saliency_mask = std::move(masks[k]);
+    if (!sal.empty() && (!shared || pass.has_value())) {
+      try {
+        std::vector<Image> masks =
+            shared ? detector_.variant_preprocess_batch(variant, frames_of(sal), *pass, rows_of(sal))
+                   : detector_.variant_preprocess_batch(variant, frames_of(sal));
+        for (size_t k = 0; k < sal.size(); ++k) {
+          slots[sal[k]].provided.saliency_mask = std::move(masks[k]);
+        }
+      } catch (const std::exception&) {
       }
-    } catch (const std::exception&) {
     }
-  }
-  std::array<StageFan, 2> recon_fan;
-  if (!withhold) {
-    for (size_t i = 0; i < b; ++i) {
-      Slot& slot = slots[i];
-      if (!slot.valid) continue;
-      // Predicted autoencoder input: the mask when saliency is expected to
-      // serve the frame, the raw frame otherwise (the supervisor's raw rungs
-      // feed the frame through unchanged).
-      slot.recon_in = slot.provided.saliency_mask.has_value() ? &*slot.provided.saliency_mask
-                                                              : &batch[i].frame;
-      StageFan& fan = recon_fan[slot.provided.quantized ? 1 : 0];
-      fan.in.push_back(slot.recon_in);
-      fan.at.push_back(i);
+    // Predicted autoencoder input: the mask when saliency is expected to
+    // serve the frame, the raw frame otherwise (the supervisor's raw rungs
+    // feed the frame through unchanged).
+    const std::vector<size_t>& recon = recon_at[static_cast<size_t>(p)];
+    std::vector<const Image*> recon_in;
+    for (const size_t at : recon) {
+      const std::optional<Image>& mask = slots[at].provided.saliency_mask;
+      recon_in.push_back(mask.has_value() ? &*mask : &batch[at].frame);
     }
-  }
-  for (int p = 0; p < 2; ++p) {
-    const StageFan& fan = recon_fan[static_cast<size_t>(p)];
-    if (fan.in.empty()) continue;
+    if (recon_in.empty()) continue;
     try {
-      std::vector<Image> recons =
-          p == 1 ? detector_.variant_reconstruct_batch(core::DetectorVariant::kPrimaryQ8, fan.in)
-                 : detector_.reconstruct_batch(fan.in);
-      for (size_t k = 0; k < fan.at.size(); ++k) {
-        Slot& slot = slots[fan.at[k]];
-        slot.provided.recon_input = *slot.recon_in;
-        slot.provided.reconstruction = std::move(recons[k]);
+      std::vector<Image> recons = detector_.variant_reconstruct_batch(variant, recon_in);
+      for (size_t k = 0; k < recon.size(); ++k) {
+        slots[recon[k]].provided.recon_input = *recon_in[k];
+        slots[recon[k]].provided.reconstruction = std::move(recons[k]);
       }
     } catch (const std::exception&) {
     }

@@ -21,82 +21,9 @@ std::string json_number(double value) {
 }  // namespace
 
 const char* stage_name(Stage stage) {
-  switch (stage) {
-    case Stage::kValidate:
-      return "validate";
-    case Stage::kSteer:
-      return "steer";
-    case Stage::kSaliency:
-      return "saliency";
-    case Stage::kReconstruct:
-      return "reconstruct";
-    case Stage::kScore:
-      return "score";
-  }
-  return "unknown";
-}
-
-const char* serving_mode_name(ServingMode mode) {
-  switch (mode) {
-    case ServingMode::kVbpSsim:
-      return "vbp+ssim";
-    case ServingMode::kVbpMse:
-      return "vbp+mse";
-    case ServingMode::kRawMse:
-      return "raw+mse";
-    case ServingMode::kSensorHold:
-      return "sensor-hold";
-    case ServingMode::kVbpSsimQ8:
-      return "vbp+ssim-q8";
-    case ServingMode::kVbpMseQ8:
-      return "vbp+mse-q8";
-  }
-  return "unknown";
-}
-
-namespace {
-
-/// Ladder order, most preferred first. The q8 rung sits directly below its
-/// float peer: cheaper compute with bounded score drift beats dropping a
-/// whole pipeline stage.
-constexpr ServingMode kLadder[kServingLadderRanks] = {
-    ServingMode::kVbpSsim, ServingMode::kVbpSsimQ8, ServingMode::kVbpMse,
-    ServingMode::kVbpMseQ8, ServingMode::kRawMse,   ServingMode::kSensorHold,
-};
-
-}  // namespace
-
-int serving_mode_ladder_rank(ServingMode mode) {
-  for (int r = 0; r < kServingLadderRanks; ++r) {
-    if (kLadder[r] == mode) return r;
-  }
-  throw std::invalid_argument("serving_mode_ladder_rank: unknown mode");
-}
-
-ServingMode serving_ladder_mode_at(int rank) {
-  if (rank < 0) rank = 0;
-  if (rank >= kServingLadderRanks) rank = kServingLadderRanks - 1;
-  return kLadder[rank];
-}
-
-bool serving_mode_quantized(ServingMode mode) {
-  return mode == ServingMode::kVbpSsimQ8 || mode == ServingMode::kVbpMseQ8;
-}
-
-ServingMode serving_ladder_next(ServingMode mode, bool skip_quantized) {
-  int rank = serving_mode_ladder_rank(mode);
-  do {
-    ++rank;
-  } while (rank < kServingLadderRanks && skip_quantized && serving_mode_quantized(kLadder[rank]));
-  return serving_ladder_mode_at(rank);
-}
-
-ServingMode serving_ladder_prev(ServingMode mode, bool skip_quantized) {
-  int rank = serving_mode_ladder_rank(mode);
-  do {
-    --rank;
-  } while (rank > 0 && skip_quantized && serving_mode_quantized(kLadder[rank]));
-  return serving_ladder_mode_at(rank);
+  constexpr std::array<const char*, kStageCount> kNames = {"validate", "steer", "saliency",
+                                                           "reconstruct", "score"};
+  return kNames[static_cast<size_t>(stage)];
 }
 
 LatencyRing::LatencyRing(size_t capacity) : capacity_(capacity) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/rung.hpp"
 #include "serving/circuit_breaker.hpp"
 
 namespace salnov::serving {
@@ -30,44 +31,12 @@ inline constexpr int kStageCount = 5;
 
 const char* stage_name(Stage stage);
 
-/// Degradation ladder, ordered from preferred to last-resort. Rung names
-/// reflect the paper's proposed configuration (VBP + SSIM); a detector
-/// configured differently keeps the same ladder semantics — "primary",
-/// "primary preprocessing with MSE", "raw passthrough with MSE", hold.
-enum class ServingMode : int {
-  kVbpSsim = 0,  ///< full pipeline at the configured preprocessing + score
-  kVbpMse,       ///< saliency kept, SSIM pass skipped (MSE score)
-  kRawMse,       ///< saliency skipped, raw frame + MSE
-  kSensorHold,   ///< ladder exhausted: hold last safe behaviour, report sensor fault
-  kVbpSsimQ8,    ///< kVbpSsim with int8-quantized forwards (cheaper, bounded drift)
-  kVbpMseQ8,     ///< kVbpMse with int8-quantized forwards
-};
-inline constexpr int kServingModeCount = 6;
-
-const char* serving_mode_name(ServingMode mode);
-
-/// The quantized rungs were appended to the enum (serialized ordinals are
-/// load-bearing: traces and health JSON store the int values), so ladder
-/// ORDER is defined by this explicit rank table, not by enum arithmetic:
-///   vbp+ssim -> vbp+ssim-q8 -> vbp+mse -> vbp+mse-q8 -> raw+mse -> hold.
-/// Supervisors fitted without quantized calibration skip the q8 rungs;
-/// serving_ladder_next/prev take the skip flag so both ladders share one
-/// definition.
-inline constexpr int kServingLadderRanks = 6;
-
-/// Position of `mode` in the degradation ladder (0 = most preferred).
-int serving_mode_ladder_rank(ServingMode mode);
-
-/// Mode at ladder position `rank` (clamped to [0, kServingLadderRanks - 1]).
-ServingMode serving_ladder_mode_at(int rank);
-
-/// True for the int8-quantized rungs.
-bool serving_mode_quantized(ServingMode mode);
-
-/// One rung down (towards kSensorHold) / up (towards kVbpSsim), skipping
-/// quantized rungs when `skip_quantized`. Saturates at the ladder ends.
-ServingMode serving_ladder_next(ServingMode mode, bool skip_quantized);
-ServingMode serving_ladder_prev(ServingMode mode, bool skip_quantized);
+/// The degradation ladder's rungs. Names, ladder order and what each rung
+/// computes are rows of core/rung.hpp's table; the serialized ordinals are
+/// the row indices.
+using ServingMode = core::ServingMode;
+using core::serving_mode_name;
+using core::serving_mode_quantized;
 
 /// Fixed-window ring of recent stage latencies; percentiles are computed
 /// over the window by nearest-rank on a sorted copy.

@@ -8,23 +8,6 @@
 
 namespace salnov::serving {
 
-core::DetectorVariant Supervisor::variant_for(ServingMode mode) {
-  switch (mode) {
-    case ServingMode::kVbpSsim:
-      return core::DetectorVariant::kPrimary;
-    case ServingMode::kVbpMse:
-      return core::DetectorVariant::kPreprocessedMse;
-    case ServingMode::kVbpSsimQ8:
-      return core::DetectorVariant::kPrimaryQ8;
-    case ServingMode::kVbpMseQ8:
-      return core::DetectorVariant::kPreprocessedMseQ8;
-    case ServingMode::kRawMse:
-    case ServingMode::kSensorHold:
-      return core::DetectorVariant::kRawMse;
-  }
-  throw std::logic_error("variant_for: unknown serving mode");
-}
-
 Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* steering_model,
                        SupervisorConfig config, Clock* clock)
     : detector_(detector),
@@ -144,6 +127,7 @@ Supervisor::StageOutcome Supervisor::run_stage(Stage stage, int64_t frame_index,
   const int64_t budget = config_.stage_budget_ns[s];
   if (budget > 0 && elapsed > budget) {
     outcome.overrun = true;
+    result.deadline_overrun = true;
     ++stage_overruns_[s];
   }
   return outcome;
@@ -163,15 +147,19 @@ void Supervisor::attach_monitor_state(ServeResult& result) {
                              : core::FallbackPath::kNone;
 }
 
-void Supervisor::finish_abandoned(ServeResult& result) {
+ServeResult Supervisor::abandon(ServeResult& result, ServingMode mode_used, bool tripped) {
   ++frames_abandoned_;
+  ++deadline_overruns_;
   result.abandoned = true;
   result.scored = false;
   result.deadline_overrun = true;
+  result.mode = mode_used;
   // The monitor does not hear about abandoned frames: there is neither a
   // score nor sensor evidence, only a scheduling failure — which the ladder
-  // handles.
+  // handles (a breaker trip this frame already moved it).
   attach_monitor_state(result);
+  if (!tripped) update_ladder(true);
+  return result;
 }
 
 void Supervisor::set_mode(ServingMode mode) {
@@ -187,7 +175,7 @@ void Supervisor::update_ladder(bool frame_bad) {
     healthy_streak_ = 0;
     if (++bad_streak_ >= config_.demote_after_bad_frames &&
         mode_ != ServingMode::kSensorHold) {
-      mode_ = serving_ladder_next(mode_, /*skip_quantized=*/!quant_rungs_active_);
+      mode_ = core::ladder_step(mode_, +1, /*skip_q8=*/!quant_rungs_active_);
       ++step_downs_;
       bad_streak_ = 0;
     }
@@ -196,11 +184,10 @@ void Supervisor::update_ladder(bool frame_bad) {
   bad_streak_ = 0;
   if (++healthy_streak_ >= config_.promote_after_healthy_frames &&
       mode_ != ServingMode::kVbpSsim) {
-    const ServingMode target =
-        serving_ladder_prev(mode_, /*skip_quantized=*/!quant_rungs_active_);
+    const ServingMode target = core::ladder_step(mode_, -1, /*skip_q8=*/!quant_rungs_active_);
     // Promotion back into a saliency rung is gated on the breaker: while it
     // is open or probing, the stage the rung depends on is not trusted yet.
-    if (!mode_uses_saliency(target) || !saliency_configured_ ||
+    if (core::rung(target).raw || !saliency_configured_ ||
         breaker_.state() == BreakerState::kClosed) {
       mode_ = target;
       ++promotions_;
@@ -238,12 +225,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     }
   });
   if (validate.overrun) frame_bad = true;
-  if (frame_deadline_blown(frame_start)) {
-    finish_abandoned(result);
-    ++deadline_overruns_;
-    update_ladder(true);
-    return result;
-  }
+  if (frame_deadline_blown(frame_start)) return abandon(result, mode_, false);
   if (fault != core::FrameFault::kNone || frozen) {
     // Sensor-bad frames are the monitor's jurisdiction and are neutral to
     // the ladder: a dead camera says nothing about pipeline timing health.
@@ -252,8 +234,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     result.sensor_bad = true;
     result.monitor_state = update.state;
     result.fallback_path = update.fallback_path;
-    if (frame_bad) ++deadline_overruns_;
-    result.deadline_overrun = frame_bad;
+    if (result.deadline_overrun) ++deadline_overruns_;
     return result;
   }
 
@@ -266,7 +247,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   // directly. `mode_used` cannot cross a precision boundary after this point
   // — within-frame fallbacks land on float kRawMse, which steer/saliency
   // below never consult q8 state for.
-  const bool quant_frame = serving_mode_quantized(mode_used);
+  const bool quant_frame = core::rung(mode_used).q8;
   const bool provided_ok = provided != nullptr && provided->quantized == quant_frame;
 
   // --- Stage 1: steer ----------------------------------------------------
@@ -277,7 +258,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   //
   // When the stage runs the forward itself it keeps the conv stages, so the
   // saliency stage can build the VBP mask without a second forward.
-  const bool steer_q8 = quant_frame && detector_.quant_steering() != nullptr;
+  const bool steer_q8 = detector_.steers_quantized(quant_frame);
   std::optional<nn::StagedForward> steer_pass;
   if (steering_model_ != nullptr) {
     const StageOutcome steer = run_stage(Stage::kSteer, index, result, [&] {
@@ -296,12 +277,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     });
     if (!steer.ok()) frame_bad = true;
     if (steer.threw) ++scoring_failures_;
-    if (frame_deadline_blown(frame_start)) {
-      finish_abandoned(result);
-      ++deadline_overruns_;
-      update_ladder(true);
-      return result;
-    }
+    if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, false);
   }
 
   // --- Stage 2: saliency (behind the circuit breaker) --------------------
@@ -309,22 +285,21 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   const bool probe = breaker_.state() == BreakerState::kHalfOpen;
   const bool attempt_saliency =
       saliency_configured_ && breaker_.allows() &&
-      (mode_uses_saliency(mode_used) || probe);
+      (!core::rung(mode_used).raw || probe);
   bool tripped_this_frame = false;
   if (attempt_saliency) {
     // A half-open probe restores the float top rung on success, so the mask
     // it computes must be the float mask; only a q8 rung that will itself
     // consume the mask computes it quantized.
-    const bool mask_q8 = quant_frame && mode_uses_saliency(mode_used);
+    const bool mask_q8 = quant_frame && !core::rung(mode_used).raw;
     const core::DetectorVariant mask_variant =
         mask_q8 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
     // The steer stage's pass is the mask's forward only when it ran at the
-    // mask's precision through the detector's own steering model; otherwise
+    // mask's precision and the detector's reuse rule accepts it; otherwise
     // (provided or failed steering, a q8 rung without a quantized steering
     // model, another saliency method) the stage computes its own forward.
     const bool reuse_pass = steer_pass.has_value() && steer_q8 == mask_q8 &&
-                            detector_.saliency_reads_steering_pass() &&
-                            (steer_q8 || steering_model_ == detector_.steering_model());
+                            detector_.mask_reads_steer_pass(mask_q8, steering_model_);
     Image mask;
     const StageOutcome saliency = run_stage(Stage::kSaliency, index, result, [&] {
       // A provided mask skips only the compute: the frame already passed the
@@ -356,8 +331,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
       breaker_.record_failure();
       if (breaker_.trips() > trips_before) {
         tripped_this_frame = true;
-        if (serving_mode_ladder_rank(mode_) <
-            serving_mode_ladder_rank(ServingMode::kRawMse)) {
+        if (core::rung(mode_).rank < core::rung(ServingMode::kRawMse).rank) {
           set_mode(ServingMode::kRawMse);
           ++step_downs_;
         }
@@ -366,14 +340,8 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
       // the raw+MSE rung.
       if (mode_used != ServingMode::kSensorHold) mode_used = ServingMode::kRawMse;
     }
-    if (frame_deadline_blown(frame_start)) {
-      finish_abandoned(result);
-      ++deadline_overruns_;
-      if (!tripped_this_frame) update_ladder(true);
-      result.mode = mode_used;
-      return result;
-    }
-  } else if (mode_uses_saliency(mode_used)) {
+    if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, tripped_this_frame);
+  } else if (!core::rung(mode_used).raw) {
     // Saliency rung but the breaker is open (can only happen transiently):
     // serve raw for this frame.
     mode_used = ServingMode::kRawMse;
@@ -391,7 +359,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     // breaker change can invalidate that guess. A miss recomputes the same
     // bits, just unbatched.
     if (provided_ok && provided->reconstruction.has_value() &&
-        serving_mode_quantized(mode_used) == quant_frame &&
+        core::rung(mode_used).q8 == quant_frame &&
         provided->recon_input.tensor() == preprocessed.tensor()) {
       reconstruction = *provided->reconstruction;
     } else {
@@ -404,13 +372,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   bool pipeline_broken = reconstruct.threw;
   if (!reconstruct.ok()) frame_bad = true;
   if (reconstruct.threw) ++scoring_failures_;
-  if (frame_deadline_blown(frame_start)) {
-    finish_abandoned(result);
-    ++deadline_overruns_;
-    if (!tripped_this_frame) update_ladder(true);
-    result.mode = mode_used;
-    return result;
-  }
+  if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, tripped_this_frame);
 
   // --- Stage 4: score ----------------------------------------------------
   double score = std::numeric_limits<double>::quiet_NaN();
@@ -425,13 +387,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
       ++scoring_failures_;
       pipeline_broken = true;
     }
-    if (frame_deadline_blown(frame_start)) {
-      finish_abandoned(result);
-      ++deadline_overruns_;
-      if (!tripped_this_frame) update_ladder(true);
-      result.mode = mode_used;
-      return result;
-    }
+    if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, tripped_this_frame);
   }
   if (!pipeline_broken && !std::isfinite(score)) {
     // Non-finite containment: the threshold already classifies NaN/Inf as
@@ -442,12 +398,6 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
 
   // --- Outcome ------------------------------------------------------------
   result.mode = mode_used;
-  for (int s = 0; s < kStageCount; ++s) {
-    const int64_t budget = config_.stage_budget_ns[static_cast<size_t>(s)];
-    if (budget > 0 && result.stage_ns[static_cast<size_t>(s)] > budget) {
-      result.deadline_overrun = true;
-    }
-  }
   if (result.deadline_overrun) ++deadline_overruns_;
 
   if (pipeline_broken) {

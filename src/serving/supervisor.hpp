@@ -176,21 +176,12 @@ class Supervisor {
 
   HealthSnapshot health() const;
 
-  /// True for ladder rungs whose scoring path consumes the saliency mask.
-  /// Public so batching front ends can predict a frame's compute needs with
-  /// the same rule the supervisor applies.
-  static bool mode_uses_saliency(ServingMode mode) {
-    return mode == ServingMode::kVbpSsim || mode == ServingMode::kVbpMse ||
-           mode == ServingMode::kVbpSsimQ8 || mode == ServingMode::kVbpMseQ8;
-  }
-
   /// True when the q8 rungs participate in this supervisor's ladder (the
   /// config flag was set AND the detector supports it).
   bool quant_rungs_active() const { return quant_rungs_active_; }
 
   /// The detector variant a rung scores with (q8 rungs map to q8 variants).
-  /// Public for batching front ends and trace tooling.
-  static core::DetectorVariant variant_for(ServingMode mode);
+  static core::DetectorVariant variant_for(ServingMode mode) { return core::rung(mode).variant; }
 
  private:
   struct StageOutcome {
@@ -202,7 +193,10 @@ class Supervisor {
   StageOutcome run_stage(Stage stage, int64_t frame_index, ServeResult& result,
                          const std::function<void()>& body);
   bool frame_deadline_blown(int64_t frame_start_ns) const;
-  void finish_abandoned(ServeResult& result);
+  /// Abandons a frame whose deadline blew while it was served on
+  /// `mode_used`: counters, result fields, monitor state, and a bad-frame
+  /// ladder update unless a breaker trip already moved the ladder.
+  ServeResult abandon(ServeResult& result, ServingMode mode_used, bool tripped);
   void attach_monitor_state(ServeResult& result);
   void update_ladder(bool frame_bad);
   void set_mode(ServingMode mode);

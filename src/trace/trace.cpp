@@ -114,7 +114,7 @@ struct Differ {
 };
 
 const char* serving_mode_tag(int value) {
-  return serving::serving_mode_name(static_cast<serving::ServingMode>(value));
+  return core::rung(static_cast<core::ServingMode>(value)).name;
 }
 const char* breaker_state_tag(int value) {
   return serving::breaker_state_name(static_cast<serving::BreakerState>(value));
@@ -524,7 +524,7 @@ Trace Trace::load(std::istream& is) {
   for (auto& frame : trace.frames) {
     frame.frame_index = read_i64(is);
     frame.mode = static_cast<serving::ServingMode>(
-        checked_enum(is, serving::kServingModeCount, "serving mode"));
+        checked_enum(is, core::kServingModeCount, "serving mode"));
     const uint32_t flags = read_u32(is);
     if ((flags & ~kKnownFlags) != 0) {
       throw SerializationError("trace: unknown frame flag bits " + std::to_string(flags));
@@ -541,7 +541,7 @@ Trace Trace::load(std::istream& is) {
     frame.fallback_path = static_cast<core::FallbackPath>(checked_enum(is, 3, "fallback path"));
     for (int64_t& ns : frame.stage_ns) ns = read_i64(is);
     frame.mode_after = static_cast<serving::ServingMode>(
-        checked_enum(is, serving::kServingModeCount, "serving mode"));
+        checked_enum(is, core::kServingModeCount, "serving mode"));
     frame.breaker_after =
         static_cast<serving::BreakerState>(checked_enum(is, 3, "breaker state"));
     frame.epoch_after = read_i64(is);

@@ -94,34 +94,6 @@ std::string serialized_pipeline() {
 }
 
 // ---------------------------------------------------------------------------
-// Truncation sweeps: cutting a valid file at any of several points must
-// throw, never crash or return a half-initialized object.
-
-class ModelTruncationSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ModelTruncationSweep, TruncatedModelRejected) {
-  static const std::string full = serialized_model();
-  const size_t keep = full.size() * static_cast<size_t>(GetParam()) / 100;
-  std::stringstream ss(full.substr(0, keep));
-  EXPECT_THROW(nn::load_model(ss), SerializationError);
-}
-
-INSTANTIATE_TEST_SUITE_P(Fractions, ModelTruncationSweep,
-                         ::testing::Values(1, 5, 10, 25, 50, 75, 90, 99));
-
-class PipelineTruncationSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(PipelineTruncationSweep, TruncatedPipelineRejected) {
-  static const std::string full = serialized_pipeline();
-  const size_t keep = full.size() * static_cast<size_t>(GetParam()) / 100;
-  std::stringstream ss(full.substr(0, keep));
-  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
-}
-
-INSTANTIATE_TEST_SUITE_P(Fractions, PipelineTruncationSweep,
-                         ::testing::Values(1, 5, 10, 25, 50, 75, 90, 99));
-
-// ---------------------------------------------------------------------------
 // Targeted corruption.
 
 TEST(ModelCorruption, FlippedMagicByteRejected) {
@@ -192,7 +164,8 @@ TEST(ModelCorruption, WrongParameterCountRejected) {
 // ---------------------------------------------------------------------------
 // Quantized pipeline blocks: the act-scale blocks for the autoencoder and
 // steering model sit at the very end of the stream, so tail-targeted
-// truncation and corruption exercise them precisely.
+// corruption exercises them precisely (every truncation point is covered by
+// LoaderFuzz below).
 
 /// A fitted VBP+steering pipeline so both quant scale blocks are non-empty.
 struct QuantPipelineBytes {
@@ -228,19 +201,6 @@ const QuantPipelineBytes& serialized_quant_pipeline() {
   }();
   return cached;
 }
-
-class QuantBlockTruncationSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(QuantBlockTruncationSweep, TruncatedQuantScaleBlockRejected) {
-  // Cut GetParam() bytes off the end — every cut lands inside the ae or
-  // steering scale block (the last blocks in the stream).
-  const std::string& full = serialized_quant_pipeline().bytes;
-  std::stringstream ss(full.substr(0, full.size() - static_cast<size_t>(GetParam())));
-  EXPECT_THROW(core::PipelineIo::load(ss), SerializationError);
-}
-
-INSTANTIATE_TEST_SUITE_P(TailBytes, QuantBlockTruncationSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 9, 13));
 
 TEST(QuantBlockCorruption, NonFiniteScaleRejected) {
   const QuantPipelineBytes& pipeline = serialized_quant_pipeline();
@@ -380,6 +340,25 @@ nn::Sequential steering_with_head(int64_t in_features, int64_t outputs) {
   return model;
 }
 
+TEST(ModelShapeCheck, BareSteeringModelFileChecksItsLayerChain) {
+  // A steering model loaded from its own file (salnov fit/saliency
+  // --steering, the bench cache) parses layer by layer, so a dense head
+  // whose width disagrees with the conv output only shows up in the chain
+  // check, typed.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "salnov_steering_chain.model").string();
+  nn::Sequential mismatched = steering_with_head(500, 1);
+  nn::save_model_file(path, mismatched);
+  const nn::Sequential loaded = nn::load_model_file(path);
+  EXPECT_THROW(nn::require_model_shape(loaded, {1, 1, 16, 20}, {1, 1}, "steering model"),
+               SerializationError);
+  nn::Sequential well_formed = steering_with_head(504, 1);
+  nn::save_model_file(path, well_formed);
+  EXPECT_NO_THROW(
+      nn::require_model_shape(nn::load_model_file(path), {1, 1, 16, 20}, {1, 1}, "steering model"));
+  std::remove(path.c_str());
+}
+
 TEST(PipelineCorruption, WellFormedSteeringModelLoads) {
   nn::Sequential steering = steering_with_head(504, 1);
   std::stringstream ss(pipeline_with_models(nullptr, &steering));
@@ -456,33 +435,6 @@ std::string serialized_threshold_set() {
   return ss.str();
 }
 
-class SketchTruncationSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(SketchTruncationSweep, TruncatedSketchRejected) {
-  for (const bool streaming : {false, true}) {
-    const std::string full = serialized_sketch(streaming);
-    const size_t keep = full.size() * static_cast<size_t>(GetParam()) / 100;
-    std::stringstream ss(full.substr(0, keep));
-    EXPECT_THROW(calib::P2Sketch::load(ss), SerializationError)
-        << (streaming ? "streaming" : "warm-up") << " sketch cut to " << keep << " bytes";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fractions, SketchTruncationSweep,
-                         ::testing::Values(1, 5, 10, 25, 50, 75, 90, 99));
-
-class ThresholdSetTruncationSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ThresholdSetTruncationSweep, TruncatedThresholdSetRejected) {
-  static const std::string full = serialized_threshold_set();
-  const size_t keep = full.size() * static_cast<size_t>(GetParam()) / 100;
-  std::stringstream ss(full.substr(0, keep));
-  EXPECT_THROW(calib::ThresholdSet::load(ss), SerializationError);
-}
-
-INSTANTIATE_TEST_SUITE_P(Fractions, ThresholdSetTruncationSweep,
-                         ::testing::Values(1, 5, 10, 25, 50, 75, 90, 99));
-
 TEST(SketchCorruption, FlippedMagicByteRejected) {
   std::string data = serialized_sketch(true);
   data[5] ^= 0x40;
@@ -545,7 +497,9 @@ TEST(ThresholdSetCorruption, BadOrientationTagRejected) {
 
 // ---------------------------------------------------------------------------
 // Structure-aware fuzzing of the loaders the runtime persists through:
-// Trace, PipelineIo, ThresholdSet and P2Sketch. Fields are located by
+// Trace, model files, PipelineIo (quantized VBP+SSIM and float raw+MSE),
+// ThresholdSet and P2Sketch. Every prefix of each payload is cut, so no
+// fixed-fraction truncation sweep is needed. Fields are located by
 // replaying a valid payload through a logging stream buffer, so every scalar
 // the loader reads gets mutated without the test restating any layout.
 
@@ -686,7 +640,11 @@ const std::vector<FuzzTarget>& fuzz_targets() {
     std::vector<FuzzTarget> out;
     out.push_back({"trace", serialized(sample_trace()),
                    [](std::istream& is) { (void)trace::Trace::load(is); }});
+    out.push_back({"model", serialized_model(),
+                   [](std::istream& is) { (void)nn::load_model(is); }});
     out.push_back({"pipeline", serialized_quant_pipeline().bytes,
+                   [](std::istream& is) { (void)core::PipelineIo::load(is); }});
+    out.push_back({"pipeline-raw-mse", serialized_pipeline(),
                    [](std::istream& is) { (void)core::PipelineIo::load(is); }});
     out.push_back({"threshold-set", serialized_threshold_set(),
                    [](std::istream& is) { (void)calib::ThresholdSet::load(is); }});

@@ -5,7 +5,9 @@
 // path; these tests pin the format and the diff semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -304,34 +306,45 @@ TEST(TraceFormat, RejectsWrongMagic) {
   EXPECT_THROW(Trace::load(is), SerializationError);
 }
 
-TEST(TraceFormat, RejectsOutOfRangeEnums) {
-  // Corrupt the serialized serving mode of the first frame and reload: the
-  // loader must reject rather than cast garbage into an enum.
-  Trace trace = sample_trace();
-  trace.frames[0].mode = static_cast<serving::ServingMode>(3);  // highest valid
+std::string saved(const Trace& trace) {
   std::ostringstream os;
   trace.save(os);
-  std::string bytes = os.str();
-  // The last valid value is in-range; bump the raw u32 past the enum. Find
-  // it by re-saving with a poisoned value via direct byte patch: locate the
-  // first frame's mode field by diffing against a trace with mode 0.
-  Trace zero = sample_trace();
-  zero.frames[0].mode = static_cast<serving::ServingMode>(0);
-  std::ostringstream zs;
-  zero.save(zs);
-  const std::string zero_bytes = zs.str();
-  ASSERT_EQ(bytes.size(), zero_bytes.size());
-  size_t pos = std::string::npos;
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    if (bytes[i] != zero_bytes[i]) {
-      pos = i;
-      break;
-    }
+  return os.str();
+}
+
+TEST(TraceFormat, RejectsOutOfRangeEnums) {
+  // The loader's bound on a frame's rung fields is the rung table's row
+  // count: the last row loads, one past it fails typed rather than casting
+  // garbage into the enum. Each field is located by diffing two saves that
+  // differ only in that field.
+  constexpr uint32_t kRows = static_cast<uint32_t>(core::kRungs.size());
+  const auto mode_of = [](Trace& t) -> serving::ServingMode& { return t.frames[0].mode; };
+  const auto mode_after_of = [](Trace& t) -> serving::ServingMode& { return t.frames[0].mode_after; };
+  for (const auto& field : {+mode_of, +mode_after_of}) {
+    Trace base = sample_trace();
+    base.frames[0].mode = serving::ServingMode::kVbpSsim;
+    base.frames[0].mode_after = serving::ServingMode::kVbpSsim;
+    Trace moved = base;
+    field(moved) = serving::ServingMode::kVbpMse;
+    const std::string bytes = saved(base);
+    const std::string moved_bytes = saved(moved);
+    ASSERT_EQ(bytes.size(), moved_bytes.size());
+    const size_t pos = static_cast<size_t>(
+        std::mismatch(bytes.begin(), bytes.end(), moved_bytes.begin()).first - bytes.begin());
+    ASSERT_LT(pos + sizeof(uint32_t), bytes.size());
+
+    const auto load_with = [&](uint32_t value) {
+      std::string patched = bytes;
+      std::memcpy(&patched[pos], &value, sizeof value);
+      std::istringstream is(patched);
+      return Trace::load(is);
+    };
+    Trace last = load_with(kRows - 1);
+    EXPECT_EQ(static_cast<uint32_t>(field(last)), kRows - 1);
+    EXPECT_STREQ(serving::serving_mode_name(field(last)), "vbp+mse-q8");
+    EXPECT_THROW(load_with(kRows), SerializationError);
+    EXPECT_THROW(load_with(100), SerializationError);
   }
-  ASSERT_NE(pos, std::string::npos);
-  bytes[pos] = 100;  // way out of range
-  std::istringstream is(bytes);
-  EXPECT_THROW(Trace::load(is), SerializationError);
 }
 
 TEST(TraceSpec, ValidateRejectsBadSpecs) {

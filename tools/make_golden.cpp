@@ -45,12 +45,6 @@ constexpr int64_t kMs = 1'000'000;  // ns
 /// leaves two orders of magnitude of slack.
 constexpr double kMinDecisionMargin = 1e-5;
 
-core::DetectorVariant variant_for(serving::ServingMode mode) {
-  // The supervisor's own rung→variant mapping (covers the q8 rungs too), so
-  // the margin check scores each frame against the threshold that judged it.
-  return serving::Supervisor::variant_for(mode);
-}
-
 trace::TraceRunSpec base_spec(int64_t frames) {
   trace::TraceRunSpec spec;
   spec.dataset = "outdoor";
@@ -177,7 +171,7 @@ bool margins_are_safe(const trace::Trace& trace, const core::NoveltyDetector& de
   for (const trace::TraceFrame& frame : trace.frames) {
     if (!frame.scored || !std::isfinite(frame.score)) continue;
     const double threshold =
-        detector.variant_calibration(variant_for(frame.mode)).threshold.threshold();
+        detector.variant_calibration(core::rung(frame.mode).variant).threshold.threshold();
     const double margin =
         std::fabs(frame.score - threshold) / std::max(1.0, std::fabs(threshold));
     if (margin < kMinDecisionMargin) {

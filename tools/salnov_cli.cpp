@@ -278,6 +278,8 @@ int cmd_fit(const Args& args) {
   if (core::uses_saliency(config.preprocessing)) {
     if (steering_path.empty()) return fail("fit: --steering is required for saliency preprocessing");
     steering = std::make_unique<nn::Sequential>(nn::load_model_file(steering_path));
+    nn::require_model_shape(*steering, {1, 1, config.height, config.width}, {1, 1},
+                            "fit: steering model " + steering_path);
   }
 
   core::NoveltyDetector detector(config);
@@ -325,6 +327,8 @@ int cmd_saliency(const Args& args) {
   saliency::VisualBackProp vbp;
   for (const std::string& path : args.positional) {
     const Image image = read_pgm(path);
+    nn::require_model_shape(model, {1, 1, image.height(), image.width()}, {1, 1},
+                            "saliency: steering model " + steering_path);
     const Image mask = vbp.compute(model, image);
     Image overlay(image.height(), image.width());
     for (int64_t i = 0; i < overlay.numel(); ++i) {
