@@ -4,10 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "metrics/summed_area.hpp"
-#include "parallel/parallel_for.hpp"
+#include "tensor/workspace.hpp"
 
 namespace salnov {
 namespace {
@@ -26,35 +25,39 @@ void validate(const Image& x, const Image& y, const SsimOptions& options) {
   }
 }
 
+/// Biased window statistics from the window's five sums over `n` pixels.
+WindowStats stats_from_sums(const MomentSums& sum, double n) {
+  WindowStats s;
+  s.mu_x = sum.x / n;
+  s.mu_y = sum.y / n;
+  // Clamp the catastrophic-cancellation negatives on near-constant windows,
+  // the same in the summed-area fast path and the reference: without this,
+  // SSIM can exceed 1.0. The covariance gets the matching Cauchy-Schwarz
+  // bound so x == y still scores exactly 1 once the (identical) rounding
+  // error in var and cov is clamped away.
+  s.var_x = std::max(0.0, sum.xx / n - s.mu_x * s.mu_x);
+  s.var_y = std::max(0.0, sum.yy / n - s.mu_y * s.mu_y);
+  const double cov_cap = std::sqrt(s.var_x * s.var_y);
+  s.cov_xy = std::clamp(sum.xy / n - s.mu_x * s.mu_y, -cov_cap, cov_cap);
+  return s;
+}
+
 }  // namespace
 
 WindowStats window_stats(const Image& x, const Image& y, int64_t y0, int64_t x0, int64_t window) {
-  WindowStats s;
-  const double n = static_cast<double>(window * window);
-  double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_yy = 0.0, sum_xy = 0.0;
+  MomentSums sum{0.0, 0.0, 0.0, 0.0, 0.0};
   for (int64_t dy = 0; dy < window; ++dy) {
     for (int64_t dx = 0; dx < window; ++dx) {
       const double vx = x(y0 + dy, x0 + dx);
       const double vy = y(y0 + dy, x0 + dx);
-      sum_x += vx;
-      sum_y += vy;
-      sum_xx += vx * vx;
-      sum_yy += vy * vy;
-      sum_xy += vx * vy;
+      sum.x += vx;
+      sum.y += vy;
+      sum.xx += vx * vx;
+      sum.yy += vy * vy;
+      sum.xy += vx * vy;
     }
   }
-  s.mu_x = sum_x / n;
-  s.mu_y = sum_y / n;
-  // Clamp the catastrophic-cancellation negatives on near-constant windows,
-  // exactly as the summed-area fast path does: without this, ssim() and
-  // ssim_reference() disagree and SSIM can exceed 1.0. The covariance gets
-  // the matching Cauchy-Schwarz bound so x == y still scores exactly 1 once
-  // the (identical) rounding error in var and cov is clamped away.
-  s.var_x = std::max(0.0, sum_xx / n - s.mu_x * s.mu_x);
-  s.var_y = std::max(0.0, sum_yy / n - s.mu_y * s.mu_y);
-  const double cov_cap = std::sqrt(s.var_x * s.var_y);
-  s.cov_xy = std::clamp(sum_xy / n - s.mu_x * s.mu_y, -cov_cap, cov_cap);
-  return s;
+  return stats_from_sums(sum, static_cast<double>(window * window));
 }
 
 double ssim_from_stats(const WindowStats& stats, const SsimOptions& options) {
@@ -75,55 +78,25 @@ double ssim_sat(const Image& x, const Image& y, const SsimOptions& options, Imag
   const int64_t win = options.window, stride = options.stride;
   const double n_win = static_cast<double>(win * win);
 
-  const int64_t sat_size = (h + 1) * (w + 1);
-  std::vector<double> sx(sat_size), sy(sat_size), sxx(sat_size), syy(sat_size), sxy(sat_size);
-  {
-    // The five tables (x, y, x^2, y^2, xy) are independent, so each builds
-    // on its own pool worker; the grid fill + prefix-sum per table is the
-    // same arithmetic at any thread count.
-    double* const sats[5] = {sx.data(), sy.data(), sxx.data(), syy.data(), sxy.data()};
-    const float* xs = x.tensor().data();
-    const float* ys = y.tensor().data();
-    parallel::parallel_for(0, 5, 1, [&](int64_t table_begin, int64_t table_end) {
-      std::vector<double> grid(static_cast<size_t>(h * w));
-      for (int64_t t = table_begin; t < table_end; ++t) {
-        for (int64_t i = 0; i < h * w; ++i) {
-          const double xv = xs[i];
-          const double yv = ys[i];
-          switch (t) {
-            case 0: grid[i] = xv; break;
-            case 1: grid[i] = yv; break;
-            case 2: grid[i] = xv * xv; break;
-            case 3: grid[i] = yv * yv; break;
-            default: grid[i] = xv * yv; break;
-          }
-        }
-        build_summed_area(grid.data(), h, w, sats[t]);
-      }
-    });
-  }
+  WorkspaceScope scratch;
+  const MomentTables sat =
+      build_moment_tables(x.tensor().data(), y.tensor().data(), h, w, scratch);
 
+  // Window values one row at a time, then summed in ascending (row, column)
+  // order.
   const int64_t rows = (h - win) / stride + 1;
   const int64_t cols = (w - win) / stride + 1;
+  double* row_values = scratch.doubles(cols);
   double acc = 0.0;
   for (int64_t r = 0; r < rows; ++r) {
-    const int64_t y0 = r * stride;
+    window_row(sat, w, r * stride, win, stride, cols,
+               [&](const MomentSums& sum) {
+                 return ssim_from_stats(stats_from_sums(sum, n_win), options);
+               },
+               row_values);
     for (int64_t c = 0; c < cols; ++c) {
-      const int64_t x0 = c * stride;
-      WindowStats s;
-      s.mu_x = summed_area_rect(sx.data(), w, y0, x0, y0 + win, x0 + win) / n_win;
-      s.mu_y = summed_area_rect(sy.data(), w, y0, x0, y0 + win, x0 + win) / n_win;
-      s.var_x = std::max(
-          0.0, summed_area_rect(sxx.data(), w, y0, x0, y0 + win, x0 + win) / n_win - s.mu_x * s.mu_x);
-      s.var_y = std::max(
-          0.0, summed_area_rect(syy.data(), w, y0, x0, y0 + win, x0 + win) / n_win - s.mu_y * s.mu_y);
-      const double cov_cap = std::sqrt(s.var_x * s.var_y);
-      s.cov_xy = std::clamp(
-          summed_area_rect(sxy.data(), w, y0, x0, y0 + win, x0 + win) / n_win - s.mu_x * s.mu_y,
-          -cov_cap, cov_cap);
-      const double value = ssim_from_stats(s, options);
-      acc += value;
-      if (map != nullptr) (*map)(r, c) = static_cast<float>(value);
+      acc += row_values[c];
+      if (map != nullptr) (*map)(r, c) = static_cast<float>(row_values[c]);
     }
   }
   return acc / static_cast<double>(rows * cols);

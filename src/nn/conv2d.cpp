@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
@@ -10,6 +11,22 @@
 #include "tensor/workspace.hpp"
 
 namespace salnov::nn {
+namespace {
+
+/// dst[i] = src[i * stride] for i in [0, count). Stride 2 (PilotNet's 5x5
+/// layers) gets a constant-stride loop the compiler can vectorise.
+void copy_strided(const float* __restrict src, int64_t stride, int64_t count,
+                  float* __restrict dst) {
+  if (stride == 1) {
+    std::memcpy(dst, src, static_cast<size_t>(count) * sizeof(float));
+  } else if (stride == 2) {
+    for (int64_t i = 0; i < count; ++i) dst[i] = src[2 * i];
+  } else {
+    for (int64_t i = 0; i < count; ++i) dst[i] = src[i * stride];
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(const Conv2dConfig& config, Rng& rng) : config_(config) {
   validate_config();
@@ -71,24 +88,33 @@ Shape Conv2d::output_shape(const Shape& input) const {
 
 void Conv2d::im2col(const float* x, int64_t in_h, int64_t in_w, int64_t out_h, int64_t out_w,
                     float* cols) const {
+  const int64_t stride = config_.stride;
+  const int64_t pad = config_.padding;
   const int64_t positions = out_h * out_w;
-  int64_t row = 0;
+  float* out_row = cols;
   for (int64_t c = 0; c < config_.in_channels; ++c) {
     const float* plane = x + c * in_h * in_w;
     for (int64_t ki = 0; ki < config_.kernel_h; ++ki) {
-      for (int64_t kj = 0; kj < config_.kernel_w; ++kj, ++row) {
-        float* out_row = cols + row * positions;
+      for (int64_t kj = 0; kj < config_.kernel_w; ++kj, out_row += positions) {
+        // Output column ox reads input column first + ox * stride; only
+        // ox in [lo, hi) lands inside [0, in_w), the rest is padding.
+        const int64_t first = kj - pad;
+        const int64_t lo = std::min(out_w, first >= 0 ? 0 : (-first + stride - 1) / stride);
+        const int64_t hi =
+            std::clamp(first < in_w ? (in_w - 1 - first) / stride + 1 : 0, lo, out_w);
         for (int64_t oy = 0; oy < out_h; ++oy) {
-          const int64_t iy = oy * config_.stride - config_.padding + ki;
-          if (iy < 0 || iy >= in_h) {
-            for (int64_t ox = 0; ox < out_w; ++ox) out_row[oy * out_w + ox] = 0.0f;
+          float* dst = out_row + oy * out_w;
+          const int64_t iy = oy * stride - pad + ki;
+          if (iy < 0 || iy >= in_h || hi == lo) {
+            std::fill(dst, dst + out_w, 0.0f);
             continue;
           }
-          const float* in_row = plane + iy * in_w;
-          for (int64_t ox = 0; ox < out_w; ++ox) {
-            const int64_t ix = ox * config_.stride - config_.padding + kj;
-            out_row[oy * out_w + ox] = (ix < 0 || ix >= in_w) ? 0.0f : in_row[ix];
-          }
+          std::fill(dst, dst + lo, 0.0f);
+          // Offsets stay relative to the row start; the only pointer formed
+          // is at the first in-bounds read.
+          const float* src = plane + (iy * in_w + first + lo * stride);
+          copy_strided(src, stride, hi - lo, dst + lo);
+          std::fill(dst + hi, dst + out_w, 0.0f);
         }
       }
     }

@@ -11,6 +11,15 @@
 // fused into the GEMM epilogue, and inference forwards reuse the weight
 // matrix pre-packed into micro-kernel panels (lazy, invalidated via
 // Parameter::version).
+//
+// im2col moves data in bounded row copies rather than a per-element
+// bounds-checked gather: for each (channel, ki, kj) row it computes once
+// the output-column range whose reads land inside the input row, zero-fills
+// the columns outside it (and every output row that reads padding), and
+// copies the interior with memcpy at stride 1 or a constant-stride loop at
+// stride 2. Offsets are taken from the row start, so no pointer is formed
+// outside the input plane. The unrolled matrix is byte-identical to the
+// gather's, so the GEMMs and every output bit are unchanged.
 #pragma once
 
 #include <atomic>

@@ -6,6 +6,7 @@
 
 #include "metrics/summed_area.hpp"
 #include "parallel/parallel_for.hpp"
+#include "tensor/workspace.hpp"
 
 namespace salnov::nn {
 namespace {
@@ -13,13 +14,26 @@ namespace {
 // Ceiling division for possibly-negative numerators (b > 0).
 int64_t ceil_div(int64_t a, int64_t b) { return a >= 0 ? (a + b - 1) / b : -((-a) / b); }
 
-// Local aliases for the shared summed-area helpers.
-inline void build_sat(const double* grid, int64_t rows, int64_t cols, double* sat) {
-  build_summed_area(grid, rows, cols, sat);
-}
-inline double sat_rect(const double* sat, int64_t cols, int64_t r0, int64_t c0, int64_t r1,
-                       int64_t c1) {
-  return summed_area_rect(sat, cols, r0, c0, r1, c1);
+// One window's means and the SSIM factors A1, A2, B1, B2 (see the header).
+struct WindowTerms {
+  double mu_x, mu_y, a1, a2, b1, b2;
+
+  double ssim() const { return (a1 * a2) / (b1 * b2); }
+};
+
+inline WindowTerms window_terms(const MomentSums& sum, double n_win, double c1, double c2) {
+  WindowTerms t;
+  t.mu_x = sum.x / n_win;
+  t.mu_y = sum.y / n_win;
+  const double var_x = std::max(0.0, sum.xx / n_win - t.mu_x * t.mu_x);
+  const double var_y = std::max(0.0, sum.yy / n_win - t.mu_y * t.mu_y);
+  const double cov = sum.xy / n_win - t.mu_x * t.mu_y;
+
+  t.a1 = 2.0 * t.mu_x * t.mu_y + c1;
+  t.a2 = 2.0 * cov + c2;
+  t.b1 = t.mu_x * t.mu_x + t.mu_y * t.mu_y + c1;
+  t.b2 = var_x + var_y + c2;
+  return t;
 }
 
 }  // namespace
@@ -52,72 +66,39 @@ double SsimLoss::sample_ssim(const float* y_recon, const float* x_input, float* 
   const double c2 = options_.c2();
 
   // Summed-area tables of x, y, x^2, y^2, xy over the image.
-  const int64_t sat_size = (h + 1) * (w + 1);
-  std::vector<double> sx(sat_size), sy(sat_size), sxx(sat_size), syy(sat_size), sxy(sat_size);
-  {
-    // Five independent tables, one pool chunk each (nested calls — e.g.
-    // from the batch fan-out in value()/gradient() — run inline).
-    double* const sats[5] = {sx.data(), sy.data(), sxx.data(), syy.data(), sxy.data()};
-    parallel::parallel_for(0, 5, 1, [&](int64_t table_begin, int64_t table_end) {
-      std::vector<double> grid(static_cast<size_t>(h * w));
-      for (int64_t t = table_begin; t < table_end; ++t) {
-        for (int64_t i = 0; i < h * w; ++i) {
-          const double xv = x_input[i];
-          const double yv = y_recon[i];
-          switch (t) {
-            case 0: grid[i] = xv; break;
-            case 1: grid[i] = yv; break;
-            case 2: grid[i] = xv * xv; break;
-            case 3: grid[i] = yv * yv; break;
-            default: grid[i] = xv * yv; break;
-          }
-        }
-        build_sat(grid.data(), h, w, sats[t]);
-      }
-    });
-  }
+  WorkspaceScope scratch;
+  const MomentTables sat = build_moment_tables(x_input, y_recon, h, w, scratch);
 
-  std::vector<double> alpha, beta, gamma;
+  double* alpha = nullptr;
+  double* beta = nullptr;
+  double* gamma = nullptr;
   if (grad_row != nullptr) {
-    alpha.assign(grid_rows * grid_cols, 0.0);
-    beta.assign(grid_rows * grid_cols, 0.0);
-    gamma.assign(grid_rows * grid_cols, 0.0);
+    alpha = scratch.doubles(grid_rows * grid_cols);
+    beta = scratch.doubles(grid_rows * grid_cols);
+    gamma = scratch.doubles(grid_rows * grid_cols);
   }
 
+  // One window row at a time: the first loop computes every window's value
+  // (independent iterations, so it vectorises), the second adds them to the
+  // running sum in ascending (row, column) order. The gradient pass
+  // recomputes the same terms for the per-window coefficients.
+  double* row_values = scratch.doubles(grid_cols);
   double ssim_acc = 0.0;
   for (int64_t gr = 0; gr < grid_rows; ++gr) {
     const int64_t y0 = gr * stride;
+    window_row(sat, w, y0, win, stride, grid_cols,
+               [&](const MomentSums& sum) { return window_terms(sum, n_win, c1, c2).ssim(); },
+               row_values);
+    for (int64_t gc = 0; gc < grid_cols; ++gc) ssim_acc += row_values[gc];
+    if (grad_row == nullptr) continue;
     for (int64_t gc = 0; gc < grid_cols; ++gc) {
-      const int64_t x0 = gc * stride;
-      const double sum_x = sat_rect(sx.data(), w, y0, x0, y0 + win, x0 + win);
-      const double sum_y = sat_rect(sy.data(), w, y0, x0, y0 + win, x0 + win);
-      const double sum_xx = sat_rect(sxx.data(), w, y0, x0, y0 + win, x0 + win);
-      const double sum_yy = sat_rect(syy.data(), w, y0, x0, y0 + win, x0 + win);
-      const double sum_xy = sat_rect(sxy.data(), w, y0, x0, y0 + win, x0 + win);
-
-      const double mu_x = sum_x / n_win;
-      const double mu_y = sum_y / n_win;
-      const double var_x = std::max(0.0, sum_xx / n_win - mu_x * mu_x);
-      const double var_y = std::max(0.0, sum_yy / n_win - mu_y * mu_y);
-      const double cov = sum_xy / n_win - mu_x * mu_y;
-
-      const double a1 = 2.0 * mu_x * mu_y + c1;
-      const double a2 = 2.0 * cov + c2;
-      const double b1 = mu_x * mu_x + mu_y * mu_y + c1;
-      const double b2 = var_x + var_y + c2;
-      ssim_acc += (a1 * a2) / (b1 * b2);
-
-      if (grad_row != nullptr) {
-        const double term = 2.0 / (n_win * b1 * b1 * b2 * b2);
-        const double beta_w = term * a1 * b1 * b2;
-        const double gamma_w = -term * a1 * a2 * b1;
-        const double alpha_w =
-            term * (mu_x * b1 * b2 * (a2 - a1) + mu_y * a1 * a2 * (b1 - b2));
-        const int64_t g = gr * grid_cols + gc;
-        alpha[g] = alpha_w;
-        beta[g] = beta_w;
-        gamma[g] = gamma_w;
-      }
+      const WindowTerms t = window_terms(window_sums(sat, w, y0, gc * stride, win), n_win, c1, c2);
+      const double term = 2.0 / (n_win * t.b1 * t.b1 * t.b2 * t.b2);
+      const int64_t g = gr * grid_cols + gc;
+      beta[g] = term * t.a1 * t.b1 * t.b2;
+      gamma[g] = -term * t.a1 * t.a2 * t.b1;
+      alpha[g] =
+          term * (t.mu_x * t.b1 * t.b2 * (t.a2 - t.a1) + t.mu_y * t.a1 * t.a2 * (t.b1 - t.b2));
     }
   }
   const double window_count = static_cast<double>(grid_rows * grid_cols);
@@ -127,10 +108,12 @@ double SsimLoss::sample_ssim(const float* y_recon, const float* x_input, float* 
     // Accumulate per-pixel sums of alpha/beta/gamma over covering windows
     // with summed-area tables over the window grid.
     const int64_t gsat_size = (grid_rows + 1) * (grid_cols + 1);
-    std::vector<double> sat_a(gsat_size), sat_b(gsat_size), sat_g(gsat_size);
-    build_sat(alpha.data(), grid_rows, grid_cols, sat_a.data());
-    build_sat(beta.data(), grid_rows, grid_cols, sat_b.data());
-    build_sat(gamma.data(), grid_rows, grid_cols, sat_g.data());
+    double* sat_a = scratch.doubles(gsat_size);
+    double* sat_b = scratch.doubles(gsat_size);
+    double* sat_g = scratch.doubles(gsat_size);
+    build_summed_area(alpha, grid_rows, grid_cols, sat_a);
+    build_summed_area(beta, grid_rows, grid_cols, sat_b);
+    build_summed_area(gamma, grid_rows, grid_cols, sat_g);
 
     for (int64_t py = 0; py < h; ++py) {
       const int64_t r0 = std::max<int64_t>(0, ceil_div(py - win + 1, stride));
@@ -140,9 +123,9 @@ double SsimLoss::sample_ssim(const float* y_recon, const float* x_input, float* 
         const int64_t q0 = std::max<int64_t>(0, ceil_div(px - win + 1, stride));
         const int64_t q1 = std::min(grid_cols - 1, px / stride);
         if (q0 > q1) continue;
-        const double a_sum = sat_rect(sat_a.data(), grid_cols, r0, q0, r1 + 1, q1 + 1);
-        const double b_sum = sat_rect(sat_b.data(), grid_cols, r0, q0, r1 + 1, q1 + 1);
-        const double g_sum = sat_rect(sat_g.data(), grid_cols, r0, q0, r1 + 1, q1 + 1);
+        const double a_sum = summed_area_rect(sat_a, grid_cols, r0, q0, r1 + 1, q1 + 1);
+        const double b_sum = summed_area_rect(sat_b, grid_cols, r0, q0, r1 + 1, q1 + 1);
+        const double g_sum = summed_area_rect(sat_g, grid_cols, r0, q0, r1 + 1, q1 + 1);
         const int64_t k = py * w + px;
         const double d_mean_ssim =
             (a_sum + b_sum * x_input[k] + g_sum * y_recon[k]) / window_count;

@@ -18,6 +18,15 @@
 // accumulates the per-pixel alpha/beta/gamma sums with a second set of
 // summed-area tables over the window grid, so value + gradient cost is
 // O(H * W) per image independent of the window size.
+//
+// The five moment tables come from build_moment_tables (one pass over the
+// pixels, buffers from the thread's workspace: scoring makes no heap
+// allocation after warm-up). Window values are computed a row at a time
+// into a buffer (a vectorisable loop) and then summed in ascending
+// (row, column) order, so the score is the same double as a window-by-
+// window loop. Unlike metrics::ssim, the loss does not clamp the
+// covariance to the variances' Cauchy-Schwarz bound, so the two can differ
+// in the last bits on near-constant windows.
 #pragma once
 
 #include "metrics/ssim.hpp"

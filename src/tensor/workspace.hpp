@@ -1,13 +1,14 @@
 // Per-thread scratch arenas for inference and training hot loops.
 //
-// Conv2d's im2col buffers, the GEMM panel-packing scratch, and the saliency
-// deconvolution ping-pong buffers all used to be fresh heap allocations on
-// every call. The Workspace gives each thread a bump-pointer arena built
-// from a small list of long-lived chunks: the first frame through a pipeline
-// grows the arena to its high-water mark ("warm-up"), and every later frame
-// reuses that memory with zero heap traffic. A process-wide counter of chunk
-// allocations makes the steady-state zero-allocation guarantee testable:
-// after warm-up, NoveltyDetector::score must not move the counter.
+// Conv2d's im2col buffers, the GEMM panel-packing scratch, the saliency
+// deconvolution ping-pong buffers and SSIM's summed-area tables all used to
+// be fresh heap allocations on every call. The Workspace gives each thread a
+// bump-pointer arena built from a small list of long-lived chunks: the first
+// frame through a pipeline grows the arena to its high-water mark
+// ("warm-up"), and every later frame reuses that memory with zero heap
+// traffic. A process-wide counter of chunk allocations makes the
+// steady-state zero-allocation guarantee testable: after warm-up,
+// NoveltyDetector::score must not move the counter.
 //
 // Usage: open a WorkspaceScope, take buffers from it, let the scope restore
 // the arena on destruction. Scopes nest (inner scopes allocate past outer
@@ -80,6 +81,11 @@ class WorkspaceScope {
   WorkspaceScope& operator=(const WorkspaceScope&) = delete;
 
   float* floats(int64_t count) { return workspace_.alloc_floats(count); }
+  /// Uninitialized 64-byte-aligned doubles, from the same arena.
+  double* doubles(int64_t count) {
+    static_assert(sizeof(double) == 2 * sizeof(float));
+    return reinterpret_cast<double*>(workspace_.alloc_floats(2 * count));
+  }
 
  private:
   Workspace& workspace_;

@@ -1,13 +1,17 @@
 // Tests for environmental-condition transforms (fog/dusk/rain), the
-// fast SAT-based SSIM vs its reference implementation, average precision,
-// and bootstrap AUC confidence intervals.
+// fast SAT-based SSIM vs its reference implementation, the one-pass SSIM
+// moment tables, average precision, and bootstrap AUC confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "image/transforms.hpp"
 #include "metrics/roc.hpp"
 #include "metrics/ssim.hpp"
+#include "metrics/summed_area.hpp"
+#include "nn/ssim_loss.hpp"
 #include "roadsim/conditions.hpp"
 #include "roadsim/outdoor_generator.hpp"
 #include "roadsim/rasterizer.hpp"
@@ -194,6 +198,115 @@ TEST(FastSsim, MapMatchesReferencePerWindow) {
       EXPECT_NEAR(map(i, j), reference, 1e-6);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass moment tables.
+
+/// The five tables the way they were built before the one-pass builder: a
+/// double grid per moment, each through build_summed_area.
+std::vector<std::vector<double>> five_separate_tables(const Image& x, const Image& y) {
+  const int64_t h = x.height(), w = x.width();
+  std::vector<std::vector<double>> tables(5, std::vector<double>((h + 1) * (w + 1)));
+  std::vector<double> grid(static_cast<size_t>(h * w));
+  for (int t = 0; t < 5; ++t) {
+    for (int64_t i = 0; i < h * w; ++i) {
+      const double xv = x.tensor()[i];
+      const double yv = y.tensor()[i];
+      const double moments[5] = {xv, yv, xv * xv, yv * yv, xv * yv};
+      grid[static_cast<size_t>(i)] = moments[t];
+    }
+    build_summed_area(grid.data(), h, w, tables[static_cast<size_t>(t)].data());
+  }
+  return tables;
+}
+
+Image filled(int64_t h, int64_t w, float value) {
+  Image image(h, w);
+  for (int64_t i = 0; i < h * w; ++i) image.tensor()[i] = value;
+  return image;
+}
+
+TEST(MomentTables, OnePassBuildMatchesFiveSeparateBuilds) {
+  Rng rng(41);
+  for (const auto& [h, w] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 1}, {1, 9}, {9, 1}, {7, 13}, {23, 31}, {60, 160}}) {
+    const std::vector<std::pair<Image, Image>> pairs{
+        {Image(h, w, rng.uniform_tensor({h * w}, 0.0, 1.0)),
+         Image(h, w, rng.uniform_tensor({h * w}, 0.0, 1.0))},
+        {filled(h, w, 0.1f), filled(h, w, 0.7f)},
+        {filled(h, w, 0.0f), filled(h, w, 0.0f)}};
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const Image& x = pairs[p].first;
+      const Image& y = pairs[p].second;
+      const auto expected = five_separate_tables(x, y);
+      WorkspaceScope scratch;
+      const MomentTables t =
+          build_moment_tables(x.tensor().data(), y.tensor().data(), h, w, scratch);
+      const double* got[5] = {t.x, t.y, t.xx, t.yy, t.xy};
+      for (int k = 0; k < 5; ++k) {
+        EXPECT_EQ(std::memcmp(got[k], expected[static_cast<size_t>(k)].data(),
+                              expected[static_cast<size_t>(k)].size() * sizeof(double)),
+                  0)
+            << "table " << k << ", image pair " << p << ", " << h << "x" << w;
+      }
+    }
+  }
+}
+
+/// x uniform in [0, 1], y = 0.75 x + 0.25 noise: similar but not equal.
+std::pair<Image, Image> related_pair(uint64_t seed, int64_t h, int64_t w) {
+  Rng rng(seed);
+  Image x(h, w, rng.uniform_tensor({h * w}, 0.0, 1.0));
+  Image y(h, w);
+  const Tensor noise = rng.uniform_tensor({h * w}, 0.0, 1.0);
+  for (int64_t i = 0; i < h * w; ++i) y.tensor()[i] = 0.75f * x.tensor()[i] + 0.25f * noise[i];
+  return {x, y};
+}
+
+TEST(MomentTables, SsimScoresKeepTheirPreviousValues) {
+  // SsimLoss::mean_ssim (the detector's score) and metrics::ssim, recorded
+  // from the five-table implementation; both must reproduce every bit.
+  struct Case {
+    int64_t window, stride;
+    double mean_ssim, ssim;
+  };
+  const auto [x, y] = related_pair(71, 23, 31);
+  const Case sweep[] = {
+      {3, 1, 0x1.d1724617aca29p-1, 0x1.d1724617aca29p-1},
+      {3, 2, 0x1.cf24117762ea4p-1, 0x1.cf24117762ea4p-1},
+      {3, 3, 0x1.d09c51cd7494ap-1, 0x1.d09c51cd7494ap-1},
+      {7, 1, 0x1.d6f44793e76fcp-1, 0x1.d6f44793e76fcp-1},
+      {7, 2, 0x1.d6505c851d155p-1, 0x1.d6505c851d155p-1},
+      {7, 3, 0x1.d643138b104ap-1, 0x1.d643138b104ap-1},
+      {11, 1, 0x1.d6fbe01c0ad65p-1, 0x1.d6fbe01c0ad65p-1},
+      {11, 2, 0x1.d678ac23bc5ddp-1, 0x1.d678ac23bc5ddp-1},
+      {11, 3, 0x1.d67a069564475p-1, 0x1.d67a069564475p-1},
+  };
+  for (const Case& c : sweep) {
+    SsimOptions options;
+    options.window = c.window;
+    options.stride = c.stride;
+    const nn::SsimLoss loss(23, 31, options);
+    EXPECT_EQ(loss.mean_ssim(y.tensor(), x.tensor()), c.mean_ssim)
+        << "window " << c.window << " stride " << c.stride;
+    EXPECT_EQ(ssim(x, y, options), c.ssim) << "window " << c.window << " stride " << c.stride;
+  }
+
+  // The paper's frame size and window.
+  const auto [fx, fy] = related_pair(72, 60, 160);
+  EXPECT_EQ(nn::SsimLoss(60, 160).mean_ssim(fy.tensor(), fx.tensor()), 0x1.d8e8af34ce606p-1);
+  EXPECT_EQ(ssim(fx, fy), 0x1.d8e8af34ce606p-1);
+
+  // Constant images: only metrics::ssim clamps the covariance to the
+  // variances' Cauchy-Schwarz bound, so the two disagree in the last bits.
+  const nn::SsimLoss small(16, 20);
+  const Image low = filled(16, 20, 0.1f);
+  const Image high = filled(16, 20, 0.7f);
+  EXPECT_EQ(small.mean_ssim(low.tensor(), low.tensor()), 0x1.fffffffffffe2p-1);
+  EXPECT_EQ(ssim(low, low), 1.0);
+  EXPECT_EQ(small.mean_ssim(high.tensor(), low.tensor()), 0x1.1ede103d821c2p-2);
+  EXPECT_EQ(ssim(low, high), 0x1.1ede103d8216cp-2);
 }
 
 // ---------------------------------------------------------------------------

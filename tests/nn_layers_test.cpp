@@ -1,15 +1,21 @@
-// Unit tests for nn layers: forward correctness on hand-computed examples
-// and numerical gradient checks (central differences) for every layer.
+// Unit tests for nn layers: forward correctness on hand-computed examples,
+// a bit-exact conv geometry sweep against a direct convolution, and
+// numerical gradient checks (central differences) for every layer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/gemm.hpp"
 #include "test_util.hpp"
 
 namespace salnov::nn {
@@ -166,6 +172,120 @@ TEST(Conv2d, GradientCheckRectangularKernel) {
   const Tensor input = rng.uniform_tensor({1, 1, 4, 6}, -1.0, 1.0);
   test::check_layer_gradients(conv, input, rng);
 }
+
+// ---------------------------------------------------------------------------
+// Conv geometry sweep: Conv2d's inference forward (im2col + GEMM) equals a
+// direct convolution bit for bit. Every output is one dot product over
+// K = (channel, ki, kj) in ascending order, padding reads contributing
+// w * 0, then + bias and the optional ReLU: separate multiply and add under
+// the scalar kernel, std::fma under the SIMD kernel.
+
+struct KernelShape {
+  int64_t kh;
+  int64_t kw;
+};
+
+void PrintTo(const KernelShape& k, std::ostream* os) { *os << k.kh << "x" << k.kw; }
+
+Tensor direct_conv(const Tensor& x, const Conv2d& conv, bool relu, bool fused_multiply_add) {
+  const Conv2dConfig& cfg = conv.config();
+  const Shape out_shape = conv.output_shape(x.shape());
+  const int64_t in_h = x.dim(2), in_w = x.dim(3), out_h = out_shape[2], out_w = out_shape[3];
+  const Tensor& w = conv.weight().value;
+  const Tensor& b = conv.bias().value;
+  Tensor out(out_shape);
+  for (int64_t n = 0; n < out_shape[0]; ++n) {
+    for (int64_t oc = 0; oc < cfg.out_channels; ++oc) {
+      for (int64_t oy = 0; oy < out_h; ++oy) {
+        for (int64_t ox = 0; ox < out_w; ++ox) {
+          float acc = 0.0f;
+          for (int64_t c = 0; c < cfg.in_channels; ++c) {
+            for (int64_t ki = 0; ki < cfg.kernel_h; ++ki) {
+              for (int64_t kj = 0; kj < cfg.kernel_w; ++kj) {
+                const int64_t iy = oy * cfg.stride - cfg.padding + ki;
+                const int64_t ix = ox * cfg.stride - cfg.padding + kj;
+                const bool inside = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
+                const float v = inside ? x.at({n, c, iy, ix}) : 0.0f;
+                const float wv = w.at({oc, c, ki, kj});
+                acc = fused_multiply_add ? std::fma(wv, v, acc) : acc + wv * v;
+              }
+            }
+          }
+          acc += b[oc];
+          if (relu) acc = acc > 0.0f ? acc : 0.0f;
+          out.at({n, oc, oy, ox}) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class ConvGeometrySweep : public ::testing::TestWithParam<KernelShape> {};
+
+TEST_P(ConvGeometrySweep, InferenceMatchesDirectConvolutionBitExact) {
+  const KernelShape k = GetParam();
+  const GemmKernel saved = active_gemm_kernel();
+  std::vector<GemmKernel> kernels{GemmKernel::kScalar};
+  if (gemm_simd_available()) kernels.push_back(GemmKernel::kSimd);
+
+  Rng rng(static_cast<uint64_t>(100 + 10 * k.kh + k.kw));
+  int64_t checked = 0;
+  for (int64_t stride = 1; stride <= 3; ++stride) {
+    for (int64_t pad = 0; pad <= 2; ++pad) {
+      for (int64_t in_c = 1; in_c <= 3; ++in_c) {
+        // Sizes down to one pixel: with padding, whole kernel rows and
+        // columns then read only padding.
+        for (int64_t in_h : {1, 2, 4, 7}) {
+          for (int64_t in_w : {1, 3, 5, 9}) {
+            if (in_h + 2 * pad < k.kh || in_w + 2 * pad < k.kw) continue;
+            // out_channels 1 takes the GEMM's matrix-vector path, 3 the tile
+            // kernel with pre-packed weights.
+            const int64_t out_c = (in_h + in_w) % 2 == 0 ? 3 : 1;
+            const Conv2dConfig cfg{in_c, out_c, k.kh, k.kw, stride, pad};
+            Conv2d layer(cfg, rng.uniform_tensor({out_c, in_c, k.kh, k.kw}, -1.0, 1.0),
+                         rng.uniform_tensor({out_c}, -0.5, 0.5));
+            for (int64_t batch : {1, 3}) {
+              const Tensor x = rng.uniform_tensor({batch, in_c, in_h, in_w}, -1.0, 1.0);
+              for (GemmKernel kernel : kernels) {
+                set_gemm_kernel(kernel);
+                const bool fma = kernel == GemmKernel::kSimd;
+                const std::string where =
+                    std::string(gemm_kernel_name(kernel)) + " stride " + std::to_string(stride) +
+                    " pad " + std::to_string(pad) + " in_c " + std::to_string(in_c) + " input " +
+                    std::to_string(in_h) + "x" + std::to_string(in_w) + " batch " +
+                    std::to_string(batch);
+                EXPECT_TRUE(same_bits(layer.forward(x, Mode::kInfer),
+                                      direct_conv(x, layer, false, fma)))
+                    << "forward(kInfer), " << where;
+                EXPECT_TRUE(same_bits(layer.forward_infer_fused_relu(x),
+                                      direct_conv(x, layer, true, fma)))
+                    << "forward_infer_fused_relu, " << where;
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_gemm_kernel(saved);
+  EXPECT_GT(checked, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, ConvGeometrySweep,
+    ::testing::Values(KernelShape{1, 1}, KernelShape{2, 2}, KernelShape{3, 3}, KernelShape{4, 4},
+                      KernelShape{5, 5}, KernelShape{1, 3}, KernelShape{3, 1}, KernelShape{2, 5},
+                      KernelShape{5, 2}, KernelShape{4, 3}),
+    [](const ::testing::TestParamInfo<KernelShape>& info) {
+      return "k" + std::to_string(info.param.kh) + "x" + std::to_string(info.param.kw);
+    });
 
 TEST(ReLU, ForwardClampsNegatives) {
   ReLU relu;

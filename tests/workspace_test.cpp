@@ -1,18 +1,46 @@
 // Tests for the per-thread workspace arena: bump/mark/release semantics,
 // alignment, pointer stability across growth, and the steady-state
-// zero-allocation guarantee through the full NoveltyDetector::score path.
+// zero-allocation guarantee through the full NoveltyDetector::score path
+// and through SSIM scoring.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "core/novelty_detector.hpp"
 #include "driving/pilotnet.hpp"
+#include "nn/ssim_loss.hpp"
 #include "parallel/parallel_for.hpp"
 #include "roadsim/dataset.hpp"
 #include "roadsim/outdoor_generator.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/workspace.hpp"
+
+// Allocation probe: this binary replaces the global operator new so a test
+// can count the heap allocations made while it runs. Workspace chunks use
+// the aligned overload and are counted by Workspace::heap_allocation_count.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the inlined free() with new-expressions and warns; the pairing
+// is correct because operator new above allocates with malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace salnov {
 namespace {
@@ -150,6 +178,29 @@ TEST(Workspace, SteadyStateDetectorScoringAllocatesNothing) {
   for (size_t i = 0; i < warm.size(); ++i) {
     EXPECT_EQ(steady[i], warm[i]) << "score " << i;
   }
+}
+
+TEST(Workspace, SteadyStateSsimScoringAllocatesNothing) {
+  // SsimLoss::mean_ssim builds its moment tables in the thread's workspace:
+  // after a warm-up call, scoring makes no heap allocation of any kind.
+  constexpr int64_t kH = 60, kW = 160;
+  Rng rng(17);
+  const Tensor recon = rng.uniform_tensor({kH * kW}, 0.0, 1.0);
+  const Tensor input = rng.uniform_tensor({kH * kW}, 0.0, 1.0);
+  const nn::SsimLoss loss(kH, kW);
+  const double warm = loss.mean_ssim(recon, input);
+
+  std::vector<double> steady;
+  steady.reserve(8);
+  const int64_t chunks = Workspace::heap_allocation_count();
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  for (int i = 0; i < 8; ++i) steady.push_back(loss.mean_ssim(recon, input));
+  g_count_allocations.store(false);
+
+  EXPECT_EQ(g_allocations.load(), 0) << "mean_ssim allocated after warm-up";
+  EXPECT_EQ(Workspace::heap_allocation_count(), chunks) << "mean_ssim grew a workspace arena";
+  for (double value : steady) EXPECT_EQ(value, warm);
 }
 
 }  // namespace
