@@ -1,5 +1,7 @@
 #include "roadsim/generator.hpp"
 
+#include "roadsim/indoor_generator.hpp"
+#include "roadsim/outdoor_generator.hpp"
 #include "roadsim/rasterizer.hpp"
 
 namespace salnov::roadsim {
@@ -13,6 +15,12 @@ Image SceneGenerator::relevance_mask(const SceneParams& params, int64_t height, 
     }
   }
   return mask;
+}
+
+std::unique_ptr<SceneGenerator> make_scene_generator(const std::string& dataset) {
+  if (dataset == "outdoor") return std::make_unique<OutdoorSceneGenerator>();
+  if (dataset == "indoor") return std::make_unique<IndoorSceneGenerator>();
+  return nullptr;
 }
 
 }  // namespace salnov::roadsim

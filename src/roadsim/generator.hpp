@@ -7,6 +7,7 @@
 // paper's in-house indoor racing environment (DSI): structured, uniform.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "image/image.hpp"
@@ -56,5 +57,9 @@ class SceneGenerator {
   /// (Fig. 2 / Fig. 4 statistics).
   Image relevance_mask(const SceneParams& params, int64_t height, int64_t width) const;
 };
+
+/// The generator a dataset name selects ("outdoor" | "indoor"), as the CLI
+/// and trace specs spell it; nullptr for any other name.
+std::unique_ptr<SceneGenerator> make_scene_generator(const std::string& dataset);
 
 }  // namespace salnov::roadsim

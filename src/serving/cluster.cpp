@@ -268,13 +268,25 @@ std::vector<ClusterEvent> ServingCluster::take_events() {
 }
 
 HealthSnapshot ServingCluster::stream_health(int64_t stream_id) const {
+  return stream_health(stream_id, nullptr);
+}
+
+HealthSnapshot ServingCluster::stream_health(int64_t stream_id, StageWindows* windows) const {
   if (stream_id < 0 || stream_id >= config_.streams) {
     throw std::out_of_range("ServingCluster: bad stream id " + std::to_string(stream_id));
   }
   HealthSnapshot h;
   {
     std::lock_guard<std::mutex> lock(stream_mu_[static_cast<size_t>(stream_id)]);
-    h = supervisors_[static_cast<size_t>(stream_id)]->health();
+    const Supervisor& supervisor = *supervisors_[static_cast<size_t>(stream_id)];
+    h = supervisor.health();
+    if (windows != nullptr) {
+      for (int i = 0; i < kStageCount; ++i) {
+        const auto& window = supervisor.stage_ring(static_cast<Stage>(i)).window();
+        std::vector<int64_t>& merged = (*windows)[static_cast<size_t>(i)];
+        merged.insert(merged.end(), window.begin(), window.end());
+      }
+    }
   }
   {
     std::lock_guard<std::mutex> lock(routing_mu_);
@@ -308,8 +320,9 @@ int drift_severity(const std::string& state) {
 
 HealthSnapshot ServingCluster::aggregate_health() const {
   HealthSnapshot agg;
+  StageWindows windows;
   for (int64_t s = 0; s < config_.streams; ++s) {
-    const HealthSnapshot h = stream_health(s);
+    const HealthSnapshot h = stream_health(s, &windows);
     // Ladder rank, not enum ordinal: the q8 rungs are appended to the enum
     // (serialized ordinals are load-bearing) but sit mid-ladder.
     if (core::rung(h.mode).rank > core::rung(agg.mode).rank) {
@@ -318,36 +331,19 @@ HealthSnapshot ServingCluster::aggregate_health() const {
     if (breaker_severity(h.breaker_state) > breaker_severity(agg.breaker_state)) {
       agg.breaker_state = h.breaker_state;
     }
-    agg.frames_total += h.frames_total;
-    agg.frames_scored += h.frames_scored;
-    agg.frames_abandoned += h.frames_abandoned;
-    agg.frames_held += h.frames_held;
-    agg.frames_sensor_bad += h.frames_sensor_bad;
-    agg.deadline_overruns += h.deadline_overruns;
-    agg.scoring_failures += h.scoring_failures;
-    agg.nonfinite_scores += h.nonfinite_scores;
-    agg.step_downs += h.step_downs;
-    agg.promotions += h.promotions;
-    agg.breaker_trips += h.breaker_trips;
-    agg.probe_successes += h.probe_successes;
-    agg.probe_failures += h.probe_failures;
-    agg.drift_checks += h.drift_checks;
-    agg.drift_detections += h.drift_detections;
-    agg.threshold_swaps += h.threshold_swaps;
-    agg.swap_persist_failures += h.swap_persist_failures;
-    agg.queue_shed += h.queue_shed;
-    agg.threshold_epoch = std::max(agg.threshold_epoch, h.threshold_epoch);
+    for (const auto& row : kHealthCounters) row.merge_into(agg, h);
     if (drift_severity(h.drift_state) > drift_severity(agg.drift_state)) {
       agg.drift_state = h.drift_state;
     }
-    for (int i = 0; i < kStageCount; ++i) {
-      const size_t idx = static_cast<size_t>(i);
-      agg.stages[idx].name = h.stages[idx].name;
-      agg.stages[idx].overruns += h.stages[idx].overruns;
-      agg.stages[idx].samples += h.stages[idx].samples;
-      agg.stages[idx].p50_ns = std::max(agg.stages[idx].p50_ns, h.stages[idx].p50_ns);
-      agg.stages[idx].p99_ns = std::max(agg.stages[idx].p99_ns, h.stages[idx].p99_ns);
+    for (size_t i = 0; i < agg.stages.size(); ++i) {
+      agg.stages[i].name = h.stages[i].name;
+      agg.stages[i].overruns += h.stages[i].overruns;
+      agg.stages[i].samples += h.stages[i].samples;
     }
+  }
+  for (size_t i = 0; i < agg.stages.size(); ++i) {
+    agg.stages[i].p50_ns = nearest_rank_ns(windows[i], 0.50);
+    agg.stages[i].p99_ns = nearest_rank_ns(std::move(windows[i]), 0.99);
   }
   agg.has_cluster = true;
   agg.cluster = stats();
@@ -357,16 +353,7 @@ HealthSnapshot ServingCluster::aggregate_health() const {
 ClusterStats ServingCluster::stats() const {
   std::scoped_lock lock(routing_mu_, results_mu_);
   ClusterStats out = stats_;  // worker-side counters
-  out.quarantines = chaos_stats_.quarantines;
-  out.probe_attempts = chaos_stats_.probe_attempts;
-  out.probe_failures = chaos_stats_.probe_failures;
-  out.restores = chaos_stats_.restores;
-  out.failovers = chaos_stats_.failovers;
-  out.redispatched_frames = chaos_stats_.redispatched_frames;
-  out.fallback_frames = chaos_stats_.fallback_frames;
-  out.shed_frames = chaos_stats_.shed_frames;
-  out.canary_checks = chaos_stats_.canary_checks;
-  out.canary_failures = chaos_stats_.canary_failures;
+  for (const auto& row : kClusterCounters) row.merge_into(out, chaos_stats_);
   return out;
 }
 
@@ -621,8 +608,6 @@ void ServingCluster::process_inline_locked(PendingFrame frame, int64_t now_ns,
     // path, bit-identical by construction.
     std::lock_guard<std::mutex> proc(stream_mu_[s]);
     cr.result = supervisors_[s]->process(frame.frame);
-    cr.mode_after = supervisors_[s]->mode();
-    cr.breaker_after = supervisors_[s]->breaker_state();
   }
   ++chaos_stats_.fallback_frames;
   push_event_locked(ClusterEventKind::kFallback, now_ns, -1, frame.stream_id,
@@ -912,8 +897,6 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
       // two threads at once.
       std::lock_guard<std::mutex> proc(stream_mu_[static_cast<size_t>(batch[i].stream_id)]);
       cr.result = slot.supervisor->process(batch[i].frame, &slot.provided);
-      cr.mode_after = slot.supervisor->mode();
-      cr.breaker_after = slot.supervisor->breaker_state();
       if (slot.provided.reconstruction.has_value()) {
         if (slot.supervisor->last_recon_mispredicted()) {
           ++mispredicts;

@@ -47,6 +47,7 @@
 // frames; past the bound the stream's oldest queued frame is shed.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -104,8 +105,6 @@ struct ClusterResult {
   int64_t batch_seq = 0;    ///< per-replica batch counter
   int64_t batch_size = 0;   ///< frames in the containing batch
   ServeResult result;
-  ServingMode mode_after = ServingMode::kVbpSsim;        ///< stream mode after the frame
-  BreakerState breaker_after = BreakerState::kClosed;    ///< stream breaker after the frame
 };
 
 class ServingCluster {
@@ -162,10 +161,12 @@ class ServingCluster {
   /// One stream's supervisor snapshot. Safe against concurrent processing.
   HealthSnapshot stream_health(int64_t stream_id) const;
 
-  /// Cluster-wide snapshot: counters summed over streams; mode/breaker are
-  /// the most-degraded across streams; per-stage percentiles are the
-  /// per-stream maxima (a conservative aggregate tail). Embeds stats() as
-  /// the snapshot's cluster section.
+  /// Cluster-wide snapshot: counters merged over streams by their
+  /// kHealthCounters rule (sums; the served epoch is the maximum);
+  /// mode/breaker/drift state are the most-degraded across streams;
+  /// per-stage p50/p99 are exact nearest-rank percentiles over the union of
+  /// every stream's current latency window. Embeds stats() as the
+  /// snapshot's cluster section.
   HealthSnapshot aggregate_health() const;
 
   ClusterStats stats() const;
@@ -194,6 +195,12 @@ class ServingCluster {
   };
 
   enum class SealReason { kMaxBatch, kWindow, kFlush };
+
+  using StageWindows = std::array<std::vector<int64_t>, kStageCount>;
+
+  /// stream_health(), also appending the stream's current stage latency
+  /// windows to `windows` (when non-null) under the same stream lock.
+  HealthSnapshot stream_health(int64_t stream_id, StageWindows* windows) const;
 
   struct Replica {
     int64_t index = 0;

@@ -42,45 +42,31 @@ void LatencyRing::push(int64_t ns) {
   ++total_;
 }
 
-int64_t LatencyRing::percentile_ns(double p) const {
-  if (samples_.empty()) return 0;
+int64_t nearest_rank_ns(std::vector<int64_t> samples, double p) {
+  if (samples.empty()) return 0;
   if (p < 0.0 || p > 1.0) throw std::invalid_argument("LatencyRing: percentile outside [0, 1]");
-  std::vector<int64_t> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank: the smallest value with at least p of the window at or
-  // below it.
-  const size_t n = sorted.size();
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
   size_t rank = static_cast<size_t>(std::ceil(p * static_cast<double>(n)));
   if (rank < 1) rank = 1;
   if (rank > n) rank = n;
-  return sorted[rank - 1];
+  return samples[rank - 1];
 }
+
+int64_t LatencyRing::percentile_ns(double p) const { return nearest_rank_ns(samples_, p); }
 
 std::string HealthSnapshot::to_json() const {
   std::ostringstream os;
   os << "{";
   os << "\"mode\":\"" << serving_mode_name(mode) << "\",";
   os << "\"breaker_state\":\"" << breaker_state_name(breaker_state) << "\",";
-  os << "\"frames_total\":" << frames_total << ",";
-  os << "\"frames_scored\":" << frames_scored << ",";
-  os << "\"frames_abandoned\":" << frames_abandoned << ",";
-  os << "\"frames_held\":" << frames_held << ",";
-  os << "\"frames_sensor_bad\":" << frames_sensor_bad << ",";
-  os << "\"deadline_overruns\":" << deadline_overruns << ",";
-  os << "\"scoring_failures\":" << scoring_failures << ",";
-  os << "\"nonfinite_scores\":" << nonfinite_scores << ",";
-  os << "\"step_downs\":" << step_downs << ",";
-  os << "\"promotions\":" << promotions << ",";
-  os << "\"breaker_trips\":" << breaker_trips << ",";
-  os << "\"probe_successes\":" << probe_successes << ",";
-  os << "\"probe_failures\":" << probe_failures << ",";
-  os << "\"drift_checks\":" << drift_checks << ",";
-  os << "\"drift_detections\":" << drift_detections << ",";
-  os << "\"threshold_swaps\":" << threshold_swaps << ",";
-  os << "\"swap_persist_failures\":" << swap_persist_failures << ",";
-  os << "\"threshold_epoch\":" << threshold_epoch << ",";
-  os << "\"drift_state\":\"" << drift_state << "\",";
-  os << "\"queue_shed\":" << queue_shed << ",";
+  for (const auto& row : kHealthCounters) {
+    // drift_state, the one string among the counters, sits before queue_shed.
+    if (row.member == &HealthSnapshot::queue_shed) {
+      os << "\"drift_state\":\"" << drift_state << "\",";
+    }
+    os << "\"" << row.name << "\":" << this->*row.member << ",";
+  }
   os << "\"stages\":[";
   for (size_t s = 0; s < stages.size(); ++s) {
     const StageHealth& stage = stages[s];
@@ -105,28 +91,11 @@ std::string HealthSnapshot::to_json() const {
   os << "]";
   if (has_cluster) {
     os << ",\"cluster\":{";
-    os << "\"batches\":" << cluster.batches << ",";
-    os << "\"batched_frames\":" << cluster.batched_frames << ",";
-    os << "\"max_batch_seals\":" << cluster.max_batch_seals << ",";
-    os << "\"window_seals\":" << cluster.window_seals << ",";
-    os << "\"flush_seals\":" << cluster.flush_seals << ",";
-    os << "\"max_gather_wait_ns\":" << cluster.max_gather_wait_ns << ",";
-    os << "\"provided_steer\":" << cluster.provided_steer << ",";
-    os << "\"provided_saliency\":" << cluster.provided_saliency << ",";
-    os << "\"provided_recon\":" << cluster.provided_recon << ",";
-    os << "\"recon_mispredicts\":" << cluster.recon_mispredicts << ",";
-    os << "\"prescreen_rejects\":" << cluster.prescreen_rejects << ",";
-    os << "\"quarantines\":" << cluster.quarantines << ",";
-    os << "\"probe_attempts\":" << cluster.probe_attempts << ",";
-    os << "\"probe_failures\":" << cluster.probe_failures << ",";
-    os << "\"restores\":" << cluster.restores << ",";
-    os << "\"failovers\":" << cluster.failovers << ",";
-    os << "\"redispatched_frames\":" << cluster.redispatched_frames << ",";
-    os << "\"fallback_frames\":" << cluster.fallback_frames << ",";
-    os << "\"shed_frames\":" << cluster.shed_frames << ",";
-    os << "\"slow_batches\":" << cluster.slow_batches << ",";
-    os << "\"canary_checks\":" << cluster.canary_checks << ",";
-    os << "\"canary_failures\":" << cluster.canary_failures << "}";
+    for (size_t r = 0; r < kClusterCounters.size(); ++r) {
+      if (r > 0) os << ",";
+      os << "\"" << kClusterCounters[r].name << "\":" << cluster.*kClusterCounters[r].member;
+    }
+    os << "}";
   }
   os << "}";
   return os.str();

@@ -6,8 +6,16 @@
 // injects three saliency stalls can assert exactly three stage overruns, and
 // an operator reading the JSON snapshot sees the same numbers the fallback
 // ladder acted on.
+//
+// Each int64 counter of HealthSnapshot and ClusterStats is one row of a
+// constexpr table (kHealthCounters, kClusterCounters): its output name, its
+// member, how it merges across streams or sources, and whether golden
+// traces carry it. The health JSON, the cluster merge, the trace file and
+// its replay diff, and the CLI's counter lines all read these rows, so a
+// new counter is one member plus one row.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -40,6 +48,10 @@ using core::serving_mode_quantized;
 
 /// Fixed-window ring of recent stage latencies; percentiles are computed
 /// over the window by nearest-rank on a sorted copy.
+/// Nearest-rank percentile of `samples` (the smallest value with at least
+/// `p` of them at or below it), 0 when empty. `p` in [0, 1].
+int64_t nearest_rank_ns(std::vector<int64_t> samples, double p);
+
 class LatencyRing {
  public:
   explicit LatencyRing(size_t capacity = 256);
@@ -49,6 +61,9 @@ class LatencyRing {
   /// Nearest-rank percentile over the current window, 0 when empty.
   /// `p` in [0, 1].
   int64_t percentile_ns(double p) const;
+
+  /// The current window's samples (unordered).
+  const std::vector<int64_t>& window() const { return samples_; }
 
   /// Total samples ever pushed (not capped by the window).
   int64_t count() const { return total_; }
@@ -98,6 +113,55 @@ struct ClusterStats {
   int64_t canary_checks = 0;       ///< canary evaluations (periodic + probes)
   int64_t canary_failures = 0;     ///< canary evaluations outside epsilon
 };
+
+/// How one counter combines when snapshots of several streams (or the
+/// worker-side and failure-domain halves of ClusterStats) are merged.
+enum class Merge { kSum, kMax };
+
+/// One counter of `Struct`: the name it is exported under (JSON key, CLI
+/// line, trace divergence field), the member holding it, its merge rule, and
+/// whether golden traces serialize and diff it.
+template <typename Struct>
+struct CounterRow {
+  const char* name;
+  int64_t Struct::*member;
+  Merge merge;
+  bool traced;
+
+  /// Folds `from`'s value of this counter into `into` by the merge rule.
+  void merge_into(Struct& into, const Struct& from) const {
+    int64_t& dst = into.*member;
+    const int64_t src = from.*member;
+    dst = merge == Merge::kMax ? std::max(dst, src) : dst + src;
+  }
+};
+
+/// ClusterStats rows in export order. The traced rows, in this order, are
+/// the trace format's cluster-health record.
+inline constexpr std::array<CounterRow<ClusterStats>, 22> kClusterCounters = {{
+    {"batches", &ClusterStats::batches, Merge::kSum, false},
+    {"batched_frames", &ClusterStats::batched_frames, Merge::kSum, false},
+    {"max_batch_seals", &ClusterStats::max_batch_seals, Merge::kSum, false},
+    {"window_seals", &ClusterStats::window_seals, Merge::kSum, false},
+    {"flush_seals", &ClusterStats::flush_seals, Merge::kSum, false},
+    {"max_gather_wait_ns", &ClusterStats::max_gather_wait_ns, Merge::kMax, false},
+    {"provided_steer", &ClusterStats::provided_steer, Merge::kSum, false},
+    {"provided_saliency", &ClusterStats::provided_saliency, Merge::kSum, false},
+    {"provided_recon", &ClusterStats::provided_recon, Merge::kSum, false},
+    {"recon_mispredicts", &ClusterStats::recon_mispredicts, Merge::kSum, false},
+    {"prescreen_rejects", &ClusterStats::prescreen_rejects, Merge::kSum, false},
+    {"quarantines", &ClusterStats::quarantines, Merge::kSum, true},
+    {"probe_attempts", &ClusterStats::probe_attempts, Merge::kSum, true},
+    {"probe_failures", &ClusterStats::probe_failures, Merge::kSum, true},
+    {"restores", &ClusterStats::restores, Merge::kSum, true},
+    {"failovers", &ClusterStats::failovers, Merge::kSum, true},
+    {"redispatched_frames", &ClusterStats::redispatched_frames, Merge::kSum, true},
+    {"fallback_frames", &ClusterStats::fallback_frames, Merge::kSum, true},
+    {"shed_frames", &ClusterStats::shed_frames, Merge::kSum, true},
+    {"slow_batches", &ClusterStats::slow_batches, Merge::kSum, false},
+    {"canary_checks", &ClusterStats::canary_checks, Merge::kSum, false},
+    {"canary_failures", &ClusterStats::canary_failures, Merge::kSum, false},
+}};
 
 /// Point-in-time view of the serving runtime, exportable as JSON from the
 /// CLI (`salnov_cli serve`). `queue_shed` is zero for a bare Supervisor and
@@ -155,5 +219,31 @@ struct HealthSnapshot {
   /// shadow gauges are floats rendered as JSON null when non-finite).
   std::string to_json() const;
 };
+
+/// HealthSnapshot's int64 counters in export order (drift_state, a string,
+/// is rendered between threshold_epoch and queue_shed). The traced rows, in
+/// this order, are the trace format's health record: swap persistence and
+/// admission shedding are machine- and load-dependent, not decisions.
+inline constexpr std::array<CounterRow<HealthSnapshot>, 19> kHealthCounters = {{
+    {"frames_total", &HealthSnapshot::frames_total, Merge::kSum, true},
+    {"frames_scored", &HealthSnapshot::frames_scored, Merge::kSum, true},
+    {"frames_abandoned", &HealthSnapshot::frames_abandoned, Merge::kSum, true},
+    {"frames_held", &HealthSnapshot::frames_held, Merge::kSum, true},
+    {"frames_sensor_bad", &HealthSnapshot::frames_sensor_bad, Merge::kSum, true},
+    {"deadline_overruns", &HealthSnapshot::deadline_overruns, Merge::kSum, true},
+    {"scoring_failures", &HealthSnapshot::scoring_failures, Merge::kSum, true},
+    {"nonfinite_scores", &HealthSnapshot::nonfinite_scores, Merge::kSum, true},
+    {"step_downs", &HealthSnapshot::step_downs, Merge::kSum, true},
+    {"promotions", &HealthSnapshot::promotions, Merge::kSum, true},
+    {"breaker_trips", &HealthSnapshot::breaker_trips, Merge::kSum, true},
+    {"probe_successes", &HealthSnapshot::probe_successes, Merge::kSum, true},
+    {"probe_failures", &HealthSnapshot::probe_failures, Merge::kSum, true},
+    {"drift_checks", &HealthSnapshot::drift_checks, Merge::kSum, true},
+    {"drift_detections", &HealthSnapshot::drift_detections, Merge::kSum, true},
+    {"threshold_swaps", &HealthSnapshot::threshold_swaps, Merge::kSum, true},
+    {"swap_persist_failures", &HealthSnapshot::swap_persist_failures, Merge::kSum, false},
+    {"threshold_epoch", &HealthSnapshot::threshold_epoch, Merge::kMax, true},
+    {"queue_shed", &HealthSnapshot::queue_shed, Merge::kSum, false},
+}};
 
 }  // namespace salnov::serving

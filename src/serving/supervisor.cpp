@@ -35,6 +35,9 @@ Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* st
   if (config_.calibration.enabled) {
     calibrator_.emplace(detector_, config_.calibration);  // validates the config
   }
+  for (int s = 0; s < kStageCount; ++s) {
+    counters_.stages[static_cast<size_t>(s)].name = stage_name(static_cast<Stage>(s));
+  }
 }
 
 void Supervisor::install_thresholds(std::shared_ptr<const calib::ThresholdSet> set) {
@@ -66,7 +69,7 @@ void Supervisor::perform_swap(ServeResult& result, const calib::ThresholdSet* li
       // complete old file or the complete new one, and the live pointer
       // keeps serving the old set. The drift episode stays armed, so the
       // swap is retried at the next check.
-      ++swap_persist_failures_;
+      ++counters_.swap_persist_failures;
       return;
     }
   }
@@ -84,10 +87,10 @@ void Supervisor::run_calibration(ServeResult& result, const calib::ThresholdSet*
   bool drift_fired = false;
   if (result.scored) {
     calibrator_->observe(variant, result.score);
-    if (calibrator_->check_due(frames_scored_)) {
-      ++drift_checks_;
+    if (calibrator_->check_due(counters_.frames_scored)) {
+      ++counters_.drift_checks;
       const calib::DriftCheck check = calibrator_->check(live);
-      if (check.any_drifted) ++drift_detections_;
+      if (check.any_drifted) ++counters_.drift_detections;
       drift_fired = check.state == calib::DriftState::kDrifted;
     }
   }
@@ -128,7 +131,7 @@ Supervisor::StageOutcome Supervisor::run_stage(Stage stage, int64_t frame_index,
   if (budget > 0 && elapsed > budget) {
     outcome.overrun = true;
     result.deadline_overrun = true;
-    ++stage_overruns_[s];
+    ++counters_.stages[s].overruns;
   }
   return outcome;
 }
@@ -148,8 +151,8 @@ void Supervisor::attach_monitor_state(ServeResult& result) {
 }
 
 ServeResult Supervisor::abandon(ServeResult& result, ServingMode mode_used, bool tripped) {
-  ++frames_abandoned_;
-  ++deadline_overruns_;
+  ++counters_.frames_abandoned;
+  ++counters_.deadline_overruns;
   result.abandoned = true;
   result.scored = false;
   result.deadline_overrun = true;
@@ -176,7 +179,7 @@ void Supervisor::update_ladder(bool frame_bad) {
     if (++bad_streak_ >= config_.demote_after_bad_frames &&
         mode_ != ServingMode::kSensorHold) {
       mode_ = core::ladder_step(mode_, +1, /*skip_q8=*/!quant_rungs_active_);
-      ++step_downs_;
+      ++counters_.step_downs;
       bad_streak_ = 0;
     }
     return;
@@ -190,14 +193,21 @@ void Supervisor::update_ladder(bool frame_bad) {
     if (core::rung(target).raw || !saliency_configured_ ||
         breaker_.state() == BreakerState::kClosed) {
       mode_ = target;
-      ++promotions_;
+      ++counters_.promotions;
       healthy_streak_ = 0;
     }
   }
 }
 
 ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provided) {
-  const int64_t index = frames_total_++;
+  ServeResult result = run_pipeline(frame, provided);
+  result.mode_after = mode_;
+  result.breaker_after = breaker_.state();
+  return result;
+}
+
+ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* provided) {
+  const int64_t index = counters_.frames_total++;
   const int64_t frame_start = clock_->now_ns();
   ServeResult result;
   result.frame_index = index;
@@ -229,12 +239,12 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   if (fault != core::FrameFault::kNone || frozen) {
     // Sensor-bad frames are the monitor's jurisdiction and are neutral to
     // the ladder: a dead camera says nothing about pipeline timing health.
-    ++frames_sensor_bad_;
+    ++counters_.frames_sensor_bad;
     const core::MonitorUpdate update = monitor_.update_sensor_bad(fault, frozen);
     result.sensor_bad = true;
     result.monitor_state = update.state;
     result.fallback_path = update.fallback_path;
-    if (result.deadline_overrun) ++deadline_overruns_;
+    if (result.deadline_overrun) ++counters_.deadline_overruns;
     return result;
   }
 
@@ -276,7 +286,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
       steer_pass = std::move(pass);
     });
     if (!steer.ok()) frame_bad = true;
-    if (steer.threw) ++scoring_failures_;
+    if (steer.threw) ++counters_.scoring_failures;
     if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, false);
   }
 
@@ -322,10 +332,10 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
         // ladder immediately rather than climbing one rung at a time.
         set_mode(ServingMode::kVbpSsim);
         mode_used = ServingMode::kVbpSsim;
-        ++promotions_;
+        ++counters_.promotions;
       }
     } else {
-      if (saliency.threw) ++scoring_failures_;
+      if (saliency.threw) ++counters_.scoring_failures;
       frame_bad = true;
       const int64_t trips_before = breaker_.trips();
       breaker_.record_failure();
@@ -333,7 +343,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
         tripped_this_frame = true;
         if (core::rung(mode_).rank < core::rung(ServingMode::kRawMse).rank) {
           set_mode(ServingMode::kRawMse);
-          ++step_downs_;
+          ++counters_.step_downs;
         }
       }
       // Within-frame fallback: the frame still gets a calibrated answer on
@@ -371,7 +381,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   });
   bool pipeline_broken = reconstruct.threw;
   if (!reconstruct.ok()) frame_bad = true;
-  if (reconstruct.threw) ++scoring_failures_;
+  if (reconstruct.threw) ++counters_.scoring_failures;
   if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, tripped_this_frame);
 
   // --- Stage 4: score ----------------------------------------------------
@@ -384,7 +394,7 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     });
     if (!scoring.ok()) frame_bad = true;
     if (scoring.threw) {
-      ++scoring_failures_;
+      ++counters_.scoring_failures;
       pipeline_broken = true;
     }
     if (frame_deadline_blown(frame_start)) return abandon(result, mode_used, tripped_this_frame);
@@ -392,13 +402,13 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
   if (!pipeline_broken && !std::isfinite(score)) {
     // Non-finite containment: the threshold already classifies NaN/Inf as
     // novel; it is also evidence the current rung is misbehaving.
-    ++nonfinite_scores_;
+    ++counters_.nonfinite_scores;
     frame_bad = true;
   }
 
   // --- Outcome ------------------------------------------------------------
   result.mode = mode_used;
-  if (result.deadline_overrun) ++deadline_overruns_;
+  if (result.deadline_overrun) ++counters_.deadline_overruns;
 
   if (pipeline_broken) {
     // No trustworthy score: report the frame unscored; the monitor is not
@@ -409,14 +419,14 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
     // Ladder exhausted: the pipeline ran as a recovery probe, but its
     // answer is not trusted. The monitor hears "sensor bad" so the
     // fallback controller engages through the sensor path.
-    ++frames_held_;
+    ++counters_.frames_held;
     result.score = score;
     result.scored = false;
     const core::MonitorUpdate update = monitor_.update_sensor_bad(core::FrameFault::kNone, false);
     result.monitor_state = update.state;
     result.fallback_path = update.fallback_path;
   } else {
-    ++frames_scored_;
+    ++counters_.frames_scored;
     result.score = score;
     result.novel = novel;
     result.scored = true;
@@ -431,27 +441,14 @@ ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provi
 }
 
 HealthSnapshot Supervisor::health() const {
-  HealthSnapshot snapshot;
+  HealthSnapshot snapshot = counters_;
   snapshot.mode = mode_;
   snapshot.breaker_state = breaker_.state();
-  snapshot.frames_total = frames_total_;
-  snapshot.frames_scored = frames_scored_;
-  snapshot.frames_abandoned = frames_abandoned_;
-  snapshot.frames_held = frames_held_;
-  snapshot.frames_sensor_bad = frames_sensor_bad_;
-  snapshot.deadline_overruns = deadline_overruns_;
-  snapshot.scoring_failures = scoring_failures_;
-  snapshot.nonfinite_scores = nonfinite_scores_;
-  snapshot.step_downs = step_downs_;
-  snapshot.promotions = promotions_;
   snapshot.breaker_trips = breaker_.trips();
   snapshot.probe_successes = breaker_.probe_successes();
   snapshot.probe_failures = breaker_.probe_failures();
   const calib::ThresholdSet* live = live_thresholds_.acquire();
-  snapshot.drift_checks = drift_checks_;
-  snapshot.drift_detections = drift_detections_;
   snapshot.threshold_swaps = threshold_swaps_.load(std::memory_order_acquire);
-  snapshot.swap_persist_failures = swap_persist_failures_;
   snapshot.threshold_epoch = live != nullptr ? live->epoch : 0;
   if (calibrator_.has_value()) {
     snapshot.drift_state = calib::drift_state_name(calibrator_->state());
@@ -468,10 +465,7 @@ HealthSnapshot Supervisor::health() const {
       snapshot.shadow.push_back(std::move(gauge));
     }
   }
-  for (int s = 0; s < kStageCount; ++s) {
-    const size_t i = static_cast<size_t>(s);
-    snapshot.stages[i].name = stage_name(static_cast<Stage>(s));
-    snapshot.stages[i].overruns = stage_overruns_[i];
+  for (size_t i = 0; i < rings_.size(); ++i) {
     snapshot.stages[i].samples = rings_[i].count();
     snapshot.stages[i].p50_ns = rings_[i].percentile_ns(0.50);
     snapshot.stages[i].p99_ns = rings_[i].percentile_ns(0.99);

@@ -100,6 +100,8 @@ struct ServeResult {
   std::array<int64_t, kStageCount> stage_ns{};  ///< 0 for stages not run
   bool threshold_swapped = false;  ///< a hot-swap completed during this frame
   int64_t threshold_epoch = 0;     ///< ThresholdSet epoch after the frame (0 = fitted)
+  ServingMode mode_after = ServingMode::kVbpSsim;      ///< ladder rung after the frame
+  BreakerState breaker_after = BreakerState::kClosed;  ///< breaker state after the frame
 };
 
 /// Precomputed stage results injected by a batching front end (the
@@ -158,7 +160,7 @@ class Supervisor {
   ServingMode mode() const { return mode_; }
   BreakerState breaker_state() const { return breaker_.state(); }
   const core::NoveltyMonitor& monitor() const { return monitor_; }
-  int64_t frames_total() const { return frames_total_; }
+  int64_t frames_total() const { return counters_.frames_total; }
 
   /// Publishes an externally built ThresholdSet (e.g. one recovered from the
   /// calibration store at startup) as the served set. Thread-safe and
@@ -176,6 +178,12 @@ class Supervisor {
 
   HealthSnapshot health() const;
 
+  /// The latency window `stage`'s percentiles are computed over (a cluster
+  /// merges these across streams). Same thread-safety as health().
+  const LatencyRing& stage_ring(Stage stage) const {
+    return rings_[static_cast<size_t>(stage)];
+  }
+
   /// True when the q8 rungs participate in this supervisor's ladder (the
   /// config flag was set AND the detector supports it).
   bool quant_rungs_active() const { return quant_rungs_active_; }
@@ -190,6 +198,9 @@ class Supervisor {
     bool ok() const { return !threw && !overrun; }
   };
 
+  /// process()'s staged pipeline; process() stamps the policy state the
+  /// frame left behind (mode_after, breaker_after) on whichever exit it took.
+  ServeResult run_pipeline(const Image& frame, const ProvidedCompute* provided);
   StageOutcome run_stage(Stage stage, int64_t frame_index, ServeResult& result,
                          const std::function<void()>& body);
   bool frame_deadline_blown(int64_t frame_start_ns) const;
@@ -223,18 +234,10 @@ class Supervisor {
   int healthy_streak_ = 0;
   std::optional<Image> last_valid_frame_;  ///< frozen-frame detection
 
-  // Exact counters backing HealthSnapshot.
-  int64_t frames_total_ = 0;
-  int64_t frames_scored_ = 0;
-  int64_t frames_abandoned_ = 0;
-  int64_t frames_held_ = 0;
-  int64_t frames_sensor_bad_ = 0;
-  int64_t deadline_overruns_ = 0;
-  int64_t scoring_failures_ = 0;
-  int64_t nonfinite_scores_ = 0;
-  int64_t step_downs_ = 0;
-  int64_t promotions_ = 0;
-  std::array<int64_t, kStageCount> stage_overruns_{};
+  // Exact counters, updated in place; health() copies them and fills in what
+  // other objects own (breaker counts, swap count, served epoch, drift
+  // state, shadow gauges, stage latencies).
+  HealthSnapshot counters_;
   std::array<LatencyRing, kStageCount> rings_;
 
   // Online calibration. The hot-swap slot and the swap counter are the only
@@ -243,9 +246,6 @@ class Supervisor {
   std::optional<calib::OnlineCalibrator> calibrator_;
   calib::ThresholdHotSwap live_thresholds_;
   std::atomic<int64_t> threshold_swaps_{0};
-  int64_t drift_checks_ = 0;
-  int64_t drift_detections_ = 0;
-  int64_t swap_persist_failures_ = 0;
   size_t next_forced_ = 0;  ///< cursor into calibration.forced_swap_frames
   std::vector<ThresholdSwapEvent> swap_events_;
 };

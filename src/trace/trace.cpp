@@ -7,8 +7,7 @@
 #include <stdexcept>
 
 #include "image/transforms.hpp"
-#include "roadsim/indoor_generator.hpp"
-#include "roadsim/outdoor_generator.hpp"
+#include "roadsim/generator.hpp"
 #include "serving/clock.hpp"
 #include "serving/cluster.hpp"
 #include "tensor/serialize.hpp"
@@ -37,6 +36,17 @@ constexpr int64_t kCameraFaultBytes = 4 + 4 * 8;
 constexpr int64_t kReplicaFaultBytes = 4 + 6 * 8;
 constexpr int64_t kFrameBytes = 6 * 4 + 5 * 8 + serving::kStageCount * 8;
 constexpr int64_t kEventBytes = 4 + 4 * 8;
+
+// The health and cluster-health records are the traced counter rows, in row
+// order; marking another row traced changes the layout and needs a version
+// bump.
+constexpr int traced_rows(const auto& rows) {
+  int n = 0;
+  for (const auto& row : rows) n += row.traced ? 1 : 0;
+  return n;
+}
+static_assert(traced_rows(serving::kHealthCounters) == 17 &&
+              traced_rows(serving::kClusterCounters) == 8);
 
 // Frame-record flag bits (TraceFrame bools packed into one u32).
 constexpr uint32_t kFlagScored = 1u << 0;
@@ -70,12 +80,6 @@ std::string format_f64(double value) {
 bool fault_active(const TraceCameraFault& fault, int64_t frame) {
   if (frame < fault.first_frame || frame > fault.last_frame) return false;
   return (frame - fault.first_frame) % fault.period == 0;
-}
-
-std::unique_ptr<roadsim::SceneGenerator> make_generator(const std::string& dataset) {
-  if (dataset == "outdoor") return std::make_unique<roadsim::OutdoorSceneGenerator>();
-  if (dataset == "indoor") return std::make_unique<roadsim::IndoorSceneGenerator>();
-  throw std::invalid_argument("trace: unknown dataset '" + dataset + "'");
 }
 
 /// Floats diverge when not both-NaN and the relative gap exceeds the
@@ -145,7 +149,9 @@ const char* cluster_event_tag(int value) {
 // --- spec -------------------------------------------------------------------
 
 void TraceRunSpec::validate() const {
-  make_generator(dataset);  // throws on unknown dataset
+  if (!roadsim::make_scene_generator(dataset)) {
+    throw std::invalid_argument("trace: unknown dataset '" + dataset + "'");
+  }
   if (frames < 0) throw std::invalid_argument("trace: negative frame count");
   if (height <= 0 || width <= 0) throw std::invalid_argument("trace: non-positive resolution");
   calib::validate(supervisor.calibration);  // throws on out-of-range drift knobs
@@ -201,65 +207,6 @@ void TraceRunSpec::validate() const {
       }
     }
   }
-}
-
-// --- conversion -------------------------------------------------------------
-
-TraceFrame TraceFrame::from(const serving::ServeResult& result, serving::ServingMode mode_after,
-                            serving::BreakerState breaker_after) {
-  TraceFrame frame;
-  frame.frame_index = result.frame_index;
-  frame.mode = result.mode;
-  frame.scored = result.scored;
-  frame.abandoned = result.abandoned;
-  frame.deadline_overrun = result.deadline_overrun;
-  frame.sensor_bad = result.sensor_bad;
-  frame.novel = result.novel;
-  frame.score = result.score;
-  frame.steering = result.steering;
-  frame.monitor_state = result.monitor_state;
-  frame.fallback_path = result.fallback_path;
-  frame.stage_ns = result.stage_ns;
-  frame.mode_after = mode_after;
-  frame.breaker_after = breaker_after;
-  frame.swapped = result.threshold_swapped;
-  frame.epoch_after = result.threshold_epoch;
-  return frame;
-}
-
-TraceHealth TraceHealth::from(const serving::HealthSnapshot& snapshot) {
-  TraceHealth health;
-  health.frames_total = snapshot.frames_total;
-  health.frames_scored = snapshot.frames_scored;
-  health.frames_abandoned = snapshot.frames_abandoned;
-  health.frames_held = snapshot.frames_held;
-  health.frames_sensor_bad = snapshot.frames_sensor_bad;
-  health.deadline_overruns = snapshot.deadline_overruns;
-  health.scoring_failures = snapshot.scoring_failures;
-  health.nonfinite_scores = snapshot.nonfinite_scores;
-  health.step_downs = snapshot.step_downs;
-  health.promotions = snapshot.promotions;
-  health.breaker_trips = snapshot.breaker_trips;
-  health.probe_successes = snapshot.probe_successes;
-  health.probe_failures = snapshot.probe_failures;
-  health.drift_checks = snapshot.drift_checks;
-  health.drift_detections = snapshot.drift_detections;
-  health.threshold_swaps = snapshot.threshold_swaps;
-  health.threshold_epoch = snapshot.threshold_epoch;
-  return health;
-}
-
-TraceClusterHealth TraceClusterHealth::from(const serving::ClusterStats& stats) {
-  TraceClusterHealth health;
-  health.quarantines = stats.quarantines;
-  health.probe_attempts = stats.probe_attempts;
-  health.probe_failures = stats.probe_failures;
-  health.restores = stats.restores;
-  health.failovers = stats.failovers;
-  health.redispatched_frames = stats.redispatched_frames;
-  health.fallback_frames = stats.fallback_frames;
-  health.shed_frames = stats.shed_frames;
-  return health;
 }
 
 // --- serialization ----------------------------------------------------------
@@ -368,7 +315,7 @@ void Trace::save(std::ostream& os) const {
     if (frame.deadline_overrun) flags |= kFlagDeadlineOverrun;
     if (frame.sensor_bad) flags |= kFlagSensorBad;
     if (frame.novel) flags |= kFlagNovel;
-    if (frame.swapped) flags |= kFlagSwapped;
+    if (frame.threshold_swapped) flags |= kFlagSwapped;
     write_u32(os, flags);
     write_f64(os, frame.score);
     write_f64(os, frame.steering);
@@ -377,27 +324,13 @@ void Trace::save(std::ostream& os) const {
     for (int64_t ns : frame.stage_ns) write_i64(os, ns);
     write_u32(os, static_cast<uint32_t>(frame.mode_after));
     write_u32(os, static_cast<uint32_t>(frame.breaker_after));
-    write_i64(os, frame.epoch_after);
+    write_i64(os, frame.threshold_epoch);
     write_i64(os, frame.stream_id);
   }
 
-  write_i64(os, health.frames_total);
-  write_i64(os, health.frames_scored);
-  write_i64(os, health.frames_abandoned);
-  write_i64(os, health.frames_held);
-  write_i64(os, health.frames_sensor_bad);
-  write_i64(os, health.deadline_overruns);
-  write_i64(os, health.scoring_failures);
-  write_i64(os, health.nonfinite_scores);
-  write_i64(os, health.step_downs);
-  write_i64(os, health.promotions);
-  write_i64(os, health.breaker_trips);
-  write_i64(os, health.probe_successes);
-  write_i64(os, health.probe_failures);
-  write_i64(os, health.drift_checks);
-  write_i64(os, health.drift_detections);
-  write_i64(os, health.threshold_swaps);
-  write_i64(os, health.threshold_epoch);
+  for (const auto& row : serving::kHealthCounters) {
+    if (row.traced) write_i64(os, health.*row.member);
+  }
 
   // Failure-domain event log + cluster-health counters.
   write_i64(os, static_cast<int64_t>(events.size()));
@@ -408,14 +341,9 @@ void Trace::save(std::ostream& os) const {
     write_i64(os, event.stream);
     write_i64(os, event.detail);
   }
-  write_i64(os, cluster_health.quarantines);
-  write_i64(os, cluster_health.probe_attempts);
-  write_i64(os, cluster_health.probe_failures);
-  write_i64(os, cluster_health.restores);
-  write_i64(os, cluster_health.failovers);
-  write_i64(os, cluster_health.redispatched_frames);
-  write_i64(os, cluster_health.fallback_frames);
-  write_i64(os, cluster_health.shed_frames);
+  for (const auto& row : serving::kClusterCounters) {
+    if (row.traced) write_i64(os, cluster_health.*row.member);
+  }
 }
 
 Trace Trace::load(std::istream& is) {
@@ -534,7 +462,7 @@ Trace Trace::load(std::istream& is) {
     frame.deadline_overrun = (flags & kFlagDeadlineOverrun) != 0;
     frame.sensor_bad = (flags & kFlagSensorBad) != 0;
     frame.novel = (flags & kFlagNovel) != 0;
-    frame.swapped = (flags & kFlagSwapped) != 0;
+    frame.threshold_swapped = (flags & kFlagSwapped) != 0;
     frame.score = read_f64(is);
     frame.steering = read_f64(is);
     frame.monitor_state = static_cast<core::MonitorState>(checked_enum(is, 4, "monitor state"));
@@ -544,28 +472,13 @@ Trace Trace::load(std::istream& is) {
         checked_enum(is, core::kServingModeCount, "serving mode"));
     frame.breaker_after =
         static_cast<serving::BreakerState>(checked_enum(is, 3, "breaker state"));
-    frame.epoch_after = read_i64(is);
+    frame.threshold_epoch = read_i64(is);
     frame.stream_id = read_i64(is);
   }
 
-  TraceHealth& health = trace.health;
-  health.frames_total = read_i64(is);
-  health.frames_scored = read_i64(is);
-  health.frames_abandoned = read_i64(is);
-  health.frames_held = read_i64(is);
-  health.frames_sensor_bad = read_i64(is);
-  health.deadline_overruns = read_i64(is);
-  health.scoring_failures = read_i64(is);
-  health.nonfinite_scores = read_i64(is);
-  health.step_downs = read_i64(is);
-  health.promotions = read_i64(is);
-  health.breaker_trips = read_i64(is);
-  health.probe_successes = read_i64(is);
-  health.probe_failures = read_i64(is);
-  health.drift_checks = read_i64(is);
-  health.drift_detections = read_i64(is);
-  health.threshold_swaps = read_i64(is);
-  health.threshold_epoch = read_i64(is);
+  for (const auto& row : serving::kHealthCounters) {
+    if (row.traced) trace.health.*row.member = read_i64(is);
+  }
 
   const int64_t n_events = read_i64(is);
   check_count(is, n_events, kMaxRecords, kEventBytes, "trace: event count");
@@ -577,15 +490,9 @@ Trace Trace::load(std::istream& is) {
     event.stream = read_i64(is);
     event.detail = read_i64(is);
   }
-  TraceClusterHealth& cluster_health = trace.cluster_health;
-  cluster_health.quarantines = read_i64(is);
-  cluster_health.probe_attempts = read_i64(is);
-  cluster_health.probe_failures = read_i64(is);
-  cluster_health.restores = read_i64(is);
-  cluster_health.failovers = read_i64(is);
-  cluster_health.redispatched_frames = read_i64(is);
-  cluster_health.fallback_frames = read_i64(is);
-  cluster_health.shed_frames = read_i64(is);
+  for (const auto& row : serving::kClusterCounters) {
+    if (row.traced) trace.cluster_health.*row.member = read_i64(is);
+  }
   return trace;
 }
 
@@ -614,7 +521,7 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
                                 std::to_string(detector.config().width) + ")");
   }
 
-  const std::unique_ptr<roadsim::SceneGenerator> generator = make_generator(spec.dataset);
+  const auto generator = roadsim::make_scene_generator(spec.dataset);
   faults::TimingFaultInjector stalls;
   for (const auto& stall : spec.stalls) stalls.add(stall);
   serving::SupervisorConfig config = spec.supervisor;
@@ -642,10 +549,8 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
       for (const auto& fault : spec.camera_faults) {
         view = camera.apply(fault.fault, fault_active(fault, i) ? fault.severity : 0.0, view);
       }
-      const serving::ServeResult result = supervisor.process(view);
-      if (on_frame) {
-        on_frame(TraceFrame::from(result, supervisor.mode(), supervisor.breaker_state()));
-      }
+      TraceFrame frame{supervisor.process(view)};
+      if (on_frame) on_frame(frame);
     }
     return supervisor.health();
   }
@@ -679,7 +584,7 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
   std::vector<Rng> rngs;
   std::vector<faults::FaultInjector> cameras;
   for (int64_t s = 0; s < streams; ++s) {
-    generators.push_back(make_generator(spec.dataset));
+    generators.push_back(roadsim::make_scene_generator(spec.dataset));
     rngs.emplace_back(spec.frame_seed + static_cast<uint64_t>(s));
     cameras.emplace_back(spec.fault_seed + static_cast<uint64_t>(s));
   }
@@ -699,11 +604,7 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
   if (on_frame) {
     // take_results() sorts by arrival_seq == submission order, so the frame
     // stream is emitted in global arrival order.
-    for (const auto& cr : cluster.take_results()) {
-      TraceFrame frame = TraceFrame::from(cr.result, cr.mode_after, cr.breaker_after);
-      frame.stream_id = cr.stream_id;
-      on_frame(frame);
-    }
+    for (const auto& cr : cluster.take_results()) on_frame(TraceFrame{cr.result, cr.stream_id});
   }
   if (events) *events = cluster.take_events();
   if (cluster_stats) *cluster_stats = cluster.stats();
@@ -717,13 +618,10 @@ Trace TraceRecorder::record(const TraceRunSpec& spec, const core::NoveltyDetecto
   Trace trace;
   trace.spec = spec;
   trace.frames.reserve(static_cast<size_t>(spec.frames));
-  serving::ClusterStats stats;
-  const serving::HealthSnapshot health =
+  trace.health =
       drive(spec, detector, steering_model,
             [&trace](const TraceFrame& frame) { trace.frames.push_back(frame); }, &trace.events,
-            &stats);
-  trace.health = TraceHealth::from(health);
-  trace.cluster_health = TraceClusterHealth::from(stats);
+            &trace.cluster_health);
   return trace;
 }
 
@@ -743,9 +641,9 @@ std::string ReplayReport::format() const {
 }
 
 ReplayReport compare(const Trace& recorded, const std::vector<TraceFrame>& replayed,
-                     const TraceHealth& replayed_health, const ReplayOptions& options,
+                     const serving::HealthSnapshot& replayed_health, const ReplayOptions& options,
                      const std::vector<serving::ClusterEvent>* replayed_events,
-                     const TraceClusterHealth* replayed_cluster) {
+                     const serving::ClusterStats* replayed_cluster) {
   ReplayReport report;
   Differ diff{report.divergence};
 
@@ -784,31 +682,18 @@ ReplayReport compare(const Trace& recorded, const std::vector<TraceFrame>& repla
                     static_cast<int>(rep.mode_after), serving_mode_tag);
     diff.check_enum("breaker", "breaker_after", static_cast<int>(rec.breaker_after),
                     static_cast<int>(rep.breaker_after), breaker_state_tag);
-    diff.check_bool("calib", "swapped", rec.swapped, rep.swapped);
-    diff.check_i64("calib", "epoch_after", rec.epoch_after, rep.epoch_after);
+    diff.check_bool("calib", "swapped", rec.threshold_swapped, rep.threshold_swapped);
+    diff.check_i64("calib", "epoch_after", rec.threshold_epoch, rep.threshold_epoch);
   }
 
   if (!report.divergence) {
     diff.frame = -1;
-    const TraceHealth& rec = recorded.health;
-    const TraceHealth& rep = replayed_health;
-    diff.check_i64("health", "frames_total", rec.frames_total, rep.frames_total);
-    diff.check_i64("health", "frames_scored", rec.frames_scored, rep.frames_scored);
-    diff.check_i64("health", "frames_abandoned", rec.frames_abandoned, rep.frames_abandoned);
-    diff.check_i64("health", "frames_held", rec.frames_held, rep.frames_held);
-    diff.check_i64("health", "frames_sensor_bad", rec.frames_sensor_bad, rep.frames_sensor_bad);
-    diff.check_i64("health", "deadline_overruns", rec.deadline_overruns, rep.deadline_overruns);
-    diff.check_i64("health", "scoring_failures", rec.scoring_failures, rep.scoring_failures);
-    diff.check_i64("health", "nonfinite_scores", rec.nonfinite_scores, rep.nonfinite_scores);
-    diff.check_i64("health", "step_downs", rec.step_downs, rep.step_downs);
-    diff.check_i64("health", "promotions", rec.promotions, rep.promotions);
-    diff.check_i64("health", "breaker_trips", rec.breaker_trips, rep.breaker_trips);
-    diff.check_i64("health", "probe_successes", rec.probe_successes, rep.probe_successes);
-    diff.check_i64("health", "probe_failures", rec.probe_failures, rep.probe_failures);
-    diff.check_i64("health", "drift_checks", rec.drift_checks, rep.drift_checks);
-    diff.check_i64("health", "drift_detections", rec.drift_detections, rep.drift_detections);
-    diff.check_i64("health", "threshold_swaps", rec.threshold_swaps, rep.threshold_swaps);
-    diff.check_i64("health", "threshold_epoch", rec.threshold_epoch, rep.threshold_epoch);
+    for (const auto& row : serving::kHealthCounters) {
+      if (row.traced) {
+        diff.check_i64("health", row.name, recorded.health.*row.member,
+                       replayed_health.*row.member);
+      }
+    }
   }
 
   // The failure-domain event log and cluster-health counters must replay
@@ -834,17 +719,12 @@ ReplayReport compare(const Trace& recorded, const std::vector<TraceFrame>& repla
   }
   if (!report.divergence && replayed_cluster) {
     diff.frame = -1;
-    const TraceClusterHealth& rec = recorded.cluster_health;
-    const TraceClusterHealth& rep = *replayed_cluster;
-    diff.check_i64("cluster_health", "quarantines", rec.quarantines, rep.quarantines);
-    diff.check_i64("cluster_health", "probe_attempts", rec.probe_attempts, rep.probe_attempts);
-    diff.check_i64("cluster_health", "probe_failures", rec.probe_failures, rep.probe_failures);
-    diff.check_i64("cluster_health", "restores", rec.restores, rep.restores);
-    diff.check_i64("cluster_health", "failovers", rec.failovers, rep.failovers);
-    diff.check_i64("cluster_health", "redispatched_frames", rec.redispatched_frames,
-                   rep.redispatched_frames);
-    diff.check_i64("cluster_health", "fallback_frames", rec.fallback_frames, rep.fallback_frames);
-    diff.check_i64("cluster_health", "shed_frames", rec.shed_frames, rep.shed_frames);
+    for (const auto& row : serving::kClusterCounters) {
+      if (row.traced) {
+        diff.check_i64("cluster_health", row.name, recorded.cluster_health.*row.member,
+                       replayed_cluster->*row.member);
+      }
+    }
   }
   return report;
 }
@@ -859,9 +739,7 @@ ReplayReport TraceReplayer::replay(const Trace& trace, const core::NoveltyDetect
       drive(trace.spec, detector, steering_model,
             [&replayed](const TraceFrame& frame) { replayed.push_back(frame); }, &replayed_events,
             &replayed_stats);
-  const TraceClusterHealth replayed_cluster = TraceClusterHealth::from(replayed_stats);
-  return compare(trace, replayed, TraceHealth::from(health), options, &replayed_events,
-                 &replayed_cluster);
+  return compare(trace, replayed, health, options, &replayed_events, &replayed_stats);
 }
 
 }  // namespace salnov::trace

@@ -12,9 +12,10 @@
 //     whole decision trace is a pure function of the spec and the fitted
 //     pipeline.
 //   * TraceRecorder::record drives the scenario and captures one TraceFrame
-//     per frame (scores, verdicts, modes, monitor state, stage timings) plus
-//     the final health counters, into a versioned file guarded by the
-//     checked-persistence CRC trailer.
+//     per frame (the supervisor's ServeResult: scores, verdicts, modes,
+//     monitor state, stage timings) plus the final health counters — the
+//     traced rows of serving::kHealthCounters / kClusterCounters — into a
+//     versioned file guarded by the checked-persistence CRC trailer.
 //   * TraceReplayer::replay re-drives the pipeline from the spec and diffs
 //     the fresh decision stream against the recorded one. Discrete decisions
 //     (verdicts, modes, states, counters) must match bit-exactly; float
@@ -119,80 +120,26 @@ struct TraceRunSpec {
 };
 
 /// Everything the pipeline decided about one frame, plus the policy state
-/// it left behind.
-struct TraceFrame {
-  int64_t frame_index = 0;
-  serving::ServingMode mode = serving::ServingMode::kVbpSsim;  ///< rung that served the frame
-  bool scored = false;
-  bool abandoned = false;
-  bool deadline_overrun = false;
-  bool sensor_bad = false;
-  bool novel = false;
-  double score = std::numeric_limits<double>::quiet_NaN();
-  double steering = std::numeric_limits<double>::quiet_NaN();
-  core::MonitorState monitor_state = core::MonitorState::kNominal;
-  core::FallbackPath fallback_path = core::FallbackPath::kNone;
-  std::array<int64_t, serving::kStageCount> stage_ns{};
-  serving::ServingMode mode_after = serving::ServingMode::kVbpSsim;  ///< ladder rung after the frame
-  serving::BreakerState breaker_after = serving::BreakerState::kClosed;
-  bool swapped = false;       ///< a threshold hot-swap completed on this frame
-  int64_t epoch_after = 0;    ///< served ThresholdSet epoch after the frame
-  int64_t stream_id = 0;      ///< owning stream (0 in single-stream runs)
-
-  static TraceFrame from(const serving::ServeResult& result, serving::ServingMode mode_after,
-                         serving::BreakerState breaker_after);
-};
-
-/// Exact end-of-run counters (the HealthSnapshot minus the shed count and
-/// latency fields, which belong to the cluster's admission control and the
-/// real clock respectively).
-struct TraceHealth {
-  int64_t frames_total = 0;
-  int64_t frames_scored = 0;
-  int64_t frames_abandoned = 0;
-  int64_t frames_held = 0;
-  int64_t frames_sensor_bad = 0;
-  int64_t deadline_overruns = 0;
-  int64_t scoring_failures = 0;
-  int64_t nonfinite_scores = 0;
-  int64_t step_downs = 0;
-  int64_t promotions = 0;
-  int64_t breaker_trips = 0;
-  int64_t probe_successes = 0;
-  int64_t probe_failures = 0;
-  int64_t drift_checks = 0;
-  int64_t drift_detections = 0;
-  int64_t threshold_swaps = 0;
-  int64_t threshold_epoch = 0;
-
-  static TraceHealth from(const serving::HealthSnapshot& snapshot);
-};
-
-/// Exact end-of-run failure-domain counters (all zero for runs without a
-/// watchdog).
-struct TraceClusterHealth {
-  int64_t quarantines = 0;
-  int64_t probe_attempts = 0;
-  int64_t probe_failures = 0;
-  int64_t restores = 0;
-  int64_t failovers = 0;
-  int64_t redispatched_frames = 0;
-  int64_t fallback_frames = 0;
-  int64_t shed_frames = 0;
-
-  static TraceClusterHealth from(const serving::ClusterStats& stats);
+/// it left behind: the supervisor's ServeResult, tagged with the stream
+/// that owned the frame.
+struct TraceFrame : serving::ServeResult {
+  int64_t stream_id = 0;  ///< owning stream (0 in single-stream runs)
 };
 
 /// A recorded run: spec + per-frame decision stream + final counters, plus
 /// the failure-domain event log (quarantine / probe / restore / failover /
 /// fallback / shed, in decision order) and the cluster-health counters, both
-/// diffed on replay. load() accepts only the current format version.
+/// diffed on replay. Only the traced rows of serving::kHealthCounters and
+/// serving::kClusterCounters are saved, loaded and compared; the other
+/// members of `health` and `cluster_health` (modes, stage latencies, swap
+/// persistence, shedding by admission credits, batching) are left at their
+/// defaults by load(). load() accepts only the current format version.
 struct Trace {
   TraceRunSpec spec;
   std::vector<TraceFrame> frames;
-  TraceHealth health;
+  serving::HealthSnapshot health;
   std::vector<serving::ClusterEvent> events;
-  TraceClusterHealth cluster_health;
+  serving::ClusterStats cluster_health;
 
   void save(std::ostream& os) const;
   static Trace load(std::istream& is);
@@ -260,9 +207,10 @@ struct ReplayReport {
 /// failure-domain event log and cluster-health counters are diffed too —
 /// every quarantine, failover, fallback, and shed must replay bit-exactly.
 ReplayReport compare(const Trace& recorded, const std::vector<TraceFrame>& replayed,
-                     const TraceHealth& replayed_health, const ReplayOptions& options = {},
+                     const serving::HealthSnapshot& replayed_health,
+                     const ReplayOptions& options = {},
                      const std::vector<serving::ClusterEvent>* replayed_events = nullptr,
-                     const TraceClusterHealth* replayed_cluster = nullptr);
+                     const serving::ClusterStats* replayed_cluster = nullptr);
 
 class TraceReplayer {
  public:

@@ -523,7 +523,7 @@ TEST_F(CalibServingFixture, TenThousandFrameSoakSwapsAndReplaysBitExact) {
   int64_t swap_frames = 0;
   int64_t first_swap = -1;
   for (const trace::TraceFrame& frame : trace.frames) {
-    if (frame.swapped) {
+    if (frame.threshold_swapped) {
       ++swap_frames;
       if (first_swap < 0) first_swap = frame.frame_index;
     }
@@ -536,7 +536,7 @@ TEST_F(CalibServingFixture, TenThousandFrameSoakSwapsAndReplaysBitExact) {
   trace.save_file(path);
   const trace::Trace loaded = trace::Trace::load_file(path);
   ASSERT_EQ(loaded.frames.size(), trace.frames.size());
-  EXPECT_EQ(loaded.frames[static_cast<size_t>(first_swap)].swapped, true);
+  EXPECT_EQ(loaded.frames[static_cast<size_t>(first_swap)].threshold_swapped, true);
   EXPECT_EQ(loaded.health.threshold_swaps, trace.health.threshold_swaps);
   EXPECT_TRUE(loaded.spec.supervisor.calibration.enabled);
 

@@ -8,6 +8,7 @@
 // function of the scripted timestamps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -355,6 +356,102 @@ TEST_F(ClusterFixture, StreamsDegradeIndependently) {
   const HealthSnapshot aggregate = cluster.aggregate_health();
   EXPECT_EQ(aggregate.frames_total, 16);
   EXPECT_EQ(aggregate.frames_scored, healthy.frames_scored + novel.frames_scored);
+}
+
+// The aggregate's counters are each stream's counters merged by their row's
+// rule: sums, except the served epoch, which is the newest across streams.
+TEST_F(ClusterFixture, AggregateHealthMergesEveryCounterRowByItsRule) {
+  faults::TimingFaultInjector stalls;
+  stalls.add({/*stage=*/2, /*stall_ns=*/10 * kMs, /*first_frame=*/1, /*last_frame=*/2,
+              /*period=*/1});
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = 3;
+  config.replicas = 1;
+  config.supervisor.stage_budget_ns = {kMs, kMs, kMs, kMs, kMs};
+  config.supervisor.frame_budget_ns = 1000 * kMs;
+  config.supervisor.timing_faults = &stalls;
+  config.supervisor.calibration.enabled = true;
+  config.supervisor.calibration.forced_swap_frames = {4};
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  const auto scripts = stream_scripts(config.streams, 8);
+  for (int64_t i = 0; i < 8; ++i) {
+    // Stream 2 stops early, so its epoch stays at the fitted 0.
+    for (int64_t s = 0; s < config.streams; ++s) {
+      if (s == 2 && i >= 3) continue;
+      cluster.submit(s, scripts[static_cast<size_t>(s)][static_cast<size_t>(i)]);
+    }
+    clock.advance_ns(kMs);
+  }
+  cluster.drain();
+
+  std::vector<HealthSnapshot> per_stream;
+  for (int64_t s = 0; s < config.streams; ++s) per_stream.push_back(cluster.stream_health(s));
+  const HealthSnapshot aggregate = cluster.aggregate_health();
+  cluster.stop();
+
+  for (const auto& row : kHealthCounters) {
+    int64_t expected = 0;
+    for (const HealthSnapshot& h : per_stream) {
+      expected = row.merge == Merge::kMax ? std::max(expected, h.*row.member)
+                                          : expected + h.*row.member;
+    }
+    EXPECT_EQ(aggregate.*row.member, expected) << row.name;
+  }
+  // The scenario exercises both rules: epochs 1, 1, 0 merge to 1, not 2.
+  EXPECT_EQ(aggregate.frames_total, 19);
+  EXPECT_GT(aggregate.deadline_overruns, 0);
+  EXPECT_EQ(aggregate.threshold_swaps, 2);
+  EXPECT_EQ(aggregate.threshold_epoch, 1);
+}
+
+// Stage percentiles of the aggregate are nearest-rank percentiles over every
+// sample in the streams' windows, not the largest per-stream percentile.
+TEST_F(ClusterFixture, AggregateStagePercentilesAreExactOverAllStreams) {
+  // A 1 ms score stall on frames 24 onward reaches only stream 1, the one
+  // stream that serves more than 24 frames: its median is 1 ms, while most
+  // of the cluster's score samples are 0.
+  constexpr int64_t kScore = static_cast<int64_t>(Stage::kScore);
+  faults::TimingFaultInjector stalls;
+  stalls.add({/*stage=*/static_cast<int>(kScore), /*stall_ns=*/kMs, /*first_frame=*/24,
+              /*last_frame=*/std::numeric_limits<int64_t>::max(), /*period=*/1});
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = 2;
+  config.replicas = 1;
+  config.supervisor.timing_faults = &stalls;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  const auto scripts = stream_scripts(2, 50);
+  for (int64_t i = 0; i < 50; ++i) {
+    if (i < 24) cluster.submit(0, scripts[0][static_cast<size_t>(i)]);
+    cluster.submit(1, scripts[1][static_cast<size_t>(i)]);
+  }
+  cluster.drain();
+  const std::vector<ClusterResult> results = cluster.take_results();
+  const HealthSnapshot aggregate = cluster.aggregate_health();
+  const HealthSnapshot stream1 = cluster.stream_health(1);
+  cluster.stop();
+
+  const StageHealth& score = aggregate.stages[static_cast<size_t>(kScore)];
+  ASSERT_EQ(score.samples, static_cast<int64_t>(results.size()))
+      << "every frame ran the score stage, so stage_ns holds every window sample";
+  std::vector<int64_t> served;
+  for (const ClusterResult& r : results) {
+    served.push_back(r.result.stage_ns[static_cast<size_t>(kScore)]);
+  }
+  std::sort(served.begin(), served.end());
+  const auto brute_force = [&served](double p) {
+    const size_t rank = static_cast<size_t>(std::ceil(p * static_cast<double>(served.size())));
+    return served[std::max<size_t>(rank, 1) - 1];
+  };
+  EXPECT_EQ(score.p50_ns, brute_force(0.50));
+  EXPECT_EQ(score.p99_ns, brute_force(0.99));
+  EXPECT_EQ(score.p50_ns, 0);
+  EXPECT_EQ(score.p99_ns, kMs);
+  EXPECT_EQ(stream1.stages[static_cast<size_t>(kScore)].p50_ns, kMs)
+      << "the largest per-stream median differs from the cluster's median";
 }
 
 // ---------------------------------------------------------------------------

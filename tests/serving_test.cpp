@@ -255,6 +255,128 @@ TEST(LatencyRingTest, NearestRankPercentiles) {
   EXPECT_EQ(ring.count(), 12);
 }
 
+/// A snapshot whose every counter holds a distinct value, so a key bound to
+/// the wrong member, a dropped key or a reordered key changes the JSON.
+HealthSnapshot distinct_snapshot() {
+  HealthSnapshot h;
+  h.mode = ServingMode::kVbpMse;
+  h.breaker_state = BreakerState::kHalfOpen;
+  h.frames_total = 101;
+  h.frames_scored = 102;
+  h.frames_abandoned = 103;
+  h.frames_held = 104;
+  h.frames_sensor_bad = 105;
+  h.deadline_overruns = 106;
+  h.scoring_failures = 107;
+  h.nonfinite_scores = 108;
+  h.step_downs = 109;
+  h.promotions = 110;
+  h.breaker_trips = 111;
+  h.probe_successes = 112;
+  h.probe_failures = 113;
+  h.drift_checks = 114;
+  h.drift_detections = 115;
+  h.threshold_swaps = 116;
+  h.swap_persist_failures = 117;
+  h.threshold_epoch = 118;
+  h.drift_state = "alert";
+  h.queue_shed = 119;
+  for (int s = 0; s < kStageCount; ++s) {
+    StageHealth& stage = h.stages[static_cast<size_t>(s)];
+    stage.name = stage_name(static_cast<Stage>(s));
+    stage.overruns = 200 + s;
+    stage.samples = 210 + s;
+    stage.p50_ns = 220 + s;
+    stage.p99_ns = 230 + s;
+  }
+  HealthSnapshot::ShadowGauge filled;
+  filled.rung = "vbp+ssim";
+  filled.shadow_samples = 240;
+  filled.shadow_quantile = 0.125;
+  filled.served_threshold = 0.5;
+  filled.eligible = true;
+  HealthSnapshot::ShadowGauge empty;
+  empty.rung = "raw+mse";
+  empty.shadow_quantile = std::numeric_limits<double>::quiet_NaN();
+  empty.served_threshold = 2.75;
+  h.shadow = {filled, empty};
+  ClusterStats& c = h.cluster;
+  c.batches = 301;
+  c.batched_frames = 302;
+  c.max_batch_seals = 303;
+  c.window_seals = 304;
+  c.flush_seals = 305;
+  c.max_gather_wait_ns = 306;
+  c.provided_steer = 307;
+  c.provided_saliency = 308;
+  c.provided_recon = 309;
+  c.recon_mispredicts = 310;
+  c.prescreen_rejects = 311;
+  c.quarantines = 312;
+  c.probe_attempts = 313;
+  c.probe_failures = 314;
+  c.restores = 315;
+  c.failovers = 316;
+  c.redispatched_frames = 317;
+  c.fallback_frames = 318;
+  c.shed_frames = 319;
+  c.slow_batches = 320;
+  c.canary_checks = 321;
+  c.canary_failures = 322;
+  return h;
+}
+
+// Pins the exported JSON byte for byte (recorded before the counters moved
+// into row tables): key names, key order, the drift_state string between
+// the counters, null for a non-finite gauge, and the cluster section only
+// when has_cluster is set.
+TEST(HealthJsonTest, RendersEveryFieldInTheRecordedOrder) {
+  const std::string single =
+      R"({"mode":"vbp+mse","breaker_state":"half-open","frames_total":101,)"
+      R"("frames_scored":102,"frames_abandoned":103,"frames_held":104,)"
+      R"("frames_sensor_bad":105,"deadline_overruns":106,"scoring_failures":107,)"
+      R"("nonfinite_scores":108,"step_downs":109,"promotions":110,"breaker_trips":111,)"
+      R"("probe_successes":112,"probe_failures":113,"drift_checks":114,)"
+      R"("drift_detections":115,"threshold_swaps":116,"swap_persist_failures":117,)"
+      R"("threshold_epoch":118,"drift_state":"alert","queue_shed":119,)"
+      R"("stages":[{"name":"validate","overruns":200,"samples":210,"p50_ns":220,)"
+      R"("p99_ns":230},{"name":"steer","overruns":201,"samples":211,"p50_ns":221,)"
+      R"("p99_ns":231},{"name":"saliency","overruns":202,"samples":212,"p50_ns":222,)"
+      R"("p99_ns":232},{"name":"reconstruct","overruns":203,"samples":213,"p50_ns":223,)"
+      R"("p99_ns":233},{"name":"score","overruns":204,"samples":214,"p50_ns":224,)"
+      R"("p99_ns":234}],"shadow":[{"rung":"vbp+ssim","shadow_samples":240,)"
+      R"("shadow_quantile":0.125,"served_threshold":0.5,"eligible":true},{"rung":"raw+mse",)"
+      R"("shadow_samples":0,"shadow_quantile":null,"served_threshold":2.75,)"
+      R"("eligible":false}]})";
+  const std::string cluster =
+      R"({"mode":"vbp+mse","breaker_state":"half-open","frames_total":101,)"
+      R"("frames_scored":102,"frames_abandoned":103,"frames_held":104,)"
+      R"("frames_sensor_bad":105,"deadline_overruns":106,"scoring_failures":107,)"
+      R"("nonfinite_scores":108,"step_downs":109,"promotions":110,"breaker_trips":111,)"
+      R"("probe_successes":112,"probe_failures":113,"drift_checks":114,)"
+      R"("drift_detections":115,"threshold_swaps":116,"swap_persist_failures":117,)"
+      R"("threshold_epoch":118,"drift_state":"alert","queue_shed":119,)"
+      R"("stages":[{"name":"validate","overruns":200,"samples":210,"p50_ns":220,)"
+      R"("p99_ns":230},{"name":"steer","overruns":201,"samples":211,"p50_ns":221,)"
+      R"("p99_ns":231},{"name":"saliency","overruns":202,"samples":212,"p50_ns":222,)"
+      R"("p99_ns":232},{"name":"reconstruct","overruns":203,"samples":213,"p50_ns":223,)"
+      R"("p99_ns":233},{"name":"score","overruns":204,"samples":214,"p50_ns":224,)"
+      R"("p99_ns":234}],"shadow":[{"rung":"vbp+ssim","shadow_samples":240,)"
+      R"("shadow_quantile":0.125,"served_threshold":0.5,"eligible":true},{"rung":"raw+mse",)"
+      R"("shadow_samples":0,"shadow_quantile":null,"served_threshold":2.75,)"
+      R"("eligible":false}],"cluster":{"batches":301,"batched_frames":302,)"
+      R"("max_batch_seals":303,"window_seals":304,"flush_seals":305,"max_gather_wait_ns":306,)"
+      R"("provided_steer":307,"provided_saliency":308,"provided_recon":309,)"
+      R"("recon_mispredicts":310,"prescreen_rejects":311,"quarantines":312,)"
+      R"("probe_attempts":313,"probe_failures":314,"restores":315,"failovers":316,)"
+      R"("redispatched_frames":317,"fallback_frames":318,"shed_frames":319,)"
+      R"("slow_batches":320,"canary_checks":321,"canary_failures":322}})";
+  HealthSnapshot h = distinct_snapshot();
+  EXPECT_EQ(h.to_json(), single);
+  h.has_cluster = true;
+  EXPECT_EQ(h.to_json(), cluster);
+}
+
 // ---------------------------------------------------------------------------
 // Supervisor scenarios (all under FakeClock + injected stalls).
 

@@ -107,8 +107,8 @@ Trace sample_trace() {
   f1.stage_ns = {5, 4, 3, 2, 1};
   f1.mode_after = serving::ServingMode::kVbpMse;
   f1.breaker_after = serving::BreakerState::kOpen;
-  f1.swapped = true;
-  f1.epoch_after = 1;
+  f1.threshold_swapped = true;
+  f1.threshold_epoch = 1;
   f1.stream_id = 1;
   trace.frames.push_back(f1);
 
@@ -531,7 +531,7 @@ TEST(TraceDiff, FrameCountMismatchIsRunLevel) {
 
 TEST(TraceDiff, HealthCounterMismatchIsRunLevel) {
   const Trace trace = sample_trace();
-  TraceHealth health = trace.health;
+  serving::HealthSnapshot health = trace.health;
   health.breaker_trips += 1;
   const ReplayReport report = compare(trace, trace.frames, health);
   ASSERT_FALSE(report.ok());
@@ -543,7 +543,7 @@ TEST(TraceDiff, HealthCounterMismatchIsRunLevel) {
 TEST(TraceDiff, SwapDivergenceNamesCalibStage) {
   const Trace trace = sample_trace();
   auto frames = trace.frames;
-  frames[1].swapped = false;
+  frames[1].threshold_swapped = false;
   ReplayReport report = compare(trace, frames, trace.health);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.divergence->frame, 1);
@@ -551,7 +551,7 @@ TEST(TraceDiff, SwapDivergenceNamesCalibStage) {
   EXPECT_EQ(report.divergence->field, "swapped");
 
   frames = trace.frames;
-  frames[1].epoch_after += 1;
+  frames[1].threshold_epoch += 1;
   report = compare(trace, frames, trace.health);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.divergence->frame, 1);
@@ -561,7 +561,7 @@ TEST(TraceDiff, SwapDivergenceNamesCalibStage) {
 
 TEST(TraceDiff, DriftHealthCountersAreRunLevel) {
   const Trace trace = sample_trace();
-  TraceHealth health = trace.health;
+  serving::HealthSnapshot health = trace.health;
   health.drift_detections += 1;
   ReplayReport report = compare(trace, trace.frames, health);
   ASSERT_FALSE(report.ok());
@@ -575,6 +575,64 @@ TEST(TraceDiff, DriftHealthCountersAreRunLevel) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.divergence->stage, "health");
   EXPECT_EQ(report.divergence->field, "threshold_swaps");
+}
+
+/// Saves and reloads `trace`, as a recorded trace is read back from disk.
+Trace reloaded(const Trace& trace) {
+  std::ostringstream os;
+  trace.save(os);
+  std::istringstream is(os.str());
+  return Trace::load(is);
+}
+
+// Every traced counter row is saved, loaded and compared under its own
+// name; an untraced row is none of the three.
+TEST(TraceDiff, EveryTracedHealthRowIsSavedLoadedAndNamed) {
+  const Trace trace = sample_trace();
+  for (const auto& row : serving::kHealthCounters) {
+    Trace perturbed = trace;
+    perturbed.health.*row.member += 1000;
+    const Trace recorded = reloaded(perturbed);
+    const ReplayReport report = compare(recorded, trace.frames, trace.health, {}, &trace.events,
+                                        &trace.cluster_health);
+    if (!row.traced) {
+      EXPECT_TRUE(report.ok()) << row.name << ": " << report.format();
+      EXPECT_EQ(recorded.health.*row.member, 0) << row.name << " must not be serialized";
+      continue;
+    }
+    ASSERT_FALSE(report.ok()) << row.name;
+    EXPECT_EQ(report.divergence->frame, -1) << row.name;
+    EXPECT_EQ(report.divergence->stage, "health") << row.name;
+    EXPECT_EQ(report.divergence->field, row.name);
+    EXPECT_EQ(report.divergence->recorded, std::to_string(trace.health.*row.member + 1000));
+  }
+}
+
+TEST(TraceDiff, EveryTracedClusterRowIsSavedLoadedAndNamed) {
+  Trace trace = sample_trace();
+  // Distinct nonzero values in every row, so a row read into the wrong
+  // member shows up as a divergence on that member.
+  int64_t value = 1;
+  for (const auto& row : serving::kClusterCounters) trace.cluster_health.*row.member = value++;
+  trace = reloaded(trace);
+  for (const auto& row : serving::kClusterCounters) {
+    Trace perturbed = trace;
+    perturbed.cluster_health.*row.member += 1000;
+    const Trace recorded = reloaded(perturbed);
+    const ReplayReport report = compare(recorded, trace.frames, trace.health, {}, &trace.events,
+                                        &trace.cluster_health);
+    if (!row.traced) {
+      EXPECT_TRUE(report.ok()) << row.name << ": " << report.format();
+      EXPECT_EQ(recorded.cluster_health.*row.member, 0) << row.name << " must not be serialized";
+      continue;
+    }
+    ASSERT_FALSE(report.ok()) << row.name;
+    EXPECT_EQ(report.divergence->frame, -1) << row.name;
+    EXPECT_EQ(report.divergence->stage, "cluster_health") << row.name;
+    EXPECT_EQ(report.divergence->field, row.name);
+    EXPECT_EQ(report.divergence->recorded,
+              std::to_string(trace.cluster_health.*row.member + 1000));
+  }
 }
 
 TEST(TraceDiff, StreamIdDivergenceNamesClusterStage) {

@@ -72,7 +72,8 @@ echo "$RECOVER" | grep -q "recovered threshold store thresholds.bin (epoch 1)"
 # submitted frame, and actually batch (batches < batched_frames).
 MULTI="$("$CLI" serve --pipeline detector.pipeline --frames 10 --dataset outdoor \
         --seed 7 --fake-clock --streams 2 --replicas 1 \
-        --batch-window-us 4000 --arrival-us 1000 --max-batch 8)"
+        --batch-window-us 4000 --arrival-us 1000 --max-batch 8 \
+        --health-out health_multi.json)"
 echo "$MULTI"
 echo "$MULTI" | grep -q "stream=0 frames=10 scored=10"
 echo "$MULTI" | grep -q "stream=1 frames=10 scored=10"
@@ -81,6 +82,18 @@ echo "$MULTI" | grep -q "frames_total=20"
 echo "$MULTI" | grep -q "batched_frames=20"
 BATCHES="$(echo "$MULTI" | sed -n 's/^batches=//p')"
 test "$BATCHES" -ge 1 && test "$BATCHES" -lt 20
+# Every ClusterStats counter prints exactly one grep-able line, and the
+# health JSON's cluster section carries exactly the same keys.
+CLUSTER_JSON="$(sed 's/.*"cluster":{//' health_multi.json)"
+for KEY in batches batched_frames max_batch_seals window_seals flush_seals \
+    max_gather_wait_ns provided_steer provided_saliency provided_recon recon_mispredicts \
+    prescreen_rejects quarantines probe_attempts probe_failures restores failovers \
+    redispatched_frames fallback_frames shed_frames slow_batches canary_checks \
+    canary_failures; do
+  test "$(echo "$MULTI" | grep -c "^$KEY=")" -eq 1 || { echo "want one $KEY= line" >&2; exit 1; }
+  echo "$CLUSTER_JSON" | grep -q "\"$KEY\":" || { echo "missing JSON key $KEY" >&2; exit 1; }
+done
+test "$(echo "$CLUSTER_JSON" | tr ',' '\n' | grep -c '":')" -eq 22
 
 # Replica failure domain: a crashed replica is quarantined by the watchdog,
 # its streams fail over to the survivor, and a half-open probe restores it

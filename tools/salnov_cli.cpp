@@ -165,14 +165,8 @@ int cmd_generate(const Args& args) {
   std::filesystem::create_directories(out_dir);
 
   Rng rng(static_cast<uint64_t>(args.get_int("seed", 1)));
-  std::unique_ptr<roadsim::SceneGenerator> generator;
-  if (dataset == "outdoor") {
-    generator = std::make_unique<roadsim::OutdoorSceneGenerator>();
-  } else if (dataset == "indoor") {
-    generator = std::make_unique<roadsim::IndoorSceneGenerator>();
-  } else {
-    return fail("generate: unknown dataset '" + dataset + "'");
-  }
+  const auto generator = roadsim::make_scene_generator(dataset);
+  if (!generator) return fail("generate: unknown dataset '" + dataset + "'");
 
   const auto data = roadsim::DrivingDataset::generate(*generator, count, height, width, rng);
   std::ofstream labels(out_dir + "/labels.csv");
@@ -346,10 +340,30 @@ int cmd_saliency(const Args& args) {
 
 // --- serve ----------------------------------------------------------------------
 
-/// Shared by serve and record: online-calibration knobs. --force-swap-at
-/// implies the calibration loop (a forced swap needs the shadow sketches).
-/// `store_path` is serve-only — a recorded trace must stay machine-portable.
-void apply_calibration_flags(const Args& args, calib::OnlineCalibrationConfig& calibration) {
+/// Shared by serve and record: stage/frame budgets, ladder hysteresis,
+/// breaker, --quant, the online-calibration knobs, and one --stall-* stage
+/// stall (appended to `stalls`). --force-swap-at implies the calibration
+/// loop (a forced swap needs the shadow sketches). `store_path` is
+/// serve-only — a recorded trace must stay machine-portable.
+serving::SupervisorConfig parse_supervisor_flags(const Args& args,
+                                                 std::vector<faults::TimingFault>& stalls) {
+  serving::SupervisorConfig config;
+  if (args.has("stage-budget-ns")) {
+    config.stage_budget_ns.fill(args.get_int("stage-budget-ns", 0));
+  }
+  config.frame_budget_ns = args.get_int("frame-budget-ns", config.frame_budget_ns);
+  config.demote_after_bad_frames =
+      static_cast<int>(args.get_int("demote-after", config.demote_after_bad_frames));
+  config.promote_after_healthy_frames =
+      static_cast<int>(args.get_int("promote-after", config.promote_after_healthy_frames));
+  config.breaker.failure_threshold =
+      static_cast<int>(args.get_int("breaker-threshold", config.breaker.failure_threshold));
+  config.breaker.open_frames = args.get_int("breaker-open-frames", config.breaker.open_frames);
+  // Int8-quantized ladder rungs; silently inert when the pipeline file was
+  // fitted (or saved) without quantization state.
+  config.enable_quant_rungs = args.has("quant");
+
+  calib::OnlineCalibrationConfig& calibration = config.calibration;
   calibration.enabled = args.has("online-calib") || args.has("force-swap-at");
   if (args.has("drift-tolerance")) {
     calibration.drift_tolerance = std::stod(args.get("drift-tolerance"));
@@ -363,12 +377,28 @@ void apply_calibration_flags(const Args& args, calib::OnlineCalibrationConfig& c
   if (args.has("force-swap-at")) {
     calibration.forced_swap_frames.push_back(args.get_int("force-swap-at", 0));
   }
+
+  if (args.has("stall-stage")) {
+    faults::TimingFault stall;
+    stall.stage = static_cast<int>(args.get_int("stall-stage", 2));
+    stall.stall_ns = args.get_int("stall-ns", 0);
+    stall.first_frame = args.get_int("stall-first", 0);
+    stall.last_frame = args.get_int("stall-last", stall.last_frame);
+    stall.period = args.get_int("stall-period", 1);
+    stalls.push_back(stall);
+  }
+  return config;
 }
 
-std::unique_ptr<roadsim::SceneGenerator> make_generator(const std::string& dataset) {
-  if (dataset == "outdoor") return std::make_unique<roadsim::OutdoorSceneGenerator>();
-  if (dataset == "indoor") return std::make_unique<roadsim::IndoorSceneGenerator>();
-  return nullptr;
+/// Prints the grep-able `name=value` line of the kHealthCounters row that
+/// holds `member`.
+void print_counter(const serving::HealthSnapshot& health,
+                   int64_t serving::HealthSnapshot::*member) {
+  for (const auto& row : serving::kHealthCounters) {
+    if (row.member == member) {
+      std::printf("%s=%lld\n", row.name, static_cast<long long>(health.*member));
+    }
+  }
 }
 
 std::optional<faults::ReplicaFaultKind> parse_replica_fault_kind(const std::string& name) {
@@ -512,7 +542,7 @@ int cmd_serve_cluster(const Args& args, const core::LoadedPipeline& pipeline,
   std::vector<std::unique_ptr<roadsim::SceneGenerator>> generators;
   std::vector<Rng> rngs;
   for (int64_t s = 0; s < config.streams; ++s) {
-    generators.push_back(make_generator(dataset));
+    generators.push_back(roadsim::make_scene_generator(dataset));
     rngs.emplace_back(seed + static_cast<uint64_t>(s));
   }
 
@@ -565,33 +595,15 @@ int cmd_serve_cluster(const Args& args, const core::LoadedPipeline& pipeline,
   std::printf("replicas=%lld\n", static_cast<long long>(cluster.replicas()));
   std::printf("final_mode=%s\n", serving::serving_mode_name(aggregate.mode));
   std::printf("breaker_state=%s\n", serving::breaker_state_name(aggregate.breaker_state));
-  std::printf("frames_total=%lld\n", static_cast<long long>(aggregate.frames_total));
-  std::printf("frames_scored=%lld\n", static_cast<long long>(aggregate.frames_scored));
+  print_counter(aggregate, &serving::HealthSnapshot::frames_total);
+  print_counter(aggregate, &serving::HealthSnapshot::frames_scored);
   std::printf("novel_frames=%lld\n", static_cast<long long>(novel_total));
-  std::printf("deadline_overruns=%lld\n", static_cast<long long>(aggregate.deadline_overruns));
-  std::printf("batches=%lld\n", static_cast<long long>(stats.batches));
-  std::printf("batched_frames=%lld\n", static_cast<long long>(stats.batched_frames));
-  std::printf("max_batch_seals=%lld\n", static_cast<long long>(stats.max_batch_seals));
-  std::printf("window_seals=%lld\n", static_cast<long long>(stats.window_seals));
-  std::printf("flush_seals=%lld\n", static_cast<long long>(stats.flush_seals));
-  std::printf("max_gather_wait_us=%lld\n", static_cast<long long>(stats.max_gather_wait_ns / 1000));
-  std::printf("provided_steer=%lld\n", static_cast<long long>(stats.provided_steer));
-  std::printf("provided_saliency=%lld\n", static_cast<long long>(stats.provided_saliency));
-  std::printf("provided_recon=%lld\n", static_cast<long long>(stats.provided_recon));
-  std::printf("recon_mispredicts=%lld\n", static_cast<long long>(stats.recon_mispredicts));
-  std::printf("prescreen_rejects=%lld\n", static_cast<long long>(stats.prescreen_rejects));
-  // Failure-domain counters (all zero without a watchdog / fault schedule).
-  std::printf("quarantines=%lld\n", static_cast<long long>(stats.quarantines));
-  std::printf("probe_attempts=%lld\n", static_cast<long long>(stats.probe_attempts));
-  std::printf("probe_failures=%lld\n", static_cast<long long>(stats.probe_failures));
-  std::printf("restores=%lld\n", static_cast<long long>(stats.restores));
-  std::printf("failovers=%lld\n", static_cast<long long>(stats.failovers));
-  std::printf("redispatched_frames=%lld\n", static_cast<long long>(stats.redispatched_frames));
-  std::printf("fallback_frames=%lld\n", static_cast<long long>(stats.fallback_frames));
-  std::printf("shed_frames=%lld\n", static_cast<long long>(stats.shed_frames));
-  std::printf("slow_batches=%lld\n", static_cast<long long>(stats.slow_batches));
-  std::printf("canary_checks=%lld\n", static_cast<long long>(stats.canary_checks));
-  std::printf("canary_failures=%lld\n", static_cast<long long>(stats.canary_failures));
+  print_counter(aggregate, &serving::HealthSnapshot::deadline_overruns);
+  // Batching and failure-domain counters (the latter all zero without a
+  // watchdog / fault schedule).
+  for (const auto& row : serving::kClusterCounters) {
+    std::printf("%s=%lld\n", row.name, static_cast<long long>(stats.*row.member));
+  }
   for (const serving::ClusterEvent& event : cluster.take_events()) {
     std::printf("cluster_event kind=%s at_us=%lld replica=%lld stream=%lld detail=%lld\n",
                 serving::cluster_event_kind_name(event.kind),
@@ -610,39 +622,16 @@ int cmd_serve(const Args& args) {
   const int64_t frames = args.get_int("frames", 200);
   if (frames < 1) return fail("serve: --frames must be >= 1");
   const std::string dataset = args.get("dataset", "outdoor");
-  std::unique_ptr<roadsim::SceneGenerator> generator = make_generator(dataset);
+  const auto generator = roadsim::make_scene_generator(dataset);
   if (!generator) return fail("serve: unknown dataset '" + dataset + "'");
 
-  serving::SupervisorConfig config;
-  if (args.has("stage-budget-ns")) {
-    config.stage_budget_ns.fill(args.get_int("stage-budget-ns", 0));
-  }
-  config.frame_budget_ns = args.get_int("frame-budget-ns", config.frame_budget_ns);
-  config.demote_after_bad_frames =
-      static_cast<int>(args.get_int("demote-after", config.demote_after_bad_frames));
-  config.promote_after_healthy_frames =
-      static_cast<int>(args.get_int("promote-after", config.promote_after_healthy_frames));
-  config.breaker.failure_threshold =
-      static_cast<int>(args.get_int("breaker-threshold", config.breaker.failure_threshold));
-  config.breaker.open_frames = args.get_int("breaker-open-frames", config.breaker.open_frames);
-  // Int8-quantized ladder rungs; silently inert when the pipeline file was
-  // fitted (or saved) without quantization state.
-  config.enable_quant_rungs = args.has("quant");
-  apply_calibration_flags(args, config.calibration);
+  std::vector<faults::TimingFault> stalls;
+  serving::SupervisorConfig config = parse_supervisor_flags(args, stalls);
   const std::string threshold_store = args.get("threshold-store");
   if (!threshold_store.empty()) config.calibration.store_path = threshold_store;
-
   faults::TimingFaultInjector injector;
-  if (args.has("stall-stage")) {
-    faults::TimingFault fault;
-    fault.stage = static_cast<int>(args.get_int("stall-stage", 2));
-    fault.stall_ns = args.get_int("stall-ns", 0);
-    fault.first_frame = args.get_int("stall-first", 0);
-    fault.last_frame = args.get_int("stall-last", fault.last_frame);
-    fault.period = args.get_int("stall-period", 1);
-    injector.add(fault);
-    config.timing_faults = &injector;
-  }
+  for (const faults::TimingFault& stall : stalls) injector.add(stall);
+  if (!injector.empty()) config.timing_faults = &injector;
 
   // Under --fake-clock the only elapsed time is the injected stalls, so the
   // overrun/fallback trace is reproducible bit-for-bit across machines.
@@ -691,21 +680,21 @@ int cmd_serve(const Args& args) {
   // Grep-able summary lines for shell harnesses.
   std::printf("final_mode=%s\n", serving::serving_mode_name(health.mode));
   std::printf("breaker_state=%s\n", serving::breaker_state_name(health.breaker_state));
-  std::printf("frames_total=%lld\n", static_cast<long long>(health.frames_total));
-  std::printf("frames_scored=%lld\n", static_cast<long long>(health.frames_scored));
+  print_counter(health, &serving::HealthSnapshot::frames_total);
+  print_counter(health, &serving::HealthSnapshot::frames_scored);
   std::printf("novel_frames=%lld\n", static_cast<long long>(novel_frames));
-  std::printf("deadline_overruns=%lld\n", static_cast<long long>(health.deadline_overruns));
-  std::printf("step_downs=%lld\n", static_cast<long long>(health.step_downs));
-  std::printf("promotions=%lld\n", static_cast<long long>(health.promotions));
-  std::printf("breaker_trips=%lld\n", static_cast<long long>(health.breaker_trips));
+  print_counter(health, &serving::HealthSnapshot::deadline_overruns);
+  print_counter(health, &serving::HealthSnapshot::step_downs);
+  print_counter(health, &serving::HealthSnapshot::promotions);
+  print_counter(health, &serving::HealthSnapshot::breaker_trips);
   for (const serving::ThresholdSwapEvent& event : supervisor.swap_events()) {
     std::printf("swap_event frame=%lld epoch=%lld reason=%s persisted=%d\n",
                 static_cast<long long>(event.frame_index), static_cast<long long>(event.epoch),
                 event.forced ? "forced" : "drift", event.persisted ? 1 : 0);
   }
-  std::printf("threshold_swaps=%lld\n", static_cast<long long>(health.threshold_swaps));
-  std::printf("drift_checks=%lld\n", static_cast<long long>(health.drift_checks));
-  std::printf("drift_detections=%lld\n", static_cast<long long>(health.drift_detections));
+  print_counter(health, &serving::HealthSnapshot::threshold_swaps);
+  print_counter(health, &serving::HealthSnapshot::drift_checks);
+  print_counter(health, &serving::HealthSnapshot::drift_detections);
   return 0;
 }
 
@@ -762,31 +751,7 @@ int cmd_record(const Args& args) {
   spec.height = pipeline.detector->config().height;
   spec.width = pipeline.detector->config().width;
 
-  if (args.has("stage-budget-ns")) {
-    spec.supervisor.stage_budget_ns.fill(args.get_int("stage-budget-ns", 0));
-  }
-  spec.supervisor.frame_budget_ns =
-      args.get_int("frame-budget-ns", spec.supervisor.frame_budget_ns);
-  spec.supervisor.demote_after_bad_frames = static_cast<int>(
-      args.get_int("demote-after", spec.supervisor.demote_after_bad_frames));
-  spec.supervisor.promote_after_healthy_frames = static_cast<int>(
-      args.get_int("promote-after", spec.supervisor.promote_after_healthy_frames));
-  spec.supervisor.breaker.failure_threshold = static_cast<int>(
-      args.get_int("breaker-threshold", spec.supervisor.breaker.failure_threshold));
-  spec.supervisor.breaker.open_frames =
-      args.get_int("breaker-open-frames", spec.supervisor.breaker.open_frames);
-  spec.supervisor.enable_quant_rungs = args.has("quant");
-  apply_calibration_flags(args, spec.supervisor.calibration);
-
-  if (args.has("stall-stage")) {
-    faults::TimingFault stall;
-    stall.stage = static_cast<int>(args.get_int("stall-stage", 2));
-    stall.stall_ns = args.get_int("stall-ns", 0);
-    stall.first_frame = args.get_int("stall-first", 0);
-    stall.last_frame = args.get_int("stall-last", stall.last_frame);
-    stall.period = args.get_int("stall-period", 1);
-    spec.stalls.push_back(stall);
-  }
+  spec.supervisor = parse_supervisor_flags(args, spec.stalls);
   if (args.has("camera-fault")) {
     const auto fault = parse_camera_fault(args.get("camera-fault"));
     if (!fault) return fail("record: unknown camera fault '" + args.get("camera-fault") + "'");
