@@ -373,7 +373,6 @@ ReplicaOutcome run_replica_cell(const core::NoveltyDetector& detector,
   config.watchdog.canary_period_ns = 4 * kRfPeriodNs;
   config.watchdog.canary_failures_to_quarantine = 1;
   config.replica_faults = &schedule;
-  config.sleep_on_slow = false;  // FakeClock is shared across replicas
 
   serving::FakeClock clock;
   serving::ServingCluster cluster(detector, steering, config, &clock);

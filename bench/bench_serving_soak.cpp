@@ -320,7 +320,6 @@ int run(int64_t frames) {
   // pending on the busiest streams), tight enough that an outage pileup on
   // a 3-frames/round stream sheds visibly before quarantine migration.
   d_config.admission_credits = 24;
-  d_config.sleep_on_slow = false;  // FakeClock is shared across replicas
 
   std::printf("\nPhase D: seeded chaos, %" PRId64 " uneven streams on %" PRId64
               " replicas over %" PRId64 " rounds (crash + hang + slow + weight-corruption)...\n",

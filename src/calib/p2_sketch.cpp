@@ -228,7 +228,8 @@ P2Sketch P2Sketch::load(std::istream& is) {
   }();
   sketch.count_ = read_i64(is);
   sketch.nonfinite_dropped_ = read_i64(is);
-  const bool streaming = read_u32(is) != 0;
+  bool streaming = false;
+  FieldReader(is, "P2Sketch::load").flag(streaming, "streaming flag");
   if (!streaming) {
     const int64_t buffered = read_i64(is);
     if (buffered != sketch.count_ || buffered < 0 || buffered >= warmup) {

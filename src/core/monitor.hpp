@@ -40,6 +40,8 @@ enum class MonitorState {
   kFallback,     ///< fallback controller should be engaged (novelty path)
   kSensorFault,  ///< fallback controller should be engaged (sensor path)
 };
+inline constexpr uint32_t kMonitorStateCount = 4;
+static_assert(static_cast<uint32_t>(MonitorState::kSensorFault) + 1 == kMonitorStateCount);
 
 /// Which mechanism currently engages the fallback controller.
 enum class FallbackPath {
@@ -47,6 +49,8 @@ enum class FallbackPath {
   kNovelty,      ///< consecutive novel frames (kFallback)
   kSensorFault,  ///< validator rejections or frozen frames (kSensorFault)
 };
+inline constexpr uint32_t kFallbackPathCount = 3;
+static_assert(static_cast<uint32_t>(FallbackPath::kSensorFault) + 1 == kFallbackPathCount);
 
 struct MonitorUpdate {
   double raw_score = 0.0;       ///< NaN when the frame was not scored

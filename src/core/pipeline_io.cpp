@@ -19,78 +19,43 @@ constexpr const char* kMagic = "salnov-pipeline";
 // serving layer fall back to the float ladder. Older versions are rejected
 // (callers refit; the bench cache does so automatically).
 
-/// Reads a u32 that must be 0 or 1.
-bool read_flag(std::istream& is, const char* what) {
-  const uint32_t value = read_u32(is);
-  if (value > 1) {
-    throw SerializationError(std::string("pipeline: ") + what + " " + std::to_string(value) +
-                             " out of range");
-  }
-  return value == 1;
+constexpr ListField<uint32_t> kHiddenUnitList{"hidden layer count", 64};
+constexpr ListField<uint32_t> kQuantScaleList{"quant scale count", 4096};
+
+// The field lists of the config and quant-scale blocks, shared by save()
+// (Io = FieldWriter, records const) and load() (Io = FieldReader).
+
+template <typename Io, typename Config>
+void config_fields(Io& io, Config& config) {
+  io.i64(config.height);
+  io.i64(config.width);
+  io.tag(config.preprocessing, kPreprocessingCount, "preprocessing tag");
+  io.tag(config.score, kReconstructionScoreCount, "score tag");
+  io.list(config.autoencoder.hidden_units, kHiddenUnitList,
+          [](auto& io, auto& units) { io.i64(units); });
+  io.i64(config.train_epochs);
+  io.i64(config.batch_size);
+  io.f32(config.learning_rate);
+  io.f32(config.threshold_percentile);
+  io.i64(config.ssim.window);
+  io.i64(config.ssim.stride);
+  io.f64(config.ssim.k1);
+  io.f64(config.ssim.k2);
+  io.f64(config.ssim.dynamic_range);
 }
 
-void write_quant_scales(std::ostream& os, const nn::QuantScales& scales) {
-  write_u32(os, static_cast<uint32_t>(scales.act_scales.size()));
-  for (float s : scales.act_scales) write_f32(os, s);
+template <typename Io, typename Scales>
+void quant_scale_fields(Io& io, Scales& scales) {
+  io.list(scales.act_scales, kQuantScaleList, [](auto& io, auto& scale) { io.f32(scale); });
 }
 
-nn::QuantScales read_quant_scales(std::istream& is) {
-  const uint32_t count = read_u32(is);
-  if (count > 4096) throw SerializationError("pipeline: implausible quant scale count");
-  nn::QuantScales scales;
-  scales.act_scales.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const float s = read_f32(is);
+/// Structural check of a loaded scale block: each scale finite and positive.
+void check_quant_scales(const nn::QuantScales& scales) {
+  for (float s : scales.act_scales) {
     if (!std::isfinite(s) || s <= 0.0f) {
       throw SerializationError("pipeline: quant scale must be finite and positive");
     }
-    scales.act_scales.push_back(s);
   }
-  return scales;
-}
-
-void write_config(std::ostream& os, const NoveltyDetectorConfig& config) {
-  write_i64(os, config.height);
-  write_i64(os, config.width);
-  write_u32(os, static_cast<uint32_t>(config.preprocessing));
-  write_u32(os, config.score == ReconstructionScore::kSsim ? 1u : 0u);
-  write_u32(os, static_cast<uint32_t>(config.autoencoder.hidden_units.size()));
-  for (int64_t units : config.autoencoder.hidden_units) write_i64(os, units);
-  write_i64(os, config.train_epochs);
-  write_i64(os, config.batch_size);
-  write_f32(os, static_cast<float>(config.learning_rate));
-  write_f32(os, static_cast<float>(config.threshold_percentile));
-  write_i64(os, config.ssim.window);
-  write_i64(os, config.ssim.stride);
-  write_f64(os, config.ssim.k1);
-  write_f64(os, config.ssim.k2);
-  write_f64(os, config.ssim.dynamic_range);
-}
-
-NoveltyDetectorConfig read_config(std::istream& is) {
-  NoveltyDetectorConfig config;
-  config.height = read_i64(is);
-  config.width = read_i64(is);
-  const uint32_t preprocessing = read_u32(is);
-  if (preprocessing >= kPreprocessingCount) {
-    throw SerializationError("pipeline: unknown preprocessing tag " + std::to_string(preprocessing));
-  }
-  config.preprocessing = static_cast<Preprocessing>(preprocessing);
-  config.score = read_flag(is, "score tag") ? ReconstructionScore::kSsim : ReconstructionScore::kMse;
-  const uint32_t hidden_count = read_u32(is);
-  if (hidden_count > 64) throw SerializationError("pipeline: implausible hidden layer count");
-  config.autoencoder.hidden_units.clear();
-  for (uint32_t i = 0; i < hidden_count; ++i) config.autoencoder.hidden_units.push_back(read_i64(is));
-  config.train_epochs = read_i64(is);
-  config.batch_size = read_i64(is);
-  config.learning_rate = read_f32(is);
-  config.threshold_percentile = read_f32(is);
-  config.ssim.window = read_i64(is);
-  config.ssim.stride = read_i64(is);
-  config.ssim.k1 = read_f64(is);
-  config.ssim.k2 = read_f64(is);
-  config.ssim.dynamic_range = read_f64(is);
-  return config;
 }
 
 }  // namespace
@@ -107,21 +72,22 @@ void PipelineIo::save(std::ostream& os, const NoveltyDetector& detector,
     throw std::logic_error("PipelineIo::save: detector lacks variant calibrations (refit required)");
   }
   write_header(os, kMagic, kCurrentVersion);
-  write_config(os, detector.config());
+  FieldWriter io(os);
+  config_fields(io, detector.config());
   detector.threshold().save(os);
-  write_u32(os, static_cast<uint32_t>(kDetectorVariantCount));
+  io.u32(kDetectorVariantCount);
   for (int v = 0; v < kDetectorVariantCount; ++v) {
     const VariantCalibration* calibration =
         detector.variant_calibration_if(static_cast<DetectorVariant>(v));
-    write_u32(os, calibration != nullptr ? 1u : 0u);
+    io.flag(calibration != nullptr, "calibration presence flag");
     if (calibration != nullptr) calibration->save(os);
   }
   // The autoencoder is logically const here; save_model only reads weights.
   nn::save_model(os, const_cast<NoveltyDetector&>(detector).autoencoder());
-  write_u32(os, steering_model != nullptr ? 1u : 0u);
+  io.flag(steering_model != nullptr, "steering presence flag");
   if (steering_model != nullptr) nn::save_model(os, *steering_model);
-  write_quant_scales(os, detector.ae_quant_scales_);
-  write_quant_scales(os, detector.steering_quant_scales_);
+  quant_scale_fields(io, detector.ae_quant_scales_);
+  quant_scale_fields(io, detector.steering_quant_scales_);
 }
 
 void PipelineIo::save_file(const std::string& path, const NoveltyDetector& detector,
@@ -131,7 +97,9 @@ void PipelineIo::save_file(const std::string& path, const NoveltyDetector& detec
 
 LoadedPipeline PipelineIo::load(std::istream& is) {
   read_header(is, kMagic, kCurrentVersion);
-  const NoveltyDetectorConfig config = read_config(is);
+  FieldReader io(is, "pipeline");
+  NoveltyDetectorConfig config;
+  config_fields(io, config);
   const NoveltyThreshold threshold = NoveltyThreshold::load(is);
 
   LoadedPipeline pipeline;
@@ -141,13 +109,16 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
     throw SerializationError(std::string("pipeline: invalid detector configuration: ") +
                              err.what());
   }
-  const uint32_t variant_count = read_u32(is);
+  uint32_t variant_count = 0;
+  io.u32(variant_count);
   if (variant_count != static_cast<uint32_t>(kDetectorVariantCount)) {
     throw SerializationError("pipeline: expected " + std::to_string(kDetectorVariantCount) +
                              " variant calibrations, file has " + std::to_string(variant_count));
   }
   for (uint32_t v = 0; v < variant_count; ++v) {
-    if (!read_flag(is, "calibration presence flag")) {
+    bool present = false;
+    io.flag(present, "calibration presence flag");
+    if (!present) {
       if (!rung(static_cast<DetectorVariant>(v)).q8) {
         throw SerializationError("pipeline: float variant calibration missing");
       }
@@ -165,7 +136,9 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
   pipeline.detector->threshold_ = threshold;
   pipeline.detector->fitted_ = true;
 
-  if (read_flag(is, "steering presence flag")) {
+  bool has_steering = false;
+  io.flag(has_steering, "steering presence flag");
+  if (has_steering) {
     pipeline.steering_model = std::make_unique<nn::Sequential>(nn::load_model(is));
     nn::require_model_shape(*pipeline.steering_model, {1, 1, config.height, config.width}, {1, 1},
                             "pipeline: steering model");
@@ -173,8 +146,10 @@ LoadedPipeline PipelineIo::load(std::istream& is) {
   } else if (uses_saliency(config.preprocessing)) {
     throw SerializationError("pipeline: saliency configuration but no steering model in file");
   }
-  pipeline.detector->ae_quant_scales_ = read_quant_scales(is);
-  pipeline.detector->steering_quant_scales_ = read_quant_scales(is);
+  quant_scale_fields(io, pipeline.detector->ae_quant_scales_);
+  check_quant_scales(pipeline.detector->ae_quant_scales_);
+  quant_scale_fields(io, pipeline.detector->steering_quant_scales_);
+  check_quant_scales(pipeline.detector->steering_quant_scales_);
   if (!pipeline.detector->ae_quant_scales_.empty() &&
       pipeline.detector->ae_quant_scales_.act_scales.size() !=
           static_cast<size_t>(

@@ -32,6 +32,8 @@ enum class ReconstructionScore {
   kMse,   ///< pixel-wise reconstruction error; high = novel (baseline)
   kSsim,  ///< structural similarity; low = novel (proposed)
 };
+inline constexpr uint32_t kReconstructionScoreCount = 2;
+static_assert(static_cast<uint32_t>(ReconstructionScore::kSsim) + 1 == kReconstructionScoreCount);
 
 /// Calibration slots of one fitted detector: each holds the training-score
 /// ECDF and threshold of the rungs that score with it. Ordinals are

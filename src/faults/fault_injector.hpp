@@ -31,6 +31,8 @@ enum class CameraFault {
   kOcclusion,      ///< opaque rectangle (lens obstruction), grows with severity
   kGaussianBlur,   ///< defocus; separable Gaussian, sigma scales with severity
 };
+inline constexpr uint32_t kCameraFaultCount = 8;
+static_assert(static_cast<uint32_t>(CameraFault::kGaussianBlur) + 1 == kCameraFaultCount);
 
 /// Stable tag for tables and CSV artifacts ("frozen-frame", ...).
 const char* camera_fault_name(CameraFault fault);

@@ -23,6 +23,9 @@ enum class ReplicaFaultKind : int {
   kSlow = 2,         ///< each sealed batch costs an extra slow_penalty_ns
   kWeightCorrupt = 3 ///< canary clone has weight_bits bits flipped; batched compute withheld
 };
+inline constexpr uint32_t kReplicaFaultKindCount = 4;
+static_assert(static_cast<uint32_t>(ReplicaFaultKind::kWeightCorrupt) + 1 ==
+              kReplicaFaultKindCount);
 
 const char* replica_fault_kind_name(ReplicaFaultKind kind);
 

@@ -25,6 +25,8 @@ struct CircuitBreakerConfig {
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
+inline constexpr uint32_t kBreakerStateCount = 3;
+static_assert(static_cast<uint32_t>(BreakerState::kHalfOpen) + 1 == kBreakerStateCount);
 
 const char* breaker_state_name(BreakerState state);
 

@@ -24,7 +24,8 @@ ServingCluster::ServingCluster(const core::NoveltyDetector& detector,
       config_(std::move(config)),
       owned_clock_(clock == nullptr ? std::make_unique<SteadyClock>() : nullptr),
       clock_(clock == nullptr ? owned_clock_.get() : clock),
-      saliency_configured_(core::uses_saliency(detector.config().preprocessing)) {
+      saliency_configured_(core::uses_saliency(detector.config().preprocessing)),
+      sleep_on_slow_(dynamic_cast<FakeClock*>(clock_) == nullptr) {
   if (config_.streams < 1) {
     throw std::invalid_argument("ServingCluster: streams must be >= 1");
   }
@@ -916,14 +917,14 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
 
   // A slow-replica fault taxes the whole batch. Under a real clock the
   // worker genuinely sleeps (later seals are late — the watchdog's symptom);
-  // the trace driver disables the sleep because FakeClock::sleep_ns advances
-  // the shared clock for everyone.
+  // under a FakeClock it does not, because FakeClock::sleep_ns advances the
+  // shared clock for everyone.
   int64_t slow_batches = 0;
   if (config_.replica_faults != nullptr) {
     const int64_t penalty = config_.replica_faults->slow_penalty_ns(r.index, sealed_ns);
     if (penalty > 0) {
       slow_batches = 1;
-      if (config_.sleep_on_slow) clock_->sleep_ns(penalty);
+      if (sleep_on_slow_) clock_->sleep_ns(penalty);
     }
   }
 

@@ -84,12 +84,11 @@ struct ClusterConfig {
   /// Max pending (queued, unprocessed) frames per stream; past it the
   /// stream's oldest queued frame is shed. 0 disables admission control.
   int64_t admission_credits = 0;
-  /// Scheduled replica faults; may be null. Must outlive the cluster.
+  /// Scheduled replica faults; may be null. Must outlive the cluster. A
+  /// slow-replica fault sleeps the worker under a live clock; under a
+  /// FakeClock, where a sleep would advance the time every stream shares,
+  /// its penalty is charged to the watchdog's accounting only.
   const faults::ReplicaFaultSchedule* replica_faults = nullptr;
-  /// Whether a slow-replica fault really sleeps the worker. True for live
-  /// clocks; the trace driver sets false because FakeClock::sleep_ns
-  /// advances the shared clock and would perturb every stream's arrivals.
-  bool sleep_on_slow = true;
 };
 
 /// One completed frame, tagged with its routing and batching context.
@@ -276,6 +275,7 @@ class ServingCluster {
   std::unique_ptr<Clock> owned_clock_;
   Clock* clock_;
   const bool saliency_configured_;
+  const bool sleep_on_slow_;  ///< live clock: a slow-replica penalty really sleeps
 
   std::vector<std::unique_ptr<Supervisor>> supervisors_;  ///< one per stream
   std::vector<std::unique_ptr<Replica>> replicas_;

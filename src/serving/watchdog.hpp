@@ -48,6 +48,13 @@ struct WatchdogConfig {
   double canary_epsilon = 1e-3;
 };
 
+/// Throws std::invalid_argument on unusable knobs: a non-positive timeout,
+/// a max probe backoff below the initial one, a threshold below 1, a
+/// negative canary period or re-dispatch budget, or a negative or NaN
+/// canary epsilon. Used by ReplicaWatchdog's constructor and
+/// TraceRunSpec::validate.
+void validate(const WatchdogConfig& config);
+
 enum class ReplicaState : int { kHealthy = 0, kQuarantined = 1, kHalfOpen = 2 };
 
 const char* replica_state_name(ReplicaState state);
@@ -63,6 +70,8 @@ enum class ClusterEventKind : int {
   kFallback = 5,      ///< frame(s) processed inline on the stream's Supervisor
   kShed = 6,          ///< admission credits exhausted; a frame was shed
 };
+inline constexpr uint32_t kClusterEventKindCount = 7;
+static_assert(static_cast<uint32_t>(ClusterEventKind::kShed) + 1 == kClusterEventKindCount);
 
 const char* cluster_event_kind_name(ClusterEventKind kind);
 

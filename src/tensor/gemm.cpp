@@ -105,10 +105,7 @@ std::atomic<GemmKernel>& kernel_state() {
 }
 
 std::atomic<bool>& packing_state() {
-  static std::atomic<bool> state{[] {
-    const char* env = std::getenv("SALNOV_GEMM_PACK");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }()};
+  static std::atomic<bool> state{true};
   return state;
 }
 

@@ -43,8 +43,8 @@ bool gemm_simd_available();
 const char* gemm_kernel_name(GemmKernel kernel);
 
 /// Whether Dense/Conv2d cache pre-packed weight panels for inference.
-/// Defaults to on; SALNOV_GEMM_PACK=0 or the setter disables it (the packed
-/// and unpacked paths are bit-identical — the switch exists for A/B tests).
+/// Defaults to on; the setter disables it (the packed and unpacked paths are
+/// bit-identical — the switch exists for A/B tests).
 bool gemm_weight_packing_enabled();
 void set_gemm_weight_packing(bool enabled);
 

@@ -1,14 +1,9 @@
 #include "tensor/gemm_int8.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm_int8_simd.hpp"
@@ -74,20 +69,9 @@ void check_dims(int64_t m, int64_t n, int64_t k, const PackedQuantMatrix* packed
   }
 }
 
-GemmInt8Kernel resolve_kernel_from_env() {
-  const char* env = std::getenv("SALNOV_GEMM_INT8");
-  std::string value = env != nullptr ? env : "auto";
-  std::transform(value.begin(), value.end(), value.begin(),
-                 [](unsigned char ch) { return static_cast<char>(std::tolower(ch)); });
-  if (value == "scalar") return GemmInt8Kernel::kScalar;
-  if (value != "simd" && value != "auto" && !value.empty()) {
-    std::fprintf(stderr, "salnov: unknown SALNOV_GEMM_INT8 '%s'; using auto\n", value.c_str());
-  }
-  return detail::int8_simd_available() ? GemmInt8Kernel::kSimd : GemmInt8Kernel::kScalar;
-}
-
 std::atomic<GemmInt8Kernel>& kernel_state() {
-  static std::atomic<GemmInt8Kernel> state{resolve_kernel_from_env()};
+  static std::atomic<GemmInt8Kernel> state{
+      detail::int8_simd_available() ? GemmInt8Kernel::kSimd : GemmInt8Kernel::kScalar};
   return state;
 }
 

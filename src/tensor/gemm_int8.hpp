@@ -35,8 +35,8 @@ enum class GemmInt8Kernel {
 inline constexpr int64_t kMaxQuantK =
     static_cast<int64_t>(std::numeric_limits<int32_t>::max()) / (127 * 127);
 
-/// Active kernel. Initialized from SALNOV_GEMM_INT8 (scalar | simd | auto);
-/// auto picks SIMD when the CPU supports it.
+/// Active kernel: SIMD when the CPU supports it, else scalar. The two are
+/// bit-identical (exact int32 accumulation); the setter exists for tests.
 GemmInt8Kernel active_gemm_int8_kernel();
 
 /// Throws std::invalid_argument when asked for kSimd on a CPU without it.

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "parallel/parallel_for.hpp"
@@ -318,10 +317,7 @@ void pack_quant_b_into(const int8_t* b, int64_t k, int64_t n, int8_t* packed) {
 namespace {
 
 std::atomic<bool>& vnni_flag() {
-  static std::atomic<bool> enabled = [] {
-    const char* env = std::getenv("SALNOV_GEMM_INT8_VNNI");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> enabled{true};
   return enabled;
 }
 

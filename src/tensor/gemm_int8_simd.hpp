@@ -15,8 +15,8 @@ bool int8_simd_available();
 /// right now.
 const char* int8_arch_name();
 
-/// A/B timing toggle for the VNNI band (SALNOV_GEMM_INT8_VNNI=0 reverts to
-/// the AVX2 maddubs band; results are bit-identical either way).
+/// A/B timing toggle for the VNNI band (off reverts to the AVX2 maddubs
+/// band; results are bit-identical either way).
 bool int8_vnni_enabled();
 void set_int8_vnni(bool enabled);
 

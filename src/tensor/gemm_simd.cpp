@@ -32,8 +32,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm_avx512.hpp"
@@ -391,10 +389,7 @@ void simd_gemm(const float*, const float*, float*, int64_t, int64_t, int64_t,
 namespace {
 
 std::atomic<bool>& avx512_tile_flag() {
-  static std::atomic<bool> enabled = [] {
-    const char* env = std::getenv("SALNOV_GEMM_AVX512");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> enabled{true};
   return enabled;
 }
 

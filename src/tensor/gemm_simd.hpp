@@ -21,9 +21,9 @@ bool simd_gemm_available();
 const char* simd_arch_name();
 
 /// Whether the AVX-512 tile micro-kernel is used when hardware supports it.
-/// Defaults to on; SALNOV_GEMM_AVX512=0 or the setter disables it. The two
-/// tile kernels are bit-identical — the switch exists for A/B timing and
-/// the identity test, not for correctness.
+/// Defaults to on; the setter disables it. The two tile kernels are
+/// bit-identical — the switch exists for A/B timing and the identity test,
+/// not for correctness.
 bool gemm_avx512_tile_enabled();
 void set_gemm_avx512_tile(bool enabled);
 

@@ -135,6 +135,25 @@ Tensor read_tensor(std::istream& is) {
   return tensor;
 }
 
+uint32_t FieldReader::below(uint32_t count, const char* what) {
+  const uint32_t value = read_u32(is_);
+  if (value >= count) {
+    throw SerializationError(std::string(context_) + ": " + what + " value " +
+                             std::to_string(value) + " out of range");
+  }
+  return value;
+}
+
+void FieldReader::unknown_bits(uint32_t word, const char* what) const {
+  throw SerializationError(std::string(context_) + ": unknown " + what + " " +
+                           std::to_string(word));
+}
+
+void FieldReader::checked_count(int64_t count, int64_t max_count, int64_t bytes_each,
+                                const char* what) {
+  check_count(is_, count, max_count, bytes_each, (std::string(context_) + ": " + what).c_str());
+}
+
 void write_header(std::ostream& os, const std::string& magic, uint32_t version) {
   write_string(os, magic);
   write_u32(os, version);

@@ -30,12 +30,12 @@ constexpr uint32_t kTraceVersion = 5;
 constexpr int64_t kMaxScheduleEntries = int64_t{1} << 20;  // stalls, faults, forced swaps
 constexpr int64_t kMaxRecords = int64_t{1} << 32;          // frames, events
 
-// Serialized sizes of the repeated records, for the bytes-left check.
-constexpr int64_t kStallBytes = 5 * 8;
-constexpr int64_t kCameraFaultBytes = 4 + 4 * 8;
-constexpr int64_t kReplicaFaultBytes = 4 + 6 * 8;
-constexpr int64_t kFrameBytes = 6 * 4 + 5 * 8 + serving::kStageCount * 8;
-constexpr int64_t kEventBytes = 4 + 4 * 8;
+constexpr ListField<uint32_t> kStallList{"stall count", kMaxScheduleEntries};
+constexpr ListField<uint32_t> kCameraFaultList{"camera-fault count", kMaxScheduleEntries};
+constexpr ListField<uint32_t> kForcedSwapList{"forced-swap count", kMaxScheduleEntries};
+constexpr ListField<uint32_t> kReplicaFaultList{"replica-fault count", kMaxScheduleEntries};
+constexpr ListField<int64_t> kFrameList{"frame-record count", kMaxRecords};
+constexpr ListField<int64_t> kEventList{"event count", kMaxRecords};
 
 // The health and cluster-health records are the traced counter rows, in row
 // order; marking another row traced changes the layout and needs a version
@@ -48,25 +48,142 @@ constexpr int traced_rows(const auto& rows) {
 static_assert(traced_rows(serving::kHealthCounters) == 17 &&
               traced_rows(serving::kClusterCounters) == 8);
 
-// Frame-record flag bits (TraceFrame bools packed into one u32).
-constexpr uint32_t kFlagScored = 1u << 0;
-constexpr uint32_t kFlagAbandoned = 1u << 1;
-constexpr uint32_t kFlagDeadlineOverrun = 1u << 2;
-constexpr uint32_t kFlagSensorBad = 1u << 3;
-constexpr uint32_t kFlagNovel = 1u << 4;
-constexpr uint32_t kFlagSwapped = 1u << 5;
-constexpr uint32_t kKnownFlags = (kFlagSwapped << 1) - 1;
+// A frame record's bools, packed into one u32: member b is bit b.
+constexpr std::array<bool serving::ServeResult::*, 6> kFrameFlags = {
+    &serving::ServeResult::scored,           &serving::ServeResult::abandoned,
+    &serving::ServeResult::deadline_overrun, &serving::ServeResult::sensor_bad,
+    &serving::ServeResult::novel,            &serving::ServeResult::threshold_swapped,
+};
 
-uint32_t checked_enum(std::istream& is, uint32_t limit, const char* what) {
-  const uint32_t value = read_u32(is);
-  if (value >= limit) {
-    throw SerializationError(std::string("trace: ") + what + " value " + std::to_string(value) +
-                             " out of range");
-  }
-  return value;
+// The field lists of the trace format, shared by save() (Io = FieldWriter,
+// records const) and load() (Io = FieldReader).
+
+template <typename Io, typename Spec>
+void spec_fields(Io& io, Spec& spec) {
+  io.str(spec.dataset);
+  io.i64(spec.frame_seed);
+  io.i64(spec.fault_seed);
+  io.i64(spec.frames);
+  io.i64(spec.height);
+  io.i64(spec.width);
+  io.list(spec.stalls, kStallList, [](auto& io, auto& stall) {
+    io.i64(stall.stage);
+    io.i64(stall.stall_ns);
+    io.i64(stall.first_frame);
+    io.i64(stall.last_frame);
+    io.i64(stall.period);
+  });
+  io.list(spec.camera_faults, kCameraFaultList, [](auto& io, auto& fault) {
+    io.tag(fault.fault, faults::kCameraFaultCount, "camera fault");
+    io.f64(fault.severity);
+    io.i64(fault.first_frame);
+    io.i64(fault.last_frame);
+    io.i64(fault.period);
+  });
+
+  auto& sup = spec.supervisor;
+  for (auto& budget : sup.stage_budget_ns) io.i64(budget);
+  io.i64(sup.frame_budget_ns);
+  io.i64(sup.breaker.failure_threshold);
+  io.i64(sup.breaker.open_frames);
+  io.i64(sup.demote_after_bad_frames);
+  io.i64(sup.promote_after_healthy_frames);
+  io.i64(sup.monitor.trigger_frames);
+  io.i64(sup.monitor.release_frames);
+  io.f64(sup.monitor.score_smoothing);
+  io.i64(sup.monitor.sensor_trigger_frames);
+  io.i64(sup.monitor.sensor_release_frames);
+  io.flag(sup.monitor.detect_frozen_frames, "detect_frozen_frames");
+
+  // Online-calibration block. store_path is deliberately omitted (a replay
+  // must never write operator files).
+  auto& cal = sup.calibration;
+  io.flag(cal.enabled, "calibration enabled");
+  io.flag(cal.auto_swap, "calibration auto_swap");
+  io.f64(cal.percentile);
+  io.i64(cal.warmup);
+  io.i64(cal.min_samples);
+  io.f64(cal.drift_tolerance);
+  io.i64(cal.check_every_frames);
+  io.i64(cal.trigger_checks);
+  io.i64(cal.release_checks);
+  io.list(cal.forced_swap_frames, kForcedSwapList, [](auto& io, auto& frame) { io.i64(frame); });
+
+  // Multi-stream cluster block.
+  auto& cluster = spec.cluster;
+  io.i64(cluster.streams);
+  io.i64(cluster.replicas);
+  io.i64(cluster.gather_window_ns);
+  io.i64(cluster.max_batch);
+  io.i64(cluster.arrival_period_ns);
+
+  // Failure-domain block (watchdog, admission credits, fault schedule).
+  auto& wd = cluster.watchdog;
+  io.flag(wd.enabled, "watchdog enabled");
+  io.i64(wd.batch_deadline_ns);
+  io.i64(wd.heartbeat_timeout_ns);
+  io.i64(wd.missed_deadlines_to_quarantine);
+  io.i64(wd.canary_period_ns);
+  io.i64(wd.canary_failures_to_quarantine);
+  io.i64(wd.probe_backoff_ns);
+  io.i64(wd.max_probe_backoff_ns);
+  io.i64(wd.max_redispatches);
+  io.f64(wd.canary_epsilon);
+  io.i64(cluster.admission_credits);
+  io.list(cluster.replica_faults, kReplicaFaultList, [](auto& io, auto& fault) {
+    io.i64(fault.replica);
+    io.tag(fault.kind, faults::kReplicaFaultKindCount, "replica fault");
+    io.i64(fault.start_ns);
+    io.i64(fault.end_ns);
+    io.i64(fault.slow_penalty_ns);
+    io.i64(fault.weight_bits);
+    io.i64(fault.seed);
+  });
+
+  io.flag(sup.enable_quant_rungs, "enable_quant_rungs");
+  io.u32(spec.pipeline_crc);
+  io.i64(spec.pipeline_bytes);
 }
 
-bool checked_bool(std::istream& is, const char* what) { return checked_enum(is, 2, what) != 0; }
+template <typename Io, typename Frame>
+void frame_fields(Io& io, Frame& frame) {
+  io.i64(frame.frame_index);
+  io.tag(frame.mode, core::kServingModeCount, "serving mode");
+  io.bits(frame, kFrameFlags, "frame flag bits");
+  io.f64(frame.score);
+  io.f64(frame.steering);
+  io.tag(frame.monitor_state, core::kMonitorStateCount, "monitor state");
+  io.tag(frame.fallback_path, core::kFallbackPathCount, "fallback path");
+  for (auto& ns : frame.stage_ns) io.i64(ns);
+  io.tag(frame.mode_after, core::kServingModeCount, "serving mode");
+  io.tag(frame.breaker_after, serving::kBreakerStateCount, "breaker state");
+  io.i64(frame.threshold_epoch);
+  io.i64(frame.stream_id);
+}
+
+template <typename Io, typename Event>
+void event_fields(Io& io, Event& event) {
+  io.tag(event.kind, serving::kClusterEventKindCount, "cluster event");
+  io.i64(event.at_ns);
+  io.i64(event.replica);
+  io.i64(event.stream);
+  io.i64(event.detail);
+}
+
+/// The whole payload after the header: spec, frame records, health
+/// counters, then the cluster event log and cluster-health counters.
+template <typename Io, typename T>
+void trace_fields(Io& io, T& trace) {
+  spec_fields(io, trace.spec);
+  io.list(trace.frames, kFrameList, [](auto& io, auto& frame) { frame_fields(io, frame); });
+  for (const auto& row : serving::kHealthCounters) {
+    if (row.traced) io.i64(trace.health.*row.member);
+  }
+  io.list(trace.events, kEventList, [](auto& io, auto& event) { event_fields(io, event); });
+  for (const auto& row : serving::kClusterCounters) {
+    if (row.traced) io.i64(trace.cluster_health.*row.member);
+  }
+}
 
 std::string format_i64(int64_t value) { return std::to_string(value); }
 
@@ -166,12 +283,12 @@ void TraceRunSpec::validate() const {
     }
   }
   if (cluster.streams < 0) throw std::invalid_argument("trace: negative stream count");
+  if (cluster.max_batch < 1) throw std::invalid_argument("trace: cluster max_batch must be >= 1");
+  if (cluster.gather_window_ns < 0 || cluster.arrival_period_ns < 0) {
+    throw std::invalid_argument("trace: negative cluster window/period");
+  }
   if (cluster.streams > 0) {
     if (cluster.replicas < 1) throw std::invalid_argument("trace: cluster replicas must be >= 1");
-    if (cluster.max_batch < 1) throw std::invalid_argument("trace: cluster max_batch must be >= 1");
-    if (cluster.gather_window_ns < 0 || cluster.arrival_period_ns < 0) {
-      throw std::invalid_argument("trace: negative cluster window/period");
-    }
     if (cluster.replicas > 1 && !stalls.empty()) {
       // Concurrent replicas share the FakeClock: a stall advanced by one
       // worker would bleed into another worker's stage timings, making
@@ -182,17 +299,7 @@ void TraceRunSpec::validate() const {
   if (cluster.admission_credits < 0) {
     throw std::invalid_argument("trace: negative admission credits");
   }
-  if (cluster.watchdog.enabled) {
-    const serving::WatchdogConfig& wd = cluster.watchdog;
-    if (wd.batch_deadline_ns <= 0 || wd.heartbeat_timeout_ns <= 0 || wd.probe_backoff_ns <= 0 ||
-        wd.max_probe_backoff_ns < wd.probe_backoff_ns) {
-      throw std::invalid_argument("trace: bad watchdog timeouts");
-    }
-    if (wd.missed_deadlines_to_quarantine < 1 || wd.canary_failures_to_quarantine < 1 ||
-        wd.canary_period_ns < 0 || wd.max_redispatches < 0 || !(wd.canary_epsilon >= 0.0)) {
-      throw std::invalid_argument("trace: bad watchdog thresholds");
-    }
-  }
+  if (cluster.watchdog.enabled) serving::validate(cluster.watchdog);
   if (!cluster.replica_faults.empty()) {
     if (cluster.streams <= 0) {
       throw std::invalid_argument("trace: replica faults require a cluster run");
@@ -213,286 +320,15 @@ void TraceRunSpec::validate() const {
 
 void Trace::save(std::ostream& os) const {
   write_header(os, kTraceMagic, kTraceVersion);
-
-  write_string(os, spec.dataset);
-  write_i64(os, static_cast<int64_t>(spec.frame_seed));
-  write_i64(os, static_cast<int64_t>(spec.fault_seed));
-  write_i64(os, spec.frames);
-  write_i64(os, spec.height);
-  write_i64(os, spec.width);
-
-  write_u32(os, static_cast<uint32_t>(spec.stalls.size()));
-  for (const auto& stall : spec.stalls) {
-    write_i64(os, stall.stage);
-    write_i64(os, stall.stall_ns);
-    write_i64(os, stall.first_frame);
-    write_i64(os, stall.last_frame);
-    write_i64(os, stall.period);
-  }
-
-  write_u32(os, static_cast<uint32_t>(spec.camera_faults.size()));
-  for (const auto& fault : spec.camera_faults) {
-    write_u32(os, static_cast<uint32_t>(fault.fault));
-    write_f64(os, fault.severity);
-    write_i64(os, fault.first_frame);
-    write_i64(os, fault.last_frame);
-    write_i64(os, fault.period);
-  }
-
-  const serving::SupervisorConfig& sup = spec.supervisor;
-  for (int64_t budget : sup.stage_budget_ns) write_i64(os, budget);
-  write_i64(os, sup.frame_budget_ns);
-  write_i64(os, sup.breaker.failure_threshold);
-  write_i64(os, sup.breaker.open_frames);
-  write_i64(os, sup.demote_after_bad_frames);
-  write_i64(os, sup.promote_after_healthy_frames);
-  write_i64(os, sup.monitor.trigger_frames);
-  write_i64(os, sup.monitor.release_frames);
-  write_f64(os, sup.monitor.score_smoothing);
-  write_i64(os, sup.monitor.sensor_trigger_frames);
-  write_i64(os, sup.monitor.sensor_release_frames);
-  write_u32(os, sup.monitor.detect_frozen_frames ? 1 : 0);
-
-  // Online-calibration block. store_path is deliberately omitted (a replay
-  // must never write operator files).
-  const calib::OnlineCalibrationConfig& cal = sup.calibration;
-  write_u32(os, cal.enabled ? 1 : 0);
-  write_u32(os, cal.auto_swap ? 1 : 0);
-  write_f64(os, cal.percentile);
-  write_i64(os, cal.warmup);
-  write_i64(os, cal.min_samples);
-  write_f64(os, cal.drift_tolerance);
-  write_i64(os, cal.check_every_frames);
-  write_i64(os, cal.trigger_checks);
-  write_i64(os, cal.release_checks);
-  write_u32(os, static_cast<uint32_t>(cal.forced_swap_frames.size()));
-  for (int64_t frame : cal.forced_swap_frames) write_i64(os, frame);
-
-  // Multi-stream cluster block.
-  write_i64(os, spec.cluster.streams);
-  write_i64(os, spec.cluster.replicas);
-  write_i64(os, spec.cluster.gather_window_ns);
-  write_i64(os, spec.cluster.max_batch);
-  write_i64(os, spec.cluster.arrival_period_ns);
-
-  // Failure-domain block (watchdog, admission credits, fault schedule).
-  const serving::WatchdogConfig& wd = spec.cluster.watchdog;
-  write_u32(os, wd.enabled ? 1 : 0);
-  write_i64(os, wd.batch_deadline_ns);
-  write_i64(os, wd.heartbeat_timeout_ns);
-  write_i64(os, wd.missed_deadlines_to_quarantine);
-  write_i64(os, wd.canary_period_ns);
-  write_i64(os, wd.canary_failures_to_quarantine);
-  write_i64(os, wd.probe_backoff_ns);
-  write_i64(os, wd.max_probe_backoff_ns);
-  write_i64(os, wd.max_redispatches);
-  write_f64(os, wd.canary_epsilon);
-  write_i64(os, spec.cluster.admission_credits);
-  write_u32(os, static_cast<uint32_t>(spec.cluster.replica_faults.size()));
-  for (const auto& fault : spec.cluster.replica_faults) {
-    write_i64(os, fault.replica);
-    write_u32(os, static_cast<uint32_t>(fault.kind));
-    write_i64(os, fault.start_ns);
-    write_i64(os, fault.end_ns);
-    write_i64(os, fault.slow_penalty_ns);
-    write_i64(os, fault.weight_bits);
-    write_i64(os, static_cast<int64_t>(fault.seed));
-  }
-
-  // Quantized-ladder flag.
-  write_u32(os, sup.enable_quant_rungs ? 1 : 0);
-
-  write_u32(os, spec.pipeline_crc);
-  write_i64(os, spec.pipeline_bytes);
-
-  write_i64(os, static_cast<int64_t>(frames.size()));
-  for (const auto& frame : frames) {
-    write_i64(os, frame.frame_index);
-    write_u32(os, static_cast<uint32_t>(frame.mode));
-    uint32_t flags = 0;
-    if (frame.scored) flags |= kFlagScored;
-    if (frame.abandoned) flags |= kFlagAbandoned;
-    if (frame.deadline_overrun) flags |= kFlagDeadlineOverrun;
-    if (frame.sensor_bad) flags |= kFlagSensorBad;
-    if (frame.novel) flags |= kFlagNovel;
-    if (frame.threshold_swapped) flags |= kFlagSwapped;
-    write_u32(os, flags);
-    write_f64(os, frame.score);
-    write_f64(os, frame.steering);
-    write_u32(os, static_cast<uint32_t>(frame.monitor_state));
-    write_u32(os, static_cast<uint32_t>(frame.fallback_path));
-    for (int64_t ns : frame.stage_ns) write_i64(os, ns);
-    write_u32(os, static_cast<uint32_t>(frame.mode_after));
-    write_u32(os, static_cast<uint32_t>(frame.breaker_after));
-    write_i64(os, frame.threshold_epoch);
-    write_i64(os, frame.stream_id);
-  }
-
-  for (const auto& row : serving::kHealthCounters) {
-    if (row.traced) write_i64(os, health.*row.member);
-  }
-
-  // Failure-domain event log + cluster-health counters.
-  write_i64(os, static_cast<int64_t>(events.size()));
-  for (const auto& event : events) {
-    write_u32(os, static_cast<uint32_t>(event.kind));
-    write_i64(os, event.at_ns);
-    write_i64(os, event.replica);
-    write_i64(os, event.stream);
-    write_i64(os, event.detail);
-  }
-  for (const auto& row : serving::kClusterCounters) {
-    if (row.traced) write_i64(os, cluster_health.*row.member);
-  }
+  FieldWriter io(os);
+  trace_fields(io, *this);
 }
 
 Trace Trace::load(std::istream& is) {
   read_header(is, kTraceMagic, kTraceVersion);
   Trace trace;
-  TraceRunSpec& spec = trace.spec;
-
-  spec.dataset = read_string(is);
-  spec.frame_seed = static_cast<uint64_t>(read_i64(is));
-  spec.fault_seed = static_cast<uint64_t>(read_i64(is));
-  spec.frames = read_i64(is);
-  spec.height = read_i64(is);
-  spec.width = read_i64(is);
-
-  const uint32_t n_stalls = read_u32(is);
-  check_count(is, n_stalls, kMaxScheduleEntries, kStallBytes, "trace: stall count");
-  spec.stalls.resize(n_stalls);
-  for (auto& stall : spec.stalls) {
-    stall.stage = static_cast<int>(read_i64(is));
-    stall.stall_ns = read_i64(is);
-    stall.first_frame = read_i64(is);
-    stall.last_frame = read_i64(is);
-    stall.period = read_i64(is);
-  }
-
-  const uint32_t n_camera = read_u32(is);
-  check_count(is, n_camera, kMaxScheduleEntries, kCameraFaultBytes, "trace: camera-fault count");
-  spec.camera_faults.resize(n_camera);
-  for (auto& fault : spec.camera_faults) {
-    fault.fault = static_cast<faults::CameraFault>(checked_enum(is, 8, "camera fault"));
-    fault.severity = read_f64(is);
-    fault.first_frame = read_i64(is);
-    fault.last_frame = read_i64(is);
-    fault.period = read_i64(is);
-  }
-
-  serving::SupervisorConfig& sup = spec.supervisor;
-  for (int64_t& budget : sup.stage_budget_ns) budget = read_i64(is);
-  sup.frame_budget_ns = read_i64(is);
-  sup.breaker.failure_threshold = static_cast<int>(read_i64(is));
-  sup.breaker.open_frames = read_i64(is);
-  sup.demote_after_bad_frames = static_cast<int>(read_i64(is));
-  sup.promote_after_healthy_frames = static_cast<int>(read_i64(is));
-  sup.monitor.trigger_frames = read_i64(is);
-  sup.monitor.release_frames = read_i64(is);
-  sup.monitor.score_smoothing = read_f64(is);
-  sup.monitor.sensor_trigger_frames = read_i64(is);
-  sup.monitor.sensor_release_frames = read_i64(is);
-  sup.monitor.detect_frozen_frames = checked_bool(is, "detect_frozen_frames");
-
-  calib::OnlineCalibrationConfig& cal = sup.calibration;
-  cal.enabled = checked_bool(is, "calibration enabled");
-  cal.auto_swap = checked_bool(is, "calibration auto_swap");
-  cal.percentile = read_f64(is);
-  cal.warmup = read_i64(is);
-  cal.min_samples = read_i64(is);
-  cal.drift_tolerance = read_f64(is);
-  cal.check_every_frames = read_i64(is);
-  cal.trigger_checks = read_i64(is);
-  cal.release_checks = read_i64(is);
-  const uint32_t n_forced = read_u32(is);
-  check_count(is, n_forced, kMaxScheduleEntries, 8, "trace: forced-swap count");
-  cal.forced_swap_frames.resize(n_forced);
-  for (int64_t& frame : cal.forced_swap_frames) frame = read_i64(is);
-
-  spec.cluster.streams = read_i64(is);
-  spec.cluster.replicas = read_i64(is);
-  spec.cluster.gather_window_ns = read_i64(is);
-  spec.cluster.max_batch = read_i64(is);
-  spec.cluster.arrival_period_ns = read_i64(is);
-
-  serving::WatchdogConfig& wd = spec.cluster.watchdog;
-  wd.enabled = checked_bool(is, "watchdog enabled");
-  wd.batch_deadline_ns = read_i64(is);
-  wd.heartbeat_timeout_ns = read_i64(is);
-  wd.missed_deadlines_to_quarantine = read_i64(is);
-  wd.canary_period_ns = read_i64(is);
-  wd.canary_failures_to_quarantine = read_i64(is);
-  wd.probe_backoff_ns = read_i64(is);
-  wd.max_probe_backoff_ns = read_i64(is);
-  wd.max_redispatches = read_i64(is);
-  wd.canary_epsilon = read_f64(is);
-  spec.cluster.admission_credits = read_i64(is);
-  const uint32_t n_replica_faults = read_u32(is);
-  check_count(is, n_replica_faults, kMaxScheduleEntries, kReplicaFaultBytes,
-              "trace: replica-fault count");
-  spec.cluster.replica_faults.resize(n_replica_faults);
-  for (auto& fault : spec.cluster.replica_faults) {
-    fault.replica = read_i64(is);
-    fault.kind = static_cast<faults::ReplicaFaultKind>(checked_enum(is, 4, "replica fault"));
-    fault.start_ns = read_i64(is);
-    fault.end_ns = read_i64(is);
-    fault.slow_penalty_ns = read_i64(is);
-    fault.weight_bits = read_i64(is);
-    fault.seed = static_cast<uint64_t>(read_i64(is));
-  }
-
-  sup.enable_quant_rungs = checked_bool(is, "enable_quant_rungs");
-
-  spec.pipeline_crc = read_u32(is);
-  spec.pipeline_bytes = read_i64(is);
-
-  const int64_t n_frames = read_i64(is);
-  check_count(is, n_frames, kMaxRecords, kFrameBytes, "trace: frame-record count");
-  trace.frames.resize(static_cast<size_t>(n_frames));
-  for (auto& frame : trace.frames) {
-    frame.frame_index = read_i64(is);
-    frame.mode = static_cast<serving::ServingMode>(
-        checked_enum(is, core::kServingModeCount, "serving mode"));
-    const uint32_t flags = read_u32(is);
-    if ((flags & ~kKnownFlags) != 0) {
-      throw SerializationError("trace: unknown frame flag bits " + std::to_string(flags));
-    }
-    frame.scored = (flags & kFlagScored) != 0;
-    frame.abandoned = (flags & kFlagAbandoned) != 0;
-    frame.deadline_overrun = (flags & kFlagDeadlineOverrun) != 0;
-    frame.sensor_bad = (flags & kFlagSensorBad) != 0;
-    frame.novel = (flags & kFlagNovel) != 0;
-    frame.threshold_swapped = (flags & kFlagSwapped) != 0;
-    frame.score = read_f64(is);
-    frame.steering = read_f64(is);
-    frame.monitor_state = static_cast<core::MonitorState>(checked_enum(is, 4, "monitor state"));
-    frame.fallback_path = static_cast<core::FallbackPath>(checked_enum(is, 3, "fallback path"));
-    for (int64_t& ns : frame.stage_ns) ns = read_i64(is);
-    frame.mode_after = static_cast<serving::ServingMode>(
-        checked_enum(is, core::kServingModeCount, "serving mode"));
-    frame.breaker_after =
-        static_cast<serving::BreakerState>(checked_enum(is, 3, "breaker state"));
-    frame.threshold_epoch = read_i64(is);
-    frame.stream_id = read_i64(is);
-  }
-
-  for (const auto& row : serving::kHealthCounters) {
-    if (row.traced) trace.health.*row.member = read_i64(is);
-  }
-
-  const int64_t n_events = read_i64(is);
-  check_count(is, n_events, kMaxRecords, kEventBytes, "trace: event count");
-  trace.events.resize(static_cast<size_t>(n_events));
-  for (auto& event : trace.events) {
-    event.kind = static_cast<serving::ClusterEventKind>(checked_enum(is, 7, "cluster event"));
-    event.at_ns = read_i64(is);
-    event.replica = read_i64(is);
-    event.stream = read_i64(is);
-    event.detail = read_i64(is);
-  }
-  for (const auto& row : serving::kClusterCounters) {
-    if (row.traced) trace.cluster_health.*row.member = read_i64(is);
-  }
+  FieldReader io(is, "trace");
+  trace_fields(io, trace);
   return trace;
 }
 
@@ -521,7 +357,6 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
                                 std::to_string(detector.config().width) + ")");
   }
 
-  const auto generator = roadsim::make_scene_generator(spec.dataset);
   faults::TimingFaultInjector stalls;
   for (const auto& stall : spec.stalls) stalls.add(stall);
   serving::SupervisorConfig config = spec.supervisor;
@@ -535,34 +370,17 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
   // stalls, so the decision stream is a pure function of the spec.
   serving::FakeClock clock;
 
-  if (spec.cluster.streams <= 0) {
-    serving::Supervisor supervisor(detector, steering_model, config, &clock);
-
-    Rng rng(spec.frame_seed);
-    faults::FaultInjector camera(spec.fault_seed);
-    for (int64_t i = 0; i < spec.frames; ++i) {
-      const roadsim::Sample sample = generator->generate(rng);
-      Image view = resize_bilinear(sample.rgb.to_grayscale(), spec.height, spec.width);
-      // Tick every scheduled fault each frame — severity 0 when inactive —
-      // so stateful faults (frozen-frame) and per-call variate draws see the
-      // same stream a continuously-faulted camera would.
-      for (const auto& fault : spec.camera_faults) {
-        view = camera.apply(fault.fault, fault_active(fault, i) ? fault.severity : 0.0, view);
-      }
-      TraceFrame frame{supervisor.process(view)};
-      if (on_frame) on_frame(frame);
-    }
-    return supervisor.health();
-  }
-
-  // Multi-stream path: one ServingCluster, deterministic arrival schedule.
-  // The whole schedule is staged while the workers are paused — every frame
-  // is stamped with its scheduled fake arrival time before any compute runs,
-  // so the batch composition (and, with a single replica, every stall-driven
-  // stage timing) is a pure function of the spec.
+  // One ServingCluster, deterministic arrival schedule; a single-stream spec
+  // (streams == 0) is one stream on one replica. The whole schedule is
+  // staged while the workers are paused — every frame is stamped with its
+  // scheduled fake arrival time before any compute runs, so the batch
+  // composition (and, with a single replica, every stall-driven stage
+  // timing) is a pure function of the spec.
+  const bool single_stream = spec.cluster.streams == 0;
+  const int64_t streams = single_stream ? 1 : spec.cluster.streams;
   serving::ClusterConfig cluster_config;
-  cluster_config.streams = spec.cluster.streams;
-  cluster_config.replicas = spec.cluster.replicas;
+  cluster_config.streams = streams;
+  cluster_config.replicas = single_stream ? 1 : spec.cluster.replicas;
   cluster_config.gather_window_ns = spec.cluster.gather_window_ns;
   cluster_config.max_batch = spec.cluster.max_batch;
   cluster_config.supervisor = config;
@@ -572,14 +390,9 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
   faults::ReplicaFaultSchedule replica_faults;
   for (const auto& fault : spec.cluster.replica_faults) replica_faults.add(fault);
   cluster_config.replica_faults = replica_faults.empty() ? nullptr : &replica_faults;
-  // A simulated slow replica must never sleep the shared FakeClock: under
-  // the staged protocol the driver owns time, so the penalty is charged to
-  // the watchdog's deadline accounting only.
-  cluster_config.sleep_on_slow = false;
   serving::ServingCluster cluster(detector, steering_model, cluster_config, &clock);
   cluster.pause();
 
-  const int64_t streams = spec.cluster.streams;
   std::vector<std::unique_ptr<roadsim::SceneGenerator>> generators;
   std::vector<Rng> rngs;
   std::vector<faults::FaultInjector> cameras;
@@ -593,6 +406,9 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
       const size_t si = static_cast<size_t>(s);
       const roadsim::Sample sample = generators[si]->generate(rngs[si]);
       Image view = resize_bilinear(sample.rgb.to_grayscale(), spec.height, spec.width);
+      // Tick every scheduled fault each frame — severity 0 when inactive —
+      // so stateful faults (frozen-frame) and per-call variate draws see the
+      // same stream a continuously-faulted camera would.
       for (const auto& fault : spec.camera_faults) {
         view = cameras[si].apply(fault.fault, fault_active(fault, i) ? fault.severity : 0.0, view);
       }
@@ -608,7 +424,8 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
   }
   if (events) *events = cluster.take_events();
   if (cluster_stats) *cluster_stats = cluster.stats();
-  const serving::HealthSnapshot health = cluster.aggregate_health();
+  const serving::HealthSnapshot health =
+      single_stream ? cluster.stream_health(0) : cluster.aggregate_health();
   cluster.stop();
   return health;
 }

@@ -11,11 +11,15 @@
 //     FakeClock, so the only "time" in a run is the injected stalls and the
 //     whole decision trace is a pure function of the spec and the fitted
 //     pipeline.
-//   * TraceRecorder::record drives the scenario and captures one TraceFrame
-//     per frame (the supervisor's ServeResult: scores, verdicts, modes,
-//     monitor state, stage timings) plus the final health counters — the
-//     traced rows of serving::kHealthCounters / kClusterCounters — into a
-//     versioned file guarded by the checked-persistence CRC trailer.
+//   * TraceRecorder::record drives the scenario through a ServingCluster
+//     (a single-stream spec is one stream on one replica, so every golden
+//     also pins the batched hand-off) and captures one TraceFrame per frame
+//     (the supervisor's ServeResult: scores, verdicts, modes, monitor
+//     state, stage timings) plus the final health counters — the traced
+//     rows of serving::kHealthCounters / kClusterCounters — into a
+//     versioned file guarded by the checked-persistence CRC trailer. The
+//     file's layout is one field list per record (spec, frame, event) that
+//     save() and load() share through tensor/serialize.hpp's field io.
 //   * TraceReplayer::replay re-drives the pipeline from the spec and diffs
 //     the fresh decision stream against the recorded one. Discrete decisions
 //     (verdicts, modes, states, counters) must match bit-exactly; float
@@ -61,17 +65,18 @@ struct TraceCameraFault {
   int64_t period = 1;
 };
 
-/// Multi-stream scenario shape. `streams == 0` selects the
-/// legacy single-supervisor driver; `streams > 0` drives a ServingCluster:
-/// stream s draws its scene stream from frame_seed + s and its camera-fault
-/// variates from fault_seed + s, `frames` becomes frames *per stream*, and
-/// arrivals are scheduled round-robin (every stream's frame i arrives at
+/// Scenario shape. Every run drives a ServingCluster: stream s draws its
+/// scene stream from frame_seed + s and its camera-fault variates from
+/// fault_seed + s, `frames` counts frames *per stream*, and arrivals are
+/// scheduled round-robin (every stream's frame i arrives at
 /// i * arrival_period_ns of fake time) so the batch composition is a pure
-/// function of the spec. Stalls require `replicas == 1`: concurrent
-/// replicas share the FakeClock, and a stall advanced by one worker would
-/// bleed into another worker's stage timings.
+/// function of the spec. `streams == 0` is a single-stream run: one stream
+/// on one replica, whose health is that stream's supervisor snapshot (no
+/// cluster section). Stalls require `replicas == 1`: concurrent replicas
+/// share the FakeClock, and a stall advanced by one worker would bleed into
+/// another worker's stage timings.
 struct TraceClusterSpec {
-  int64_t streams = 0;    ///< 0 = single-stream legacy driver
+  int64_t streams = 0;    ///< 0 = single-stream run (one stream, one replica)
   int64_t replicas = 1;
   int64_t gather_window_ns = 2'000'000;
   int64_t max_batch = 16;
@@ -105,8 +110,7 @@ struct TraceRunSpec {
   /// replaying a trace must not write operator files.
   serving::SupervisorConfig supervisor;
 
-  /// Multi-stream cluster shape; default (streams == 0) keeps the
-  /// single-stream driver.
+  /// Cluster shape; the default (streams == 0) is a single-stream run.
   TraceClusterSpec cluster;
 
   /// Integrity guard for the pipeline the trace was recorded against:
@@ -151,13 +155,12 @@ struct Trace {
 };
 
 /// Re-executes a spec against a fitted pipeline under a FakeClock, invoking
-/// `on_frame` once per frame in order (multi-stream runs emit frames in
-/// global arrival order, each tagged with its stream_id, and return the
-/// aggregate health). This is the ONE scenario driver — recording and
-/// replaying go through the same code path, so they cannot drift apart.
+/// `on_frame` once per frame in global arrival order, each frame tagged with
+/// its stream_id. Returns the single stream's health, or the aggregate
+/// health of a multi-stream run. This is the ONE scenario driver — recording
+/// and replaying go through the same code path, so they cannot drift apart.
 /// `events` / `cluster_stats`, when non-null, receive the failure-domain
-/// event log and end-of-run ClusterStats of a cluster run (left untouched by
-/// the single-stream driver).
+/// event log and end-of-run ClusterStats.
 serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetector& detector,
                               nn::Sequential* steering_model,
                               const std::function<void(const TraceFrame&)>& on_frame,

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -395,7 +396,6 @@ TEST_F(FailoverFixture, SlowReplicaDemotedWhenPenaltyExceedsDeadline) {
   config.watchdog = fast_watchdog();
   config.watchdog.batch_deadline_ns = 5 * kMs;  // 20 ms penalty >> 5 ms deadline
   config.replica_faults = &sched;
-  config.sleep_on_slow = false;  // FakeClock: time is owned by the driver
   ServingCluster cluster(*detector_, steering_, config, &clock);
   const RunOutput out = run_staged(cluster, clock, scripts);
   cluster.stop();
@@ -422,7 +422,6 @@ TEST_F(FailoverFixture, TolerableSlownessIsChargedButNotQuarantined) {
   config.watchdog = fast_watchdog();
   config.watchdog.batch_deadline_ns = 5 * kMs;  // 1 ms penalty tolerable
   config.replica_faults = &sched;
-  config.sleep_on_slow = false;
   ServingCluster cluster(*detector_, steering_, config, &clock);
   const RunOutput out = run_staged(cluster, clock, scripts);
   cluster.stop();
@@ -736,7 +735,6 @@ TEST_F(FailoverFixture, ChaosConservationAndEventSanity) {
         config.watchdog.batch_deadline_ns = 5 * kMs;
         config.admission_credits = c.admission_credits;
         config.replica_faults = sched.empty() ? nullptr : &sched;
-        config.sleep_on_slow = false;
         ServingCluster cluster(*detector_, steering_, config, &clock);
         const auto scripts = stream_scripts(c.streams, c.rounds);
         const RunOutput out = run_staged(cluster, clock, scripts);
@@ -800,7 +798,6 @@ TEST_F(FailoverFixture, ChaosRunsAreDeterministicAcrossRepeats) {
     config.watchdog = fast_watchdog();
     config.watchdog.batch_deadline_ns = 5 * kMs;
     config.replica_faults = &sched;
-    config.sleep_on_slow = false;
     ServingCluster cluster(*detector_, steering_, config, &clock);
     const auto scripts = stream_scripts(3, 5);
     RunOutput out = run_staged(cluster, clock, scripts);
@@ -897,6 +894,31 @@ TEST_F(FailoverFixture, TamperedEventLogIsCaughtByReplay) {
       trace::TraceReplayer::replay(recorded, *detector_, steering_);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.divergence->stage, "events");
+}
+
+TEST_F(FailoverFixture, ClusterRejectsWatchdogKnobsTheTraceSpecRejects) {
+  // One rule set for both entry points: a cluster and a trace spec refuse
+  // the same watchdog knobs.
+  const auto expect_rejected = [](const WatchdogConfig& watchdog) {
+    ClusterConfig config;
+    config.streams = 2;
+    config.replicas = 2;
+    config.watchdog = watchdog;
+    FakeClock clock;
+    EXPECT_THROW(ServingCluster(*detector_, steering_, config, &clock), std::invalid_argument);
+    trace::TraceRunSpec spec;
+    spec.cluster.streams = 2;
+    spec.cluster.replicas = 2;
+    spec.cluster.watchdog = watchdog;
+    EXPECT_THROW(spec.validate(), std::invalid_argument);
+  };
+  WatchdogConfig shrinking = fast_watchdog();
+  shrinking.probe_backoff_ns = 8 * kMs;
+  shrinking.max_probe_backoff_ns = 1 * kMs;  // a failed probe would shrink the backoff
+  expect_rejected(shrinking);
+  WatchdogConfig nan_epsilon = fast_watchdog();
+  nan_epsilon.canary_epsilon = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(nan_epsilon);
 }
 
 TEST(TraceFailureDomainSpec, ValidateRejectsBadFailureDomainSpecs) {

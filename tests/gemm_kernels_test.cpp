@@ -6,7 +6,9 @@
 //   * the fused bias/ReLU epilogue is bit-identical to a separate post-pass;
 //   * the transposed accumulate variants match their naive definitions
 //     bit-exactly (both sum k in ascending order);
-//   * detector scores are exactly invariant to weight pre-packing.
+//   * detector scores are exactly invariant to weight pre-packing;
+//   * the AVX-512 float tile and the VNNI int8 band are bit-identical to
+//     the AVX2 kernels they upgrade.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +20,9 @@
 #include "roadsim/dataset.hpp"
 #include "roadsim/outdoor_generator.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_simd.hpp"
 #include "tensor/gemm_int8.hpp"
+#include "tensor/gemm_int8_simd.hpp"
 #include "tensor/pack.hpp"
 #include "tensor/rng.hpp"
 
@@ -402,6 +406,66 @@ TEST(GemmInt8Kernels, KernelNamesAvailabilityAndGuards) {
   EXPECT_THROW(gemm_u8s8(a.data(), b.data(), c.data(), 1, 1, kMaxQuantK + 1),
                std::invalid_argument);
   EXPECT_THROW(gemm_u8s8(a.data(), b.data(), c.data(), -1, 1, 1), std::invalid_argument);
+}
+
+// --- Bit-identical kernel upgrades ------------------------------------------
+// On AVX-512 hardware the float tile and the int8 band run upgraded kernels
+// (the AVX-512 6x16 tile, the VNNI dpbusd band) that promise the AVX2
+// kernels' bits. Each test runs the same products with the upgrade on and
+// off and compares bytes; it skips on a CPU without the upgrade.
+
+TEST(GemmKernelUpgrades, Avx512TileBitIdenticalToAvx2Tile) {
+  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
+  KernelGuard guard;
+  set_gemm_kernel(GemmKernel::kSimd);
+  if (std::strcmp(detail::simd_arch_name(), "avx512") != 0) {
+    GTEST_SKIP() << "no AVX-512 tile on this CPU";
+  }
+  Rng rng(12);
+  for (int64_t m : {2, 6, 7, 31, 64}) {  // m == 1 takes the matvec path, not the tile
+    for (int64_t n : {1, 16, 17, 40, 100}) {
+      for (int64_t k : {1, 17, 64}) {
+        Operands ops(rng, m, n, k);
+        std::vector<float> bias(static_cast<size_t>(n));
+        for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        GemmEpilogue epilogue;
+        epilogue.bias_col = bias.data();
+        epilogue.relu = true;
+        std::vector<float> wide(static_cast<size_t>(m * n), 1.0f);
+        std::vector<float> narrow(static_cast<size_t>(m * n), 2.0f);
+        gemm_ex(ops.a.data(), ops.b.data(), wide.data(), m, n, k, epilogue);
+        detail::set_gemm_avx512_tile(false);
+        gemm_ex(ops.a.data(), ops.b.data(), narrow.data(), m, n, k, epilogue);
+        detail::set_gemm_avx512_tile(true);
+        ASSERT_EQ(0, std::memcmp(wide.data(), narrow.data(), wide.size() * sizeof(float)))
+            << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(GemmKernelUpgrades, VnniBandBitIdenticalToAvx2Band) {
+  if (!gemm_int8_simd_available()) GTEST_SKIP() << "int8 SIMD kernel not available on this CPU";
+  Int8KernelGuard guard;
+  set_gemm_int8_kernel(GemmInt8Kernel::kSimd);
+  if (std::strcmp(detail::int8_arch_name(), "avx512-vnni") != 0) {
+    GTEST_SKIP() << "no AVX-512 VNNI band on this CPU";
+  }
+  Rng rng(13);
+  for (int64_t m : {1, 5, 31}) {
+    for (int64_t n : {1, 16, 17, 40}) {
+      for (int64_t k : {1, 33, 100}) {
+        QuantOperands ops(rng, m, n, k);
+        std::vector<int32_t> vnni(static_cast<size_t>(m * n), 1);
+        std::vector<int32_t> avx2(static_cast<size_t>(m * n), 2);
+        gemm_u8s8(ops.a.data(), ops.b.data(), vnni.data(), m, n, k);
+        detail::set_int8_vnni(false);
+        gemm_u8s8(ops.a.data(), ops.b.data(), avx2.data(), m, n, k);
+        detail::set_int8_vnni(true);
+        ASSERT_EQ(vnni, avx2) << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -455,6 +455,21 @@ TEST(SketchCorruption, NonMonotoneMarkerBankRejected) {
   EXPECT_THROW(calib::P2Sketch::load(ss), SerializationError);
 }
 
+TEST(SketchCorruption, StreamingFlagAboveOneRejected) {
+  // Layout after header("salnov-p2sketch", v1): u32 tracked count, the three
+  // tracked quantiles as f64, i64 warmup, i64 count, i64 non-finite drops,
+  // then the u32 streaming flag. A 2 there is corruption, not "streaming".
+  std::string data = serialized_sketch(true);
+  const size_t offset = (4 + std::string("salnov-p2sketch").size() + 4) + 4 + 3 * 8 + 3 * 8;
+  uint32_t flag = 0;
+  std::memcpy(&flag, &data[offset], sizeof flag);
+  ASSERT_EQ(flag, 1u);
+  flag = 2;
+  std::memcpy(&data[offset], &flag, sizeof flag);
+  std::stringstream ss(data);
+  EXPECT_THROW(calib::P2Sketch::load(ss), SerializationError);
+}
+
 TEST(SketchCorruption, CorruptedFileFailsCrcCheck) {
   const std::string path = temp_file_path("salnov_sketch_crc.bin");
   calib::P2Sketch sketch({0.5}, 8);
@@ -865,6 +880,152 @@ TEST(RemovedFormatVersions, PipelineV2Rejected) {
 TEST(RemovedFormatVersions, ThresholdSetV1Rejected) {
   expect_version_rejected(with_version(serialized_threshold_set(), "salnov-thresholds", 1),
                           [](std::istream& is) { (void)calib::ThresholdSet::load(is); }, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins: each format written from a record whose fields hold distinct
+// values, checked against the CRC32 and size of the bytes the format wrote
+// when the pin was recorded. The goldens leave many spec fields at their
+// defaults, where two swapped fields of equal value would not show; here a
+// swapped pair, a dropped field or a reordered block moves the bytes.
+
+/// A trace whose every spec field, schedule entry, frame field, event field
+/// and traced counter holds a value no other field of its kind holds. The
+/// three frames' flag words give each of the six flag bits a distinct
+/// 3-frame pattern.
+trace::Trace distinct_trace() {
+  int64_t next = 1001;
+  const auto i = [&next] { return next++; };
+  const auto f = [&next] { return static_cast<double>(next++) + 0.125; };
+  trace::Trace t;
+  trace::TraceRunSpec& spec = t.spec;
+  spec.dataset = "indoor";
+  spec.frame_seed = static_cast<uint64_t>(i());
+  spec.fault_seed = static_cast<uint64_t>(i());
+  spec.frames = i();
+  spec.height = i();
+  spec.width = i();
+  spec.stalls.push_back({static_cast<int>(i()), i(), i(), i(), i()});
+  spec.stalls.push_back({static_cast<int>(i()), i(), i(), i(), i()});
+  spec.camera_faults.push_back({faults::CameraFault::kBandTearing, f(), i(), i(), i()});
+  spec.camera_faults.push_back({faults::CameraFault::kOcclusion, f(), i(), i(), i()});
+  serving::SupervisorConfig& sup = spec.supervisor;
+  for (int64_t& budget : sup.stage_budget_ns) budget = i();
+  sup.frame_budget_ns = i();
+  sup.breaker.failure_threshold = static_cast<int>(i());
+  sup.breaker.open_frames = i();
+  sup.demote_after_bad_frames = static_cast<int>(i());
+  sup.promote_after_healthy_frames = static_cast<int>(i());
+  sup.monitor.trigger_frames = i();
+  sup.monitor.release_frames = i();
+  sup.monitor.score_smoothing = f();
+  sup.monitor.sensor_trigger_frames = i();
+  sup.monitor.sensor_release_frames = i();
+  sup.monitor.detect_frozen_frames = false;
+  sup.calibration.enabled = true;
+  sup.calibration.auto_swap = false;
+  sup.calibration.percentile = f();
+  sup.calibration.warmup = i();
+  sup.calibration.min_samples = i();
+  sup.calibration.drift_tolerance = f();
+  sup.calibration.check_every_frames = i();
+  sup.calibration.trigger_checks = i();
+  sup.calibration.release_checks = i();
+  sup.calibration.forced_swap_frames = {i(), i()};
+  sup.calibration.store_path = "never-serialized";
+  spec.cluster.streams = i();
+  spec.cluster.replicas = i();
+  spec.cluster.gather_window_ns = i();
+  spec.cluster.max_batch = i();
+  spec.cluster.arrival_period_ns = i();
+  serving::WatchdogConfig& wd = spec.cluster.watchdog;
+  wd.enabled = true;
+  wd.batch_deadline_ns = i();
+  wd.heartbeat_timeout_ns = i();
+  wd.missed_deadlines_to_quarantine = static_cast<int>(i());
+  wd.canary_period_ns = i();
+  wd.canary_failures_to_quarantine = static_cast<int>(i());
+  wd.probe_backoff_ns = i();
+  wd.max_probe_backoff_ns = i();
+  wd.max_redispatches = i();
+  wd.canary_epsilon = f();
+  spec.cluster.admission_credits = i();
+  spec.cluster.replica_faults.push_back({i(), faults::ReplicaFaultKind::kSlow, i(), i(), i(), i(),
+                                         static_cast<uint64_t>(i())});
+  spec.cluster.replica_faults.push_back({i(), faults::ReplicaFaultKind::kWeightCorrupt, i(), i(),
+                                         i(), i(), static_cast<uint64_t>(i())});
+  sup.enable_quant_rungs = true;
+  spec.pipeline_crc = 0x9e3779b9u;
+  spec.pipeline_bytes = i();
+
+  const serving::ServingMode modes[] = {serving::ServingMode::kVbpMse,
+                                        serving::ServingMode::kRawMse,
+                                        serving::ServingMode::kSensorHold};
+  const serving::ServingMode modes_after[] = {serving::ServingMode::kVbpSsimQ8,
+                                              serving::ServingMode::kVbpMseQ8,
+                                              serving::ServingMode::kVbpSsim};
+  for (int k = 0; k < 3; ++k) {
+    trace::TraceFrame frame;
+    frame.frame_index = i();
+    frame.mode = modes[k];
+    // Bit b of the flag word is set on frame k when bit k of (b + 1) is.
+    const auto bit = [k](int b) { return (((b + 1) >> k) & 1) != 0; };
+    frame.scored = bit(0);
+    frame.abandoned = bit(1);
+    frame.deadline_overrun = bit(2);
+    frame.sensor_bad = bit(3);
+    frame.novel = bit(4);
+    frame.threshold_swapped = bit(5);
+    frame.score = f();
+    frame.steering = f();
+    frame.monitor_state = static_cast<core::MonitorState>(k + 1);
+    frame.fallback_path = static_cast<core::FallbackPath>(2 - k);
+    for (int64_t& ns : frame.stage_ns) ns = i();
+    frame.mode_after = modes_after[k];
+    frame.breaker_after = static_cast<serving::BreakerState>((k + 1) % 3);
+    frame.threshold_epoch = i();
+    frame.stream_id = i();
+    t.frames.push_back(frame);
+  }
+  for (const auto& row : serving::kHealthCounters) {
+    if (row.traced) t.health.*row.member = i();
+  }
+  t.events.push_back({serving::ClusterEventKind::kRedispatch, i(), i(), i(), i()});
+  t.events.push_back({serving::ClusterEventKind::kShed, i(), i(), i(), i()});
+  for (const auto& row : serving::kClusterCounters) {
+    if (row.traced) t.cluster_health.*row.member = i();
+  }
+  return t;
+}
+
+void expect_pinned(const std::string& bytes, uint32_t crc, size_t size) {
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), crc);
+  EXPECT_EQ(bytes.size(), size);
+}
+
+TEST(FormatBytes, TraceWithDistinctFieldsIsPinned) {
+  expect_pinned(serialized(distinct_trace()), 2754608412u, 1286u);
+}
+
+TEST(FormatBytes, ThresholdSetIsPinned) {
+  calib::ThresholdSet set;
+  set.epoch = 41;
+  for (int v = 0; v < core::kDetectorVariantCount; ++v) {
+    const size_t at = static_cast<size_t>(v);
+    set.thresholds[at] = core::NoveltyThreshold(
+        0.25 + v, v % 2 == 0 ? core::ScoreOrientation::kLowIsNovel
+                             : core::ScoreOrientation::kHighIsNovel);
+    set.shadow_samples[at] = 500 + v;
+    set.rebuilt[at] = static_cast<uint8_t>(v % 3 == 0 ? 1 : 0);
+  }
+  std::stringstream ss;
+  set.save(ss);
+  expect_pinned(ss.str(), 3253811760u, 153u);
+}
+
+TEST(FormatBytes, P2SketchIsPinnedInBothStates) {
+  expect_pinned(serialized_sketch(false), 804268834u, 167u);
+  expect_pinned(serialized_sketch(true), 4286228568u, 299u);
 }
 
 // ---------------------------------------------------------------------------

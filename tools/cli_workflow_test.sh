@@ -134,6 +134,14 @@ if "$CLI" serve --pipeline detector.pipeline --frames 2 --streams 2 --replicas 2
   exit 1
 fi
 
+# serve and record share one watchdog rule set: a max probe backoff below
+# the initial one (a failed probe would shrink the backoff) is refused.
+if "$CLI" serve --pipeline detector.pipeline --frames 2 --fake-clock --streams 2 \
+        --watchdog --probe-backoff-us 8000 --max-probe-backoff-us 1000 2>/dev/null; then
+  echo "expected serve to reject a max probe backoff below the initial backoff" >&2
+  exit 1
+fi
+
 # A multi-stream recorded trace replays conformant too (stream routing and
 # per-stream decisions are part of the diff).
 "$CLI" record --pipeline detector.pipeline --out multi.trace --frames 6 \
