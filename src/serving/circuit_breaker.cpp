@@ -26,9 +26,9 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config) : config_(config) {
 }
 
 void CircuitBreaker::begin_frame() {
-  if (state_ == BreakerState::kOpen && ++open_frame_count_ >= config_.open_frames) {
-    state_ = BreakerState::kHalfOpen;
-  }
+  const BreakerState next = next_frame_state();
+  if (state_ == BreakerState::kOpen) ++open_frame_count_;
+  state_ = next;
 }
 
 void CircuitBreaker::record_success() {

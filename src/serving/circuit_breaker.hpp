@@ -30,6 +30,11 @@ static_assert(static_cast<uint32_t>(BreakerState::kHalfOpen) + 1 == kBreakerStat
 
 const char* breaker_state_name(BreakerState state);
 
+/// Degradation order across streams: closed < half-open < open.
+constexpr int breaker_severity(BreakerState state) {
+  return state == BreakerState::kOpen ? 2 : state == BreakerState::kHalfOpen ? 1 : 0;
+}
+
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(CircuitBreakerConfig config = {});
@@ -37,6 +42,14 @@ class CircuitBreaker {
   /// Ticks the frame counter; while open, `open_frames` ticks graduate the
   /// breaker to half-open. Call once per frame before consulting allows().
   void begin_frame();
+
+  /// The state the next begin_frame() will leave (an open breaker on its
+  /// last backoff frame reads half-open).
+  BreakerState next_frame_state() const {
+    return state_ == BreakerState::kOpen && open_frame_count_ + 1 >= config_.open_frames
+               ? BreakerState::kHalfOpen
+               : state_;
+  }
 
   /// True when the protected stage may be attempted this frame (closed, or
   /// half-open probe).

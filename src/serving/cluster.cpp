@@ -24,7 +24,6 @@ ServingCluster::ServingCluster(const core::NoveltyDetector& detector,
       config_(std::move(config)),
       owned_clock_(clock == nullptr ? std::make_unique<SteadyClock>() : nullptr),
       clock_(clock == nullptr ? owned_clock_.get() : clock),
-      saliency_configured_(core::uses_saliency(detector.config().preprocessing)),
       sleep_on_slow_(dynamic_cast<FakeClock*>(clock_) == nullptr) {
   if (config_.streams < 1) {
     throw std::invalid_argument("ServingCluster: streams must be >= 1");
@@ -135,18 +134,12 @@ void ServingCluster::submit(int64_t stream_id, Image frame) {
     }
     ++shed_per_stream_[s];
     ++chaos_stats_.shed_frames;
-    if (shed_queued) {
-      pending_per_stream_[s].fetch_sub(1, std::memory_order_acq_rel);
-      {
-        std::lock_guard<std::mutex> lock(idle_mu_);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      idle_cv_.notify_all();
-      // fall through: the incoming frame is admitted in the shed one's place
-    } else {
+    if (!shed_queued) {
       push_event_locked(ClusterEventKind::kShed, now, -1, stream_id, pending.arrival_seq);
       return;
     }
+    retire(stream_id, /*held_credit=*/true);
+    // fall through: the incoming frame is admitted in the shed one's place
   }
 
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
@@ -297,18 +290,6 @@ HealthSnapshot ServingCluster::stream_health(int64_t stream_id, StageWindows* wi
 }
 
 namespace {
-
-int breaker_severity(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return 0;
-    case BreakerState::kHalfOpen:
-      return 1;
-    case BreakerState::kOpen:
-      return 2;
-  }
-  return 0;
-}
 
 int drift_severity(const std::string& state) {
   if (state == "drifted") return 3;
@@ -580,13 +561,13 @@ void ServingCluster::rebalance_locked(int64_t now_ns) {
       // on.
       std::lock_guard<std::mutex> lock(dst.mu);
       std::deque<PendingFrame> merged;
-      auto a = dst.queue.begin();
-      auto b = requeue.begin();
-      while (a != dst.queue.end() && b != requeue.end()) {
-        merged.push_back(a->arrival_seq < b->arrival_seq ? std::move(*a++) : std::move(*b++));
-      }
-      while (a != dst.queue.end()) merged.push_back(std::move(*a++));
-      while (b != requeue.end()) merged.push_back(std::move(*b++));
+      std::merge(std::make_move_iterator(dst.queue.begin()),
+                 std::make_move_iterator(dst.queue.end()),
+                 std::make_move_iterator(requeue.begin()),
+                 std::make_move_iterator(requeue.end()), std::back_inserter(merged),
+                 [](const PendingFrame& a, const PendingFrame& b) {
+                   return a.arrival_seq < b.arrival_seq;
+                 });
       dst.queue.swap(merged);
     }
     dst.cv.notify_all();
@@ -595,29 +576,61 @@ void ServingCluster::rebalance_locked(int64_t now_ns) {
 
 void ServingCluster::process_inline_locked(PendingFrame frame, int64_t now_ns,
                                            bool was_pending) {
-  const size_t s = static_cast<size_t>(frame.stream_id);
+  // The supervisor's own staged pipeline, no ProvidedCompute: the batch-1
+  // path, bit-identical by construction.
+  ClusterStats tally;
+  const ClusterResult cr = serve(frame, BatchTag{now_ns}, nullptr, tally);
+  ++chaos_stats_.fallback_frames;
+  push_event_locked(ClusterEventKind::kFallback, now_ns, -1, frame.stream_id,
+                    frame.arrival_seq);
+  complete({cr}, tally, was_pending);
+}
+
+// --- completion -------------------------------------------------------------
+
+ClusterResult ServingCluster::serve(const PendingFrame& frame, const BatchTag& tag,
+                                    const ProvidedCompute* provided, ClusterStats& tally) {
   ClusterResult cr;
   cr.stream_id = frame.stream_id;
   cr.arrival_seq = frame.arrival_seq;
   cr.arrival_ns = frame.arrival_ns;
-  cr.sealed_ns = now_ns;
-  cr.replica = -1;
-  cr.batch_seq = -1;
-  cr.batch_size = 1;
+  cr.sealed_ns = tag.sealed_ns;
+  cr.replica = tag.replica;
+  cr.batch_seq = tag.seq;
+  cr.batch_size = tag.size;
+  const size_t s = static_cast<size_t>(frame.stream_id);
   {
-    // The supervisor's own staged pipeline, no ProvidedCompute: the batch-1
-    // path, bit-identical by construction.
-    std::lock_guard<std::mutex> proc(stream_mu_[s]);
-    cr.result = supervisors_[s]->process(frame.frame);
+    // Per-stream (not per-replica) serialization: a stream's frames may
+    // migrate between replicas, and its supervisor must never run from two
+    // threads at once.
+    std::lock_guard<std::mutex> lock(stream_mu_[s]);
+    cr.result = supervisors_[s]->process(frame.frame, provided);
+    if (provided != nullptr && provided->reconstruction.has_value()) {
+      ++(supervisors_[s]->last_recon_mispredicted() ? tally.recon_mispredicts
+                                                    : tally.provided_recon);
+    }
   }
-  ++chaos_stats_.fallback_frames;
-  push_event_locked(ClusterEventKind::kFallback, now_ns, -1, frame.stream_id,
-                    frame.arrival_seq);
+  if (provided != nullptr) {
+    if (provided->steering.has_value()) ++tally.provided_steer;
+    if (provided->saliency_mask.has_value()) ++tally.provided_saliency;
+  }
+  return cr;
+}
+
+void ServingCluster::complete(const std::vector<ClusterResult>& served, const ClusterStats& tally,
+                              bool held_credits) {
   {
     std::lock_guard<std::mutex> lock(results_mu_);
-    if (config_.keep_results) results_.push_back(std::move(cr));
+    for (const auto& row : kClusterCounters) row.merge_into(stats_, tally);
+    if (config_.keep_results) results_.insert(results_.end(), served.begin(), served.end());
   }
-  if (was_pending) pending_per_stream_[s].fetch_sub(1, std::memory_order_acq_rel);
+  for (const ClusterResult& cr : served) retire(cr.stream_id, held_credits);
+}
+
+void ServingCluster::retire(int64_t stream_id, bool held_credit) {
+  if (held_credit) {
+    pending_per_stream_[static_cast<size_t>(stream_id)].fetch_sub(1, std::memory_order_acq_rel);
+  }
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     outstanding_.fetch_sub(1, std::memory_order_acq_rel);
@@ -629,19 +642,13 @@ void ServingCluster::process_inline_locked(PendingFrame frame, int64_t now_ns,
 
 bool ServingCluster::should_seal(const Replica& r) const {
   if (r.queue.empty()) return false;
-  if (config_.replica_faults != nullptr &&
+  // A crashed/hung replica seals nothing. stop() always overrides (the run
+  // is ending; fidelity is moot), and so does a flush when no watchdog
+  // exists to migrate the frames — liveness wins over fault fidelity. With
+  // a watchdog, drain() quarantines + migrates first.
+  if (!r.stopping && !(r.flush && watchdog_ == nullptr) && config_.replica_faults != nullptr &&
       config_.replica_faults->outage_active(r.index, clock_->now_ns())) {
-    // A crashed/hung replica seals nothing. stop() always overrides (the
-    // run is ending; fidelity is moot), and so does a flush when no
-    // watchdog exists to migrate the frames — liveness wins over fault
-    // fidelity. With a watchdog, drain() quarantines + migrates first.
-    if (r.stopping) {
-      // fall through to the normal seal rules
-    } else if (r.flush && watchdog_ == nullptr) {
-      // fall through
-    } else {
-      return false;
-    }
+    return false;
   }
   if (r.flush || r.stopping) return true;
   if (static_cast<int64_t>(r.queue.size()) >= config_.max_batch) return true;
@@ -718,6 +725,12 @@ void ServingCluster::worker_loop(Replica& r) {
 void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
                                    SealReason reason, int64_t sealed_ns, int64_t batch_seq) {
   const size_t b = batch.size();
+  ClusterStats tally;  // this batch's counters, merged into stats_ on completion
+  tally.batches = 1;
+  tally.batched_frames = static_cast<int64_t>(b);
+  ++(reason == SealReason::kMaxBatch ? tally.max_batch_seals
+     : reason == SealReason::kWindow ? tally.window_seals
+                                     : tally.flush_seals);
 
   // A weight-corruption window withholds ALL batched compute for the batch:
   // the supervisors recompute every stage inline from the true (pristine)
@@ -729,61 +742,41 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
       config_.replica_faults->active_of_kind(r.index, faults::ReplicaFaultKind::kWeightCorrupt,
                                              sealed_ns) != nullptr;
 
-  // Per-frame speculation slot: which supervisor serves the frame and which
-  // batched results it will be handed.
-  struct Slot {
-    Supervisor* supervisor = nullptr;
-    ProvidedCompute provided;
-    bool valid = false;
-  };
-  std::vector<Slot> slots(b);
-
-  // --- Plan: screen frames and predict each one's compute needs -----------
+  // --- Plan: screen frames and batch what each one's supervisor plans -----
   // The batched preprocess/reconstruct entries throw on malformed inputs,
   // while the supervisor folds the same faults into its sensor path — so
   // frames the validator rejects are excluded from batched compute and left
-  // to their supervisor (which screens them identically). The saliency
-  // prediction applies the supervisor's own rule to the stream's current
-  // mode/breaker; a frame whose stream changes mid-batch simply falls back
-  // to in-stage compute of the same bits.
+  // to their supervisor (which screens them identically). Every other frame
+  // gets exactly the stages its supervisor's plan() names, read under the
+  // stream's lock: a migrated stream's supervisor may still be serving an
+  // earlier frame on another replica.
   //
   // Batched compute is partitioned by PRECISION: a mixed batch (some streams
   // on float rungs, some demoted to q8) runs one float sub-batch and one q8
   // sub-batch per stage — never a mixed forward, because the supervisor only
   // trusts provided results whose precision matches the serving rung
   // (ProvidedCompute::quantized).
-  // Slot indices per stage and precision ([0]=float, [1]=q8), in slot order.
+  // Batch indices per stage and precision ([0]=float, [1]=q8), in batch order.
+  std::vector<ProvidedCompute> provided(b);
   std::array<std::vector<size_t>, 2> steer_at;
   std::array<std::vector<size_t>, 2> sal_at;
   std::array<std::vector<size_t>, 2> recon_at;
-  int64_t prescreen_rejects = 0;
   for (size_t i = 0; i < b; ++i) {
-    Slot& slot = slots[i];
-    slot.supervisor = supervisors_[static_cast<size_t>(batch[i].stream_id)].get();
-    slot.valid = detector_.frame_validator().check(batch[i].frame) == core::FrameFault::kNone;
-    if (!slot.valid) {
-      ++prescreen_rejects;
+    if (detector_.frame_validator().check(batch[i].frame) != core::FrameFault::kNone) {
+      ++tally.prescreen_rejects;
       continue;
     }
-    const core::Rung& rung = core::rung(slot.supervisor->mode());
-    slot.provided.quantized = rung.q8;
+    FramePlan plan;
+    {
+      const size_t s = static_cast<size_t>(batch[i].stream_id);
+      std::lock_guard<std::mutex> lock(stream_mu_[s]);
+      plan = supervisors_[s]->plan();
+    }
+    provided[i].quantized = plan.q8;
     if (withhold) continue;
-    recon_at[rung.q8 ? 1 : 0].push_back(i);
-    if (steering_model_ != nullptr) {
-      // The supervisor's rule: a q8 rung steers quantized only when the
-      // quantized steering forward exists.
-      steer_at[detector_.steers_quantized(rung.q8) ? 1 : 0].push_back(i);
-    }
-    const BreakerState breaker = slot.supervisor->breaker_state();
-    const bool want_saliency =
-        saliency_configured_ && breaker != BreakerState::kOpen &&
-        (!rung.raw || breaker == BreakerState::kHalfOpen);
-    if (want_saliency) {
-      // A half-open probe serves float on success, and a probing stream's
-      // mode is below the saliency rungs, so q8 is false there — the mask
-      // precision always matches what the supervisor will consume.
-      sal_at[rung.q8 ? 1 : 0].push_back(i);
-    }
+    recon_at[plan.q8 ? 1 : 0].push_back(i);
+    if (plan.steer) steer_at[plan.steer_q8 ? 1 : 0].push_back(i);
+    if (plan.saliency) sal_at[plan.mask_q8 ? 1 : 0].push_back(i);
   }
 
   // --- Batched compute: steer, saliency, reconstruct ----------------------
@@ -808,7 +801,7 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
     const core::DetectorVariant variant =
         p == 1 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
     const bool shared = !sal.empty() && detector_.mask_reads_steer_pass(p == 1, steering_model_);
-    // The pass's frames in slot order (both fans are in slot order).
+    // The pass's frames in batch order (both fans are in batch order).
     std::vector<size_t> pass_at = steer;
     if (shared) {
       pass_at.clear();
@@ -838,7 +831,7 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
             driving::steering_angles(pass->output, static_cast<int64_t>(pass_at.size()));
         const std::vector<int64_t> rows = rows_of(steer);
         for (size_t k = 0; k < steer.size(); ++k) {
-          slots[steer[k]].provided.steering = angles[static_cast<size_t>(rows[k])];
+          provided[steer[k]].steering = angles[static_cast<size_t>(rows[k])];
         }
       } catch (const std::exception&) {
       }
@@ -849,116 +842,52 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
             shared ? detector_.variant_preprocess_batch(variant, frames_of(sal), *pass, rows_of(sal))
                    : detector_.variant_preprocess_batch(variant, frames_of(sal));
         for (size_t k = 0; k < sal.size(); ++k) {
-          slots[sal[k]].provided.saliency_mask = std::move(masks[k]);
+          provided[sal[k]].saliency_mask = std::move(masks[k]);
         }
       } catch (const std::exception&) {
       }
     }
-    // Predicted autoencoder input: the mask when saliency is expected to
-    // serve the frame, the raw frame otherwise (the supervisor's raw rungs
-    // feed the frame through unchanged).
+    // Planned autoencoder input: the mask when the plan runs saliency, the
+    // raw frame otherwise (the supervisor's raw rungs feed the frame through
+    // unchanged).
     const std::vector<size_t>& recon = recon_at[static_cast<size_t>(p)];
     std::vector<const Image*> recon_in;
     for (const size_t at : recon) {
-      const std::optional<Image>& mask = slots[at].provided.saliency_mask;
+      const std::optional<Image>& mask = provided[at].saliency_mask;
       recon_in.push_back(mask.has_value() ? &*mask : &batch[at].frame);
     }
     if (recon_in.empty()) continue;
     try {
       std::vector<Image> recons = detector_.variant_reconstruct_batch(variant, recon_in);
       for (size_t k = 0; k < recon.size(); ++k) {
-        slots[recon[k]].provided.recon_input = *recon_in[k];
-        slots[recon[k]].provided.reconstruction = std::move(recons[k]);
+        provided[recon[k]].recon_input = *recon_in[k];
+        provided[recon[k]].reconstruction = std::move(recons[k]);
       }
     } catch (const std::exception&) {
     }
   }
 
   // --- Policy: replay each frame through its own supervisor, in order -----
-  int64_t provided_steer = 0;
-  int64_t provided_saliency = 0;
-  int64_t provided_recon = 0;
-  int64_t mispredicts = 0;
-  int64_t max_wait = 0;
-  std::vector<ClusterResult> out;
-  out.reserve(b);
+  const BatchTag tag{sealed_ns, r.index, batch_seq, static_cast<int64_t>(b)};
+  std::vector<ClusterResult> served;
+  served.reserve(b);
   for (size_t i = 0; i < b; ++i) {
-    Slot& slot = slots[i];
-    ClusterResult cr;
-    cr.stream_id = batch[i].stream_id;
-    cr.arrival_seq = batch[i].arrival_seq;
-    cr.arrival_ns = batch[i].arrival_ns;
-    cr.sealed_ns = sealed_ns;
-    cr.replica = r.index;
-    cr.batch_seq = batch_seq;
-    cr.batch_size = static_cast<int64_t>(b);
-    {
-      // Per-stream (not per-replica) serialization: a stream's frames may
-      // migrate between replicas, and its supervisor must never run from
-      // two threads at once.
-      std::lock_guard<std::mutex> proc(stream_mu_[static_cast<size_t>(batch[i].stream_id)]);
-      cr.result = slot.supervisor->process(batch[i].frame, &slot.provided);
-      if (slot.provided.reconstruction.has_value()) {
-        if (slot.supervisor->last_recon_mispredicted()) {
-          ++mispredicts;
-        } else {
-          ++provided_recon;
-        }
-      }
-    }
-    if (slot.provided.steering.has_value()) ++provided_steer;
-    if (slot.provided.saliency_mask.has_value()) ++provided_saliency;
-    pending_per_stream_[static_cast<size_t>(batch[i].stream_id)].fetch_sub(
-        1, std::memory_order_acq_rel);
-    const int64_t wait = sealed_ns - batch[i].arrival_ns;
-    if (wait > max_wait) max_wait = wait;
-    out.push_back(std::move(cr));
+    served.push_back(serve(batch[i], tag, &provided[i], tally));
+    tally.max_gather_wait_ns = std::max(tally.max_gather_wait_ns, sealed_ns - batch[i].arrival_ns);
   }
 
   // A slow-replica fault taxes the whole batch. Under a real clock the
   // worker genuinely sleeps (later seals are late — the watchdog's symptom);
   // under a FakeClock it does not, because FakeClock::sleep_ns advances the
   // shared clock for everyone.
-  int64_t slow_batches = 0;
   if (config_.replica_faults != nullptr) {
     const int64_t penalty = config_.replica_faults->slow_penalty_ns(r.index, sealed_ns);
     if (penalty > 0) {
-      slow_batches = 1;
+      tally.slow_batches = 1;
       if (sleep_on_slow_) clock_->sleep_ns(penalty);
     }
   }
-
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    ++stats_.batches;
-    stats_.batched_frames += static_cast<int64_t>(b);
-    switch (reason) {
-      case SealReason::kMaxBatch:
-        ++stats_.max_batch_seals;
-        break;
-      case SealReason::kWindow:
-        ++stats_.window_seals;
-        break;
-      case SealReason::kFlush:
-        ++stats_.flush_seals;
-        break;
-    }
-    if (max_wait > stats_.max_gather_wait_ns) stats_.max_gather_wait_ns = max_wait;
-    stats_.provided_steer += provided_steer;
-    stats_.provided_saliency += provided_saliency;
-    stats_.provided_recon += provided_recon;
-    stats_.recon_mispredicts += mispredicts;
-    stats_.prescreen_rejects += prescreen_rejects;
-    stats_.slow_batches += slow_batches;
-    if (config_.keep_results) {
-      for (auto& cr : out) results_.push_back(std::move(cr));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    outstanding_.fetch_sub(static_cast<int64_t>(b), std::memory_order_acq_rel);
-  }
-  idle_cv_.notify_all();
+  complete(served, tally, /*held_credits=*/true);
 }
 
 }  // namespace salnov::serving

@@ -22,6 +22,12 @@
 // transitions are bit-identical regardless of which batch a frame landed
 // in.
 //
+// A batch computes exactly what each frame's Supervisor::plan() names (read
+// under the stream's lock), half-open probes included. The remaining misses
+// — an earlier frame of the same stream in the batch moved its mode or
+// breaker, or a stage failed — recompute the same bits in-stage, and
+// recon_mispredicts counts the discarded reconstructions.
+//
 // Determinism: a frame is stamped with the clock at submit(); a batch seals
 // when (a) it reaches max_batch, (b) a frame arrives outside the gather
 // window of the batch head, or (c) the clock passes the head's window
@@ -235,6 +241,26 @@ class ServingCluster {
   void process_batch(Replica& r, std::vector<PendingFrame> batch, SealReason reason,
                      int64_t sealed_ns, int64_t batch_seq);
 
+  // --- completion: the one path every frame leaves by ---------------------
+
+  /// Where a frame was served; the defaults describe an inline frame.
+  struct BatchTag {
+    int64_t sealed_ns = 0, replica = -1, seq = -1, size = 1;
+  };
+
+  /// Serves `frame` on its stream's Supervisor under the stream's lock and
+  /// counts what `provided` (may be null) gave it. Builds every ClusterResult.
+  ClusterResult serve(const PendingFrame& frame, const BatchTag& tag,
+                      const ProvidedCompute* provided, ClusterStats& tally);
+
+  /// Publishes results and their batch's counters, then retires each frame.
+  void complete(const std::vector<ClusterResult>& served, const ClusterStats& tally,
+                bool held_credits);
+
+  /// Retires one frame, served or shed: returns its admission credit when it
+  /// held one, then drops the outstanding count drain() waits on.
+  void retire(int64_t stream_id, bool held_credit);
+
   // --- failure domain (all require routing_mu_ unless noted) --------------
 
   /// Watchdog pass: charge symptoms, quarantine, probe, restore, rebalance.
@@ -250,9 +276,8 @@ class ServingCluster {
   void quarantine_locked(int64_t replica, int64_t now_ns, int64_t detail);
 
   /// Serves one frame on its stream's Supervisor (batch-1 path, identical
-  /// bits). `was_pending` says whether the frame was counted in the
-  /// pending/outstanding accounting (queued frames yes, direct submissions
-  /// are counted by the caller).
+  /// bits). `was_pending` says whether the frame held an admission credit
+  /// (queued frames yes, direct submissions no).
   void process_inline_locked(PendingFrame frame, int64_t now_ns, bool was_pending);
 
   /// One canary evaluation of `replica`: rebuild a clone from the pristine
@@ -274,7 +299,6 @@ class ServingCluster {
   ClusterConfig config_;
   std::unique_ptr<Clock> owned_clock_;
   Clock* clock_;
-  const bool saliency_configured_;
   const bool sleep_on_slow_;  ///< live clock: a slow-replica penalty really sleeps
 
   std::vector<std::unique_ptr<Supervisor>> supervisors_;  ///< one per stream
@@ -310,8 +334,8 @@ class ServingCluster {
   std::atomic<bool> paused_{false};
   std::atomic<bool> stopped_{false};
 
-  /// Accepted frames not yet processed; the worker's decrement-to-zero
-  /// notifies idle_cv_, which drain() waits on.
+  /// Accepted frames not yet retired; retire() notifies idle_cv_, which
+  /// drain() waits on.
   std::atomic<int64_t> outstanding_{0};
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;

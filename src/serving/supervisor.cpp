@@ -199,6 +199,26 @@ void Supervisor::update_ladder(bool frame_bad) {
   }
 }
 
+FramePlan Supervisor::plan() const {
+  const core::Rung& rung = core::rung(mode_);
+  const BreakerState breaker = breaker_.next_frame_state();
+  FramePlan plan;
+  plan.mode = mode_;
+  plan.q8 = rung.q8;
+  // On a q8 rung the steer stage runs the quantized steering forward when it
+  // exists — the same network the q8 mask is backpropped through.
+  plan.steer = steering_model_ != nullptr;
+  plan.steer_q8 = detector_.steers_quantized(rung.q8);
+  plan.probe = breaker == BreakerState::kHalfOpen;
+  plan.saliency =
+      saliency_configured_ && breaker != BreakerState::kOpen && (!rung.raw || plan.probe);
+  // A half-open probe restores the float top rung on success, so its mask
+  // is the float mask; only a q8 rung that will itself consume the mask
+  // computes it quantized.
+  plan.mask_q8 = rung.q8 && !rung.raw;
+  return plan;
+}
+
 ServeResult Supervisor::process(const Image& frame, const ProvidedCompute* provided) {
   ServeResult result = run_pipeline(frame, provided);
   result.mode_after = mode_;
@@ -248,29 +268,24 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     return result;
   }
 
+  const FramePlan planned = plan();
   breaker_.begin_frame();
-  ServingMode mode_used = mode_;
+  ServingMode mode_used = planned.mode;
 
   // Provided compute is only trusted at the precision this frame serves at:
   // float and q8 forwards are different bits by design, so a precision
   // mismatch (mid-batch mode change across a q8 boundary) recomputes
-  // directly. `mode_used` cannot cross a precision boundary after this point
-  // — within-frame fallbacks land on float kRawMse, which steer/saliency
-  // below never consult q8 state for.
-  const bool quant_frame = core::rung(mode_used).q8;
-  const bool provided_ok = provided != nullptr && provided->quantized == quant_frame;
+  // directly.
+  const bool provided_ok = provided != nullptr && provided->quantized == planned.q8;
 
   // --- Stage 1: steer ----------------------------------------------------
   // The steering prediction is the vehicle's primary output and runs in
-  // every mode that reaches this point. On a q8 rung it comes from the
-  // quantized steering forward — the same network the q8 saliency mask is
-  // backpropped through.
+  // every mode that reaches this point.
   //
   // When the stage runs the forward itself it keeps the conv stages, so the
   // saliency stage can build the VBP mask without a second forward.
-  const bool steer_q8 = detector_.steers_quantized(quant_frame);
   std::optional<nn::StagedForward> steer_pass;
-  if (steering_model_ != nullptr) {
+  if (planned.steer) {
     const StageOutcome steer = run_stage(Stage::kSteer, index, result, [&] {
       // A provided angle is the batched forward's row for this frame —
       // bit-identical to the direct call (per-row GEMM identity; exact for
@@ -279,7 +294,7 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
         result.steering = *provided->steering;
         return;
       }
-      nn::StagedForward pass = steer_q8
+      nn::StagedForward pass = planned.steer_q8
                                    ? detector_.quant_steering()->forward_stages(frame.as_nchw())
                                    : steering_model_->forward_stages(frame.as_nchw());
       result.steering = driving::steering_angles(pass.output, 1)[0];
@@ -292,24 +307,16 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
 
   // --- Stage 2: saliency (behind the circuit breaker) --------------------
   Image preprocessed = frame;
-  const bool probe = breaker_.state() == BreakerState::kHalfOpen;
-  const bool attempt_saliency =
-      saliency_configured_ && breaker_.allows() &&
-      (!core::rung(mode_used).raw || probe);
   bool tripped_this_frame = false;
-  if (attempt_saliency) {
-    // A half-open probe restores the float top rung on success, so the mask
-    // it computes must be the float mask; only a q8 rung that will itself
-    // consume the mask computes it quantized.
-    const bool mask_q8 = quant_frame && !core::rung(mode_used).raw;
+  if (planned.saliency) {
     const core::DetectorVariant mask_variant =
-        mask_q8 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
+        planned.mask_q8 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary;
     // The steer stage's pass is the mask's forward only when it ran at the
     // mask's precision and the detector's reuse rule accepts it; otherwise
     // (provided or failed steering, a q8 rung without a quantized steering
     // model, another saliency method) the stage computes its own forward.
-    const bool reuse_pass = steer_pass.has_value() && steer_q8 == mask_q8 &&
-                            detector_.mask_reads_steer_pass(mask_q8, steering_model_);
+    const bool reuse_pass = steer_pass.has_value() && planned.steer_q8 == planned.mask_q8 &&
+                            detector_.mask_reads_steer_pass(planned.mask_q8, steering_model_);
     Image mask;
     const StageOutcome saliency = run_stage(Stage::kSaliency, index, result, [&] {
       // A provided mask skips only the compute: the frame already passed the
@@ -327,7 +334,7 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     if (saliency.ok()) {
       breaker_.record_success();
       preprocessed = std::move(mask);
-      if (probe) {
+      if (planned.probe) {
         // Probe success: the stage works again — restore the top of the
         // ladder immediately rather than climbing one rung at a time.
         set_mode(ServingMode::kVbpSsim);
@@ -364,12 +371,12 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   const StageOutcome reconstruct = run_stage(Stage::kReconstruct, index, result, [&] {
     // The provided reconstruction is only trusted when it was computed from
     // exactly the image this frame actually feeds the autoencoder (value
-    // equality, the frozen-frame idiom): a batching front end speculates on
-    // the preprocessed input before policy runs, and a mid-batch mode or
-    // breaker change can invalidate that guess. A miss recomputes the same
-    // bits, just unbatched.
+    // equality, the frozen-frame idiom) at the rung's precision: the plan
+    // fixes both before policy runs, and a mid-batch mode change or a failed
+    // saliency stage (a q8 frame then serves float raw+MSE) can leave
+    // either behind. A miss recomputes the same bits, just unbatched.
     if (provided_ok && provided->reconstruction.has_value() &&
-        core::rung(mode_used).q8 == quant_frame &&
+        core::rung(mode_used).q8 == planned.q8 &&
         provided->recon_input.tensor() == preprocessed.tensor()) {
       reconstruction = *provided->reconstruction;
     } else {

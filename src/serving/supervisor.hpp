@@ -24,6 +24,13 @@
 // All timing flows through the Clock interface, and injected stalls come
 // from a deterministic TimingFaultInjector — under a FakeClock the entire
 // overrun/fallback/breaker trace is reproducible bit-for-bit.
+//
+// What a frame computes (rung, stages, precisions) is decided once, by
+// plan(), from the state the frame will start from; process() follows it,
+// and a batching front end that asks before the frame runs provides exactly
+// what process() consumes. A provided result then goes unused only when an
+// earlier frame of the stream moved the mode or breaker after the plan was
+// taken, or a stage failed (a failed saliency stage serves the frame raw).
 #pragma once
 
 #include <array>
@@ -104,6 +111,17 @@ struct ServeResult {
   BreakerState breaker_after = BreakerState::kClosed;  ///< breaker state after the frame
 };
 
+/// What the next frame computes once it passes validation (Supervisor::plan()).
+struct FramePlan {
+  ServingMode mode = ServingMode::kVbpSsim;  ///< starting rung
+  bool q8 = false;         ///< its precision: the reconstruction's, and ProvidedCompute::quantized
+  bool steer = false;      ///< the steer stage runs (a steering model is attached)
+  bool steer_q8 = false;   ///< ... on the int8 steering view
+  bool saliency = false;   ///< the saliency stage is attempted
+  bool probe = false;      ///< ... as the breaker's half-open probe
+  bool mask_q8 = false;    ///< the mask's precision
+};
+
 /// Precomputed stage results injected by a batching front end (the
 /// ServingCluster aggregates frames across streams into batch-B forward
 /// passes and hands each frame's share back through this struct). Each
@@ -112,8 +130,8 @@ struct ServeResult {
 /// calibration — still runs in the supervisor itself, so the decision
 /// stream is bit-identical to the unbatched path by construction. A field
 /// left empty (or a reconstruction whose recon_input no longer matches the
-/// frame's actual preprocessed image, e.g. after a mid-batch mode change)
-/// falls back to the direct call, which computes the same bits.
+/// frame's actual preprocessed image, e.g. after a stale plan) falls back to
+/// the direct call, which computes the same bits.
 struct ProvidedCompute {
   std::optional<double> steering;       ///< predict_steering(model, frame)
   std::optional<Image> saliency_mask;   ///< variant_preprocess(kPrimary, frame)
@@ -156,6 +174,10 @@ class Supervisor {
   /// image (a batching front end's speculation missed). Diagnostic for the
   /// cluster's stats; reset at every process() entry.
   bool last_recon_mispredicted() const { return last_recon_mispredicted_; }
+
+  /// What the next frame will compute: process() follows the plan this
+  /// returns at its entry. Not thread-safe against a concurrent process().
+  FramePlan plan() const;
 
   ServingMode mode() const { return mode_; }
   BreakerState breaker_state() const { return breaker_.state(); }

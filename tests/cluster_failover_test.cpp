@@ -13,15 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <vector>
 
 #include "core/novelty_detector.hpp"
 #include "driving/pilotnet.hpp"
 #include "faults/replica_faults.hpp"
+#include "faults/timing_faults.hpp"
 #include "prop.hpp"
 #include "serving/clock.hpp"
 #include "serving/cluster.hpp"
@@ -472,6 +477,116 @@ TEST_F(FailoverFixture, QuarantineHalfOpenProbeRestoresReplica) {
       EXPECT_EQ(cr.replica, 0) << "arrival_seq " << cr.arrival_seq;
     }
   }
+}
+
+/// A clock whose first positive sleep blocks until release(): a replica
+/// worker that sleeps through an injected stall stays inside its batch, and
+/// inside its stream's lock, until the test lets it go. Time otherwise only
+/// moves when the test advances it or a sleep ends.
+class GateClock final : public Clock {
+ public:
+  int64_t now_ns() override { return now_ns_.load(std::memory_order_relaxed); }
+
+  void sleep_ns(int64_t ns) override {
+    if (ns > 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      stalled_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    advance_ns(ns);
+  }
+
+  void advance_ns(int64_t ns) {
+    if (ns > 0) now_ns_.fetch_add(ns, std::memory_order_relaxed);
+  }
+
+  /// True once a sleeper is blocked; false when none arrives in time.
+  bool wait_for_stall() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(60), [this] { return stalled_; });
+  }
+
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<int64_t> now_ns_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stalled_ = false;
+  bool released_ = false;
+};
+
+TEST_F(FailoverFixture, QuarantineMigratesStreamWhileItsEarlierBatchIsServed) {
+  // Replica 0 seals stream 0's frames 0-1 and stalls inside frame 1's
+  // saliency stage. Meanwhile frames 2-3 queue behind it, a crash window
+  // opening at 5 ms quarantines replica 0, and the stream migrates to
+  // replica 1, which batches frames 2-3 while frame 1 is still being
+  // served. Replica 1 must read stream 0's plan under the stream's
+  // lock (the stalled frame demotes the ladder once it resumes), and the
+  // stream's frames must still be served in order, bit-identical to the
+  // batch-1 path.
+  faults::TimingFaultInjector stalls;
+  stalls.add({static_cast<int>(Stage::kSaliency), /*stall_ns=*/10 * kMs, /*first_frame=*/1,
+              /*last_frame=*/1, /*period=*/1});
+  SupervisorConfig sup;
+  sup.stage_budget_ns = {kMs, kMs, kMs, kMs, kMs};
+  sup.frame_budget_ns = 0;  // the held stage's extra time must not abandon the frame
+  sup.timing_faults = &stalls;
+  const auto scripts = stream_scripts(1, 4);
+  const auto solo = solo_reference(scripts, sup);
+
+  ReplicaFaultSchedule sched;
+  sched.add({0, ReplicaFaultKind::kCrash, 5 * kMs, 1'000'000 * kMs, 0, 0, 1});
+
+  GateClock clock;
+  ClusterConfig config;
+  config.streams = 2;
+  config.replicas = 2;
+  config.max_batch = 2;
+  config.gather_window_ns = 5 * kMs;
+  config.supervisor = sup;
+  config.watchdog = fast_watchdog();
+  config.watchdog.probe_backoff_ns = 1000 * kMs;  // no probe within the run
+  config.watchdog.max_probe_backoff_ns = 1000 * kMs;
+  config.replica_faults = &sched;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  cluster.submit(0, scripts[0][0]);
+  cluster.submit(0, scripts[0][1]);
+  cluster.resume();
+  const bool stalled = clock.wait_for_stall();
+  if (!stalled) clock.release();
+  ASSERT_TRUE(stalled) << "replica 0 never reached frame 1's stall";
+
+  cluster.submit(0, scripts[0][2]);
+  cluster.submit(0, scripts[0][3]);
+  clock.advance_ns(10 * kMs);
+  cluster.tick();  // five missed deadlines since the crash began
+  EXPECT_EQ(cluster.replica_state(0), ReplicaState::kQuarantined);
+  clock.release();
+  cluster.drain();
+  const std::vector<ClusterResult> results = cluster.take_results();
+  const std::vector<ClusterEvent> events = cluster.take_events();
+  const ClusterStats stats = cluster.stats();
+  cluster.stop();
+
+  ASSERT_EQ(results.size(), 4u);
+  expect_all_bitexact(results, solo);
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].result.frame_index, static_cast<int64_t>(i));
+    EXPECT_EQ(results[i].replica, i < 2 ? 0 : 1) << "frame " << i;
+    EXPECT_EQ(results[i].batch_size, 2) << "frame " << i;
+  }
+  EXPECT_EQ(solo[0][1].mode_after, ServingMode::kVbpMse) << "the stalled frame demotes";
+  EXPECT_EQ(stats.quarantines, 1);
+  EXPECT_EQ(stats.redispatched_frames, 2);
+  EXPECT_TRUE(has_event(events, ClusterEventKind::kQuarantine));
+  EXPECT_TRUE(has_event(events, ClusterEventKind::kRedispatch));
 }
 
 TEST_F(FailoverFixture, RedispatchBudgetExhaustionFallsBackInline) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -503,6 +504,89 @@ TEST_F(ClusterFixture, MispredictedReconstructionFallsBackBitIdentically) {
   // reconstruction (raw rung scores against the frame, not the mask).
   EXPECT_GT(stats.recon_mispredicts, 0);
   EXPECT_EQ(cluster.stream_health(0).mode, ServingMode::kRawMse);
+}
+
+// ---------------------------------------------------------------------------
+// The cluster batches exactly what each supervisor plans, half-open probes
+// included.
+
+TEST_F(ClusterFixture, HalfOpenProbeFramesAreBatchedAsPlanned) {
+  // Saliency stalls on frames 1-3 and 8-10 trip the breaker (three
+  // consecutive failures; the ladder is held still so saliency keeps running
+  // until the trip). After two open frames each trip ends in a clean
+  // half-open probe, on frames 5 and 12.
+  constexpr int kSaliency = static_cast<int>(Stage::kSaliency);
+  faults::TimingFaultInjector stalls;
+  stalls.add({kSaliency, /*stall_ns=*/10 * kMs, /*first_frame=*/1, /*last_frame=*/3,
+              /*period=*/1});
+  stalls.add({kSaliency, /*stall_ns=*/10 * kMs, /*first_frame=*/8, /*last_frame=*/10,
+              /*period=*/1});
+  SupervisorConfig sup;
+  sup.stage_budget_ns = {kMs, kMs, kMs, kMs, kMs};
+  sup.frame_budget_ns = 1000 * kMs;
+  sup.demote_after_bad_frames = 100;
+  sup.breaker.failure_threshold = 3;
+  sup.breaker.open_frames = 2;
+  sup.timing_faults = &stalls;
+
+  const std::vector<Image> frames = stream_scripts(1, 14)[0];
+  std::vector<ServeResult> solo;
+  {
+    FakeClock clock;
+    Supervisor supervisor(*detector_, steering_, sup, &clock);
+    for (const Image& frame : frames) solo.push_back(supervisor.process(frame));
+  }
+
+  // One frame per batch, so each frame's counters can be read apart.
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = 1;
+  config.replicas = 1;
+  config.supervisor = sup;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  std::vector<int64_t> saliency_ran;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const int64_t ran_before =
+        cluster.stream_health(0).stages[static_cast<size_t>(kSaliency)].samples;
+    const ClusterStats before = cluster.stats();
+    cluster.pause();
+    cluster.submit(0, frames[i]);
+    cluster.drain();
+    const int64_t ran =
+        cluster.stream_health(0).stages[static_cast<size_t>(kSaliency)].samples - ran_before;
+    const ClusterStats after = cluster.stats();
+    const bool stalled = stalls.stall_ns(kSaliency, static_cast<int64_t>(i)) > 0;
+    saliency_ran.push_back(ran);
+    EXPECT_EQ(after.provided_saliency - before.provided_saliency, ran)
+        << "frame " << i << ": a frame whose saliency stage ran gets a batched mask";
+    EXPECT_EQ(after.recon_mispredicts - before.recon_mispredicts, stalled && ran == 1 ? 1 : 0)
+        << "frame " << i << ": only a failed saliency stage discards the reconstruction";
+    EXPECT_EQ(after.provided_recon - before.provided_recon, stalled && ran == 1 ? 0 : 1)
+        << "frame " << i;
+  }
+  const std::vector<ClusterResult> results = cluster.take_results();
+  const HealthSnapshot health = cluster.stream_health(0);
+  cluster.stop();
+
+  // The scenario: two trips, two probes that ran saliency on a raw rung and
+  // restored the top rung, open frames that skipped the stage.
+  EXPECT_EQ(health.breaker_trips, 2);
+  EXPECT_EQ(health.probe_successes, 2);
+  for (const size_t probe : {5u, 12u}) {
+    EXPECT_EQ(saliency_ran[probe], 1) << "probe frame " << probe;
+    EXPECT_EQ(solo[probe].mode, ServingMode::kVbpSsim) << "probe frame " << probe;
+    EXPECT_EQ(solo[probe - 1].mode_after, ServingMode::kRawMse) << "probe frame " << probe;
+  }
+  EXPECT_EQ(saliency_ran[4], 0);
+  EXPECT_EQ(saliency_ran[11], 0);
+
+  ASSERT_EQ(results.size(), solo.size());
+  for (size_t i = 0; i < solo.size(); ++i) {
+    const ServeResult& got = results[i].result;
+    EXPECT_EQ(0, std::memcmp(&got.score, &solo[i].score, sizeof(double))) << "frame " << i;
+    EXPECT_EQ(got.novel, solo[i].novel) << "frame " << i;
+    expect_results_bitexact(solo[i], got);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -86,18 +87,17 @@ struct Args {
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
+  const auto is_option = [](std::string_view token) { return token.substr(0, 2) == "--"; };
   for (int i = 2; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      const std::string key = token.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        args.options[key] = argv[++i];
-      } else {
-        args.options[key] = "1";
-      }
-    } else {
-      args.positional.push_back(token);
+    const std::string_view token = argv[i];
+    if (!is_option(token)) {
+      args.positional.emplace_back(token);
+      continue;
     }
+    // `--key value`, or a bare `--key` flag when no value follows.
+    const bool has_value = i + 1 < argc && !is_option(argv[i + 1]);
+    args.options.insert_or_assign(std::string(token.substr(2)),
+                                  std::string(has_value ? argv[++i] : "1"));
   }
   return args;
 }
