@@ -1,8 +1,11 @@
 #include "image/image.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace salnov {
 
@@ -32,10 +35,52 @@ void Image::clamp01() {
   pixels_.apply([](float v) { return std::clamp(v, 0.0f, 1.0f); });
 }
 
+namespace {
+
+/// The values std::min_element and std::max_element find over `v`, in one
+/// pass of independent lanes that vectorises. Like those scans, each lane
+/// starts from the first pixel (a NaN there is the answer, and stays it),
+/// skips later NaNs and keeps the first of equal values. Equal values differ
+/// in bits only as ±0, so the lanes can disagree with the scans only on the
+/// sign of a zero extremum, and only when a -0.0 is present; then the
+/// ordered scans decide.
+std::pair<float, float> extrema(const float* v, int64_t count) {
+  constexpr int64_t kLanes = 16;
+  constexpr uint32_t kNegativeZero = 0x80000000u;
+  float lo[kLanes];
+  float hi[kLanes];
+  uint32_t negative_zero[kLanes] = {};
+  std::fill(lo, lo + kLanes, v[0]);
+  std::fill(hi, hi + kLanes, v[0]);
+  const auto step = [&](int64_t l, float x) {
+    lo[l] = x < lo[l] ? x : lo[l];
+    hi[l] = hi[l] < x ? x : hi[l];
+    negative_zero[l] |= std::bit_cast<uint32_t>(x) == kNegativeZero ? 1u : 0u;
+  };
+  int64_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    for (int64_t l = 0; l < kLanes; ++l) step(l, v[i + l]);
+  }
+  for (; i < count; ++i) step(0, v[i]);
+  float min = lo[0];
+  float max = hi[0];
+  uint32_t any_negative_zero = negative_zero[0];
+  for (int64_t l = 1; l < kLanes; ++l) {
+    min = lo[l] < min ? lo[l] : min;
+    max = max < hi[l] ? hi[l] : max;
+    any_negative_zero |= negative_zero[l];
+  }
+  if (any_negative_zero != 0 && (min == 0.0f || max == 0.0f)) {
+    return {*std::min_element(v, v + count), *std::max_element(v, v + count)};
+  }
+  return {min, max};
+}
+
+}  // namespace
+
 void Image::normalize_minmax() {
   if (empty()) return;
-  const float lo = pixels_.min();
-  const float hi = pixels_.max();
+  const auto [lo, hi] = extrema(pixels_.data(), numel());
   const float range = hi - lo;
   if (range <= 0.0f) {
     pixels_.fill(0.0f);

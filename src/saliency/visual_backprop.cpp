@@ -12,136 +12,271 @@
 namespace salnov::saliency {
 namespace {
 
-/// The model's conv layers, shallow to deep: the geometry the relevance
-/// chain deconvolves through, one per forward_stages() conv stage.
-std::vector<const nn::Conv2d*> conv_layers(const nn::Sequential& model) {
-  std::vector<const nn::Conv2d*> convs;
+/// Sample `i` of a fan-out: rows[i], or i when `rows` is null.
+int64_t row_at(const int64_t* rows, int64_t i) { return rows != nullptr ? rows[i] : i; }
+
+/// Throws unless `conv_stages` holds one [B, C, h, w] activation per conv
+/// layer of `model` (forward_stages() keeps exactly that) and every row is a
+/// sample of it.
+void check_stages(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
+                  const int64_t* rows, int64_t count) {
+  size_t convs = 0;
   for (size_t i = 0; i < model.size(); ++i) {
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&model.layer(i))) convs.push_back(conv);
+    if (dynamic_cast<const nn::Conv2d*>(&model.layer(i)) != nullptr) ++convs;
   }
-  if (convs.empty()) {
+  if (convs == 0) {
     throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
   }
-  return convs;
-}
-
-/// Mean over channels of sample `n` of a [B, C, H, W] activation -> [H, W].
-/// Channels are accumulated in ascending order, so the batched path and the
-/// batch-1 path sum the same values in the same order — bit-identical.
-Tensor channel_average_sample(const Tensor& activation, int64_t n) {
-  if (activation.rank() != 4 || n < 0 || n >= activation.dim(0)) {
-    throw std::logic_error("VisualBackProp: expected [B, C, H, W] activation with sample " +
-                           std::to_string(n) + " in range, got " +
-                           shape_to_string(activation.shape()));
+  if (conv_stages.size() != convs) {
+    throw std::invalid_argument("VisualBackProp: expected one activation per conv stage");
   }
-  const int64_t channels = activation.dim(1);
-  const int64_t plane = activation.dim(2) * activation.dim(3);
-  Tensor avg({activation.dim(2), activation.dim(3)});
-  float* dst = avg.data();
-  const float* src = activation.data() + n * channels * plane;
-  for (int64_t c = 0; c < channels; ++c) {
-    for (int64_t i = 0; i < plane; ++i) dst[i] += src[c * plane + i];
-  }
-  const float inv = 1.0f / static_cast<float>(channels);
-  for (int64_t i = 0; i < plane; ++i) dst[i] *= inv;
-  return avg;
-}
-
-/// Scales a map so its max is 1 (keeps zeros if the map is all-zero).
-/// Normalizing every stage keeps the running product numerically stable
-/// across deep chains of pointwise multiplications.
-void normalize_by_max(float* map, int64_t count) {
-  float peak = 0.0f;
-  for (int64_t i = 0; i < count; ++i) peak = std::max(peak, map[i]);
-  if (peak > 0.0f) {
-    const float inv = 1.0f / peak;
-    for (int64_t i = 0; i < count; ++i) map[i] *= inv;
-  }
-}
-
-/// Raw-buffer core of deconv_ones: scatters `map` [in_h, in_w] into
-/// `out` [out_h, out_w]. `out` is overwritten.
-void deconv_ones_into(const float* map, int64_t in_h, int64_t in_w, int64_t kernel_h,
-                      int64_t kernel_w, int64_t stride, int64_t padding, int64_t out_h,
-                      int64_t out_w, float* out) {
-  std::memset(out, 0, static_cast<size_t>(out_h * out_w) * sizeof(float));
-  for (int64_t y = 0; y < in_h; ++y) {
-    for (int64_t x = 0; x < in_w; ++x) {
-      const float v = map[y * in_w + x];
-      if (v == 0.0f) continue;
-      for (int64_t ki = 0; ki < kernel_h; ++ki) {
-        const int64_t oy = y * stride - padding + ki;
-        if (oy < 0 || oy >= out_h) continue;
-        for (int64_t kj = 0; kj < kernel_w; ++kj) {
-          const int64_t ox = x * stride - padding + kj;
-          if (ox >= 0 && ox < out_w) out[oy * out_w + ox] += v;
-        }
+  for (const Tensor& stage : conv_stages) {
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t n = row_at(rows, i);
+      if (stage.rank() != 4 || n < 0 || n >= stage.dim(0)) {
+        throw std::logic_error("VisualBackProp: expected [B, C, H, W] activation with sample " +
+                               std::to_string(n) + " in range, got " +
+                               shape_to_string(stage.shape()));
       }
     }
   }
 }
 
-/// Walks the averaged maps deep-to-shallow, multiplying each deconvolved
-/// relevance map into the next stage's averaged activation, and returns the
-/// normalized input-resolution mask. Shared by the batch-1 and batched
-/// entries so they cannot drift apart.
-Image relevance_chain(const std::vector<const nn::Conv2d*>& stages,
-                      const std::vector<Tensor>& averaged_maps, int64_t in_h, int64_t in_w) {
-  // The relevance chain ping-pongs between two workspace buffers sized for
-  // the largest intermediate map, so steady-state frames allocate nothing.
-  int64_t max_map = averaged_maps.back().numel();
-  for (size_t i = 0; i + 1 < stages.size(); ++i) max_map = std::max(max_map, averaged_maps[i].numel());
+int64_t plane(const Tensor& stage) { return stage.dim(2) * stage.dim(3); }
+
+/// Mean over channels of sample `n` of a [B, C, h, w] stage, into `dst`
+/// [h * w]. Channels are summed in ascending order from +0.0, so every entry
+/// point sums the same values in the same order — bit-identical.
+void channel_average(const Tensor& stage, int64_t n, float* __restrict dst) {
+  const int64_t channels = stage.dim(1);
+  const int64_t count = plane(stage);
+  const float* src = stage.data() + n * channels * count;
+  std::fill(dst, dst + count, 0.0f);
+  for (int64_t c = 0; c < channels; ++c) {
+    const float* __restrict channel = src + c * count;
+    for (int64_t i = 0; i < count; ++i) dst[i] += channel[i];
+  }
+  const float inv = 1.0f / static_cast<float>(channels);
+  for (int64_t i = 0; i < count; ++i) dst[i] *= inv;
+}
+
+/// Four adjacent floats (a GCC/Clang vector extension): arithmetic is four
+/// independent IEEE operations, the same as four scalar ones.
+using Lanes = float __attribute__((vector_size(4 * sizeof(float))));
+constexpr int64_t kLanes = 4;
+
+Lanes load_lanes(const float* src) {
+  Lanes v;
+  std::memcpy(&v, src, sizeof v);
+  return v;
+}
+
+void store_lanes(const Lanes& v, float* dst) { std::memcpy(dst, &v, sizeof v); }
+
+/// The left fold std::max(peak, v) from +0.0 over `map`: the largest value,
+/// NaNs skipped, and +0.0 when nothing is positive. The fold is exact in any
+/// order (only ±0 compare equal with different bits, and the +0.0 start
+/// wins those), so independent lanes give the same bits.
+float peak_of(const float* map, int64_t count) {
+  Lanes lanes{};
+  int64_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const Lanes v = load_lanes(map + i);
+    lanes = lanes < v ? v : lanes;
+  }
+  float peak = 0.0f;
+  for (int64_t l = 0; l < kLanes; ++l) peak = std::max(peak, lanes[l]);
+  for (; i < count; ++i) peak = std::max(peak, map[i]);
+  return peak;
+}
+
+/// floor(a / b) for b > 0.
+int64_t floor_div(int64_t a, int64_t b) { return a >= 0 ? a / b : -((b - 1 - a) / b); }
+
+/// floor(v / d) of a value v that steps up by one, without a division per
+/// step.
+class FloorStepper {
+ public:
+  FloorStepper(int64_t v, int64_t d) : quot_(floor_div(v, d)), rem_(v - quot_ * d), d_(d) {}
+  int64_t quot() const { return quot_; }
+  void next() {
+    if (++rem_ == d_) {
+      rem_ = 0;
+      ++quot_;
+    }
+  }
+
+ private:
+  int64_t quot_;
+  int64_t rem_;
+  int64_t d_;
+};
+
+/// The output columns of one residue r = (ox + padding) % stride: output
+/// ox0 + stride * k reads input columns q0 + k + t for t in [tap, 0]. With
+/// u = ox + padding, input x reaches ox iff 0 <= u - stride * x < kernel_w.
+struct Residue {
+  int64_t ox0 = 0;
+  int64_t q0 = 0;
+  int64_t count = 0;
+  int64_t tap = 0;
+};
+
+Residue residue(int64_t r, int64_t kernel_w, int64_t stride, int64_t padding, int64_t out_w) {
+  Residue g;
+  g.ox0 = ((r - padding) % stride + stride) % stride;
+  g.q0 = (g.ox0 + padding) / stride;
+  g.count = g.ox0 < out_w ? (out_w - 1 - g.ox0) / stride + 1 : 0;
+  g.tap = floor_div(r - kernel_w, stride) + 1;
+  return g;
+}
+
+/// Sums the `vectors * kLanes` adjacent outputs whose first input column is
+/// `src`: every input row in [y_lo, y_hi], then every tap in [tap, 0], in
+/// that order, kept in registers until the single store to `acc`.
+template <int64_t vectors>
+void gather_lanes(const float* src, int64_t padded_w, int64_t y_lo, int64_t y_hi, int64_t tap,
+                  float* acc) {
+  Lanes sums[vectors] = {};
+  for (int64_t y = y_lo; y <= y_hi; ++y) {
+    const float* row = src + y * padded_w;
+    for (int64_t t = tap; t <= 0; ++t) {
+      for (int64_t v = 0; v < vectors; ++v) sums[v] += load_lanes(row + t + v * kLanes);
+    }
+  }
+  for (int64_t v = 0; v < vectors; ++v) store_lanes(sums[v], acc + v * kLanes);
+}
+
+/// Transposed convolution with all-ones weights as an ordered gather:
+/// `out` [out_h, out_w] = deconv(`map` * `scale`), times `target` [out_h,
+/// out_w] when it is non-null. `out` may alias `map`.
+///
+/// Bits: the scatter this replaces adds each output's contributors in
+/// ascending input row, then column, starting from +0.0; the gather adds the
+/// same values in that order. It also adds the zeros the scatter skipped and
+/// the zero padding, which change nothing: an accumulator that starts at
+/// +0.0 never becomes -0.0, so adding ±0 leaves it as it is. Split by
+/// residue, each (input row, tap) step is an elementwise add over k that
+/// vectorises without reordering any output's sum.
+void deconv_ones_into(const float* map, float scale, int64_t in_h, int64_t in_w,
+                      int64_t kernel_h, int64_t kernel_w, int64_t stride, int64_t padding,
+                      int64_t out_h, int64_t out_w, const float* target, float* out) {
+  // The scaled map with zero columns around it, wide enough for every tap.
+  int64_t left = 0;
+  int64_t right = in_w;
+  for (int64_t r = 0; r < stride; ++r) {
+    const Residue g = residue(r, kernel_w, stride, padding, out_w);
+    if (g.count == 0) continue;
+    left = std::max(left, -(g.q0 + std::min<int64_t>(g.tap, 0)));
+    right = std::max(right, g.q0 + g.count);
+  }
+  const int64_t padded_w = left + right;
   WorkspaceScope scratch;
-  float* cur = scratch.floats(max_map);
-  float* next = scratch.floats(max_map);
-
-  const Tensor& deepest = averaged_maps.back();
-  int64_t cur_h = deepest.dim(0);
-  int64_t cur_w = deepest.dim(1);
-  std::memcpy(cur, deepest.data(), static_cast<size_t>(deepest.numel()) * sizeof(float));
-  normalize_by_max(cur, cur_h * cur_w);
-
-  for (size_t i = stages.size() - 1; i-- > 0;) {
-    const nn::Conv2dConfig& geo = stages[i + 1]->config();
-    const Tensor& target = averaged_maps[i];
-    const int64_t th = target.dim(0);
-    const int64_t tw = target.dim(1);
-    deconv_ones_into(cur, cur_h, cur_w, geo.kernel_h, geo.kernel_w, geo.stride, geo.padding, th, tw,
-                     next);
-    for (int64_t j = 0; j < th * tw; ++j) next[j] *= target.data()[j];
-    normalize_by_max(next, th * tw);
-    std::swap(cur, next);
-    cur_h = th;
-    cur_w = tw;
+  float* padded = scratch.floats(in_h * padded_w);
+  float* acc = scratch.floats(out_w);
+  for (int64_t y = 0; y < in_h; ++y) {
+    float* row = padded + y * padded_w;
+    const float* src = map + y * in_w;
+    std::fill(row, row + left, 0.0f);
+    for (int64_t x = 0; x < in_w; ++x) row[left + x] = src[x] * scale;
+    std::fill(row + left + in_w, row + padded_w, 0.0f);
   }
 
-  const nn::Conv2dConfig& first = stages.front()->config();
-  Tensor relevance({in_h, in_w});
-  deconv_ones_into(cur, cur_h, cur_w, first.kernel_h, first.kernel_w, first.stride, first.padding,
-                   in_h, in_w, relevance.data());
+  for (int64_t r = 0; r < stride; ++r) {
+    const Residue g = residue(r, kernel_w, stride, padding, out_w);
+    if (g.count == 0) continue;
+    // Output row oy reads input rows [floor((uy - kernel_h) / stride) + 1,
+    // floor(uy / stride)], uy = oy + padding, clipped to the map.
+    FloorStepper first_row(padding - kernel_h, stride);
+    FloorStepper last_row(padding, stride);
+    for (int64_t oy = 0; oy < out_h; ++oy, first_row.next(), last_row.next()) {
+      const int64_t y_lo = std::max<int64_t>(0, first_row.quot() + 1);
+      const int64_t y_hi = std::min(in_h - 1, last_row.quot());
+      const float* base = padded + left + g.q0;
+      int64_t k0 = 0;
+      for (; k0 + 4 * kLanes <= g.count; k0 += 4 * kLanes) {
+        gather_lanes<4>(base + k0, padded_w, y_lo, y_hi, g.tap, acc + k0);
+      }
+      for (; k0 + kLanes <= g.count; k0 += kLanes) {
+        gather_lanes<1>(base + k0, padded_w, y_lo, y_hi, g.tap, acc + k0);
+      }
+      for (; k0 < g.count; ++k0) {
+        float sum = 0.0f;
+        for (int64_t y = y_lo; y <= y_hi; ++y) {
+          for (int64_t t = g.tap; t <= 0; ++t) sum += base[y * padded_w + k0 + t];
+        }
+        acc[k0] = sum;
+      }
+      float* dst = out + oy * out_w + g.ox0;
+      if (target != nullptr) {
+        const float* weight = target + oy * out_w + g.ox0;
+        for (int64_t k = 0; k < g.count; ++k) dst[stride * k] = acc[k] * weight[stride * k];
+      } else {
+        for (int64_t k = 0; k < g.count; ++k) dst[stride * k] = acc[k];
+      }
+    }
+  }
+}
 
-  Image mask(in_h, in_w, std::move(relevance));
+/// Writes the mask of sample `n` of a finished forward into `mask`.
+///
+/// Deep to shallow, conv layer k upsamples the running map from stage k's
+/// resolution to stage k-1's (the input's for k = 0), and stage k-1's
+/// channel average weights it. Each level's map is scaled so its peak is 1
+/// as the next level reads it, which keeps the running product numerically
+/// stable across deep chains. All scratch is workspace memory.
+void sample_mask(const nn::Sequential& model, const std::vector<Tensor>& conv_stages, int64_t n,
+                 Image& mask) {
+  int64_t max_plane = 0;
+  for (const Tensor& stage : conv_stages) max_plane = std::max(max_plane, plane(stage));
+  WorkspaceScope scratch;
+  float* map = scratch.floats(max_plane);
+  float* target = scratch.floats(max_plane);
+
+  size_t k = conv_stages.size() - 1;
+  const Tensor* from = &conv_stages[k];
+  channel_average(*from, n, map);
+  float peak = peak_of(map, plane(*from));
+  for (size_t l = model.size(); l-- > 0;) {
+    const auto* conv = dynamic_cast<const nn::Conv2d*>(&model.layer(l));
+    if (conv == nullptr) continue;
+    const nn::Conv2dConfig& geo = conv->config();
+    const float scale = peak > 0.0f ? 1.0f / peak : 1.0f;
+    if (k == 0) {
+      deconv_ones_into(map, scale, from->dim(2), from->dim(3), geo.kernel_h, geo.kernel_w,
+                       geo.stride, geo.padding, mask.height(), mask.width(), nullptr,
+                       mask.tensor().data());
+      break;
+    }
+    const Tensor& to = conv_stages[--k];
+    channel_average(to, n, target);
+    deconv_ones_into(map, scale, from->dim(2), from->dim(3), geo.kernel_h, geo.kernel_w,
+                     geo.stride, geo.padding, to.dim(2), to.dim(3), target, map);
+    peak = peak_of(map, plane(to));
+    from = &to;
+  }
   mask.normalize_minmax();
-  return mask;
 }
 
-/// The mask of sample `n`: channel averages of each conv stage, then the
-/// relevance chain. Every entry point ends here.
-Image stage_mask(const std::vector<const nn::Conv2d*>& convs, const std::vector<Tensor>& conv_stages,
-                 int64_t n, int64_t height, int64_t width, std::vector<Tensor>& averaged_maps) {
-  if (conv_stages.size() != convs.size()) {
-    throw std::invalid_argument("VisualBackProp: expected one activation per conv stage");
-  }
-  averaged_maps.clear();
-  averaged_maps.reserve(conv_stages.size());
-  for (const Tensor& stage : conv_stages) averaged_maps.push_back(channel_average_sample(stage, n));
-  return relevance_chain(convs, averaged_maps, height, width);
-}
-
-std::vector<int64_t> all_rows(size_t count) {
-  std::vector<int64_t> rows(count);
-  for (size_t i = 0; i < count; ++i) rows[i] = static_cast<int64_t>(i);
-  return rows;
+/// The masks of `count` samples of a finished forward (see row_at). The
+/// returned masks are the only heap allocations; the per-sample chains write
+/// disjoint masks and fan out across the worker pool.
+std::vector<Image> sample_masks(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
+                                const int64_t* rows, int64_t count, int64_t height,
+                                int64_t width) {
+  check_stages(model, conv_stages, rows, count);
+  std::vector<Image> out;
+  out.reserve(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) out.emplace_back(height, width);
+  const auto chain = [&](int64_t i) {
+    sample_mask(model, conv_stages, row_at(rows, i), out[static_cast<size_t>(i)]);
+  };
+  // One captured reference keeps the chunk function inside std::function's
+  // small buffer, so the fan-out allocates nothing.
+  parallel::parallel_for(0, count, 1, [&chain](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) chain(i);
+  });
+  return out;
 }
 
 }  // namespace
@@ -151,9 +286,12 @@ Tensor deconv_ones(const Tensor& map, int64_t kernel_h, int64_t kernel_w, int64_
   if (map.rank() != 2) {
     throw std::invalid_argument("deconv_ones: expected [h, w] map, got " + shape_to_string(map.shape()));
   }
+  if (stride < 1 || padding < 0) {
+    throw std::invalid_argument("deconv_ones: stride must be >= 1 and padding >= 0");
+  }
   Tensor out({out_h, out_w});
-  deconv_ones_into(map.data(), map.dim(0), map.dim(1), kernel_h, kernel_w, stride, padding, out_h,
-                   out_w, out.data());
+  deconv_ones_into(map.data(), 1.0f, map.dim(0), map.dim(1), kernel_h, kernel_w, stride, padding,
+                   out_h, out_w, nullptr, out.data());
   return out;
 }
 
@@ -161,16 +299,8 @@ std::vector<Image> VisualBackProp::masks(const nn::Sequential& model,
                                          const std::vector<Tensor>& conv_stages,
                                          const std::vector<int64_t>& rows, int64_t height,
                                          int64_t width) const {
-  const auto convs = conv_layers(model);
-  std::vector<Image> out(rows.size());
-  parallel::parallel_for(0, static_cast<int64_t>(rows.size()), 1, [&](int64_t begin, int64_t end) {
-    std::vector<Tensor> averaged_maps;
-    for (int64_t i = begin; i < end; ++i) {
-      out[static_cast<size_t>(i)] = stage_mask(convs, conv_stages, rows[static_cast<size_t>(i)],
-                                               height, width, averaged_maps);
-    }
-  });
-  return out;
+  return sample_masks(model, conv_stages, rows.data(), static_cast<int64_t>(rows.size()), height,
+                      width);
 }
 
 Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
@@ -179,22 +309,30 @@ Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
 
 Image VisualBackProp::compute_with_maps(nn::Sequential& model, const Image& input,
                                         std::vector<Tensor>& averaged_maps) const {
-  return stage_mask(conv_layers(model), model.forward_stages(input.as_nchw()).conv_stages, 0,
-                    input.height(), input.width(), averaged_maps);
+  const nn::StagedForward pass = model.forward_stages(input.as_nchw());
+  Image mask =
+      std::move(sample_masks(model, pass.conv_stages, nullptr, 1, input.height(), input.width())[0]);
+  averaged_maps.clear();
+  for (const Tensor& stage : pass.conv_stages) {
+    Tensor avg({stage.dim(2), stage.dim(3)});
+    channel_average(stage, 0, avg.data());
+    averaged_maps.push_back(std::move(avg));
+  }
+  return mask;
 }
 
 std::vector<Image> VisualBackProp::compute_batch(nn::Sequential& model,
                                                  const std::vector<const Image*>& inputs) {
   if (inputs.empty()) return {};
-  return masks(model, model.forward_stages(stack_nchw(inputs)).conv_stages,
-               all_rows(inputs.size()), inputs[0]->height(), inputs[0]->width());
+  return sample_masks(model, model.forward_stages(stack_nchw(inputs)).conv_stages, nullptr,
+                      static_cast<int64_t>(inputs.size()), inputs[0]->height(), inputs[0]->width());
 }
 
 std::vector<Image> VisualBackProp::compute_batch_quantized(
     const nn::QuantizedForward& model, const std::vector<const Image*>& inputs) const {
   if (inputs.empty()) return {};
-  return masks(model.model(), model.forward_stages(stack_nchw(inputs)).conv_stages,
-               all_rows(inputs.size()), inputs[0]->height(), inputs[0]->width());
+  return sample_masks(model.model(), model.forward_stages(stack_nchw(inputs)).conv_stages, nullptr,
+                      static_cast<int64_t>(inputs.size()), inputs[0]->height(), inputs[0]->width());
 }
 
 }  // namespace salnov::saliency

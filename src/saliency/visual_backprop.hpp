@@ -7,7 +7,10 @@
 // are all ones (geometry taken from the intervening conv layer), and (b)
 // multiply pointwise with that stage's averaged feature map. A final
 // ones-deconvolution through the first conv layer brings the mask to input
-// resolution; the result is min-max normalized.
+// resolution; the result is min-max normalized. Each level is one gather
+// pass that sums every output's contributors in a fixed order, then weights
+// the sum by the stage's average; the channel averages and levels live in
+// the thread's workspace.
 //
 // VBP reads only the post-ReLU conv stages of the forward pass the steering
 // prediction already runs (nn::Sequential::forward_stages), so next to the
@@ -29,9 +32,10 @@ class VisualBackProp : public SaliencyMethod {
  public:
   VisualBackProp() = default;
 
-  /// Stateless per call: all scratch (the per-stage averaged maps) is local,
-  /// so one VisualBackProp instance may serve concurrent compute() calls —
-  /// the detector's parallel scoring fan-out relies on this.
+  /// Stateless per call: all scratch (the per-stage averaged maps and the
+  /// relevance levels) lives in the calling thread's workspace, so one
+  /// VisualBackProp instance may serve concurrent compute() calls — the
+  /// detector's parallel scoring fan-out relies on this.
   Image compute(nn::Sequential& model, const Image& input) override;
 
   /// Cross-frame batched VBP: one forward_stages over the stacked
@@ -61,16 +65,20 @@ class VisualBackProp : public SaliencyMethod {
   /// quantized view) over a [B, 1, height, width] input. A serving path
   /// that ran that forward for the steering angle builds the masks here
   /// without a second forward. The per-sample chains are pure and write
-  /// disjoint outputs, so they fan out across the worker pool.
+  /// disjoint outputs, so they fan out across the worker pool. After a
+  /// warm-up the returned masks are the only heap allocations.
   std::vector<Image> masks(const nn::Sequential& model, const std::vector<Tensor>& conv_stages,
                            const std::vector<int64_t>& rows, int64_t height, int64_t width) const;
 };
 
-/// Transposed convolution with all-ones weights: scatters each input value
-/// into the k x k output window it came from. `out_h` / `out_w` give the
-/// exact target size (transposed-conv arithmetic can disagree by a pixel
-/// with the true pre-conv size when the stride does not divide evenly;
-/// out-of-range contributions are dropped). Exposed for tests.
+/// Transposed convolution with all-ones weights: each input value lands in
+/// the k x k output window it came from. Each output is the sum of its
+/// contributors in ascending input row, then column, from +0.0 — the order
+/// a scatter over the input visits them. `out_h` / `out_w` give the exact
+/// target size (transposed-conv arithmetic can disagree by a pixel with the
+/// true pre-conv size when the stride does not divide evenly; out-of-range
+/// contributions are dropped). Throws std::invalid_argument for a map that
+/// is not [h, w], stride < 1 or padding < 0. Exposed for tests.
 Tensor deconv_ones(const Tensor& map, int64_t kernel_h, int64_t kernel_w, int64_t stride,
                    int64_t padding, int64_t out_h, int64_t out_w);
 

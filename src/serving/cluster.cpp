@@ -746,10 +746,11 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
   // The batched preprocess/reconstruct entries throw on malformed inputs,
   // while the supervisor folds the same faults into its sensor path — so
   // frames the validator rejects are excluded from batched compute and left
-  // to their supervisor (which screens them identically). Every other frame
-  // gets exactly the stages its supervisor's plan() names, read under the
-  // stream's lock: a migrated stream's supervisor may still be serving an
-  // earlier frame on another replica.
+  // to their supervisor. Every supervisor takes the prescreen's verdict
+  // (ProvidedCompute::fault) instead of checking the frame again. Every
+  // other frame gets exactly the stages its supervisor's plan() names, read
+  // under the stream's lock: a migrated stream's supervisor may still be
+  // serving an earlier frame on another replica.
   //
   // Batched compute is partitioned by PRECISION: a mixed batch (some streams
   // on float rungs, some demoted to q8) runs one float sub-batch and one q8
@@ -762,7 +763,8 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
   std::array<std::vector<size_t>, 2> sal_at;
   std::array<std::vector<size_t>, 2> recon_at;
   for (size_t i = 0; i < b; ++i) {
-    if (detector_.frame_validator().check(batch[i].frame) != core::FrameFault::kNone) {
+    provided[i].fault = detector_.frame_validator().check(batch[i].frame);
+    if (*provided[i].fault != core::FrameFault::kNone) {
       ++tally.prescreen_rejects;
       continue;
     }

@@ -245,7 +245,9 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   core::FrameFault fault = core::FrameFault::kNone;
   bool frozen = false;
   const StageOutcome validate = run_stage(Stage::kValidate, index, result, [&] {
-    fault = detector_.frame_validator().check(frame);
+    fault = provided != nullptr && provided->fault.has_value()
+                ? *provided->fault
+                : detector_.frame_validator().check(frame);
     if (fault == core::FrameFault::kNone) {
       frozen = config_.monitor.detect_frozen_frames && last_valid_frame_.has_value() &&
                last_valid_frame_->tensor() == frame.tensor();

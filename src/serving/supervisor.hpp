@@ -138,9 +138,15 @@ struct ProvidedCompute {
   std::optional<Image> reconstruction;  ///< reconstruct(recon_input)
   Image recon_input;  ///< the preprocessed image `reconstruction` was computed from
   /// Precision the batched forwards ran at. A frame served on a rung of the
-  /// other precision ignores ALL provided fields (quantized and float
+  /// other precision ignores the provided compute above (quantized and float
   /// results are different bits by design), falling back to direct calls.
   bool quantized = false;
+  /// The detector's FrameValidator verdict on this frame, when the front end
+  /// already screened it: the validate stage takes it instead of checking
+  /// the frame again. Frozen-frame detection stays in the supervisor. The
+  /// verdict does not depend on precision, so unlike the fields above it
+  /// holds whatever `quantized` says.
+  std::optional<core::FrameFault> fault;
 };
 
 /// One completed in-process threshold hot-swap (drift-triggered or forced).

@@ -77,7 +77,9 @@ void micro_kernel_avx512(const float* ap, const float* bp, int64_t k, float* c, 
     __m512 v = acc[r];
     if (bias_row != nullptr) v = _mm512_add_ps(v, _mm512_set1_ps(bias_row[r]));
     if (bias_col != nullptr) v = _mm512_add_ps(v, bc);
-    if (relu) v = _mm512_max_ps(v, zero);
+    // The zero-masking form over all lanes is the same vmaxps; the plain
+    // intrinsic passes GCC 12 an undefined merge source that it warns about.
+    if (relu) v = _mm512_maskz_max_ps(static_cast<__mmask16>(0xffff), v, zero);
     if (full) {
       _mm512_storeu_ps(c + r * ldc, v);
     } else {

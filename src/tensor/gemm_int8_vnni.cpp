@@ -57,12 +57,15 @@ inline void store_vec16(int32_t* c32, float* cf, int64_t idx, __m512i acc,
     _mm512_storeu_si512(c32 + idx, acc);
     return;
   }
+  // Zero-masking forms over all lanes: the same instructions as the plain
+  // intrinsics, which pass GCC 12 an undefined merge source it warns about.
+  constexpr __mmask16 kAllLanes = 0xffff;
   const __m512 scale = _mm512_set1_ps(epi->scale);
-  const __m512 vf = _mm512_cvtepi32_ps(acc);
+  const __m512 vf = _mm512_maskz_cvtepi32_ps(kAllLanes, acc);
   __m512 v = epi->bias_col != nullptr
                  ? _mm512_fmadd_ps(vf, scale, _mm512_loadu_ps(epi->bias_col + j))
                  : _mm512_mul_ps(vf, scale);
-  if (epi->relu) v = _mm512_max_ps(v, _mm512_setzero_ps());
+  if (epi->relu) v = _mm512_maskz_max_ps(kAllLanes, v, _mm512_setzero_ps());
   _mm512_storeu_ps(cf + idx, v);
 }
 

@@ -35,7 +35,8 @@ namespace salnov {
 /// prop::for_all; pixel dumps would be noise — the replay seed is the
 /// reproduction path).
 std::string describe(const std::vector<Image>& frames) {
-  return "<" + std::to_string(frames.size()) + " frames>";
+  std::string text = "<";
+  return text.append(std::to_string(frames.size())).append(" frames>");
 }
 
 namespace {

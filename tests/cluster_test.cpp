@@ -619,5 +619,97 @@ TEST_F(ClusterFixture, MalformedFramesAreScreenedNotBatched) {
   EXPECT_EQ(cluster.stream_health(0).frames_scored, 2);
 }
 
+TEST_F(ClusterFixture, PrescreenVerdictServesMixedBatchesLikeTheBareSupervisor) {
+  // The cluster validates each batched frame once and hands the verdict to
+  // the frame's supervisor. Batches that mix NaN, out-of-range,
+  // near-constant, frozen and good frames must serve exactly what a bare
+  // Supervisor serves, sensor-bad counts included.
+  Rng rng(57);
+  const auto script = [&](int64_t stream) {
+    Image nan_frame = familiar_frame(rng);
+    nan_frame(1, 2) = std::numeric_limits<float>::quiet_NaN();
+    Image out_of_range = familiar_frame(rng);
+    out_of_range(3, 4) = 1.5f;
+    Image near_constant(kH, kW);
+    near_constant.tensor().fill(0.25f);
+    const Image good = familiar_frame(rng);
+    std::vector<Image> frames = {good,         nan_frame,  good,
+                                 good,  // frozen: the previous valid frame again
+                                 out_of_range, noise_frame(rng), near_constant,
+                                 familiar_frame(rng)};
+    if (stream == 1) std::rotate(frames.begin(), frames.begin() + 4, frames.end());
+    return frames;
+  };
+  const std::vector<std::vector<Image>> scripts = {script(0), script(1)};
+
+  std::vector<std::vector<ServeResult>> solo(scripts.size());
+  std::vector<int64_t> solo_sensor_bad;
+  for (size_t s = 0; s < scripts.size(); ++s) {
+    FakeClock clock;
+    Supervisor supervisor(*detector_, steering_, SupervisorConfig{}, &clock);
+    for (const Image& frame : scripts[s]) solo[s].push_back(supervisor.process(frame));
+    solo_sensor_bad.push_back(supervisor.health().frames_sensor_bad);
+  }
+
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = static_cast<int64_t>(scripts.size());
+  config.replicas = 1;
+  config.max_batch = 6;
+  config.gather_window_ns = 100 * kMs;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  for (size_t i = 0; i < scripts[0].size(); ++i) {
+    for (size_t s = 0; s < scripts.size(); ++s) {
+      cluster.submit(static_cast<int64_t>(s), scripts[s][i]);
+    }
+  }
+  cluster.drain();
+  const std::vector<ClusterResult> results = cluster.take_results();
+  const ClusterStats stats = cluster.stats();
+  std::vector<int64_t> sensor_bad;
+  for (size_t s = 0; s < scripts.size(); ++s) {
+    sensor_bad.push_back(cluster.stream_health(static_cast<int64_t>(s)).frames_sensor_bad);
+  }
+  cluster.stop();
+
+  // Three validator faults per stream; the frozen frame passes the
+  // validator and is batched, then screened by its supervisor.
+  EXPECT_EQ(stats.prescreen_rejects, 6);
+  EXPECT_EQ(sensor_bad, solo_sensor_bad);
+  EXPECT_EQ(solo_sensor_bad, (std::vector<int64_t>{4, 4}));
+  ASSERT_EQ(results.size(), scripts.size() * scripts[0].size());
+  std::vector<size_t> next(scripts.size(), 0);
+  int64_t batched = 0;
+  for (const ClusterResult& cr : results) {
+    const size_t s = static_cast<size_t>(cr.stream_id);
+    const ServeResult& want = solo[s][next[s]++];
+    batched += cr.batch_size > 1 ? 1 : 0;
+    EXPECT_EQ(0, std::memcmp(&cr.result.score, &want.score, sizeof(double)))
+        << "stream " << s << " frame " << cr.result.frame_index;
+    EXPECT_EQ(0, std::memcmp(&cr.result.steering, &want.steering, sizeof(double)))
+        << "stream " << s << " frame " << cr.result.frame_index;
+    expect_results_bitexact(want, cr.result);
+  }
+  EXPECT_EQ(batched, static_cast<int64_t>(results.size()));
+}
+
+TEST_F(ClusterFixture, SupervisorScreensByTheProvidedVerdict) {
+  // The validate stage takes a provided verdict as given: a good frame
+  // handed a fault is screened out, and frozen-frame detection still runs.
+  Rng rng(58);
+  const Image frame = familiar_frame(rng);
+  FakeClock clock;
+  Supervisor supervisor(*detector_, steering_, SupervisorConfig{}, &clock);
+  ProvidedCompute faulted;
+  faulted.fault = core::FrameFault::kNearConstant;
+  EXPECT_TRUE(supervisor.process(frame, &faulted).sensor_bad);
+  ProvidedCompute clean;
+  clean.fault = core::FrameFault::kNone;
+  EXPECT_FALSE(supervisor.process(frame, &clean).sensor_bad);
+  EXPECT_TRUE(supervisor.process(frame, &clean).sensor_bad) << "the repeat is frozen";
+  EXPECT_EQ(supervisor.health().frames_sensor_bad, 2);
+}
+
 }  // namespace
 }  // namespace salnov::serving

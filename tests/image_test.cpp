@@ -1,10 +1,16 @@
 // Unit tests for the image substrate: Image/RgbImage, PNM IO, transforms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "image/image.hpp"
 #include "image/image_io.hpp"
@@ -82,6 +88,82 @@ TEST(Image, NormalizeMinmaxConstantBecomesZero) {
   Image img(1, 3, Tensor({3}, {0.7f, 0.7f, 0.7f}));
   img.normalize_minmax();
   EXPECT_FLOAT_EQ(img(0, 2), 0.0f);
+}
+
+/// normalize_minmax as it was written over std::min_element and
+/// std::max_element, kept as the oracle for its one-pass extrema.
+Tensor scan_normalize_minmax(Tensor pixels) {
+  const float lo = *std::min_element(pixels.data(), pixels.data() + pixels.numel());
+  const float hi = *std::max_element(pixels.data(), pixels.data() + pixels.numel());
+  const float range = hi - lo;
+  if (range <= 0.0f) {
+    pixels.fill(0.0f);
+  } else {
+    pixels.apply([lo, range](float v) { return (v - lo) / range; });
+  }
+  return pixels;
+}
+
+void expect_matches_scan(const std::vector<float>& values, const std::string& what) {
+  const auto count = static_cast<int64_t>(values.size());
+  Image img(1, count, Tensor({count}, values));
+  img.normalize_minmax();
+  const Tensor want = scan_normalize_minmax(Tensor({count}, values));
+  EXPECT_EQ(std::memcmp(img.tensor().data(), want.data(), sizeof(float) * values.size()), 0)
+      << what;
+}
+
+/// `count` values in [lo, hi] with `special` written at `positions`.
+std::vector<float> with_values_at(int64_t count, float lo, float hi,
+                                  const std::vector<std::pair<int64_t, float>>& special) {
+  Rng rng(static_cast<uint64_t>(count));
+  std::vector<float> values(static_cast<size_t>(count));
+  for (float& v : values) v = static_cast<float>(rng.uniform(lo, hi));
+  for (const auto& [at, value] : special) values[static_cast<size_t>(at)] = value;
+  return values;
+}
+
+TEST(Image, NormalizeMinmaxMatchesTheOrderedScans) {
+  // Sizes span whole 16-lane blocks and tails; specials sit in the first
+  // pixel, in other lanes and in the tail.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int64_t count : {1, 5, 16, 37, 160}) {
+    const int64_t last = count - 1;
+    const std::string n = " (" + std::to_string(count) + " pixels)";
+    expect_matches_scan(with_values_at(count, 0.2f, 0.9f, {{0, nan}}), "NaN first" + n);
+    expect_matches_scan(with_values_at(count, 0.2f, 0.9f, {{last / 2, nan}, {last, nan}}),
+                        "NaN later" + n);
+    expect_matches_scan(with_values_at(count, 0.2f, 0.9f, {{last, -0.0f}, {last / 3, 0.0f}}),
+                        "+-0 at the minimum, +0 first" + n);
+    expect_matches_scan(with_values_at(count, 0.2f, 0.9f, {{last, 0.0f}, {last / 3, -0.0f}}),
+                        "+-0 at the minimum, -0 first" + n);
+    expect_matches_scan(with_values_at(count, -0.9f, -0.2f, {{last, -0.0f}, {last / 3, 0.0f}}),
+                        "+-0 at the maximum, +0 first" + n);
+    expect_matches_scan(with_values_at(count, -0.9f, -0.2f, {{last, 0.0f}, {last / 3, -0.0f}}),
+                        "+-0 at the maximum, -0 first" + n);
+    expect_matches_scan(with_values_at(count, 0.2f, 0.9f, {{last, -0.0f}}),
+                        "-0 alone at the minimum" + n);
+    expect_matches_scan(std::vector<float>(static_cast<size_t>(count), 0.7f), "all equal" + n);
+    expect_matches_scan(with_values_at(count, -3.0f, -1.0f, {}), "all negative" + n);
+  }
+  expect_matches_scan({nan}, "one NaN pixel");
+  expect_matches_scan({-0.0f}, "one -0 pixel");
+}
+
+TEST(Image, NormalizeMinmaxMatchesTheOrderedScansOnRandomMaps) {
+  const float specials[] = {0.0f, -0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  Rng rng(31);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<float> values(static_cast<size_t>(rng.uniform_int(1, 100)));
+    const double special_rate = rng.uniform(0.0, 0.5);
+    for (float& v : values) {
+      v = rng.bernoulli(special_rate) ? specials[rng.uniform_int(0, 4)]
+                                      : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    expect_matches_scan(values, "trial " + std::to_string(trial));
+  }
 }
 
 TEST(RgbImage, GrayscaleUsesLuminanceWeights) {

@@ -41,8 +41,12 @@ TEST_P(ConvGradientSweep, AnalyticMatchesNumeric) {
 
 std::string conv_case_name(const ::testing::TestParamInfo<ConvCase>& info) {
   const auto [in_c, out_c, kernel, stride, padding] = info.param;
-  return "i" + std::to_string(in_c) + "o" + std::to_string(out_c) + "k" + std::to_string(kernel) +
-         "s" + std::to_string(stride) + "p" + std::to_string(padding);
+  // Appends, not "literal" + std::string: GCC 12 flags that form with a
+  // false -Wrestrict.
+  std::string name = "i";
+  name.append(std::to_string(in_c)).append("o").append(std::to_string(out_c));
+  name.append("k").append(std::to_string(kernel)).append("s").append(std::to_string(stride));
+  return name.append("p").append(std::to_string(padding));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ConvGradientSweep,
@@ -68,8 +72,10 @@ TEST_P(DenseGradientSweep, AnalyticMatchesNumeric) {
 }
 
 std::string dense_case_name(const ::testing::TestParamInfo<DenseCase>& info) {
-  return "b" + std::to_string(std::get<0>(info.param)) + "i" +
-         std::to_string(std::get<1>(info.param)) + "o" + std::to_string(std::get<2>(info.param));
+  std::string name = "b";
+  name.append(std::to_string(std::get<0>(info.param))).append("i");
+  name.append(std::to_string(std::get<1>(info.param))).append("o");
+  return name.append(std::to_string(std::get<2>(info.param)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, DenseGradientSweep,
@@ -181,8 +187,9 @@ INSTANTIATE_TEST_SUITE_P(Grid, SsimLossSweep,
                          ::testing::Values(SsimCase{3, 1}, SsimCase{5, 1}, SsimCase{7, 2},
                                            SsimCase{11, 1}, SsimCase{11, 3}, SsimCase{13, 5}),
                          [](const ::testing::TestParamInfo<SsimCase>& info) {
-                           return "w" + std::to_string(std::get<0>(info.param)) + "s" +
-                                  std::to_string(std::get<1>(info.param));
+                           std::string name = "w";
+                           name.append(std::to_string(std::get<0>(info.param))).append("s");
+                           return name.append(std::to_string(std::get<1>(info.param)));
                          });
 
 }  // namespace

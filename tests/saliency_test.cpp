@@ -2,7 +2,10 @@
 // and layer-wise relevance propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "driving/pilotnet.hpp"
@@ -79,6 +82,108 @@ TEST(DeconvOnes, ConservesMassTimesKernelAreaWhenUnclipped) {
 TEST(DeconvOnes, ZeroMapStaysZero) {
   const Tensor out = deconv_ones(Tensor::zeros({4, 4}), 3, 3, 1, 0, 6, 6);
   EXPECT_FLOAT_EQ(out.squared_norm(), 0.0f);
+}
+
+TEST(DeconvOnes, RejectsZeroStrideAndNegativePadding) {
+  EXPECT_THROW(deconv_ones(Tensor({2, 2}), 3, 3, 0, 0, 4, 4), std::invalid_argument);
+  EXPECT_THROW(deconv_ones(Tensor({2, 2}), 3, 3, 1, -1, 4, 4), std::invalid_argument);
+}
+
+/// The scatter deconv_ones ran before it became a gather, kept as the
+/// oracle: each non-zero input value is added into every in-range output of
+/// its kernel window, in ascending input row, then column.
+Tensor scatter_deconv_ones(const Tensor& map, int64_t kernel_h, int64_t kernel_w, int64_t stride,
+                           int64_t padding, int64_t out_h, int64_t out_w) {
+  const int64_t in_h = map.dim(0);
+  const int64_t in_w = map.dim(1);
+  Tensor out({out_h, out_w});
+  for (int64_t y = 0; y < in_h; ++y) {
+    for (int64_t x = 0; x < in_w; ++x) {
+      const float v = map[y * in_w + x];
+      if (v == 0.0f) continue;
+      for (int64_t ki = 0; ki < kernel_h; ++ki) {
+        const int64_t oy = y * stride - padding + ki;
+        if (oy < 0 || oy >= out_h) continue;
+        for (int64_t kj = 0; kj < kernel_w; ++kj) {
+          const int64_t ox = x * stride - padding + kj;
+          if (ox >= 0 && ox < out_w) out[oy * out_w + ox] += v;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(DeconvOnes, GatherMatchesTheScatterBitForBit) {
+  // Every geometry of kernel 1-5 x 1-5, stride 1-3 and padding 0-2, at
+  // output sizes below, at and above the transposed-conv size, over maps
+  // with negatives, exact zeros, -0.0, +-inf and NaN. IEEE leaves the
+  // payload of NaN + NaN to the operand order, so each map has one source
+  // of NaN: quiet NaNs, or inf - inf sums, never both.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> specials = {
+      {0.0f, -0.0f}, {0.0f, -0.0f, inf, -inf}, {0.0f, -0.0f, nan, inf}, {0.0f, -0.0f, nan, -inf}};
+  Rng rng(2026);
+  int64_t compared = 0;
+  for (int64_t kh = 1; kh <= 5; ++kh) {
+    for (int64_t kw = 1; kw <= 5; ++kw) {
+      for (int64_t stride = 1; stride <= 3; ++stride) {
+        for (int64_t padding = 0; padding <= 2; ++padding) {
+          for (const std::vector<float>& special : specials) {
+            const int64_t in_h = rng.uniform_int(1, 6);
+            const int64_t in_w = rng.uniform_int(1, 9);
+            Tensor map = rng.uniform_tensor({in_h, in_w}, -1.0, 1.0);
+            for (int64_t i = 0; i < map.numel(); ++i) {
+              if (rng.bernoulli(0.3)) {
+                map[i] = special[static_cast<size_t>(
+                    rng.uniform_int(0, static_cast<int64_t>(special.size()) - 1))];
+              }
+            }
+            const int64_t full_h = (in_h - 1) * stride - 2 * padding + kh;
+            const int64_t full_w = (in_w - 1) * stride - 2 * padding + kw;
+            for (const int64_t grow : {-1, 0, 3}) {
+              const int64_t out_h = std::max<int64_t>(1, full_h + grow);
+              const int64_t out_w = std::max<int64_t>(1, full_w + grow + 1);
+              const Tensor got = deconv_ones(map, kh, kw, stride, padding, out_h, out_w);
+              const Tensor want = scatter_deconv_ones(map, kh, kw, stride, padding, out_h, out_w);
+              ASSERT_EQ(got.shape(), want.shape());
+              ASSERT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.numel()), 0)
+                  << "kernel " << kh << "x" << kw << " stride " << stride << " padding "
+                  << padding << " map " << in_h << "x" << in_w << " out " << out_h << "x"
+                  << out_w;
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 5 * 5 * 3 * 3 * 4 * 3);
+}
+
+TEST(DeconvOnes, GatherMatchesTheScatterAtThePaperGeometry) {
+  // PilotNet's levels at 60x160 (5x5 stride 2, then 3x3 padding 1), on
+  // post-ReLU-like maps: non-negative, with runs of exact zeros.
+  struct Level {
+    int64_t in_h, in_w, kernel, stride, padding, out_h, out_w;
+  };
+  const Level levels[] = {{4, 17, 3, 1, 1, 4, 17},
+                          {4, 17, 5, 2, 0, 12, 37},
+                          {12, 37, 5, 2, 0, 28, 78},
+                          {28, 78, 5, 2, 0, 60, 160}};
+  Rng rng(77);
+  for (const Level& l : levels) {
+    for (int trial = 0; trial < 8; ++trial) {
+      Tensor map = rng.uniform_tensor({l.in_h, l.in_w}, -0.5, 1.0);
+      map.apply([](float v) { return std::max(v, 0.0f); });
+      const Tensor got = deconv_ones(map, l.kernel, l.kernel, l.stride, l.padding, l.out_h, l.out_w);
+      const Tensor want =
+          scatter_deconv_ones(map, l.kernel, l.kernel, l.stride, l.padding, l.out_h, l.out_w);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.numel()), 0)
+          << l.in_h << "x" << l.in_w << " -> " << l.out_h << "x" << l.out_w;
+    }
+  }
 }
 
 TEST(Vbp, MaskHasInputResolutionAndUnitRange) {

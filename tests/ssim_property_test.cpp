@@ -121,8 +121,9 @@ INSTANTIATE_TEST_SUITE_P(Grid, SsimMetricSweep,
                          ::testing::Values(SsimCase{3, 1}, SsimCase{5, 2}, SsimCase{7, 1},
                                            SsimCase{11, 1}, SsimCase{11, 4}),
                          [](const ::testing::TestParamInfo<SsimCase>& info) {
-                           return "w" + std::to_string(std::get<0>(info.param)) + "s" +
-                                  std::to_string(std::get<1>(info.param));
+                           std::string name = "w";
+                           name.append(std::to_string(std::get<0>(info.param))).append("s");
+                           return name.append(std::to_string(std::get<1>(info.param)));
                          });
 
 // ---------------------------------------------------------------------------

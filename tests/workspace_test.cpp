@@ -1,21 +1,24 @@
 // Tests for the per-thread workspace arena: bump/mark/release semantics,
 // alignment, pointer stability across growth, and the steady-state
-// zero-allocation guarantee through the full NoveltyDetector::score path
-// and through SSIM scoring.
+// zero-allocation guarantee through the full NoveltyDetector::score path,
+// through SSIM scoring and through VisualBackProp's masks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/novelty_detector.hpp"
 #include "driving/pilotnet.hpp"
+#include "nn/quantized.hpp"
 #include "nn/ssim_loss.hpp"
 #include "parallel/parallel_for.hpp"
 #include "roadsim/dataset.hpp"
 #include "roadsim/outdoor_generator.hpp"
+#include "saliency/visual_backprop.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/workspace.hpp"
 
@@ -201,6 +204,73 @@ TEST(Workspace, SteadyStateSsimScoringAllocatesNothing) {
   EXPECT_EQ(g_allocations.load(), 0) << "mean_ssim allocated after warm-up";
   EXPECT_EQ(Workspace::heap_allocation_count(), chunks) << "mean_ssim grew a workspace arena";
   for (double value : steady) EXPECT_EQ(value, warm);
+}
+
+/// Heap allocations `fn` makes, counted by the operator new probe.
+template <typename Fn>
+int64_t allocations_of(Fn&& fn) {
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  fn();
+  g_count_allocations.store(false);
+  return g_allocations.load();
+}
+
+TEST(Workspace, SteadyStateVbpAllocatesOnlyTheReturnedMasks) {
+  // The relevance chain runs in the thread's workspace: after a warm-up,
+  // VisualBackProp allocates the returned masks and nothing else — each
+  // mask's pixel buffer and shape, plus the vector that holds them. For
+  // compute_batch that comes on top of what its forward allocates.
+  ThreadGuard guard;
+  parallel::set_num_threads(1);
+  constexpr int64_t kH = 60, kW = 160;
+  constexpr int64_t kPerMask = 2;
+  constexpr int64_t kPerCall = 1;
+  Rng rng(23);
+  nn::Sequential model = driving::build_pilotnet(driving::PilotNetConfig::compact(), rng);
+  std::vector<Image> frames;
+  for (int i = 0; i < 4; ++i) frames.emplace_back(kH, kW, rng.uniform_tensor({kH * kW}, 0.0, 1.0));
+  const Tensor calibration = stack_nchw({&frames[0], &frames[1], &frames[2], &frames[3]});
+  const nn::QuantizedForward quant(model, nn::QuantizedForward::calibrate(model, {&calibration}));
+  saliency::VisualBackProp vbp;
+
+  for (const bool q8 : {false, true}) {
+    for (const size_t batch : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(q8 ? "q8" : "float") + " B=" + std::to_string(batch));
+      std::vector<const Image*> inputs;
+      std::vector<int64_t> rows;
+      for (size_t i = 0; i < batch; ++i) {
+        inputs.push_back(&frames[i]);
+        rows.push_back(static_cast<int64_t>(batch - 1 - i));
+      }
+      const auto forward = [&] {
+        const Tensor stacked = stack_nchw(inputs);
+        return q8 ? quant.forward_stages(stacked) : model.forward_stages(stacked);
+      };
+      const auto compute_batch = [&] {
+        return q8 ? vbp.compute_batch_quantized(quant, inputs) : vbp.compute_batch(model, inputs);
+      };
+      const nn::StagedForward pass = forward();
+      const std::vector<Image> warm_masks = vbp.masks(model, pass.conv_stages, rows, kH, kW);
+      const std::vector<Image> warm_batch = compute_batch();
+
+      const int64_t chunks = Workspace::heap_allocation_count();
+      std::vector<Image> masks;
+      std::vector<Image> batched;
+      const int64_t mask_allocs =
+          allocations_of([&] { masks = vbp.masks(model, pass.conv_stages, rows, kH, kW); });
+      const int64_t forward_allocs = allocations_of([&] { (void)forward(); });
+      const int64_t batch_allocs = allocations_of([&] { batched = compute_batch(); });
+      const auto b = static_cast<int64_t>(batch);
+      EXPECT_EQ(mask_allocs, kPerMask * b + kPerCall);
+      EXPECT_EQ(batch_allocs - forward_allocs, kPerMask * b + kPerCall);
+      EXPECT_EQ(Workspace::heap_allocation_count(), chunks) << "VBP grew a workspace arena";
+      for (size_t i = 0; i < batch; ++i) {
+        EXPECT_EQ(masks[i].tensor(), warm_masks[i].tensor()) << "mask " << i;
+        EXPECT_EQ(batched[i].tensor(), warm_batch[i].tensor()) << "mask " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
