@@ -11,26 +11,7 @@ void validate(const OnlineCalibrationConfig& config) {
   if (!(config.percentile > 0.0 && config.percentile < 1.0)) {
     throw std::invalid_argument("OnlineCalibrationConfig: percentile outside (0, 1)");
   }
-  if (config.warmup < 1) {
-    throw std::invalid_argument("OnlineCalibrationConfig: warmup must be >= 1");
-  }
-  if (config.min_samples < 1) {
-    throw std::invalid_argument("OnlineCalibrationConfig: min_samples must be >= 1");
-  }
-  if (!(config.drift_tolerance > 0.0)) {
-    throw std::invalid_argument("OnlineCalibrationConfig: drift_tolerance must be positive");
-  }
-  if (config.check_every_frames < 1) {
-    throw std::invalid_argument("OnlineCalibrationConfig: check_every_frames must be >= 1");
-  }
-  if (config.trigger_checks < 1 || config.release_checks < 1) {
-    throw std::invalid_argument("OnlineCalibrationConfig: trigger/release checks must be >= 1");
-  }
-  for (int64_t frame : config.forced_swap_frames) {
-    if (frame < 0) {
-      throw std::invalid_argument("OnlineCalibrationConfig: negative forced swap frame");
-    }
-  }
+  check_knobs(kCalibrationKnobs, config, "OnlineCalibrationConfig");
 }
 
 namespace {

@@ -26,6 +26,7 @@
 #include "calib/drift_detector.hpp"
 #include "calib/p2_sketch.hpp"
 #include "calib/threshold_set.hpp"
+#include "core/knob.hpp"
 #include "core/novelty_detector.hpp"
 
 namespace salnov::calib {
@@ -59,6 +60,28 @@ struct OnlineCalibrationConfig {
   /// it is installed. Machine-local, NOT serialized into traces (replay
   /// must not write operator files), like SupervisorConfig::timing_faults.
   std::string store_path;
+};
+
+/// OnlineCalibrationConfig's knobs. --force-swap-at may be given once per
+/// run; its frame is appended to forced_swap_frames.
+inline constexpr Knob<OnlineCalibrationConfig> kCalibrationKnobs[] = {
+    {.flag = "online-calib", .member = &OnlineCalibrationConfig::enabled,
+     .doc = "run shadow calibration; drift can hot-swap thresholds"},
+    {.flag = "drift-tolerance", .member = &OnlineCalibrationConfig::drift_tolerance,
+     .doc = "normalized shadow-vs-served gap that counts as drift", .lo = 1e-9, .hi = 1e9},
+    {.flag = "calib-warmup", .member = &OnlineCalibrationConfig::warmup,
+     .doc = "exact P2 warm-up samples per rung", .lo = 1, .hi = 1e9},
+    {.flag = "drift-min-samples", .member = &OnlineCalibrationConfig::min_samples,
+     .doc = "shadow samples a rung needs before drift checks", .lo = 1, .hi = 1e12},
+    {.flag = "drift-check-every", .member = &OnlineCalibrationConfig::check_every_frames,
+     .doc = "scored frames between drift checks", .lo = 1, .hi = 1e9},
+    {.flag = "drift-trigger", .member = &OnlineCalibrationConfig::trigger_checks,
+     .doc = "consecutive drifted checks that trigger a swap", .lo = 1, .hi = 1e6},
+    {.flag = "drift-release", .member = &OnlineCalibrationConfig::release_checks,
+     .doc = "consecutive stable checks that release the drift alert", .lo = 1, .hi = 1e6},
+    {.flag = "force-swap-at", .member = &OnlineCalibrationConfig::forced_swap_frames,
+     .doc = "force a threshold swap at this frame (implies --online-calib)", .lo = 0,
+     .hi = kNoBound},
 };
 
 /// Throws std::invalid_argument on out-of-range knobs (used by the

@@ -22,6 +22,9 @@ enum class Preprocessing {
   kLrp,       ///< layer-wise relevance propagation mask (ablation; slowest)
 };
 inline constexpr uint32_t kPreprocessingCount = 4;
+/// Names by ordinal, as the CLI spells them.
+inline constexpr std::array<const char*, kPreprocessingCount> kPreprocessingNames = {
+    "raw", "vbp", "gradient", "lrp"};
 
 /// True for any preprocessing mode that needs the steering model.
 constexpr bool uses_saliency(Preprocessing preprocessing) {
@@ -34,6 +37,9 @@ enum class ReconstructionScore {
 };
 inline constexpr uint32_t kReconstructionScoreCount = 2;
 static_assert(static_cast<uint32_t>(ReconstructionScore::kSsim) + 1 == kReconstructionScoreCount);
+/// Names by ordinal, as the CLI spells them.
+inline constexpr std::array<const char*, kReconstructionScoreCount> kReconstructionScoreNames = {
+    "mse", "ssim"};
 
 /// Calibration slots of one fitted detector: each holds the training-score
 /// ECDF and threshold of the rungs that score with it. Ordinals are

@@ -111,25 +111,7 @@ Image gaussian_blur(double severity, const Image& frame) {
 }  // namespace
 
 const char* camera_fault_name(CameraFault fault) {
-  switch (fault) {
-    case CameraFault::kFrozenFrame:
-      return "frozen-frame";
-    case CameraFault::kDroppedFrame:
-      return "dropped-frame";
-    case CameraFault::kSaltPepper:
-      return "salt-pepper";
-    case CameraFault::kBandTearing:
-      return "band-tearing";
-    case CameraFault::kOverExposure:
-      return "over-exposure";
-    case CameraFault::kUnderExposure:
-      return "under-exposure";
-    case CameraFault::kOcclusion:
-      return "occlusion";
-    case CameraFault::kGaussianBlur:
-      return "gaussian-blur";
-  }
-  return "unknown";
+  return kCameraFaultNames[static_cast<size_t>(fault)];
 }
 
 const std::vector<CameraFault>& all_camera_faults() {

@@ -11,6 +11,7 @@
 // parameters) plays the same role for *model* faults.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -33,6 +34,12 @@ enum class CameraFault {
 };
 inline constexpr uint32_t kCameraFaultCount = 8;
 static_assert(static_cast<uint32_t>(CameraFault::kGaussianBlur) + 1 == kCameraFaultCount);
+
+/// Stable tags for tables, CSV artifacts and the CLI, by ordinal.
+inline constexpr std::array<const char*, kCameraFaultCount> kCameraFaultNames = {
+    "frozen-frame",  "dropped-frame",  "salt-pepper", "band-tearing",
+    "over-exposure", "under-exposure", "occlusion",   "gaussian-blur",
+};
 
 /// Stable tag for tables and CSV artifacts ("frozen-frame", ...).
 const char* camera_fault_name(CameraFault fault);

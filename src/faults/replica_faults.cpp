@@ -1,17 +1,71 @@
 #include "faults/replica_faults.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <stdexcept>
+#include <string>
 
 namespace salnov::faults {
 
 const char* replica_fault_kind_name(ReplicaFaultKind kind) {
-  switch (kind) {
-    case ReplicaFaultKind::kCrash: return "crash";
-    case ReplicaFaultKind::kHang: return "hang";
-    case ReplicaFaultKind::kSlow: return "slow";
-    case ReplicaFaultKind::kWeightCorrupt: return "weight_corrupt";
+  return kReplicaFaultKindNames[static_cast<size_t>(kind)];
+}
+
+std::vector<ReplicaFault> parse_replica_faults(std::string_view packed) {
+  std::vector<ReplicaFault> out;
+  const auto number = [](std::string_view entry, std::string_view text, auto& value) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || text.empty()) {
+      throw std::invalid_argument("bad number '" + std::string(text) + "' in entry '" +
+                                  std::string(entry) + "'");
+    }
+  };
+  while (!packed.empty()) {
+    const size_t semi = packed.find(';');
+    const std::string_view entry = packed.substr(0, semi);
+    packed = semi == std::string_view::npos ? std::string_view() : packed.substr(semi + 1);
+    if (entry.empty()) continue;
+    std::vector<std::string_view> fields;
+    for (std::string_view rest = entry;;) {
+      const size_t colon = rest.find(':');
+      fields.push_back(rest.substr(0, colon));
+      if (colon == std::string_view::npos) break;
+      rest = rest.substr(colon + 1);
+    }
+    if (fields.size() < 4 || fields.size() > 6) {
+      throw std::invalid_argument("bad entry '" + std::string(entry) +
+                                  "' (want kind:replica:start_us:end_us[:arg[:seed]])");
+    }
+    const auto kind = std::find(kReplicaFaultKindNames.begin(), kReplicaFaultKindNames.end(),
+                                fields[0]);
+    if (kind == kReplicaFaultKindNames.end()) {
+      std::string kinds;
+      for (const char* name : kReplicaFaultKindNames) {
+        if (!kinds.empty()) kinds += '|';
+        kinds += name;
+      }
+      throw std::invalid_argument("unknown replica fault kind '" + std::string(fields[0]) + "' (" +
+                                  kinds + ")");
+    }
+    ReplicaFault fault;
+    fault.kind = static_cast<ReplicaFaultKind>(kind - kReplicaFaultKindNames.begin());
+    int64_t start_us = 0, end_us = 0, arg = 0;
+    number(entry, fields[1], fault.replica);
+    number(entry, fields[2], start_us);
+    number(entry, fields[3], end_us);
+    fault.start_ns = start_us * 1000;
+    fault.end_ns = end_us * 1000;
+    if (fields.size() > 4) number(entry, fields[4], arg);
+    if (fault.kind == ReplicaFaultKind::kSlow) {
+      fault.slow_penalty_ns = arg * 1000;
+    } else if (fault.kind == ReplicaFaultKind::kWeightCorrupt) {
+      fault.weight_bits = fields.size() > 4 ? arg : 64;
+    }
+    if (fields.size() > 5) number(entry, fields[5], fault.seed);
+    out.push_back(fault);
   }
-  return "unknown";
+  return out;
 }
 
 void ReplicaFaultSchedule::add(const ReplicaFault& fault) {

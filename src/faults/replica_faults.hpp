@@ -10,8 +10,10 @@
 // runs be recorded and replayed bit-exactly (trace format v4).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace salnov::faults {
@@ -27,6 +29,10 @@ inline constexpr uint32_t kReplicaFaultKindCount = 4;
 static_assert(static_cast<uint32_t>(ReplicaFaultKind::kWeightCorrupt) + 1 ==
               kReplicaFaultKindCount);
 
+/// Stable tags by ordinal, as the CLI's packed schedule spells them.
+inline constexpr std::array<const char*, kReplicaFaultKindCount> kReplicaFaultKindNames = {
+    "crash", "hang", "slow", "corrupt"};
+
 const char* replica_fault_kind_name(ReplicaFaultKind kind);
 
 /// One scheduled replica fault, active over [start_ns, end_ns).
@@ -39,6 +45,13 @@ struct ReplicaFault {
   int64_t weight_bits = 0;      ///< kWeightCorrupt only: bits flipped in the canary clone
   uint64_t seed = 1;            ///< kWeightCorrupt only: Rng seed for flip_weight_bits
 };
+
+/// Parses a packed schedule: ';'-separated entries of the form
+///   kind:replica:start_us:end_us[:arg[:seed]]
+/// with kind a kReplicaFaultKindNames entry; arg is the slowdown in us for
+/// `slow` and the flipped-bit count for `corrupt` (default 64). Throws
+/// std::invalid_argument on a malformed entry.
+std::vector<ReplicaFault> parse_replica_faults(std::string_view packed);
 
 /// A set of scheduled replica faults with point-in-time queries. Purely
 /// passive: the cluster decides what an active fault *means* (skip sealing,

@@ -1,18 +1,16 @@
 #include "faults/timing_faults.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace salnov::faults {
 
 void TimingFaultInjector::add(const TimingFault& fault) {
-  if (fault.stall_ns < 0) {
-    throw std::invalid_argument("TimingFaultInjector: negative stall");
-  }
-  if (fault.period <= 0) {
-    throw std::invalid_argument("TimingFaultInjector: period must be >= 1");
-  }
-  if (fault.last_frame < fault.first_frame || fault.first_frame < 0) {
-    throw std::invalid_argument("TimingFaultInjector: bad frame range");
+  check_knobs(kStallKnobs, fault, "TimingFaultInjector");
+  if (fault.last_frame < fault.first_frame) {
+    throw std::invalid_argument(std::string("TimingFaultInjector: --") +
+                                knob_flag(kStallKnobs, &TimingFault::last_frame) + " before --" +
+                                knob_flag(kStallKnobs, &TimingFault::first_frame));
   }
   faults_.push_back(fault);
 }

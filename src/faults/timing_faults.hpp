@@ -16,6 +16,8 @@
 #include <limits>
 #include <vector>
 
+#include "core/knob.hpp"
+
 namespace salnov::faults {
 
 /// One scheduled stall. `stage` is a pipeline stage index (the serving
@@ -31,10 +33,25 @@ struct TimingFault {
   int64_t period = 1;
 };
 
+/// TimingFault's knobs: one --stall-* flag schedules one stall.
+inline constexpr Knob<TimingFault> kStallKnobs[] = {
+    {.flag = "stall-stage", .member = &TimingFault::stage,
+     .doc = "stalled stage: 0 validate, 1 steer, 2 saliency, 3 reconstruct, 4 score", .lo = 0,
+     .hi = 4},
+    {.flag = "stall-ns", .member = &TimingFault::stall_ns, .doc = "extra latency per stalled frame",
+     .lo = 0, .hi = 1e12},
+    {.flag = "stall-first", .member = &TimingFault::first_frame, .doc = "first stalled frame",
+     .lo = 0, .hi = kNoBound},
+    {.flag = "stall-last", .member = &TimingFault::last_frame,
+     .doc = "last stalled frame (inclusive; default: no end)", .lo = 0, .hi = kNoBound},
+    {.flag = "stall-period", .member = &TimingFault::period,
+     .doc = "stall every N-th frame from the first", .lo = 1, .hi = 1e9},
+};
+
 class TimingFaultInjector {
  public:
   /// Adds one fault to the schedule. Throws std::invalid_argument on a
-  /// negative stall, non-positive period, or an inverted frame range.
+  /// field outside its kStallKnobs row or an inverted frame range.
   void add(const TimingFault& fault);
 
   /// Total extra latency scheduled for `stage` on `frame` (sums overlapping

@@ -35,49 +35,4 @@ Tensor MseLoss::gradient(const Tensor& prediction, const Tensor& target) const {
   return grad;
 }
 
-double L1Loss::value(const Tensor& prediction, const Tensor& target) const {
-  require_same_shape(prediction, target, "L1Loss");
-  double acc = 0.0;
-  for (int64_t i = 0; i < prediction.numel(); ++i) {
-    acc += std::abs(static_cast<double>(prediction[i]) - static_cast<double>(target[i]));
-  }
-  return acc / static_cast<double>(prediction.numel());
-}
-
-Tensor L1Loss::gradient(const Tensor& prediction, const Tensor& target) const {
-  require_same_shape(prediction, target, "L1Loss");
-  const float scale = 1.0f / static_cast<float>(prediction.numel());
-  Tensor grad(prediction.shape());
-  for (int64_t i = 0; i < prediction.numel(); ++i) {
-    const float d = prediction[i] - target[i];
-    grad[i] = d > 0.0f ? scale : (d < 0.0f ? -scale : 0.0f);
-  }
-  return grad;
-}
-
-double BceLoss::value(const Tensor& prediction, const Tensor& target) const {
-  require_same_shape(prediction, target, "BceLoss");
-  const double eps = epsilon_;
-  double acc = 0.0;
-  for (int64_t i = 0; i < prediction.numel(); ++i) {
-    const double p = std::clamp(static_cast<double>(prediction[i]), eps, 1.0 - eps);
-    const double t = target[i];
-    acc += -(t * std::log(p) + (1.0 - t) * std::log(1.0 - p));
-  }
-  return acc / static_cast<double>(prediction.numel());
-}
-
-Tensor BceLoss::gradient(const Tensor& prediction, const Tensor& target) const {
-  require_same_shape(prediction, target, "BceLoss");
-  const double eps = epsilon_;
-  const double scale = 1.0 / static_cast<double>(prediction.numel());
-  Tensor grad(prediction.shape());
-  for (int64_t i = 0; i < prediction.numel(); ++i) {
-    const double p = std::clamp(static_cast<double>(prediction[i]), eps, 1.0 - eps);
-    const double t = target[i];
-    grad[i] = static_cast<float>(scale * (p - t) / (p * (1.0 - p)));
-  }
-  return grad;
-}
-
 }  // namespace salnov::nn

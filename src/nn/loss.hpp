@@ -35,26 +35,4 @@ class MseLoss : public Loss {
   std::string name() const override { return "mse"; }
 };
 
-/// Mean absolute error averaged over every element. The subgradient at zero
-/// is taken as 0.
-class L1Loss : public Loss {
- public:
-  double value(const Tensor& prediction, const Tensor& target) const override;
-  Tensor gradient(const Tensor& prediction, const Tensor& target) const override;
-  std::string name() const override { return "l1"; }
-};
-
-/// Binary cross-entropy on probabilities in (0, 1), averaged over elements.
-/// Inputs are clamped away from {0, 1} by `epsilon` for numerical safety.
-class BceLoss : public Loss {
- public:
-  explicit BceLoss(double epsilon = 1e-7) : epsilon_(epsilon) {}
-  double value(const Tensor& prediction, const Tensor& target) const override;
-  Tensor gradient(const Tensor& prediction, const Tensor& target) const override;
-  std::string name() const override { return "bce"; }
-
- private:
-  double epsilon_;
-};
-
 }  // namespace salnov::nn

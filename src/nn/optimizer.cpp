@@ -9,47 +9,6 @@ void Optimizer::zero_grad(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) p->zero_grad();
 }
 
-Sgd::Sgd(double learning_rate) : lr_(learning_rate) {
-  if (learning_rate <= 0.0) throw std::invalid_argument("Sgd: learning rate must be positive");
-}
-
-void Sgd::step(const std::vector<Parameter*>& params) {
-  for (Parameter* p : params) {
-    float* value = p->value.data();
-    const float* grad = p->grad.data();
-    for (int64_t i = 0; i < p->value.numel(); ++i) {
-      value[i] -= static_cast<float>(lr_) * grad[i];
-    }
-    p->bump_version();
-  }
-}
-
-Momentum::Momentum(double learning_rate, double momentum) : lr_(learning_rate), momentum_(momentum) {
-  if (learning_rate <= 0.0) throw std::invalid_argument("Momentum: learning rate must be positive");
-  if (momentum < 0.0 || momentum >= 1.0) throw std::invalid_argument("Momentum: momentum outside [0, 1)");
-}
-
-void Momentum::step(const std::vector<Parameter*>& params) {
-  if (velocity_.empty()) {
-    for (const Parameter* p : params) velocity_.emplace_back(p->value.shape());
-  }
-  if (velocity_.size() != params.size()) {
-    throw std::logic_error("Momentum: parameter list changed between steps");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    Parameter* p = params[i];
-    Tensor& vel = velocity_[i];
-    float* value = p->value.data();
-    const float* grad = p->grad.data();
-    float* v = vel.data();
-    for (int64_t j = 0; j < p->value.numel(); ++j) {
-      v[j] = static_cast<float>(momentum_) * v[j] - static_cast<float>(lr_) * grad[j];
-      value[j] += v[j];
-    }
-    p->bump_version();
-  }
-}
-
 Adam::Adam(double learning_rate, double beta1, double beta2, double epsilon)
     : lr_(learning_rate), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {
   if (learning_rate <= 0.0) throw std::invalid_argument("Adam: learning rate must be positive");

@@ -1,4 +1,4 @@
-// First-order optimizers: SGD, SGD with momentum, Adam.
+// First-order optimizers: Adam, the one every training loop uses.
 //
 // Stateful optimizers key their per-parameter state by position in the
 // parameter list, so the same optimizer instance must always be stepped
@@ -21,26 +21,6 @@ class Optimizer {
   virtual void step(const std::vector<Parameter*>& params) = 0;
 
   static void zero_grad(const std::vector<Parameter*>& params);
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double learning_rate);
-  void step(const std::vector<Parameter*>& params) override;
-
- private:
-  double lr_;
-};
-
-class Momentum : public Optimizer {
- public:
-  Momentum(double learning_rate, double momentum = 0.9);
-  void step(const std::vector<Parameter*>& params) override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<Tensor> velocity_;
 };
 
 class Adam : public Optimizer {

@@ -18,8 +18,8 @@ Image SceneGenerator::relevance_mask(const SceneParams& params, int64_t height, 
 }
 
 std::unique_ptr<SceneGenerator> make_scene_generator(const std::string& dataset) {
-  if (dataset == "outdoor") return std::make_unique<OutdoorSceneGenerator>();
-  if (dataset == "indoor") return std::make_unique<IndoorSceneGenerator>();
+  if (dataset == kSceneDatasets[0]) return std::make_unique<OutdoorSceneGenerator>();
+  if (dataset == kSceneDatasets[1]) return std::make_unique<IndoorSceneGenerator>();
   return nullptr;
 }
 

@@ -7,6 +7,7 @@
 // paper's in-house indoor racing environment (DSI): structured, uniform.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -58,8 +59,10 @@ class SceneGenerator {
   Image relevance_mask(const SceneParams& params, int64_t height, int64_t width) const;
 };
 
-/// The generator a dataset name selects ("outdoor" | "indoor"), as the CLI
-/// and trace specs spell it; nullptr for any other name.
+/// The dataset names, as the CLI and trace specs spell them.
+inline constexpr std::array<const char*, 2> kSceneDatasets = {"outdoor", "indoor"};
+
+/// The generator a kSceneDatasets name selects; nullptr for any other name.
 std::unique_ptr<SceneGenerator> make_scene_generator(const std::string& dataset);
 
 }  // namespace salnov::roadsim

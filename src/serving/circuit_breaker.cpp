@@ -17,12 +17,7 @@ const char* breaker_state_name(BreakerState state) {
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config) : config_(config) {
-  if (config_.failure_threshold < 1) {
-    throw std::invalid_argument("CircuitBreaker: failure_threshold must be >= 1");
-  }
-  if (config_.open_frames < 1) {
-    throw std::invalid_argument("CircuitBreaker: open_frames must be >= 1");
-  }
+  check_knobs(kBreakerKnobs, config_, "CircuitBreaker");
 }
 
 void CircuitBreaker::begin_frame() {

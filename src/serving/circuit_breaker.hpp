@@ -17,11 +17,21 @@
 
 #include <cstdint>
 
+#include "core/knob.hpp"
+
 namespace salnov::serving {
 
 struct CircuitBreakerConfig {
   int failure_threshold = 3;  ///< consecutive failures that trip the breaker
   int64_t open_frames = 8;    ///< frames to hold open before the half-open probe
+};
+
+/// CircuitBreakerConfig's knobs; the CircuitBreaker constructor checks them.
+inline constexpr Knob<CircuitBreakerConfig> kBreakerKnobs[] = {
+    {.flag = "breaker-threshold", .member = &CircuitBreakerConfig::failure_threshold,
+     .doc = "consecutive saliency failures that trip the breaker", .lo = 1, .hi = 1e6},
+    {.flag = "breaker-open-frames", .member = &CircuitBreakerConfig::open_frames,
+     .doc = "frames the breaker stays open before its half-open probe", .lo = 1, .hi = 1e9},
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };

@@ -28,16 +28,7 @@ ServingCluster::ServingCluster(const core::NoveltyDetector& detector,
   if (config_.streams < 1) {
     throw std::invalid_argument("ServingCluster: streams must be >= 1");
   }
-  if (config_.replicas < 1) {
-    throw std::invalid_argument("ServingCluster: replicas must be >= 1");
-  }
-  if (config_.max_batch < 1) {
-    throw std::invalid_argument("ServingCluster: max_batch must be >= 1");
-  }
-  if (config_.admission_credits < 0) {
-    throw std::invalid_argument("ServingCluster: admission_credits must be >= 0");
-  }
-  if (config_.gather_window_ns < 0) config_.gather_window_ns = 0;
+  check_knobs(kClusterKnobs, static_cast<const ClusterKnobs&>(config_), "ServingCluster");
 
   supervisors_.reserve(static_cast<size_t>(config_.streams));
   for (int64_t s = 0; s < config_.streams; ++s) {

@@ -70,26 +70,44 @@
 
 namespace salnov::serving {
 
-struct ClusterConfig {
-  int64_t streams = 1;   ///< independent per-stream supervisors
-  int64_t replicas = 1;  ///< worker threads (clamped to `streams`)
+/// The cluster's operator knobs, shared by ClusterConfig and the trace
+/// spec's cluster block.
+struct ClusterKnobs {
+  int64_t replicas = 1;  ///< worker threads (clamped to the stream count)
   /// Frames arriving within this window of a batch head are gathered into
-  /// the same batch (<= 0 degenerates to per-frame batches of size 1 unless
-  /// frames carry identical timestamps).
+  /// the same batch (0 gives per-frame batches of size 1 unless frames
+  /// carry identical timestamps).
   int64_t gather_window_ns = 2'000'000;
   int64_t max_batch = 16;  ///< hard cap on one batched forward
-  /// Per-stream supervisor configuration (applied to every stream).
-  SupervisorConfig supervisor;
-  /// Retain per-frame ClusterResults for take_results(). Disable for soak
-  /// runs where only health counters matter.
-  bool keep_results = true;
-
   /// Replica failure detection/recovery; disabled by default (a cluster
   /// without a watchdog routes statically and never sheds).
   WatchdogConfig watchdog;
   /// Max pending (queued, unprocessed) frames per stream; past it the
   /// stream's oldest queued frame is shed. 0 disables admission control.
   int64_t admission_credits = 0;
+};
+
+/// ClusterKnobs' rows; the ServingCluster constructor checks them (and the
+/// watchdog's, when it is enabled).
+inline constexpr Knob<ClusterKnobs> kClusterKnobs[] = {
+    {.flag = "replicas", .member = &ClusterKnobs::replicas,
+     .doc = "batching worker replicas (at most one per stream)", .lo = 1, .hi = 256},
+    {.flag = "batch-window-us", .member = &ClusterKnobs::gather_window_ns,
+     .doc = "frames this close behind a batch head join its batch", .lo = 0, .hi = 6e7,
+     .scale = 1000},
+    {.flag = "max-batch", .member = &ClusterKnobs::max_batch,
+     .doc = "cap on the frames of one batched forward", .lo = 1, .hi = 4096},
+    {.flag = "admission-credits", .member = &ClusterKnobs::admission_credits,
+     .doc = "pending frames per stream before its oldest is shed (0 = off)", .lo = 0, .hi = 1e6},
+};
+
+struct ClusterConfig : ClusterKnobs {
+  int64_t streams = 1;   ///< independent per-stream supervisors
+  /// Per-stream supervisor configuration (applied to every stream).
+  SupervisorConfig supervisor;
+  /// Retain per-frame ClusterResults for take_results(). Disable for soak
+  /// runs where only health counters matter.
+  bool keep_results = true;
   /// Scheduled replica faults; may be null. Must outlive the cluster. A
   /// slow-replica fault sleeps the worker under a live clock; under a
   /// FakeClock, where a sleep would advance the time every stream shares,

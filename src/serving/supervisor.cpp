@@ -8,6 +8,12 @@
 
 namespace salnov::serving {
 
+void validate(const SupervisorConfig& config) {
+  check_knobs(kSupervisorKnobs, config, "SupervisorConfig");
+  check_knobs(kBreakerKnobs, config.breaker, "SupervisorConfig");
+  if (config.calibration.enabled) calib::validate(config.calibration);
+}
+
 Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* steering_model,
                        SupervisorConfig config, Clock* clock)
     : detector_(detector),
@@ -29,9 +35,7 @@ Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* st
   if (saliency_configured_ && steering_model_ == nullptr) {
     throw std::invalid_argument("Supervisor: saliency pipeline requires its steering model");
   }
-  if (config_.demote_after_bad_frames < 1 || config_.promote_after_healthy_frames < 1) {
-    throw std::invalid_argument("Supervisor: ladder hysteresis counts must be >= 1");
-  }
+  validate(config_);
   if (config_.calibration.enabled) {
     calibrator_.emplace(detector_, config_.calibration);  // validates the config
   }

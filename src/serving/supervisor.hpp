@@ -33,6 +33,7 @@
 // taken, or a stage failed (a failed saliency stage serves the frame raw).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -54,7 +55,7 @@
 namespace salnov::serving {
 
 struct SupervisorConfig {
-  /// Per-stage wall-clock budgets; <= 0 disables the check for that stage.
+  /// Per-stage wall-clock budgets; 0 disables the check for that stage.
   /// Defaults are generous for the 60x160 pipeline on a laptop core.
   std::array<int64_t, kStageCount> stage_budget_ns = {
       5'000'000,   // validate
@@ -64,7 +65,7 @@ struct SupervisorConfig {
       20'000'000,  // score
   };
   /// Whole-frame deadline; blowing it mid-pipeline abandons the frame.
-  /// <= 0 disables abandonment.
+  /// 0 disables abandonment.
   int64_t frame_budget_ns = 200'000'000;
 
   CircuitBreakerConfig breaker;
@@ -90,6 +91,34 @@ struct SupervisorConfig {
   /// Optional deterministic stall schedule (not owned; may be null).
   const faults::TimingFaultInjector* timing_faults = nullptr;
 };
+
+/// SupervisorConfig's own knobs (the breaker and calibration have theirs).
+/// --stage-budget-ns sets every stage's budget; the range check reads the
+/// stage furthest out of range (the lowest when one is negative).
+inline constexpr Knob<SupervisorConfig> kSupervisorKnobs[] = {
+    {.flag = "stage-budget-ns",
+     .member = KnobAccess<SupervisorConfig>{
+         [](const SupervisorConfig& c) {
+           const auto [lo, hi] = std::minmax_element(c.stage_budget_ns.begin(),
+                                                     c.stage_budget_ns.end());
+           return *lo < 0 ? *lo : *hi;
+         },
+         [](SupervisorConfig& c, int64_t ns) { c.stage_budget_ns.fill(ns); }},
+     .doc = "every stage's wall-clock budget (0 disables the check)", .lo = 0, .hi = 1e12},
+    {.flag = "frame-budget-ns", .member = &SupervisorConfig::frame_budget_ns,
+     .doc = "whole-frame deadline; blowing it abandons the frame (0 disables)", .lo = 0,
+     .hi = 1e12},
+    {.flag = "demote-after", .member = &SupervisorConfig::demote_after_bad_frames,
+     .doc = "consecutive bad frames that step the ladder down", .lo = 1, .hi = 1e6},
+    {.flag = "promote-after", .member = &SupervisorConfig::promote_after_healthy_frames,
+     .doc = "consecutive healthy frames that step the ladder up", .lo = 1, .hi = 1e6},
+    {.flag = "quant", .member = &SupervisorConfig::enable_quant_rungs,
+     .doc = "serve the int8 rungs (when the pipeline has them)"},
+};
+
+/// Throws std::invalid_argument on a knob outside its row (supervisor and
+/// breaker rows; the calibration block is checked when it is enabled).
+void validate(const SupervisorConfig& config);
 
 /// Per-frame outcome.
 struct ServeResult {

@@ -28,19 +28,12 @@ const char* cluster_event_kind_name(ClusterEventKind kind) {
 }
 
 void validate(const WatchdogConfig& config) {
-  if (config.batch_deadline_ns <= 0 || config.heartbeat_timeout_ns <= 0 ||
-      config.probe_backoff_ns <= 0) {
-    throw std::invalid_argument("WatchdogConfig: timeouts must be positive");
-  }
+  check_knobs(kWatchdogKnobs, config, "WatchdogConfig");
   if (config.max_probe_backoff_ns < config.probe_backoff_ns) {
-    throw std::invalid_argument("WatchdogConfig: max probe backoff below the initial backoff");
-  }
-  if (config.missed_deadlines_to_quarantine < 1 ||
-      config.canary_failures_to_quarantine < 1) {
-    throw std::invalid_argument("WatchdogConfig: thresholds must be >= 1");
-  }
-  if (config.canary_period_ns < 0 || config.max_redispatches < 0) {
-    throw std::invalid_argument("WatchdogConfig: negative canary period or re-dispatch budget");
+    throw std::invalid_argument(
+        std::string("WatchdogConfig: --") +
+        knob_flag(kWatchdogKnobs, &WatchdogConfig::max_probe_backoff_ns) + " below --" +
+        knob_flag(kWatchdogKnobs, &WatchdogConfig::probe_backoff_ns));
   }
   if (!(config.canary_epsilon >= 0.0)) {
     throw std::invalid_argument("WatchdogConfig: canary epsilon must be >= 0");

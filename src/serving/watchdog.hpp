@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/knob.hpp"
+
 namespace salnov::serving {
 
 /// Knobs for replica failure detection and recovery. Disabled by default:
@@ -48,10 +50,36 @@ struct WatchdogConfig {
   double canary_epsilon = 1e-3;
 };
 
-/// Throws std::invalid_argument on unusable knobs: a non-positive timeout,
-/// a max probe backoff below the initial one, a threshold below 1, a
-/// negative canary period or re-dispatch budget, or a negative or NaN
-/// canary epsilon. Used by ReplicaWatchdog's constructor and
+/// WatchdogConfig's knobs, in microseconds on the CLI. Timeouts need only
+/// be positive: 0.001 us is the library's 1 ns floor.
+inline constexpr Knob<WatchdogConfig> kWatchdogKnobs[] = {
+    {.flag = "watchdog", .member = &WatchdogConfig::enabled,
+     .doc = "health-checked replica failover (quarantine, probe, restore)"},
+    {.flag = "batch-deadline-us", .member = &WatchdogConfig::batch_deadline_ns,
+     .doc = "a queued batch older than this is a missed deadline", .lo = 1e-3, .hi = 3.6e9,
+     .scale = 1000},
+    {.flag = "heartbeat-timeout-us", .member = &WatchdogConfig::heartbeat_timeout_ns,
+     .doc = "worker silence that counts as an outage", .lo = 1e-3, .hi = 3.6e9,
+     .scale = 1000},
+    {.flag = "missed-deadlines", .member = &WatchdogConfig::missed_deadlines_to_quarantine,
+     .doc = "missed deadlines that quarantine a replica", .lo = 1, .hi = 1e6},
+    {.flag = "canary-period-us", .member = &WatchdogConfig::canary_period_ns,
+     .doc = "period of canary checks on healthy replicas (0 = never)", .lo = 0, .hi = 3.6e9,
+     .scale = 1000},
+    {.flag = "canary-failures", .member = &WatchdogConfig::canary_failures_to_quarantine,
+     .doc = "canary failures that quarantine a replica", .lo = 1, .hi = 1e6},
+    {.flag = "probe-backoff-us", .member = &WatchdogConfig::probe_backoff_ns,
+     .doc = "initial half-open probe backoff; doubles per failed probe", .lo = 1e-3, .hi = 3.6e9,
+     .scale = 1000},
+    {.flag = "max-probe-backoff-us", .member = &WatchdogConfig::max_probe_backoff_ns,
+     .doc = "cap on the probe backoff", .lo = 1e-3, .hi = 3.6e9, .scale = 1000},
+    {.flag = "max-redispatches", .member = &WatchdogConfig::max_redispatches,
+     .doc = "re-dispatch budget before a frame is served inline", .lo = 0, .hi = 1e6},
+};
+
+/// Throws std::invalid_argument on unusable knobs: a field outside its
+/// kWatchdogKnobs row, a max probe backoff below the initial one, or a
+/// negative or NaN canary epsilon. Used by ReplicaWatchdog's constructor and
 /// TraceRunSpec::validate.
 void validate(const WatchdogConfig& config);
 

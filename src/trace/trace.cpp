@@ -266,51 +266,49 @@ const char* cluster_event_tag(int value) {
 // --- spec -------------------------------------------------------------------
 
 void TraceRunSpec::validate() const {
-  if (!roadsim::make_scene_generator(dataset)) {
-    throw std::invalid_argument("trace: unknown dataset '" + dataset + "'");
-  }
-  if (frames < 0) throw std::invalid_argument("trace: negative frame count");
+  const char* who = "trace";
+  check_knobs(kDatasetKnobs, *this, who);
+  check_knobs(kFramesKnobs, *this, who);
   if (height <= 0 || width <= 0) throw std::invalid_argument("trace: non-positive resolution");
-  calib::validate(supervisor.calibration);  // throws on out-of-range drift knobs
+  serving::validate(supervisor);
+  calib::validate(supervisor.calibration);
   faults::TimingFaultInjector probe;
   for (const auto& stall : stalls) probe.add(stall);  // throws on a bad schedule
   for (const auto& fault : camera_faults) {
-    if (!(fault.severity >= 0.0 && fault.severity <= 1.0)) {
-      throw std::invalid_argument("trace: camera-fault severity outside [0, 1]");
-    }
-    if (fault.period <= 0 || fault.first_frame < 0 || fault.last_frame < fault.first_frame) {
-      throw std::invalid_argument("trace: bad camera-fault schedule");
-    }
-  }
-  if (cluster.streams < 0) throw std::invalid_argument("trace: negative stream count");
-  if (cluster.max_batch < 1) throw std::invalid_argument("trace: cluster max_batch must be >= 1");
-  if (cluster.gather_window_ns < 0 || cluster.arrival_period_ns < 0) {
-    throw std::invalid_argument("trace: negative cluster window/period");
-  }
-  if (cluster.streams > 0) {
-    if (cluster.replicas < 1) throw std::invalid_argument("trace: cluster replicas must be >= 1");
-    if (cluster.replicas > 1 && !stalls.empty()) {
-      // Concurrent replicas share the FakeClock: a stall advanced by one
-      // worker would bleed into another worker's stage timings, making
-      // stage_ns a race instead of a function of the spec.
-      throw std::invalid_argument("trace: stalls require a single replica");
+    check_knobs(kCameraFaultKnobs, fault, who);
+    if (fault.last_frame < fault.first_frame) {
+      throw std::invalid_argument(std::string("trace: --") +
+                                  knob_flag(kCameraFaultKnobs, &TraceCameraFault::last_frame) +
+                                  " before --" +
+                                  knob_flag(kCameraFaultKnobs, &TraceCameraFault::first_frame));
     }
   }
-  if (cluster.admission_credits < 0) {
-    throw std::invalid_argument("trace: negative admission credits");
+  check_knobs(kTraceClusterKnobs, cluster, who);
+  const serving::ClusterKnobs& knobs = cluster;
+  check_knobs(serving::kClusterKnobs, knobs, who);
+  const std::string replicas_flag = knob_flag(serving::kClusterKnobs, &serving::ClusterKnobs::replicas);
+  if (cluster.streams > 0 && cluster.replicas > 1 && !stalls.empty()) {
+    // Concurrent replicas share the FakeClock: a stall advanced by one
+    // worker would bleed into another worker's stage timings, making
+    // stage_ns a race instead of a function of the spec.
+    throw std::invalid_argument(std::string("trace: a --") +
+                                knob_flag(faults::kStallKnobs, &faults::TimingFault::stage) +
+                                " stall needs --" + replicas_flag + " 1");
   }
   if (cluster.watchdog.enabled) serving::validate(cluster.watchdog);
   if (!cluster.replica_faults.empty()) {
     if (cluster.streams <= 0) {
-      throw std::invalid_argument("trace: replica faults require a cluster run");
+      throw std::invalid_argument(std::string("trace: replica faults need --") +
+                                  knob_flag(kTraceClusterKnobs, &TraceClusterSpec::streams) +
+                                  " >= 1");
     }
     faults::ReplicaFaultSchedule probe_schedule;
     for (const auto& fault : cluster.replica_faults) {
       probe_schedule.add(fault);  // throws on a bad fault window / fields
       if (fault.replica >= cluster.replicas) {
         throw std::invalid_argument("trace: replica fault targets replica " +
-                                    std::to_string(fault.replica) + " of " +
-                                    std::to_string(cluster.replicas));
+                                    std::to_string(fault.replica) + " of --" + replicas_flag +
+                                    " " + std::to_string(cluster.replicas));
       }
     }
   }
@@ -344,17 +342,19 @@ Trace Trace::load_file(const std::string& path) {
 
 // --- scenario driver --------------------------------------------------------
 
-serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetector& detector,
-                              nn::Sequential* steering_model,
-                              const std::function<void(const TraceFrame&)>& on_frame,
-                              std::vector<serving::ClusterEvent>* events,
-                              serving::ClusterStats* cluster_stats) {
+DriveOutcome drive(const TraceRunSpec& spec, const core::NoveltyDetector& detector,
+                   nn::Sequential* steering_model,
+                   const std::function<void(const TraceFrame&)>& on_frame, bool live) {
   spec.validate();
   if (spec.height != detector.config().height || spec.width != detector.config().width) {
     throw std::invalid_argument("trace: spec resolution " + std::to_string(spec.height) + "x" +
                                 std::to_string(spec.width) + " does not match the pipeline (" +
                                 std::to_string(detector.config().height) + "x" +
                                 std::to_string(detector.config().width) + ")");
+  }
+  if (live && !spec.cluster.replica_faults.empty()) {
+    throw std::invalid_argument("trace: replica faults need the fake clock (fault windows are "
+                                "offsets into fake time; a wall clock never enters them)");
   }
 
   faults::TimingFaultInjector stalls;
@@ -366,32 +366,30 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
   // (store_path is not serialized either; this guards in-memory specs.)
   config.calibration.store_path.clear();
 
-  // All timing under a FakeClock: elapsed time is exactly the injected
-  // stalls, so the decision stream is a pure function of the spec.
+  // Under the FakeClock, elapsed time is exactly the injected stalls, so the
+  // decision stream is a pure function of the spec.
   serving::FakeClock clock;
 
   // One ServingCluster, deterministic arrival schedule; a single-stream spec
-  // (streams == 0) is one stream on one replica. The whole schedule is
-  // staged while the workers are paused — every frame is stamped with its
-  // scheduled fake arrival time before any compute runs, so the batch
-  // composition (and, with a single replica, every stall-driven stage
-  // timing) is a pure function of the spec.
+  // (streams == 0) is one stream on one replica. Under the FakeClock the
+  // whole schedule is staged while the workers are paused — every frame is
+  // stamped with its scheduled fake arrival time before any compute runs,
+  // so the batch composition (and, with a single replica, every
+  // stall-driven stage timing) is a pure function of the spec.
   const bool single_stream = spec.cluster.streams == 0;
   const int64_t streams = single_stream ? 1 : spec.cluster.streams;
   serving::ClusterConfig cluster_config;
+  static_cast<serving::ClusterKnobs&>(cluster_config) = spec.cluster;
   cluster_config.streams = streams;
-  cluster_config.replicas = single_stream ? 1 : spec.cluster.replicas;
-  cluster_config.gather_window_ns = spec.cluster.gather_window_ns;
-  cluster_config.max_batch = spec.cluster.max_batch;
+  if (single_stream) cluster_config.replicas = 1;
   cluster_config.supervisor = config;
-  cluster_config.watchdog = spec.cluster.watchdog;
-  cluster_config.admission_credits = spec.cluster.admission_credits;
   // Declared before the cluster so the schedule outlives the workers.
   faults::ReplicaFaultSchedule replica_faults;
   for (const auto& fault : spec.cluster.replica_faults) replica_faults.add(fault);
   cluster_config.replica_faults = replica_faults.empty() ? nullptr : &replica_faults;
-  serving::ServingCluster cluster(detector, steering_model, cluster_config, &clock);
-  cluster.pause();
+  serving::ServingCluster cluster(detector, steering_model, cluster_config,
+                                  live ? nullptr : &clock);
+  if (!live) cluster.pause();
 
   std::vector<std::unique_ptr<roadsim::SceneGenerator>> generators;
   std::vector<Rng> rngs;
@@ -414,7 +412,7 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
       }
       cluster.submit(s, std::move(view));
     }
-    clock.advance_ns(spec.cluster.arrival_period_ns);
+    if (!live) clock.advance_ns(spec.cluster.arrival_period_ns);
   }
   cluster.drain();
   if (on_frame) {
@@ -422,12 +420,14 @@ serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetec
     // stream is emitted in global arrival order.
     for (const auto& cr : cluster.take_results()) on_frame(TraceFrame{cr.result, cr.stream_id});
   }
-  if (events) *events = cluster.take_events();
-  if (cluster_stats) *cluster_stats = cluster.stats();
-  const serving::HealthSnapshot health =
-      single_stream ? cluster.stream_health(0) : cluster.aggregate_health();
+  DriveOutcome outcome;
+  outcome.events = cluster.take_events();
+  outcome.stats = cluster.stats();
+  outcome.health = single_stream ? cluster.stream_health(0) : cluster.aggregate_health();
+  for (int64_t s = 0; s < streams; ++s) outcome.stream_health.push_back(cluster.stream_health(s));
+  outcome.replicas = cluster.replicas();
   cluster.stop();
-  return health;
+  return outcome;
 }
 
 Trace TraceRecorder::record(const TraceRunSpec& spec, const core::NoveltyDetector& detector,
@@ -435,10 +435,12 @@ Trace TraceRecorder::record(const TraceRunSpec& spec, const core::NoveltyDetecto
   Trace trace;
   trace.spec = spec;
   trace.frames.reserve(static_cast<size_t>(spec.frames));
-  trace.health =
-      drive(spec, detector, steering_model,
-            [&trace](const TraceFrame& frame) { trace.frames.push_back(frame); }, &trace.events,
-            &trace.cluster_health);
+  DriveOutcome outcome = drive(spec, detector, steering_model, [&trace](const TraceFrame& frame) {
+    trace.frames.push_back(frame);
+  });
+  trace.health = outcome.health;
+  trace.events = std::move(outcome.events);
+  trace.cluster_health = outcome.stats;
   return trace;
 }
 
@@ -550,13 +552,10 @@ ReplayReport TraceReplayer::replay(const Trace& trace, const core::NoveltyDetect
                                    nn::Sequential* steering_model, const ReplayOptions& options) {
   std::vector<TraceFrame> replayed;
   replayed.reserve(trace.frames.size());
-  std::vector<serving::ClusterEvent> replayed_events;
-  serving::ClusterStats replayed_stats;
-  const serving::HealthSnapshot health =
+  const DriveOutcome outcome =
       drive(trace.spec, detector, steering_model,
-            [&replayed](const TraceFrame& frame) { replayed.push_back(frame); }, &replayed_events,
-            &replayed_stats);
-  return compare(trace, replayed, health, options, &replayed_events, &replayed_stats);
+            [&replayed](const TraceFrame& frame) { replayed.push_back(frame); });
+  return compare(trace, replayed, outcome.health, options, &outcome.events, &outcome.stats);
 }
 
 }  // namespace salnov::trace

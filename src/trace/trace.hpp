@@ -42,14 +42,16 @@
 #include <string>
 #include <vector>
 
+#include "core/knob.hpp"
 #include "core/monitor.hpp"
 #include "core/novelty_detector.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/replica_faults.hpp"
 #include "faults/timing_faults.hpp"
+#include "roadsim/generator.hpp"
+#include "serving/cluster.hpp"
 #include "serving/health.hpp"
 #include "serving/supervisor.hpp"
-#include "serving/watchdog.hpp"
 
 namespace salnov::trace {
 
@@ -65,6 +67,20 @@ struct TraceCameraFault {
   int64_t period = 1;
 };
 
+/// TraceCameraFault's knobs: one --camera-fault flag schedules one fault.
+inline constexpr Knob<TraceCameraFault> kCameraFaultKnobs[] = {
+    {.flag = "camera-fault", .member = knob_enum<&TraceCameraFault::fault>(),
+     .doc = "scheduled camera fault", .choices = faults::kCameraFaultNames},
+    {.flag = "fault-severity", .member = &TraceCameraFault::severity,
+     .doc = "fault severity (0 = identity, 1 = worst case)", .lo = 0, .hi = 1},
+    {.flag = "fault-first", .member = &TraceCameraFault::first_frame, .doc = "first faulted frame",
+     .lo = 0, .hi = kNoBound},
+    {.flag = "fault-last", .member = &TraceCameraFault::last_frame,
+     .doc = "last faulted frame (inclusive; default: no end)", .lo = 0, .hi = kNoBound},
+    {.flag = "fault-period", .member = &TraceCameraFault::period,
+     .doc = "fault every N-th frame from the first", .lo = 1, .hi = 1e9},
+};
+
 /// Scenario shape. Every run drives a ServingCluster: stream s draws its
 /// scene stream from frame_seed + s and its camera-fault variates from
 /// fault_seed + s, `frames` counts frames *per stream*, and arrivals are
@@ -75,18 +91,26 @@ struct TraceCameraFault {
 /// cluster section). Stalls require `replicas == 1`: concurrent replicas
 /// share the FakeClock, and a stall advanced by one worker would bleed into
 /// another worker's stage timings.
-struct TraceClusterSpec {
+/// The batching and failure-domain knobs (replicas, gather window, batch
+/// cap, watchdog, admission credits) are the cluster's own; their defaults
+/// are a cluster without watchdog, faults, or admission control.
+struct TraceClusterSpec : serving::ClusterKnobs {
   int64_t streams = 0;    ///< 0 = single-stream run (one stream, one replica)
-  int64_t replicas = 1;
-  int64_t gather_window_ns = 2'000'000;
-  int64_t max_batch = 16;
   int64_t arrival_period_ns = 1'000'000;  ///< fake time between arrival rounds
-
-  // The replica failure domain. All feature-off defaults: a cluster without
-  // watchdog, faults, or admission control.
-  serving::WatchdogConfig watchdog;
-  int64_t admission_credits = 0;  ///< per-stream pending bound (0 = off)
   std::vector<faults::ReplicaFault> replica_faults;
+};
+
+/// TraceClusterSpec's own knobs (the rest are serving::kClusterKnobs).
+inline constexpr Knob<TraceClusterSpec> kTraceClusterKnobs[] = {
+    {.flag = "streams", .member = &TraceClusterSpec::streams,
+     .doc = "camera streams on one ServingCluster (0 = one stream)", .lo = 0, .hi = 4096},
+    {.flag = "arrival-us", .member = &TraceClusterSpec::arrival_period_ns,
+     .doc = "time between arrival rounds", .lo = 0, .hi = 6e7, .scale = 1000},
+    {.flag = "replica-fault",
+     .member = KnobParser<TraceClusterSpec>{[](TraceClusterSpec& c, std::string_view text) {
+       c.replica_faults = faults::parse_replica_faults(text);
+     }},
+     .doc = "replica faults: kind:replica:start_us:end_us[:arg[:seed]] joined by ';'"},
 };
 
 /// Complete description of a recordable scenario. Everything that can move
@@ -118,9 +142,30 @@ struct TraceRunSpec {
   uint32_t pipeline_crc = 0;
   int64_t pipeline_bytes = 0;
 
-  /// Throws std::invalid_argument on an unusable spec (unknown dataset,
-  /// negative frame count, non-positive resolution, bad fault schedule).
+  /// Throws std::invalid_argument on an unusable spec: a knob outside its
+  /// row (the spec's own, and those of the supervisor, breaker,
+  /// calibration, stall, camera-fault, cluster and watchdog tables), a
+  /// non-positive resolution, or a cross-field conflict (an inverted fault
+  /// window, stalls on several replicas, a fault on a missing replica).
   void validate() const;
+};
+
+/// The spec's own knobs, one table per group a CLI subcommand accepts.
+inline constexpr Knob<TraceRunSpec> kSeedKnobs[] = {
+    {.flag = "seed", .member = &TraceRunSpec::frame_seed,
+     .doc = "RNG seed (stream s draws its scenes from seed + s)"},
+};
+inline constexpr Knob<TraceRunSpec> kDatasetKnobs[] = {
+    {.flag = "dataset", .member = &TraceRunSpec::dataset, .doc = "scene generator",
+     .choices = roadsim::kSceneDatasets},
+};
+inline constexpr Knob<TraceRunSpec> kFramesKnobs[] = {
+    {.flag = "frames", .member = &TraceRunSpec::frames, .doc = "frames per stream", .lo = 0,
+     .hi = 1e9},
+};
+inline constexpr Knob<TraceRunSpec> kFaultSeedKnobs[] = {
+    {.flag = "fault-seed", .member = &TraceRunSpec::fault_seed,
+     .doc = "RNG seed of the camera faults (stream s uses fault-seed + s)"},
 };
 
 /// Everything the pipeline decided about one frame, plus the policy state
@@ -154,18 +199,28 @@ struct Trace {
   static Trace load_file(const std::string& path);
 };
 
-/// Re-executes a spec against a fitted pipeline under a FakeClock, invoking
-/// `on_frame` once per frame in global arrival order, each frame tagged with
-/// its stream_id. Returns the single stream's health, or the aggregate
-/// health of a multi-stream run. This is the ONE scenario driver — recording
-/// and replaying go through the same code path, so they cannot drift apart.
-/// `events` / `cluster_stats`, when non-null, receive the failure-domain
-/// event log and end-of-run ClusterStats.
-serving::HealthSnapshot drive(const TraceRunSpec& spec, const core::NoveltyDetector& detector,
-                              nn::Sequential* steering_model,
-                              const std::function<void(const TraceFrame&)>& on_frame,
-                              std::vector<serving::ClusterEvent>* events = nullptr,
-                              serving::ClusterStats* cluster_stats = nullptr);
+/// What a scenario run leaves besides its frame stream.
+struct DriveOutcome {
+  /// The single stream's health, or the aggregate of a multi-stream run.
+  serving::HealthSnapshot health;
+  std::vector<serving::HealthSnapshot> stream_health;  ///< each stream's own snapshot
+  serving::ClusterStats stats;                         ///< end-of-run cluster counters
+  std::vector<serving::ClusterEvent> events;           ///< failure-domain event log
+  int64_t replicas = 0;  ///< replicas the cluster ran (at most one per stream)
+};
+
+/// Re-executes a spec against a fitted pipeline, invoking `on_frame` once
+/// per frame in global arrival order, each frame tagged with its stream_id.
+/// By default every time is fake: the whole arrival schedule is staged
+/// while the cluster is paused, so the run is a pure function of the spec.
+/// With `live`, the cluster runs on a wall clock and each arrival round is
+/// submitted as it comes; arrival_period_ns does not apply, and replica
+/// faults (offsets into fake time) are refused. This is the ONE scenario
+/// driver — recording, replaying and `salnov serve --streams` go through
+/// the same code path, so they cannot drift apart.
+DriveOutcome drive(const TraceRunSpec& spec, const core::NoveltyDetector& detector,
+                   nn::Sequential* steering_model,
+                   const std::function<void(const TraceFrame&)>& on_frame, bool live = false);
 
 class TraceRecorder {
  public:

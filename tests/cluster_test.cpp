@@ -138,6 +138,21 @@ TEST_F(ClusterFixture, RejectsBadConfigs) {
   EXPECT_THROW(ServingCluster(*detector_, steering_, config), std::invalid_argument);
 }
 
+TEST_F(ClusterFixture, RejectsNegativeGatherWindowByFlag) {
+  // A negative window is refused like any other out-of-range knob, not
+  // clamped to 0; the error names the flag that sets it.
+  ClusterConfig config;
+  config.gather_window_ns = -1;
+  try {
+    ServingCluster cluster(*detector_, steering_, config);
+    ADD_FAILURE() << "negative gather window accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--batch-window-us"), std::string::npos) << e.what();
+  }
+  config.gather_window_ns = 0;
+  EXPECT_NO_THROW(ServingCluster(*detector_, steering_, config));
+}
+
 TEST_F(ClusterFixture, RejectsBadStreamIds) {
   FakeClock clock;
   ClusterConfig config;

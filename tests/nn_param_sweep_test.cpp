@@ -142,9 +142,6 @@ TEST_P(OptimizerConvergenceSweep, MinimizesQuadratic) {
 INSTANTIATE_TEST_SUITE_P(
     All, OptimizerConvergenceSweep,
     ::testing::Values(
-        OptimizerCase{"sgd", [] { return std::unique_ptr<Optimizer>(new Sgd(0.05)); }, 400},
-        OptimizerCase{"momentum",
-                      [] { return std::unique_ptr<Optimizer>(new Momentum(0.02, 0.9)); }, 400},
         OptimizerCase{"adam", [] { return std::unique_ptr<Optimizer>(new Adam(0.1)); }, 400}),
     [](const ::testing::TestParamInfo<OptimizerCase>& info) { return info.param.name; });
 

@@ -45,35 +45,6 @@ TEST(MseLossTest, ShapeMismatchThrows) {
   EXPECT_THROW(loss.value(Tensor({2}), Tensor({3})), std::invalid_argument);
 }
 
-TEST(L1LossTest, KnownValue) {
-  L1Loss loss;
-  EXPECT_DOUBLE_EQ(loss.value(Tensor({2}, {1, -3}), Tensor({2}, {0, 0})), 2.0);
-}
-
-TEST(L1LossTest, GradientCheckAwayFromKink) {
-  Rng rng(2);
-  L1Loss loss;
-  const Tensor target = Tensor::zeros({2, 4});
-  Tensor prediction = rng.uniform_tensor({2, 4}, 0.2, 1.0);
-  test::check_loss_gradient(loss, prediction, target);
-}
-
-TEST(BceLossTest, MinimizedAtTarget) {
-  BceLoss loss;
-  const Tensor target({2}, {0.0f, 1.0f});
-  const Tensor good({2}, {0.01f, 0.99f});
-  const Tensor bad({2}, {0.9f, 0.1f});
-  EXPECT_LT(loss.value(good, target), loss.value(bad, target));
-}
-
-TEST(BceLossTest, GradientCheck) {
-  Rng rng(3);
-  BceLoss loss;
-  const Tensor prediction = rng.uniform_tensor({2, 4}, 0.1, 0.9);
-  const Tensor target = rng.uniform_tensor({2, 4}, 0.0, 1.0);
-  test::check_loss_gradient(loss, prediction, target, 1e-4, 5e-3);
-}
-
 TEST(SsimLossTest, ZeroForPerfectReconstruction) {
   Rng rng(4);
   SsimLoss loss(12, 14);
@@ -163,36 +134,6 @@ TEST(SsimLossTest, RejectsWrongShapes) {
   EXPECT_THROW(SsimLoss(4, 4), std::invalid_argument);  // smaller than window
 }
 
-TEST(SgdTest, StepMovesAgainstGradient) {
-  Parameter p("w", Tensor({2}, {1.0f, 2.0f}));
-  p.grad = Tensor({2}, {0.5f, -0.5f});
-  Sgd sgd(0.1);
-  sgd.step({&p});
-  EXPECT_NEAR(p.value[0], 0.95f, 1e-6f);
-  EXPECT_NEAR(p.value[1], 2.05f, 1e-6f);
-}
-
-TEST(SgdTest, InvalidLearningRateThrows) { EXPECT_THROW(Sgd(0.0), std::invalid_argument); }
-
-TEST(MomentumTest, AcceleratesAlongConsistentGradient) {
-  Parameter p("w", Tensor({1}, {0.0f}));
-  Momentum momentum(0.1, 0.9);
-  p.grad = Tensor({1}, {1.0f});
-  momentum.step({&p});
-  const float first_step = -p.value[0];
-  const float before = p.value[0];
-  momentum.step({&p});
-  EXPECT_GT(before - p.value[0], first_step);  // second step is larger
-}
-
-TEST(MomentumTest, ParameterListChangeThrows) {
-  Parameter p("w", Tensor({1}));
-  Parameter q("v", Tensor({1}));
-  Momentum momentum(0.1);
-  momentum.step({&p});
-  EXPECT_THROW(momentum.step({&p, &q}), std::logic_error);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   // Minimize f(w) = (w - 3)^2 by feeding its gradient to Adam.
   Parameter p("w", Tensor({1}, {0.0f}));
@@ -271,7 +212,7 @@ TEST(TrainerTest, EarlyStopCallback) {
   Sequential model;
   model.emplace<Dense>(1, 1, rng);
   MseLoss loss;
-  Sgd optimizer(0.01);
+  Adam optimizer(0.01);
   Trainer trainer(model, loss, optimizer, rng.split());
   Tensor x({4, 1}), y({4, 1});
   TrainOptions options;
@@ -286,7 +227,7 @@ TEST(TrainerTest, MismatchedDatasetThrows) {
   Sequential model;
   model.emplace<Dense>(1, 1, rng);
   MseLoss loss;
-  Sgd optimizer(0.01);
+  Adam optimizer(0.01);
   Trainer trainer(model, loss, optimizer, rng.split());
   EXPECT_THROW(trainer.fit(Tensor({3, 1}), Tensor({4, 1}), {}), std::invalid_argument);
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smoke test of the salnov CLI: generate -> train-steering ->
-# fit -> classify -> saliency, asserting the novelty verdicts.
+# fit -> classify -> saliency, asserting the novelty verdicts, then the
+# serving runtime (serve, record, replay) and the flag parser's refusals.
 set -eu
 
 CLI="$1"
@@ -119,7 +120,7 @@ echo "$CHAOS" | grep -q "cluster_event kind=restore"
 # The same failure domain records as a format-v4 trace and replays with an
 # empty diff (the event log and failure-domain counters are part of it).
 "$CLI" record --pipeline detector.pipeline --out chaos.trace --frames 6 \
-        --dataset outdoor --frame-seed 9 --streams 2 --replicas 2 \
+        --dataset outdoor --seed 9 --streams 2 --replicas 2 \
         --batch-window-us 5000 --arrival-us 10000 --watchdog \
         --batch-deadline-us 5000 --missed-deadlines 2 --probe-backoff-us 8000 \
         --replica-fault 'crash:0:0:20000'
@@ -145,7 +146,7 @@ fi
 # A multi-stream recorded trace replays conformant too (stream routing and
 # per-stream decisions are part of the diff).
 "$CLI" record --pipeline detector.pipeline --out multi.trace --frames 6 \
-        --dataset outdoor --frame-seed 9 --streams 3 --replicas 2 \
+        --dataset outdoor --seed 9 --streams 3 --replicas 2 \
         --batch-window-us 2000 --arrival-us 1000
 REPLAY_MULTI="$("$CLI" replay --pipeline detector.pipeline --trace multi.trace --threads 2)"
 echo "$REPLAY_MULTI" | grep -q "replay conformant (18 frames)"
@@ -155,7 +156,7 @@ echo "$REPLAY_MULTI" | grep -q "replay conformant (18 frames)"
 # pipeline is refused via the CRC binding; a stale trace (re-recorded world)
 # still replays because the spec pins every input.
 "$CLI" record --pipeline detector.pipeline --out run.trace --frames 12 \
-        --dataset outdoor --frame-seed 9 \
+        --dataset outdoor --seed 9 \
         --stall-stage 2 --stall-ns 5000000 --stall-first 3 --stall-last 6
 test -f run.trace
 REPLAY="$("$CLI" replay --pipeline detector.pipeline --trace run.trace --threads 1)"
@@ -163,6 +164,49 @@ echo "$REPLAY" | grep -q "replay conformant (12 frames)"
 "$CLI" replay --pipeline detector.pipeline --trace run.trace --threads 4 \
         --report replay_report.txt
 grep -q "replay conformant" replay_report.txt
+
+# serve --streams and record run one spec through one driver: the same
+# scenario flags report the same frame counts.
+SAME="--frames 6 --dataset outdoor --seed 9 --streams 3 --replicas 2 --batch-window-us 2000 --arrival-us 1000"
+SERVED="$("$CLI" serve --pipeline detector.pipeline --fake-clock $SAME)"
+RECORDED="$("$CLI" record --pipeline detector.pipeline --out same.trace $SAME)"
+TOTAL="$(echo "$SERVED" | sed -n 's/^frames_total=//p')"
+SCORED="$(echo "$SERVED" | sed -n 's/^frames_scored=//p')"
+test "$TOTAL" -eq 18
+echo "$RECORDED" | grep -q "recorded $TOTAL frames ($SCORED scored" || {
+  echo "serve and record disagree: $TOTAL/$SCORED vs $RECORDED" >&2
+  exit 1
+}
+
+# Every flag is a knob row. A misspelled flag, a value that does not parse
+# whole, a value outside its row's range, and a cross-field conflict are
+# refused with exit 1 and an error naming the flag.
+expect_refused() {
+  FLAG="$1"
+  shift
+  set +e
+  ERR="$("$CLI" "$@" 2>&1 >/dev/null)"
+  RC=$?
+  set -e
+  test "$RC" -eq 1 || { echo "want exit 1, got $RC: $*" >&2; exit 1; }
+  echo "$ERR" | grep -q -- "$FLAG" || { echo "error does not name $FLAG: $ERR" >&2; exit 1; }
+}
+P="--pipeline detector.pipeline"
+expect_refused --stal-ns serve $P --fake-clock --stage-budget-ns 1000000 --stall-stage 2 \
+        --stal-ns 5000000
+expect_refused --frames serve $P --frames abc
+expect_refused --frames serve $P --frames 3x
+expect_refused --stage-budget-ns serve $P --stage-budget-ns 1e6
+expect_refused --batch-window-us serve $P --streams 2 --batch-window-us -5
+expect_refused --replicas serve $P --fake-clock --streams 2 --replicas 2 --stall-stage 2 \
+        --stall-ns 5000000
+expect_refused --score fit --data target --steering steering.model --out never.pipeline \
+        --score msee
+expect_refused --threads replay $P --trace run.trace --threads -1
+# Parsing refuses the value before any worker thread starts.
+expect_refused --threads replay $P --trace run.trace --threads 1025
+expect_refused --frame-seed record $P --out never.trace --frame-seed 9
+expect_refused --height serve $P --height 30
 
 # Replaying against the wrong pipeline must fail the CRC binding up front.
 "$CLI" fit --data target --steering steering.model --out other.pipeline --epochs 20 --seed 9
