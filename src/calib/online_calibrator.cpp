@@ -103,8 +103,6 @@ DriftCheck OnlineCalibrator::check(const ThresholdSet* live) {
     result.rungs[static_cast<size_t>(v)] = evaluate(static_cast<core::DetectorVariant>(v), live);
     result.any_drifted = result.any_drifted || result.rungs[static_cast<size_t>(v)].drifted;
   }
-  ++checks_;
-  if (result.any_drifted) ++drifted_checks_;
   result.state = drift_.update(result.any_drifted);
   return result;
 }

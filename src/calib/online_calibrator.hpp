@@ -126,8 +126,6 @@ class OnlineCalibrator {
     return sketches_[static_cast<size_t>(variant)];
   }
 
-  int64_t checks() const { return checks_; }
-  int64_t drifted_checks() const { return drifted_checks_; }
 
  private:
   RungDrift evaluate(core::DetectorVariant variant, const ThresholdSet* live) const;
@@ -147,8 +145,6 @@ class OnlineCalibrator {
   /// swap epochs.
   std::array<double, core::kDetectorVariantCount> scale_{};
   DriftDetector drift_;
-  int64_t checks_ = 0;
-  int64_t drifted_checks_ = 0;
 };
 
 }  // namespace salnov::calib

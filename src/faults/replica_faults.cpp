@@ -105,15 +105,6 @@ int64_t ReplicaFaultSchedule::slow_penalty_ns(int64_t replica, int64_t now_ns) c
   return total;
 }
 
-bool ReplicaFaultSchedule::any_active(int64_t replica, int64_t now_ns) const {
-  for (const ReplicaFault& fault : faults_) {
-    if (fault.replica != replica) continue;
-    if (now_ns < fault.start_ns || now_ns >= fault.end_ns) continue;
-    return true;
-  }
-  return false;
-}
-
 bool ReplicaFaultSchedule::outage_active(int64_t replica, int64_t now_ns) const {
   return active_of_kind(replica, ReplicaFaultKind::kCrash, now_ns) != nullptr ||
          active_of_kind(replica, ReplicaFaultKind::kHang, now_ns) != nullptr;

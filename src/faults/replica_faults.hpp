@@ -70,9 +70,6 @@ class ReplicaFaultSchedule {
   /// overlapping kSlow windows). Zero when nothing matches.
   int64_t slow_penalty_ns(int64_t replica, int64_t now_ns) const;
 
-  /// True when any fault of any kind is active on `replica` at `now_ns`.
-  bool any_active(int64_t replica, int64_t now_ns) const;
-
   /// True when the replica is in an outage (kCrash or kHang) at `now_ns`.
   bool outage_active(int64_t replica, int64_t now_ns) const;
 

@@ -27,10 +27,6 @@ float Image::at_clamped(int64_t y, int64_t x) const {
   return pixels_[index(y, x)];
 }
 
-Image Image::from_tensor(int64_t height, int64_t width, const Tensor& t) {
-  return Image(height, width, t);
-}
-
 void Image::clamp01() {
   pixels_.apply([](float v) { return std::clamp(v, 0.0f, 1.0f); });
 }

@@ -49,9 +49,6 @@ class Image {
   /// As a [1, 1, height, width] tensor (CNN input layout, batch of one).
   Tensor as_nchw() const { return pixels_.reshape({1, 1, height_, width_}); }
 
-  /// Rebuilds an image from a flat or [h, w] tensor.
-  static Image from_tensor(int64_t height, int64_t width, const Tensor& t);
-
   /// Clamps every pixel into [0, 1] in place.
   void clamp01();
 

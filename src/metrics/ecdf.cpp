@@ -13,11 +13,9 @@ EmpiricalCdf::EmpiricalCdf(std::vector<double> samples) : sorted_(std::move(samp
   sorted_.erase(std::remove_if(sorted_.begin(), sorted_.end(),
                                [](double v) { return !std::isfinite(v); }),
                 sorted_.end());
-  dropped_nonfinite_ = original - sorted_.size();
   if (sorted_.empty()) {
     throw EmptyCalibrationError("EmpiricalCdf: no finite samples (" + std::to_string(original) +
-                                " given, " + std::to_string(dropped_nonfinite_) +
-                                " non-finite dropped)");
+                                " given, " + std::to_string(original) + " non-finite dropped)");
   }
   std::sort(sorted_.begin(), sorted_.end());
 }

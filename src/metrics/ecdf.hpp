@@ -57,15 +57,6 @@ class EmpiricalCdf {
   double max() const { return sorted_.back(); }
   size_t size() const { return sorted_.size(); }
 
-  /// Number of finite samples the CDF was fitted on (alias of size(),
-  /// spelled out for calibration-audit call sites).
-  size_t fitted_count() const { return sorted_.size(); }
-
-  /// Non-finite samples dropped during the fit. A fit-time diagnostic only:
-  /// save()/load() round-trips the retained samples, so a loaded CDF
-  /// reports 0 here.
-  size_t dropped_nonfinite() const { return dropped_nonfinite_; }
-
   /// The retained (finite, sorted) samples backing the CDF.
   const std::vector<double>& samples() const { return sorted_; }
 
@@ -76,7 +67,6 @@ class EmpiricalCdf {
 
  private:
   std::vector<double> sorted_;
-  size_t dropped_nonfinite_ = 0;
 };
 
 /// Convenience: q-th quantile of a sample set. Copies and sorts `samples`

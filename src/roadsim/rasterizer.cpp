@@ -92,12 +92,6 @@ double ValueNoise::fractal(double y, double x, double scale) const {
   return 0.65 * at(y, x, scale) + 0.35 * at(y + 101.0, x + 57.0, scale / 3.0);
 }
 
-void fill_rgb(RgbImage& image, float r, float g, float b) {
-  for (int64_t y = 0; y < image.height(); ++y) {
-    for (int64_t x = 0; x < image.width(); ++x) image.set(y, x, r, g, b);
-  }
-}
-
 void draw_rect(RgbImage& image, int64_t y0, int64_t x0, int64_t h, int64_t w, float r, float g,
                float b) {
   const int64_t y1 = std::min(y0 + h, image.height());

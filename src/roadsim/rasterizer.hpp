@@ -69,9 +69,6 @@ class ValueNoise {
   uint64_t seed_;
 };
 
-/// Fills the whole image with one color.
-void fill_rgb(RgbImage& image, float r, float g, float b);
-
 /// Paints an axis-aligned rectangle, clipped to the image.
 void draw_rect(RgbImage& image, int64_t y0, int64_t x0, int64_t h, int64_t w, float r, float g, float b);
 

@@ -241,10 +241,6 @@ class Supervisor {
     return rings_[static_cast<size_t>(stage)];
   }
 
-  /// True when the q8 rungs participate in this supervisor's ladder (the
-  /// config flag was set AND the detector supports it).
-  bool quant_rungs_active() const { return quant_rungs_active_; }
-
   /// The detector variant a rung scores with (q8 rungs map to q8 variants).
   static core::DetectorVariant variant_for(ServingMode mode) { return core::rung(mode).variant; }
 

@@ -5,15 +5,6 @@
 
 namespace salnov::serving {
 
-const char* replica_state_name(ReplicaState state) {
-  switch (state) {
-    case ReplicaState::kHealthy: return "healthy";
-    case ReplicaState::kQuarantined: return "quarantined";
-    case ReplicaState::kHalfOpen: return "half_open";
-  }
-  return "unknown";
-}
-
 const char* cluster_event_kind_name(ClusterEventKind kind) {
   switch (kind) {
     case ClusterEventKind::kQuarantine: return "quarantine";
@@ -47,14 +38,6 @@ ReplicaWatchdog::ReplicaWatchdog(int64_t replicas, const WatchdogConfig& config)
   }
   validate(config);
   replicas_.resize(static_cast<size_t>(replicas));
-}
-
-int64_t ReplicaWatchdog::healthy_count() const {
-  int64_t count = 0;
-  for (const PerReplica& r : replicas_) {
-    count += (r.state == ReplicaState::kHealthy) ? 1 : 0;
-  }
-  return count;
 }
 
 bool ReplicaWatchdog::charge_outage(int64_t replica, int64_t window_start_ns,

@@ -85,8 +85,6 @@ void validate(const WatchdogConfig& config);
 
 enum class ReplicaState : int { kHealthy = 0, kQuarantined = 1, kHalfOpen = 2 };
 
-const char* replica_state_name(ReplicaState state);
-
 /// What happened to the cluster's failure domain, in decision order.
 /// Recorded into v4 traces and diffed by the replay harness.
 enum class ClusterEventKind : int {
@@ -121,7 +119,6 @@ class ReplicaWatchdog {
   bool healthy(int64_t replica) const {
     return replicas_[replica].state == ReplicaState::kHealthy;
   }
-  int64_t healthy_count() const;
 
   /// Charges missed-deadline symptoms for an outage window that began at
   /// `window_start_ns`. Misses are derived from elapsed time (one per

@@ -46,10 +46,6 @@ Tensor::Tensor(Shape shape, std::vector<float> data) : shape_(std::move(shape)),
   }
 }
 
-Tensor Tensor::from_values(std::initializer_list<float> values) {
-  return Tensor({static_cast<int64_t>(values.size())}, std::vector<float>(values));
-}
-
 Tensor Tensor::full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.fill(value);

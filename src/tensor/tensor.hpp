@@ -43,9 +43,6 @@ class Tensor {
   /// Throws std::invalid_argument if sizes do not match.
   Tensor(Shape shape, std::vector<float> data);
 
-  /// Convenience: rank-1 tensor from a list of values.
-  static Tensor from_values(std::initializer_list<float> values);
-
   /// Tensor of the given shape filled with `value`.
   static Tensor full(Shape shape, float value);
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }

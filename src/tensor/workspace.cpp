@@ -65,12 +65,6 @@ float* Workspace::alloc_floats(int64_t count) {
   return chunk.data;
 }
 
-int64_t Workspace::reserved_bytes() const {
-  int64_t total = 0;
-  for (const Chunk& chunk : chunks_) total += chunk.capacity * static_cast<int64_t>(sizeof(float));
-  return total;
-}
-
 Workspace& Workspace::tls() {
   static thread_local Workspace workspace;
   return workspace;

@@ -50,9 +50,6 @@ class Workspace {
     cur_offset_ = marker.offset;
   }
 
-  /// Bytes currently reserved by this arena's chunks (its high-water mark).
-  int64_t reserved_bytes() const;
-
   /// The calling thread's arena. Lives until the thread exits.
   static Workspace& tls();
 

@@ -262,17 +262,21 @@ TEST(DetectorParallel, ScoresBitIdenticalAcrossThreadCounts) {
 
   const std::vector<double> serial = detector.scores(probe.images());
 
-  parallel::set_num_threads(4);
-  const std::vector<double> threaded = detector.scores(probe.images());
+  // Every pool size, an odd one included, must reproduce the 1-thread scores.
+  for (int threads : {2, 3, 4}) {
+    parallel::set_num_threads(threads);
+    const std::vector<double> threaded = detector.scores(probe.images());
 
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], threaded[i]) << "score " << i << " diverged across thread counts";
-  }
+    ASSERT_EQ(serial.size(), threaded.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i], threaded[i])
+          << "score " << i << " diverged at " << threads << " threads";
+    }
 
-  // And the batch API must agree with one-at-a-time scoring exactly.
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(threaded[i], detector.score(probe.images()[i]));
+    // And the batch API must agree with one-at-a-time scoring exactly.
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(threaded[i], detector.score(probe.images()[i]));
+    }
   }
 }
 
