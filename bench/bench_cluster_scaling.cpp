@@ -198,11 +198,12 @@ int run(bool quick, int64_t frames_per_stream) {
   // weights) rather than the paper's 64-16-64. Batching recovers weight-load
   // bandwidth: a batch-1 matvec streams every weight panel from DRAM once per
   // frame, while batch-B reuses each loaded panel B times. At the paper's
-  // ~2.4 MB the per-frame work batching cannot amortize (the unfused
-  // scalar-exp sigmoid output layer, the ascending-order MSE chain, the
-  // supervisor policy — all frozen for bit-exactness) caps recovery near
-  // 2.5x on one core; scaling capacity until weights dominate puts the bench
-  // in the regime the claim is about, where real perception backbones live.
+  // ~2.4 MB the per-frame work batching cannot amortize (one exp per output
+  // pixel in the sigmoid layer, 16 lanes wide but the same per frame at any
+  // batch size; the ascending-order MSE chain; the supervisor policy) capped
+  // recovery near 2.5x on one core when last measured; scaling capacity until
+  // weights dominate puts the bench in the regime the claim is about, where
+  // real perception backbones live.
   // Epochs are short — this is a throughput bench, convergence is irrelevant.
   core::NoveltyDetectorConfig config =
       bench_detector_config(core::Preprocessing::kRaw, core::ReconstructionScore::kMse);

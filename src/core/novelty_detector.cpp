@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <stdexcept>
 
 #include "metrics/mse.hpp"
@@ -210,16 +209,19 @@ std::vector<Image> NoveltyDetector::reconstruct_frames(
   if (preprocessed.empty()) return {};
   const int64_t batch = static_cast<int64_t>(preprocessed.size());
   const int64_t dim = config_.height * config_.width;
-  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
-  Tensor input({batch, dim});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image* image = preprocessed[static_cast<size_t>(n)];
+  // Each tensor is built once from its source rows: no zero fill that a
+  // copy then overwrites.
+  std::vector<float> stacked;
+  stacked.reserve(static_cast<size_t>(batch * dim));
+  for (const Image* image : preprocessed) {
     if (image == nullptr) throw std::invalid_argument("NoveltyDetector: null image");
     if (image->numel() != dim) {
       throw std::invalid_argument("NoveltyDetector: image size does not match the pipeline");
     }
-    std::memcpy(input.data() + n * dim, image->tensor().data(), row_bytes);
+    const float* pixels = image->tensor().data();
+    stacked.insert(stacked.end(), pixels, pixels + dim);
   }
+  const Tensor input({batch, dim}, std::move(stacked));
   // forward() is stateless in inference mode; the const_cast mirrors
   // Sequential::forward_collect's reasoning.
   const Tensor output =
@@ -228,8 +230,8 @@ std::vector<Image> NoveltyDetector::reconstruct_frames(
   std::vector<Image> result;
   result.reserve(preprocessed.size());
   for (int64_t n = 0; n < batch; ++n) {
-    Tensor pixels({config_.height, config_.width});
-    std::memcpy(pixels.data(), output.data() + n * dim, row_bytes);
+    const float* row = output.data() + n * dim;
+    Tensor pixels({config_.height, config_.width}, std::vector<float>(row, row + dim));
     result.emplace_back(config_.height, config_.width, std::move(pixels));
   }
   return result;

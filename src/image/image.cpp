@@ -18,7 +18,12 @@ Image::Image(int64_t height, int64_t width, Tensor pixels) : height_(height), wi
     throw std::invalid_argument("Image: tensor has " + std::to_string(pixels.numel()) +
                                 " elements, expected " + std::to_string(height * width));
   }
-  pixels_ = pixels.reshape({height, width});
+  // A tensor already shaped [height, width] is kept as is; reshape copies.
+  if (pixels.shape() == Shape{height, width}) {
+    pixels_ = std::move(pixels);
+  } else {
+    pixels_ = pixels.reshape({height, width});
+  }
 }
 
 float Image::at_clamped(int64_t y, int64_t x) const {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/sigmoid.hpp"
+
 namespace salnov::nn {
 
 Tensor ReLU::forward(const Tensor& input, Mode mode) {
@@ -25,7 +27,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 Tensor Sigmoid::forward(const Tensor& input, Mode mode) {
   Tensor out = input;
-  out.apply([](float v) { return 1.0f / (1.0f + std::exp(-v)); });
+  sigmoid_inplace(out.data(), out.numel());
   if (mode == Mode::kTrain) {
     cached_output_ = out;
     have_cache_ = true;

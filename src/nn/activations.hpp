@@ -21,6 +21,8 @@ class ReLU : public Layer {
   bool have_cache_ = false;
 };
 
+/// 1 / (1 + exp(-v)) through sigmoid_inplace (tensor/sigmoid.hpp): the same
+/// bits on every kernel, without libm.
 class Sigmoid : public Layer {
  public:
   Tensor forward(const Tensor& input, Mode mode) override;

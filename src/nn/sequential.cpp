@@ -4,6 +4,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "tensor/sigmoid.hpp"
 
 namespace salnov::nn {
 
@@ -12,10 +13,21 @@ namespace {
 // In inference mode a Dense/Conv2d immediately followed by a ReLU can run
 // with the ReLU fused into the GEMM epilogue. max(v, 0) at the store is
 // bit-identical to a separate ReLU pass, so fusion is purely a perf change.
+// A Dense followed by a Sigmoid runs the sigmoid kernel in place over the
+// GEMM output, which is the Sigmoid layer's arithmetic without its copy.
 // Returns true (and writes `out`) if layers [i, i+1] were fused.
 bool try_fused_infer(const std::vector<std::unique_ptr<Layer>>& layers, size_t i,
                      const Tensor& input, Tensor& out) {
-  if (i + 1 >= layers.size() || layers[i + 1]->type_name() != "relu") return false;
+  if (i + 1 >= layers.size()) return false;
+  const std::string next = layers[i + 1]->type_name();
+  if (next == "sigmoid") {
+    auto* dense = dynamic_cast<Dense*>(layers[i].get());
+    if (dense == nullptr) return false;
+    out = dense->forward(input, Mode::kInfer);
+    sigmoid_inplace(out.data(), out.numel());
+    return true;
+  }
+  if (next != "relu") return false;
   if (auto* dense = dynamic_cast<Dense*>(layers[i].get())) {
     out = dense->forward_infer_fused_relu(input);
     return true;
@@ -68,7 +80,7 @@ Tensor Sequential::infer(const Tensor& input, std::vector<Tensor>* conv_stages) 
     // mode leaves caches untouched, making this call logically const.
     Tensor next;
     if (try_fused_infer(layers_, i, *current, next)) {
-      ++i;  // the ReLU ran inside the GEMM epilogue
+      ++i;  // the activation ran on the GEMM output
     } else {
       next = layers_[i]->forward(*current, Mode::kInfer);
     }

@@ -303,10 +303,13 @@ TEST(ReLU, GradientCheck) {
 }
 
 TEST(Sigmoid, ForwardKnownValues) {
+  // Exact bits: the sigmoid is one fixed formulation on every kernel.
   Sigmoid sigmoid;
-  const Tensor out = sigmoid.forward(Tensor({2}, {0.0f, 100.0f}), Mode::kInfer);
-  EXPECT_NEAR(out[0], 0.5f, 1e-6f);
-  EXPECT_NEAR(out[1], 1.0f, 1e-6f);
+  const Tensor out = sigmoid.forward(Tensor({4}, {0.0f, 100.0f, 1.0f, -2.75f}), Mode::kInfer);
+  EXPECT_EQ(std::bit_cast<uint32_t>(out[0]), 0x3f000000u);  // 0.5
+  EXPECT_EQ(std::bit_cast<uint32_t>(out[1]), 0x3f800000u);  // 1.0
+  EXPECT_EQ(std::bit_cast<uint32_t>(out[2]), 0x3f3b26a8u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(out[3]), 0x3d761d6cu);
 }
 
 TEST(Sigmoid, GradientCheck) {
