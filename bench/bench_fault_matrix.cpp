@@ -15,9 +15,9 @@
 // *model* instead of the camera: random bit-flips in the autoencoder weights,
 // where self-detection shows up as the clean stream turning "novel".
 //
-// Each camera-fault cell also reports recovery latency: the monitor is fed a
+// Each camera-fault cell also reports recovery latency: a Supervisor serves a
 // clean warm-up, a burst of faulty frames, then clean frames again, and the
-// column counts frames from fault-clear until the NoveltyMonitor releases
+// column counts frames from fault-clear until its NoveltyMonitor releases
 // back to kNominal (0 when the fault never engaged it).
 //
 // A third table covers slow distribution drift rather than abrupt faults:
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/monitor.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/replica_faults.hpp"
 #include "image/transforms.hpp"
@@ -82,8 +81,10 @@ CellResult run_cell(const core::NoveltyDetector& detector, const std::vector<Ima
   faults::FaultInjector injector(kInjectorSeed);
   const int64_t n = static_cast<int64_t>(images.size());
 
-  // Screening pass (cheap, serial): validator verdict + frozen-frame check,
-  // mirroring NoveltyMonitor::update's order.
+  // Screening pass (cheap, serial): validator verdict, then frozen-frame
+  // check, mirroring the Supervisor's validate stage. Scoring stays batched
+  // per rung rather than served, because the q8 rows need a rung a
+  // Supervisor does not start on.
   std::vector<Image> injected(images.size());
   std::vector<bool> screened(images.size(), false);
   std::vector<Image> scoreable;
@@ -133,28 +134,32 @@ CellResult run_cell(const core::NoveltyDetector& detector, const std::vector<Ima
 
 /// Frames from fault-clear until the NoveltyMonitor releases to kNominal.
 /// Clean warm-up, then a burst of injected frames, then clean frames counted
-/// until release (capped). 0 when the fault burst never engaged the monitor.
-int64_t recovery_latency(const core::NoveltyDetector& detector, const std::vector<Image>& images,
-                         faults::CameraFault fault, double severity) {
+/// until release (capped), all served by a Supervisor under a FakeClock.
+/// 0 when the fault burst never engaged the monitor.
+int64_t recovery_latency(const core::NoveltyDetector& detector, nn::Sequential* steering,
+                         const std::vector<Image>& images, faults::CameraFault fault,
+                         double severity) {
   constexpr int64_t kWarmup = 6;
   constexpr int64_t kFaultFrames = 8;
   constexpr int64_t kRecoveryCap = 40;
 
   faults::FaultInjector injector(kInjectorSeed);
-  core::NoveltyMonitor monitor(detector);
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(detector, steering, {}, &clock);
+  const core::NoveltyMonitor& monitor = supervisor.monitor();
   size_t at = 0;
   const auto next_clean = [&]() -> const Image& { return images[at++ % images.size()]; };
 
-  for (int64_t i = 0; i < kWarmup; ++i) monitor.update(next_clean());
+  for (int64_t i = 0; i < kWarmup; ++i) supervisor.process(next_clean());
   bool engaged = false;
   for (int64_t i = 0; i < kFaultFrames; ++i) {
-    monitor.update(injector.apply(fault, severity, next_clean()));
+    supervisor.process(injector.apply(fault, severity, next_clean()));
     engaged = engaged || monitor.state() == core::MonitorState::kFallback ||
               monitor.state() == core::MonitorState::kSensorFault;
   }
   if (!engaged && monitor.state() == core::MonitorState::kNominal) return 0;
   for (int64_t i = 1; i <= kRecoveryCap; ++i) {
-    monitor.update(next_clean());
+    supervisor.process(next_clean());
     if (monitor.state() == core::MonitorState::kNominal) return i;
   }
   return kRecoveryCap;
@@ -489,6 +494,7 @@ int run(bool drift_only) {
       env, bench_detector_config(core::Preprocessing::kVbp, core::ReconstructionScore::kSsim),
       kDetectorSeed);
   const core::NoveltyDetector& detector = *handle.detector;
+  nn::Sequential* steering = handle.steering != nullptr ? handle.steering.get() : &env.steering;
   const std::vector<Image>& images = env.outdoor_test.images();
 
   const std::vector<double> severities = {0.1, 0.25, 0.5, 1.0};
@@ -534,7 +540,7 @@ int run(bool drift_only) {
     for (double severity : severities) {
       const CellResult cell = run_cell(detector, images, fault, severity);
       float_cells.push_back(cell);
-      const int64_t recovery = recovery_latency(detector, images, fault, severity);
+      const int64_t recovery = recovery_latency(detector, steering, images, fault, severity);
       std::printf("  %5.1f%% v%3.0f%% r%-2" PRId64, 100.0 * cell.detection_rate,
                   100.0 * cell.validator_rate, recovery);
       csv << faults::camera_fault_name(fault) << "," << severity << "," << cell.detection_rate

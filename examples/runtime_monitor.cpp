@@ -2,11 +2,12 @@
 //
 // Phase 1 (offline, "factory"): train the steering model and novelty
 // detector, then save the whole pipeline to one file with PipelineIo.
-// Phase 2 (online, "vehicle"): load the pipeline and run a simulated drive —
-// each frame is steered by the CNN and simultaneously screened by the
-// novelty detector; flagged frames would trigger a fallback controller.
-// Midway through the drive the "vehicle" leaves its training domain
-// (outdoor -> indoor), and the monitor should start flagging.
+// Phase 2 (online, "vehicle"): load the pipeline and run a simulated drive
+// through the serving Supervisor — each frame is screened, steered by the
+// CNN and scored by the novelty detector in one pass; flagged frames would
+// trigger a fallback controller. Midway through the drive the "vehicle"
+// leaves its training domain (outdoor -> indoor), and the monitor should
+// start flagging.
 // Phase 3 (online, "degraded"): replay the same drive through the serving
 // Supervisor with a saliency stall injected under a fake clock — the mode
 // ladder steps down to a cheaper calibrated rung, then climbs back up once
@@ -14,7 +15,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "core/monitor.hpp"
 #include "core/novelty_detector.hpp"
 #include "core/pipeline_io.hpp"
 #include "driving/pilotnet.hpp"
@@ -71,10 +71,12 @@ void vehicle_phase() {
   roadsim::OutdoorSceneGenerator outdoor;
   roadsim::IndoorSceneGenerator indoor;
 
-  // The NoveltyMonitor adds the deployment policy on top of per-frame
-  // classification: enter fallback only after 3 consecutive novel frames,
-  // release after 5 consecutive familiar ones.
-  core::NoveltyMonitor monitor(*pipeline.detector);
+  // The supervisor's NoveltyMonitor adds the deployment policy on top of
+  // per-frame classification: enter fallback only after 3 consecutive novel
+  // frames, release after 5 consecutive familiar ones. Its steer stage's
+  // forward also gives the VBP mask, so each frame runs the CNN once.
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*pipeline.detector, pipeline.steering_model.get(), {}, &clock);
 
   std::printf("[vehicle] driving: 12 familiar frames, then 8 out-of-domain frames\n\n");
   std::printf("%5s %-10s %10s %10s %10s  %s\n", "frame", "domain", "steer", "SSIM", "smoothed",
@@ -85,15 +87,14 @@ void vehicle_phase() {
     Image view = sample.rgb.to_grayscale();
     view = resize_bilinear(view, kHeight, kWidth);
 
-    const double steer = driving::predict_steering(*pipeline.steering_model, view);
-    const core::MonitorUpdate update = monitor.update(view);
+    const serving::ServeResult result = supervisor.process(view);
 
-    const char* action = update.state == core::MonitorState::kFallback
+    const char* action = result.monitor_state == core::MonitorState::kFallback
                              ? "NOVEL -> fallback controller engaged"
-                             : (update.state == core::MonitorState::kAlert ? "NOVEL" : "ok");
+                             : (result.monitor_state == core::MonitorState::kAlert ? "NOVEL" : "ok");
     std::printf("%5lld %-10s %10.3f %10.3f %10.3f  %s\n", static_cast<long long>(frame),
-                in_domain ? "outdoor" : "indoor", steer, update.raw_score, update.smoothed_score,
-                action);
+                in_domain ? "outdoor" : "indoor", result.steering, result.score,
+                supervisor.monitor().smoothed_score(), action);
   }
 }
 

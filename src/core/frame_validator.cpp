@@ -3,6 +3,18 @@
 #include <cmath>
 
 namespace salnov::core {
+namespace {
+
+/// Allowed overshoot beyond [0, 1] before a pixel counts as out of range
+/// (PGM-decoded inputs are exact, but resampled/blended frames may carry
+/// float dust).
+constexpr double kRangeSlack = 1e-3;
+/// Frames whose pixel standard deviation falls below this are near-constant.
+/// Deliberately tiny: a dark night frame has little contrast but is not
+/// *constant*; a dead sensor is.
+constexpr double kMinStddev = 1e-6;
+
+}  // namespace
 
 const char* frame_fault_name(FrameFault fault) {
   switch (fault) {
@@ -20,42 +32,35 @@ const char* frame_fault_name(FrameFault fault) {
   return "unknown";
 }
 
-FrameValidator::FrameValidator(int64_t height, int64_t width, FrameValidatorConfig config)
-    : height_(height), width_(width), config_(config) {
+FrameValidator::FrameValidator(int64_t height, int64_t width) : height_(height), width_(width) {
   if (height_ <= 0 || width_ <= 0) {
     throw std::invalid_argument("FrameValidator: non-positive frame size");
-  }
-  if (config_.range_slack < 0.0 || config_.min_stddev < 0.0) {
-    throw std::invalid_argument("FrameValidator: negative tolerance");
   }
 }
 
 FrameFault FrameValidator::check(const Image& frame) const {
   if (frame.height() != height_ || frame.width() != width_) return FrameFault::kWrongSize;
 
-  const float lo = static_cast<float>(0.0 - config_.range_slack);
-  const float hi = static_cast<float>(1.0 + config_.range_slack);
+  const float lo = static_cast<float>(0.0 - kRangeSlack);
+  const float hi = static_cast<float>(1.0 + kRangeSlack);
   const int64_t n = frame.numel();
   const float* pixels = frame.tensor().data();
 
   // One fused pass: finiteness and range per pixel, plus the running moments
-  // for the constancy check. Comparisons are written so NaN falls through to
-  // the non-finite verdict rather than silently passing a range test.
+  // for the constancy check.
   double sum = 0.0;
   double sum_sq = 0.0;
   for (int64_t i = 0; i < n; ++i) {
     const float v = pixels[i];
-    if (config_.check_finite && !std::isfinite(v)) return FrameFault::kNonFinite;
-    if (config_.check_range && !(v >= lo && v <= hi)) {
-      return std::isfinite(v) ? FrameFault::kOutOfRange : FrameFault::kNonFinite;
-    }
+    if (!std::isfinite(v)) return FrameFault::kNonFinite;
+    if (!(v >= lo && v <= hi)) return FrameFault::kOutOfRange;
     sum += v;
     sum_sq += static_cast<double>(v) * v;
   }
-  if (config_.check_constant && n > 1) {
+  if (n > 1) {
     const double mean = sum / static_cast<double>(n);
     const double variance = std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
-    if (std::sqrt(variance) < config_.min_stddev) return FrameFault::kNearConstant;
+    if (std::sqrt(variance) < kMinStddev) return FrameFault::kNearConstant;
   }
   return FrameFault::kNone;
 }

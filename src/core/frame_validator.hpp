@@ -4,9 +4,9 @@
 // distribution?", which silently conflates two very different situations:
 // the world being novel and the *sensor* being broken. A NaN-filled,
 // wrong-sized, saturated, or dead-constant frame should never reach the
-// scoring pipeline — it should be rejected here, so the runtime policy
-// (NoveltyMonitor) can route it down a sensor-fault path distinct from
-// novelty fallback.
+// scoring pipeline — it should be rejected here, so the serving
+// Supervisor's validate stage can route it down a sensor-fault path distinct
+// from novelty fallback.
 #pragma once
 
 #include <cstdint>
@@ -22,27 +22,12 @@ enum class FrameFault {
   kNone,          ///< frame passed every check
   kWrongSize,     ///< dimensions differ from the pipeline resolution
   kNonFinite,     ///< contains NaN or +/-Inf pixels
-  kOutOfRange,    ///< pixels outside [0, 1] beyond the configured slack
+  kOutOfRange,    ///< pixels outside [0, 1] beyond a 1e-3 slack
   kNearConstant,  ///< (near-)zero variance: dead or disconnected sensor
 };
 
 /// Stable human-readable tag ("none", "wrong-size", ...).
 const char* frame_fault_name(FrameFault fault);
-
-struct FrameValidatorConfig {
-  /// Allowed overshoot beyond [0, 1] before a pixel counts as out of range
-  /// (PGM-decoded inputs are exact, but resampled/blended frames may carry
-  /// float dust).
-  double range_slack = 1e-3;
-  /// Frames whose pixel standard deviation falls below this are flagged as
-  /// near-constant. Deliberately tiny: a dark night frame has little
-  /// contrast but is not *constant*; a dead sensor is.
-  double min_stddev = 1e-6;
-  /// Master switches so deployments can relax individual checks.
-  bool check_finite = true;
-  bool check_range = true;
-  bool check_constant = true;
-};
 
 /// Thrown by guarded inference when a frame fails validation. Subclasses
 /// std::invalid_argument so callers treating bad inputs generically keep
@@ -59,13 +44,11 @@ class InvalidFrameError : public std::invalid_argument {
 
 class FrameValidator {
  public:
-  FrameValidator(int64_t height, int64_t width, FrameValidatorConfig config = {});
+  FrameValidator(int64_t height, int64_t width);
 
   /// Returns the first failing check (size, finiteness, range, constancy —
   /// in that order), or kNone for a usable frame.
   FrameFault check(const Image& frame) const;
-
-  bool valid(const Image& frame) const { return check(frame) == FrameFault::kNone; }
 
   /// Throws InvalidFrameError if check() fails; `context` prefixes the
   /// message (e.g. "NoveltyDetector").
@@ -73,12 +56,10 @@ class FrameValidator {
 
   int64_t height() const { return height_; }
   int64_t width() const { return width_; }
-  const FrameValidatorConfig& config() const { return config_; }
 
  private:
   int64_t height_;
   int64_t width_;
-  FrameValidatorConfig config_;
 };
 
 }  // namespace salnov::core

@@ -11,8 +11,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
-NoveltyMonitor::NoveltyMonitor(const NoveltyDetector& detector, MonitorConfig config)
-    : detector_(detector), config_(config) {
+NoveltyMonitor::NoveltyMonitor(MonitorConfig config) : config_(config) {
   if (config_.trigger_frames < 1 || config_.release_frames < 1 ||
       config_.sensor_trigger_frames < 1 || config_.sensor_release_frames < 1) {
     throw std::invalid_argument("NoveltyMonitor: frame counts must be >= 1");
@@ -20,34 +19,11 @@ NoveltyMonitor::NoveltyMonitor(const NoveltyDetector& detector, MonitorConfig co
   if (config_.score_smoothing <= 0.0 || config_.score_smoothing > 1.0) {
     throw std::invalid_argument("NoveltyMonitor: smoothing must be in (0, 1]");
   }
-  if (!detector.is_fitted()) {
-    throw std::logic_error("NoveltyMonitor: detector is not fitted");
-  }
 }
 
-MonitorUpdate NoveltyMonitor::update(const Image& frame) {
-  // Sensor screening runs before the detector: a malformed frame must not be
-  // scored (its "novelty" would be meaningless), and a frozen frame must not
-  // be scored either — a stuck camera showing a familiar scene would
-  // otherwise keep releasing the fallback it should be triggering.
-  const FrameFault fault = detector_.frame_validator().check(frame);
-  bool frozen = false;
-  if (fault == FrameFault::kNone) {
-    frozen = config_.detect_frozen_frames && last_valid_frame_.has_value() &&
-             last_valid_frame_->tensor() == frame.tensor();
-    last_valid_frame_ = frame;
-  } else {
-    // An invalid frame breaks any identical-frame chain.
-    last_valid_frame_.reset();
-  }
-
-  if (fault != FrameFault::kNone || frozen) return update_sensor_bad(fault, frozen);
-  const NoveltyResult result = detector_.classify(frame);
-  return update_scored(result.score, result.is_novel);
-}
+double NoveltyMonitor::smoothed_score() const { return smoothed_.value_or(kNaN); }
 
 MonitorUpdate NoveltyMonitor::update_sensor_bad(FrameFault fault, bool frozen) {
-  ++frames_seen_;
   MonitorUpdate u;
   u.frame_fault = fault;
   u.frame_frozen = frozen;
@@ -59,13 +35,12 @@ MonitorUpdate NoveltyMonitor::update_sensor_bad(FrameFault fault, bool frozen) {
   u.frame_scored = false;
   u.frame_novel = false;
   u.raw_score = kNaN;
-  u.smoothed_score = smoothed_.value_or(kNaN);
+  u.smoothed_score = smoothed_score();
   advance_state(u, /*sensor_bad=*/true);
   return u;
 }
 
 MonitorUpdate NoveltyMonitor::update_scored(double raw_score, bool frame_novel) {
-  ++frames_seen_;
   MonitorUpdate u;
   consecutive_sensor_bad_ = 0;
   ++consecutive_sensor_good_;
@@ -90,7 +65,7 @@ MonitorUpdate NoveltyMonitor::update_scored(double raw_score, bool frame_novel) 
   u.frame_scored = true;
   u.frame_novel = frame_novel;
   u.raw_score = raw_score;
-  u.smoothed_score = smoothed_.value_or(kNaN);
+  u.smoothed_score = smoothed_score();
   advance_state(u, /*sensor_bad=*/false);
   return u;
 }
@@ -134,16 +109,6 @@ void NoveltyMonitor::advance_state(MonitorUpdate& u, bool sensor_bad) {
   u.fallback_path = state_ == MonitorState::kFallback      ? FallbackPath::kNovelty
                     : state_ == MonitorState::kSensorFault ? FallbackPath::kSensorFault
                                                            : FallbackPath::kNone;
-}
-
-void NoveltyMonitor::reset() {
-  state_ = MonitorState::kNominal;
-  consecutive_novel_ = 0;
-  consecutive_familiar_ = 0;
-  consecutive_sensor_bad_ = 0;
-  consecutive_sensor_good_ = 0;
-  smoothed_.reset();
-  last_valid_frame_.reset();
 }
 
 }  // namespace salnov::core

@@ -1,4 +1,4 @@
-// NoveltyMonitor: run-time policy layer over a fitted NoveltyDetector.
+// NoveltyMonitor: the run-time hysteresis policy over per-frame verdicts.
 //
 // A per-frame novelty bit is too twitchy to gate a safety action on — the
 // 99th-percentile rule flags ~1% of in-distribution frames by construction.
@@ -8,17 +8,20 @@
 // leaving it only after `release_frames` consecutive familiar ones.
 //
 // It also distinguishes "the world is novel" from "the sensor died": frames
-// that fail the FrameValidator (NaN, out-of-range, dead-constant) or repeat
-// bit-identically (frozen camera) are never scored; they feed a *separate*
+// that the serving Supervisor's validate stage screens out (FrameValidator
+// faults, bit-identical repeats) are never scored; they feed a *separate*
 // trigger/release hysteresis that enters kSensorFault. MonitorUpdate reports
 // which path — novelty or sensor fault — engaged the degraded mode.
+//
+// The monitor sees verdicts only, never frames: Supervisor::process screens
+// and scores each frame and feeds the outcome to update_scored or
+// update_sensor_bad.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "core/frame_validator.hpp"
-#include "core/novelty_detector.hpp"
 
 namespace salnov::core {
 
@@ -65,47 +68,35 @@ struct MonitorUpdate {
 
 class NoveltyMonitor {
  public:
-  /// `detector` must be fitted and outlive the monitor.
-  NoveltyMonitor(const NoveltyDetector& detector, MonitorConfig config = {});
+  /// Throws std::invalid_argument on a frame count below 1 or a smoothing
+  /// coefficient outside (0, 1].
+  explicit NoveltyMonitor(MonitorConfig config = {});
 
-  /// Feeds one camera frame; returns the per-frame result and the updated
-  /// policy state. Malformed or frozen frames are screened out before the
-  /// detector runs, so this never throws InvalidFrameError.
-  MonitorUpdate update(const Image& frame);
-
-  /// Feeds an externally-computed score for a frame that already passed
-  /// screening. The serving runtime scores frames through its own staged,
-  /// deadline-aware executor (possibly at a degraded detector variant) and
-  /// uses this entry point so the hysteresis policy stays in one place.
+  /// Feeds the score of a frame that passed screening.
   /// Non-finite scores count as novel evidence but do NOT update the EMA —
   /// one NaN must not poison every later smoothed value.
   MonitorUpdate update_scored(double raw_score, bool frame_novel);
 
   /// Feeds a frame rejected by screening (validator fault and/or frozen
-  /// repeat) without scoring it. Callers using this entry point do their own
-  /// screening, including frozen-frame detection.
+  /// repeat) without scoring it.
   MonitorUpdate update_sensor_bad(FrameFault fault, bool frozen);
 
   MonitorState state() const { return state_; }
-  int64_t frames_seen() const { return frames_seen_; }
 
-  /// Resets the policy state (e.g. after an operator handover).
-  void reset();
+  /// The EMA of the finite scores fed so far; NaN before the first one.
+  double smoothed_score() const;
 
  private:
   /// Shared state-transition tail of every update path.
   void advance_state(MonitorUpdate& update, bool sensor_bad);
 
-  const NoveltyDetector& detector_;
   MonitorConfig config_;
   MonitorState state_ = MonitorState::kNominal;
   int64_t consecutive_novel_ = 0;
   int64_t consecutive_familiar_ = 0;
   int64_t consecutive_sensor_bad_ = 0;
   int64_t consecutive_sensor_good_ = 0;
-  int64_t frames_seen_ = 0;
   std::optional<double> smoothed_;
-  std::optional<Image> last_valid_frame_;  ///< for frozen-frame detection
 };
 
 }  // namespace salnov::core

@@ -77,7 +77,7 @@ NoveltyDetector::NoveltyDetector(NoveltyDetectorConfig config)
       }()),
       saliency_(make_saliency(config_.preprocessing)),
       ssim_(config_.height, config_.width, config_.ssim),
-      validator_(config_.height, config_.width, config_.frame_validator) {
+      validator_(config_.height, config_.width) {
   config_.autoencoder.input_height = config_.height;
   config_.autoencoder.input_width = config_.width;
   vbp_ = dynamic_cast<saliency::VisualBackProp*>(saliency_.get());
@@ -113,20 +113,28 @@ bool NoveltyDetector::has_quant_path() const {
   return !uses_saliency(config_.preprocessing) || quant_steering_ != nullptr;
 }
 
-void NoveltyDetector::validate_input(const Image& input, bool needs_saliency) const {
-  if (input.height() != config_.height || input.width() != config_.width) {
+void NoveltyDetector::check_input(const Image* input, bool needs_saliency) const {
+  if (input == nullptr) throw std::invalid_argument("NoveltyDetector: null input image");
+  if (input->height() != config_.height || input->width() != config_.width) {
     throw InvalidFrameError(
         FrameFault::kWrongSize,
-        "NoveltyDetector: input is " + std::to_string(input.height()) + "x" +
-            std::to_string(input.width()) + ", pipeline expects " + std::to_string(config_.height) +
-            "x" + std::to_string(config_.width));
+        "NoveltyDetector: input is " + std::to_string(input->height()) + "x" +
+            std::to_string(input->width()) + ", pipeline expects " +
+            std::to_string(config_.height) + "x" + std::to_string(config_.width));
   }
   if (needs_saliency && steering_model_ == nullptr) {
     throw std::logic_error("NoveltyDetector: saliency preprocessing requires attach_steering_model()");
   }
-  // Content checks run after the configuration errors above so that a
-  // mis-wired pipeline surfaces as logic_error, not as a sensor fault.
-  if (config_.validate_frames) validator_.require_valid(input, "NoveltyDetector");
+}
+
+void NoveltyDetector::screen_inputs(const std::vector<const Image*>& inputs,
+                                    bool needs_saliency) const {
+  // Content checks run after the configuration errors so that a mis-wired
+  // pipeline surfaces as logic_error, not as a sensor fault.
+  for (const Image* input : inputs) {
+    check_input(input, needs_saliency);
+    validator_.require_valid(*input, "NoveltyDetector");
+  }
 }
 
 Image NoveltyDetector::preprocess(const Image& input) const {
@@ -153,10 +161,7 @@ std::vector<Image> NoveltyDetector::preprocess_frames(const Rung& rung,
                                                       const nn::StagedForward* pass,
                                                       const std::vector<int64_t>* rows) const {
   const bool saliency = uses_saliency(rung.preprocessing(config_.preprocessing));
-  for (const Image* input : inputs) {
-    if (input == nullptr) throw std::invalid_argument("NoveltyDetector: null input image");
-    validate_input(*input, saliency);
-  }
+  for (const Image* input : inputs) check_input(input, saliency);
   if (!saliency) {
     std::vector<Image> out;
     out.reserve(inputs.size());
@@ -269,6 +274,7 @@ double NoveltyDetector::score_variant(DetectorVariant variant, const Image& inpu
 std::vector<double> NoveltyDetector::score_batch(DetectorVariant variant,
                                                  const std::vector<const Image*>& inputs) const {
   const Rung& row = rung(variant);
+  screen_inputs(inputs, uses_saliency(row.preprocessing(config_.preprocessing)));
   const std::vector<Image> preprocessed = preprocess_frames(row, inputs);
   const std::vector<const Image*> views = pointers(preprocessed);
   return score_frames(row, views, pointers(reconstruct_frames(row, views)));
@@ -280,6 +286,7 @@ bool NoveltyDetector::batch_parallel_safe() const {
 
 nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images, Rng& rng) {
   if (training_images.empty()) throw std::invalid_argument("NoveltyDetector::fit: no training images");
+  screen_inputs(pointers(training_images), uses_saliency(config_.preprocessing));
 
   // Refit invalidates any previous quantized state up front: stage 2
   // replaces the autoencoder's layers, which the quantized views point at.

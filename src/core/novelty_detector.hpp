@@ -48,13 +48,6 @@ struct NoveltyDetectorConfig {
   double threshold_percentile = 0.99;  ///< Paper: 99th percentile of the ECDF.
   bool verbose = false;
 
-  /// Guarded inference: when true (default), every frame entering the
-  /// pipeline is screened by a FrameValidator and malformed frames (NaN/Inf,
-  /// out-of-range, dead-constant) raise InvalidFrameError instead of being
-  /// scored as if the world were novel. Runtime policy — not serialized.
-  bool validate_frames = true;
-  FrameValidatorConfig frame_validator;
-
   /// The paper's proposed configuration (VBP + SSIM).
   static NoveltyDetectorConfig proposed();
   /// The Richter & Roy baseline (raw images + MSE).
@@ -81,21 +74,26 @@ class NoveltyDetector {
 
   /// Trains the one-class autoencoder on the (preprocessed) training images
   /// and calibrates the novelty threshold on the training-score ECDF.
-  /// Returns the autoencoder's per-epoch loss history.
+  /// Returns the autoencoder's per-epoch loss history. Screens every
+  /// training frame first, as score_batch does.
   nn::TrainHistory fit(const std::vector<Image>& training_images, Rng& rng);
 
   /// Preprocessing stage only (VBP mask or pass-through). Throws
-  /// InvalidFrameError on malformed frames when config().validate_frames.
+  /// InvalidFrameError on a wrong-size frame; pixel content is the caller's
+  /// to screen (see frame_validator()).
   Image preprocess(const Image& input) const;
 
-  /// The input guard used by the full pipeline (and by NoveltyMonitor for
-  /// its sensor-fault path).
+  /// The frame screen. score_batch (which score, score_variant, scores and
+  /// classify reach) and fit run it on every input and throw on a fault; the
+  /// serving Supervisor's validate stage routes its verdict to the
+  /// sensor-fault path instead.
   const FrameValidator& frame_validator() const { return validator_; }
 
   /// Autoencoder reconstruction of a *preprocessed* image.
   Image reconstruct(const Image& preprocessed) const;
 
-  /// Similarity/error score of one input (runs the full pipeline).
+  /// Similarity/error score of one input (runs the full pipeline). Throws
+  /// InvalidFrameError on a malformed frame (size, then content).
   double score(const Image& input) const;
 
   /// Scores a batch of inputs. Frames fan out across the parallel worker
@@ -114,21 +112,23 @@ class NoveltyDetector {
   //
   // Every entry, batch 1 or batch B, float or q8, is one call of the same
   // per-stage body over a list of frames (batch 1 is a list of one). The
+  // stage entries check frame size and wiring only: their callers screen
+  // frame content first (score_batch, the Supervisor, the cluster). The
   // batched forwards (autoencoder GEMMs, VBP forward) keep strict bitwise
   // equivalence: element i of a batched call is bit-identical to the batch-1
   // call, regardless of batch size or composition. (Conv layers loop per
   // sample; dense GEMM kernels accumulate each output row in the same
   // ascending-k order at any m; packing pads with zeros.)
 
-  /// Preprocessing stage for a variant (validated pass-through for kRawMse).
+  /// Preprocessing stage for a variant (pass-through for kRawMse).
   Image variant_preprocess(DetectorVariant variant, const Image& input) const;
 
   /// Batched preprocessing stage; saliency-backed configurations share one
-  /// batched VBP pass. Validates every input in order.
+  /// batched VBP pass. Checks every input's size and wiring in order.
   std::vector<Image> variant_preprocess_batch(DetectorVariant variant,
                                               const std::vector<const Image*>& inputs) const;
 
-  /// As variant_preprocess_batch(variant, inputs), with the same validation,
+  /// As variant_preprocess_batch(variant, inputs), with the same checks,
   /// but mask i is built from row rows[i] of `pass`, a forward_stages() that
   /// already ran over the steering model at the variant's precision. Same
   /// bits as the two-forward path. Throws std::logic_error unless
@@ -152,7 +152,8 @@ class NoveltyDetector {
                             const Image& reconstruction) const;
 
   /// Full pipeline score under one variant. score_variant(kPrimary, x) is
-  /// identical to score(x).
+  /// identical to score(x). score_batch screens every input in order (size,
+  /// wiring, then content) before any stage runs.
   double score_variant(DetectorVariant variant, const Image& input) const;
   std::vector<double> score_batch(DetectorVariant variant,
                                   const std::vector<const Image*>& inputs) const;
@@ -208,9 +209,9 @@ class NoveltyDetector {
   friend class PipelineIo;
 
   /// The stage bodies every public entry calls, over a list of frames.
-  /// preprocess_frames validates every input (size, wiring, content) and
-  /// builds masks from `pass` rows when given; reconstruct_frames runs the
-  /// rung's precision; score_frames scores pair i with the rung's metric.
+  /// preprocess_frames checks every input's size and wiring and builds masks
+  /// from `pass` rows when given; reconstruct_frames runs the rung's
+  /// precision; score_frames scores pair i with the rung's metric.
   std::vector<Image> preprocess_frames(const Rung& rung, const std::vector<const Image*>& inputs,
                                        const nn::StagedForward* pass = nullptr,
                                        const std::vector<int64_t>* rows = nullptr) const;
@@ -219,8 +220,12 @@ class NoveltyDetector {
   std::vector<double> score_frames(const Rung& rung, const std::vector<const Image*>& preprocessed,
                                    const std::vector<const Image*>& reconstructions) const;
 
-  /// Size check, wiring check, content validation of one input.
-  void validate_input(const Image& input, bool needs_saliency) const;
+  /// Size check, then wiring check, of one input: what the stage bodies need.
+  void check_input(const Image* input, bool needs_saliency) const;
+
+  /// The frame-in screen of score_batch and fit: per input in order, the
+  /// size and wiring checks, then the validator's content check.
+  void screen_inputs(const std::vector<const Image*>& inputs, bool needs_saliency) const;
 
   /// Calibrates every slot owned by a row of precision `q8` on the training
   /// frames. Rows that share preprocessing share one reconstruction;
@@ -250,7 +255,7 @@ class NoveltyDetector {
   /// was a data race under concurrent scores()/classify() calls.
   std::unique_ptr<saliency::SaliencyMethod> saliency_;
   nn::SsimLoss ssim_;  ///< Shared SSIM machinery (also used for scoring).
-  FrameValidator validator_;  ///< Input guard (see config_.validate_frames).
+  FrameValidator validator_;  ///< Frame screen (see frame_validator()).
   std::optional<NoveltyThreshold> threshold_;
   /// One calibration per DetectorVariant (same index), fitted by fit() and
   /// restored by PipelineIo::load. threshold_ mirrors the kPrimary entry.

@@ -147,8 +147,7 @@ void Conv2d::col2im(const float* cols, int64_t in_h, int64_t in_w, int64_t out_h
 const PackedMatrix* Conv2d::packed_weights() {
   // As the GEMM's A operand the weight is reused across samples and frames;
   // out_channels == 1 would take the matvec path where panels go unused.
-  if (config_.out_channels <= 1 || !gemm_weight_packing_enabled() ||
-      active_gemm_kernel() != GemmKernel::kSimd) {
+  if (config_.out_channels <= 1 || active_gemm_kernel() != GemmKernel::kSimd) {
     return nullptr;
   }
   const int64_t patch = config_.in_channels * config_.kernel_h * config_.kernel_w;

@@ -39,7 +39,7 @@ Shape Dense::output_shape(const Shape& input) const {
 const PackedMatrix* Dense::packed_weights(int64_t batch) {
   // Batch-1 inference takes the matvec path, which streams the row-major
   // weight directly; panels would go unused.
-  if (batch <= 1 || !gemm_weight_packing_enabled() || active_gemm_kernel() != GemmKernel::kSimd) {
+  if (batch <= 1 || active_gemm_kernel() != GemmKernel::kSimd) {
     return nullptr;
   }
   const uint64_t want = weight_.version + 1;

@@ -734,11 +734,11 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
                                              sealed_ns) != nullptr;
 
   // --- Plan: screen frames and batch what each one's supervisor plans -----
-  // The batched preprocess/reconstruct entries throw on malformed inputs,
-  // while the supervisor folds the same faults into its sensor path — so
-  // frames the validator rejects are excluded from batched compute and left
-  // to their supervisor. Every supervisor takes the prescreen's verdict
-  // (ProvidedCompute::fault) instead of checking the frame again. Every
+  // The prescreen is the validator half of each supervisor's frame screen:
+  // a rejected frame goes to its supervisor's sensor path, so it is left out
+  // of batched compute (the stage entries do not screen content). Every
+  // supervisor takes the prescreen's verdict (ProvidedCompute::fault)
+  // instead of checking the frame again, and runs the frozen check. Every
   // other frame gets exactly the stages its supervisor's plan() names, read
   // under the stream's lock: a migrated stream's supervisor may still be
   // serving an earlier frame on another replica.

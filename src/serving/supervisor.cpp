@@ -21,7 +21,7 @@ Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* st
       config_(std::move(config)),
       owned_clock_(clock == nullptr ? std::make_unique<SteadyClock>() : nullptr),
       clock_(clock == nullptr ? owned_clock_.get() : clock),
-      monitor_(detector, config_.monitor),
+      monitor_(config_.monitor),
       breaker_(config_.breaker),
       saliency_configured_(core::uses_saliency(detector.config().preprocessing)),
       // Silent degrade, not an error: a pipeline without int8 calibrations
@@ -246,6 +246,8 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   result.threshold_epoch = live != nullptr ? live->epoch : 0;
 
   // --- Stage 0: validate -------------------------------------------------
+  // The frame screen: the validator's verdict, then the frozen-frame check.
+  // No later stage re-checks the frame's content.
   core::FrameFault fault = core::FrameFault::kNone;
   bool frozen = false;
   const StageOutcome validate = run_stage(Stage::kValidate, index, result, [&] {
@@ -326,8 +328,7 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     Image mask;
     const StageOutcome saliency = run_stage(Stage::kSaliency, index, result, [&] {
       // A provided mask skips only the compute: the frame already passed the
-      // same validator in the kValidate stage, so the direct call could not
-      // have rejected it either.
+      // screen in the kValidate stage.
       if (provided_ok && provided->saliency_mask.has_value()) {
         mask = *provided->saliency_mask;
       } else if (reuse_pass) {

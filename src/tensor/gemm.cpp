@@ -104,11 +104,6 @@ std::atomic<GemmKernel>& kernel_state() {
   return state;
 }
 
-std::atomic<bool>& packing_state() {
-  static std::atomic<bool> state{true};
-  return state;
-}
-
 void validate_packs(const PackedMatrix* packed_a, const PackedMatrix* packed_b, int64_t m,
                     int64_t n, int64_t k) {
   if (packed_a != nullptr &&
@@ -140,11 +135,7 @@ const char* gemm_kernel_name(GemmKernel kernel) {
   return kernel == GemmKernel::kScalar ? "scalar" : detail::simd_arch_name();
 }
 
-bool gemm_weight_packing_enabled() { return packing_state().load(std::memory_order_relaxed); }
-
-void set_gemm_weight_packing(bool enabled) {
-  packing_state().store(enabled, std::memory_order_relaxed);
-}
+bool gemm_weight_packing_enabled() { return true; }
 
 void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
              const GemmEpilogue& epilogue, const PackedMatrix* packed_a,

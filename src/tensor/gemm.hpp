@@ -42,11 +42,10 @@ bool gemm_simd_available();
 /// Human-readable name of a kernel ("scalar", "avx2", "avx512", "neon").
 const char* gemm_kernel_name(GemmKernel kernel);
 
-/// Whether Dense/Conv2d cache pre-packed weight panels for inference.
-/// Defaults to on; the setter disables it (the packed and unpacked paths are
-/// bit-identical — the switch exists for A/B tests).
+/// Always true: Dense/Conv2d cache pre-packed weight panels for SIMD
+/// inference (bit-identical to the unpacked path). Kept for perfbench's host
+/// line, which prints it.
 bool gemm_weight_packing_enabled();
-void set_gemm_weight_packing(bool enabled);
 
 /// Optional operations fused into the GEMM output store. Applied after the
 /// full k-summation of an element, in order: +bias_row[i], +bias_col[j],

@@ -1,6 +1,6 @@
 // Scalar exp/sigmoid and the sigmoid kernel dispatch (see sigmoid.hpp).
 //
-// This TU is compiled with -ffp-contract=off: every multiply and add below
+// The library is compiled with -ffp-contract=off: every multiply and add below
 // must round on its own, as in the C library build whose results the form
 // reproduces. The one contraction that build makes is spelled std::fma,
 // which IEEE 754 defines as correctly rounded, so every libm agrees on it.

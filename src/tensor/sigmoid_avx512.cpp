@@ -1,11 +1,12 @@
 // AVX-512 sigmoid kernel (see sigmoid_avx512.hpp for the contract).
 //
-// Compiled with -ffp-contract=off: GCC would otherwise fuse the vector
-// multiply-adds below, and each must round on its own as in exp_f32. The
-// table lookup is two permutex2var calls (entries 0-15 and 16-31) and a
-// blend on bit 4 of the index. Where a plain intrinsic would pass GCC an
-// undefined merge source (which GCC 12 warns about), the zero-masking form
-// over all lanes is used; it is the same instruction.
+// The library is compiled with -ffp-contract=off (src/CMakeLists.txt): GCC
+// would otherwise fuse the vector multiply-adds below, and each must round
+// on its own as in exp_f32. The table lookup is two permutex2var calls
+// (entries 0-15 and 16-31) and a blend on bit 4 of the index. Where a plain
+// intrinsic would pass GCC an undefined merge source (which GCC 12 warns
+// about), the zero-masking form over all lanes is used; it is the same
+// instruction.
 #include "tensor/sigmoid_avx512.hpp"
 
 #include "tensor/sigmoid.hpp"

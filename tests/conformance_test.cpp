@@ -265,7 +265,7 @@ TEST_F(Conformance, MonitorHysteresisReplaysFromRecordedTrace) {
   const TraceRunSpec spec = sensor_spec();
   const Trace trace = record_scalar(spec);
 
-  core::NoveltyMonitor monitor(*detector_, spec.supervisor.monitor);
+  core::NoveltyMonitor monitor(spec.supervisor.monitor);
   for (const TraceFrame& frame : trace.frames) {
     SCOPED_TRACE("frame " + std::to_string(frame.frame_index));
     if (frame.sensor_bad) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/frame_validator.hpp"
@@ -190,7 +192,6 @@ TEST(FrameValidator, ClassifiesEachFaultClass) {
 
   Image dead_frame(kH, kW);  // all zeros: disconnected sensor
   EXPECT_EQ(validator.check(dead_frame), core::FrameFault::kNearConstant);
-  EXPECT_FALSE(validator.valid(dead_frame));
 }
 
 TEST(FrameValidator, RangeSlackTolerated) {
@@ -198,13 +199,6 @@ TEST(FrameValidator, RangeSlackTolerated) {
   Image frame = noise_frame(25);
   frame(0, 0) = 1.0f + 5e-4f;  // inside the default 1e-3 slack
   EXPECT_EQ(validator.check(frame), core::FrameFault::kNone);
-}
-
-TEST(FrameValidator, ChecksCanBeDisabled) {
-  core::FrameValidatorConfig config;
-  config.check_constant = false;
-  core::FrameValidator validator(kH, kW, config);
-  EXPECT_EQ(validator.check(Image(kH, kW)), core::FrameFault::kNone);
 }
 
 TEST(FrameValidator, RequireValidThrowsWithFault) {
@@ -227,6 +221,17 @@ TEST(FrameValidator, FaultNamesAreStable) {
 // ---------------------------------------------------------------------------
 // Guarded inference: the detector refuses malformed frames end to end.
 
+/// Runs `entry` and expects an InvalidFrameError carrying `fault`.
+template <typename Entry>
+void expect_rejected(const Entry& entry, core::FrameFault fault, const std::string& what) {
+  try {
+    entry();
+    ADD_FAILURE() << what << ": expected InvalidFrameError";
+  } catch (const core::InvalidFrameError& e) {
+    EXPECT_EQ(e.fault(), fault) << what << ": " << e.what();
+  }
+}
+
 TEST(GuardedInference, DetectorRejectsMalformedFrames) {
   core::NoveltyDetectorConfig config;
   config.height = kH;
@@ -243,16 +248,57 @@ TEST(GuardedInference, DetectorRejectsMalformedFrames) {
 
   Image nan_frame = noise_frame(50);
   nan_frame(0, 0) = kNaN;
-  EXPECT_THROW(detector.classify(nan_frame), core::InvalidFrameError);
-  EXPECT_THROW(detector.score(Image(kH, kW)), core::InvalidFrameError);
+  Image hot_frame = noise_frame(51);
+  hot_frame(3, 4) = 2.0f;
+  const std::vector<std::pair<Image, core::FrameFault>> malformed = {
+      {nan_frame, core::FrameFault::kNonFinite},
+      {hot_frame, core::FrameFault::kOutOfRange},
+      {Image(kH, kW), core::FrameFault::kNearConstant},
+      {Image(kH + 1, kW), core::FrameFault::kWrongSize},
+  };
+  for (const auto& [frame, fault] : malformed) {
+    const std::string name = core::frame_fault_name(fault);
+    expect_rejected([&] { detector.classify(frame); }, fault, "classify " + name);
+    expect_rejected([&] { detector.score(frame); }, fault, "score " + name);
+    // Behind a good frame: every input is screened before any stage runs.
+    const Image good = noise_frame(52);
+    expect_rejected(
+        [&] { detector.score_batch(core::DetectorVariant::kPrimary, {&good, &frame}); }, fault,
+        "score_batch " + name);
+    std::vector<Image> tainted = train;
+    tainted.push_back(frame);
+    core::NoveltyDetector refit(config);
+    Rng refit_rng(31);
+    expect_rejected([&] { refit.fit(tainted, refit_rng); }, fault, "fit " + name);
+  }
 
-  // Relaxed policy: validation off scores whatever it is given.
-  core::NoveltyDetectorConfig relaxed = config;
-  relaxed.validate_frames = false;
-  core::NoveltyDetector lenient(relaxed);
-  Rng rng2(31);
-  lenient.fit(train, rng2);
-  EXPECT_NO_THROW(lenient.score(Image(kH, kW)));
+  // Size, then wiring, then content: a VBP detector with no steering model
+  // reports the wiring error before any content fault, and a wrong-size
+  // frame before the wiring error.
+  core::NoveltyDetectorConfig vbp_config = config;
+  vbp_config.preprocessing = core::Preprocessing::kVbp;
+  core::NoveltyDetector miswired(vbp_config);
+  for (const auto& [frame, fault] : malformed) {
+    const std::string name = core::frame_fault_name(fault);
+    if (fault == core::FrameFault::kWrongSize) {
+      expect_rejected([&] { miswired.score(frame); }, fault, "miswired score " + name);
+      continue;
+    }
+    for (const bool fit : {false, true}) {
+      try {
+        if (fit) {
+          Rng fit_rng(31);
+          miswired.fit({frame}, fit_rng);
+        } else {
+          miswired.score(frame);
+        }
+        ADD_FAILURE() << "miswired " << name << ": expected std::logic_error";
+      } catch (const core::InvalidFrameError& e) {
+        ADD_FAILURE() << "miswired " << name << ": content fault before wiring: " << e.what();
+      } catch (const std::logic_error&) {
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 //   * every kernel matches a naive triple-loop reference over a shape grid
 //     that exercises empty dims, the matvec fast path, and tail tiles
 //     (scalar bit-exactly, SIMD within FMA-reassociation tolerance);
-//   * the packed and unpacked SIMD paths are bit-identical;
+//   * the packed and unpacked SIMD paths are bit-identical, over a shape grid
+//     and the conv and dense shapes of a small VBP detector;
 //   * the fused bias/ReLU epilogue is bit-identical to a separate post-pass;
 //   * the transposed accumulate variants match their naive definitions
 //     bit-exactly (both sum k in ascending order);
-//   * detector scores are exactly invariant to weight pre-packing;
 //   * the AVX-512 float tile and the VNNI int8 band are bit-identical to
 //     the AVX2 kernels they upgrade.
 #include <gtest/gtest.h>
@@ -15,10 +15,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/novelty_detector.hpp"
-#include "driving/pilotnet.hpp"
-#include "roadsim/dataset.hpp"
-#include "roadsim/outdoor_generator.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_simd.hpp"
 #include "tensor/gemm_int8.hpp"
@@ -29,14 +25,10 @@
 namespace salnov {
 namespace {
 
-/// Restores kernel selection and the packing switch when a test scope ends.
+/// Restores kernel selection when a test scope ends.
 struct KernelGuard {
   GemmKernel saved_kernel = active_gemm_kernel();
-  bool saved_packing = gemm_weight_packing_enabled();
-  ~KernelGuard() {
-    set_gemm_kernel(saved_kernel);
-    set_gemm_weight_packing(saved_packing);
-  }
+  ~KernelGuard() { set_gemm_kernel(saved_kernel); }
 };
 
 const std::vector<int64_t> kSizes = {0, 1, 3, 5, 17, 31, 64, 100};
@@ -117,27 +109,45 @@ TEST(GemmKernels, PackedOperandsBitIdenticalToUnpacked) {
   KernelGuard guard;
   set_gemm_kernel(GemmKernel::kSimd);
   Rng rng(3);
+  const auto check = [&](int64_t m, int64_t n, int64_t k) {
+    Operands ops(rng, m, n, k);
+    std::vector<float> plain(static_cast<size_t>(m * n), 1.0f);
+    gemm_ex(ops.a.data(), ops.b.data(), plain.data(), m, n, k, GemmEpilogue{});
+
+    const PackedMatrix pa = pack_a_panels(ops.a.data(), m, k);
+    const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
+    std::vector<float> both(static_cast<size_t>(m * n), 2.0f);
+    gemm_ex(ops.a.data(), ops.b.data(), both.data(), m, n, k, GemmEpilogue{}, &pa, &pb);
+    std::vector<float> only_b(static_cast<size_t>(m * n), 3.0f);
+    gemm_ex(ops.a.data(), ops.b.data(), only_b.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
+    std::vector<float> only_a(static_cast<size_t>(m * n), 4.0f);
+    gemm_ex(ops.a.data(), ops.b.data(), only_a.data(), m, n, k, GemmEpilogue{}, &pa, nullptr);
+
+    if (m * n == 0) return;  // nothing to compare; data() may be null
+    ASSERT_EQ(0, std::memcmp(both.data(), plain.data(), plain.size() * sizeof(float)))
+        << "packed A+B, m=" << m << " n=" << n << " k=" << k;
+    ASSERT_EQ(0, std::memcmp(only_b.data(), plain.data(), plain.size() * sizeof(float)))
+        << "packed B, m=" << m << " n=" << n << " k=" << k;
+    ASSERT_EQ(0, std::memcmp(only_a.data(), plain.data(), plain.size() * sizeof(float)))
+        << "packed A, m=" << m << " n=" << n << " k=" << k;
+  };
   for (int64_t m : kSizes) {
     for (int64_t n : kSizes) {
-      for (int64_t k : kSizes) {
-        Operands ops(rng, m, n, k);
-        std::vector<float> plain(static_cast<size_t>(m * n), 1.0f);
-        gemm_ex(ops.a.data(), ops.b.data(), plain.data(), m, n, k, GemmEpilogue{});
-
-        const PackedMatrix pa = pack_a_panels(ops.a.data(), m, k);
-        const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
-        std::vector<float> both(static_cast<size_t>(m * n), 2.0f);
-        gemm_ex(ops.a.data(), ops.b.data(), both.data(), m, n, k, GemmEpilogue{}, &pa, &pb);
-        std::vector<float> only_b(static_cast<size_t>(m * n), 3.0f);
-        gemm_ex(ops.a.data(), ops.b.data(), only_b.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
-
-        if (m * n == 0) continue;  // nothing to compare; data() may be null
-        ASSERT_EQ(0, std::memcmp(both.data(), plain.data(), plain.size() * sizeof(float)))
-            << "packed A+B, m=" << m << " n=" << n << " k=" << k;
-        ASSERT_EQ(0, std::memcmp(only_b.data(), plain.data(), plain.size() * sizeof(float)))
-            << "packed B, m=" << m << " n=" << n << " k=" << k;
-      }
+      for (int64_t k : kSizes) check(m, n, k);
     }
+  }
+
+  // The weight GEMMs of a PilotNet-tiny + tiny-AE VBP detector at 24x48,
+  // where Conv2d packs its weight as A and Dense as B. Convs: weight
+  // [out_c, patch] x im2col [patch, positions] (5x5 stride 2, then two 3x3
+  // pad 1 over 10x22). Denses: input [B, in] x weight [in, out] at B = 1
+  // and 6, for the steering head 1760-16-1 and the AE 1152-32-16-32-1152.
+  const int64_t conv_shapes[][3] = {{4, 220, 25}, {6, 220, 36}, {8, 220, 54}};
+  for (const auto& shape : conv_shapes) check(shape[0], shape[1], shape[2]);
+  const int64_t dense_shapes[][2] = {{1760, 16}, {16, 1},  {1152, 32},
+                                     {32, 16},   {16, 32}, {32, 1152}};
+  for (const int64_t batch : {1, 6}) {
+    for (const auto& shape : dense_shapes) check(batch, shape[1], shape[0]);
   }
 }
 
@@ -225,43 +235,6 @@ TEST(GemmKernels, KernelNamesAndAvailability) {
     EXPECT_TRUE(std::strcmp(name, "avx2") == 0 || std::strcmp(name, "avx512") == 0 ||
                 std::strcmp(name, "neon") == 0)
         << name;
-  }
-}
-
-TEST(GemmKernels, DetectorScoresExactlyInvariantToWeightPacking) {
-  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
-  KernelGuard guard;
-  set_gemm_kernel(GemmKernel::kSimd);
-
-  constexpr int64_t kH = 24, kW = 48;
-  Rng rng(123);
-  roadsim::OutdoorSceneGenerator outdoor;
-  const auto train = roadsim::DrivingDataset::generate(outdoor, 16, kH, kW, rng);
-  const auto probe = roadsim::DrivingDataset::generate(outdoor, 6, kH, kW, rng);
-
-  nn::Sequential steering = driving::build_pilotnet(driving::PilotNetConfig::tiny(kH, kW), rng);
-
-  core::NoveltyDetectorConfig config;
-  config.height = kH;
-  config.width = kW;
-  config.preprocessing = core::Preprocessing::kVbp;
-  config.score = core::ReconstructionScore::kSsim;
-  config.autoencoder = core::AutoencoderConfig::tiny(kH, kW);
-  config.train_epochs = 2;
-
-  core::NoveltyDetector detector(config);
-  detector.attach_steering_model(&steering);
-  Rng fit_rng(7);
-  detector.fit(train.images(), fit_rng);
-
-  set_gemm_weight_packing(false);
-  const std::vector<double> unpacked = detector.scores(probe.images());
-  set_gemm_weight_packing(true);
-  const std::vector<double> packed = detector.scores(probe.images());
-
-  ASSERT_EQ(unpacked.size(), packed.size());
-  for (size_t i = 0; i < unpacked.size(); ++i) {
-    EXPECT_EQ(unpacked[i], packed[i]) << "score " << i << " changed under weight packing";
   }
 }
 

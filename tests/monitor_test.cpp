@@ -1,5 +1,6 @@
-// Unit tests for the NoveltyMonitor policy layer and the configurable
-// saliency-preprocessing extension.
+// Unit tests for the NoveltyMonitor policy layer, the Supervisor's frame
+// screen that feeds it, and the configurable saliency-preprocessing
+// extension.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,8 @@
 #include "driving/steering_trainer.hpp"
 #include "roadsim/dataset.hpp"
 #include "roadsim/outdoor_generator.hpp"
+#include "serving/clock.hpp"
+#include "serving/supervisor.hpp"
 
 namespace salnov::core {
 namespace {
@@ -19,8 +22,8 @@ namespace {
 constexpr int64_t kH = 16;
 constexpr int64_t kW = 24;
 
-/// Builds a detector fitted on smooth gradient images; smooth images score
-/// familiar, full-noise images score novel — a controllable fixture for
+/// Builds a raw+MSE detector fitted on smooth gradient images; smooth images
+/// score familiar, full-noise images score novel — a controllable fixture for
 /// exercising monitor state transitions.
 class MonitorFixture : public ::testing::Test {
  protected:
@@ -64,6 +67,23 @@ class MonitorFixture : public ::testing::Test {
     return Image(kH, kW, rng.uniform_tensor({kH * kW}, 0.0, 1.0));
   }
 
+  /// What Supervisor::process hands the monitor for one frame (frozen-frame
+  /// detection aside): a screened-out frame's fault, or the detector's score
+  /// and the threshold's verdict.
+  static MonitorUpdate feed(NoveltyMonitor& monitor, const Image& frame) {
+    const FrameFault fault = detector_->frame_validator().check(frame);
+    if (fault != FrameFault::kNone) return monitor.update_sensor_bad(fault, /*frozen=*/false);
+    const double score = detector_->score(frame);
+    return monitor.update_scored(score, detector_->threshold().is_novel(score));
+  }
+
+  /// A default SupervisorConfig whose NoveltyMonitor runs `monitor`.
+  static serving::SupervisorConfig serving_config(const MonitorConfig& monitor) {
+    serving::SupervisorConfig config;
+    config.monitor = monitor;
+    return config;
+  }
+
   static NoveltyDetector* detector_;
 };
 
@@ -76,121 +96,114 @@ TEST_F(MonitorFixture, FixtureSeparates) {
 }
 
 TEST_F(MonitorFixture, StartsNominal) {
-  NoveltyMonitor monitor(*detector_);
+  NoveltyMonitor monitor;
   EXPECT_EQ(monitor.state(), MonitorState::kNominal);
-  EXPECT_EQ(monitor.frames_seen(), 0);
+  EXPECT_TRUE(std::isnan(monitor.smoothed_score()));
 }
 
 TEST_F(MonitorFixture, StaysNominalOnFamiliarFrames) {
-  NoveltyMonitor monitor(*detector_);
+  NoveltyMonitor monitor;
   Rng rng(7);
   for (int i = 0; i < 10; ++i) {
-    const MonitorUpdate u = monitor.update(familiar_frame(rng));
+    const MonitorUpdate u = feed(monitor, familiar_frame(rng));
     EXPECT_EQ(u.state, MonitorState::kNominal);
     EXPECT_FALSE(u.frame_novel);
   }
-  EXPECT_EQ(monitor.frames_seen(), 10);
 }
 
 TEST_F(MonitorFixture, EntersFallbackAfterTriggerFrames) {
   MonitorConfig config;
   config.trigger_frames = 3;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(9);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
 }
 
 TEST_F(MonitorFixture, SingleNovelFrameOnlyAlerts) {
-  NoveltyMonitor monitor(*detector_);
+  NoveltyMonitor monitor;
   Rng rng(11);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, FallbackReleasesAfterConsecutiveFamiliar) {
   MonitorConfig config;
   config.trigger_frames = 2;
   config.release_frames = 3;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(13);
-  monitor.update(novel_frame(rng));
-  monitor.update(novel_frame(rng));
+  feed(monitor, novel_frame(rng));
+  feed(monitor, novel_frame(rng));
   ASSERT_EQ(monitor.state(), MonitorState::kFallback);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kFallback);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kFallback);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, NovelFrameDuringReleaseResetsCount) {
   MonitorConfig config;
   config.trigger_frames = 1;
   config.release_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(15);
-  monitor.update(novel_frame(rng));
+  feed(monitor, novel_frame(rng));
   ASSERT_EQ(monitor.state(), MonitorState::kFallback);
-  monitor.update(familiar_frame(rng));
-  monitor.update(novel_frame(rng));  // interrupts the release streak
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kFallback);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kNominal);
+  feed(monitor, familiar_frame(rng));
+  feed(monitor, novel_frame(rng));  // interrupts the release streak
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, SmoothedScoreTracksEma) {
   MonitorConfig config;
   config.score_smoothing = 0.5;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(17);
-  const MonitorUpdate first = monitor.update(familiar_frame(rng));
+  const MonitorUpdate first = feed(monitor, familiar_frame(rng));
   EXPECT_DOUBLE_EQ(first.smoothed_score, first.raw_score);
-  const MonitorUpdate second = monitor.update(familiar_frame(rng));
+  const MonitorUpdate second = feed(monitor, familiar_frame(rng));
   EXPECT_NEAR(second.smoothed_score, 0.5 * first.raw_score + 0.5 * second.raw_score, 1e-12);
-}
-
-TEST_F(MonitorFixture, ResetClearsState) {
-  MonitorConfig config;
-  config.trigger_frames = 1;
-  NoveltyMonitor monitor(*detector_, config);
-  Rng rng(19);
-  monitor.update(novel_frame(rng));
-  ASSERT_EQ(monitor.state(), MonitorState::kFallback);
-  monitor.reset();
-  EXPECT_EQ(monitor.state(), MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, InvalidConfigThrows) {
   MonitorConfig bad;
   bad.trigger_frames = 0;
-  EXPECT_THROW(NoveltyMonitor(*detector_, bad), std::invalid_argument);
+  EXPECT_THROW(NoveltyMonitor{bad}, std::invalid_argument);
   bad = MonitorConfig{};
   bad.score_smoothing = 0.0;
-  EXPECT_THROW(NoveltyMonitor(*detector_, bad), std::invalid_argument);
+  EXPECT_THROW(NoveltyMonitor{bad}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Sensor-fault path: validator rejections and frozen frames drive their own
-// hysteresis into kSensorFault, distinct from the novelty kFallback path.
+// Sensor-fault path: frames the Supervisor's validate stage screens out
+// (validator rejections, frozen repeats) drive their own hysteresis into
+// kSensorFault, distinct from the novelty kFallback path.
 
 TEST_F(MonitorFixture, FrozenStreamEntersSensorFaultNotFallback) {
   MonitorConfig config;
   config.sensor_trigger_frames = 3;
-  NoveltyMonitor monitor(*detector_, config);
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*detector_, nullptr, serving_config(config), &clock);
   Rng rng(23);
   const Image stuck = familiar_frame(rng);
   // First sighting is a normal frame; repeats are bit-identical -> frozen.
-  EXPECT_EQ(monitor.update(stuck).state, MonitorState::kNominal);
+  const serving::ServeResult first = supervisor.process(stuck);
+  EXPECT_FALSE(first.sensor_bad);
+  EXPECT_EQ(first.monitor_state, MonitorState::kNominal);
   for (int repeat = 1; repeat <= 3; ++repeat) {
-    const MonitorUpdate u = monitor.update(stuck);
-    EXPECT_TRUE(u.frame_frozen);
-    EXPECT_FALSE(u.frame_scored);
-    EXPECT_TRUE(std::isnan(u.raw_score));
-    EXPECT_NE(u.state, MonitorState::kFallback);
+    const serving::ServeResult r = supervisor.process(stuck);
+    EXPECT_TRUE(r.sensor_bad);
+    EXPECT_FALSE(r.scored);
+    EXPECT_TRUE(std::isnan(r.score));
+    EXPECT_NE(r.monitor_state, MonitorState::kFallback);
     if (repeat < 3) {
-      EXPECT_EQ(u.state, MonitorState::kNominal) << "held until the trigger count";
+      EXPECT_EQ(r.monitor_state, MonitorState::kNominal) << "held until the trigger count";
+      EXPECT_EQ(r.fallback_path, FallbackPath::kNone);
     } else {
-      EXPECT_EQ(u.state, MonitorState::kSensorFault);
-      EXPECT_EQ(u.fallback_path, FallbackPath::kSensorFault);
+      EXPECT_EQ(r.monitor_state, MonitorState::kSensorFault);
+      EXPECT_EQ(r.fallback_path, FallbackPath::kSensorFault);
     }
   }
 }
@@ -198,30 +211,54 @@ TEST_F(MonitorFixture, FrozenStreamEntersSensorFaultNotFallback) {
 TEST_F(MonitorFixture, NanStreamEntersSensorFault) {
   MonitorConfig config;
   config.sensor_trigger_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*detector_, nullptr, serving_config(config), &clock);
   Image bad(kH, kW);
   bad(0, 0) = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_EQ(monitor.update(bad).frame_fault, FrameFault::kNonFinite);
-  const MonitorUpdate u = monitor.update(bad);
-  EXPECT_EQ(u.state, MonitorState::kSensorFault);
-  EXPECT_EQ(u.fallback_path, FallbackPath::kSensorFault);
-  EXPECT_FALSE(u.frame_scored);
+  ASSERT_EQ(detector_->frame_validator().check(bad), FrameFault::kNonFinite);
+  const serving::ServeResult first = supervisor.process(bad);
+  EXPECT_TRUE(first.sensor_bad);
+  EXPECT_EQ(first.monitor_state, MonitorState::kNominal);
+  const serving::ServeResult r = supervisor.process(bad);
+  EXPECT_TRUE(r.sensor_bad);
+  EXPECT_FALSE(r.scored);
+  EXPECT_EQ(r.monitor_state, MonitorState::kSensorFault);
+  EXPECT_EQ(r.fallback_path, FallbackPath::kSensorFault);
+}
+
+TEST_F(MonitorFixture, InvalidFrameBreaksTheFrozenChain) {
+  // Frozen means bit-identical to the previous *valid* frame: a rejected
+  // frame in between resets the comparison, so the repeat is scored.
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*detector_, nullptr, serving_config({}), &clock);
+  Rng rng(39);
+  const Image stuck = familiar_frame(rng);
+  Image bad(kH, kW);
+  bad(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(supervisor.process(stuck).sensor_bad);
+  EXPECT_TRUE(supervisor.process(bad).sensor_bad);
+  const serving::ServeResult after = supervisor.process(stuck);
+  EXPECT_FALSE(after.sensor_bad);
+  EXPECT_TRUE(after.scored);
+  EXPECT_EQ(after.monitor_state, MonitorState::kNominal);
+  EXPECT_EQ(after.fallback_path, FallbackPath::kNone);
+  EXPECT_TRUE(supervisor.process(stuck).sensor_bad) << "the next repeat is frozen again";
 }
 
 TEST_F(MonitorFixture, SensorFaultReleasesAfterGoodFrames) {
   MonitorConfig config;
   config.sensor_trigger_frames = 2;
   config.sensor_release_frames = 3;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Image bad(kH, kW);  // dead-constant frame
-  monitor.update(bad);
-  monitor.update(bad);
+  feed(monitor, bad);
+  feed(monitor, bad);
   ASSERT_EQ(monitor.state(), MonitorState::kSensorFault);
 
   Rng rng(25);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kSensorFault);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kSensorFault);
-  const MonitorUpdate recovered = monitor.update(familiar_frame(rng));
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kSensorFault);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kSensorFault);
+  const MonitorUpdate recovered = feed(monitor, familiar_frame(rng));
   EXPECT_EQ(recovered.state, MonitorState::kNominal);
   EXPECT_EQ(recovered.fallback_path, FallbackPath::kNone);
 }
@@ -230,15 +267,15 @@ TEST_F(MonitorFixture, BadFrameInterruptsSensorRelease) {
   MonitorConfig config;
   config.sensor_trigger_frames = 1;
   config.sensor_release_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Image bad(kH, kW);
-  monitor.update(bad);
+  feed(monitor, bad);
   ASSERT_EQ(monitor.state(), MonitorState::kSensorFault);
   Rng rng(27);
-  monitor.update(familiar_frame(rng));
-  monitor.update(bad);  // interrupts the release streak
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kSensorFault);
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kNominal);
+  feed(monitor, familiar_frame(rng));
+  feed(monitor, bad);  // interrupts the release streak
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kSensorFault);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, InterleavedNoveltyAndSensorFault) {
@@ -247,29 +284,29 @@ TEST_F(MonitorFixture, InterleavedNoveltyAndSensorFault) {
   config.release_frames = 2;
   config.sensor_trigger_frames = 2;
   config.sensor_release_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(29);
 
   // Novel world engages the novelty path...
-  monitor.update(novel_frame(rng));
-  const MonitorUpdate fb = monitor.update(novel_frame(rng));
+  feed(monitor, novel_frame(rng));
+  const MonitorUpdate fb = feed(monitor, novel_frame(rng));
   ASSERT_EQ(fb.state, MonitorState::kFallback);
   EXPECT_EQ(fb.fallback_path, FallbackPath::kNovelty);
 
   // ...then the camera dies: the sensor path takes over from kFallback.
   Image bad(kH, kW);
-  monitor.update(bad);
-  const MonitorUpdate sf = monitor.update(bad);
+  feed(monitor, bad);
+  const MonitorUpdate sf = feed(monitor, bad);
   EXPECT_EQ(sf.state, MonitorState::kSensorFault);
   EXPECT_EQ(sf.fallback_path, FallbackPath::kSensorFault);
 
   // Camera recovers onto a familiar world: full recovery to nominal.
-  monitor.update(familiar_frame(rng));
-  EXPECT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kNominal);
+  feed(monitor, familiar_frame(rng));
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
 
   // And the novelty machine still works afterwards.
-  monitor.update(novel_frame(rng));
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kFallback);
+  feed(monitor, novel_frame(rng));
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
 }
 
 TEST_F(MonitorFixture, NoveltyHysteresisIsCleanAfterSensorFaultRelease) {
@@ -281,21 +318,21 @@ TEST_F(MonitorFixture, NoveltyHysteresisIsCleanAfterSensorFaultRelease) {
   config.trigger_frames = 2;
   config.sensor_trigger_frames = 1;
   config.sensor_release_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(35);
 
   // One novel frame: streak of 1 (alert, below the trigger).
-  ASSERT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kAlert);
+  ASSERT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
   // Camera dies, then recovers.
   Image bad(kH, kW);
-  ASSERT_EQ(monitor.update(bad).state, MonitorState::kSensorFault);
-  monitor.update(familiar_frame(rng));
-  ASSERT_EQ(monitor.update(familiar_frame(rng)).state, MonitorState::kNominal);
+  ASSERT_EQ(feed(monitor, bad).state, MonitorState::kSensorFault);
+  feed(monitor, familiar_frame(rng));
+  ASSERT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
 
   // Into a novel world: the first novel frame may only alert; the stale
   // pre-fault streak is gone.
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
 }
 
 TEST_F(MonitorFixture, SensorReleaseIntoNovelWorldRetriggersPromptly) {
@@ -306,15 +343,15 @@ TEST_F(MonitorFixture, SensorReleaseIntoNovelWorldRetriggersPromptly) {
   config.trigger_frames = 2;
   config.sensor_trigger_frames = 1;
   config.sensor_release_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   Rng rng(37);
   Image bad(kH, kW);
-  ASSERT_EQ(monitor.update(bad).state, MonitorState::kSensorFault);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kSensorFault);
+  ASSERT_EQ(feed(monitor, bad).state, MonitorState::kSensorFault);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kSensorFault);
   // Second good frame releases the sensor path; the two novel frames seen
   // during the fault already satisfy the novelty trigger.
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kNominal);
-  EXPECT_EQ(monitor.update(novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,17 +361,16 @@ TEST_F(MonitorFixture, UpdateScoredDrivesTheSameHysteresis) {
   MonitorConfig config;
   config.trigger_frames = 2;
   config.release_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   EXPECT_EQ(monitor.update_scored(0.1, false).state, MonitorState::kNominal);
   EXPECT_EQ(monitor.update_scored(0.9, true).state, MonitorState::kAlert);
   EXPECT_EQ(monitor.update_scored(0.9, true).state, MonitorState::kFallback);
   EXPECT_EQ(monitor.update_scored(0.1, false).state, MonitorState::kFallback);
   EXPECT_EQ(monitor.update_scored(0.1, false).state, MonitorState::kNominal);
-  EXPECT_EQ(monitor.frames_seen(), 5);
 }
 
 TEST_F(MonitorFixture, NonFiniteScoreDoesNotPoisonTheEma) {
-  NoveltyMonitor monitor(*detector_);
+  NoveltyMonitor monitor;
   const MonitorUpdate first = monitor.update_scored(0.5, false);
   EXPECT_DOUBLE_EQ(first.smoothed_score, 0.5);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -348,7 +384,7 @@ TEST_F(MonitorFixture, NonFiniteScoreDoesNotPoisonTheEma) {
 TEST_F(MonitorFixture, UpdateSensorBadFeedsTheSensorPath) {
   MonitorConfig config;
   config.sensor_trigger_frames = 2;
-  NoveltyMonitor monitor(*detector_, config);
+  NoveltyMonitor monitor(config);
   EXPECT_EQ(monitor.update_sensor_bad(FrameFault::kNone, /*frozen=*/true).state,
             MonitorState::kNominal);
   const MonitorUpdate u = monitor.update_sensor_bad(FrameFault::kOutOfRange, false);
@@ -360,23 +396,25 @@ TEST_F(MonitorFixture, UpdateSensorBadFeedsTheSensorPath) {
 TEST_F(MonitorFixture, FrozenDetectionCanBeDisabled) {
   MonitorConfig config;
   config.detect_frozen_frames = false;
-  NoveltyMonitor monitor(*detector_, config);
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*detector_, nullptr, serving_config(config), &clock);
   Rng rng(31);
   const Image stuck = familiar_frame(rng);
   for (int i = 0; i < 6; ++i) {
-    const MonitorUpdate u = monitor.update(stuck);
-    EXPECT_FALSE(u.frame_frozen);
-    EXPECT_TRUE(u.frame_scored);
-    EXPECT_EQ(u.state, MonitorState::kNominal);
+    const serving::ServeResult r = supervisor.process(stuck);
+    EXPECT_FALSE(r.sensor_bad);
+    EXPECT_TRUE(r.scored);
+    EXPECT_EQ(r.monitor_state, MonitorState::kNominal);
+    EXPECT_EQ(r.fallback_path, FallbackPath::kNone);
   }
 }
 
 TEST_F(MonitorFixture, SmoothedScoreHoldsThroughSensorFault) {
-  NoveltyMonitor monitor(*detector_);
+  NoveltyMonitor monitor;
   Rng rng(33);
-  const MonitorUpdate scored = monitor.update(familiar_frame(rng));
+  const MonitorUpdate scored = feed(monitor, familiar_frame(rng));
   Image bad(kH, kW);
-  const MonitorUpdate unscored = monitor.update(bad);
+  const MonitorUpdate unscored = feed(monitor, bad);
   EXPECT_TRUE(std::isnan(unscored.raw_score));
   EXPECT_DOUBLE_EQ(unscored.smoothed_score, scored.smoothed_score);
 }
@@ -384,30 +422,34 @@ TEST_F(MonitorFixture, SmoothedScoreHoldsThroughSensorFault) {
 TEST_F(MonitorFixture, WrongSizeFrameIsSensorFaultNotThrow) {
   MonitorConfig config;
   config.sensor_trigger_frames = 1;
-  NoveltyMonitor monitor(*detector_, config);
-  MonitorUpdate u;
-  EXPECT_NO_THROW(u = monitor.update(Image(kH + 2, kW)));
-  EXPECT_EQ(u.frame_fault, FrameFault::kWrongSize);
-  EXPECT_EQ(u.state, MonitorState::kSensorFault);
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*detector_, nullptr, serving_config(config), &clock);
+  serving::ServeResult r;
+  EXPECT_NO_THROW(r = supervisor.process(Image(kH + 2, kW)));
+  EXPECT_TRUE(r.sensor_bad);
+  EXPECT_EQ(r.monitor_state, MonitorState::kSensorFault);
+  EXPECT_EQ(r.fallback_path, FallbackPath::kSensorFault);
 }
 
 TEST_F(MonitorFixture, SensorConfigValidated) {
   MonitorConfig bad;
   bad.sensor_trigger_frames = 0;
-  EXPECT_THROW(NoveltyMonitor(*detector_, bad), std::invalid_argument);
+  EXPECT_THROW(NoveltyMonitor{bad}, std::invalid_argument);
   bad = MonitorConfig{};
   bad.sensor_release_frames = 0;
-  EXPECT_THROW(NoveltyMonitor(*detector_, bad), std::invalid_argument);
+  EXPECT_THROW(NoveltyMonitor{bad}, std::invalid_argument);
 }
 
 TEST(MonitorStandalone, UnfittedDetectorRejected) {
+  // The monitor never sees a detector; the Supervisor that feeds it refuses
+  // an unfitted one.
   NoveltyDetectorConfig config;
   config.height = kH;
   config.width = kW;
   config.preprocessing = Preprocessing::kRaw;
   config.autoencoder = AutoencoderConfig::tiny(kH, kW);
   NoveltyDetector detector(config);
-  EXPECT_THROW(NoveltyMonitor{detector}, std::logic_error);
+  EXPECT_THROW(serving::Supervisor(detector, nullptr), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
