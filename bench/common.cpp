@@ -81,7 +81,7 @@ DetectorHandle fit_or_load_detector(Env& env, core::NoveltyDetectorConfig config
   // Non-default autoencoder layouts get an architecture segment so a
   // capacity-scaled fit can never collide with a paper-scale cache entry.
   std::string arch;
-  if (config.autoencoder.hidden_units != core::AutoencoderConfig{}.hidden_units) {
+  if (config.autoencoder.hidden_units != core::AutoencoderConfig::paper().hidden_units) {
     arch = "_h";
     for (size_t i = 0; i < config.autoencoder.hidden_units.size(); ++i) {
       if (i > 0) arch += "x";

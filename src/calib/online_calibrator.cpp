@@ -18,7 +18,7 @@ namespace {
 
 double shadow_threshold_quantile(const P2Sketch& sketch, core::ScoreOrientation orientation,
                                  double percentile) {
-  // Same tail rule as NoveltyThreshold::calibrate: high-is-novel thresholds
+  // Same tail rule as VariantCalibration::calibrate: high-is-novel thresholds
   // at the upper percentile, low-is-novel at the mirrored lower one.
   return orientation == core::ScoreOrientation::kHighIsNovel
              ? sketch.upper_quantile(percentile)

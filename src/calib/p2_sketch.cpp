@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "metrics/ecdf.hpp"
-#include "tensor/serialize.hpp"
 
 namespace salnov::calib {
 namespace {
-
-constexpr char kSketchMagic[] = "salnov-p2sketch";
-constexpr uint32_t kSketchVersion = 1;
 
 /// Tolerance for matching a queried quantile against a tracked marker; the
 /// same order of magnitude as EmpiricalCdf's rank snap.
@@ -181,120 +177,6 @@ double P2Sketch::max() const {
   if (count_ == 0) throw EmptyCalibrationError("P2Sketch: no finite samples observed");
   if (!streaming_) return *std::max_element(buffer_.begin(), buffer_.end());
   return marker_h_.back();
-}
-
-void P2Sketch::save(std::ostream& os) const {
-  write_header(os, kSketchMagic, kSketchVersion);
-  write_u32(os, static_cast<uint32_t>(tracked_.size()));
-  for (double q : tracked_) write_f64(os, q);
-  write_i64(os, warmup_);
-  write_i64(os, count_);
-  write_i64(os, nonfinite_dropped_);
-  write_u32(os, streaming_ ? 1 : 0);
-  if (!streaming_) {
-    write_i64(os, static_cast<int64_t>(buffer_.size()));
-    for (double v : buffer_) write_f64(os, v);  // insertion order: bit-exact resume
-  } else {
-    write_u32(os, static_cast<uint32_t>(marker_q_.size()));
-    for (size_t i = 0; i < marker_q_.size(); ++i) {
-      write_f64(os, marker_q_[i]);
-      write_i64(os, marker_n_[i]);
-      write_f64(os, marker_h_[i]);
-    }
-  }
-}
-
-P2Sketch P2Sketch::load(std::istream& is) {
-  read_header(is, kSketchMagic, kSketchVersion);
-  const uint32_t tracked_count = read_u32(is);
-  if (tracked_count > 64) {
-    throw SerializationError("P2Sketch::load: implausible tracked-quantile count " +
-                             std::to_string(tracked_count));
-  }
-  std::vector<double> tracked(tracked_count);
-  for (auto& q : tracked) q = read_f64(is);
-  const int64_t warmup = read_i64(is);
-  if (warmup <= 0 || warmup > (int64_t{1} << 32)) {
-    throw SerializationError("P2Sketch::load: implausible warmup " + std::to_string(warmup));
-  }
-  // The constructor re-derives and validates marker_q_; a corrupted byte in
-  // the tracked quantiles surfaces as a format error, not a usage error.
-  P2Sketch sketch = [&] {
-    try {
-      return P2Sketch(std::move(tracked), warmup);
-    } catch (const std::invalid_argument& err) {
-      throw SerializationError(std::string("P2Sketch::load: ") + err.what());
-    }
-  }();
-  sketch.count_ = read_i64(is);
-  sketch.nonfinite_dropped_ = read_i64(is);
-  bool streaming = false;
-  FieldReader(is, "P2Sketch::load").flag(streaming, "streaming flag");
-  if (!streaming) {
-    const int64_t buffered = read_i64(is);
-    if (buffered != sketch.count_ || buffered < 0 || buffered >= warmup) {
-      throw SerializationError("P2Sketch::load: buffer size " + std::to_string(buffered) +
-                               " inconsistent with count/warmup");
-    }
-    check_count(is, buffered, warmup, sizeof(double), "P2Sketch::load: buffer size");
-    sketch.buffer_.resize(static_cast<size_t>(buffered));
-    for (auto& v : sketch.buffer_) v = read_f64(is);
-  } else {
-    const uint32_t markers = read_u32(is);
-    if (markers != sketch.marker_q_.size()) {
-      throw SerializationError("P2Sketch::load: marker count " + std::to_string(markers) +
-                               " does not match tracked quantiles");
-    }
-    sketch.marker_n_.resize(markers);
-    sketch.marker_h_.resize(markers);
-    for (uint32_t i = 0; i < markers; ++i) {
-      const double q = read_f64(is);
-      if (q != sketch.marker_q_[i]) {
-        throw SerializationError("P2Sketch::load: marker quantile mismatch");
-      }
-      sketch.marker_n_[i] = read_i64(is);
-      sketch.marker_h_[i] = read_f64(is);
-    }
-    sketch.streaming_ = true;
-  }
-  sketch.validate_or_throw();
-  return sketch;
-}
-
-void P2Sketch::validate_or_throw() const {
-  if (count_ < 0 || nonfinite_dropped_ < 0) {
-    throw SerializationError("P2Sketch::load: negative counter");
-  }
-  if (streaming_) {
-    if (count_ < warmup_) {
-      throw SerializationError("P2Sketch::load: streaming sketch with count below warmup");
-    }
-    for (size_t i = 0; i < marker_h_.size(); ++i) {
-      if (!std::isfinite(marker_h_[i])) {
-        throw SerializationError("P2Sketch::load: non-finite marker height");
-      }
-      if (i > 0 && (marker_n_[i] <= marker_n_[i - 1] || marker_h_[i] < marker_h_[i - 1])) {
-        throw SerializationError("P2Sketch::load: marker bank not monotone");
-      }
-    }
-    if (!marker_n_.empty() &&
-        (marker_n_.front() != 1 || marker_n_.back() != count_)) {
-      throw SerializationError("P2Sketch::load: marker positions do not span the sample count");
-    }
-  } else {
-    for (double v : buffer_) {
-      if (!std::isfinite(v)) throw SerializationError("P2Sketch::load: non-finite buffered sample");
-    }
-  }
-}
-
-void P2Sketch::save_file(const std::string& path) const {
-  save_file_checked(path, [this](std::ostream& os) { save(os); });
-}
-
-P2Sketch P2Sketch::load_file(const std::string& path) {
-  std::istringstream is(load_file_checked(path));
-  return load(is);
 }
 
 }  // namespace salnov::calib

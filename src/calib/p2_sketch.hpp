@@ -23,14 +23,11 @@
 //
 // Non-finite samples are dropped and counted, mirroring the EmpiricalCdf
 // fit and the monitor's EMA containment: one NaN score must not poison a
-// shadow threshold. All state is serializable and round-trips bit-exactly,
-// so a sketch survives process restarts through the checked-persistence
-// layer.
+// shadow threshold. A sketch lives only in memory: the online calibrator
+// never persists one, and only the ThresholdSet it publishes reaches disk.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace salnov::calib {
@@ -58,11 +55,6 @@ class P2Sketch {
   /// taken over.
   bool streaming() const { return streaming_; }
 
-  int64_t warmup() const { return warmup_; }
-
-  /// The deduplicated interior quantiles this sketch tracks.
-  const std::vector<double>& tracked() const { return tracked_; }
-
   /// Conservative upper quantile: exact EmpiricalCdf::upper_quantile
   /// during warm-up; afterwards the height of the nearest marker at or
   /// above `q`. Throws EmptyCalibrationError before the first finite
@@ -76,21 +68,8 @@ class P2Sketch {
   double min() const;
   double max() const;
 
-  /// Serializes the full sketch state (phase, buffer or marker bank); a
-  /// loaded sketch continues the stream bit-exactly where the saved one
-  /// stopped.
-  void save(std::ostream& os) const;
-  static P2Sketch load(std::istream& is);
-
-  /// Checked persistence: temp file + atomic rename + CRC32 trailer.
-  void save_file(const std::string& path) const;
-  static P2Sketch load_file(const std::string& path);
-
  private:
-  P2Sketch() = default;  ///< for load()
-
   void init_markers();
-  void validate_or_throw() const;  ///< load-time invariant checks
 
   std::vector<double> tracked_;   ///< interior quantiles, sorted, deduped
   std::vector<double> marker_q_;  ///< full marker quantile set incl. 0, 1, midpoints

@@ -23,25 +23,16 @@ NoveltyMonitor::NoveltyMonitor(MonitorConfig config) : config_(config) {
 
 double NoveltyMonitor::smoothed_score() const { return smoothed_.value_or(kNaN); }
 
-MonitorUpdate NoveltyMonitor::update_sensor_bad(FrameFault fault, bool frozen) {
-  MonitorUpdate u;
-  u.frame_fault = fault;
-  u.frame_frozen = frozen;
+MonitorState NoveltyMonitor::update_sensor_bad() {
   ++consecutive_sensor_bad_;
   consecutive_sensor_good_ = 0;
   // A broken frame is evidence of neither novelty nor familiarity.
   consecutive_novel_ = 0;
   consecutive_familiar_ = 0;
-  u.frame_scored = false;
-  u.frame_novel = false;
-  u.raw_score = kNaN;
-  u.smoothed_score = smoothed_score();
-  advance_state(u, /*sensor_bad=*/true);
-  return u;
+  return advance_state(/*sensor_bad=*/true);
 }
 
-MonitorUpdate NoveltyMonitor::update_scored(double raw_score, bool frame_novel) {
-  MonitorUpdate u;
+MonitorState NoveltyMonitor::update_scored(double raw_score, bool frame_novel) {
   consecutive_sensor_bad_ = 0;
   ++consecutive_sensor_good_;
 
@@ -62,15 +53,10 @@ MonitorUpdate NoveltyMonitor::update_scored(double raw_score, bool frame_novel) 
     ++consecutive_familiar_;
     consecutive_novel_ = 0;
   }
-  u.frame_scored = true;
-  u.frame_novel = frame_novel;
-  u.raw_score = raw_score;
-  u.smoothed_score = smoothed_score();
-  advance_state(u, /*sensor_bad=*/false);
-  return u;
+  return advance_state(/*sensor_bad=*/false);
 }
 
-void NoveltyMonitor::advance_state(MonitorUpdate& u, bool sensor_bad) {
+MonitorState NoveltyMonitor::advance_state(bool sensor_bad) {
   // State transitions. Sensor faults dominate: they can be entered from any
   // state, and while in kSensorFault the novelty machine is suspended (its
   // streaks still accumulate on scored frames, so a release into a novel
@@ -104,11 +90,7 @@ void NoveltyMonitor::advance_state(MonitorUpdate& u, bool sensor_bad) {
   }
   // Remaining case — a sensor-bad frame below the trigger count — holds the
   // current state (mirroring how a single novel frame only raises kAlert).
-
-  u.state = state_;
-  u.fallback_path = state_ == MonitorState::kFallback      ? FallbackPath::kNovelty
-                    : state_ == MonitorState::kSensorFault ? FallbackPath::kSensorFault
-                                                           : FallbackPath::kNone;
+  return state_;
 }
 
 }  // namespace salnov::core

@@ -10,7 +10,7 @@
 // It also distinguishes "the world is novel" from "the sensor died": frames
 // that the serving Supervisor's validate stage screens out (FrameValidator
 // faults, bit-identical repeats) are never scored; they feed a *separate*
-// trigger/release hysteresis that enters kSensorFault. MonitorUpdate reports
+// trigger/release hysteresis that enters kSensorFault. fallback_path() names
 // which path — novelty or sensor fault — engaged the degraded mode.
 //
 // The monitor sees verdicts only, never frames: Supervisor::process screens
@@ -20,8 +20,6 @@
 
 #include <cstdint>
 #include <optional>
-
-#include "core/frame_validator.hpp"
 
 namespace salnov::core {
 
@@ -55,16 +53,12 @@ enum class FallbackPath {
 inline constexpr uint32_t kFallbackPathCount = 3;
 static_assert(static_cast<uint32_t>(FallbackPath::kSensorFault) + 1 == kFallbackPathCount);
 
-struct MonitorUpdate {
-  double raw_score = 0.0;       ///< NaN when the frame was not scored
-  double smoothed_score = 0.0;  ///< last EMA value (NaN before any scored frame)
-  bool frame_novel = false;
-  bool frame_scored = true;     ///< false for validator-rejected / frozen frames
-  FrameFault frame_fault = FrameFault::kNone;
-  bool frame_frozen = false;    ///< bit-identical to the previous valid frame
-  MonitorState state = MonitorState::kNominal;
-  FallbackPath fallback_path = FallbackPath::kNone;
-};
+/// The one rule from monitor state to the path engaging the fallback.
+constexpr FallbackPath fallback_path(MonitorState state) {
+  return state == MonitorState::kFallback      ? FallbackPath::kNovelty
+         : state == MonitorState::kSensorFault ? FallbackPath::kSensorFault
+                                               : FallbackPath::kNone;
+}
 
 class NoveltyMonitor {
  public:
@@ -74,12 +68,13 @@ class NoveltyMonitor {
 
   /// Feeds the score of a frame that passed screening.
   /// Non-finite scores count as novel evidence but do NOT update the EMA —
-  /// one NaN must not poison every later smoothed value.
-  MonitorUpdate update_scored(double raw_score, bool frame_novel);
+  /// one NaN must not poison every later smoothed value. Returns the new
+  /// state.
+  MonitorState update_scored(double raw_score, bool frame_novel);
 
   /// Feeds a frame rejected by screening (validator fault and/or frozen
-  /// repeat) without scoring it.
-  MonitorUpdate update_sensor_bad(FrameFault fault, bool frozen);
+  /// repeat) without scoring it. Returns the new state.
+  MonitorState update_sensor_bad();
 
   MonitorState state() const { return state_; }
 
@@ -88,7 +83,7 @@ class NoveltyMonitor {
 
  private:
   /// Shared state-transition tail of every update path.
-  void advance_state(MonitorUpdate& update, bool sensor_bad);
+  MonitorState advance_state(bool sensor_bad);
 
   MonitorConfig config_;
   MonitorState state_ = MonitorState::kNominal;

@@ -61,13 +61,6 @@ NoveltyDetectorConfig NoveltyDetectorConfig::baseline_raw_mse() {
   return config;
 }
 
-NoveltyDetectorConfig NoveltyDetectorConfig::vbp_mse() {
-  NoveltyDetectorConfig config;
-  config.preprocessing = Preprocessing::kVbp;
-  config.score = ReconstructionScore::kMse;
-  return config;
-}
-
 NoveltyDetector::NoveltyDetector(NoveltyDetectorConfig config)
     : config_([&] {
         if (config.height <= 0 || config.width <= 0) {

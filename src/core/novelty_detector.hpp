@@ -52,8 +52,6 @@ struct NoveltyDetectorConfig {
   static NoveltyDetectorConfig proposed();
   /// The Richter & Roy baseline (raw images + MSE).
   static NoveltyDetectorConfig baseline_raw_mse();
-  /// The intermediate ablation (VBP images + MSE loss).
-  static NoveltyDetectorConfig vbp_mse();
 };
 
 /// Classification result for one input.

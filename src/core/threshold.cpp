@@ -10,11 +10,6 @@ namespace salnov::core {
 NoveltyThreshold::NoveltyThreshold(double threshold, ScoreOrientation orientation)
     : threshold_(threshold), orientation_(orientation) {}
 
-NoveltyThreshold NoveltyThreshold::calibrate(const std::vector<double>& training_scores,
-                                             ScoreOrientation orientation, double percentile) {
-  return VariantCalibration::calibrate(training_scores, orientation, percentile).threshold;
-}
-
 bool NoveltyThreshold::is_novel(double score) const {
   if (!std::isfinite(score)) return true;
   return orientation_ == ScoreOrientation::kHighIsNovel ? score > threshold_ : score < threshold_;

@@ -23,12 +23,6 @@ class NoveltyThreshold {
  public:
   NoveltyThreshold() = default;
 
-  /// Calibrates from training scores: the threshold is the `percentile`
-  /// quantile of the scores for kHighIsNovel, or the (1 - percentile)
-  /// quantile for kLowIsNovel. `percentile` defaults to the paper's 0.99.
-  static NoveltyThreshold calibrate(const std::vector<double>& training_scores,
-                                    ScoreOrientation orientation, double percentile = 0.99);
-
   /// Constructs directly from a known threshold (used by deserialization).
   NoveltyThreshold(double threshold, ScoreOrientation orientation);
 

@@ -76,19 +76,4 @@ nn::Sequential build_pilotnet(const PilotNetConfig& config, Rng& rng) {
   return model;
 }
 
-std::vector<size_t> conv_stage_outputs(const nn::Sequential& model) {
-  std::vector<size_t> stages;
-  for (size_t i = 0; i < model.size(); ++i) {
-    if (model.layer(i).type_name() != "conv2d") continue;
-    // The stage output is the activation following the conv if present,
-    // otherwise the conv output itself.
-    if (i + 1 < model.size() && model.layer(i + 1).type_name() == "relu") {
-      stages.push_back(i + 1);
-    } else {
-      stages.push_back(i);
-    }
-  }
-  return stages;
-}
-
 }  // namespace salnov::driving

@@ -41,9 +41,4 @@ struct PilotNetConfig {
 /// [N, 1] steering angles in (-1, 1) (tanh output).
 nn::Sequential build_pilotnet(const PilotNetConfig& config, Rng& rng);
 
-/// Indices (into the Sequential) of the ReLU outputs that follow each
-/// convolution — the feature maps VisualBackProp averages. Identified
-/// structurally, so it works for any conv/relu chain.
-std::vector<size_t> conv_stage_outputs(const nn::Sequential& model);
-
 }  // namespace salnov::driving

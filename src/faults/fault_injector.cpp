@@ -176,12 +176,6 @@ Image FaultInjector::apply(CameraFault fault, double severity, const Image& fram
   throw std::logic_error("FaultInjector: unknown fault");
 }
 
-Image FaultInjector::apply_all(const std::vector<FaultSpec>& chain, const Image& frame) {
-  Image out = frame;
-  for (const FaultSpec& spec : chain) out = apply(spec, out);
-  return out;
-}
-
 int64_t flip_weight_bits(nn::Sequential& model, int64_t flips, Rng& rng) {
   const auto params = model.parameters();
   int64_t total = 0;

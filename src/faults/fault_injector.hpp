@@ -47,12 +47,6 @@ const char* camera_fault_name(CameraFault fault);
 /// Every camera fault, in declaration order (for sweeps).
 const std::vector<CameraFault>& all_camera_faults();
 
-/// One fault with its severity in [0, 1].
-struct FaultSpec {
-  CameraFault fault;
-  double severity = 0.5;
-};
-
 /// Deterministic, seedable fault source. All randomness (impulse positions,
 /// tear row, occlusion center) comes from the owned Rng, and every fault
 /// draws the same number of variates regardless of severity, so two
@@ -69,13 +63,6 @@ class FaultInjector {
   /// camera's frame order. Throws std::invalid_argument unless severity is
   /// finite and in [0, 1]. Severity 0 returns the frame unchanged.
   Image apply(CameraFault fault, double severity, const Image& frame);
-  Image apply(const FaultSpec& spec, const Image& frame) {
-    return apply(spec.fault, spec.severity, frame);
-  }
-
-  /// Applies a fault chain left to right (faults compose: e.g. an
-  /// under-exposed, blurred, torn frame).
-  Image apply_all(const std::vector<FaultSpec>& chain, const Image& frame);
 
   /// Reseeds the stream and forgets the stale frame.
   void reset(uint64_t seed);

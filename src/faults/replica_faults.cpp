@@ -7,10 +7,6 @@
 
 namespace salnov::faults {
 
-const char* replica_fault_kind_name(ReplicaFaultKind kind) {
-  return kReplicaFaultKindNames[static_cast<size_t>(kind)];
-}
-
 std::vector<ReplicaFault> parse_replica_faults(std::string_view packed) {
   std::vector<ReplicaFault> out;
   const auto number = [](std::string_view entry, std::string_view text, auto& value) {

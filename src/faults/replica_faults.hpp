@@ -33,8 +33,6 @@ static_assert(static_cast<uint32_t>(ReplicaFaultKind::kWeightCorrupt) + 1 ==
 inline constexpr std::array<const char*, kReplicaFaultKindCount> kReplicaFaultKindNames = {
     "crash", "hang", "slow", "corrupt"};
 
-const char* replica_fault_kind_name(ReplicaFaultKind kind);
-
 /// One scheduled replica fault, active over [start_ns, end_ns).
 struct ReplicaFault {
   int64_t replica = 0;
@@ -73,11 +71,8 @@ class ReplicaFaultSchedule {
   /// True when the replica is in an outage (kCrash or kHang) at `now_ns`.
   bool outage_active(int64_t replica, int64_t now_ns) const;
 
-  const std::vector<ReplicaFault>& faults() const { return faults_; }
 
-  void clear() { faults_.clear(); }
   bool empty() const { return faults_.empty(); }
-  size_t size() const { return faults_.size(); }
 
  private:
   std::vector<ReplicaFault> faults_;

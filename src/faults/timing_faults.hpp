@@ -58,9 +58,7 @@ class TimingFaultInjector {
   /// faults). Zero when nothing matches.
   int64_t stall_ns(int stage, int64_t frame) const;
 
-  void clear() { faults_.clear(); }
   bool empty() const { return faults_.empty(); }
-  size_t size() const { return faults_.size(); }
 
  private:
   std::vector<TimingFault> faults_;

@@ -79,36 +79,4 @@ Image read_pgm(const std::string& path) {
   return image;
 }
 
-void write_ppm(const std::string& path, const RgbImage& image) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("write_ppm: cannot open " + path);
-  os << "P6\n" << image.width() << ' ' << image.height() << "\n255\n";
-  std::vector<uint8_t> row(static_cast<size_t>(image.width() * 3));
-  for (int64_t y = 0; y < image.height(); ++y) {
-    for (int64_t x = 0; x < image.width(); ++x) {
-      for (int64_t c = 0; c < 3; ++c) row[static_cast<size_t>(x * 3 + c)] = to_byte(image(y, x, c));
-    }
-    os.write(reinterpret_cast<const char*>(row.data()), static_cast<std::streamsize>(row.size()));
-  }
-  if (!os) throw std::runtime_error("write_ppm: write failed for " + path);
-}
-
-RgbImage read_ppm(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("read_ppm: cannot open " + path);
-  const PnmHeader h = read_pnm_header(is, "P6", path);
-  RgbImage image(h.height, h.width);
-  std::vector<uint8_t> row(static_cast<size_t>(h.width * 3));
-  for (int64_t y = 0; y < h.height; ++y) {
-    is.read(reinterpret_cast<char*>(row.data()), static_cast<std::streamsize>(row.size()));
-    if (!is) throw std::runtime_error("read_ppm: truncated pixel data in " + path);
-    for (int64_t x = 0; x < h.width; ++x) {
-      image.set(y, x, static_cast<float>(row[static_cast<size_t>(x * 3 + 0)]) / 255.0f,
-                static_cast<float>(row[static_cast<size_t>(x * 3 + 1)]) / 255.0f,
-                static_cast<float>(row[static_cast<size_t>(x * 3 + 2)]) / 255.0f);
-    }
-  }
-  return image;
-}
-
 }  // namespace salnov

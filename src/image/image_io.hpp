@@ -1,8 +1,8 @@
-// PGM / PPM image file IO.
+// PGM image file IO.
 //
 // Benches and examples dump VBP masks, reconstructions, and generated scenes
-// as binary PGM (grayscale) / PPM (color) so results can be inspected with
-// any image viewer without adding a codec dependency.
+// as binary PGM (grayscale) so results can be inspected with any image
+// viewer without adding a codec dependency.
 #pragma once
 
 #include <string>
@@ -18,11 +18,5 @@ void write_pgm(const std::string& path, const Image& image);
 /// Reads a binary PGM (P5, 8-bit) file. Throws std::runtime_error on parse
 /// or IO failure.
 Image read_pgm(const std::string& path);
-
-/// Writes `image` as binary PPM (P6, 8-bit); pixels are clamped to [0, 1].
-void write_ppm(const std::string& path, const RgbImage& image);
-
-/// Reads a binary PPM (P6, 8-bit) file.
-RgbImage read_ppm(const std::string& path);
 
 }  // namespace salnov

@@ -112,16 +112,6 @@ Image translate(const Image& src, int64_t dy, int64_t dx) {
   return out;
 }
 
-Image flip_horizontal(const Image& src) {
-  Image out(src.height(), src.width());
-  for (int64_t y = 0; y < src.height(); ++y) {
-    for (int64_t x = 0; x < src.width(); ++x) {
-      out(y, x) = src(y, src.width() - 1 - x);
-    }
-  }
-  return out;
-}
-
 Image add_salt_pepper_noise(const Image& src, double p, Rng& rng) {
   if (p < 0.0 || p > 1.0) throw std::invalid_argument("add_salt_pepper_noise: p outside [0, 1]");
   Image out = src;

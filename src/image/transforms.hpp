@@ -31,10 +31,6 @@ Image rotate(const Image& src, double degrees);
 /// Translates by (dy, dx) pixels with edge clamping.
 Image translate(const Image& src, int64_t dy, int64_t dx);
 
-/// Mirrors the image left-right (the classic steering-training augmentation:
-/// a mirrored road view corresponds to the negated steering angle).
-Image flip_horizontal(const Image& src);
-
 /// Salt-and-pepper noise: each pixel independently becomes 0 or 1 with
 /// probability `p / 2` each.
 Image add_salt_pepper_noise(const Image& src, double p, Rng& rng);

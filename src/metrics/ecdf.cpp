@@ -99,12 +99,4 @@ double mean(const std::vector<double>& samples) {
   return acc / static_cast<double>(samples.size());
 }
 
-double stddev(const std::vector<double>& samples) {
-  if (samples.size() < 2) return 0.0;
-  const double m = mean(samples);
-  double acc = 0.0;
-  for (double v : samples) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(samples.size() - 1));
-}
-
 }  // namespace salnov

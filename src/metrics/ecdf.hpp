@@ -81,7 +81,4 @@ double quantile(const EmpiricalCdf& cdf, double q);
 /// Sample mean; throws on empty input.
 double mean(const std::vector<double>& samples);
 
-/// Sample standard deviation (unbiased); returns 0 for fewer than 2 samples.
-double stddev(const std::vector<double>& samples);
-
 }  // namespace salnov

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace salnov {
@@ -34,22 +33,6 @@ double Histogram::bin_center(int64_t bin) const {
 double Histogram::frequency(int64_t bin) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
-std::string Histogram::ascii(int64_t width) const {
-  const int64_t peak = counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  std::ostringstream os;
-  for (int64_t b = 0; b < bins(); ++b) {
-    const int64_t bar =
-        peak == 0 ? 0 : (count(b) * width + peak / 2) / peak;  // rounded proportional length
-    os.precision(4);
-    os << std::showpos << std::fixed;
-    os.width(10);
-    os << bin_center(b) << std::noshowpos << " |";
-    for (int64_t i = 0; i < bar; ++i) os << '#';
-    os << "  " << count(b) << '\n';
-  }
-  return os.str();
 }
 
 double distribution_overlap(const std::vector<double>& a, const std::vector<double>& b, int64_t bins) {

@@ -2,8 +2,8 @@
 // score-distribution plots as printable series.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace salnov {
@@ -20,18 +20,12 @@ class Histogram {
   int64_t bins() const { return static_cast<int64_t>(counts_.size()); }
   int64_t count(int64_t bin) const { return counts_.at(static_cast<size_t>(bin)); }
   int64_t total() const { return total_; }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
 
   /// Center value of the given bin.
   double bin_center(int64_t bin) const;
 
   /// Fraction of all samples in the given bin (0 if empty histogram).
   double frequency(int64_t bin) const;
-
-  /// Renders an ASCII bar chart, one bin per row, `width` characters at the
-  /// modal bin. Used by the bench harnesses to print paper-style histograms.
-  std::string ascii(int64_t width = 50) const;
 
  private:
   double lo_;

@@ -59,45 +59,6 @@ DetectionRates rates_at_threshold_low(const std::vector<double>& positives,
   return DetectionRates{fraction_below(positives, threshold), fraction_below(negatives, threshold)};
 }
 
-double average_precision_high(const std::vector<double>& positives,
-                              const std::vector<double>& negatives) {
-  if (positives.empty() || negatives.empty()) {
-    throw std::invalid_argument("average_precision: both classes must be non-empty");
-  }
-  // Rank all scores descending; AP = sum over positive hits of precision at
-  // that rank, divided by the number of positives. Ties are broken with
-  // negatives first (the pessimistic convention).
-  struct Scored {
-    double score;
-    bool positive;
-  };
-  std::vector<Scored> all;
-  all.reserve(positives.size() + negatives.size());
-  for (double s : positives) all.push_back({s, true});
-  for (double s : negatives) all.push_back({s, false});
-  std::sort(all.begin(), all.end(), [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return !a.positive && b.positive;
-  });
-  double ap = 0.0;
-  int64_t true_positives = 0;
-  for (size_t rank = 0; rank < all.size(); ++rank) {
-    if (!all[rank].positive) continue;
-    ++true_positives;
-    ap += static_cast<double>(true_positives) / static_cast<double>(rank + 1);
-  }
-  return ap / static_cast<double>(positives.size());
-}
-
-double average_precision_low(const std::vector<double>& positives,
-                             const std::vector<double>& negatives) {
-  auto negate = [](std::vector<double> v) {
-    for (double& s : v) s = -s;
-    return v;
-  };
-  return average_precision_high(negate(positives), negate(negatives));
-}
-
 ConfidenceInterval bootstrap_auc_ci(const std::vector<double>& positives,
                                     const std::vector<double>& negatives, Rng& rng, int resamples,
                                     double confidence) {

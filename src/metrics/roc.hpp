@@ -35,16 +35,6 @@ DetectionRates rates_at_threshold_high(const std::vector<double>& positives,
 DetectionRates rates_at_threshold_low(const std::vector<double>& positives,
                                       const std::vector<double>& negatives, double threshold);
 
-/// Average precision (area under the precision-recall curve, computed by
-/// the step-wise interpolation over the ranked scores) of the detector that
-/// flags high scores as positive.
-double average_precision_high(const std::vector<double>& positives,
-                              const std::vector<double>& negatives);
-
-/// Average precision of the detector that flags low scores as positive.
-double average_precision_low(const std::vector<double>& positives,
-                             const std::vector<double>& negatives);
-
 /// A two-sided confidence interval.
 struct ConfidenceInterval {
   double lower = 0.0;

@@ -5,8 +5,6 @@
 // loss; SsimLoss (see ssim_loss.hpp) is the paper's proposed loss.
 #pragma once
 
-#include <string>
-
 #include "tensor/tensor.hpp"
 
 namespace salnov::nn {
@@ -21,8 +19,6 @@ class Loss {
   /// dLoss/dprediction, same shape as `prediction`.
   virtual Tensor gradient(const Tensor& prediction, const Tensor& target) const = 0;
 
-  virtual std::string name() const = 0;
-
  protected:
   static void require_same_shape(const Tensor& prediction, const Tensor& target, const char* loss);
 };
@@ -32,7 +28,6 @@ class MseLoss : public Loss {
  public:
   double value(const Tensor& prediction, const Tensor& target) const override;
   Tensor gradient(const Tensor& prediction, const Tensor& target) const override;
-  std::string name() const override { return "mse"; }
 };
 
 }  // namespace salnov::nn

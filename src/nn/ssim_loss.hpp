@@ -42,7 +42,6 @@ class SsimLoss : public Loss {
 
   double value(const Tensor& prediction, const Tensor& target) const override;
   Tensor gradient(const Tensor& prediction, const Tensor& target) const override;
-  std::string name() const override { return "ssim"; }
 
   /// Mean SSIM of a single flattened (reconstruction, input) pair; the
   /// novelty *score* used at detection time (higher = more similar).
@@ -50,7 +49,6 @@ class SsimLoss : public Loss {
 
   int64_t height() const { return height_; }
   int64_t width() const { return width_; }
-  const SsimOptions& options() const { return options_; }
 
  private:
   void validate_batch(const Tensor& prediction, const Tensor& target) const;

@@ -62,23 +62,4 @@ TrainHistory Trainer::fit(const Tensor& inputs, const Tensor& targets, const Tra
   return history;
 }
 
-double Trainer::evaluate(const Tensor& inputs, const Tensor& targets, int64_t batch_size) {
-  if (inputs.dim(0) != targets.dim(0) || inputs.dim(0) == 0) {
-    throw std::invalid_argument("Trainer::evaluate: invalid dataset");
-  }
-  const int64_t n = inputs.dim(0);
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  double total = 0.0;
-  int64_t batches = 0;
-  for (int64_t begin = 0; begin < n; begin += batch_size) {
-    const int64_t end = std::min(begin + batch_size, n);
-    const Tensor batch_x = gather(inputs, order, begin, end);
-    const Tensor batch_y = gather(targets, order, begin, end);
-    total += loss_.value(model_.forward(batch_x, Mode::kInfer), batch_y);
-    ++batches;
-  }
-  return total / static_cast<double>(batches);
-}
-
 }  // namespace salnov::nn

@@ -41,9 +41,6 @@ class Trainer {
   /// dimension for both). Returns per-epoch loss history.
   TrainHistory fit(const Tensor& inputs, const Tensor& targets, const TrainOptions& options);
 
-  /// Mean loss over a dataset without updating weights.
-  double evaluate(const Tensor& inputs, const Tensor& targets, int64_t batch_size = 32);
-
  private:
   /// Gathers rows `index_batch` of `source` into a contiguous batch tensor.
   static Tensor gather(const Tensor& source, const std::vector<int64_t>& order, int64_t begin,

@@ -87,34 +87,10 @@ DrivingDataset DrivingDataset::sample(int64_t count, Rng& rng) const {
   return subset;
 }
 
-DrivingDataset DrivingDataset::with_mirrored() const {
-  DrivingDataset augmented(height_, width_);
-  for (int64_t i = 0; i < size(); ++i) {
-    const auto idx = static_cast<size_t>(i);
-    augmented.add(images_[idx], steering_[idx], params_[idx]);
-  }
-  for (int64_t i = 0; i < size(); ++i) {
-    const auto idx = static_cast<size_t>(i);
-    SceneParams mirrored = params_[idx];
-    mirrored.curvature = -mirrored.curvature;
-    mirrored.camera_offset = -mirrored.camera_offset;
-    augmented.add(flip_horizontal(images_[idx]), steering_for_scene(mirrored), mirrored);
-  }
-  return augmented;
-}
-
 Tensor DrivingDataset::images_nchw() const {
   Tensor out({size(), 1, height_, width_});
   for (int64_t i = 0; i < size(); ++i) {
     out.set_slice0(i, images_[static_cast<size_t>(i)].tensor().reshape({1, height_, width_}));
-  }
-  return out;
-}
-
-Tensor DrivingDataset::images_flat() const {
-  Tensor out({size(), height_ * width_});
-  for (int64_t i = 0; i < size(); ++i) {
-    out.set_slice0(i, images_[static_cast<size_t>(i)].flattened());
   }
   return out;
 }

@@ -43,17 +43,8 @@ class DrivingDataset {
   /// Subset of `count` samples drawn without replacement.
   DrivingDataset sample(int64_t count, Rng& rng) const;
 
-  /// Returns this dataset plus a horizontally mirrored copy of every sample
-  /// (the classic steering-training augmentation: the mirrored view's
-  /// ground-truth steering is the negated original, which here follows from
-  /// negating the scene's curvature and camera offset).
-  DrivingDataset with_mirrored() const;
-
   /// All images stacked as [N, 1, H, W] (CNN input).
   Tensor images_nchw() const;
-
-  /// All images stacked as [N, H*W] (autoencoder input).
-  Tensor images_flat() const;
 
   /// Steering labels as [N, 1].
   Tensor steering_tensor() const;

@@ -45,9 +45,6 @@ class SceneGenerator {
   /// concurrently.
   virtual Sample render_scene(const SceneParams& params) const = 0;
 
-  /// Dataset name ("outdoor-sim" / "indoor-sim") used in reports.
-  virtual std::string name() const = 0;
-
   /// Rendered image height/width.
   virtual int64_t render_height() const = 0;
   virtual int64_t render_width() const = 0;

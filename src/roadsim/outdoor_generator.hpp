@@ -27,7 +27,6 @@ class OutdoorSceneGenerator : public SceneGenerator {
 
   SceneParams sample_params(Rng& rng) const override;
   Sample render_scene(const SceneParams& params) const override;
-  std::string name() const override { return "outdoor-sim"; }
   int64_t render_height() const override { return config_.height; }
   int64_t render_width() const override { return config_.width; }
 

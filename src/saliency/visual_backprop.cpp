@@ -307,20 +307,6 @@ Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
   return std::move(compute_batch(model, {&input})[0]);
 }
 
-Image VisualBackProp::compute_with_maps(nn::Sequential& model, const Image& input,
-                                        std::vector<Tensor>& averaged_maps) const {
-  const nn::StagedForward pass = model.forward_stages(input.as_nchw());
-  Image mask =
-      std::move(sample_masks(model, pass.conv_stages, nullptr, 1, input.height(), input.width())[0]);
-  averaged_maps.clear();
-  for (const Tensor& stage : pass.conv_stages) {
-    Tensor avg({stage.dim(2), stage.dim(3)});
-    channel_average(stage, 0, avg.data());
-    averaged_maps.push_back(std::move(avg));
-  }
-  return mask;
-}
-
 std::vector<Image> VisualBackProp::compute_batch(nn::Sequential& model,
                                                  const std::vector<const Image*>& inputs) {
   if (inputs.empty()) return {};

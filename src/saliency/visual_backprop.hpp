@@ -48,11 +48,6 @@ class VisualBackProp : public SaliencyMethod {
   bool thread_safe() const override { return true; }
   std::string name() const override { return "vbp"; }
 
-  /// As compute(), but also returns the averaged (over channels) feature
-  /// map of each conv stage, shallow to deep (for inspection and tests).
-  Image compute_with_maps(nn::Sequential& model, const Image& input,
-                          std::vector<Tensor>& averaged_maps) const;
-
   /// Int8-quantized VBP: the forward pass runs through the quantized view of
   /// the steering model (exact-int32 GEMMs, bit-identical at any kernel /
   /// thread count / batch size); the channel averages and relevance chain

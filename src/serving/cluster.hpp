@@ -200,7 +200,6 @@ class ServingCluster {
   /// Watchdog view of one replica (kHealthy when the watchdog is off).
   ReplicaState replica_state(int64_t replica) const;
 
-  int64_t streams() const { return config_.streams; }
   int64_t replicas() const { return static_cast<int64_t>(replicas_.size()); }
 
   /// Direct access for tests (stream supervisors are only otherwise touched

@@ -148,10 +148,7 @@ bool Supervisor::frame_deadline_blown(int64_t frame_start_ns) const {
 void Supervisor::attach_monitor_state(ServeResult& result) {
   const core::MonitorState state = monitor_.state();
   result.monitor_state = state;
-  result.fallback_path = state == core::MonitorState::kFallback ? core::FallbackPath::kNovelty
-                         : state == core::MonitorState::kSensorFault
-                             ? core::FallbackPath::kSensorFault
-                             : core::FallbackPath::kNone;
+  result.fallback_path = core::fallback_path(state);
 }
 
 ServeResult Supervisor::abandon(ServeResult& result, ServingMode mode_used, bool tripped) {
@@ -248,15 +245,13 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   // --- Stage 0: validate -------------------------------------------------
   // The frame screen: the validator's verdict, then the frozen-frame check.
   // No later stage re-checks the frame's content.
-  core::FrameFault fault = core::FrameFault::kNone;
-  bool frozen = false;
   const StageOutcome validate = run_stage(Stage::kValidate, index, result, [&] {
-    fault = provided != nullptr && provided->fault.has_value()
-                ? *provided->fault
-                : detector_.frame_validator().check(frame);
-    if (fault == core::FrameFault::kNone) {
-      frozen = config_.monitor.detect_frozen_frames && last_valid_frame_.has_value() &&
-               last_valid_frame_->tensor() == frame.tensor();
+    result.fault = provided != nullptr && provided->fault.has_value()
+                       ? *provided->fault
+                       : detector_.frame_validator().check(frame);
+    if (result.fault == core::FrameFault::kNone) {
+      result.frozen = config_.monitor.detect_frozen_frames && last_valid_frame_.has_value() &&
+                      last_valid_frame_->tensor() == frame.tensor();
       last_valid_frame_ = frame;
     } else {
       last_valid_frame_.reset();
@@ -264,14 +259,13 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   });
   if (validate.overrun) frame_bad = true;
   if (frame_deadline_blown(frame_start)) return abandon(result, mode_, false);
-  if (fault != core::FrameFault::kNone || frozen) {
+  if (result.fault != core::FrameFault::kNone || result.frozen) {
     // Sensor-bad frames are the monitor's jurisdiction and are neutral to
     // the ladder: a dead camera says nothing about pipeline timing health.
     ++counters_.frames_sensor_bad;
-    const core::MonitorUpdate update = monitor_.update_sensor_bad(fault, frozen);
+    monitor_.update_sensor_bad();
     result.sensor_bad = true;
-    result.monitor_state = update.state;
-    result.fallback_path = update.fallback_path;
+    attach_monitor_state(result);
     if (result.deadline_overrun) ++counters_.deadline_overruns;
     return result;
   }
@@ -436,17 +430,15 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     ++counters_.frames_held;
     result.score = score;
     result.scored = false;
-    const core::MonitorUpdate update = monitor_.update_sensor_bad(core::FrameFault::kNone, false);
-    result.monitor_state = update.state;
-    result.fallback_path = update.fallback_path;
+    monitor_.update_sensor_bad();
+    attach_monitor_state(result);
   } else {
     ++counters_.frames_scored;
     result.score = score;
     result.novel = novel;
     result.scored = true;
-    const core::MonitorUpdate update = monitor_.update_scored(score, novel);
-    result.monitor_state = update.state;
-    result.fallback_path = update.fallback_path;
+    monitor_.update_scored(score, novel);
+    attach_monitor_state(result);
   }
 
   if (!tripped_this_frame) update_ladder(frame_bad);

@@ -128,6 +128,8 @@ struct ServeResult {
   bool abandoned = false;   ///< frame deadline blown mid-pipeline
   bool deadline_overrun = false;  ///< any stage or frame budget blown
   bool sensor_bad = false;  ///< screened out before scoring
+  core::FrameFault fault = core::FrameFault::kNone;  ///< the validate stage's verdict
+  bool frozen = false;      ///< bit-identical to the previous valid frame
   bool novel = false;
   double score = std::numeric_limits<double>::quiet_NaN();
   double steering = std::numeric_limits<double>::quiet_NaN();

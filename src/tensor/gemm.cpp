@@ -171,18 +171,6 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_
   gemm_ex(a, b, c, m, n, k, GemmEpilogue{});
 }
 
-void gemm_accumulate(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k) {
-  check_dims(m, n, k);
-  if (m == 0 || n == 0 || k == 0) return;
-  if (!parallel_worthwhile(m, n, k)) {
-    gemm_rows(a, b, c, 0, m, n, k);
-    return;
-  }
-  parallel::parallel_for(0, m, kRowGrain, [&](int64_t row_begin, int64_t row_end) {
-    gemm_rows(a, b, c, row_begin, row_end, n, k);
-  });
-}
-
 void gemm_nt_accumulate(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k) {
   check_dims(m, n, k);
   if (m == 0 || n == 0 || k == 0) return;

@@ -74,9 +74,6 @@ void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int
              const GemmEpilogue& epilogue, const PackedMatrix* packed_a = nullptr,
              const PackedMatrix* packed_b = nullptr);
 
-/// C += A * B (accumulating variant); same layout contract as gemm().
-void gemm_accumulate(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k);
-
 /// C += A * B^T where A is [m, k], B is [n, k], C is [m, n]. Both operand
 /// rows are contiguous, so this is the preferred form when the "transposed"
 /// operand is naturally stored row-major (e.g. conv weight gradients, or a

@@ -85,12 +85,6 @@ void Rng::shuffle(std::vector<int64_t>& values) {
   }
 }
 
-Tensor Rng::normal_tensor(Shape shape, double stddev) {
-  Tensor t(std::move(shape));
-  for (int64_t i = 0; i < t.numel(); ++i) t[i] = static_cast<float>(normal(0.0, stddev));
-  return t;
-}
-
 Tensor Rng::uniform_tensor(Shape shape, double lo, double hi) {
   Tensor t(std::move(shape));
   for (int64_t i = 0; i < t.numel(); ++i) t[i] = static_cast<float>(uniform(lo, hi));

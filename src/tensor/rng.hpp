@@ -42,9 +42,6 @@ class Rng {
   /// Fisher-Yates shuffle of an index vector.
   void shuffle(std::vector<int64_t>& values);
 
-  /// Tensor with i.i.d. N(0, stddev^2) entries.
-  Tensor normal_tensor(Shape shape, double stddev = 1.0);
-
   /// Tensor with i.i.d. U[lo, hi) entries.
   Tensor uniform_tensor(Shape shape, double lo, double hi);
 

@@ -148,20 +148,6 @@ Tensor Tensor::slice0(int64_t index) const {
   return out;
 }
 
-Tensor Tensor::narrow0(int64_t begin, int64_t end) const {
-  if (rank() < 1) throw std::logic_error("Tensor::narrow0: rank-0 tensor");
-  if (begin < 0 || end < begin || end > shape_[0]) {
-    throw std::out_of_range("Tensor::narrow0: range [" + std::to_string(begin) + ", " +
-                            std::to_string(end) + ") invalid for " + shape_to_string(shape_));
-  }
-  Shape sub = shape_;
-  sub[0] = end - begin;
-  const int64_t stride = numel() / std::max<int64_t>(shape_[0], 1);
-  Tensor out(sub);
-  std::copy_n(data_.begin() + begin * stride, (end - begin) * stride, out.data_.begin());
-  return out;
-}
-
 void Tensor::set_slice0(int64_t index, const Tensor& src) {
   if (rank() < 1) throw std::logic_error("Tensor::set_slice0: rank-0 tensor");
   if (index < 0 || index >= shape_[0]) {
@@ -235,17 +221,6 @@ float Tensor::max() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
-int64_t Tensor::argmax() const {
-  if (data_.empty()) throw std::logic_error("Tensor::argmax: empty tensor");
-  return std::distance(data_.begin(), std::max_element(data_.begin(), data_.end()));
-}
-
-float Tensor::squared_norm() const {
-  float s = 0.0f;
-  for (float v : data_) s += v * v;
-  return s;
-}
-
 float Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {
   a.require_same_shape(b, "max_abs_diff");
   float m = 0.0f;
@@ -257,14 +232,6 @@ float Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {
 
 bool Tensor::operator==(const Tensor& other) const {
   return shape_ == other.shape_ && data_ == other.data_;
-}
-
-bool Tensor::allclose(const Tensor& other, float tol) const {
-  if (shape_ != other.shape_) return false;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (std::abs(data_[i] - other.data_[i]) > tol) return false;
-  }
-  return true;
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -59,7 +59,6 @@ class Tensor {
 
   const float* data() const { return data_.data(); }
   float* data() { return data_.data(); }
-  const std::vector<float>& vec() const { return data_; }
 
   // --- Element access ------------------------------------------------------
 
@@ -82,9 +81,6 @@ class Tensor {
 
   /// Returns the `index`-th slice along dimension 0 (rank reduced by one).
   Tensor slice0(int64_t index) const;
-
-  /// Returns rows [begin, end) along dimension 0 (rank preserved).
-  Tensor narrow0(int64_t begin, int64_t end) const;
 
   /// Writes `src` into the `index`-th slice along dimension 0.
   void set_slice0(int64_t index, const Tensor& src);
@@ -110,13 +106,6 @@ class Tensor {
     for (float& v : data_) v = fn(v);
     return *this;
   }
-  /// Returns a copy with `fn` applied to every element.
-  template <typename Fn>
-  Tensor map(Fn&& fn) const {
-    Tensor out = *this;
-    out.apply(std::forward<Fn>(fn));
-    return out;
-  }
 
   void fill(float value);
 
@@ -126,9 +115,6 @@ class Tensor {
   float mean() const;
   float min() const;  ///< Throws std::logic_error on empty tensor.
   float max() const;  ///< Throws std::logic_error on empty tensor.
-  int64_t argmax() const;
-  /// Sum of squared elements.
-  float squared_norm() const;
 
   /// Maximum |a - b| over elements; shapes must match.
   static float max_abs_diff(const Tensor& a, const Tensor& b);
@@ -138,8 +124,6 @@ class Tensor {
   /// Exact equality of shape and every element.
   bool operator==(const Tensor& other) const;
   bool operator!=(const Tensor& other) const { return !(*this == other); }
-  /// True if shapes match and all elements are within `tol`.
-  bool allclose(const Tensor& other, float tol = 1e-5f) const;
 
  private:
   /// Inline so operator[] costs no call; the throw stays out of line.

@@ -170,7 +170,8 @@ inline constexpr Knob<TraceRunSpec> kFaultSeedKnobs[] = {
 
 /// Everything the pipeline decided about one frame, plus the policy state
 /// it left behind: the supervisor's ServeResult, tagged with the stream
-/// that owned the frame.
+/// that owned the frame. The frame record does not save `fault` and
+/// `frozen`, so a loaded frame holds their defaults.
 struct TraceFrame : serving::ServeResult {
   int64_t stream_id = 0;  ///< owning stream (0 in single-stream runs)
 };

@@ -107,50 +107,6 @@ TEST(P2SketchTest, NonFiniteSamplesAreDroppedAndCounted) {
   EXPECT_EQ(sketch.max(), 2.0) << "Inf never reached the quantile math";
 }
 
-TEST(P2SketchTest, StreamRoundTripsThroughCheckedFileMidWarmup) {
-  const std::string path = temp_path("sketch_warmup.bin");
-  P2Sketch sketch({0.01, 0.5, 0.99}, 64);
-  Rng rng(17);
-  for (int i = 0; i < 30; ++i) sketch.add(rng.uniform(0.0, 5.0));
-  sketch.save_file(path);
-  P2Sketch loaded = P2Sketch::load_file(path);
-  // Continue both streams identically: every subsequent answer must agree
-  // bit-for-bit, through the warm-up -> streaming transition and beyond.
-  Rng cont(19);
-  for (int i = 0; i < 400; ++i) {
-    const double v = cont.uniform(0.0, 5.0);
-    sketch.add(v);
-    loaded.add(v);
-  }
-  ASSERT_TRUE(sketch.streaming());
-  EXPECT_EQ(loaded.count(), sketch.count());
-  for (const double q : {0.01, 0.5, 0.99}) {
-    EXPECT_EQ(loaded.upper_quantile(q), sketch.upper_quantile(q)) << "q=" << q;
-    EXPECT_EQ(loaded.lower_quantile(q), sketch.lower_quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(P2SketchTest, StreamRoundTripsThroughCheckedFileWhileStreaming) {
-  const std::string path = temp_path("sketch_streaming.bin");
-  P2Sketch sketch({0.01, 0.5, 0.99}, 64);
-  Rng rng(23);
-  for (int i = 0; i < 500; ++i) sketch.add(rng.uniform(-1.0, 1.0));
-  ASSERT_TRUE(sketch.streaming());
-  sketch.save_file(path);
-  P2Sketch loaded = P2Sketch::load_file(path);
-  EXPECT_EQ(loaded.count(), sketch.count());
-  EXPECT_EQ(loaded.tracked(), sketch.tracked());
-  Rng cont(29);
-  for (int i = 0; i < 200; ++i) {
-    const double v = cont.uniform(-1.0, 1.0);
-    sketch.add(v);
-    loaded.add(v);
-  }
-  for (const double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(loaded.upper_quantile(q), sketch.upper_quantile(q)) << "q=" << q;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Drift hysteresis.
 

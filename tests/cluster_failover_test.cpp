@@ -803,8 +803,8 @@ std::string describe_case(const ChaosCase& c) {
   os << "streams=" << c.streams << " rounds=" << c.rounds << " replicas=" << c.replicas
      << " credits=" << c.admission_credits << " faults=[";
   for (const ReplicaFault& f : c.faults) {
-    os << "{r" << f.replica << " " << faults::replica_fault_kind_name(f.kind) << " ["
-       << f.start_ns / kMs << "ms," << f.end_ns / kMs << "ms)} ";
+    os << "{r" << f.replica << " " << faults::kReplicaFaultKindNames[static_cast<size_t>(f.kind)]
+       << " [" << f.start_ns / kMs << "ms," << f.end_ns / kMs << "ms)} ";
   }
   os << "]";
   return os.str();

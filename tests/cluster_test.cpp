@@ -104,6 +104,8 @@ class ClusterFixture : public ::testing::Test {
     EXPECT_EQ(solo.abandoned, batched.abandoned);
     EXPECT_EQ(solo.deadline_overrun, batched.deadline_overrun);
     EXPECT_EQ(solo.sensor_bad, batched.sensor_bad);
+    EXPECT_EQ(solo.fault, batched.fault);
+    EXPECT_EQ(solo.frozen, batched.frozen);
     EXPECT_EQ(solo.novel, batched.novel);
     // Bit-exact, NaN-tolerant: compare the representations.
     EXPECT_TRUE((std::isnan(solo.score) && std::isnan(batched.score)) ||
@@ -707,6 +709,48 @@ TEST_F(ClusterFixture, PrescreenVerdictServesMixedBatchesLikeTheBareSupervisor) 
     expect_results_bitexact(want, cr.result);
   }
   EXPECT_EQ(batched, static_cast<int64_t>(results.size()));
+}
+
+TEST_F(ClusterFixture, ScreenVerdictReachesTheResultThroughABatch) {
+  // A NaN frame, then a good frame and its bit-identical repeat, in one
+  // batch: the prescreen's kNonFinite reaches the first result through
+  // ProvidedCompute::fault, and the supervisor flags the repeat frozen.
+  Rng rng(59);
+  Image nan_frame = familiar_frame(rng);
+  nan_frame(2, 3) = std::numeric_limits<float>::quiet_NaN();
+  const Image good = familiar_frame(rng);
+  const std::vector<Image> frames = {nan_frame, good, good};
+
+  std::vector<ServeResult> solo;
+  {
+    FakeClock clock;
+    Supervisor supervisor(*detector_, steering_, SupervisorConfig{}, &clock);
+    for (const Image& frame : frames) solo.push_back(supervisor.process(frame));
+  }
+
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = 1;
+  config.gather_window_ns = 100 * kMs;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  for (const Image& frame : frames) cluster.submit(0, frame);
+  cluster.drain();
+  const std::vector<ClusterResult> results = cluster.take_results();
+  const ClusterStats stats = cluster.stats();
+  cluster.stop();
+
+  ASSERT_EQ(results.size(), frames.size());
+  EXPECT_EQ(results[0].batch_size, 3) << "scenario requires one batch";
+  EXPECT_EQ(stats.prescreen_rejects, 1);
+  EXPECT_EQ(results[0].result.fault, core::FrameFault::kNonFinite);
+  EXPECT_FALSE(results[0].result.frozen);
+  EXPECT_EQ(results[1].result.fault, core::FrameFault::kNone);
+  EXPECT_FALSE(results[1].result.frozen);
+  EXPECT_EQ(results[2].result.fault, core::FrameFault::kNone);
+  EXPECT_TRUE(results[2].result.frozen);
+  EXPECT_TRUE(results[2].result.sensor_bad);
+  for (size_t i = 0; i < frames.size(); ++i) expect_results_bitexact(solo[i], results[i].result);
 }
 
 TEST_F(ClusterFixture, SupervisorScreensByTheProvidedVerdict) {

@@ -1,6 +1,6 @@
 // Tests for environmental-condition transforms (fog/dusk/rain), the
 // fast SAT-based SSIM vs its reference implementation, the one-pass SSIM
-// moment tables, average precision, and bootstrap AUC confidence intervals.
+// moment tables, and bootstrap AUC confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,7 +37,7 @@ TEST(Fog, ZeroDensityIsIdentity) {
   const auto s = sample_scene(1);
   const Image frame = scene_gray(s);
   const Image fogged = roadsim::apply_fog(frame, s.params, 0.0);
-  EXPECT_TRUE(fogged.tensor().allclose(frame.tensor(), 1e-6f));
+  EXPECT_LE(Tensor::max_abs_diff(fogged.tensor(), frame.tensor()), 1e-6f);
 }
 
 TEST(Fog, ThickensTowardHorizon) {
@@ -90,7 +90,7 @@ TEST(Fog, NegativeDensityThrows) {
 TEST(Dusk, ZeroSeverityIsIdentity) {
   const auto s = sample_scene(6);
   const Image frame = scene_gray(s);
-  EXPECT_TRUE(roadsim::apply_dusk(frame, 0.0).tensor().allclose(frame.tensor(), 1e-6f));
+  EXPECT_LE(Tensor::max_abs_diff(roadsim::apply_dusk(frame, 0.0).tensor(), frame.tensor()), 1e-6f);
 }
 
 TEST(Dusk, DarkensGlobally) {
@@ -307,24 +307,6 @@ TEST(MomentTables, SsimScoresKeepTheirPreviousValues) {
   EXPECT_EQ(ssim(low, low), 1.0);
   EXPECT_EQ(small.mean_ssim(high.tensor(), low.tensor()), 0x1.1ede103d821c2p-2);
   EXPECT_EQ(ssim(low, high), 0x1.1ede103d8216cp-2);
-}
-
-// ---------------------------------------------------------------------------
-// Average precision.
-
-TEST(AveragePrecision, PerfectRankingScoresOne) {
-  EXPECT_DOUBLE_EQ(average_precision_high({5, 6}, {1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(average_precision_low({1, 2}, {5, 6, 7}), 1.0);
-}
-
-TEST(AveragePrecision, WorstRankingScoresLow) {
-  const double ap = average_precision_high({1, 2}, {5, 6, 7});
-  // Positives ranked last among 5: AP = (1/4 + 2/5) / 2.
-  EXPECT_NEAR(ap, (1.0 / 4.0 + 2.0 / 5.0) / 2.0, 1e-12);
-}
-
-TEST(AveragePrecision, EmptyClassThrows) {
-  EXPECT_THROW(average_precision_high({}, {1.0}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

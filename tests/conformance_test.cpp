@@ -269,22 +269,22 @@ TEST_F(Conformance, MonitorHysteresisReplaysFromRecordedTrace) {
   for (const TraceFrame& frame : trace.frames) {
     SCOPED_TRACE("frame " + std::to_string(frame.frame_index));
     if (frame.sensor_bad) {
-      // The exact fault tag doesn't move the hysteresis — only the fact
-      // that the frame was screened out does.
-      const core::MonitorUpdate u = monitor.update_sensor_bad(core::FrameFault::kNone, true);
-      EXPECT_EQ(u.state, frame.monitor_state);
-      EXPECT_EQ(u.fallback_path, frame.fallback_path);
+      // Only the fact that the frame was screened out moves the hysteresis,
+      // not which check fired.
+      monitor.update_sensor_bad();
+      EXPECT_EQ(monitor.state(), frame.monitor_state);
+      EXPECT_EQ(core::fallback_path(monitor.state()), frame.fallback_path);
     } else if (frame.abandoned) {
       // Abandoned frames never reach the monitor.
       EXPECT_EQ(monitor.state(), frame.monitor_state);
     } else if (frame.scored) {
-      const core::MonitorUpdate u = monitor.update_scored(frame.score, frame.novel);
-      EXPECT_EQ(u.state, frame.monitor_state);
-      EXPECT_EQ(u.fallback_path, frame.fallback_path);
+      monitor.update_scored(frame.score, frame.novel);
+      EXPECT_EQ(monitor.state(), frame.monitor_state);
+      EXPECT_EQ(core::fallback_path(monitor.state()), frame.fallback_path);
     } else if (frame.mode == serving::ServingMode::kSensorHold) {
-      const core::MonitorUpdate u = monitor.update_sensor_bad(core::FrameFault::kNone, false);
-      EXPECT_EQ(u.state, frame.monitor_state);
-      EXPECT_EQ(u.fallback_path, frame.fallback_path);
+      monitor.update_sensor_bad();
+      EXPECT_EQ(monitor.state(), frame.monitor_state);
+      EXPECT_EQ(core::fallback_path(monitor.state()), frame.fallback_path);
     } else {
       // Pipeline-broken frames report the state without updating it.
       EXPECT_EQ(monitor.state(), frame.monitor_state);

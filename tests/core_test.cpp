@@ -126,7 +126,8 @@ TEST(AutoencoderBuilder, InvalidConfigThrows) {
 TEST(Threshold, HighOrientationFlagsHighScores) {
   std::vector<double> scores;
   for (int i = 1; i <= 100; ++i) scores.push_back(static_cast<double>(i));
-  const NoveltyThreshold t = NoveltyThreshold::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99);
+  const NoveltyThreshold t =
+      VariantCalibration::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99).threshold;
   EXPECT_FALSE(t.is_novel(50.0));
   EXPECT_TRUE(t.is_novel(100.5));
 }
@@ -134,15 +135,16 @@ TEST(Threshold, HighOrientationFlagsHighScores) {
 TEST(Threshold, LowOrientationFlagsLowScores) {
   std::vector<double> scores;
   for (int i = 1; i <= 100; ++i) scores.push_back(static_cast<double>(i));
-  const NoveltyThreshold t = NoveltyThreshold::calibrate(scores, ScoreOrientation::kLowIsNovel, 0.99);
+  const NoveltyThreshold t =
+      VariantCalibration::calibrate(scores, ScoreOrientation::kLowIsNovel, 0.99).threshold;
   EXPECT_TRUE(t.is_novel(0.5));
   EXPECT_FALSE(t.is_novel(50.0));
 }
 
 TEST(Threshold, PercentileBoundsValidated) {
-  EXPECT_THROW(NoveltyThreshold::calibrate({1.0}, ScoreOrientation::kHighIsNovel, 1.0),
+  EXPECT_THROW(VariantCalibration::calibrate({1.0}, ScoreOrientation::kHighIsNovel, 1.0),
                std::invalid_argument);
-  EXPECT_THROW(NoveltyThreshold::calibrate({1.0}, ScoreOrientation::kHighIsNovel, 0.0),
+  EXPECT_THROW(VariantCalibration::calibrate({1.0}, ScoreOrientation::kHighIsNovel, 0.0),
                std::invalid_argument);
 }
 
@@ -150,7 +152,8 @@ TEST(Threshold, NinetyNinthPercentileAdmitsTrainingTail) {
   // ~1% of the training set itself should fall outside the threshold.
   std::vector<double> scores;
   for (int i = 0; i < 1000; ++i) scores.push_back(static_cast<double>(i));
-  const NoveltyThreshold t = NoveltyThreshold::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99);
+  const NoveltyThreshold t =
+      VariantCalibration::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99).threshold;
   int flagged = 0;
   for (double s : scores) flagged += t.is_novel(s) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(flagged) / 1000.0, 0.01, 0.005);
@@ -173,11 +176,13 @@ TEST(Threshold, NonFiniteScoresAreAlwaysNovel) {
   const std::vector<double> scores{1.0, 2.0, 3.0};
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const NoveltyThreshold high = NoveltyThreshold::calibrate(scores, ScoreOrientation::kHighIsNovel);
+  const NoveltyThreshold high =
+      VariantCalibration::calibrate(scores, ScoreOrientation::kHighIsNovel).threshold;
   EXPECT_TRUE(high.is_novel(nan));
   EXPECT_TRUE(high.is_novel(inf));
   EXPECT_TRUE(high.is_novel(-inf));
-  const NoveltyThreshold low = NoveltyThreshold::calibrate(scores, ScoreOrientation::kLowIsNovel);
+  const NoveltyThreshold low =
+      VariantCalibration::calibrate(scores, ScoreOrientation::kLowIsNovel).threshold;
   EXPECT_TRUE(low.is_novel(nan));
   EXPECT_TRUE(low.is_novel(inf));
   EXPECT_TRUE(low.is_novel(-inf));
@@ -189,8 +194,10 @@ TEST(Threshold, CalibrateIgnoresNonFiniteTrainingScores) {
   const std::vector<double> clean{1.0, 2.0, 3.0, 4.0};
   std::vector<double> dirty = clean;
   dirty.push_back(std::numeric_limits<double>::quiet_NaN());
-  const NoveltyThreshold a = NoveltyThreshold::calibrate(clean, ScoreOrientation::kHighIsNovel);
-  const NoveltyThreshold b = NoveltyThreshold::calibrate(dirty, ScoreOrientation::kHighIsNovel);
+  const NoveltyThreshold a =
+      VariantCalibration::calibrate(clean, ScoreOrientation::kHighIsNovel).threshold;
+  const NoveltyThreshold b =
+      VariantCalibration::calibrate(dirty, ScoreOrientation::kHighIsNovel).threshold;
   EXPECT_DOUBLE_EQ(a.threshold(), b.threshold());
 }
 
@@ -198,9 +205,6 @@ TEST(VariantCalibrationTest, CalibrateMatchesThresholdAndKeepsSamples) {
   const std::vector<double> scores{0.1, 0.2, 0.3, 0.4, 0.5};
   const VariantCalibration calibration =
       VariantCalibration::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99);
-  EXPECT_DOUBLE_EQ(
-      calibration.threshold.threshold(),
-      NoveltyThreshold::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99).threshold());
   EXPECT_EQ(calibration.cdf.samples().size(), scores.size());
   std::stringstream buffer;
   calibration.save(buffer);
@@ -214,8 +218,6 @@ TEST(DetectorConfig, FactoryPresets) {
   EXPECT_EQ(NoveltyDetectorConfig::proposed().score, ReconstructionScore::kSsim);
   EXPECT_EQ(NoveltyDetectorConfig::baseline_raw_mse().preprocessing, Preprocessing::kRaw);
   EXPECT_EQ(NoveltyDetectorConfig::baseline_raw_mse().score, ReconstructionScore::kMse);
-  EXPECT_EQ(NoveltyDetectorConfig::vbp_mse().preprocessing, Preprocessing::kVbp);
-  EXPECT_EQ(NoveltyDetectorConfig::vbp_mse().score, ReconstructionScore::kMse);
 }
 
 TEST(Detector, UnfittedAccessThrows) {

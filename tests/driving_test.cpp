@@ -7,7 +7,6 @@
 
 #include "driving/pilotnet.hpp"
 #include "driving/steering_trainer.hpp"
-#include "image/transforms.hpp"
 #include "nn/model_io.hpp"
 #include "roadsim/outdoor_generator.hpp"
 
@@ -24,7 +23,9 @@ TEST(PilotNet, PaperConfigShapes) {
 TEST(PilotNet, PaperConfigHasFiveConvStages) {
   Rng rng(2);
   nn::Sequential model = build_pilotnet(PilotNetConfig::paper(), rng);
-  EXPECT_EQ(conv_stage_outputs(model).size(), 5u);
+  size_t stages = 0;
+  for (size_t i = 0; i < model.size(); ++i) stages += model.ends_conv_stage(i) ? 1 : 0;
+  EXPECT_EQ(stages, 5u);
 }
 
 TEST(PilotNet, CompactConfigShapes) {
@@ -64,7 +65,8 @@ TEST(PilotNet, InvalidConfigThrows) {
 TEST(PilotNet, ConvStageOutputsPointAtReLUs) {
   Rng rng(7);
   nn::Sequential model = build_pilotnet(PilotNetConfig::tiny(24, 48), rng);
-  for (size_t idx : conv_stage_outputs(model)) {
+  for (size_t idx = 0; idx < model.size(); ++idx) {
+    if (!model.ends_conv_stage(idx)) continue;
     EXPECT_EQ(model.layer(idx).type_name(), "relu");
     EXPECT_EQ(model.layer(idx - 1).type_name(), "conv2d");
   }
@@ -168,28 +170,6 @@ TEST(PilotNet, TrainedModelRoundTripsThroughFile) {
     EXPECT_DOUBLE_EQ(predict_steering(loaded, dataset.image(i)),
                      predict_steering(model, dataset.image(i)));
   }
-}
-
-TEST(SteeringTrainer, MirrorAugmentationKeepsLabelSymmetry) {
-  // For a model trained on mirrored data, prediction(flip(x)) should roughly
-  // equal -prediction(x) on training images — the augmentation teaches the
-  // steering symmetry.
-  roadsim::OutdoorSceneGenerator gen;
-  Rng rng(23);
-  const auto dataset = roadsim::DrivingDataset::generate(gen, 60, 24, 48, rng);
-  nn::Sequential model = build_pilotnet(PilotNetConfig::tiny(24, 48), rng);
-  SteeringTrainOptions options;
-  options.epochs = 25;
-  options.learning_rate = 2e-3;
-  train_steering_model(model, dataset.with_mirrored(), options, rng);
-
-  double asymmetry = 0.0;
-  for (int64_t i = 0; i < 10; ++i) {
-    const double direct = predict_steering(model, dataset.image(i));
-    const double mirrored = predict_steering(model, flip_horizontal(dataset.image(i)));
-    asymmetry += std::abs(direct + mirrored);
-  }
-  EXPECT_LT(asymmetry / 10.0, 0.25);
 }
 
 TEST(SteeringTrainer, PredictSteeringScalar) {

@@ -81,7 +81,7 @@ TEST(EcdfProperty, CalibrationNeverOverflagsTrainingSet) {
           for (const auto orientation :
                {core::ScoreOrientation::kHighIsNovel, core::ScoreOrientation::kLowIsNovel}) {
             const core::NoveltyThreshold threshold =
-                core::NoveltyThreshold::calibrate(scores, orientation, p);
+                core::VariantCalibration::calibrate(scores, orientation, p).threshold;
             int64_t flagged = 0;
             for (double s : scores) flagged += threshold.is_novel(s) ? 1 : 0;
             const double fraction =
@@ -101,7 +101,8 @@ TEST(EcdfProperty, DuplicateBlockRegression) {
   // threshold is the top order statistic and flags nothing.
   const std::vector<double> scores = {0.0, 0.0, 0.0, 1.0};
   const core::NoveltyThreshold threshold =
-      core::NoveltyThreshold::calibrate(scores, core::ScoreOrientation::kHighIsNovel, 0.99);
+      core::VariantCalibration::calibrate(scores, core::ScoreOrientation::kHighIsNovel, 0.99)
+          .threshold;
   EXPECT_EQ(threshold.threshold(), 1.0);
   for (double s : scores) EXPECT_FALSE(threshold.is_novel(s));
   EXPECT_TRUE(threshold.is_novel(1.5));

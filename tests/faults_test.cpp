@@ -111,17 +111,6 @@ TEST(FaultInjector, DroppedFrameAtFullSeverityIsBlack) {
   EXPECT_EQ(out.max(), 0.0f);
 }
 
-TEST(FaultInjector, ChainComposesLeftToRight) {
-  const Image frame = noise_frame(11);
-  const std::vector<FaultSpec> chain = {{CameraFault::kUnderExposure, 0.4},
-                                        {CameraFault::kBandTearing, 0.6}};
-  FaultInjector chained(23);
-  const Image composed = chained.apply_all(chain, frame);
-  FaultInjector manual(23);
-  const Image step = manual.apply(CameraFault::kUnderExposure, 0.4, frame);
-  EXPECT_TRUE(composed.tensor() == manual.apply(CameraFault::kBandTearing, 0.6, step).tensor());
-}
-
 TEST(FlipWeightBits, DeterministicAndEffective) {
   Rng init(3);
   nn::Sequential a;

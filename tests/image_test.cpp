@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -196,24 +197,11 @@ TEST(ImageIo, PgmRoundTripPreservesPixels) {
   std::remove(path.c_str());
 }
 
-TEST(ImageIo, PpmRoundTripPreservesPixels) {
-  RgbImage rgb(3, 5);
-  rgb.set(1, 2, 0.2f, 0.5f, 0.9f);
-  const std::string path = temp_path("salnov_test_roundtrip.ppm");
-  write_ppm(path, rgb);
-  const RgbImage back = read_ppm(path);
-  EXPECT_NEAR(back(1, 2, 0), 0.2f, 1.0f / 255.0f);
-  EXPECT_NEAR(back(1, 2, 1), 0.5f, 1.0f / 255.0f);
-  EXPECT_NEAR(back(1, 2, 2), 0.9f, 1.0f / 255.0f);
-  std::remove(path.c_str());
-}
-
 TEST(ImageIo, MissingFileThrows) { EXPECT_THROW(read_pgm("/nonexistent/x.pgm"), std::runtime_error); }
 
 TEST(ImageIo, WrongMagicThrows) {
   const std::string path = temp_path("salnov_test_wrong_magic.pgm");
-  RgbImage rgb(2, 2);
-  write_ppm(path, rgb);  // writes P6
+  std::ofstream(path, std::ios::binary) << "P6\n2 2\n255\n";
   EXPECT_THROW(read_pgm(path), std::runtime_error);
   std::remove(path.c_str());
 }
@@ -267,7 +255,7 @@ TEST(Transforms, NoiseWithZeroStddevIsIdentity) {
   const Image img = gradient_image(5, 5);
   Rng rng(1);
   const Image out = add_gaussian_noise(img, 0.0, rng);
-  EXPECT_TRUE(out.tensor().allclose(img.tensor(), 1e-7f));
+  EXPECT_LE(Tensor::max_abs_diff(out.tensor(), img.tensor()), 1e-7f);
 }
 
 TEST(Transforms, BrightnessShiftsAndClamps) {

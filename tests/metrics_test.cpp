@@ -191,14 +191,6 @@ TEST(Histogram, InvalidConstructionThrows) {
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
-TEST(Histogram, AsciiContainsBars) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  h.add(0.25);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
 TEST(DistributionOverlap, IdenticalSamplesOverlapFully) {
   std::vector<double> a{1, 2, 3, 4, 5};
   EXPECT_NEAR(distribution_overlap(a, a), 1.0, 1e-9);
@@ -275,8 +267,6 @@ TEST(Ecdf, SaveLoadRoundTripsExactly) {
 TEST(Ecdf, MeanAndStddev) {
   std::vector<double> samples{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(samples), 5.0);
-  EXPECT_NEAR(stddev(samples), 2.138, 0.01);
-  EXPECT_DOUBLE_EQ(stddev({1.0}), 0.0);
   EXPECT_THROW(mean({}), std::invalid_argument);
 }
 

@@ -68,11 +68,12 @@ class MonitorFixture : public ::testing::Test {
   }
 
   /// What Supervisor::process hands the monitor for one frame (frozen-frame
-  /// detection aside): a screened-out frame's fault, or the detector's score
-  /// and the threshold's verdict.
-  static MonitorUpdate feed(NoveltyMonitor& monitor, const Image& frame) {
-    const FrameFault fault = detector_->frame_validator().check(frame);
-    if (fault != FrameFault::kNone) return monitor.update_sensor_bad(fault, /*frozen=*/false);
+  /// detection aside): a screened-out frame, or the detector's score and the
+  /// threshold's verdict. Returns the monitor's new state.
+  static MonitorState feed(NoveltyMonitor& monitor, const Image& frame) {
+    if (detector_->frame_validator().check(frame) != FrameFault::kNone) {
+      return monitor.update_sensor_bad();
+    }
     const double score = detector_->score(frame);
     return monitor.update_scored(score, detector_->threshold().is_novel(score));
   }
@@ -105,9 +106,7 @@ TEST_F(MonitorFixture, StaysNominalOnFamiliarFrames) {
   NoveltyMonitor monitor;
   Rng rng(7);
   for (int i = 0; i < 10; ++i) {
-    const MonitorUpdate u = feed(monitor, familiar_frame(rng));
-    EXPECT_EQ(u.state, MonitorState::kNominal);
-    EXPECT_FALSE(u.frame_novel);
+    EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
   }
 }
 
@@ -116,16 +115,16 @@ TEST_F(MonitorFixture, EntersFallbackAfterTriggerFrames) {
   config.trigger_frames = 3;
   NoveltyMonitor monitor(config);
   Rng rng(9);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kFallback);
 }
 
 TEST_F(MonitorFixture, SingleNovelFrameOnlyAlerts) {
   NoveltyMonitor monitor;
   Rng rng(11);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, FallbackReleasesAfterConsecutiveFamiliar) {
@@ -137,9 +136,9 @@ TEST_F(MonitorFixture, FallbackReleasesAfterConsecutiveFamiliar) {
   feed(monitor, novel_frame(rng));
   feed(monitor, novel_frame(rng));
   ASSERT_EQ(monitor.state(), MonitorState::kFallback);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kFallback);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kFallback);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, NovelFrameDuringReleaseResetsCount) {
@@ -152,8 +151,8 @@ TEST_F(MonitorFixture, NovelFrameDuringReleaseResetsCount) {
   ASSERT_EQ(monitor.state(), MonitorState::kFallback);
   feed(monitor, familiar_frame(rng));
   feed(monitor, novel_frame(rng));  // interrupts the release streak
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kFallback);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, SmoothedScoreTracksEma) {
@@ -161,10 +160,13 @@ TEST_F(MonitorFixture, SmoothedScoreTracksEma) {
   config.score_smoothing = 0.5;
   NoveltyMonitor monitor(config);
   Rng rng(17);
-  const MonitorUpdate first = feed(monitor, familiar_frame(rng));
-  EXPECT_DOUBLE_EQ(first.smoothed_score, first.raw_score);
-  const MonitorUpdate second = feed(monitor, familiar_frame(rng));
-  EXPECT_NEAR(second.smoothed_score, 0.5 * first.raw_score + 0.5 * second.raw_score, 1e-12);
+  const Image first = familiar_frame(rng);
+  const Image second = familiar_frame(rng);
+  feed(monitor, first);
+  EXPECT_DOUBLE_EQ(monitor.smoothed_score(), detector_->score(first));
+  feed(monitor, second);
+  EXPECT_NEAR(monitor.smoothed_score(),
+              0.5 * detector_->score(first) + 0.5 * detector_->score(second), 1e-12);
 }
 
 TEST_F(MonitorFixture, InvalidConfigThrows) {
@@ -195,6 +197,8 @@ TEST_F(MonitorFixture, FrozenStreamEntersSensorFaultNotFallback) {
   for (int repeat = 1; repeat <= 3; ++repeat) {
     const serving::ServeResult r = supervisor.process(stuck);
     EXPECT_TRUE(r.sensor_bad);
+    EXPECT_TRUE(r.frozen);
+    EXPECT_EQ(r.fault, FrameFault::kNone);
     EXPECT_FALSE(r.scored);
     EXPECT_TRUE(std::isnan(r.score));
     EXPECT_NE(r.monitor_state, MonitorState::kFallback);
@@ -215,9 +219,10 @@ TEST_F(MonitorFixture, NanStreamEntersSensorFault) {
   serving::Supervisor supervisor(*detector_, nullptr, serving_config(config), &clock);
   Image bad(kH, kW);
   bad(0, 0) = std::numeric_limits<float>::quiet_NaN();
-  ASSERT_EQ(detector_->frame_validator().check(bad), FrameFault::kNonFinite);
   const serving::ServeResult first = supervisor.process(bad);
   EXPECT_TRUE(first.sensor_bad);
+  EXPECT_EQ(first.fault, FrameFault::kNonFinite);
+  EXPECT_FALSE(first.frozen);
   EXPECT_EQ(first.monitor_state, MonitorState::kNominal);
   const serving::ServeResult r = supervisor.process(bad);
   EXPECT_TRUE(r.sensor_bad);
@@ -256,11 +261,11 @@ TEST_F(MonitorFixture, SensorFaultReleasesAfterGoodFrames) {
   ASSERT_EQ(monitor.state(), MonitorState::kSensorFault);
 
   Rng rng(25);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kSensorFault);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kSensorFault);
-  const MonitorUpdate recovered = feed(monitor, familiar_frame(rng));
-  EXPECT_EQ(recovered.state, MonitorState::kNominal);
-  EXPECT_EQ(recovered.fallback_path, FallbackPath::kNone);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kSensorFault);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kSensorFault);
+  const MonitorState recovered = feed(monitor, familiar_frame(rng));
+  EXPECT_EQ(recovered, MonitorState::kNominal);
+  EXPECT_EQ(fallback_path(recovered), FallbackPath::kNone);
 }
 
 TEST_F(MonitorFixture, BadFrameInterruptsSensorRelease) {
@@ -274,8 +279,8 @@ TEST_F(MonitorFixture, BadFrameInterruptsSensorRelease) {
   Rng rng(27);
   feed(monitor, familiar_frame(rng));
   feed(monitor, bad);  // interrupts the release streak
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kSensorFault);
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kSensorFault);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, InterleavedNoveltyAndSensorFault) {
@@ -289,24 +294,24 @@ TEST_F(MonitorFixture, InterleavedNoveltyAndSensorFault) {
 
   // Novel world engages the novelty path...
   feed(monitor, novel_frame(rng));
-  const MonitorUpdate fb = feed(monitor, novel_frame(rng));
-  ASSERT_EQ(fb.state, MonitorState::kFallback);
-  EXPECT_EQ(fb.fallback_path, FallbackPath::kNovelty);
+  const MonitorState fb = feed(monitor, novel_frame(rng));
+  ASSERT_EQ(fb, MonitorState::kFallback);
+  EXPECT_EQ(fallback_path(fb), FallbackPath::kNovelty);
 
   // ...then the camera dies: the sensor path takes over from kFallback.
   Image bad(kH, kW);
   feed(monitor, bad);
-  const MonitorUpdate sf = feed(monitor, bad);
-  EXPECT_EQ(sf.state, MonitorState::kSensorFault);
-  EXPECT_EQ(sf.fallback_path, FallbackPath::kSensorFault);
+  const MonitorState sf = feed(monitor, bad);
+  EXPECT_EQ(sf, MonitorState::kSensorFault);
+  EXPECT_EQ(fallback_path(sf), FallbackPath::kSensorFault);
 
   // Camera recovers onto a familiar world: full recovery to nominal.
   feed(monitor, familiar_frame(rng));
-  EXPECT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
 
   // And the novelty machine still works afterwards.
   feed(monitor, novel_frame(rng));
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kFallback);
 }
 
 TEST_F(MonitorFixture, NoveltyHysteresisIsCleanAfterSensorFaultRelease) {
@@ -322,17 +327,17 @@ TEST_F(MonitorFixture, NoveltyHysteresisIsCleanAfterSensorFaultRelease) {
   Rng rng(35);
 
   // One novel frame: streak of 1 (alert, below the trigger).
-  ASSERT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
+  ASSERT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kAlert);
   // Camera dies, then recovers.
   Image bad(kH, kW);
-  ASSERT_EQ(feed(monitor, bad).state, MonitorState::kSensorFault);
+  ASSERT_EQ(feed(monitor, bad), MonitorState::kSensorFault);
   feed(monitor, familiar_frame(rng));
-  ASSERT_EQ(feed(monitor, familiar_frame(rng)).state, MonitorState::kNominal);
+  ASSERT_EQ(feed(monitor, familiar_frame(rng)), MonitorState::kNominal);
 
   // Into a novel world: the first novel frame may only alert; the stale
   // pre-fault streak is gone.
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kAlert);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kAlert);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kFallback);
 }
 
 TEST_F(MonitorFixture, SensorReleaseIntoNovelWorldRetriggersPromptly) {
@@ -346,12 +351,12 @@ TEST_F(MonitorFixture, SensorReleaseIntoNovelWorldRetriggersPromptly) {
   NoveltyMonitor monitor(config);
   Rng rng(37);
   Image bad(kH, kW);
-  ASSERT_EQ(feed(monitor, bad).state, MonitorState::kSensorFault);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kSensorFault);
+  ASSERT_EQ(feed(monitor, bad), MonitorState::kSensorFault);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kSensorFault);
   // Second good frame releases the sensor path; the two novel frames seen
   // during the fault already satisfy the novelty trigger.
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kNominal);
-  EXPECT_EQ(feed(monitor, novel_frame(rng)).state, MonitorState::kFallback);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kNominal);
+  EXPECT_EQ(feed(monitor, novel_frame(rng)), MonitorState::kFallback);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,35 +367,29 @@ TEST_F(MonitorFixture, UpdateScoredDrivesTheSameHysteresis) {
   config.trigger_frames = 2;
   config.release_frames = 2;
   NoveltyMonitor monitor(config);
-  EXPECT_EQ(monitor.update_scored(0.1, false).state, MonitorState::kNominal);
-  EXPECT_EQ(monitor.update_scored(0.9, true).state, MonitorState::kAlert);
-  EXPECT_EQ(monitor.update_scored(0.9, true).state, MonitorState::kFallback);
-  EXPECT_EQ(monitor.update_scored(0.1, false).state, MonitorState::kFallback);
-  EXPECT_EQ(monitor.update_scored(0.1, false).state, MonitorState::kNominal);
+  EXPECT_EQ(monitor.update_scored(0.1, false), MonitorState::kNominal);
+  EXPECT_EQ(monitor.update_scored(0.9, true), MonitorState::kAlert);
+  EXPECT_EQ(monitor.update_scored(0.9, true), MonitorState::kFallback);
+  EXPECT_EQ(monitor.update_scored(0.1, false), MonitorState::kFallback);
+  EXPECT_EQ(monitor.update_scored(0.1, false), MonitorState::kNominal);
 }
 
 TEST_F(MonitorFixture, NonFiniteScoreDoesNotPoisonTheEma) {
   NoveltyMonitor monitor;
-  const MonitorUpdate first = monitor.update_scored(0.5, false);
-  EXPECT_DOUBLE_EQ(first.smoothed_score, 0.5);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const MonitorUpdate second = monitor.update_scored(nan, true);
-  EXPECT_DOUBLE_EQ(second.smoothed_score, 0.5) << "EMA must skip non-finite scores";
-  EXPECT_TRUE(std::isnan(second.raw_score));
-  const MonitorUpdate third = monitor.update_scored(std::numeric_limits<double>::infinity(), true);
-  EXPECT_DOUBLE_EQ(third.smoothed_score, 0.5);
+  monitor.update_scored(0.5, false);
+  EXPECT_DOUBLE_EQ(monitor.smoothed_score(), 0.5);
+  monitor.update_scored(std::numeric_limits<double>::quiet_NaN(), true);
+  EXPECT_DOUBLE_EQ(monitor.smoothed_score(), 0.5) << "EMA must skip non-finite scores";
+  monitor.update_scored(std::numeric_limits<double>::infinity(), true);
+  EXPECT_DOUBLE_EQ(monitor.smoothed_score(), 0.5);
 }
 
 TEST_F(MonitorFixture, UpdateSensorBadFeedsTheSensorPath) {
   MonitorConfig config;
   config.sensor_trigger_frames = 2;
   NoveltyMonitor monitor(config);
-  EXPECT_EQ(monitor.update_sensor_bad(FrameFault::kNone, /*frozen=*/true).state,
-            MonitorState::kNominal);
-  const MonitorUpdate u = monitor.update_sensor_bad(FrameFault::kOutOfRange, false);
-  EXPECT_EQ(u.state, MonitorState::kSensorFault);
-  EXPECT_EQ(u.frame_fault, FrameFault::kOutOfRange);
-  EXPECT_FALSE(u.frame_scored);
+  EXPECT_EQ(monitor.update_sensor_bad(), MonitorState::kNominal);
+  EXPECT_EQ(monitor.update_sensor_bad(), MonitorState::kSensorFault);
 }
 
 TEST_F(MonitorFixture, FrozenDetectionCanBeDisabled) {
@@ -412,11 +411,11 @@ TEST_F(MonitorFixture, FrozenDetectionCanBeDisabled) {
 TEST_F(MonitorFixture, SmoothedScoreHoldsThroughSensorFault) {
   NoveltyMonitor monitor;
   Rng rng(33);
-  const MonitorUpdate scored = feed(monitor, familiar_frame(rng));
+  feed(monitor, familiar_frame(rng));
+  const double smoothed = monitor.smoothed_score();
   Image bad(kH, kW);
-  const MonitorUpdate unscored = feed(monitor, bad);
-  EXPECT_TRUE(std::isnan(unscored.raw_score));
-  EXPECT_DOUBLE_EQ(unscored.smoothed_score, scored.smoothed_score);
+  feed(monitor, bad);
+  EXPECT_DOUBLE_EQ(monitor.smoothed_score(), smoothed);
 }
 
 TEST_F(MonitorFixture, WrongSizeFrameIsSensorFaultNotThrow) {

@@ -178,7 +178,6 @@ TEST(TrainerTest, LearnsLinearRegression) {
   options.batch_size = 16;
   const TrainHistory history = trainer.fit(x, y, options);
   EXPECT_LT(history.final_loss(), 1e-3);
-  EXPECT_LT(trainer.evaluate(x, y), 1e-3);
 }
 
 TEST(TrainerTest, LossDecreasesOverEpochs) {

@@ -105,7 +105,6 @@ TEST(ParallelFor, SetNumThreadsRejectsNegative) {
 TEST(GemmParallel, EmptyDimensionsAreSafe) {
   gemm(nullptr, nullptr, nullptr, 0, 0, 0);
   gemm(nullptr, nullptr, nullptr, 0, 5, 3);
-  gemm_accumulate(nullptr, nullptr, nullptr, 4, 0, 3);
   gemm_nt_accumulate(nullptr, nullptr, nullptr, 0, 0, 7);
   gemm_tn_accumulate(nullptr, nullptr, nullptr, 3, 4, 0);
 
@@ -113,11 +112,6 @@ TEST(GemmParallel, EmptyDimensionsAreSafe) {
   std::vector<float> c(6, 42.0f);
   gemm(nullptr, nullptr, c.data(), 2, 3, 0);
   for (float v : c) EXPECT_EQ(v, 0.0f);
-
-  // ...but the accumulate variant adds nothing and leaves C alone.
-  std::vector<float> c2(6, 42.0f);
-  gemm_accumulate(nullptr, nullptr, c2.data(), 2, 3, 0);
-  for (float v : c2) EXPECT_EQ(v, 42.0f);
 }
 
 TEST(GemmParallel, BitIdenticalAcrossThreadCounts) {

@@ -257,7 +257,6 @@ TEST(Dataset, TensorViewsHaveRightShapes) {
   Rng rng(10);
   const DrivingDataset ds = DrivingDataset::generate(gen, 3, 24, 48, rng);
   EXPECT_EQ(ds.images_nchw().shape(), (Shape{3, 1, 24, 48}));
-  EXPECT_EQ(ds.images_flat().shape(), (Shape{3, 24 * 48}));
   EXPECT_EQ(ds.steering_tensor().shape(), (Shape{3, 1}));
   EXPECT_NEAR(ds.steering_tensor()[1], static_cast<float>(ds.steering(1)), 1e-6f);
 }

@@ -81,7 +81,7 @@ TEST(DeconvOnes, ConservesMassTimesKernelAreaWhenUnclipped) {
 
 TEST(DeconvOnes, ZeroMapStaysZero) {
   const Tensor out = deconv_ones(Tensor::zeros({4, 4}), 3, 3, 1, 0, 6, 6);
-  EXPECT_FLOAT_EQ(out.squared_norm(), 0.0f);
+  EXPECT_EQ(Tensor::max_abs_diff(out, Tensor(out.shape())), 0.0f);
 }
 
 TEST(DeconvOnes, RejectsZeroStrideAndNegativePadding) {
@@ -199,15 +199,6 @@ TEST(Vbp, MaskHasInputResolutionAndUnitRange) {
   EXPECT_LE(mask.max(), 1.0f);
 }
 
-TEST(Vbp, AveragedMapsMatchStageCount) {
-  Rng rng(3);
-  nn::Sequential model = tiny_model(rng);
-  VisualBackProp vbp;
-  std::vector<Tensor> maps;
-  vbp.compute_with_maps(model, Image(24, 48), maps);
-  EXPECT_EQ(maps.size(), driving::conv_stage_outputs(model).size());
-}
-
 TEST(Vbp, RequiresConvStages) {
   Rng rng(4);
   nn::Sequential dense_only;
@@ -281,7 +272,7 @@ TEST(GradientSaliencyTest, LeavesParameterGradientsClean) {
   GradientSaliency gradient;
   gradient.compute(model, Image(24, 48));
   for (nn::Parameter* p : model.parameters()) {
-    EXPECT_FLOAT_EQ(p->grad.squared_norm(), 0.0f) << p->name;
+    EXPECT_EQ(Tensor::max_abs_diff(p->grad, Tensor(p->grad.shape())), 0.0f) << p->name;
   }
 }
 

@@ -19,7 +19,6 @@
 #include <streambuf>
 #include <vector>
 
-#include "calib/p2_sketch.hpp"
 #include "calib/threshold_set.hpp"
 #include "core/novelty_detector.hpp"
 #include "core/threshold.hpp"
@@ -407,20 +406,10 @@ TEST(PipelineCorruption, ImplausibleHiddenLayerCountRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Online-calibration formats: P² sketch and ThresholdSet.
+// Online-calibration format: ThresholdSet.
 
 std::string temp_file_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string serialized_sketch(bool streaming) {
-  calib::P2Sketch sketch({0.01, 0.5, 0.99}, 16);
-  Rng rng(6);
-  const int samples = streaming ? 200 : 10;
-  for (int i = 0; i < samples; ++i) sketch.add(rng.uniform(0.0, 1.0));
-  std::stringstream ss;
-  sketch.save(ss);
-  return ss.str();
 }
 
 std::string serialized_threshold_set() {
@@ -433,60 +422,6 @@ std::string serialized_threshold_set() {
   std::stringstream ss;
   set.save(ss);
   return ss.str();
-}
-
-TEST(SketchCorruption, FlippedMagicByteRejected) {
-  std::string data = serialized_sketch(true);
-  data[5] ^= 0x40;
-  std::stringstream ss(data);
-  EXPECT_THROW(calib::P2Sketch::load(ss), SerializationError);
-}
-
-TEST(SketchCorruption, NonMonotoneMarkerBankRejected) {
-  // Corrupt a streaming sketch's first tracked quantile so the loaded
-  // marker invariants (sorted quantiles, interior in (0,1)) break. Layout
-  // after header("salnov-p2sketch", v1): u32 tracked count, then the
-  // tracked quantiles as f64.
-  std::string data = serialized_sketch(true);
-  const size_t offset = (4 + std::string("salnov-p2sketch").size() + 4) + 4;
-  const double bogus = 7.5;  // outside (0, 1)
-  std::memcpy(&data[offset], &bogus, sizeof bogus);
-  std::stringstream ss(data);
-  EXPECT_THROW(calib::P2Sketch::load(ss), SerializationError);
-}
-
-TEST(SketchCorruption, StreamingFlagAboveOneRejected) {
-  // Layout after header("salnov-p2sketch", v1): u32 tracked count, the three
-  // tracked quantiles as f64, i64 warmup, i64 count, i64 non-finite drops,
-  // then the u32 streaming flag. A 2 there is corruption, not "streaming".
-  std::string data = serialized_sketch(true);
-  const size_t offset = (4 + std::string("salnov-p2sketch").size() + 4) + 4 + 3 * 8 + 3 * 8;
-  uint32_t flag = 0;
-  std::memcpy(&flag, &data[offset], sizeof flag);
-  ASSERT_EQ(flag, 1u);
-  flag = 2;
-  std::memcpy(&data[offset], &flag, sizeof flag);
-  std::stringstream ss(data);
-  EXPECT_THROW(calib::P2Sketch::load(ss), SerializationError);
-}
-
-TEST(SketchCorruption, CorruptedFileFailsCrcCheck) {
-  const std::string path = temp_file_path("salnov_sketch_crc.bin");
-  calib::P2Sketch sketch({0.5}, 8);
-  Rng rng(7);
-  for (int i = 0; i < 40; ++i) sketch.add(rng.uniform(0.0, 1.0));
-  sketch.save_file(path);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(24);
-    char byte = 0;
-    f.seekg(24);
-    f.get(byte);
-    f.seekp(24);
-    f.put(static_cast<char>(byte ^ 0x01));
-  }
-  EXPECT_THROW(calib::P2Sketch::load_file(path), CorruptFileError);
-  std::remove(path.c_str());
 }
 
 TEST(ThresholdSetCorruption, TruncatedFileReportsTruncation) {
@@ -513,7 +448,7 @@ TEST(ThresholdSetCorruption, BadOrientationTagRejected) {
 // ---------------------------------------------------------------------------
 // Structure-aware fuzzing of the loaders the runtime persists through:
 // Trace, model files, PipelineIo (quantized VBP+SSIM and float raw+MSE),
-// ThresholdSet and P2Sketch. Every prefix of each payload is cut, so no
+// and ThresholdSet. Every prefix of each payload is cut, so no
 // fixed-fraction truncation sweep is needed. Fields are located by
 // replaying a valid payload through a logging stream buffer, so every scalar
 // the loader reads gets mutated without the test restating any layout.
@@ -663,10 +598,6 @@ const std::vector<FuzzTarget>& fuzz_targets() {
                    [](std::istream& is) { (void)core::PipelineIo::load(is); }});
     out.push_back({"threshold-set", serialized_threshold_set(),
                    [](std::istream& is) { (void)calib::ThresholdSet::load(is); }});
-    out.push_back({"sketch-warmup", serialized_sketch(false),
-                   [](std::istream& is) { (void)calib::P2Sketch::load(is); }});
-    out.push_back({"sketch-streaming", serialized_sketch(true),
-                   [](std::istream& is) { (void)calib::P2Sketch::load(is); }});
     return out;
   }();
   return targets;
@@ -1021,11 +952,6 @@ TEST(FormatBytes, ThresholdSetIsPinned) {
   std::stringstream ss;
   set.save(ss);
   expect_pinned(ss.str(), 3253811760u, 153u);
-}
-
-TEST(FormatBytes, P2SketchIsPinnedInBothStates) {
-  expect_pinned(serialized_sketch(false), 804268834u, 167u);
-  expect_pinned(serialized_sketch(true), 4286228568u, 299u);
 }
 
 // ---------------------------------------------------------------------------

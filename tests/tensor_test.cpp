@@ -113,14 +113,6 @@ TEST(Tensor, Slice0ExtractsRow) {
   EXPECT_EQ(row[0], 4.0f);
 }
 
-TEST(Tensor, Narrow0ExtractsRange) {
-  Tensor t({4, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  const Tensor mid = t.narrow0(1, 3);
-  EXPECT_EQ(mid.shape(), (Shape{2, 2}));
-  EXPECT_EQ(mid[0], 3.0f);
-  EXPECT_EQ(mid[3], 6.0f);
-}
-
 TEST(Tensor, SetSlice0Writes) {
   Tensor t({2, 2});
   t.set_slice0(1, Tensor({2}, {9, 8}));
@@ -152,8 +144,6 @@ TEST(Tensor, MismatchedShapesThrow) {
 
 TEST(Tensor, ApplyAndMap) {
   Tensor t({3}, {1, -2, 3});
-  const Tensor abs = t.map([](float v) { return std::abs(v); });
-  EXPECT_EQ(abs[1], 2.0f);
   t.apply([](float v) { return v * v; });
   EXPECT_EQ(t[2], 9.0f);
 }
@@ -164,8 +154,6 @@ TEST(Tensor, Reductions) {
   EXPECT_FLOAT_EQ(t.mean(), 1.0f);
   EXPECT_FLOAT_EQ(t.min(), -2.0f);
   EXPECT_FLOAT_EQ(t.max(), 3.0f);
-  EXPECT_EQ(t.argmax(), 2);
-  EXPECT_FLOAT_EQ(t.squared_norm(), 1 + 4 + 9 + 4);
 }
 
 TEST(Tensor, EmptyReductionsThrow) {
@@ -173,7 +161,6 @@ TEST(Tensor, EmptyReductionsThrow) {
   EXPECT_THROW(t.mean(), std::logic_error);
   EXPECT_THROW(t.min(), std::logic_error);
   EXPECT_THROW(t.max(), std::logic_error);
-  EXPECT_THROW(t.argmax(), std::logic_error);
 }
 
 TEST(Tensor, KahanSumStaysAccurate) {
@@ -189,9 +176,6 @@ TEST(Tensor, EqualityAndAllclose) {
   Tensor a({2}, {1.0f, 2.0f});
   Tensor b({2}, {1.0f, 2.00002f});
   EXPECT_NE(a, b);
-  EXPECT_TRUE(a.allclose(b, 1e-4f));
-  EXPECT_FALSE(a.allclose(b, 1e-6f));
-  EXPECT_FALSE(a.allclose(Tensor({3}), 1.0f));
 }
 
 TEST(Tensor, MaxAbsDiff) {
@@ -227,14 +211,6 @@ TEST(Gemm, MatchesNaiveOnRandomMatrices) {
     }
   }
   test::expect_tensors_near(matmul(a, b), naive, 1e-4f);
-}
-
-TEST(Gemm, AccumulateAddsIntoC) {
-  Tensor a({1, 2}, {1, 1});
-  Tensor b({2, 1}, {2, 3});
-  Tensor c({1, 1}, {10});
-  gemm_accumulate(a.data(), b.data(), c.data(), 1, 1, 2);
-  EXPECT_FLOAT_EQ(c[0], 15.0f);
 }
 
 TEST(Gemm, NtVariantMatchesExplicitTranspose) {
@@ -329,14 +305,6 @@ TEST(Rng, SplitProducesIndependentStream) {
   Rng a(42);
   Rng b = a.split();
   EXPECT_NE(a.next_u64(), b.next_u64());
-}
-
-TEST(Rng, NormalTensorStddev) {
-  Rng rng(31);
-  const Tensor t = rng.normal_tensor({10000}, 0.5);
-  double sum_sq = 0.0;
-  for (int64_t i = 0; i < t.numel(); ++i) sum_sq += static_cast<double>(t[i]) * t[i];
-  EXPECT_NEAR(std::sqrt(sum_sq / static_cast<double>(t.numel())), 0.5, 0.02);
 }
 
 TEST(Serialize, PrimitivesRoundTrip) {

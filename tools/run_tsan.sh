@@ -8,10 +8,11 @@
 # forward (per-sample VBP mask chains fan out on the pool), and the golden
 # record/replay suites (every trace, single-stream ones included, runs on
 # a replica worker that shares the FakeClock with the driver thread) —
-# (plus any extra ctest -R pattern passed as $1).
+# (plus any extra ctest -R pattern passed as $1). Exits non-zero before
+# running anything when an alternative of the pattern matches no case.
 #
 # Usage:
-#   tools/run_tsan.sh              # run parallel_test under TSan
+#   tools/run_tsan.sh              # run the default pattern below under TSan
 #   tools/run_tsan.sh 'Detector'   # run tests matching 'Detector' instead
 #
 # Uses a dedicated build tree (build-tsan) so the regular build stays warm.
@@ -20,10 +21,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|ServingFixture.ServerProcessesEverythingItAccepts|ServingFixture.ServerBurstRespectsQueueBound|ServingFixture.ProbeDuringQueueBurstRestoresLadder|ServingFixture.ServerConcurrentHotSwapNeverBlocksScoring|ServingFixture.ServerConcurrentProducersAndSnapshots|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|SharedForwardServing|GoldenReplay|Conformance}"
+PATTERN="${1:-ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|ServingFixture.ServerProcessesEverythingItAccepts|ServingFixture.ServerBurstRespectsQueueBound|ServingFixture.ProbeDuringQueueBurstRestoresLadder|ServingFixture.ServerConcurrentHotSwapNeverBlocksScoring|ServingFixture.ServerConcurrentProducersAndSnapshots|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|SharedForwardServing|GoldenReplay|Conformance}"
 
 cmake -B "$BUILD_DIR" -S . -DSALNOV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+
+# Every top-level alternative of the pattern must name at least one
+# registered case, so a rename or a deleted test cannot shrink TSan coverage
+# unnoticed. (The split is on '|', so alternatives must not group a '|'.)
+missing=0
+IFS='|' read -ra alternatives <<< "$PATTERN"
+for alt in "${alternatives[@]}"; do
+  count=$(ctest --test-dir "$BUILD_DIR" -N -R "$alt" | sed -n 's/^Total Tests: //p')
+  if [ "${count:-0}" -eq 0 ]; then
+    echo "run_tsan.sh: pattern alternative '$alt' matches no registered ctest case" >&2
+    missing=1
+  fi
+done
+[ "$missing" -eq 0 ] || exit 1
 
 # second_deadlock_stack gives both stacks on lock-order reports.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
