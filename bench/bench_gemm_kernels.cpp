@@ -1,5 +1,6 @@
 // GEMM kernel sweep through the production entry points: float gemm_ex
-// (scalar, simd, simd+packed) and int8 gemm_u8s8_dequant with pre-packed B
+// (scalar, simd, and simd+packed with B pre-packed as nn::Dense caches it)
+// and int8 gemm_u8s8_dequant with pre-packed B
 // (scalar, simd), across square sizes and thread counts, plus the paper
 // autoencoder's two weight-heavy layers — encoder [m,9600]x[9600,64] and
 // decoder [m,64]x[64,9600] — at m = 1 (one camera) and m = 16 (the cluster's
@@ -57,15 +58,11 @@ double float_seconds(const GemmShape& s) {
   const Tensor a = rng.uniform_tensor({s.m, s.k}, -1.0, 1.0);
   const Tensor b = rng.uniform_tensor({s.k, s.n}, -1.0, 1.0);
   Tensor c({s.m, s.n});
-  PackedMatrix pa, pb;
-  if (kPacked) {
-    pa = pack_a_panels(a.data(), s.m, s.k);
-    pb = pack_b_panels(b.data(), s.k, s.n);
-  }
-  const PackedMatrix* ppa = kPacked ? &pa : nullptr;
+  PackedMatrix pb;
+  if (kPacked) pb = pack_b_panels(b.data(), s.k, s.n);
   const PackedMatrix* ppb = kPacked ? &pb : nullptr;
   return time_per_call(
-      [&] { gemm_ex(a.data(), b.data(), c.data(), s.m, s.n, s.k, GemmEpilogue{}, ppa, ppb); });
+      [&] { gemm_ex(a.data(), b.data(), c.data(), s.m, s.n, s.k, GemmEpilogue{}, ppb); });
 }
 
 /// The quantized rungs' layout: u8 activations in [0, 127], s8 weights in

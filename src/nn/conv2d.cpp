@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
@@ -11,22 +10,6 @@
 #include "tensor/workspace.hpp"
 
 namespace salnov::nn {
-namespace {
-
-/// dst[i] = src[i * stride] for i in [0, count). Stride 2 (PilotNet's 5x5
-/// layers) gets a constant-stride loop the compiler can vectorise.
-void copy_strided(const float* __restrict src, int64_t stride, int64_t count,
-                  float* __restrict dst) {
-  if (stride == 1) {
-    std::memcpy(dst, src, static_cast<size_t>(count) * sizeof(float));
-  } else if (stride == 2) {
-    for (int64_t i = 0; i < count; ++i) dst[i] = src[2 * i];
-  } else {
-    for (int64_t i = 0; i < count; ++i) dst[i] = src[i * stride];
-  }
-}
-
-}  // namespace
 
 Conv2d::Conv2d(const Conv2dConfig& config, Rng& rng) : config_(config) {
   validate_config();
@@ -145,8 +128,8 @@ void Conv2d::col2im(const float* cols, int64_t in_h, int64_t in_w, int64_t out_h
 }
 
 const PackedMatrix* Conv2d::packed_weights() {
-  // As the GEMM's A operand the weight is reused across samples and frames;
-  // out_channels == 1 would take the matvec path where panels go unused.
+  // As the implicit GEMM's A operand the weight is reused across samples and
+  // frames; out_channels == 1 keeps the im2col route's matvec instead.
   if (config_.out_channels <= 1 || active_gemm_kernel() != GemmKernel::kSimd) {
     return nullptr;
   }
@@ -175,21 +158,30 @@ Tensor Conv2d::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {
   const int64_t positions = out_h * out_w;
 
   Tensor output(out_shape);
-  WorkspaceScope scratch;
-  float* cols = scratch.floats(patch * positions);
   const int64_t in_stride = config_.in_channels * in_h * in_w;
   const int64_t out_stride = config_.out_channels * positions;
 
   GemmEpilogue epilogue;
   epilogue.bias_row = bias_.value.data();
   epilogue.relu = fuse_relu;
-  const PackedMatrix* packed = mode == Mode::kInfer ? packed_weights() : nullptr;
 
-  for (int64_t n = 0; n < batch; ++n) {
-    im2col(input.data() + n * in_stride, in_h, in_w, out_h, out_w, cols);
-    // out[n] = W [out_c, patch] x cols [patch, positions], bias fused.
-    gemm_ex(weight_.value.data(), cols, output.data() + n * out_stride, config_.out_channels,
-            positions, patch, epilogue, packed, nullptr);
+  if (const PackedMatrix* packed = mode == Mode::kInfer ? packed_weights() : nullptr) {
+    // SIMD inference: the GEMM gathers each B panel straight from the input.
+    const ConvShape shape{config_.in_channels, in_h, in_w, config_.kernel_h, config_.kernel_w,
+                          config_.stride, config_.padding};
+    for (int64_t n = 0; n < batch; ++n) {
+      conv_gemm(*packed, input.data() + n * in_stride, shape, output.data() + n * out_stride,
+                epilogue);
+    }
+  } else {
+    WorkspaceScope scratch;
+    float* cols = scratch.floats(patch * positions);
+    for (int64_t n = 0; n < batch; ++n) {
+      im2col(input.data() + n * in_stride, in_h, in_w, out_h, out_w, cols);
+      // out[n] = W [out_c, patch] x cols [patch, positions], bias fused.
+      gemm_ex(weight_.value.data(), cols, output.data() + n * out_stride, config_.out_channels,
+              positions, patch, epilogue);
+    }
   }
 
   if (mode == Mode::kTrain) {

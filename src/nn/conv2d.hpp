@@ -1,4 +1,4 @@
-// 2-D convolution layer (im2col + GEMM).
+// 2-D convolution layer (GEMM over unrolled patches).
 //
 // Layout: inputs and outputs are [batch, channels, height, width]; weights
 // are [out_channels, in_channels, kernel_h, kernel_w]. Stride is uniform in
@@ -6,20 +6,27 @@
 // valid (pad = 0) convolutions with stride 2 (5x5 kernels) and stride 1
 // (3x3 kernels), both of which this layer covers.
 //
-// The per-sample im2col/col2im buffers come from the calling thread's
-// workspace arena (zero heap allocations after warm-up), the bias add is
-// fused into the GEMM epilogue, and inference forwards reuse the weight
-// matrix pre-packed into micro-kernel panels (lazy, invalidated via
-// Parameter::version).
+// Every output is one dot product over K = (channel, ki, kj) in ascending
+// order, padding reads contributing w * 0, with the bias add (and the
+// following ReLU, when fused) in the GEMM epilogue. Two routes compute it:
+//   * SIMD inference (out_channels > 1) is an implicit GEMM (conv_gemm in
+//     tensor/gemm.hpp): per sample the input is copied once into stride^2
+//     zero-padded phase planes per channel, and each 16-position B panel is
+//     gathered from them into L1 with masked loads, one per output-row run,
+//     then multiplied by the weight pre-packed into micro-kernel panels
+//     (lazy, invalidated via Parameter::version). No im2col matrix exists.
+//   * Training, backward, the scalar kernel and out_channels == 1 (the
+//     matvec) unroll the patches with im2col into a [K, positions] matrix
+//     and call gemm_ex. im2col moves data in bounded row copies: for each
+//     (channel, ki, kj) row it computes once the output-column range whose
+//     reads land inside the input row, zero-fills the rest, and copies the
+//     interior with one strided copy per output row. Offsets are taken from
+//     the row start, so no pointer is formed outside the input plane.
+// Both routes feed the micro-kernel the same values in the same order, so
+// they are bit-identical under the SIMD kernel.
 //
-// im2col moves data in bounded row copies rather than a per-element
-// bounds-checked gather: for each (channel, ki, kj) row it computes once
-// the output-column range whose reads land inside the input row, zero-fills
-// the columns outside it (and every output row that reads padding), and
-// copies the interior with memcpy at stride 1 or a constant-stride loop at
-// stride 2. Offsets are taken from the row start, so no pointer is formed
-// outside the input plane. The unrolled matrix is byte-identical to the
-// gather's, so the GEMMs and every output bit are unchanged.
+// Scratch (phase planes, panels, im2col/col2im buffers) comes from the
+// calling thread's workspace arena: zero heap allocations after warm-up.
 #pragma once
 
 #include <atomic>
@@ -76,7 +83,8 @@ class Conv2d : public Layer {
   Tensor run_forward(const Tensor& input, Mode mode, bool fuse_relu);
 
   /// Pre-packed weight panels ([out_c, patch] as GEMM A) for the SIMD
-  /// kernel, or nullptr when unavailable. Thread-safe; repacks when
+  /// kernel's implicit GEMM, or nullptr when that route does not apply
+  /// (scalar kernel, out_channels == 1). Thread-safe; repacks when
   /// weight_.version moved.
   const PackedMatrix* packed_weights();
 

@@ -62,7 +62,7 @@ Tensor Dense::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {
   epilogue.relu = fuse_relu;
   const PackedMatrix* packed = mode == Mode::kInfer ? packed_weights(batch) : nullptr;
   gemm_ex(input.data(), weight_.value.data(), out.data(), batch, out_features(), in_features(),
-          epilogue, nullptr, packed);
+          epilogue, packed);
   if (mode == Mode::kTrain) {
     cached_input_ = input;
     have_cache_ = true;

@@ -40,7 +40,7 @@ class VisualBackProp : public SaliencyMethod {
 
   /// Cross-frame batched VBP: one forward_stages over the stacked
   /// [B, 1, H, W] input (conv layers loop per sample with identical
-  /// im2col + GEMM calls), then masks(). Element i is bit-identical to
+  /// per-sample GEMM calls), then masks(). Element i is bit-identical to
   /// compute(model, *inputs[i]) for any batch composition.
   std::vector<Image> compute_batch(nn::Sequential& model,
                                    const std::vector<const Image*>& inputs) override;

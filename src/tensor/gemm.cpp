@@ -104,13 +104,7 @@ std::atomic<GemmKernel>& kernel_state() {
   return state;
 }
 
-void validate_packs(const PackedMatrix* packed_a, const PackedMatrix* packed_b, int64_t m,
-                    int64_t n, int64_t k) {
-  if (packed_a != nullptr &&
-      (packed_a->kind != PackedMatrix::Kind::kAPanels || packed_a->rows != m ||
-       packed_a->cols != k)) {
-    throw std::logic_error("gemm_ex: packed A does not match the [m, k] operand");
-  }
+void validate_pack(const PackedMatrix* packed_b, int64_t n, int64_t k) {
   if (packed_b != nullptr &&
       (packed_b->kind != PackedMatrix::Kind::kBPanels || packed_b->rows != k ||
        packed_b->cols != n)) {
@@ -138,10 +132,9 @@ const char* gemm_kernel_name(GemmKernel kernel) {
 bool gemm_weight_packing_enabled() { return true; }
 
 void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-             const GemmEpilogue& epilogue, const PackedMatrix* packed_a,
-             const PackedMatrix* packed_b) {
+             const GemmEpilogue& epilogue, const PackedMatrix* packed_b) {
   check_dims(m, n, k);
-  validate_packs(packed_a, packed_b, m, n, k);
+  validate_pack(packed_b, n, k);
   if (m == 0 || n == 0) return;  // empty output: nothing to touch (c may be null)
   if (k == 0) {
     // A [m, 0] x B [0, n] is a zero matrix; a and b may be null. The
@@ -151,7 +144,7 @@ void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int
     return;
   }
   if (active_gemm_kernel() == GemmKernel::kSimd) {
-    detail::simd_gemm(a, b, c, m, n, k, epilogue, packed_a, packed_b);
+    detail::simd_gemm(a, b, c, m, n, k, epilogue, packed_b);
     return;
   }
   if (!parallel_worthwhile(m, n, k)) {
@@ -165,6 +158,24 @@ void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int
     gemm_rows(a, b, c, row_begin, row_end, n, k);
     apply_epilogue_rows(c, row_begin, row_end, n, epilogue);
   });
+}
+
+void conv_gemm(const PackedMatrix& packed_w, const float* x, const ConvShape& shape, float* out,
+               const GemmEpilogue& epilogue) {
+  if (!detail::simd_gemm_available()) {
+    throw std::logic_error("conv_gemm: SIMD kernel unavailable on this CPU");
+  }
+  if (packed_w.kind != PackedMatrix::Kind::kAPanels || packed_w.rows <= 0 ||
+      packed_w.cols != shape.channels * shape.kernel_h * shape.kernel_w) {
+    throw std::logic_error("conv_gemm: packed weight does not match the convolution shape");
+  }
+  if (shape.channels <= 0 || shape.kernel_h <= 0 || shape.kernel_w <= 0 || shape.stride <= 0 ||
+      shape.padding < 0 || shape.in_h < 0 || shape.in_w < 0 ||
+      shape.in_h + 2 * shape.padding < shape.kernel_h ||
+      shape.in_w + 2 * shape.padding < shape.kernel_w) {
+    throw std::invalid_argument("conv_gemm: empty or invalid convolution shape");
+  }
+  detail::simd_conv_gemm(packed_w, x, shape, out, epilogue);
 }
 
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k) {

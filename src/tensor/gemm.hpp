@@ -1,7 +1,7 @@
 // Single-precision GEMM with runtime kernel dispatch.
 //
-// All dense-layer and im2col-convolution math in the library funnels through
-// these routines, so they are the main performance lever on CPU. Two kernels
+// All dense-layer and convolution math in the library funnels through these
+// routines, so they are the main performance lever on CPU. Two kernels
 // exist:
 //   * kScalar — the cache-blocked portable loop (always available, the
 //     correctness reference).
@@ -63,16 +63,38 @@ struct GemmEpilogue {
 /// C is fully overwritten.
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k);
 
-/// gemm() with a fused epilogue and optionally pre-packed operands.
-/// `packed_a` / `packed_b` must have been produced by pack_a_panels /
-/// pack_b_panels from the same logical matrices as `a` / `b` (which must
-/// still be passed — the dispatcher falls back to them for the scalar
-/// kernel and the matrix-vector fast path). Packed operands are consulted
-/// only by the SIMD kernel and produce bit-identical results to the
-/// unpacked call.
+/// gemm() with a fused epilogue and an optionally pre-packed B operand.
+/// `packed_b` must have been produced by pack_b_panels from the same
+/// logical matrix as `b` (which must still be passed — the dispatcher falls
+/// back to it for the scalar kernel and the matrix-vector fast path). It is
+/// consulted only by the SIMD kernel and produces bit-identical results to
+/// the unpacked call.
 void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-             const GemmEpilogue& epilogue, const PackedMatrix* packed_a = nullptr,
-             const PackedMatrix* packed_b = nullptr);
+             const GemmEpilogue& epilogue, const PackedMatrix* packed_b = nullptr);
+
+/// One sample of a convolution read as a GEMM: input [channels, in_h, in_w],
+/// a kernel_h x kernel_w kernel at `stride` (both dimensions) over the input
+/// zero-padded by `padding` on every side.
+struct ConvShape {
+  int64_t channels = 0;
+  int64_t in_h = 0;
+  int64_t in_w = 0;
+  int64_t kernel_h = 0;
+  int64_t kernel_w = 0;
+  int64_t stride = 1;
+  int64_t padding = 0;
+};
+
+/// Implicit-GEMM convolution under the SIMD kernel: out [m, out_h * out_w]
+/// = W [m, channels * kernel_h * kernel_w] x im2col(x), with out_h =
+/// (in_h + 2 padding - kernel_h) / stride + 1 (out_w likewise) and the
+/// epilogue fused, without materializing the im2col matrix. `packed_w` is W
+/// as pack_a_panels produced it. Bit-identical to im2col followed by gemm_ex
+/// under the SIMD kernel, at any thread count. Throws std::logic_error when
+/// the SIMD kernel is unavailable or `packed_w` does not match `shape`, and
+/// std::invalid_argument when the output would be empty.
+void conv_gemm(const PackedMatrix& packed_w, const float* x, const ConvShape& shape, float* out,
+               const GemmEpilogue& epilogue);
 
 /// C += A * B^T where A is [m, k], B is [n, k], C is [m, n]. Both operand
 /// rows are contiguous, so this is the preferred form when the "transposed"

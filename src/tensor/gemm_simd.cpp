@@ -17,21 +17,30 @@
 //     matvec, and the tile kernel would waste 5/6 of its lanes.
 //   * Rows are fanned out over the thread pool in fixed bands of
 //     kSimdRowGrain rows (a multiple of kGemmMR, so band-local tiles always
-//     align with pre-packed A panels). The partition depends only on the
+//     align with packed A panels). The partition depends only on the
 //     shape, making results bit-identical at any thread count.
 //   * Tail tiles are zero-padded by the packing, run the full-tile code
 //     path, and only the valid rows/columns are stored back; padded lanes
 //     contribute exact zeros, so packed and unpacked calls are
 //     bit-identical.
+//   * conv_gemm is the same tile loop with B never materialized: the input
+//     sample is split once into zero-padded stride phases, and each
+//     16-position column panel is gathered into a K x 16 L1 buffer by
+//     masked loads, one segment per output-row run, then every pre-packed
+//     A row panel runs over it. The buffer holds exactly the packed panel
+//     pack_b_panels_into would make from the im2col matrix, so outputs are
+//     bit-identical to im2col + gemm_ex. Where simd_gemm would split rows,
+//     it hands the pool one column panel per chunk instead.
 //
-// Scratch (A tiles, on-the-fly B panels) comes from the per-thread
-// workspace arena: after the first call at a given shape the kernel
-// performs no heap allocations.
+// Scratch (A tiles, on-the-fly B panels, phase planes) comes from the
+// per-thread workspace arena: after the first call at a given shape the
+// kernel performs no heap allocations.
 #include "tensor/gemm_simd.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm_avx512.hpp"
@@ -59,6 +68,14 @@ static_assert(kSimdRowGrain % kGemmMR == 0);
 // Same threshold as the scalar path: below this the pool dispatch overhead
 // dominates.
 constexpr int64_t kMinParallelFlops = 1 << 15;
+
+/// One output-row run inside a 16-position column panel of an implicit-GEMM
+/// convolution: for every K row, the lanes set in `mask` read lane l from
+/// row + offset + l, where row is that K row's source in the phase planes.
+struct PanelSegment {
+  int64_t offset = 0;
+  uint32_t mask = 0;
+};
 
 #if defined(SALNOV_SIMD_AVX2)
 
@@ -182,6 +199,43 @@ void matvec(const float* a, const float* b, float* c, int64_t n, int64_t k,
   }
 }
 
+/// Fills a k x 16 B panel (pack.hpp layout): panel[kk * 16 + l] is the
+/// float the segment owning lane l reads from src + k_offsets[kk], or +0.0f
+/// for lanes no segment owns. Each segment is up to two maskload halves,
+/// OR-merged into the row (a masked-off lane loads as +0.0f, all bits
+/// clear). A half no lane of the segment falls in is skipped, so no pointer
+/// is formed past the segment's last lane. It also serves the AVX-512 tile:
+/// an AVX-512 merge-masked twin was faster per layer but not end to end
+/// (EXPERIMENTS.md).
+void fill_conv_panel(const float* src, const int64_t* k_offsets, int64_t k,
+                     const PanelSegment* segments, int64_t segment_count, float* panel) {
+  const __m256i bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  __m256i lo_masks[kGemmNR];
+  __m256i hi_masks[kGemmNR];
+  for (int64_t s = 0; s < segment_count; ++s) {
+    const __m256i lo = _mm256_set1_epi32(static_cast<int>(segments[s].mask & 0xffu));
+    const __m256i hi = _mm256_set1_epi32(static_cast<int>(segments[s].mask >> 8));
+    lo_masks[s] = _mm256_cmpeq_epi32(_mm256_and_si256(lo, bits), bits);
+    hi_masks[s] = _mm256_cmpeq_epi32(_mm256_and_si256(hi, bits), bits);
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* row = src + k_offsets[kk];
+    __m256 lo = _mm256_setzero_ps();
+    __m256 hi = _mm256_setzero_ps();
+    for (int64_t s = 0; s < segment_count; ++s) {
+      const float* base = row + segments[s].offset;
+      if ((segments[s].mask & 0xffu) != 0) {
+        lo = _mm256_or_ps(lo, _mm256_maskload_ps(base, lo_masks[s]));
+      }
+      if ((segments[s].mask >> 8) != 0) {
+        hi = _mm256_or_ps(hi, _mm256_maskload_ps(base + 8, hi_masks[s]));
+      }
+    }
+    _mm256_storeu_ps(panel + kk * kGemmNR, lo);
+    _mm256_storeu_ps(panel + kk * kGemmNR + 8, hi);
+  }
+}
+
 #elif defined(SALNOV_SIMD_NEON)
 
 void micro_kernel(const float* ap, const float* bp, int64_t k, float* c, int64_t ldc,
@@ -268,6 +322,21 @@ void matvec(const float* a, const float* b, float* c, int64_t n, int64_t k,
   }
 }
 
+/// Lane-by-lane counterpart of the AVX2 panel fill (same contract).
+void fill_conv_panel(const float* src, const int64_t* k_offsets, int64_t k,
+                     const PanelSegment* segments, int64_t segment_count, float* panel) {
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* row = src + k_offsets[kk];
+    float* dst = panel + kk * kGemmNR;
+    for (int64_t l = 0; l < kGemmNR; ++l) dst[l] = 0.0f;
+    for (int64_t s = 0; s < segment_count; ++s) {
+      for (int64_t l = 0; l < kGemmNR; ++l) {
+        if (((segments[s].mask >> l) & 1u) != 0) dst[l] = row[segments[s].offset + l];
+      }
+    }
+  }
+}
+
 #endif  // architecture micro-kernels
 
 // Tile-kernel dispatch, checked per gemm call: the AVX-512 variant
@@ -279,6 +348,74 @@ using MicroKernelFn = void (*)(const float*, const float*, int64_t, float*, int6
 MicroKernelFn tile_kernel() {
   return gemm_avx512_available() && gemm_avx512_tile_enabled() ? &micro_kernel_avx512
                                                                : &micro_kernel;
+}
+
+int64_t ceil_div(int64_t num, int64_t den) { return (num + den - 1) / den; }
+
+/// The range [lo, hi) of phase indices q in [0, count) whose padded
+/// coordinate q * stride + phase lands on the input, [pad, pad + extent).
+/// The numerators are clamped at 0 before the ceiling division: integer
+/// division truncates toward zero, so a negative one would round up and the
+/// copy would read past the row.
+std::pair<int64_t, int64_t> inside_range(int64_t phase, int64_t stride, int64_t pad,
+                                         int64_t extent, int64_t count) {
+  const int64_t lo = std::min(count, ceil_div(std::max<int64_t>(pad - phase, 0), stride));
+  const int64_t hi =
+      std::clamp(ceil_div(std::max<int64_t>(pad + extent - phase, 0), stride), lo, count);
+  return {lo, hi};
+}
+
+/// Copies one sample x [channels, in_h, in_w], zero-padded, into stride^2
+/// hq x wq phase planes per channel: plane (c, a, b) at (r, q) holds padded
+/// input (r * stride + a, q * stride + b). Tap (c, ki, kj) at output
+/// (oy, ox) is then plane (c, ki % stride, kj % stride) at
+/// (oy + ki / stride, ox + kj / stride), so a run along an output row is a
+/// contiguous read. Padding, and the tail past the padded input, are +0.0f.
+/// Every row is one strided copy between zero fills; bounds come from
+/// inside_range, never a per-element division.
+void split_phases(const float* x, const ConvShape& g, int64_t hq, int64_t wq, float* phases) {
+  const int64_t s = g.stride;
+  const int64_t pad = g.padding;
+  float* plane = phases;
+  for (int64_t c = 0; c < g.channels; ++c) {
+    const float* in_plane = x + c * g.in_h * g.in_w;
+    for (int64_t a = 0; a < s; ++a) {
+      const auto [r_lo, r_hi] = inside_range(a, s, pad, g.in_h, hq);
+      for (int64_t b = 0; b < s; ++b, plane += hq * wq) {
+        const auto [q_lo, q_hi] = inside_range(b, s, pad, g.in_w, wq);
+        const int64_t rows_end = q_lo < q_hi ? r_hi : r_lo;
+        std::fill(plane, plane + r_lo * wq, 0.0f);
+        for (int64_t r = r_lo; r < rows_end; ++r) {
+          float* dst = plane + r * wq;
+          std::fill(dst, dst + q_lo, 0.0f);
+          copy_strided(in_plane + ((r * s + a - pad) * g.in_w + q_lo * s + b - pad), s,
+                       q_hi - q_lo, dst + q_lo);
+          std::fill(dst + q_hi, dst + wq, 0.0f);
+        }
+        std::fill(plane + rows_end * wq, plane + hq * wq, 0.0f);
+      }
+    }
+  }
+}
+
+/// Splits the column panel of output positions [j0, j0 + cols) at
+/// output-row boundaries (rows out_w wide, phase rows wq wide) into
+/// `segments`; returns how many (at most kGemmNR).
+int64_t panel_segments(int64_t j0, int64_t cols, int64_t out_w, int64_t wq,
+                       PanelSegment* segments) {
+  int64_t count = 0;
+  int64_t oy = j0 / out_w;
+  int64_t ox = j0 % out_w;
+  for (int64_t lane = 0; lane < cols; ++oy, ox = 0) {
+    const int64_t run = std::min(out_w - ox, cols - lane);
+    // Lane l of the run reads offset + l = oy * wq + ox + (l - lane), which
+    // is never negative because wq >= out_w.
+    segments[count].offset = oy * wq + ox - lane;
+    segments[count].mask = ((1u << static_cast<unsigned>(run)) - 1u) << static_cast<unsigned>(lane);
+    ++count;
+    lane += run;
+  }
+  return count;
 }
 
 }  // namespace
@@ -304,8 +441,7 @@ const char* simd_arch_name() {
 }
 
 void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-               const GemmEpilogue& epi, const PackedMatrix* packed_a,
-               const PackedMatrix* packed_b) {
+               const GemmEpilogue& epi, const PackedMatrix* packed_b) {
   if (m == 1) {
     matvec(a, b, c, n, k, epi);
     return;
@@ -320,23 +456,16 @@ void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, i
     pack_b_panels_into(b, k, n, scratch);
     bp = scratch;
   }
-  const float* ap_all = packed_a != nullptr ? packed_a->data.data() : nullptr;
   const int64_t panels = gemm_col_panels(n);
   const MicroKernelFn micro = tile_kernel();
 
   const auto band = [&](int64_t row_begin, int64_t row_end) {
     // Band-local scratch: pool workers pack A tiles into their own arenas.
     WorkspaceScope band_scope;
-    float* ap_buf = ap_all == nullptr ? band_scope.floats(kGemmMR * k) : nullptr;
+    float* ap = band_scope.floats(kGemmMR * k);
     for (int64_t i0 = row_begin; i0 < row_end; i0 += kGemmMR) {
       const int64_t rows = std::min<int64_t>(kGemmMR, row_end - i0);
-      const float* ap;
-      if (ap_all != nullptr) {
-        ap = ap_all + (i0 / kGemmMR) * kGemmMR * k;
-      } else {
-        pack_a_tile(a + i0 * k, rows, k, k, ap_buf);
-        ap = ap_buf;
-      }
+      pack_a_tile(a + i0 * k, rows, k, k, ap);
       const float* bias_row = epi.bias_row != nullptr ? epi.bias_row + i0 : nullptr;
       for (int64_t p = 0; p < panels; ++p) {
         const int64_t j0 = p * kGemmNR;
@@ -357,12 +486,8 @@ void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, i
     // permuted — every output element still accumulates in ascending k —
     // so results stay bit-identical to the parallel partition.
     WorkspaceScope serial_scope;
-    const float* ap_panels = ap_all;
-    if (ap_panels == nullptr) {
-      float* scratch = serial_scope.floats(packed_a_floats(m, k));
-      pack_a_panels_into(a, m, k, scratch);
-      ap_panels = scratch;
-    }
+    float* ap_panels = serial_scope.floats(packed_a_floats(m, k));
+    pack_a_panels_into(a, m, k, ap_panels);
     for (int64_t p = 0; p < panels; ++p) {
       const int64_t j0 = p * kGemmNR;
       const int64_t cols = std::min<int64_t>(kGemmNR, n - j0);
@@ -377,12 +502,76 @@ void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, i
   }
 }
 
+void simd_conv_gemm(const PackedMatrix& packed_w, const float* x, const ConvShape& g, float* out,
+                    const GemmEpilogue& epi) {
+  const int64_t m = packed_w.rows;
+  const int64_t k = packed_w.cols;
+  const int64_t s = g.stride;
+  const int64_t hq = ceil_div(g.in_h + 2 * g.padding, s);
+  const int64_t wq = ceil_div(g.in_w + 2 * g.padding, s);
+  const int64_t out_w = (g.in_w + 2 * g.padding - g.kernel_w) / s + 1;
+  const int64_t n = ((g.in_h + 2 * g.padding - g.kernel_h) / s + 1) * out_w;
+  const int64_t plane = hq * wq;
+
+  // The planes start kGemmNR zeroed floats into the buffer, so a masked
+  // load's base pointer (lane 0, up to 15 floats before the segment's first
+  // lane) lies inside the allocation whatever the segment.
+  WorkspaceScope scope;
+  float* buffer = scope.floats(kGemmNR + g.channels * s * s * plane);
+  std::fill(buffer, buffer + kGemmNR, 0.0f);
+  float* phases = buffer + kGemmNR;
+  split_phases(x, g, hq, wq, phases);
+
+  // Source of K row (c, ki, kj), in the weight's ascending K order.
+  int64_t* k_offsets = scope.int64s(k);
+  for (int64_t c = 0, kk = 0; c < g.channels; ++c) {
+    for (int64_t ki = 0; ki < g.kernel_h; ++ki) {
+      for (int64_t kj = 0; kj < g.kernel_w; ++kj, ++kk) {
+        k_offsets[kk] = ((c * s + ki % s) * s + kj % s) * plane + (ki / s) * wq + kj / s;
+      }
+    }
+  }
+
+  const float* ap_all = packed_w.data.data();
+  const MicroKernelFn micro = tile_kernel();
+  const auto run_panels = [&](int64_t panel_begin, int64_t panel_end) {
+    // Each worker gathers its panels into a K x 16 buffer of its own arena
+    // and runs every A row panel over it while it sits in L1.
+    WorkspaceScope panel_scope;
+    float* bp = panel_scope.floats(kGemmNR * k);
+    PanelSegment segments[kGemmNR];
+    for (int64_t p = panel_begin; p < panel_end; ++p) {
+      const int64_t j0 = p * kGemmNR;
+      const int64_t cols = std::min<int64_t>(kGemmNR, n - j0);
+      fill_conv_panel(phases, k_offsets, k, segments,
+                      panel_segments(j0, cols, out_w, wq, segments), bp);
+      const float* bias_col = epi.bias_col != nullptr ? epi.bias_col + j0 : nullptr;
+      for (int64_t i0 = 0; i0 < m; i0 += kGemmMR) {
+        micro(ap_all + i0 * k, bp, k, out + i0 * n + j0, n, std::min<int64_t>(kGemmMR, m - i0),
+              cols, epi.bias_row != nullptr ? epi.bias_row + i0 : nullptr, bias_col, epi.relu);
+      }
+    }
+  };
+
+  // Fans out where simd_gemm would split rows, one column panel per chunk
+  // (so the partition depends only on the shape); splitting columns instead
+  // leaves every output one micro-kernel chain over the same panel values.
+  const int64_t panels = gemm_col_panels(n);
+  if (m > kSimdRowGrain && m * n * k >= kMinParallelFlops && parallel::num_threads() > 1) {
+    parallel::parallel_for(0, panels, 1, run_panels);
+  } else {
+    run_panels(0, panels);
+  }
+}
+
 #else  // no SIMD support compiled in: runtime-safe stubs
 
 bool simd_gemm_available() { return false; }
 const char* simd_arch_name() { return "none"; }
 void simd_gemm(const float*, const float*, float*, int64_t, int64_t, int64_t,
-               const GemmEpilogue&, const PackedMatrix*, const PackedMatrix*) {}
+               const GemmEpilogue&, const PackedMatrix*) {}
+void simd_conv_gemm(const PackedMatrix&, const float*, const ConvShape&, float*,
+                    const GemmEpilogue&) {}
 
 #endif
 

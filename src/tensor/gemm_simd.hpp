@@ -28,10 +28,14 @@ bool gemm_avx512_tile_enabled();
 void set_gemm_avx512_tile(bool enabled);
 
 /// C = A * B with fused epilogue; the SIMD counterpart of gemm_ex. Caller
-/// guarantees m, n, k > 0 and simd_gemm_available(). Packed operands, when
-/// non-null, are trusted to match a/b (validated by the dispatcher).
+/// guarantees m, n, k > 0 and simd_gemm_available(). `packed_b`, when
+/// non-null, is trusted to match b (validated by the dispatcher).
 void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-               const GemmEpilogue& epilogue, const PackedMatrix* packed_a,
-               const PackedMatrix* packed_b);
+               const GemmEpilogue& epilogue, const PackedMatrix* packed_b);
+
+/// The SIMD body of conv_gemm. Caller guarantees simd_gemm_available() and
+/// a valid, non-empty shape matching `packed_w` (validated by conv_gemm).
+void simd_conv_gemm(const PackedMatrix& packed_w, const float* x, const ConvShape& shape,
+                    float* out, const GemmEpilogue& epilogue);
 
 }  // namespace salnov::detail

@@ -1,5 +1,7 @@
 #include "tensor/pack.hpp"
 
+#include <cstring>
+
 namespace salnov {
 
 void pack_a_tile(const float* a, int64_t rows, int64_t k, int64_t lda, float* out) {
@@ -32,6 +34,17 @@ void pack_b_panels_into(const float* b, int64_t k, int64_t n, float* out) {
       for (int64_t j = 0; j < cols; ++j) dst[j] = src[j];
       for (int64_t j = cols; j < kGemmNR; ++j) dst[j] = 0.0f;
     }
+  }
+}
+
+void copy_strided(const float* __restrict src, int64_t stride, int64_t count,
+                  float* __restrict dst) {
+  if (stride == 1) {
+    std::memcpy(dst, src, static_cast<size_t>(count) * sizeof(float));
+  } else if (stride == 2) {
+    for (int64_t i = 0; i < count; ++i) dst[i] = src[2 * i];
+  } else {
+    for (int64_t i = 0; i < count; ++i) dst[i] = src[i * stride];
   }
 }
 

@@ -56,6 +56,13 @@ void pack_a_panels_into(const float* a, int64_t m, int64_t k, float* out);
 /// Packs all column panels of B [k, n] into `out` (packed_b_floats(k, n)).
 void pack_b_panels_into(const float* b, int64_t k, int64_t n, float* out);
 
+/// dst[i] = src[i * stride] for i in [0, count): the row copy of the
+/// convolution operand builders (Conv2d's im2col, conv_gemm's phase split).
+/// Stride 1 is a memcpy; stride 2 (PilotNet's 5x5 layers) a constant-stride
+/// loop the compiler can vectorise.
+void copy_strided(const float* __restrict src, int64_t stride, int64_t count,
+                  float* __restrict dst);
+
 /// Heap-owning variants for one-time weight pre-packing.
 PackedMatrix pack_a_panels(const float* a, int64_t m, int64_t k);
 PackedMatrix pack_b_panels(const float* b, int64_t k, int64_t n);

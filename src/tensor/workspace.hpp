@@ -83,6 +83,11 @@ class WorkspaceScope {
     static_assert(sizeof(double) == 2 * sizeof(float));
     return reinterpret_cast<double*>(workspace_.alloc_floats(2 * count));
   }
+  /// Uninitialized 64-byte-aligned int64s, from the same arena.
+  int64_t* int64s(int64_t count) {
+    static_assert(sizeof(int64_t) == 2 * sizeof(float));
+    return reinterpret_cast<int64_t*>(workspace_.alloc_floats(2 * count));
+  }
 
  private:
   Workspace& workspace_;

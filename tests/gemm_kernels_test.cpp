@@ -114,22 +114,13 @@ TEST(GemmKernels, PackedOperandsBitIdenticalToUnpacked) {
     std::vector<float> plain(static_cast<size_t>(m * n), 1.0f);
     gemm_ex(ops.a.data(), ops.b.data(), plain.data(), m, n, k, GemmEpilogue{});
 
-    const PackedMatrix pa = pack_a_panels(ops.a.data(), m, k);
     const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
-    std::vector<float> both(static_cast<size_t>(m * n), 2.0f);
-    gemm_ex(ops.a.data(), ops.b.data(), both.data(), m, n, k, GemmEpilogue{}, &pa, &pb);
-    std::vector<float> only_b(static_cast<size_t>(m * n), 3.0f);
-    gemm_ex(ops.a.data(), ops.b.data(), only_b.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
-    std::vector<float> only_a(static_cast<size_t>(m * n), 4.0f);
-    gemm_ex(ops.a.data(), ops.b.data(), only_a.data(), m, n, k, GemmEpilogue{}, &pa, nullptr);
+    std::vector<float> packed(static_cast<size_t>(m * n), 3.0f);
+    gemm_ex(ops.a.data(), ops.b.data(), packed.data(), m, n, k, GemmEpilogue{}, &pb);
 
     if (m * n == 0) return;  // nothing to compare; data() may be null
-    ASSERT_EQ(0, std::memcmp(both.data(), plain.data(), plain.size() * sizeof(float)))
-        << "packed A+B, m=" << m << " n=" << n << " k=" << k;
-    ASSERT_EQ(0, std::memcmp(only_b.data(), plain.data(), plain.size() * sizeof(float)))
+    ASSERT_EQ(0, std::memcmp(packed.data(), plain.data(), plain.size() * sizeof(float)))
         << "packed B, m=" << m << " n=" << n << " k=" << k;
-    ASSERT_EQ(0, std::memcmp(only_a.data(), plain.data(), plain.size() * sizeof(float)))
-        << "packed A, m=" << m << " n=" << n << " k=" << k;
   };
   for (int64_t m : kSizes) {
     for (int64_t n : kSizes) {
@@ -137,13 +128,11 @@ TEST(GemmKernels, PackedOperandsBitIdenticalToUnpacked) {
     }
   }
 
-  // The weight GEMMs of a PilotNet-tiny + tiny-AE VBP detector at 24x48,
-  // where Conv2d packs its weight as A and Dense as B. Convs: weight
-  // [out_c, patch] x im2col [patch, positions] (5x5 stride 2, then two 3x3
-  // pad 1 over 10x22). Denses: input [B, in] x weight [in, out] at B = 1
-  // and 6, for the steering head 1760-16-1 and the AE 1152-32-16-32-1152.
-  const int64_t conv_shapes[][3] = {{4, 220, 25}, {6, 220, 36}, {8, 220, 54}};
-  for (const auto& shape : conv_shapes) check(shape[0], shape[1], shape[2]);
+  // The dense weight GEMMs of a PilotNet-tiny + tiny-AE VBP detector at
+  // 24x48, where Dense packs its weight as B: input [B, in] x weight
+  // [in, out] at B = 1 and 6, for the steering head 1760-16-1 and the AE
+  // 1152-32-16-32-1152. (Conv2d's pre-packed weight feeds conv_gemm, which
+  // ConvImplicitGemm holds to the direct convolution.)
   const int64_t dense_shapes[][2] = {{1760, 16}, {16, 1},  {1152, 32},
                                      {32, 16},   {16, 32}, {32, 1152}};
   for (const int64_t batch : {1, 6}) {

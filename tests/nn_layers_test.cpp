@@ -15,7 +15,9 @@
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/sequential.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_simd.hpp"
 #include "test_util.hpp"
 
 namespace salnov::nn {
@@ -286,6 +288,105 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<KernelShape>& info) {
       return "k" + std::to_string(info.param.kh) + "x" + std::to_string(info.param.kw);
     });
+
+// ---------------------------------------------------------------------------
+// Implicit-GEMM convolution: the SIMD inference route gathers each
+// 16-position B panel from the input, so it is held bit-exact to the direct
+// convolution where the geometry sweep's small shapes cannot reach: several
+// A row panels with a tail (out_channels 13, 25) and more rows than the
+// pool's row grain (25, which fans column panels out at 4 threads), panels
+// straddling output rows (output widths 17, 37, 78) and tail panels, under
+// both tile kernels and their panel fills, at 1 and 4 pool threads.
+
+/// Restores the pool size, GEMM kernel and tile switch on scope exit.
+struct ImplicitConvGuard {
+  GemmKernel saved = active_gemm_kernel();
+  bool saved_tile = detail::gemm_avx512_tile_enabled();
+  ~ImplicitConvGuard() {
+    parallel::set_num_threads(0);
+    set_gemm_kernel(saved);
+    detail::set_gemm_avx512_tile(saved_tile);
+  }
+};
+
+/// Checks forward(kInfer) and the fused-ReLU forward of `layer` on `x`
+/// against the FMA direct convolution under every tile kernel / pool size.
+void expect_implicit_conv_bit_exact(Conv2d& layer, const Tensor& x, const std::string& where) {
+  const Tensor plain = direct_conv(x, layer, false, true);
+  const Tensor relu = direct_conv(x, layer, true, true);
+  for (bool wide_tile : {false, true}) {
+    for (int threads : {1, 4}) {
+      detail::set_gemm_avx512_tile(wide_tile);
+      parallel::set_num_threads(threads);
+      const std::string mode = where + (wide_tile ? ", avx512 tile" : ", avx2 tile") + ", " +
+                               std::to_string(threads) + " threads";
+      EXPECT_TRUE(same_bits(layer.forward(x, Mode::kInfer), plain)) << "forward(kInfer), " << mode;
+      EXPECT_TRUE(same_bits(layer.forward_infer_fused_relu(x), relu))
+          << "forward_infer_fused_relu, " << mode;
+    }
+  }
+}
+
+TEST(ConvImplicitGemm, StridePaddingAndWidthSweepMatchesDirectConvolutionBitExact) {
+  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
+  ImplicitConvGuard guard;
+  set_gemm_kernel(GemmKernel::kSimd);
+  Rng rng(2028);
+  const int64_t in_c = 2;
+  const int64_t out_h = 3;
+  for (int64_t out_c : {8, 13, 20, 25}) {
+    for (int64_t stride = 1; stride <= 3; ++stride) {
+      const int64_t kernel = stride + 2;
+      for (int64_t pad = 0; pad <= 2; ++pad) {
+        for (int64_t out_w : {17, 37, 78}) {
+          // The input size that gives exactly out_h x out_w.
+          const int64_t in_h = (out_h - 1) * stride + kernel - 2 * pad;
+          const int64_t in_w = (out_w - 1) * stride + kernel - 2 * pad;
+          const Conv2dConfig cfg{in_c, out_c, kernel, kernel, stride, pad};
+          Conv2d layer(cfg, rng.uniform_tensor({out_c, in_c, kernel, kernel}, -1.0, 1.0),
+                       rng.uniform_tensor({out_c}, -0.5, 0.5));
+          for (int64_t batch : {1, 3}) {
+            const Tensor x = rng.uniform_tensor({batch, in_c, in_h, in_w}, -1.0, 1.0);
+            ASSERT_EQ(layer.output_shape(x.shape()), (Shape{batch, out_c, out_h, out_w}));
+            expect_implicit_conv_bit_exact(
+                layer, x,
+                "out_c " + std::to_string(out_c) + " stride " + std::to_string(stride) + " pad " +
+                    std::to_string(pad) + " out_w " + std::to_string(out_w) + " batch " +
+                    std::to_string(batch));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvImplicitGemm, PilotNetLayersMatchDirectConvolutionBitExact) {
+  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
+  ImplicitConvGuard guard;
+  set_gemm_kernel(GemmKernel::kSimd);
+  Rng rng(2029);
+  // The compact and paper PilotNet conv stacks at the 60x160 frame: three
+  // 5x5 stride-2 valid layers, then two 3x3 stride-1 layers padded by 1.
+  for (const std::vector<int64_t>& channels :
+       {std::vector<int64_t>{8, 12, 16, 20, 20}, std::vector<int64_t>{24, 36, 48, 64, 64}}) {
+    int64_t in_c = 1, in_h = 60, in_w = 160;
+    for (size_t i = 0; i < channels.size(); ++i) {
+      const bool strided = i < 3;
+      const int64_t kernel = strided ? 5 : 3;
+      const Conv2dConfig cfg{in_c, channels[i], kernel, kernel, strided ? 2 : 1, strided ? 0 : 1};
+      Conv2d layer(cfg, rng.uniform_tensor({channels[i], in_c, kernel, kernel}, -1.0, 1.0),
+                   rng.uniform_tensor({channels[i]}, -0.5, 0.5));
+      const Tensor x = rng.uniform_tensor({2, in_c, in_h, in_w}, -1.0, 1.0);
+      expect_implicit_conv_bit_exact(layer, x,
+                                     "conv" + std::to_string(i) + " of " +
+                                         std::to_string(channels[0]) + "-channel PilotNet");
+      const Shape out = layer.output_shape(x.shape());
+      in_c = out[1];
+      in_h = out[2];
+      in_w = out[3];
+    }
+  }
+}
 
 TEST(ReLU, ForwardClampsNegatives) {
   ReLU relu;

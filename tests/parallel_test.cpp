@@ -120,21 +120,24 @@ TEST(GemmParallel, BitIdenticalAcrossThreadCounts) {
   const int64_t m = 96, n = 48, k = 64;
   const Tensor a = rng.uniform_tensor({m, k}, -1.0, 1.0);
   const Tensor b = rng.uniform_tensor({k, n}, -1.0, 1.0);
+  // The tn call takes `a` [m, k] as its transposed operand, so it sums over
+  // m: its right-hand operand is [m, n] and its output [k, n].
+  const Tensor bt = rng.uniform_tensor({m, n}, -1.0, 1.0);
 
   parallel::set_num_threads(1);
   Tensor c1({m, n});
   gemm(a.data(), b.data(), c1.data(), m, n, k);
-  Tensor t1({m, n});
-  gemm_tn_accumulate(a.data(), b.data(), t1.data(), k, n, m);
+  Tensor t1({k, n});
+  gemm_tn_accumulate(a.data(), bt.data(), t1.data(), k, n, m);
 
   parallel::set_num_threads(4);
   Tensor c4({m, n});
   gemm(a.data(), b.data(), c4.data(), m, n, k);
-  Tensor t4({m, n});
-  gemm_tn_accumulate(a.data(), b.data(), t4.data(), k, n, m);
+  Tensor t4({k, n});
+  gemm_tn_accumulate(a.data(), bt.data(), t4.data(), k, n, m);
 
   EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(), sizeof(float) * m * n));
-  EXPECT_EQ(0, std::memcmp(t1.data(), t4.data(), sizeof(float) * m * n));
+  EXPECT_EQ(0, std::memcmp(t1.data(), t4.data(), sizeof(float) * k * n));
 }
 
 TEST(GemmParallel, SimdBitIdenticalAcrossThreadCounts) {
@@ -156,13 +159,13 @@ TEST(GemmParallel, SimdBitIdenticalAcrossThreadCounts) {
   Tensor c1({m, n});
   gemm(a.data(), b.data(), c1.data(), m, n, k);
   Tensor p1({m, n});
-  gemm_ex(a.data(), b.data(), p1.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
+  gemm_ex(a.data(), b.data(), p1.data(), m, n, k, GemmEpilogue{}, &pb);
 
   parallel::set_num_threads(4);
   Tensor c4({m, n});
   gemm(a.data(), b.data(), c4.data(), m, n, k);
   Tensor p4({m, n});
-  gemm_ex(a.data(), b.data(), p4.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
+  gemm_ex(a.data(), b.data(), p4.data(), m, n, k, GemmEpilogue{}, &pb);
 
   EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(), sizeof(float) * m * n));
   EXPECT_EQ(0, std::memcmp(p1.data(), p4.data(), sizeof(float) * m * n));

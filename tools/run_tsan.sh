@@ -7,7 +7,8 @@
 # plus the int8 GEMM kernels), the cluster cases of the shared steering
 # forward (per-sample VBP mask chains fan out on the pool), and the golden
 # record/replay suites (every trace, single-stream ones included, runs on
-# a replica worker that shares the FakeClock with the driver thread) —
+# a replica worker that shares the FakeClock with the driver thread), and
+# the implicit-GEMM convolution (its column panels fan out on the pool) —
 # (plus any extra ctest -R pattern passed as $1). Exits non-zero before
 # running anything when an alternative of the pattern matches no case.
 #
@@ -21,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-PATTERN="${1:-ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|ServingFixture.ServerProcessesEverythingItAccepts|ServingFixture.ServerBurstRespectsQueueBound|ServingFixture.ProbeDuringQueueBurstRestoresLadder|ServingFixture.ServerConcurrentHotSwapNeverBlocksScoring|ServingFixture.ServerConcurrentProducersAndSnapshots|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|SharedForwardServing|GoldenReplay|Conformance}"
+PATTERN="${1:-ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|ServingFixture.ServerProcessesEverythingItAccepts|ServingFixture.ServerBurstRespectsQueueBound|ServingFixture.ProbeDuringQueueBurstRestoresLadder|ServingFixture.ServerConcurrentHotSwapNeverBlocksScoring|ServingFixture.ServerConcurrentProducersAndSnapshots|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|SharedForwardServing|GoldenReplay|Conformance|ConvImplicitGemm}"
 
 cmake -B "$BUILD_DIR" -S . -DSALNOV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)"
