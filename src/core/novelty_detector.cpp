@@ -220,11 +220,7 @@ std::vector<Image> NoveltyDetector::reconstruct_frames(
     stacked.insert(stacked.end(), pixels, pixels + dim);
   }
   const Tensor input({batch, dim}, std::move(stacked));
-  // forward() is stateless in inference mode; the const_cast mirrors
-  // Sequential::forward_collect's reasoning.
-  const Tensor output =
-      rung.q8 ? quant_ae_->forward(input)
-              : const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
+  const Tensor output = rung.q8 ? quant_ae_->forward(input) : autoencoder_.infer(input);
   std::vector<Image> result;
   result.reserve(preprocessed.size());
   for (int64_t n = 0; n < batch; ++n) {

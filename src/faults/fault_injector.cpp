@@ -125,11 +125,6 @@ const std::vector<CameraFault>& all_camera_faults() {
 
 FaultInjector::FaultInjector(uint64_t seed) : rng_(seed) {}
 
-void FaultInjector::reset(uint64_t seed) {
-  rng_ = Rng(seed);
-  stale_.reset();
-}
-
 Image FaultInjector::apply(CameraFault fault, double severity, const Image& frame) {
   if (!std::isfinite(severity) || severity < 0.0 || severity > 1.0) {
     throw std::invalid_argument("FaultInjector: severity must be in [0, 1]");

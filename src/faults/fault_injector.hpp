@@ -64,9 +64,6 @@ class FaultInjector {
   /// finite and in [0, 1]. Severity 0 returns the frame unchanged.
   Image apply(CameraFault fault, double severity, const Image& frame);
 
-  /// Reseeds the stream and forgets the stale frame.
-  void reset(uint64_t seed);
-
  private:
   Rng rng_;
   std::optional<Image> stale_;  ///< last frame seen (kFrozenFrame state)

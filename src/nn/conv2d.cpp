@@ -127,22 +127,13 @@ void Conv2d::col2im(const float* cols, int64_t in_h, int64_t in_w, int64_t out_h
   }
 }
 
-const PackedMatrix* Conv2d::packed_weights() {
+const PackedMatrix* Conv2d::packed_weights() const {
   // As the implicit GEMM's A operand the weight is reused across samples and
-  // frames; out_channels == 1 keeps the im2col route's matvec instead.
-  if (config_.out_channels <= 1 || active_gemm_kernel() != GemmKernel::kSimd) {
-    return nullptr;
-  }
-  const int64_t patch = config_.in_channels * config_.kernel_h * config_.kernel_w;
-  const uint64_t want = weight_.version + 1;
-  if (packed_version_.load(std::memory_order_acquire) != want) {
-    std::lock_guard<std::mutex> lock(pack_mutex_);
-    if (packed_version_.load(std::memory_order_relaxed) != want) {
-      packed_weight_ = pack_a_panels(weight_.value.data(), config_.out_channels, patch);
-      packed_version_.store(want, std::memory_order_release);
-    }
-  }
-  return &packed_weight_;
+  // frames.
+  if (active_gemm_kernel() != GemmKernel::kSimd) return nullptr;
+  return &packed_weight_.get(weight_, [&](const Tensor& w) {
+    return pack_a_panels(w.data(), config_.out_channels, w.numel() / config_.out_channels);
+  });
 }
 
 Tensor Conv2d::forward(const Tensor& input, Mode mode) { return run_forward(input, mode, false); }

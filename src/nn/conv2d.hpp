@@ -9,30 +9,29 @@
 // Every output is one dot product over K = (channel, ki, kj) in ascending
 // order, padding reads contributing w * 0, with the bias add (and the
 // following ReLU, when fused) in the GEMM epilogue. Two routes compute it:
-//   * SIMD inference (out_channels > 1) is an implicit GEMM (conv_gemm in
-//     tensor/gemm.hpp): per sample the input is copied once into stride^2
-//     zero-padded phase planes per channel, and each 16-position B panel is
-//     gathered from them into L1 with masked loads, one per output-row run,
-//     then multiplied by the weight pre-packed into micro-kernel panels
-//     (lazy, invalidated via Parameter::version). No im2col matrix exists.
-//   * Training, backward, the scalar kernel and out_channels == 1 (the
-//     matvec) unroll the patches with im2col into a [K, positions] matrix
-//     and call gemm_ex. im2col moves data in bounded row copies: for each
-//     (channel, ki, kj) row it computes once the output-column range whose
-//     reads land inside the input row, zero-fills the rest, and copies the
-//     interior with one strided copy per output row. Offsets are taken from
-//     the row start, so no pointer is formed outside the input plane.
-// Both routes feed the micro-kernel the same values in the same order, so
-// they are bit-identical under the SIMD kernel.
+//   * SIMD inference is an implicit GEMM (conv_gemm in tensor/gemm.hpp):
+//     per sample the input is copied once into stride^2 zero-padded phase
+//     planes per channel, and each 16-position B panel is gathered from them
+//     into L1 with masked loads, one per output-row run, then multiplied by
+//     the weight pre-packed into micro-kernel panels (a WeightCache,
+//     nn/weight_cache.hpp). No im2col matrix exists.
+//   * Training, backward and the scalar kernel unroll the patches with
+//     im2col into a [K, positions] matrix and call gemm_ex. im2col moves
+//     data in bounded row copies: for each (channel, ki, kj) row it
+//     computes once the output-column range whose reads land inside the
+//     input row, zero-fills the rest, and copies the interior with one
+//     strided copy per output row. Offsets are taken from the row start, so
+//     no pointer is formed outside the input plane.
+// Both routes sum each output from +0 in ascending K with the same
+// bias-then-ReLU store (gemm_ex's matvec, which a one-channel layer takes,
+// included), so they are bit-identical under the SIMD kernel.
 //
 // Scratch (phase planes, panels, im2col/col2im buffers) comes from the
 // calling thread's workspace arena: zero heap allocations after warm-up.
 #pragma once
 
-#include <atomic>
-#include <mutex>
-
 #include "nn/layer.hpp"
+#include "nn/weight_cache.hpp"
 #include "tensor/pack.hpp"
 #include "tensor/rng.hpp"
 
@@ -83,10 +82,8 @@ class Conv2d : public Layer {
   Tensor run_forward(const Tensor& input, Mode mode, bool fuse_relu);
 
   /// Pre-packed weight panels ([out_c, patch] as GEMM A) for the SIMD
-  /// kernel's implicit GEMM, or nullptr when that route does not apply
-  /// (scalar kernel, out_channels == 1). Thread-safe; repacks when
-  /// weight_.version moved.
-  const PackedMatrix* packed_weights();
+  /// kernel's implicit GEMM, or nullptr under the scalar kernel.
+  const PackedMatrix* packed_weights() const;
 
   /// Fills `cols` ([in_c * kh * kw, out_h * out_w]) with the unrolled
   /// patches of one sample `x` ([in_c, in_h, in_w] flat).
@@ -102,10 +99,7 @@ class Conv2d : public Layer {
   Parameter bias_;    ///< [out_c]
   Tensor cached_input_;
   bool have_cache_ = false;
-
-  std::mutex pack_mutex_;
-  std::atomic<uint64_t> packed_version_{0};  ///< weight version + 1; 0 = not packed
-  PackedMatrix packed_weight_;
+  WeightCache<PackedMatrix> packed_weight_;
 };
 
 }  // namespace salnov::nn

@@ -36,21 +36,13 @@ Shape Dense::output_shape(const Shape& input) const {
   return {input[0], out_features()};
 }
 
-const PackedMatrix* Dense::packed_weights(int64_t batch) {
+const PackedMatrix* Dense::packed_weights(int64_t batch) const {
   // Batch-1 inference takes the matvec path, which streams the row-major
   // weight directly; panels would go unused.
-  if (batch <= 1 || active_gemm_kernel() != GemmKernel::kSimd) {
-    return nullptr;
-  }
-  const uint64_t want = weight_.version + 1;
-  if (packed_version_.load(std::memory_order_acquire) != want) {
-    std::lock_guard<std::mutex> lock(pack_mutex_);
-    if (packed_version_.load(std::memory_order_relaxed) != want) {
-      packed_weight_ = pack_b_panels(weight_.value.data(), in_features(), out_features());
-      packed_version_.store(want, std::memory_order_release);
-    }
-  }
-  return &packed_weight_;
+  if (batch <= 1 || active_gemm_kernel() != GemmKernel::kSimd) return nullptr;
+  return &packed_weight_.get(weight_, [&](const Tensor& w) {
+    return pack_b_panels(w.data(), in_features(), out_features());
+  });
 }
 
 Tensor Dense::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {

@@ -1,18 +1,14 @@
 // Fully-connected layer: y = x W + b.
 //
 // The bias add is fused into the GEMM epilogue, and inference forwards with
-// batch > 1 use weight panels pre-packed for the SIMD kernel. Packing is
-// lazy (first kInfer forward) and invalidated by Parameter::version, which
-// every weight mutation (optimizer step, fault injection) bumps. The lazy
-// pack is guarded by a mutex so concurrent inference-mode forwards — the
-// detector's batch fan-out — stay safe; concurrent training and inference
-// on the same layer remain unsupported, as before.
+// batch > 1 use weight panels pre-packed for the SIMD kernel. The panels
+// live in a WeightCache (nn/weight_cache.hpp): packed on the first such
+// forward, repacked after Parameter::version moves, shared by concurrent
+// inference forwards — the detector's batch fan-out.
 #pragma once
 
-#include <atomic>
-#include <mutex>
-
 #include "nn/layer.hpp"
+#include "nn/weight_cache.hpp"
 #include "tensor/pack.hpp"
 #include "tensor/rng.hpp"
 
@@ -47,20 +43,16 @@ class Dense : public Layer {
  private:
   Tensor run_forward(const Tensor& input, Mode mode, bool fuse_relu);
 
-  /// Pre-packed weight panels for the SIMD kernel, or nullptr when packing
-  /// is off, the scalar kernel is active, or the shape cannot use panels
-  /// (batch 1 takes the matvec path). Thread-safe; repacks when
-  /// weight_.version moved.
-  const PackedMatrix* packed_weights(int64_t batch);
+  /// Pre-packed weight panels for the SIMD kernel, or nullptr when the
+  /// scalar kernel is active or the batch cannot use panels (batch 1 takes
+  /// the matvec path).
+  const PackedMatrix* packed_weights(int64_t batch) const;
 
   Parameter weight_;  ///< [in, out]
   Parameter bias_;    ///< [out]
   Tensor cached_input_;
   bool have_cache_ = false;
-
-  std::mutex pack_mutex_;
-  std::atomic<uint64_t> packed_version_{0};  ///< weight version + 1; 0 = not packed
-  PackedMatrix packed_weight_;
+  WeightCache<PackedMatrix> packed_weight_;
 };
 
 }  // namespace salnov::nn

@@ -40,11 +40,6 @@ bool is_quantizable(const Layer& layer) {
          dynamic_cast<const Conv2d*>(&layer) != nullptr;
 }
 
-const Parameter& quant_weight(const Layer& layer, bool is_conv) {
-  return is_conv ? static_cast<const Conv2d&>(layer).weight()
-                 : static_cast<const Dense&>(layer).weight();
-}
-
 /// Quantized, transposed im2col: fills `cols` ([out_h * out_w, patch] u8)
 /// with one sample's unrolled patches — the GEMM A operand, positions as
 /// rows. Padding reads quantize to exactly 0 (see quantize_u8).
@@ -78,30 +73,27 @@ void im2col_quant(const float* x, const Conv2dConfig& cfg, int64_t in_h, int64_t
 }  // namespace
 
 QuantizedForward::QuantizedForward(const Sequential& model, QuantScales scales)
-    : model_(model), scales_(std::move(scales)) {
-  layer_slot_.assign(model.size(), -1);
-  for (size_t i = 0; i < model.size(); ++i) {
-    const Layer& layer = model.layer(i);
-    const auto* conv = dynamic_cast<const Conv2d*>(&layer);
-    if (conv == nullptr && dynamic_cast<const Dense*>(&layer) == nullptr) continue;
-    layer_slot_[i] = static_cast<int>(layers_.size());
-    QuantLayer ql;
-    ql.layer = &layer;
-    ql.is_conv = conv != nullptr;
-    ql.bias = conv != nullptr ? conv->bias().value.data()
-                              : static_cast<const Dense&>(layer).bias().value.data();
-    layers_.push_back(std::move(ql));
-  }
+    : model_(model),
+      scales_(std::move(scales)),
+      layers_(static_cast<size_t>(count_quantizable(model))) {
   if (scales_.act_scales.size() != layers_.size()) {
     throw std::invalid_argument("QuantizedForward: scale count does not match quantizable layers");
   }
-  for (size_t s = 0; s < layers_.size(); ++s) {
-    const float sx = scales_.act_scales[s];
+  // Slots follow the model's Dense / Conv2d order, which is the walk's
+  // GemmHook index.
+  size_t slot = 0;
+  for (size_t i = 0; i < model.size(); ++i) {
+    const Layer& layer = model.layer(i);
+    if (!is_quantizable(layer)) continue;
+    QuantLayer& ql = layers_[slot];
+    ql.dense = dynamic_cast<const Dense*>(&layer);
+    ql.conv = dynamic_cast<const Conv2d*>(&layer);
+    const float sx = scales_.act_scales[slot++];
     if (!std::isfinite(sx) || sx <= 0.0f) {
       throw std::invalid_argument("QuantizedForward: activation scales must be positive finite");
     }
-    layers_[s].act_scale = sx;
-    layers_[s].inv_act_scale = 1.0f / sx;
+    ql.act_scale = sx;
+    ql.inv_act_scale = 1.0f / sx;
   }
 }
 
@@ -142,64 +134,35 @@ QuantScales QuantizedForward::calibrate(const Sequential& model,
   return scales;
 }
 
-void QuantizedForward::ensure_fresh() const {
-  if (layers_.empty()) return;
-  uint64_t sum = 0;
-  for (const QuantLayer& ql : layers_) {
-    sum += quant_weight(*ql.layer, ql.is_conv).version + 1;
-  }
-  // Versions only grow, so the sum is strictly monotone in any mutation and
-  // cannot alias a stale state.
-  if (version_stamp_.load(std::memory_order_acquire) == sum) return;
-  std::lock_guard<std::mutex> lock(requant_mutex_);
-  uint64_t locked_sum = 0;
-  for (QuantLayer& ql : layers_) {
-    const uint64_t v = quant_weight(*ql.layer, ql.is_conv).version + 1;
-    locked_sum += v;
-    if (ql.weight_version != v) requantize(ql);
-  }
-  version_stamp_.store(locked_sum, std::memory_order_release);
-}
-
-void QuantizedForward::requantize(QuantLayer& ql) {
-  const Parameter& wp = ql.is_conv ? static_cast<const Conv2d*>(ql.layer)->weight()
-                                   : static_cast<const Dense*>(ql.layer)->weight();
-  const Tensor& w = wp.value;
-  const float wmax = max_abs(w.data(), w.numel());
-  ql.weight_scale = wmax > 0.0f ? wmax / 127.0f : 1.0f;
-  ql.dequant_scale = ql.act_scale * ql.weight_scale;
-  int64_t k = 0;
-  int64_t n = 0;
-  if (ql.is_conv) {
-    // Weight [out_c, in_c, kh, kw] -> GEMM B [patch, out_c] (transposed so
-    // the positions-by-patch im2col multiplies straight through).
-    const int64_t out_c = w.dim(0);
-    const int64_t patch = w.numel() / out_c;
-    k = patch;
-    n = out_c;
-    ql.weight_q.resize(static_cast<size_t>(k * n));
+const QuantizedForward::QuantWeights& QuantizedForward::quant_weights(const QuantLayer& ql) {
+  const Parameter& source = ql.conv != nullptr ? ql.conv->weight() : ql.dense->weight();
+  return ql.weights.get(source, [&](const Tensor& w) {
+    QuantWeights q;
+    const float wmax = max_abs(w.data(), w.numel());
+    const float weight_scale = wmax > 0.0f ? wmax / 127.0f : 1.0f;  // sw
+    q.dequant_scale = ql.act_scale * weight_scale;
+    // GEMM B is [k, n]. A Dense weight [in, out] already is; a Conv2d weight
+    // [out_c, in_c, kh, kw] is read transposed to [patch, out_c], so the
+    // positions-by-patch im2col multiplies straight through.
+    const bool is_conv = ql.conv != nullptr;
+    const int64_t n = is_conv ? w.dim(0) : w.dim(1);
+    const int64_t k = w.numel() / n;
+    q.weight_q.resize(static_cast<size_t>(k * n));
     const float* wd = w.data();
-    for (int64_t oc = 0; oc < out_c; ++oc) {
-      for (int64_t p = 0; p < patch; ++p) {
-        ql.weight_q[static_cast<size_t>(p * n + oc)] =
-            quantize_s8(wd[oc * patch + p], ql.weight_scale);
+    for (int64_t r = 0; r < k; ++r) {
+      for (int64_t c = 0; c < n; ++c) {
+        q.weight_q[static_cast<size_t>(r * n + c)] =
+            quantize_s8(is_conv ? wd[c * k + r] : wd[r * n + c], weight_scale);
       }
     }
-  } else {
-    // Dense weight is already the [in, out] GEMM B operand.
-    k = w.dim(0);
-    n = w.dim(1);
-    ql.weight_q.resize(static_cast<size_t>(k * n));
-    const float* wd = w.data();
-    for (int64_t i = 0; i < k * n; ++i) ql.weight_q[static_cast<size_t>(i)] =
-        quantize_s8(wd[i], ql.weight_scale);
-  }
-  ql.packed = pack_quant_b(ql.weight_q.data(), k, n);
-  ql.weight_version = wp.version + 1;
+    q.packed = pack_quant_b(q.weight_q.data(), k, n);
+    return q;
+  });
 }
 
-Tensor QuantizedForward::forward_quant_dense(const QuantLayer& ql, const Tensor& input) const {
-  const auto& dense = static_cast<const Dense&>(*ql.layer);
+Tensor QuantizedForward::forward_quant_dense(const QuantLayer& ql, const Tensor& input,
+                                             bool relu) {
+  const Dense& dense = *ql.dense;
   const int64_t k = dense.in_features();
   const int64_t n = dense.out_features();
   if (input.rank() != 2 || input.dim(1) != k) {
@@ -210,14 +173,16 @@ Tensor QuantizedForward::forward_quant_dense(const QuantLayer& ql, const Tensor&
   auto* a_q = reinterpret_cast<uint8_t*>(scope.floats((batch * k + 3) / 4));
   const float* x = input.data();
   for (int64_t i = 0; i < batch * k; ++i) a_q[i] = quantize_u8(x[i], ql.inv_act_scale);
+  const QuantWeights& q = quant_weights(ql);
   Tensor out({batch, n});
-  const QuantEpilogue epi{ql.dequant_scale, ql.bias, false};
-  gemm_u8s8_dequant(a_q, ql.weight_q.data(), out.data(), batch, n, k, epi, &ql.packed);
+  const QuantEpilogue epi{q.dequant_scale, dense.bias().value.data(), relu};
+  gemm_u8s8_dequant(a_q, q.weight_q.data(), out.data(), batch, n, k, epi, &q.packed);
   return out;
 }
 
-Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& input) const {
-  const auto& conv = static_cast<const Conv2d&>(*ql.layer);
+Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& input,
+                                            bool relu) {
+  const Conv2d& conv = *ql.conv;
   const Conv2dConfig& cfg = conv.config();
   if (input.rank() != 4 || input.dim(1) != cfg.in_channels) {
     throw std::invalid_argument("QuantizedForward: conv input must be [batch, in_c, h, w]");
@@ -230,8 +195,9 @@ Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& 
   const int64_t positions = out_h * out_w;
   const int64_t patch = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
   const int64_t out_c = cfg.out_channels;
+  const QuantWeights& q = quant_weights(ql);
   Tensor out({batch, out_c, out_h, out_w});
-  const QuantEpilogue epi{ql.dequant_scale, ql.bias, false};
+  const QuantEpilogue epi{q.dequant_scale, conv.bias().value.data(), relu};
   for (int64_t b = 0; b < batch; ++b) {
     WorkspaceScope scope;
     auto* cols = reinterpret_cast<uint8_t*>(scope.floats((positions * patch + 3) / 4));
@@ -241,7 +207,7 @@ Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& 
     // [out_c, positions] per sample, so dequantize into scratch and
     // transpose at the copy.
     float* tmp = scope.floats(positions * out_c);
-    gemm_u8s8_dequant(cols, ql.weight_q.data(), tmp, positions, out_c, patch, epi, &ql.packed);
+    gemm_u8s8_dequant(cols, q.weight_q.data(), tmp, positions, out_c, patch, epi, &q.packed);
     float* dst = out.data() + b * out_c * positions;
     for (int64_t p = 0; p < positions; ++p) {
       const float* src = tmp + p * out_c;
@@ -251,51 +217,20 @@ Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& 
   return out;
 }
 
-Tensor QuantizedForward::forward_layer(size_t i, const Tensor& input) const {
-  const int slot = layer_slot_[i];
-  if (slot < 0) return const_cast<Layer&>(model_.layer(i)).forward(input, Mode::kInfer);
-  const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
-  return ql.is_conv ? forward_quant_conv(ql, input) : forward_quant_dense(ql, input);
+Tensor QuantizedForward::gemm(size_t gemm_index, const Tensor& input, bool relu) const {
+  const QuantLayer& ql = layers_[gemm_index];
+  return ql.conv != nullptr ? forward_quant_conv(ql, input, relu)
+                            : forward_quant_dense(ql, input, relu);
 }
 
-Tensor QuantizedForward::run(const Tensor& input, std::vector<Tensor>* conv_stages) const {
-  ensure_fresh();
-  // Same in-place hand-off as Sequential::infer: a kept conv stage feeds the
-  // next layer from its slot in `conv_stages`.
-  const Tensor* current = &input;
-  Tensor owned;
-  for (size_t i = 0; i < model_.size(); ++i) {
-    Tensor next = forward_layer(i, *current);
-    if (conv_stages != nullptr && model_.ends_conv_stage(i)) {
-      conv_stages->push_back(std::move(next));
-      current = &conv_stages->back();
-    } else {
-      owned = std::move(next);
-      current = &owned;
-    }
-  }
-  if (current == &owned) return owned;
-  return *current;
-}
-
-Tensor QuantizedForward::forward(const Tensor& input) const { return run(input, nullptr); }
+Tensor QuantizedForward::forward(const Tensor& input) const { return model_.infer(input, this); }
 
 StagedForward QuantizedForward::forward_stages(const Tensor& input) const {
-  StagedForward result;
-  result.output = run(input, &result.conv_stages);
-  return result;
+  return model_.forward_stages(input, this);
 }
 
 std::vector<Tensor> QuantizedForward::forward_collect(const Tensor& input) const {
-  ensure_fresh();
-  std::vector<Tensor> outputs;
-  outputs.reserve(model_.size());
-  Tensor cur = input;
-  for (size_t i = 0; i < model_.size(); ++i) {
-    cur = forward_layer(i, cur);
-    outputs.push_back(cur);
-  }
-  return outputs;
+  return model_.forward_collect(input, this);
 }
 
 }  // namespace salnov::nn

@@ -1,13 +1,15 @@
 // Int8-quantized inference view over a float Sequential model.
 //
-// QuantizedForward wraps a (const) Sequential and re-runs its Dense and
-// Conv2d layers through the exact-int32 u8s8 GEMM: activations are
-// quantized symmetrically to u8 in [0, 127] with a per-layer scale fitted
-// by calibrate(), weights to s8 in [-127, 127] with a scale derived from
+// QuantizedForward runs the model's own inference walk (Sequential::infer,
+// forward_stages, forward_collect) with a GemmHook that re-runs each Dense
+// and Conv2d through the exact-int32 u8s8 GEMM: activations are quantized
+// symmetrically to u8 in [0, 127] with a per-layer scale fitted by
+// calibrate(), weights to s8 in [-127, 127] with a scale derived from
 // max |w|, and the int32 accumulators are dequantized (fmaf) back to fp32
-// at the store. Every other layer (ReLU, Sigmoid, Tanh, Flatten, ...)
-// runs its float forward on the dequantized activations, so the quantized
-// chain is a drop-in replacement for Sequential::forward /
+// at the store, where the walk's fused ReLU runs too (QuantEpilogue::relu).
+// Every other layer runs its float forward on the dequantized activations,
+// and a Sigmoid after a Dense runs in place, as on the float path. So the
+// quantized chain is a drop-in replacement for Sequential::forward /
 // forward_stages / forward_collect with bounded score drift.
 //
 // Determinism contract (what the q8 ladder rungs and trace replay rely
@@ -17,23 +19,25 @@
 // BIT-IDENTICAL everywhere the float path only promises tolerance-level
 // agreement. quant_differential_test enforces this.
 //
-// Weight mutation (optimizer step, fault injection) is tracked through
-// Parameter::version, mirroring the float layers' lazy weight packing:
-// the first forward after a bump re-quantizes and re-packs that layer
-// under a mutex. Concurrent inference forwards are safe; concurrent
-// training and quantized inference on the same model are unsupported
-// (same rule as the float path).
+// Each layer's s8 weights and packed operand live in a WeightCache
+// (nn/weight_cache.hpp), as the float layers' packed panels do: a weight
+// update (optimizer step, fault injection) bumps Parameter::version, and the
+// next forward re-quantizes that layer. Concurrent inference forwards
+// are safe; concurrent training and quantized inference on the same model
+// are unsupported (same rule as the float path).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "nn/sequential.hpp"
+#include "nn/weight_cache.hpp"
 #include "tensor/gemm_int8.hpp"
 
 namespace salnov::nn {
+
+class Conv2d;
+class Dense;
 
 /// Per-layer activation scales for a model's quantizable (Dense / Conv2d)
 /// layers, in model order. act_scales[i] = sx maps layer i's input to
@@ -46,7 +50,7 @@ struct QuantScales {
   bool empty() const { return act_scales.empty(); }
 };
 
-class QuantizedForward {
+class QuantizedForward : private GemmHook {
  public:
   /// Binds to `model` (which must outlive this object). `scales` must hold
   /// exactly count_quantizable(model) entries; throws std::invalid_argument
@@ -64,9 +68,9 @@ class QuantizedForward {
   /// steering prediction and the q8 VisualBackProp mask share this pass.
   StagedForward forward_stages(const Tensor& input) const;
 
-  /// Quantized counterpart of Sequential::forward_collect: one output per
-  /// layer, result[size()-1] is the final output (for layer-by-layer drift
-  /// checks).
+  /// Quantized counterpart of Sequential::forward_collect: the walk unfused,
+  /// one output per layer, result[size()-1] is the final output (for
+  /// layer-by-layer checks).
   std::vector<Tensor> forward_collect(const Tensor& input) const;
 
   const Sequential& model() const { return model_; }
@@ -82,45 +86,35 @@ class QuantizedForward {
   static QuantScales calibrate(const Sequential& model, const std::vector<const Tensor*>& inputs);
 
  private:
-  /// One quantizable layer's derived state: s8 weights in GEMM layout
-  /// ([in, out] for Dense; [patch, out_c] for Conv2d), the pre-packed SIMD
-  /// operand, and the fused dequant scale sx * sw.
-  struct QuantLayer {
-    const Layer* layer = nullptr;
-    bool is_conv = false;
-    float act_scale = 1.0f;      ///< sx
-    float inv_act_scale = 1.0f;  ///< 1 / sx (quantize multiplier)
-    float weight_scale = 1.0f;   ///< sw = max |w| / 127
-    float dequant_scale = 1.0f;  ///< sx * sw
-    const float* bias = nullptr;
+  /// A quantizable layer's weights in int8 form: s8 in GEMM layout ([in, out]
+  /// for Dense; [patch, out_c] for Conv2d), the pre-packed SIMD operand, and
+  /// the fused dequant scale sx * sw.
+  struct QuantWeights {
+    float dequant_scale = 1.0f;
     std::vector<int8_t> weight_q;
     PackedQuantMatrix packed;
-    uint64_t weight_version = 0;  ///< Parameter::version the above derive from
+  };
+  /// One quantizable layer: exactly one of `dense` / `conv` is set.
+  struct QuantLayer {
+    const Dense* dense = nullptr;
+    const Conv2d* conv = nullptr;
+    float act_scale = 1.0f;      ///< sx
+    float inv_act_scale = 1.0f;  ///< 1 / sx (quantize multiplier)
+    WeightCache<QuantWeights> weights;
   };
 
-  /// Re-quantizes any layer whose weight version moved. Fast path is a
-  /// single relaxed atomic load (versions only grow, so a sum stamp cannot
-  /// alias).
-  void ensure_fresh() const;
-  static void requantize(QuantLayer& ql);
+  /// The int8 GEMM of quantizable layer `gemm_index`, ReLU in the dequant
+  /// store when asked.
+  Tensor gemm(size_t gemm_index, const Tensor& input, bool relu) const override;
+  /// `ql`'s int8 weights, re-quantized when its float weights changed.
+  static const QuantWeights& quant_weights(const QuantLayer& ql);
 
-  /// Runs layer `i` on `input`: the int8 GEMM for Dense / Conv2d, the
-  /// float forward for everything else.
-  Tensor forward_layer(size_t i, const Tensor& input) const;
-  /// The chain behind forward() and forward_stages(); appends each conv
-  /// stage's output to `conv_stages` when it is non-null.
-  Tensor run(const Tensor& input, std::vector<Tensor>* conv_stages) const;
-
-  Tensor forward_quant_dense(const QuantLayer& ql, const Tensor& input) const;
-  Tensor forward_quant_conv(const QuantLayer& ql, const Tensor& input) const;
+  static Tensor forward_quant_dense(const QuantLayer& ql, const Tensor& input, bool relu);
+  static Tensor forward_quant_conv(const QuantLayer& ql, const Tensor& input, bool relu);
 
   const Sequential& model_;
   QuantScales scales_;
-  std::vector<int> layer_slot_;  ///< model layer index -> quant slot, or -1
-
-  mutable std::mutex requant_mutex_;
-  mutable std::atomic<uint64_t> version_stamp_{0};  ///< sum of (version + 1); 0 = never built
-  mutable std::vector<QuantLayer> layers_;
+  std::vector<QuantLayer> layers_;  ///< sized once: a WeightCache does not move
 };
 
 }  // namespace salnov::nn

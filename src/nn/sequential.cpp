@@ -2,91 +2,99 @@
 
 #include <stdexcept>
 
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "tensor/sigmoid.hpp"
 
 namespace salnov::nn {
 
-namespace {
-
-// In inference mode a Dense/Conv2d immediately followed by a ReLU can run
-// with the ReLU fused into the GEMM epilogue. max(v, 0) at the store is
-// bit-identical to a separate ReLU pass, so fusion is purely a perf change.
-// A Dense followed by a Sigmoid runs the sigmoid kernel in place over the
-// GEMM output, which is the Sigmoid layer's arithmetic without its copy.
-// Returns true (and writes `out`) if layers [i, i+1] were fused.
-bool try_fused_infer(const std::vector<std::unique_ptr<Layer>>& layers, size_t i,
-                     const Tensor& input, Tensor& out) {
-  if (i + 1 >= layers.size()) return false;
-  const std::string next = layers[i + 1]->type_name();
-  if (next == "sigmoid") {
-    auto* dense = dynamic_cast<Dense*>(layers[i].get());
-    if (dense == nullptr) return false;
-    out = dense->forward(input, Mode::kInfer);
-    sigmoid_inplace(out.data(), out.numel());
-    return true;
-  }
-  if (next != "relu") return false;
-  if (auto* dense = dynamic_cast<Dense*>(layers[i].get())) {
-    out = dense->forward_infer_fused_relu(input);
-    return true;
-  }
-  if (auto* conv = dynamic_cast<Conv2d*>(layers[i].get())) {
-    out = conv->forward_infer_fused_relu(input);
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   if (!layer) throw std::invalid_argument("Sequential::add: null layer");
+  Step step;
+  if (dynamic_cast<const Dense*>(layer.get()) != nullptr) step.gemm = Step::Gemm::kDense;
+  if (dynamic_cast<const Conv2d*>(layer.get()) != nullptr) step.gemm = Step::Gemm::kConv;
+  step.ends_conv_stage = step.gemm == Step::Gemm::kConv;
+  if (!plan_.empty()) {
+    Step& prev = plan_.back();
+    step.gemm_index = prev.gemm_index + (prev.gemm != Step::Gemm::kNone ? 1 : 0);
+    const bool relu = dynamic_cast<const ReLU*>(layer.get()) != nullptr;
+    if (relu && prev.gemm != Step::Gemm::kNone) prev.fuse = Step::Fuse::kRelu;
+    if (relu && prev.gemm == Step::Gemm::kConv) {
+      prev.ends_conv_stage = false;
+      step.ends_conv_stage = true;
+    }
+    if (dynamic_cast<const Sigmoid*>(layer.get()) != nullptr && prev.gemm == Step::Gemm::kDense) {
+      prev.fuse = Step::Fuse::kSigmoid;
+    }
+  }
   layers_.push_back(std::move(layer));
+  plan_.push_back(step);
   return *this;
 }
 
 Tensor Sequential::forward(const Tensor& input, Mode mode) {
-  if (mode == Mode::kInfer) return infer(input, nullptr);
+  if (mode == Mode::kInfer) return infer(input);
   Tensor current = input;
   for (auto& layer : layers_) current = layer->forward(current, mode);
   return current;
 }
 
-StagedForward Sequential::forward_stages(const Tensor& input) const {
+Tensor Sequential::infer(const Tensor& input, const GemmHook* hook) const {
+  return walk(input, hook, Keep::kOutput, nullptr);
+}
+
+StagedForward Sequential::forward_stages(const Tensor& input, const GemmHook* hook) const {
   StagedForward result;
-  result.output = infer(input, &result.conv_stages);
+  result.output = walk(input, hook, Keep::kConvStages, &result.conv_stages);
   return result;
 }
 
-bool Sequential::ends_conv_stage(size_t index) const {
-  const auto is_conv = [&](size_t i) {
-    return dynamic_cast<const Conv2d*>(layers_.at(i).get()) != nullptr;
-  };
-  if (layers_.at(index)->type_name() == "relu") return index > 0 && is_conv(index - 1);
-  return is_conv(index) &&
-         (index + 1 == layers_.size() || layers_[index + 1]->type_name() != "relu");
+std::vector<Tensor> Sequential::forward_collect(const Tensor& input, const GemmHook* hook) const {
+  std::vector<Tensor> outputs;
+  if (layers_.empty()) return outputs;
+  outputs.reserve(layers_.size());
+  outputs.push_back(walk(input, hook, Keep::kEveryLayer, &outputs));
+  return outputs;
 }
 
-Tensor Sequential::infer(const Tensor& input, std::vector<Tensor>* conv_stages) const {
-  // Layers read the previous output in place: a kept conv stage feeds the
-  // next layer from its slot in `conv_stages` (only the last slot is read,
-  // and only before the next push), everything else from `owned`.
+Tensor Sequential::float_gemm(size_t index, const Tensor& input, bool relu) const {
+  // forward() is non-const on Layer because of training caches; inference
+  // mode leaves caches untouched, making these calls logically const.
+  if (plan_[index].gemm == Step::Gemm::kDense) {
+    auto& dense = static_cast<Dense&>(*layers_[index]);
+    return relu ? dense.forward_infer_fused_relu(input) : dense.forward(input, Mode::kInfer);
+  }
+  auto& conv = static_cast<Conv2d&>(*layers_[index]);
+  return relu ? conv.forward_infer_fused_relu(input) : conv.forward(input, Mode::kInfer);
+}
+
+Tensor Sequential::walk(const Tensor& input, const GemmHook* hook, Keep keep,
+                        std::vector<Tensor>* kept) const {
+  // Layers read the previous output in place: a kept output feeds the next
+  // layer from its slot in `kept` (only the last slot is read, and only
+  // before the next push), everything else from `owned`.
   const Tensor* current = &input;
   Tensor owned;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    // forward() is non-const on Layer because of training caches; inference
-    // mode leaves caches untouched, making this call logically const.
+    const Step& step = plan_[i];
+    const Step::Fuse fuse = keep == Keep::kEveryLayer ? Step::Fuse::kNone : step.fuse;
     Tensor next;
-    if (try_fused_infer(layers_, i, *current, next)) {
-      ++i;  // the activation ran on the GEMM output
-    } else {
+    if (step.gemm == Step::Gemm::kNone) {
       next = layers_[i]->forward(*current, Mode::kInfer);
+    } else {
+      const bool relu = fuse == Step::Fuse::kRelu;
+      next = hook != nullptr ? hook->gemm(step.gemm_index, *current, relu)
+                             : float_gemm(i, *current, relu);
+      if (fuse == Step::Fuse::kSigmoid) sigmoid_inplace(next.data(), next.numel());
+      if (fuse != Step::Fuse::kNone) ++i;  // the activation ran on the GEMM output
     }
-    if (conv_stages != nullptr && ends_conv_stage(i)) {
-      conv_stages->push_back(std::move(next));
-      current = &conv_stages->back();
+    const bool keep_next = keep == Keep::kEveryLayer ? i + 1 < layers_.size()
+                                                     : keep == Keep::kConvStages &&
+                                                           plan_[i].ends_conv_stage;
+    if (keep_next) {
+      kept->push_back(std::move(next));
+      current = &kept->back();
     } else {
       owned = std::move(next);
       current = &owned;
@@ -94,19 +102,6 @@ Tensor Sequential::infer(const Tensor& input, std::vector<Tensor>* conv_stages) 
   }
   if (current == &owned) return owned;
   return *current;
-}
-
-std::vector<Tensor> Sequential::forward_collect(const Tensor& input) const {
-  std::vector<Tensor> activations;
-  activations.reserve(layers_.size());
-  Tensor current = input;
-  for (const auto& layer : layers_) {
-    // forward() is non-const on Layer because of training caches; inference
-    // mode leaves caches untouched, making this call logically const.
-    current = const_cast<Layer&>(*layer).forward(current, Mode::kInfer);
-    activations.push_back(current);
-  }
-  return activations;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {

@@ -1,12 +1,21 @@
 // Sequential container: a chain of layers trained end-to-end.
 //
-// Also the introspection point for saliency: forward_stages() runs the fused
-// inference chain once and keeps the post-ReLU output of each conv stage,
-// which is all VisualBackProp reads, so a steering prediction and its mask
-// share one forward. forward_collect() returns every intermediate activation
-// for LRP, which needs the pre-ReLU conv outputs too.
+// Inference is one walk over the chain, planned once per model as layers
+// are added: a Dense or Conv2d followed by a ReLU runs the ReLU in its GEMM
+// store, a Dense followed by a Sigmoid runs the sigmoid in place on its
+// GEMM output, and the plan marks the layer that ends each conv stage. Both
+// are the activation layer's arithmetic without its pass and its copy, so
+// fusion moves no bit. The float path and the int8 view (QuantizedForward)
+// run this same walk; the int8 view swaps in its GEMMs through a GemmHook.
+//
+// forward_stages() keeps the post-ReLU output of each conv stage, which is
+// all VisualBackProp reads, so a steering prediction and its mask share one
+// forward. forward_collect() walks unfused and returns every layer's
+// output, for LRP (which needs the pre-ReLU conv outputs too) and for
+// layer-by-layer checks.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -20,6 +29,18 @@ namespace salnov::nn {
 struct StagedForward {
   Tensor output;
   std::vector<Tensor> conv_stages;
+};
+
+/// Runs the Dense and Conv2d layers of an inference walk in place of their
+/// float GEMMs. `gemm_index` counts the model's Dense and Conv2d layers in
+/// model order; `relu` asks for the following ReLU to be applied at the
+/// store, with the ReLU layer's arithmetic (v > 0 ? v : +0).
+class GemmHook {
+ public:
+  virtual Tensor gemm(size_t gemm_index, const Tensor& input, bool relu) const = 0;
+
+ protected:
+  ~GemmHook() = default;
 };
 
 class Sequential {
@@ -42,23 +63,26 @@ class Sequential {
   Layer& layer(size_t index) { return *layers_.at(index); }
   const Layer& layer(size_t index) const { return *layers_.at(index); }
 
-  /// Runs the full chain. kTrain mode arms every layer's backward cache.
+  /// Runs the full chain. kTrain mode arms every layer's backward cache;
+  /// kInfer is infer(input).
   Tensor forward(const Tensor& input, Mode mode = Mode::kInfer);
 
-  /// The inference forward (the same fused chain as forward(input, kInfer),
-  /// bit-identical output) that also keeps each conv stage's output. Only
-  /// those stages are kept; every other activation is freed as the chain
-  /// moves on.
-  StagedForward forward_stages(const Tensor& input) const;
+  /// The inference walk. `hook`, when non-null, runs every Dense and Conv2d
+  /// GEMM.
+  Tensor infer(const Tensor& input, const GemmHook* hook = nullptr) const;
+
+  /// The inference walk (bit-identical output to infer()) that also keeps
+  /// each conv stage's output. Only those stages are kept; every other
+  /// activation is freed as the walk moves on.
+  StagedForward forward_stages(const Tensor& input, const GemmHook* hook = nullptr) const;
 
   /// True when layer `index` closes a conv stage: a Conv2d not followed by
   /// a ReLU, or a ReLU that follows a Conv2d.
-  bool ends_conv_stage(size_t index) const;
+  bool ends_conv_stage(size_t index) const { return plan_.at(index).ends_conv_stage; }
 
-  /// Runs the chain and returns all intermediate outputs:
+  /// The inference walk with no layer fused, returning every output:
   /// result[0] is layer 0's output, ..., result[size()-1] the final output.
-  /// Always runs in inference mode (no caches disturbed).
-  std::vector<Tensor> forward_collect(const Tensor& input) const;
+  std::vector<Tensor> forward_collect(const Tensor& input, const GemmHook* hook = nullptr) const;
 
   /// Backpropagates through the whole chain (after forward(..., kTrain))
   /// and returns dL/dinput.
@@ -75,11 +99,29 @@ class Sequential {
   int64_t parameter_count();
 
  private:
-  /// The fused inference chain behind forward(kInfer) and forward_stages();
-  /// appends each conv stage's output to `conv_stages` when it is non-null.
-  Tensor infer(const Tensor& input, std::vector<Tensor>* conv_stages) const;
+  /// How the inference walk runs one layer; set when the layer is added.
+  struct Step {
+    enum class Gemm : uint8_t { kNone, kDense, kConv };
+    /// The next layer, when this one runs it: a ReLU in the GEMM store, a
+    /// Sigmoid in place on a Dense output.
+    enum class Fuse : uint8_t { kNone, kRelu, kSigmoid };
+    Gemm gemm = Gemm::kNone;
+    Fuse fuse = Fuse::kNone;
+    size_t gemm_index = 0;  ///< GemmHook::gemm's index, for a Dense / Conv2d
+    bool ends_conv_stage = false;
+  };
+  enum class Keep { kOutput, kConvStages, kEveryLayer };
+
+  /// The one inference walk: appends the conv-stage outputs (kConvStages)
+  /// or, unfused, every output but the returned last one (kEveryLayer) to
+  /// `kept`.
+  Tensor walk(const Tensor& input, const GemmHook* hook, Keep keep,
+              std::vector<Tensor>* kept) const;
+  /// Layer `index`'s float GEMM (a Dense or a Conv2d), ReLU fused if asked.
+  Tensor float_gemm(size_t index, const Tensor& input, bool relu) const;
 
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Step> plan_;  ///< one per layer
 };
 
 }  // namespace salnov::nn

@@ -1,6 +1,5 @@
 #include "roadsim/dataset.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "image/transforms.hpp"
@@ -54,37 +53,6 @@ void DrivingDataset::add(Image image, double steering_angle, const SceneParams& 
   images_.push_back(std::move(image));
   steering_.push_back(steering_angle);
   params_.push_back(params);
-}
-
-std::pair<DrivingDataset, DrivingDataset> DrivingDataset::split(double train_fraction, Rng& rng) const {
-  if (train_fraction < 0.0 || train_fraction > 1.0) {
-    throw std::invalid_argument("DrivingDataset::split: fraction outside [0, 1]");
-  }
-  std::vector<int64_t> order(static_cast<size_t>(size()));
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  const auto train_count = static_cast<int64_t>(train_fraction * static_cast<double>(size()));
-  DrivingDataset train(height_, width_);
-  DrivingDataset test(height_, width_);
-  for (int64_t i = 0; i < size(); ++i) {
-    const auto idx = static_cast<size_t>(order[static_cast<size_t>(i)]);
-    DrivingDataset& target = i < train_count ? train : test;
-    target.add(images_[idx], steering_[idx], params_[idx]);
-  }
-  return {std::move(train), std::move(test)};
-}
-
-DrivingDataset DrivingDataset::sample(int64_t count, Rng& rng) const {
-  if (count > size()) throw std::invalid_argument("DrivingDataset::sample: count exceeds dataset size");
-  std::vector<int64_t> order(static_cast<size_t>(size()));
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  DrivingDataset subset(height_, width_);
-  for (int64_t i = 0; i < count; ++i) {
-    const auto idx = static_cast<size_t>(order[static_cast<size_t>(i)]);
-    subset.add(images_[idx], steering_[idx], params_[idx]);
-  }
-  return subset;
 }
 
 Tensor DrivingDataset::images_nchw() const {

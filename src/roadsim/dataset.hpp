@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "image/image.hpp"
@@ -35,13 +34,6 @@ class DrivingDataset {
   const std::vector<Image>& images() const { return images_; }
 
   void add(Image image, double steering_angle, const SceneParams& params);
-
-  /// Deterministic shuffled split: first `train_fraction` to train, rest to
-  /// test (paper: 80/20).
-  std::pair<DrivingDataset, DrivingDataset> split(double train_fraction, Rng& rng) const;
-
-  /// Subset of `count` samples drawn without replacement.
-  DrivingDataset sample(int64_t count, Rng& rng) const;
 
   /// All images stacked as [N, 1, H, W] (CNN input).
   Tensor images_nchw() const;

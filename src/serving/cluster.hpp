@@ -1,8 +1,8 @@
 // ServingCluster: multi-stream serving with cross-frame micro-batching.
 //
 // One cluster owns N detector replicas (worker threads) sharing a single
-// set of read-only pre-packed weights (Dense::packed_weights caches panels
-// behind a double-checked atomic, so replicas share one copy). Many
+// set of read-only pre-packed weights (each layer's WeightCache,
+// nn/weight_cache.hpp, so replicas share one copy). Many
 // concurrent streams submit frames; each stream keeps its OWN Supervisor —
 // its own mode-ladder position, circuit breaker, NoveltyMonitor, per-rung
 // ECDF calibrations, deadline budgets, and HealthSnapshot. The cluster

@@ -219,7 +219,6 @@ class Supervisor {
   ServingMode mode() const { return mode_; }
   BreakerState breaker_state() const { return breaker_.state(); }
   const core::NoveltyMonitor& monitor() const { return monitor_; }
-  int64_t frames_total() const { return counters_.frames_total; }
 
   /// Publishes an externally built ThresholdSet (e.g. one recovered from the
   /// calibration store at startup) as the served set. Thread-safe and

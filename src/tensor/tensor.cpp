@@ -46,12 +46,6 @@ Tensor::Tensor(Shape shape, std::vector<float> data) : shape_(std::move(shape)),
   }
 }
 
-Tensor Tensor::full(Shape shape, float value) {
-  Tensor t(std::move(shape));
-  t.fill(value);
-  return t;
-}
-
 int64_t Tensor::dim(int64_t d) const {
   const int64_t r = rank();
   if (d < 0) d += r;

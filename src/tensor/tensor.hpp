@@ -43,10 +43,7 @@ class Tensor {
   /// Throws std::invalid_argument if sizes do not match.
   Tensor(Shape shape, std::vector<float> data);
 
-  /// Tensor of the given shape filled with `value`.
-  static Tensor full(Shape shape, float value);
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
-  static Tensor ones(Shape shape) { return full(std::move(shape), 1.0f); }
 
   // --- Introspection -------------------------------------------------------
 

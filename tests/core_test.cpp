@@ -201,7 +201,7 @@ TEST(Threshold, CalibrateIgnoresNonFiniteTrainingScores) {
   EXPECT_DOUBLE_EQ(a.threshold(), b.threshold());
 }
 
-TEST(VariantCalibrationTest, CalibrateMatchesThresholdAndKeepsSamples) {
+TEST(VariantCalibrationTest, CalibrateKeepsSamplesAndSaveLoadRoundTrips) {
   const std::vector<double> scores{0.1, 0.2, 0.3, 0.4, 0.5};
   const VariantCalibration calibration =
       VariantCalibration::calibrate(scores, ScoreOrientation::kHighIsNovel, 0.99);

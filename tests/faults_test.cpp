@@ -52,15 +52,6 @@ TEST(FaultInjector, SameSeedSameStream) {
   }
 }
 
-TEST(FaultInjector, ResetReproducesStream) {
-  FaultInjector injector(7);
-  const Image frame = noise_frame(3);
-  const Image first = injector.apply(CameraFault::kSaltPepper, 0.5, frame);
-  injector.apply(CameraFault::kSaltPepper, 0.5, noise_frame(4));
-  injector.reset(7);
-  EXPECT_TRUE(injector.apply(CameraFault::kSaltPepper, 0.5, frame).tensor() == first.tensor());
-}
-
 TEST(FaultInjector, SeverityMonotoneInDistortion) {
   const Image prime = noise_frame(5);
   const Image frame = noise_frame(6);

@@ -264,7 +264,7 @@ TEST(Ecdf, SaveLoadRoundTripsExactly) {
   EXPECT_DOUBLE_EQ(loaded.quantile(0.99), cdf.quantile(0.99));
 }
 
-TEST(Ecdf, MeanAndStddev) {
+TEST(Mean, AveragesSamplesAndRejectsEmptyInput) {
   std::vector<double> samples{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(samples), 5.0);
   EXPECT_THROW(mean({}), std::invalid_argument);

@@ -1,19 +1,23 @@
 // Unit tests for nn layers: forward correctness on hand-computed examples,
-// a bit-exact conv geometry sweep against a direct convolution, and
-// numerical gradient checks (central differences) for every layer.
+// a bit-exact conv geometry sweep against a direct convolution, numerical
+// gradient checks (central differences) for every layer, and the weight
+// caches' rebuild after a weight update.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
+#include "nn/quantized.hpp"
 #include "nn/sequential.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
@@ -59,7 +63,7 @@ TEST(Dense, GradientsAccumulateAcrossBackwardCalls) {
   Rng rng(7);
   Dense dense(2, 2, rng);
   const Tensor input = rng.uniform_tensor({1, 2}, -1.0, 1.0);
-  const Tensor seed = Tensor::ones({1, 2});
+  const Tensor seed({1, 2}, {1.0f, 1.0f});
   dense.forward(input, Mode::kTrain);
   dense.backward(seed);
   const Tensor first = dense.weight().grad;
@@ -85,7 +89,7 @@ TEST(Conv2d, ForwardIdentityKernel) {
 TEST(Conv2d, ForwardSumKernel) {
   // 2x2 all-ones kernel computes window sums.
   Conv2dConfig cfg{1, 1, 2, 2, 1, 0};
-  Conv2d conv(cfg, Tensor::ones({1, 1, 2, 2}), Tensor({1}, {0.0f}));
+  Conv2d conv(cfg, Tensor({1, 1, 2, 2}, {1, 1, 1, 1}), Tensor({1}, {0.0f}));
   const Tensor input = Tensor({1, 1, 2, 2}, {1, 2, 3, 4});
   const Tensor out = conv.forward(input, Mode::kInfer);
   EXPECT_EQ(out.shape(), (Shape{1, 1, 1, 1}));
@@ -116,8 +120,9 @@ TEST(Conv2d, PaddingGeometry) {
 
 TEST(Conv2d, PaddingTreatedAsZeros) {
   Conv2dConfig cfg{1, 1, 3, 3, 1, 1};
-  Conv2d conv(cfg, Tensor::ones({1, 1, 3, 3}), Tensor({1}, {0.0f}));
-  Tensor input = Tensor::ones({1, 1, 3, 3});
+  Tensor input({1, 1, 3, 3});
+  input.fill(1.0f);
+  Conv2d conv(cfg, input, Tensor({1}, {0.0f}));
   const Tensor out = conv.forward(input, Mode::kInfer);
   EXPECT_FLOAT_EQ(out.at({0, 0, 1, 1}), 9.0f);  // center sees full window
   EXPECT_FLOAT_EQ(out.at({0, 0, 0, 0}), 4.0f);  // corner sees 2x2 of ones
@@ -246,8 +251,8 @@ TEST_P(ConvGeometrySweep, InferenceMatchesDirectConvolutionBitExact) {
         for (int64_t in_h : {1, 2, 4, 7}) {
           for (int64_t in_w : {1, 3, 5, 9}) {
             if (in_h + 2 * pad < k.kh || in_w + 2 * pad < k.kw) continue;
-            // out_channels 1 takes the GEMM's matrix-vector path, 3 the tile
-            // kernel with pre-packed weights.
+            // out_channels 1 and 3: one pre-packed weight row panel, mostly
+            // zero padding, under the SIMD kernel.
             const int64_t out_c = (in_h + in_w) % 2 == 0 ? 3 : 1;
             const Conv2dConfig cfg{in_c, out_c, k.kh, k.kw, stride, pad};
             Conv2d layer(cfg, rng.uniform_tensor({out_c, in_c, k.kh, k.kw}, -1.0, 1.0),
@@ -292,8 +297,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Implicit-GEMM convolution: the SIMD inference route gathers each
 // 16-position B panel from the input, so it is held bit-exact to the direct
-// convolution where the geometry sweep's small shapes cannot reach: several
-// A row panels with a tail (out_channels 13, 25) and more rows than the
+// convolution where the geometry sweep's small shapes cannot reach: a single
+// output channel (out_channels 1, five zero rows in its one A row panel),
+// several A row panels with a tail (out_channels 13, 25) and more rows than the
 // pool's row grain (25, which fans column panels out at 4 threads), panels
 // straddling output rows (output widths 17, 37, 78) and tail panels, under
 // both tile kernels and their panel fills, at 1 and 4 pool threads.
@@ -334,7 +340,7 @@ TEST(ConvImplicitGemm, StridePaddingAndWidthSweepMatchesDirectConvolutionBitExac
   Rng rng(2028);
   const int64_t in_c = 2;
   const int64_t out_h = 3;
-  for (int64_t out_c : {8, 13, 20, 25}) {
+  for (int64_t out_c : {1, 8, 13, 20, 25}) {
     for (int64_t stride = 1; stride <= 3; ++stride) {
       const int64_t kernel = stride + 2;
       for (int64_t pad = 0; pad <= 2; ++pad) {
@@ -522,6 +528,98 @@ TEST(Sequential, OutputShapePropagates) {
 TEST(Sequential, AddNullThrows) {
   Sequential model;
   EXPECT_THROW(model.add(nullptr), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Weight caches: Dense and Conv2d keep their packed GEMM panels, and the int8
+// view its quantized weights, in a WeightCache keyed by Parameter::version.
+// After a weight changes in place and bump_version() is called, the next
+// inference forward must equal a model built from the new weights, bit for
+// bit: the batch-B Dense and the Conv2d layer by layer, and the int8 view.
+
+/// conv -> relu -> flatten -> dense -> relu -> dense, from `w` in
+/// parameters() order.
+Sequential cache_test_model(const std::vector<Tensor>& w) {
+  Sequential model;
+  model.emplace<Conv2d>(Conv2dConfig{1, 4, 3, 3, 1, 0}, w[0], w[1]);
+  model.emplace<ReLU>();
+  model.emplace<Flatten>();
+  model.emplace<Dense>(w[2], w[3]);
+  model.emplace<ReLU>();
+  model.emplace<Dense>(w[4], w[5]);
+  return model;
+}
+
+std::vector<Tensor> cache_test_weights(Rng& rng) {
+  return {rng.uniform_tensor({4, 1, 3, 3}, -1.0, 1.0), rng.uniform_tensor({4}, -0.5, 0.5),
+          rng.uniform_tensor({80, 12}, -0.3, 0.3),     rng.uniform_tensor({12}, -0.5, 0.5),
+          rng.uniform_tensor({12, 3}, -0.5, 0.5),      rng.uniform_tensor({3}, -0.5, 0.5)};
+}
+
+/// A model whose caches were built from one set of weights and then had a
+/// second set written into its Parameters in place, each version bumped;
+/// `fresh` is built from the second set.
+struct BumpedModel {
+  explicit BumpedModel(uint64_t seed) {
+    Rng rng(seed);
+    const std::vector<Tensor> before = cache_test_weights(rng);
+    const std::vector<Tensor> after = cache_test_weights(rng);
+    input = rng.uniform_tensor({5, 1, 6, 7}, -1.0, 1.0);
+    model = cache_test_model(before);
+    scales = QuantizedForward::calibrate(model, {&input});
+    quant = std::make_unique<QuantizedForward>(model, scales);
+    model.infer(input);  // builds the float panels
+    quant->forward(input);  // and the int8 weights
+    const std::vector<Parameter*> params = model.parameters();
+    for (size_t j = 0; j < params.size(); ++j) {
+      std::memcpy(params[j]->value.data(), after[j].data(),
+                  static_cast<size_t>(after[j].numel()) * sizeof(float));
+      params[j]->bump_version();
+    }
+    fresh = cache_test_model(after);
+    fresh_quant = std::make_unique<QuantizedForward>(fresh, scales);
+  }
+
+  Tensor input;  ///< batch 5, so the Dense layers run on packed panels
+  Sequential model;
+  Sequential fresh;
+  QuantScales scales;
+  std::unique_ptr<QuantizedForward> quant;
+  std::unique_ptr<QuantizedForward> fresh_quant;
+};
+
+TEST(WeightCache, ForwardAfterBumpVersionMatchesAModelBuiltFromTheNewWeights) {
+  const BumpedModel bumped(31);
+  const std::vector<Tensor> got = bumped.model.forward_collect(bumped.input);
+  const std::vector<Tensor> want = bumped.fresh.forward_collect(bumped.input);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(same_bits(got[i], want[i])) << "layer " << i;
+  }
+  EXPECT_TRUE(same_bits(bumped.quant->forward(bumped.input),
+                        bumped.fresh_quant->forward(bumped.input)));
+}
+
+TEST(WeightCache, ConcurrentForwardsAfterBumpVersionMatchAModelBuiltFromTheNewWeights) {
+  // The first forwards after the bump race to rebuild each cache.
+  const BumpedModel bumped(37);
+  constexpr int kThreads = 4;
+  std::vector<Tensor> floats(kThreads);
+  std::vector<Tensor> int8s(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      floats[static_cast<size_t>(t)] = bumped.model.infer(bumped.input);
+      int8s[static_cast<size_t>(t)] = bumped.quant->forward(bumped.input);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  const Tensor want_float = bumped.fresh.infer(bumped.input);
+  const Tensor want_int8 = bumped.fresh_quant->forward(bumped.input);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(same_bits(floats[static_cast<size_t>(t)], want_float)) << "thread " << t;
+    EXPECT_TRUE(same_bits(int8s[static_cast<size_t>(t)], want_int8)) << "thread " << t;
+  }
 }
 
 }  // namespace

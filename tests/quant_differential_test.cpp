@@ -38,6 +38,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/novelty_detector.hpp"
@@ -493,6 +495,64 @@ TEST_F(QuantDifferentialFixture, QuantLadderTraceReplaysBitExactAcrossInt8Kernel
         trace::TraceReplayer::replay(trace, *detector_, steering_, options);
     EXPECT_TRUE(cross.ok()) << cross.format();
   }
+}
+
+// --- 7. the fused int8 walk ----------------------------------------------------
+
+TEST_F(QuantDifferentialFixture, FusedChainMatchesTheUnfusedWalkLayerByLayer) {
+  // forward() and forward_stages() run each ReLU in the int8 dequant store
+  // and the autoencoder's sigmoid in place; forward_collect() runs every
+  // layer on its own. They must agree byte for byte: the final output, and
+  // each kept conv stage against the output of the layer that ends it (its
+  // ReLU).
+  Int8KernelGuard guard;
+  std::vector<GemmInt8Kernel> kernels{GemmInt8Kernel::kScalar};
+  if (gemm_int8_simd_available()) kernels.push_back(GemmInt8Kernel::kSimd);
+  const auto same_bytes = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  Rng rng(prop::run_seed(467));
+  for (const int64_t batch : {int64_t{1}, int64_t{5}}) {
+    std::vector<float> pixels;
+    for (int64_t n = 0; n < batch; ++n) {
+      const Image frame = random_frame(rng, n % 2 == 0);
+      pixels.insert(pixels.end(), frame.tensor().data(),
+                    frame.tensor().data() + frame.tensor().numel());
+    }
+    const Tensor frames({batch, 1, kH, kW}, pixels);
+    const Tensor rows({batch, kH * kW}, pixels);
+    for (const auto& [quant, input] :
+         {std::pair{detector_->quant_steering(), &frames},
+          std::pair{detector_->quant_autoencoder(), &rows}}) {
+      ASSERT_NE(quant, nullptr);
+      const nn::Sequential& model = quant->model();
+      for (const GemmInt8Kernel kernel : kernels) {
+        for (const int threads : {1, 4}) {
+          set_gemm_int8_kernel(kernel);
+          parallel::set_num_threads(threads);
+          const std::string where = std::string(gemm_int8_kernel_name(kernel)) + ", " +
+                                    std::to_string(threads) + " threads, batch " +
+                                    std::to_string(batch) + ", " +
+                                    std::to_string(model.size()) + "-layer model";
+          const std::vector<Tensor> unfused = quant->forward_collect(*input);
+          ASSERT_EQ(unfused.size(), model.size()) << where;
+          EXPECT_TRUE(same_bytes(quant->forward(*input), unfused.back())) << where;
+          const nn::StagedForward staged = quant->forward_stages(*input);
+          EXPECT_TRUE(same_bytes(staged.output, unfused.back())) << where;
+          size_t stage = 0;
+          for (size_t i = 0; i < model.size(); ++i) {
+            if (!model.ends_conv_stage(i)) continue;
+            ASSERT_LT(stage, staged.conv_stages.size()) << where;
+            EXPECT_TRUE(same_bytes(staged.conv_stages[stage++], unfused[i]))
+                << where << ", conv stage ending at layer " << i;
+          }
+          EXPECT_EQ(stage, staged.conv_stages.size()) << where;
+        }
+      }
+    }
+  }
+  parallel::set_num_threads(0);
 }
 
 }  // namespace

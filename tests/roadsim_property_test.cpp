@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "prop.hpp"
-#include "roadsim/dataset.hpp"
 #include "roadsim/indoor_generator.hpp"
 #include "roadsim/outdoor_generator.hpp"
 #include "roadsim/rasterizer.hpp"
@@ -174,21 +173,6 @@ TEST_P(GeneratorPropertySweep, RelevanceMaskIsBinaryAndBelowHorizon) {
           EXPECT_EQ(v, 0.0f);
         }
       }
-    }
-  }
-}
-
-TEST_P(GeneratorPropertySweep, DatasetSplitIsDisjointAndComplete) {
-  auto gen = make();
-  Rng rng(17);
-  const DrivingDataset ds = DrivingDataset::generate(*gen, 40, 30, 80, rng);
-  const auto [train, test] = ds.split(0.75, rng);
-  EXPECT_EQ(train.size() + test.size(), ds.size());
-  // No image appears in both halves (images are distinct scenes with
-  // overwhelming probability, so tensor equality identifies duplicates).
-  for (int64_t i = 0; i < train.size(); ++i) {
-    for (int64_t j = 0; j < test.size(); ++j) {
-      EXPECT_NE(train.image(i).tensor(), test.image(j).tensor());
     }
   }
 }

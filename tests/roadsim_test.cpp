@@ -227,31 +227,6 @@ TEST(Dataset, GeneratePreprocessesToTargetSize) {
   EXPECT_LE(ds.image(0).max(), 1.0f);
 }
 
-TEST(Dataset, SplitPreservesTotal) {
-  OutdoorSceneGenerator gen;
-  Rng rng(7);
-  const DrivingDataset ds = DrivingDataset::generate(gen, 10, 30, 80, rng);
-  const auto [train, test] = ds.split(0.8, rng);
-  EXPECT_EQ(train.size(), 8);
-  EXPECT_EQ(test.size(), 2);
-}
-
-TEST(Dataset, SplitRejectsBadFraction) {
-  OutdoorSceneGenerator gen;
-  Rng rng(8);
-  const DrivingDataset ds = DrivingDataset::generate(gen, 4, 30, 80, rng);
-  EXPECT_THROW(ds.split(1.5, rng), std::invalid_argument);
-}
-
-TEST(Dataset, SampleWithoutReplacement) {
-  OutdoorSceneGenerator gen;
-  Rng rng(9);
-  const DrivingDataset ds = DrivingDataset::generate(gen, 6, 30, 80, rng);
-  const DrivingDataset sub = ds.sample(3, rng);
-  EXPECT_EQ(sub.size(), 3);
-  EXPECT_THROW(ds.sample(7, rng), std::invalid_argument);
-}
-
 TEST(Dataset, TensorViewsHaveRightShapes) {
   IndoorSceneGenerator gen;
   Rng rng(10);

@@ -41,12 +41,6 @@ TEST(Tensor, ConstructFromDataValidatesSize) {
   EXPECT_THROW(Tensor({2, 2}, {1.0f, 2.0f}), std::invalid_argument);
 }
 
-TEST(Tensor, FullFillsValue) {
-  const Tensor t = Tensor::full({3}, 2.5f);
-  EXPECT_EQ(t[0], 2.5f);
-  EXPECT_EQ(t[2], 2.5f);
-}
-
 TEST(Tensor, MultiIndexAccess) {
   Tensor t({2, 3});
   t.at({1, 2}) = 7.0f;
@@ -142,7 +136,7 @@ TEST(Tensor, MismatchedShapesThrow) {
   EXPECT_THROW(a *= b, std::invalid_argument);
 }
 
-TEST(Tensor, ApplyAndMap) {
+TEST(Tensor, ApplyTransformsElementsInPlace) {
   Tensor t({3}, {1, -2, 3});
   t.apply([](float v) { return v * v; });
   EXPECT_EQ(t[2], 9.0f);
@@ -172,7 +166,7 @@ TEST(Tensor, KahanSumStaysAccurate) {
   EXPECT_NEAR(t.sum(), 1e8f + 100000.0f, 16.0f);
 }
 
-TEST(Tensor, EqualityAndAllclose) {
+TEST(Tensor, EqualityIsExactNotApproximate) {
   Tensor a({2}, {1.0f, 2.0f});
   Tensor b({2}, {1.0f, 2.00002f});
   EXPECT_NE(a, b);

@@ -8,8 +8,9 @@
 # forward (per-sample VBP mask chains fan out on the pool), and the golden
 # record/replay suites (every trace, single-stream ones included, runs on
 # a replica worker that shares the FakeClock with the driver thread), and
-# the implicit-GEMM convolution (its column panels fan out on the pool) —
-# (plus any extra ctest -R pattern passed as $1). Exits non-zero before
+# the implicit-GEMM convolution (its column panels fan out on the pool), and
+# the weight caches (threads race to rebuild packed and int8 weights after a
+# weight update) — (plus any extra ctest -R pattern passed as $1). Exits non-zero before
 # running anything when an alternative of the pattern matches no case.
 #
 # Usage:
@@ -22,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-PATTERN="${1:-ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|ServingFixture.ServerProcessesEverythingItAccepts|ServingFixture.ServerBurstRespectsQueueBound|ServingFixture.ProbeDuringQueueBurstRestoresLadder|ServingFixture.ServerConcurrentHotSwapNeverBlocksScoring|ServingFixture.ServerConcurrentProducersAndSnapshots|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|SharedForwardServing|GoldenReplay|Conformance|ConvImplicitGemm}"
+PATTERN="${1:-ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|ServingFixture.ServerProcessesEverythingItAccepts|ServingFixture.ServerBurstRespectsQueueBound|ServingFixture.ProbeDuringQueueBurstRestoresLadder|ServingFixture.ServerConcurrentHotSwapNeverBlocksScoring|ServingFixture.ServerConcurrentProducersAndSnapshots|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|SharedForwardServing|GoldenReplay|Conformance|ConvImplicitGemm|WeightCache}"
 
 cmake -B "$BUILD_DIR" -S . -DSALNOV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)"
