@@ -1,5 +1,6 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
@@ -36,13 +37,19 @@ Shape Dense::output_shape(const Shape& input) const {
   return {input[0], out_features()};
 }
 
-const PackedMatrix* Dense::packed_weights(int64_t batch) const {
-  // Batch-1 inference takes the matvec path, which streams the row-major
-  // weight directly; panels would go unused.
-  if (batch <= 1 || active_gemm_kernel() != GemmKernel::kSimd) return nullptr;
-  return &packed_weight_.get(weight_, [&](const Tensor& w) {
-    return pack_b_panels(w.data(), in_features(), out_features());
-  });
+const Dense::InferWeights& Dense::infer_weights(bool panels) const {
+  return infer_weights_.get(
+      weight_,
+      [](const Tensor& w) {
+        InferWeights view;
+        view.finite = std::all_of(w.data(), w.data() + w.numel(),
+                                  [](float v) { return std::isfinite(v); });
+        return view;
+      },
+      panels,
+      [&](InferWeights& view, const Tensor& w) {
+        view.panels = pack_b_panels(w.data(), in_features(), out_features());
+      });
 }
 
 Tensor Dense::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {
@@ -52,9 +59,18 @@ Tensor Dense::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {
   GemmEpilogue epilogue;
   epilogue.bias_col = bias_.value.data();
   epilogue.relu = fuse_relu;
-  const PackedMatrix* packed = mode == Mode::kInfer ? packed_weights(batch) : nullptr;
+  const PackedMatrix* packed = nullptr;
+  bool finite = false;
+  if (mode == Mode::kInfer) {
+    // Batch 1 takes the matvec path, which reads the row-major weight; it
+    // never touches the panels, which a batched forward may be packing.
+    const bool panels = batch > 1 && active_gemm_kernel() == GemmKernel::kSimd;
+    const InferWeights& view = infer_weights(panels);
+    packed = panels ? &view.panels : nullptr;
+    finite = view.finite;
+  }
   gemm_ex(input.data(), weight_.value.data(), out.data(), batch, out_features(), in_features(),
-          epilogue, packed);
+          epilogue, packed, finite);
   if (mode == Mode::kTrain) {
     cached_input_ = input;
     have_cache_ = true;

@@ -132,7 +132,7 @@ const char* gemm_kernel_name(GemmKernel kernel) {
 bool gemm_weight_packing_enabled() { return true; }
 
 void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-             const GemmEpilogue& epilogue, const PackedMatrix* packed_b) {
+             const GemmEpilogue& epilogue, const PackedMatrix* packed_b, bool b_finite) {
   check_dims(m, n, k);
   validate_pack(packed_b, n, k);
   if (m == 0 || n == 0) return;  // empty output: nothing to touch (c may be null)
@@ -144,7 +144,7 @@ void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int
     return;
   }
   if (active_gemm_kernel() == GemmKernel::kSimd) {
-    detail::simd_gemm(a, b, c, m, n, k, epilogue, packed_b);
+    detail::simd_gemm(a, b, c, m, n, k, epilogue, packed_b, b_finite);
     return;
   }
   if (!parallel_worthwhile(m, n, k)) {

@@ -18,6 +18,14 @@
 // constants, never on the thread count. Results are therefore bit-identical
 // at any SALNOV_THREADS setting. Different kernels may round differently
 // (FMA vs separate multiply-add) and are NOT bit-identical to each other.
+//
+// Zero-skipping keeps every output bit. Given b_finite, the SIMD matvec
+// (m == 1) skips each B row that a ±0 in A multiplies. Each output is one
+// ascending-k FMA chain from +0, and a skipped term fma(±0, b, acc) with b
+// finite equals acc + (±0): it can only turn a −0 accumulator into +0. So
+// after every step the skipping and full chains are equal or both zero; the
+// outputs that end at zero are recomputed with the full chain (an all-zero
+// A needs none: the full chain then stays +0 throughout).
 #pragma once
 
 #include <cstdint>
@@ -68,9 +76,12 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_
 /// logical matrix as `b` (which must still be passed — the dispatcher falls
 /// back to it for the scalar kernel and the matrix-vector fast path). It is
 /// consulted only by the SIMD kernel and produces bit-identical results to
-/// the unpacked call.
+/// the unpacked call. `b_finite` promises that B holds no inf or NaN, which
+/// lets the SIMD matvec skip the rows of B a zero in A multiplies
+/// (bit-identical either way; see the determinism contract above).
 void gemm_ex(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-             const GemmEpilogue& epilogue, const PackedMatrix* packed_b = nullptr);
+             const GemmEpilogue& epilogue, const PackedMatrix* packed_b = nullptr,
+             bool b_finite = false);
 
 /// One sample of a convolution read as a GEMM: input [channels, in_h, in_w],
 /// a kernel_h x kernel_w kernel at `stride` (both dimensions) over the input

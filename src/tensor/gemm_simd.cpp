@@ -14,7 +14,9 @@
 //     which is also where the fused bias/ReLU epilogue is applied.
 //   * m == 1 (the batch-1 dense inference matvec, the autoencoder's hot
 //     shape) takes a dedicated row-streaming path: packing cannot help a
-//     matvec, and the tile kernel would waste 5/6 of its lanes.
+//     matvec, and the tile kernel would waste 5/6 of its lanes. Under AVX2,
+//     with finite weights, it streams only the B rows a nonzero input
+//     multiplies: most of a ReLU output is exactly 0.
 //   * Rows are fanned out over the thread pool in fixed bands of
 //     kSimdRowGrain rows (a multiple of kGemmMR, so band-local tiles always
 //     align with packed A panels). The partition depends only on the
@@ -142,24 +144,35 @@ void micro_kernel(const float* ap, const float* bp, int64_t k, float* c, int64_t
   }
 }
 
-/// c[j] = sum_k a[kk] b[kk, j], n-blocked with a 4-deep k unroll. Serial:
-/// a single output row never crosses the parallel threshold.
+/// c[j] = sum_k a[kk] b[kk, j], n-blocked with a 4-deep unroll over the B
+/// rows it reads: all of them, or with `skip_zeros` only those whose a[kk]
+/// is nonzero. Bit-identical either way (gemm.hpp's determinism contract):
+/// the outputs the skipping chain ends at ±0 are recomputed with the full
+/// chain. Serial: a single output row never crosses the parallel threshold.
 void matvec(const float* a, const float* b, float* c, int64_t n, int64_t k,
-            const GemmEpilogue& epi) {
+            const GemmEpilogue& epi, bool skip_zeros) {
+  int64_t rows_read = k;
+  if (skip_zeros) {
+    rows_read = 0;
+    for (int64_t kk = 0; kk < k; ++kk) rows_read += a[kk] != 0.0f ? 1 : 0;
+  }
   constexpr int64_t kBlock = 512;
   for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
     const int64_t j1 = std::min(n, j0 + kBlock);
     for (int64_t j = j0; j < j1; ++j) c[j] = 0.0f;
-    int64_t kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      const __m256 a0 = _mm256_broadcast_ss(a + kk);
-      const __m256 a1 = _mm256_broadcast_ss(a + kk + 1);
-      const __m256 a2 = _mm256_broadcast_ss(a + kk + 2);
-      const __m256 a3 = _mm256_broadcast_ss(a + kk + 3);
-      const float* b0 = b + kk * n;
-      const float* b1 = b0 + n;
-      const float* b2 = b1 + n;
-      const float* b3 = b2 + n;
+    const auto fma4 = [&](const int64_t* rows) {
+      const float s0 = a[rows[0]];
+      const float s1 = a[rows[1]];
+      const float s2 = a[rows[2]];
+      const float s3 = a[rows[3]];
+      const __m256 a0 = _mm256_set1_ps(s0);
+      const __m256 a1 = _mm256_set1_ps(s1);
+      const __m256 a2 = _mm256_set1_ps(s2);
+      const __m256 a3 = _mm256_set1_ps(s3);
+      const float* b0 = b + rows[0] * n;
+      const float* b1 = b + rows[1] * n;
+      const float* b2 = b + rows[2] * n;
+      const float* b3 = b + rows[3] * n;
       int64_t j = j0;
       for (; j + 8 <= j1; j += 8) {
         __m256 acc = _mm256_loadu_ps(c + j);
@@ -171,21 +184,42 @@ void matvec(const float* a, const float* b, float* c, int64_t n, int64_t k,
       }
       for (; j < j1; ++j) {
         float acc = c[j];
-        acc = std::fma(a[kk], b0[j], acc);
-        acc = std::fma(a[kk + 1], b1[j], acc);
-        acc = std::fma(a[kk + 2], b2[j], acc);
-        acc = std::fma(a[kk + 3], b3[j], acc);
+        acc = std::fma(s0, b0[j], acc);
+        acc = std::fma(s1, b1[j], acc);
+        acc = std::fma(s2, b2[j], acc);
+        acc = std::fma(s3, b3[j], acc);
         c[j] = acc;
       }
-    }
-    for (; kk < k; ++kk) {
-      const __m256 av = _mm256_broadcast_ss(a + kk);
-      const float* brow = b + kk * n;
+    };
+    const auto fma1 = [&](int64_t row) {
+      const float s = a[row];
+      const __m256 av = _mm256_set1_ps(s);
+      const float* brow = b + row * n;
       int64_t j = j0;
       for (; j + 8 <= j1; j += 8) {
         _mm256_storeu_ps(c + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j), _mm256_loadu_ps(c + j)));
       }
-      for (; j < j1; ++j) c[j] = std::fma(a[kk], brow[j], c[j]);
+      for (; j < j1; ++j) c[j] = std::fma(s, brow[j], c[j]);
+    };
+    // The rows read, in ascending order, four at a time.
+    int64_t rows[4];
+    int got = 0;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      if (skip_zeros && a[kk] == 0.0f) continue;
+      rows[got++] = kk;
+      if (got == 4) {
+        fma4(rows);
+        got = 0;
+      }
+    }
+    for (int t = 0; t < got; ++t) fma1(rows[t]);
+  }
+  if (rows_read > 0 && rows_read < k) {
+    for (int64_t j = 0; j < n; ++j) {
+      if (c[j] != 0.0f) continue;
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) acc = std::fma(a[kk], b[kk * n + j], acc);
+      c[j] = acc;
     }
   }
   if (!epi.empty()) {
@@ -295,8 +329,9 @@ void micro_kernel(const float* ap, const float* bp, int64_t k, float* c, int64_t
   }
 }
 
+/// The dense loop of the AVX2 matvec: NEON reads every B row.
 void matvec(const float* a, const float* b, float* c, int64_t n, int64_t k,
-            const GemmEpilogue& epi) {
+            const GemmEpilogue& epi, bool /*skip_zeros*/) {
   constexpr int64_t kBlock = 512;
   for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
     const int64_t j1 = std::min(n, j0 + kBlock);
@@ -441,9 +476,9 @@ const char* simd_arch_name() {
 }
 
 void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-               const GemmEpilogue& epi, const PackedMatrix* packed_b) {
+               const GemmEpilogue& epi, const PackedMatrix* packed_b, bool b_finite) {
   if (m == 1) {
-    matvec(a, b, c, n, k, epi);
+    matvec(a, b, c, n, k, epi, b_finite);
     return;
   }
 
@@ -569,7 +604,7 @@ void simd_conv_gemm(const PackedMatrix& packed_w, const float* x, const ConvShap
 bool simd_gemm_available() { return false; }
 const char* simd_arch_name() { return "none"; }
 void simd_gemm(const float*, const float*, float*, int64_t, int64_t, int64_t,
-               const GemmEpilogue&, const PackedMatrix*) {}
+               const GemmEpilogue&, const PackedMatrix*, bool) {}
 void simd_conv_gemm(const PackedMatrix&, const float*, const ConvShape&, float*,
                     const GemmEpilogue&) {}
 

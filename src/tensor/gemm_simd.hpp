@@ -30,8 +30,9 @@ void set_gemm_avx512_tile(bool enabled);
 /// C = A * B with fused epilogue; the SIMD counterpart of gemm_ex. Caller
 /// guarantees m, n, k > 0 and simd_gemm_available(). `packed_b`, when
 /// non-null, is trusted to match b (validated by the dispatcher).
+/// `b_finite` as in gemm_ex: the AVX2 matvec then skips zero inputs.
 void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-               const GemmEpilogue& epilogue, const PackedMatrix* packed_b);
+               const GemmEpilogue& epilogue, const PackedMatrix* packed_b, bool b_finite);
 
 /// The SIMD body of conv_gemm. Caller guarantees simd_gemm_available() and
 /// a valid, non-empty shape matching `packed_w` (validated by conv_gemm).

@@ -7,14 +7,22 @@
 //   * the fused bias/ReLU epilogue is bit-identical to a separate post-pass;
 //   * the transposed accumulate variants match their naive definitions
 //     bit-exactly (both sum k in ascending order);
+//   * the SIMD matvec's zero-skipping (finite B) is bit-identical to the
+//     full chain, signed zeros included, and Dense turns it off while a
+//     weight is inf or NaN;
+//   * the int8 kernels stay exact on sparse activations, whose all-zero
+//     k-groups the batch-1 path skips;
 //   * the AVX-512 float tile and the VNNI int8 band are bit-identical to
 //     the AVX2 kernels they upgrade.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "nn/dense.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_simd.hpp"
 #include "tensor/gemm_int8.hpp"
@@ -227,6 +235,139 @@ TEST(GemmKernels, KernelNamesAndAvailability) {
   }
 }
 
+// --- Zero-skipping matvec -----------------------------------------------------
+// With b_finite the SIMD matvec reads only the B rows a nonzero input
+// multiplies. gemm.hpp argues the bits hold; these tests hold it to that by
+// memcmp against the same call without b_finite, which reads every row.
+
+/// m == 1 product with and without zero-skipping; asserts identical bytes.
+void expect_skip_bit_identical(const std::vector<float>& a, const std::vector<float>& b, int64_t n,
+                               const GemmEpilogue& epilogue, const std::string& what) {
+  const int64_t k = static_cast<int64_t>(a.size());
+  std::vector<float> full(static_cast<size_t>(n), 1.0f);
+  std::vector<float> skip(static_cast<size_t>(n), 2.0f);
+  gemm_ex(a.data(), b.data(), full.data(), 1, n, k, epilogue, nullptr, false);
+  gemm_ex(a.data(), b.data(), skip.data(), 1, n, k, epilogue, nullptr, true);
+  ASSERT_EQ(0, std::memcmp(full.data(), skip.data(), full.size() * sizeof(float)))
+      << what << " n=" << n << " k=" << k << " relu=" << epilogue.relu;
+}
+
+TEST(GemmKernels, MatvecZeroSkipKeepsNegativeZeroUnderflowBits) {
+  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
+  KernelGuard guard;
+  set_gemm_kernel(GemmKernel::kSimd);
+  // -1e-30 * 1e-20 underflows to -0, so the full chain holds -0 after row 0.
+  // A skipped +0 term (row 1, input +0, weight > 0) then turns it into +0,
+  // which the skipping chain never sees: it ends at -0 and must recompute.
+  // An input of -0 instead keeps the full chain at -0. A bias of -0 carries
+  // the sign into the output. 1, 9 and 17 columns reach the scalar tail and
+  // the 8-lane vector loop.
+  const float neg_zero = -0.0f;
+  for (const float second : {0.0f, neg_zero}) {
+    for (const int64_t n : {1, 9, 17}) {
+      const std::vector<float> a = {-1e-30f, second};
+      std::vector<float> b(static_cast<size_t>(2 * n));
+      for (int64_t j = 0; j < n; ++j) {
+        b[static_cast<size_t>(j)] = 1e-20f;
+        b[static_cast<size_t>(n + j)] = 1.0f;
+      }
+      const std::vector<float> bias(static_cast<size_t>(n), neg_zero);
+      GemmEpilogue epilogue;
+      expect_skip_bit_identical(a, b, n, epilogue, "underflow, no epilogue");
+      epilogue.bias_col = bias.data();
+      expect_skip_bit_identical(a, b, n, epilogue, "underflow, bias -0");
+      epilogue.relu = true;
+      expect_skip_bit_identical(a, b, n, epilogue, "underflow, bias -0 + relu");
+
+      // The full chain's sign, spelled out: +0 after a +0 input, else -0.
+      std::vector<float> c(static_cast<size_t>(n));
+      gemm_ex(a.data(), b.data(), c.data(), 1, n, 2, GemmEpilogue{}, nullptr, true);
+      for (const float v : c) {
+        ASSERT_EQ(0.0f, v);
+        EXPECT_EQ(std::signbit(second), std::signbit(v)) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(GemmKernels, MatvecZeroSkipBitIdenticalToFullChain) {
+  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
+  KernelGuard guard;
+  set_gemm_kernel(GemmKernel::kSimd);
+  Rng rng(14);
+  enum class Zeros { kNone, kScattered, kNegative, kRuns, kAll };
+  const auto input = [&](int64_t k, Zeros zeros) {
+    std::vector<float> a(static_cast<size_t>(k));
+    for (int64_t kk = 0; kk < k; ++kk) {
+      float v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      switch (zeros) {
+        case Zeros::kNone: break;
+        case Zeros::kScattered: if (rng.uniform(0.0, 1.0) < 0.7) v = 0.0f; break;
+        case Zeros::kNegative: if (rng.uniform(0.0, 1.0) < 0.5) v = -0.0f; break;
+        case Zeros::kRuns: if ((kk / 7) % 3 != 0) v = (kk % 2 == 0) ? 0.0f : -0.0f; break;
+        case Zeros::kAll: v = (kk % 3 == 0) ? -0.0f : 0.0f; break;
+      }
+      a[static_cast<size_t>(kk)] = v;
+    }
+    return a;
+  };
+  // n straddles the 512-column block and the 8-lane vector; k the 4-row
+  // unroll.
+  for (const int64_t n : {1, 7, 8, 31, 100, 511, 512, 513, 1100}) {
+    for (const int64_t k : {1, 3, 4, 5, 33, 100}) {
+      std::vector<float> b(static_cast<size_t>(k * n));
+      for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      std::vector<float> bias(static_cast<size_t>(n));
+      for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (const Zeros zeros :
+           {Zeros::kNone, Zeros::kScattered, Zeros::kNegative, Zeros::kRuns, Zeros::kAll}) {
+        const std::vector<float> a = input(k, zeros);
+        const std::string what = "zeros=" + std::to_string(static_cast<int>(zeros));
+        expect_skip_bit_identical(a, b, n, GemmEpilogue{}, what);
+        GemmEpilogue epilogue;
+        epilogue.bias_col = bias.data();
+        epilogue.relu = true;
+        expect_skip_bit_identical(a, b, n, epilogue, what);
+      }
+    }
+  }
+}
+
+TEST(GemmKernels, DenseMatvecSkipsOnlyWhileWeightsAreFinite) {
+  if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
+  KernelGuard guard;
+  set_gemm_kernel(GemmKernel::kSimd);
+  Rng rng(15);
+  const int64_t k = 40;
+  const int64_t n = 24;
+  nn::Dense dense(rng.uniform_tensor({k, n}, -1.0, 1.0), rng.uniform_tensor({n}, -1.0, 1.0));
+  Tensor x = rng.uniform_tensor({1, k}, -1.0, 1.0);
+  const int64_t zero_row = 13;
+  for (int64_t kk = 10; kk < 20; ++kk) x[kk] = 0.0f;
+  const Tensor before = dense.forward(x, nn::Mode::kInfer);
+
+  // A NaN in a row the zero input multiplies: the full chain's
+  // fma(0, NaN, acc) makes that column NaN, and so must the forward.
+  nn::Parameter& weight = *dense.parameters()[0];
+  const int64_t col = 5;
+  const float saved = weight.value[zero_row * n + col];
+  weight.value[zero_row * n + col] = std::numeric_limits<float>::quiet_NaN();
+  weight.bump_version();
+  const Tensor poisoned = dense.forward(x, nn::Mode::kInfer);
+  std::vector<float> full(static_cast<size_t>(n));
+  GemmEpilogue epilogue;
+  epilogue.bias_col = dense.bias().value.data();
+  gemm_ex(x.data(), weight.value.data(), full.data(), 1, n, k, epilogue, nullptr, false);
+  EXPECT_TRUE(std::isnan(poisoned[col]));
+  ASSERT_EQ(0, std::memcmp(full.data(), poisoned.data(), full.size() * sizeof(float)));
+
+  // Restored: the skip comes back, with the first forward's bits.
+  weight.value[zero_row * n + col] = saved;
+  weight.bump_version();
+  const Tensor restored = dense.forward(x, nn::Mode::kInfer);
+  ASSERT_EQ(0, std::memcmp(before.data(), restored.data(), static_cast<size_t>(n) * sizeof(float)));
+}
+
 // --- int8 kernel rungs -------------------------------------------------------
 // The quantized scoring rungs promise bit-exact int32 accumulation, so the
 // int8 contracts are strictly tighter than the float ones above: every
@@ -347,6 +488,63 @@ TEST(GemmInt8Kernels, DequantEpilogueMatchesManualFmafExactly) {
       ASSERT_EQ(0, std::memcmp(fused.data(), manual.data(), fused.size() * sizeof(float)))
           << gemm_int8_kernel_name(kernel) << " relu=" << relu;
     }
+  }
+}
+
+TEST(GemmInt8Kernels, SparseActivationsMatchNaiveInt32Exactly) {
+  // The batch-1 rows skip every k-group whose four activations are all 0.
+  // Zero groups, groups only partly zero and all-zero rows must all still
+  // give the exact sums, on every kernel, VNNI band on and off.
+  std::vector<GemmInt8Kernel> kernels = {GemmInt8Kernel::kScalar};
+  if (gemm_int8_simd_available()) kernels.push_back(GemmInt8Kernel::kSimd);
+  Int8KernelGuard guard;
+  Rng rng(16);
+  const auto sparsify = [&](std::vector<uint8_t>& a, int64_t k, int pattern) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      const int64_t kk = static_cast<int64_t>(i) % k;
+      const bool zero = pattern == 0 ? (kk / 4) % 2 == 1        // whole k-groups
+                        : pattern == 1 ? kk % 4 != 3           // 3 of 4 per group
+                        : pattern == 2 ? (kk / 4) % 5 != 0     // long zero runs
+                                       : true;                 // all zero
+      if (zero) a[i] = 0;
+    }
+  };
+  for (GemmInt8Kernel kernel : kernels) {
+    set_gemm_int8_kernel(kernel);
+    for (const bool vnni : {true, false}) {
+      detail::set_int8_vnni(vnni);
+      for (int64_t m : {1, 2, 5}) {
+        for (int64_t n : {1, 16, 17, 32, 40, 100}) {
+          for (int64_t k : {1, 4, 5, 33, 100}) {
+            for (int pattern = 0; pattern < 4; ++pattern) {
+              QuantOperands ops(rng, m, n, k);
+              sparsify(ops.a, k, pattern);
+              const std::vector<int32_t> expected =
+                  naive_gemm_int8(ops.a.data(), ops.b.data(), m, n, k);
+              const PackedQuantMatrix pb = pack_quant_b(ops.b.data(), k, n);
+              std::vector<int32_t> c(static_cast<size_t>(m * n), 42);
+              gemm_u8s8(ops.a.data(), ops.b.data(), c.data(), m, n, k, &pb);
+              ASSERT_EQ(expected, c) << gemm_int8_kernel_name(kernel) << " vnni=" << vnni
+                                     << " m=" << m << " n=" << n << " k=" << k
+                                     << " pattern=" << pattern;
+
+              QuantEpilogue epilogue;
+              epilogue.scale = 2.5e-3f;
+              epilogue.relu = true;
+              std::vector<float> fused(static_cast<size_t>(m * n));
+              gemm_u8s8_dequant(ops.a.data(), ops.b.data(), fused.data(), m, n, k, epilogue, &pb);
+              for (size_t i = 0; i < fused.size(); ++i) {
+                float v = static_cast<float>(expected[i]) * epilogue.scale;
+                if (v < 0.0f) v = 0.0f;
+                ASSERT_EQ(0, std::memcmp(&v, &fused[i], sizeof(float)))
+                    << gemm_int8_kernel_name(kernel) << " m=" << m << " n=" << n << " k=" << k;
+              }
+            }
+          }
+        }
+      }
+    }
+    detail::set_int8_vnni(true);
   }
 }
 
