@@ -37,19 +37,13 @@ Shape Dense::output_shape(const Shape& input) const {
   return {input[0], out_features()};
 }
 
-const Dense::InferWeights& Dense::infer_weights(bool panels) const {
-  return infer_weights_.get(
-      weight_,
-      [](const Tensor& w) {
-        InferWeights view;
-        view.finite = std::all_of(w.data(), w.data() + w.numel(),
-                                  [](float v) { return std::isfinite(v); });
-        return view;
-      },
-      panels,
-      [&](InferWeights& view, const Tensor& w) {
-        view.panels = pack_b_panels(w.data(), in_features(), out_features());
-      });
+const PackedMatrix* Dense::packed_weights(int64_t batch) const {
+  // Batch-1 inference takes the matvec path, which streams the row-major
+  // weight directly; panels would go unused.
+  if (batch <= 1 || active_gemm_kernel() != GemmKernel::kSimd) return nullptr;
+  return &packed_weight_.get(weight_, [&](const Tensor& w) {
+    return pack_b_panels(w.data(), in_features(), out_features());
+  });
 }
 
 Tensor Dense::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {
@@ -59,16 +53,12 @@ Tensor Dense::run_forward(const Tensor& input, Mode mode, bool fuse_relu) {
   GemmEpilogue epilogue;
   epilogue.bias_col = bias_.value.data();
   epilogue.relu = fuse_relu;
-  const PackedMatrix* packed = nullptr;
-  bool finite = false;
-  if (mode == Mode::kInfer) {
-    // Batch 1 takes the matvec path, which reads the row-major weight; it
-    // never touches the panels, which a batched forward may be packing.
-    const bool panels = batch > 1 && active_gemm_kernel() == GemmKernel::kSimd;
-    const InferWeights& view = infer_weights(panels);
-    packed = panels ? &view.panels : nullptr;
-    finite = view.finite;
-  }
+  const PackedMatrix* packed = mode == Mode::kInfer ? packed_weights(batch) : nullptr;
+  // Only the batch-1 matvec reads the flag.
+  const bool finite =
+      mode == Mode::kInfer && batch == 1 && finite_weight_.get(weight_, [](const Tensor& w) {
+        return std::all_of(w.data(), w.data() + w.numel(), [](float v) { return std::isfinite(v); });
+      });
   gemm_ex(input.data(), weight_.value.data(), out.data(), batch, out_features(), in_features(),
           epilogue, packed, finite);
   if (mode == Mode::kTrain) {

@@ -1,12 +1,12 @@
 // Fully-connected layer: y = x W + b.
 //
-// The bias add is fused into the GEMM epilogue. Inference reads the weight
-// through a view kept in a WeightCache (nn/weight_cache.hpp), rebuilt after
-// Parameter::version moves and shared by concurrent inference forwards (the
-// detector's batch fan-out): whether every weight is finite, which lets the
-// batch-1 matvec skip the weight rows a zero input multiplies, and the
-// panels pre-packed for the SIMD kernel, packed on the first forward with
-// batch > 1 (a batch-1-only model never holds them).
+// The bias add is fused into the GEMM epilogue, and inference forwards with
+// batch > 1 use weight panels pre-packed for the SIMD kernel. The panels
+// live in a WeightCache (nn/weight_cache.hpp): packed on the first such
+// forward, repacked after Parameter::version moves, shared by concurrent
+// inference forwards — the detector's batch fan-out. A second WeightCache
+// holds whether every weight is finite, which lets the batch-1 matvec skip
+// the weight rows a zero input multiplies.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -45,20 +45,17 @@ class Dense : public Layer {
  private:
   Tensor run_forward(const Tensor& input, Mode mode, bool fuse_relu);
 
-  /// The inference view of one weight version.
-  struct InferWeights {
-    bool finite = false;  ///< no inf or NaN: gemm_ex's b_finite
-    PackedMatrix panels;  ///< SIMD B panels; empty until a batch > 1 forward
-  };
-
-  /// The current view, with its panels packed first when `panels`.
-  const InferWeights& infer_weights(bool panels) const;
+  /// Pre-packed weight panels for the SIMD kernel, or nullptr when the
+  /// scalar kernel is active or the batch cannot use panels (batch 1 takes
+  /// the matvec path).
+  const PackedMatrix* packed_weights(int64_t batch) const;
 
   Parameter weight_;  ///< [in, out]
   Parameter bias_;    ///< [out]
   Tensor cached_input_;
   bool have_cache_ = false;
-  WeightCache<InferWeights> infer_weights_;
+  WeightCache<PackedMatrix> packed_weight_;
+  WeightCache<bool> finite_weight_;  ///< no inf or NaN: gemm_ex's b_finite
 };
 
 }  // namespace salnov::nn

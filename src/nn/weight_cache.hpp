@@ -1,10 +1,11 @@
 // A value derived from a layer's weights, rebuilt when the weights change.
 //
-// Inference keeps weights in the form its kernel reads: Dense holds its
-// finite flag and float GEMM panels here, Conv2d its panels, and
-// QuantizedForward the s8 weights and packed operand of each int8 layer.
-// Every in-place weight update (optimizer step, fault injection) calls
-// Parameter::bump_version(), and the next get() rebuilds the value. The check is one acquire load; a
+// Inference keeps weights in the form its kernel reads: Dense and Conv2d
+// hold their float GEMM panels here (Dense also whether every weight is
+// finite), and QuantizedForward the s8 weights and packed operand of each
+// int8 layer. Every in-place weight update (optimizer step, fault
+// injection) calls Parameter::bump_version(), and the next get() rebuilds
+// the value. The check is one acquire load; a
 // rebuild runs under a mutex, so concurrent inference forwards share one
 // copy safely. Training (or any other weight update) concurrently with
 // inference on the same weights is unsupported.
@@ -25,37 +26,20 @@ class WeightCache {
   /// runs first when source.version moved since the last build.
   template <typename Build>
   const T& get(const Parameter& source, Build&& build) const {
-    return get(source, build, false, [](T&, const Tensor&) {});
-  }
-
-  /// get() for a value with a costly part only some readers need: when
-  /// `extended`, `extend(value, source.value)` has also run, once per weight
-  /// version, before the value is returned. It must write only what build()
-  /// leaves empty, so readers that never ask for it never wait on or race
-  /// with it.
-  template <typename Build, typename Extend>
-  const T& get(const Parameter& source, Build&& build, bool extended, Extend&& extend) const {
-    const uint64_t want = (source.version + 1) << 1;  // 0 = never built; low bit = extended
-    uint64_t have = state_.load(std::memory_order_acquire);
-    if ((have & ~uint64_t{1}) != want || (extended && (have & 1) == 0)) {
+    const uint64_t want = source.version + 1;  // 0 = never built
+    if (version_.load(std::memory_order_acquire) != want) {
       std::lock_guard<std::mutex> lock(mutex_);
-      have = state_.load(std::memory_order_relaxed);
-      if ((have & ~uint64_t{1}) != want) {
+      if (version_.load(std::memory_order_relaxed) != want) {
         value_ = build(source.value);
-        have = want;
+        version_.store(want, std::memory_order_release);
       }
-      if (extended && (have & 1) == 0) {
-        extend(value_, source.value);
-        have |= 1;
-      }
-      state_.store(have, std::memory_order_release);
     }
     return value_;
   }
 
  private:
   mutable std::mutex mutex_;
-  mutable std::atomic<uint64_t> state_{0};
+  mutable std::atomic<uint64_t> version_{0};
   mutable T value_;
 };
 

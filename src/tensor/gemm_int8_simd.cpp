@@ -149,9 +149,7 @@ void int8_band_avx2(const uint8_t* pa, const int8_t* pb, int32_t* c32, float* cf
     }
   }
   // Remainder rows: 1 x 32 columns (4 accumulators) — also the batch-1
-  // dense matvec path, where B streams through once. A k-group whose four
-  // activations are all 0 adds exactly 0 to every sum, so its B bytes are
-  // not read.
+  // dense matvec path, where B streams through once.
   for (; i < row_end; ++i) {
     const uint8_t* a_row = pa + i * stride;
     for (int64_t j0 = 0; j0 < n32; j0 += 32) {
@@ -160,10 +158,8 @@ void int8_band_avx2(const uint8_t* pa, const int8_t* pb, int32_t* c32, float* cf
       __m256i acc2 = _mm256_setzero_si256();
       __m256i acc3 = _mm256_setzero_si256();
       for (int64_t g = 0; g < groups; ++g) {
-        const uint32_t a4 = load_u32(a_row + g * 4);
-        if (a4 == 0) continue;
         const int8_t* bg = pb + (g * n + j0) * 4;
-        const __m256i av = _mm256_set1_epi32(static_cast<int>(a4));
+        const __m256i av = _mm256_set1_epi32(static_cast<int>(load_u32(a_row + g * 4)));
         acc0 = fma_u8s8(acc0, av, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bg)), ones);
         acc1 = fma_u8s8(acc1, av,
                         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bg + 32)), ones);

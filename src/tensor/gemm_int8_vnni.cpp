@@ -120,17 +120,13 @@ void int8_band_vnni(const uint8_t* pa, const int8_t* pb, int32_t* c32, float* cf
       }
     }
   }
-  // Remainder rows: 1 x 16 columns; also the batch-1 dense matvec path,
-  // which skips the k-groups whose four activations are all 0 (they add
-  // exactly 0).
+  // Remainder rows: 1 x 16 columns; also the batch-1 dense matvec path.
   for (; i < row_end; ++i) {
     const uint8_t* a_row = pa + i * stride;
     for (int64_t j0 = 0; j0 < n16; j0 += 16) {
       __m512i acc = _mm512_setzero_si512();
       for (int64_t g = 0; g < groups; ++g) {
-        const uint32_t a4 = load_u32(a_row + g * 4);
-        if (a4 == 0) continue;
-        const __m512i av = _mm512_set1_epi32(static_cast<int>(a4));
+        const __m512i av = _mm512_set1_epi32(static_cast<int>(load_u32(a_row + g * 4)));
         acc = _mm512_dpbusd_epi32(acc, av, _mm512_loadu_si512(pb + (g * n + j0) * 4));
       }
       store_vec16(c32, cf, i * n + j0, acc, epi, j0);

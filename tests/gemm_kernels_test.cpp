@@ -491,63 +491,6 @@ TEST(GemmInt8Kernels, DequantEpilogueMatchesManualFmafExactly) {
   }
 }
 
-TEST(GemmInt8Kernels, SparseActivationsMatchNaiveInt32Exactly) {
-  // The batch-1 rows skip every k-group whose four activations are all 0.
-  // Zero groups, groups only partly zero and all-zero rows must all still
-  // give the exact sums, on every kernel, VNNI band on and off.
-  std::vector<GemmInt8Kernel> kernels = {GemmInt8Kernel::kScalar};
-  if (gemm_int8_simd_available()) kernels.push_back(GemmInt8Kernel::kSimd);
-  Int8KernelGuard guard;
-  Rng rng(16);
-  const auto sparsify = [&](std::vector<uint8_t>& a, int64_t k, int pattern) {
-    for (size_t i = 0; i < a.size(); ++i) {
-      const int64_t kk = static_cast<int64_t>(i) % k;
-      const bool zero = pattern == 0 ? (kk / 4) % 2 == 1        // whole k-groups
-                        : pattern == 1 ? kk % 4 != 3           // 3 of 4 per group
-                        : pattern == 2 ? (kk / 4) % 5 != 0     // long zero runs
-                                       : true;                 // all zero
-      if (zero) a[i] = 0;
-    }
-  };
-  for (GemmInt8Kernel kernel : kernels) {
-    set_gemm_int8_kernel(kernel);
-    for (const bool vnni : {true, false}) {
-      detail::set_int8_vnni(vnni);
-      for (int64_t m : {1, 2, 5}) {
-        for (int64_t n : {1, 16, 17, 32, 40, 100}) {
-          for (int64_t k : {1, 4, 5, 33, 100}) {
-            for (int pattern = 0; pattern < 4; ++pattern) {
-              QuantOperands ops(rng, m, n, k);
-              sparsify(ops.a, k, pattern);
-              const std::vector<int32_t> expected =
-                  naive_gemm_int8(ops.a.data(), ops.b.data(), m, n, k);
-              const PackedQuantMatrix pb = pack_quant_b(ops.b.data(), k, n);
-              std::vector<int32_t> c(static_cast<size_t>(m * n), 42);
-              gemm_u8s8(ops.a.data(), ops.b.data(), c.data(), m, n, k, &pb);
-              ASSERT_EQ(expected, c) << gemm_int8_kernel_name(kernel) << " vnni=" << vnni
-                                     << " m=" << m << " n=" << n << " k=" << k
-                                     << " pattern=" << pattern;
-
-              QuantEpilogue epilogue;
-              epilogue.scale = 2.5e-3f;
-              epilogue.relu = true;
-              std::vector<float> fused(static_cast<size_t>(m * n));
-              gemm_u8s8_dequant(ops.a.data(), ops.b.data(), fused.data(), m, n, k, epilogue, &pb);
-              for (size_t i = 0; i < fused.size(); ++i) {
-                float v = static_cast<float>(expected[i]) * epilogue.scale;
-                if (v < 0.0f) v = 0.0f;
-                ASSERT_EQ(0, std::memcmp(&v, &fused[i], sizeof(float)))
-                    << gemm_int8_kernel_name(kernel) << " m=" << m << " n=" << n << " k=" << k;
-              }
-            }
-          }
-        }
-      }
-    }
-    detail::set_int8_vnni(true);
-  }
-}
-
 TEST(GemmInt8Kernels, KernelNamesAvailabilityAndGuards) {
   EXPECT_STREQ("scalar", gemm_int8_kernel_name(GemmInt8Kernel::kScalar));
   if (!gemm_int8_simd_available()) {

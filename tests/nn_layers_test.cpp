@@ -601,14 +601,14 @@ TEST(WeightCache, ForwardAfterBumpVersionMatchesAModelBuiltFromTheNewWeights) {
 }
 
 TEST(WeightCache, ConcurrentForwardsAfterBumpVersionMatchAModelBuiltFromTheNewWeights) {
-  // The first forwards after the bump race to rebuild each cache. Odd
-  // threads run batch 1, which reads Dense's finite flag while an even
-  // thread's batch-5 forward may be packing the panels beside it.
+  // The first forwards after the bump race to rebuild each cache: four
+  // threads run batch 5, which packs the panels, and four run batch 1,
+  // which reads Dense's finite flag instead.
   const BumpedModel bumped(37);
   Tensor single({1, 1, 6, 7});
   std::memcpy(single.data(), bumped.input.data(), static_cast<size_t>(single.numel()) * sizeof(float));
-  constexpr int kThreads = 4;
-  const auto input = [&](int t) -> const Tensor& { return t % 2 == 0 ? bumped.input : single; };
+  constexpr int kThreads = 8;
+  const auto input = [&](int t) -> const Tensor& { return t < 4 ? bumped.input : single; };
   std::vector<Tensor> floats(kThreads);
   std::vector<Tensor> int8s(kThreads);
   std::vector<std::thread> workers;
