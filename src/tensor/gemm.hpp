@@ -6,8 +6,8 @@
 //   * kScalar — the cache-blocked portable loop (always available, the
 //     correctness reference).
 //   * kSimd — a register-tiled 6x16 micro-kernel with panel packing,
-//     compiled for AVX2+FMA (x86) or NEON (aarch64) and selected at startup
-//     only when the CPU supports it.
+//     compiled for AVX2+FMA (x86-64) and selected at startup only when the
+//     CPU supports it. Elsewhere (AArch64 included) only kScalar exists.
 // The kernel is resolved once from the SALNOV_GEMM_KERNEL environment
 // variable ("scalar", "simd", or "auto"/unset = best available) and can be
 // overridden programmatically for A/B testing.
@@ -47,7 +47,7 @@ void set_gemm_kernel(GemmKernel kernel);
 /// True when the SIMD kernel can run on this CPU.
 bool gemm_simd_available();
 
-/// Human-readable name of a kernel ("scalar", "avx2", "avx512", "neon").
+/// Human-readable name of a kernel ("scalar", "avx2", "avx512", "none").
 const char* gemm_kernel_name(GemmKernel kernel);
 
 /// Always true: Dense/Conv2d cache pre-packed weight panels for SIMD

@@ -1,5 +1,6 @@
-// Int8 GEMM SIMD band kernels (AVX2 maddubs / NEON widening-multiply), plus
-// the packing + fan-out orchestration shared with the AVX-512 VNNI band.
+// Int8 GEMM SIMD band kernels (AVX2 maddubs), plus the packing + fan-out
+// orchestration shared with the AVX-512 VNNI band. Other architectures
+// (AArch64 included) build the stubs and run the scalar reference.
 //
 // Packed operand layout (shared by every band kernel, zero-padded so tail
 // k-groups contribute exact zeros):
@@ -8,8 +9,7 @@
 //     k-group as a single u32.
 //   * B: byte (g * n + j) * 4 + t holds B[4g + t][j] — four consecutive k
 //     values interleaved per column, so 4 * C contiguous bytes cover one
-//     k-group of C consecutive columns, exactly what maddubs / dpbusd / the
-//     NEON pairwise chain consume.
+//     k-group of C consecutive columns, exactly what maddubs / dpbusd consume.
 //
 // Every kernel accumulates the same exact int32 sums (in some order —
 // integer addition is associative), and the dequant store performs the same
@@ -29,14 +29,11 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #define SALNOV_INT8_AVX2 1
-#elif defined(__ARM_NEON)
-#include <arm_neon.h>
-#define SALNOV_INT8_NEON 1
 #endif
 
 namespace salnov::detail {
 
-#if defined(SALNOV_INT8_AVX2) || defined(SALNOV_INT8_NEON)
+#if defined(SALNOV_INT8_AVX2)
 
 namespace {
 
@@ -84,8 +81,6 @@ inline void store_scalar(int32_t* c32, float* cf, int64_t idx, int32_t acc,
     c32[idx] = acc;
   }
 }
-
-#if defined(SALNOV_INT8_AVX2)
 
 /// Stores 8 int32 accumulators at c[idx..idx+8) (columns j..j+8), raw or
 /// dequantized.
@@ -179,87 +174,25 @@ void int8_band_avx2(const uint8_t* pa, const int8_t* pb, int32_t* c32, float* cf
   }
 }
 
-#elif defined(SALNOV_INT8_NEON)
-
-/// NEON band: 4 columns per step via widening multiplies. Activations are
-/// 7-bit, so reinterpreting them as s8 is value-preserving and vmull_s8
-/// products (<= 127 * 127) fit int16 exactly; two pairwise widening adds
-/// collapse each column's k-group to its exact int32 partial sum.
-void int8_band_neon(const uint8_t* pa, const int8_t* pb, int32_t* c32, float* cf,
-                    int64_t row_begin, int64_t row_end, int64_t n, int64_t groups,
-                    const QuantEpilogue* epi) {
-  const int64_t stride = groups * 4;
-  const int64_t n4 = n - (n % 4);
-  for (int64_t i = row_begin; i < row_end; ++i) {
-    const uint8_t* a_row = pa + i * stride;
-    for (int64_t j0 = 0; j0 < n4; j0 += 4) {
-      int32x4_t acc = vdupq_n_s32(0);
-      for (int64_t g = 0; g < groups; ++g) {
-        const int8x16_t av =
-            vreinterpretq_s8_u32(vdupq_n_u32(load_u32(a_row + g * 4)));
-        int8x16_t bv;
-        std::memcpy(&bv, pb + (g * n + j0) * 4, sizeof(bv));
-        const int16x8_t lo = vmull_s8(vget_low_s8(av), vget_low_s8(bv));
-        const int16x8_t hi = vmull_s8(vget_high_s8(av), vget_high_s8(bv));
-        // [j0: k0+k1, j0: k2+k3, j1: k0+k1, j1: k2+k3] then pairwise again.
-        acc = vaddq_s32(acc, vpaddq_s32(vpaddlq_s16(lo), vpaddlq_s16(hi)));
-      }
-      if (cf == nullptr) {
-        vst1q_s32(c32 + i * n + j0, acc);
-      } else {
-        const float32x4_t vf = vcvtq_f32_s32(acc);
-        const float32x4_t scale = vdupq_n_f32(epi->scale);
-        float32x4_t v;
-        if (epi->bias_col != nullptr) {
-          v = vfmaq_f32(vld1q_f32(epi->bias_col + j0), vf, scale);
-        } else {
-          v = vmulq_f32(vf, scale);
-        }
-        if (epi->relu) v = vmaxq_f32(v, vdupq_n_f32(0.0f));
-        vst1q_f32(cf + i * n + j0, v);
-      }
-    }
-    for (int64_t j = n4; j < n; ++j) {
-      store_scalar(c32, cf, i * n + j, packed_dot(a_row, pb, n, groups, j), epi, j);
-    }
-  }
-}
-
-#endif  // architecture bands
-
 using Int8BandFn = void (*)(const uint8_t*, const int8_t*, int32_t*, float*, int64_t, int64_t,
                             int64_t, int64_t, const QuantEpilogue*);
 
 Int8BandFn band_kernel() {
-#if defined(SALNOV_INT8_AVX2)
   return int8_vnni_available() && int8_vnni_enabled() ? &int8_band_vnni : &int8_band_avx2;
-#else
-  return &int8_band_neon;
-#endif
 }
 
 }  // namespace
 
 bool int8_simd_available() {
-#if defined(SALNOV_INT8_AVX2)
   static const bool ok = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }();
   return ok;
-#else
-  return true;  // NEON is baseline on aarch64
-#endif
 }
 
 const char* int8_arch_name() {
-#if defined(SALNOV_INT8_AVX2)
   return int8_vnni_available() && int8_vnni_enabled() ? "avx512-vnni" : "avx2";
-#elif defined(SALNOV_INT8_NEON)
-  return "neon";
-#else
-  return "none";
-#endif
 }
 
 void int8_gemm(const uint8_t* a, const int8_t* b, int32_t* c32, float* cf, int64_t m,

@@ -1,12 +1,14 @@
-// Register-tiled SIMD GEMM micro-kernels (AVX2+FMA / NEON).
+// Register-tiled SIMD GEMM micro-kernels (AVX2+FMA).
 //
 // This TU and gemm_avx512.cpp are the only ones compiled with architecture
 // flags; the dispatcher (gemm.cpp) checks simd_gemm_available() before
 // calling in, so the binary stays runtime-safe on CPUs without the compiled
 // extension. On AVX-512 hardware the tile loop swaps in the bit-identical
 // AVX-512 micro-kernel (gemm_avx512.hpp); the batch-1 matvec stays AVX2.
+// Other architectures (AArch64 included) build the stubs at the bottom and
+// run the scalar kernel, the bit-exact reference.
 //
-// Kernel scheme (identical for both architectures):
+// Kernel scheme:
 //   * C is computed in kGemmMR x kGemmNR (6 x 16) register tiles from
 //     panel-packed operands (see pack.hpp). Register accumulation runs over
 //     the FULL k extent, so every output element is summed in ascending-k
@@ -14,9 +16,9 @@
 //     which is also where the fused bias/ReLU epilogue is applied.
 //   * m == 1 (the batch-1 dense inference matvec, the autoencoder's hot
 //     shape) takes a dedicated row-streaming path: packing cannot help a
-//     matvec, and the tile kernel would waste 5/6 of its lanes. Under AVX2,
-//     with finite weights, it streams only the B rows a nonzero input
-//     multiplies: most of a ReLU output is exactly 0.
+//     matvec, and the tile kernel would waste 5/6 of its lanes. With finite
+//     weights it streams only the B rows a nonzero input multiplies: most
+//     of a ReLU output is exactly 0.
 //   * Rows are fanned out over the thread pool in fixed bands of
 //     kSimdRowGrain rows (a multiple of kGemmMR, so band-local tiles always
 //     align with packed A panels). The partition depends only on the
@@ -51,14 +53,11 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #define SALNOV_SIMD_AVX2 1
-#elif defined(__ARM_NEON)
-#include <arm_neon.h>
-#define SALNOV_SIMD_NEON 1
 #endif
 
 namespace salnov::detail {
 
-#if defined(SALNOV_SIMD_AVX2) || defined(SALNOV_SIMD_NEON)
+#if defined(SALNOV_SIMD_AVX2)
 
 namespace {
 
@@ -78,8 +77,6 @@ struct PanelSegment {
   int64_t offset = 0;
   uint32_t mask = 0;
 };
-
-#if defined(SALNOV_SIMD_AVX2)
 
 /// One 6x16 tile: C[0..rows) x [0..cols) = ap . bp (+ epilogue).
 void micro_kernel(const float* ap, const float* bp, int64_t k, float* c, int64_t ldc,
@@ -270,110 +267,6 @@ void fill_conv_panel(const float* src, const int64_t* k_offsets, int64_t k,
   }
 }
 
-#elif defined(SALNOV_SIMD_NEON)
-
-void micro_kernel(const float* ap, const float* bp, int64_t k, float* c, int64_t ldc,
-                  int64_t rows, int64_t cols, const float* bias_row, const float* bias_col,
-                  bool relu) {
-  float32x4_t acc[kGemmMR][4];
-  for (int r = 0; r < kGemmMR; ++r) {
-    for (int q = 0; q < 4; ++q) acc[r][q] = vdupq_n_f32(0.0f);
-  }
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* bq = bp + kk * kGemmNR;
-    const float32x4_t b0 = vld1q_f32(bq);
-    const float32x4_t b1 = vld1q_f32(bq + 4);
-    const float32x4_t b2 = vld1q_f32(bq + 8);
-    const float32x4_t b3 = vld1q_f32(bq + 12);
-    const float* arow = ap + kk * kGemmMR;
-    for (int r = 0; r < kGemmMR; ++r) {
-      const float32x4_t av = vdupq_n_f32(arow[r]);
-      acc[r][0] = vfmaq_f32(acc[r][0], av, b0);
-      acc[r][1] = vfmaq_f32(acc[r][1], av, b1);
-      acc[r][2] = vfmaq_f32(acc[r][2], av, b2);
-      acc[r][3] = vfmaq_f32(acc[r][3], av, b3);
-    }
-  }
-
-  float bias_pad[kGemmNR] = {0};
-  const float* bc = nullptr;
-  if (bias_col != nullptr) {
-    if (cols == kGemmNR) {
-      bc = bias_col;
-    } else {
-      for (int64_t j = 0; j < cols; ++j) bias_pad[j] = bias_col[j];
-      bc = bias_pad;
-    }
-  }
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  for (int64_t r = 0; r < rows; ++r) {
-    float32x4_t v[4] = {acc[r][0], acc[r][1], acc[r][2], acc[r][3]};
-    if (bias_row != nullptr) {
-      const float32x4_t br = vdupq_n_f32(bias_row[r]);
-      for (int q = 0; q < 4; ++q) v[q] = vaddq_f32(v[q], br);
-    }
-    if (bc != nullptr) {
-      for (int q = 0; q < 4; ++q) v[q] = vaddq_f32(v[q], vld1q_f32(bc + 4 * q));
-    }
-    if (relu) {
-      for (int q = 0; q < 4; ++q) v[q] = vmaxq_f32(v[q], zero);
-    }
-    float* crow = c + r * ldc;
-    if (cols == kGemmNR) {
-      for (int q = 0; q < 4; ++q) vst1q_f32(crow + 4 * q, v[q]);
-    } else {
-      float buf[kGemmNR];
-      for (int q = 0; q < 4; ++q) vst1q_f32(buf + 4 * q, v[q]);
-      for (int64_t j = 0; j < cols; ++j) crow[j] = buf[j];
-    }
-  }
-}
-
-/// The dense loop of the AVX2 matvec: NEON reads every B row.
-void matvec(const float* a, const float* b, float* c, int64_t n, int64_t k,
-            const GemmEpilogue& epi, bool /*skip_zeros*/) {
-  constexpr int64_t kBlock = 512;
-  for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
-    const int64_t j1 = std::min(n, j0 + kBlock);
-    for (int64_t j = j0; j < j1; ++j) c[j] = 0.0f;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float32x4_t av = vdupq_n_f32(a[kk]);
-      const float* brow = b + kk * n;
-      int64_t j = j0;
-      for (; j + 4 <= j1; j += 4) {
-        vst1q_f32(c + j, vfmaq_f32(vld1q_f32(c + j), av, vld1q_f32(brow + j)));
-      }
-      for (; j < j1; ++j) c[j] = std::fma(a[kk], brow[j], c[j]);
-    }
-  }
-  if (!epi.empty()) {
-    for (int64_t j = 0; j < n; ++j) {
-      float v = c[j];
-      if (epi.bias_row != nullptr) v += epi.bias_row[0];
-      if (epi.bias_col != nullptr) v += epi.bias_col[j];
-      if (epi.relu) v = v > 0.0f ? v : 0.0f;
-      c[j] = v;
-    }
-  }
-}
-
-/// Lane-by-lane counterpart of the AVX2 panel fill (same contract).
-void fill_conv_panel(const float* src, const int64_t* k_offsets, int64_t k,
-                     const PanelSegment* segments, int64_t segment_count, float* panel) {
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* row = src + k_offsets[kk];
-    float* dst = panel + kk * kGemmNR;
-    for (int64_t l = 0; l < kGemmNR; ++l) dst[l] = 0.0f;
-    for (int64_t s = 0; s < segment_count; ++s) {
-      for (int64_t l = 0; l < kGemmNR; ++l) {
-        if (((segments[s].mask >> l) & 1u) != 0) dst[l] = row[segments[s].offset + l];
-      }
-    }
-  }
-}
-
-#endif  // architecture micro-kernels
-
 // Tile-kernel dispatch, checked per gemm call: the AVX-512 variant
 // (bit-identical, see gemm_avx512.hpp) when compiled in, supported by the
 // CPU, and not disabled for A/B timing; else the baseline micro-kernel.
@@ -456,23 +349,15 @@ int64_t panel_segments(int64_t j0, int64_t cols, int64_t out_w, int64_t wq,
 }  // namespace
 
 bool simd_gemm_available() {
-#if defined(SALNOV_SIMD_AVX2)
   static const bool ok = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }();
   return ok;
-#else
-  return true;  // NEON is baseline on aarch64
-#endif
 }
 
 const char* simd_arch_name() {
-#if defined(SALNOV_SIMD_AVX2)
   return gemm_avx512_available() && gemm_avx512_tile_enabled() ? "avx512" : "avx2";
-#else
-  return "neon";
-#endif
 }
 
 void simd_gemm(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,

@@ -15,9 +15,9 @@ namespace salnov::detail {
 /// True when the running CPU can execute the compiled SIMD kernel.
 bool simd_gemm_available();
 
-/// Architecture tag of the compiled kernel: "avx2", "avx512", "neon", or
-/// "none". "avx512" means the tile loop runs the bit-identical AVX-512
-/// micro-kernel upgrade (gemm_avx512.hpp).
+/// Architecture tag of the compiled kernel: "avx2", "avx512", or "none".
+/// "avx512" means the tile loop runs the bit-identical AVX-512 micro-kernel
+/// upgrade (gemm_avx512.hpp).
 const char* simd_arch_name();
 
 /// Whether the AVX-512 tile micro-kernel is used when hardware supports it.
