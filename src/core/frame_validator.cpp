@@ -1,6 +1,12 @@
 #include "core/frame_validator.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace salnov::core {
 namespace {
@@ -13,6 +19,103 @@ constexpr double kRangeSlack = 1e-3;
 /// Deliberately tiny: a dark night frame has little contrast but is not
 /// *constant*; a dead sensor is.
 constexpr double kMinStddev = 1e-6;
+
+/// What one pass over the pixels learns: whether every pixel satisfies
+/// lo <= v <= hi (NaN and +/-inf do not), and the extremes, which mean
+/// something only when every pixel does.
+struct PixelScreen {
+  bool all_in_range = false;
+  float min = 0.0f;
+  float max = 0.0f;
+};
+
+/// The screen pass: per-lane min/max plus an unordered (NaN) flag, four
+/// floats a step at SSE2 (the x86-64 baseline), the scalar loop elsewhere
+/// and for the tail. Its result does not depend on the pass's order: min
+/// and max are exact, and the range test on them is the per-pixel test.
+PixelScreen screen_pixels(const float* pixels, int64_t n, float lo, float hi) {
+  float lo_seen = std::numeric_limits<float>::infinity();
+  float hi_seen = -std::numeric_limits<float>::infinity();
+  bool unordered = false;
+  int64_t i = 0;
+#if defined(__SSE2__)
+  __m128 min0 = _mm_set1_ps(lo_seen);
+  __m128 min1 = min0;
+  __m128 max0 = _mm_set1_ps(hi_seen);
+  __m128 max1 = max0;
+  __m128 nan = _mm_setzero_ps();
+  for (; i + 8 <= n; i += 8) {
+    const __m128 a = _mm_loadu_ps(pixels + i);
+    const __m128 b = _mm_loadu_ps(pixels + i + 4);
+    nan = _mm_or_ps(nan, _mm_or_ps(_mm_cmpunord_ps(a, a), _mm_cmpunord_ps(b, b)));
+    min0 = _mm_min_ps(min0, a);
+    min1 = _mm_min_ps(min1, b);
+    max0 = _mm_max_ps(max0, a);
+    max1 = _mm_max_ps(max1, b);
+  }
+  alignas(16) float lanes[8];
+  _mm_store_ps(lanes, _mm_min_ps(min0, min1));
+  _mm_store_ps(lanes + 4, _mm_max_ps(max0, max1));
+  for (int l = 0; l < 4; ++l) {
+    lo_seen = std::min(lo_seen, lanes[l]);
+    hi_seen = std::max(hi_seen, lanes[4 + l]);
+  }
+  unordered = _mm_movemask_ps(nan) != 0;
+#endif
+  for (; i < n; ++i) {
+    const float v = pixels[i];
+    unordered |= v != v;
+    lo_seen = std::min(lo_seen, v);
+    hi_seen = std::max(hi_seen, v);
+  }
+  return {!unordered && lo_seen >= lo && hi_seen <= hi, lo_seen, hi_seen};
+}
+
+/// True when the frame's range alone proves the ordered loop below would
+/// not report kNearConstant, so the moment sums need not run. All n > 1
+/// pixels lie in [min, max] within [lo, hi], M = hi >= max |v|, u = 2^-53.
+///
+///   * Exact variance: the two extreme pixels sit a + b = R = max - min
+///     from the mean, so n * var >= a^2 + b^2 >= R^2 / 2: var >= R^2/(2n).
+///   * The loop's computed variance is within E = (3(n-1) + 5) u M^2 of
+///     it: each product v*v of floats is exact in double; the two ordered
+///     sums carry at most (n-1) u n M and (n-1) u n M^2, so sum_sq / n is
+///     off by (n-1) u M^2 (+ u M^2 rounding), the mean by n u M and its
+///     square by 2 n u M^2 (+ u M^2), and the subtraction adds u M^2. The
+///     std::max(0, .) only raises it.
+///
+/// Certifying when R^2/(2n) > kMinStddev^2 + 2E leaves a computed variance
+/// above kMinStddev^2 + E - (the rounding of this test itself and the
+/// second-order terms above, both far below E >= 8u); sqrt rounds
+/// monotonically, so the loop's stddev is >= kMinStddev. At 60x160 this
+/// certifies any frame whose range exceeds about 4e-4.
+bool range_certifies_spread(float min, float max, int64_t n, float hi) {
+  const double count = static_cast<double>(n);
+  const double m = static_cast<double>(hi);
+  const double moment_error = (3.0 * (count - 1.0) + 5.0) * 0x1p-53 * m * m;
+  const double range = static_cast<double>(max) - static_cast<double>(min);
+  return range * range / (2.0 * count) > kMinStddev * kMinStddev + 2.0 * moment_error;
+}
+
+/// The reference check: pixels in order, so the first bad pixel names the
+/// fault, then the constancy test on ordered double moment sums.
+FrameFault ordered_check(const float* pixels, int64_t n, float lo, float hi) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = pixels[i];
+    if (!std::isfinite(v)) return FrameFault::kNonFinite;
+    if (!(v >= lo && v <= hi)) return FrameFault::kOutOfRange;
+    sum += v;
+    sum_sq += static_cast<double>(v) * v;
+  }
+  if (n > 1) {
+    const double mean = sum / static_cast<double>(n);
+    const double variance = std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
+    if (std::sqrt(variance) < kMinStddev) return FrameFault::kNearConstant;
+  }
+  return FrameFault::kNone;
+}
 
 }  // namespace
 
@@ -46,23 +149,15 @@ FrameFault FrameValidator::check(const Image& frame) const {
   const int64_t n = frame.numel();
   const float* pixels = frame.tensor().data();
 
-  // One fused pass: finiteness and range per pixel, plus the running moments
-  // for the constancy check.
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = pixels[i];
-    if (!std::isfinite(v)) return FrameFault::kNonFinite;
-    if (!(v >= lo && v <= hi)) return FrameFault::kOutOfRange;
-    sum += v;
-    sum_sq += static_cast<double>(v) * v;
+  // The screen settles the common frame, every pixel in range and a range
+  // that certifies the spread. Any other frame (a bad pixel, a black or
+  // near-constant one, a single pixel) takes the ordered loop, so every
+  // verdict, and which fault a frame reports first, is the loop's.
+  const PixelScreen screen = screen_pixels(pixels, n, lo, hi);
+  if (screen.all_in_range && n > 1 && range_certifies_spread(screen.min, screen.max, n, hi)) {
+    return FrameFault::kNone;
   }
-  if (n > 1) {
-    const double mean = sum / static_cast<double>(n);
-    const double variance = std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
-    if (std::sqrt(variance) < kMinStddev) return FrameFault::kNearConstant;
-  }
-  return FrameFault::kNone;
+  return ordered_check(pixels, n, lo, hi);
 }
 
 void FrameValidator::require_valid(const Image& frame, const std::string& context) const {

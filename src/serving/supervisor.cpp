@@ -308,7 +308,10 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   }
 
   // --- Stage 2: saliency (behind the circuit breaker) --------------------
-  Image preprocessed = frame;
+  // The image the autoencoder reads, by reference: the frame itself, or the
+  // mask once the stage succeeds (provided, or computed into `mask`).
+  const Image* preprocessed = &frame;
+  Image mask;
   bool tripped_this_frame = false;
   if (planned.saliency) {
     const core::DetectorVariant mask_variant =
@@ -319,12 +322,12 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     // model, another saliency method) the stage computes its own forward.
     const bool reuse_pass = steer_pass.has_value() && planned.steer_q8 == planned.mask_q8 &&
                             detector_.mask_reads_steer_pass(planned.mask_q8, steering_model_);
-    Image mask;
+    const Image* mask_view = &mask;
     const StageOutcome saliency = run_stage(Stage::kSaliency, index, result, [&] {
       // A provided mask skips only the compute: the frame already passed the
       // screen in the kValidate stage.
       if (provided_ok && provided->saliency_mask.has_value()) {
-        mask = *provided->saliency_mask;
+        mask_view = &*provided->saliency_mask;
       } else if (reuse_pass) {
         mask = std::move(
             detector_.variant_preprocess_batch(mask_variant, {&frame}, *steer_pass, {0})[0]);
@@ -334,7 +337,7 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     });
     if (saliency.ok()) {
       breaker_.record_success();
-      preprocessed = std::move(mask);
+      preprocessed = mask_view;
       if (planned.probe) {
         // Probe success: the stage works again — restore the top of the
         // ladder immediately rather than climbing one rung at a time.
@@ -368,7 +371,8 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
 
   // --- Stage 3: reconstruct ----------------------------------------------
   const core::DetectorVariant variant = variant_for(mode_used);
-  Image reconstruction;
+  Image computed_reconstruction;
+  const Image* reconstruction = &computed_reconstruction;
   const StageOutcome reconstruct = run_stage(Stage::kReconstruct, index, result, [&] {
     // The provided reconstruction is only trusted when it was computed from
     // exactly the image this frame actually feeds the autoencoder (value
@@ -378,13 +382,13 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
     // either behind. A miss recomputes the same bits, just unbatched.
     if (provided_ok && provided->reconstruction.has_value() &&
         core::rung(mode_used).q8 == planned.q8 &&
-        provided->recon_input.tensor() == preprocessed.tensor()) {
-      reconstruction = *provided->reconstruction;
+        provided->recon_input.tensor() == preprocessed->tensor()) {
+      reconstruction = &*provided->reconstruction;
     } else {
       if (provided != nullptr && provided->reconstruction.has_value()) {
         last_recon_mispredicted_ = true;
       }
-      reconstruction = detector_.variant_reconstruct(variant, preprocessed);
+      computed_reconstruction = detector_.variant_reconstruct(variant, *preprocessed);
     }
   });
   bool pipeline_broken = reconstruct.threw;
@@ -397,7 +401,7 @@ ServeResult Supervisor::run_pipeline(const Image& frame, const ProvidedCompute* 
   bool novel = false;
   if (!pipeline_broken) {
     const StageOutcome scoring = run_stage(Stage::kScore, index, result, [&] {
-      score = detector_.variant_score_pair(variant, preprocessed, reconstruction);
+      score = detector_.variant_score_pair(variant, *preprocessed, *reconstruction);
       novel = threshold_for(variant, live).is_novel(score);
     });
     if (!scoring.ok()) frame_bad = true;

@@ -118,7 +118,8 @@ class Tensor {
 
   // --- Equality ------------------------------------------------------------
 
-  /// Exact equality of shape and every element.
+  /// Exact equality of shape and every element, as floats: NaN != NaN and
+  /// -0 == +0 (so not a byte compare).
   bool operator==(const Tensor& other) const;
   bool operator!=(const Tensor& other) const { return !(*this == other); }
 

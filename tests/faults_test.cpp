@@ -2,6 +2,7 @@
 // and the FrameValidator input guard it is designed to exercise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -190,6 +191,152 @@ TEST(FrameValidator, RequireValidThrowsWithFault) {
     FAIL() << "expected InvalidFrameError";
   } catch (const core::InvalidFrameError& e) {
     EXPECT_EQ(e.fault(), core::FrameFault::kNonFinite);
+  }
+}
+
+// The validator screens each frame in one vector pass and settles most of
+// them from their pixel range; every other frame runs the ordered loop. The
+// cases below hold check() to a copy of that loop as it stood before the
+// screen existed, so any verdict the screen changed would show.
+
+/// The reference: the pre-screen check, pixels in order with double
+/// moment sums (the frame's size is the validator's).
+core::FrameFault reference_check(const Image& frame) {
+  const float lo = static_cast<float>(0.0 - 1e-3);
+  const float hi = static_cast<float>(1.0 + 1e-3);
+  const int64_t n = frame.numel();
+  const float* pixels = frame.tensor().data();
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = pixels[i];
+    if (!std::isfinite(v)) return core::FrameFault::kNonFinite;
+    if (!(v >= lo && v <= hi)) return core::FrameFault::kOutOfRange;
+    sum += v;
+    sum_sq += static_cast<double>(v) * v;
+  }
+  if (n > 1) {
+    const double mean = sum / static_cast<double>(n);
+    const double variance = std::max(0.0, sum_sq / static_cast<double>(n) - mean * mean);
+    if (std::sqrt(variance) < 1e-6) return core::FrameFault::kNearConstant;
+  }
+  return core::FrameFault::kNone;
+}
+
+/// Frame sizes with n = 1, 2, 3, 5, 17 and 9600 (60x160) pixels, plus one
+/// whose vector pass leaves a 4-pixel tail.
+const std::vector<std::pair<int64_t, int64_t>> kScreenSizes = {
+    {1, 1}, {1, 2}, {1, 3}, {1, 5}, {1, 17}, {60, 160}, {60, 161}};
+
+Image frame_of(int64_t h, int64_t w, const std::vector<float>& pixels) {
+  return Image(h, w, Tensor({h * w}, pixels));
+}
+
+TEST(FrameValidator, ScreenMatchesOrderedLoopOnRandomFrames) {
+  Rng rng(31);
+  for (const auto& [h, w] : kScreenSizes) {
+    const core::FrameValidator validator(h, w);
+    for (int trial = 0; trial < 40; ++trial) {
+      // Spans from full-range noise down to a tenth of an ulp's worth.
+      const double spread = std::pow(10.0, -rng.uniform(0.0, 8.0));
+      const double base = rng.uniform(0.0, 1.0 - spread);
+      const Image frame(h, w, rng.uniform_tensor({h * w}, base, base + spread));
+      EXPECT_EQ(validator.check(frame), reference_check(frame))
+          << h << "x" << w << " trial " << trial << " spread " << spread;
+    }
+  }
+}
+
+TEST(FrameValidator, ScreenMatchesOrderedLoopOnNearConstantFrames) {
+  // Noise of amplitude a around a level: the sweep crosses stddev 1e-6
+  // (the near-constant line) and the range at which the screen certifies a
+  // frame without the moment sums (about 4e-4 at 60x160).
+  int near_constant = 0;
+  int usable = 0;
+  for (const auto& [h, w] : kScreenSizes) {
+    const core::FrameValidator validator(h, w);
+    const int64_t n = h * w;
+    for (const float level : {0.0f, 0.25f, 0.5f, 1.0f}) {
+      for (double amplitude = 1e-8; amplitude < 3e-2; amplitude *= 1.18) {
+        Rng rng(static_cast<uint64_t>(amplitude * 1e12) + static_cast<uint64_t>(n));
+        std::vector<float> pixels(static_cast<size_t>(n));
+        for (float& v : pixels) {
+          v = level + static_cast<float>(amplitude * rng.uniform(-0.5, 0.5));
+        }
+        const Image noisy = frame_of(h, w, pixels);
+        // The extremal frame for its range: every pixel at the level but
+        // two at level -/+ a/2, the least variance a range of a allows.
+        std::vector<float> flat(static_cast<size_t>(n), level);
+        if (n > 1) {
+          flat.front() = level - static_cast<float>(amplitude / 2);
+          flat.back() = level + static_cast<float>(amplitude / 2);
+        }
+        const Image extremal = frame_of(h, w, flat);
+        for (const Image* frame : {&noisy, &extremal}) {
+          const core::FrameFault expected = reference_check(*frame);
+          EXPECT_EQ(validator.check(*frame), expected)
+              << h << "x" << w << " level " << level << " amplitude " << amplitude;
+          near_constant += expected == core::FrameFault::kNearConstant;
+          usable += expected == core::FrameFault::kNone;
+        }
+      }
+    }
+  }
+  EXPECT_GT(near_constant, 100) << "the sweep must reach below stddev 1e-6";
+  EXPECT_GT(usable, 100) << "the sweep must reach above it";
+}
+
+TEST(FrameValidator, ScreenDefersEveryBadPixelToTheOrderedLoop) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<float, core::FrameFault>> bad = {
+      {kNaN, core::FrameFault::kNonFinite},
+      {inf, core::FrameFault::kNonFinite},
+      {-inf, core::FrameFault::kNonFinite},
+      {2.0f, core::FrameFault::kOutOfRange},
+      {-0.5f, core::FrameFault::kOutOfRange},
+      {1.0011f, core::FrameFault::kOutOfRange},
+      {-0.0011f, core::FrameFault::kOutOfRange}};
+  Rng rng(32);
+  for (const auto& [h, w] : kScreenSizes) {
+    const core::FrameValidator validator(h, w);
+    const int64_t n = h * w;
+    const Tensor noise = rng.uniform_tensor({n}, 0.05, 0.95);
+    // First, middle and last index; the last is in the vector tail when
+    // n is not a multiple of the pass's width, and n - 3 is too for 60x161.
+    for (const int64_t at : {int64_t{0}, n / 2, n - 3, n - 1}) {
+      if (at < 0) continue;
+      for (const auto& [value, fault] : bad) {
+        Image frame(h, w, noise);
+        frame.tensor()[at] = value;
+        EXPECT_EQ(validator.check(frame), fault) << h << "x" << w << " at " << at << " " << value;
+        EXPECT_EQ(validator.check(frame), reference_check(frame));
+      }
+    }
+  }
+}
+
+TEST(FrameValidator, FirstBadPixelNamesTheFault) {
+  Rng rng(33);
+  for (const auto& [h, w] : kScreenSizes) {
+    const int64_t n = h * w;
+    if (n < 2) continue;
+    const core::FrameValidator validator(h, w);
+    Image frame(h, w, rng.uniform_tensor({n}, 0.05, 0.95));
+    for (const auto& [first, second] : {std::pair<int64_t, int64_t>{0, n - 1}, {n - 1, 0}}) {
+      Image nan_first = frame;
+      nan_first.tensor()[first] = kNaN;
+      nan_first.tensor()[second] = 3.0f;
+      Image range_first = frame;
+      range_first.tensor()[first] = 3.0f;
+      range_first.tensor()[second] = kNaN;
+      const bool nan_leads = first < second;
+      EXPECT_EQ(validator.check(nan_first), nan_leads ? core::FrameFault::kNonFinite
+                                                      : core::FrameFault::kOutOfRange);
+      EXPECT_EQ(validator.check(range_first), nan_leads ? core::FrameFault::kOutOfRange
+                                                        : core::FrameFault::kNonFinite);
+      EXPECT_EQ(validator.check(nan_first), reference_check(nan_first));
+      EXPECT_EQ(validator.check(range_first), reference_check(range_first));
+    }
   }
 }
 

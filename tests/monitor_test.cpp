@@ -212,6 +212,25 @@ TEST_F(MonitorFixture, FrozenStreamEntersSensorFaultNotFallback) {
   }
 }
 
+TEST_F(MonitorFixture, FrozenCheckComparesPixelsAsFloats) {
+  // A repeat that differs only by the sign of a zero pixel is the same
+  // picture: the frozen check is float equality (-0 == +0), not a byte
+  // compare.
+  serving::FakeClock clock;
+  serving::Supervisor supervisor(*detector_, nullptr, serving_config({}), &clock);
+  Rng rng(41);
+  Image first = familiar_frame(rng);
+  first(kH / 2, kW / 2) = 0.0f;
+  Image repeat = first;
+  repeat(kH / 2, kW / 2) = -0.0f;
+  ASSERT_TRUE(std::signbit(repeat(kH / 2, kW / 2)));
+  EXPECT_FALSE(supervisor.process(first).sensor_bad);
+  const serving::ServeResult r = supervisor.process(repeat);
+  EXPECT_EQ(r.fault, FrameFault::kNone);
+  EXPECT_TRUE(r.frozen);
+  EXPECT_TRUE(r.sensor_bad);
+}
+
 TEST_F(MonitorFixture, NanStreamEntersSensorFault) {
   MonitorConfig config;
   config.sensor_trigger_frames = 2;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/gemm.hpp"
 #include "tensor/rng.hpp"
@@ -170,6 +172,42 @@ TEST(Tensor, EqualityIsExactNotApproximate) {
   Tensor a({2}, {1.0f, 2.0f});
   Tensor b({2}, {1.0f, 2.00002f});
   EXPECT_NE(a, b);
+}
+
+TEST(Tensor, EqualityIsFloatEquality) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor with_nan({3}, {1.0f, nan, 2.0f});
+  EXPECT_NE(with_nan, with_nan) << "NaN != NaN, even against itself";
+  EXPECT_EQ(Tensor({2}, {0.0f, 1.0f}), Tensor({2}, {-0.0f, 1.0f})) << "-0 == +0";
+  EXPECT_EQ(Tensor({0}), Tensor({0}));
+}
+
+TEST(Tensor, EqualityNeedsTheSameShape) {
+  const std::vector<float> values = {1, 2, 3, 4, 5, 6};
+  EXPECT_NE(Tensor({2, 3}, values), Tensor({3, 2}, values));
+  EXPECT_NE(Tensor({6}, values), Tensor({1, 6}, values));
+  EXPECT_EQ(Tensor({2, 3}, values), Tensor({2, 3}, values));
+}
+
+TEST(Tensor, EqualityFindsOneDifferenceAnywhere) {
+  // Equality compares in blocks of 256: a single differing element at each
+  // block edge, inside a block, and at the last index must all be seen.
+  for (const int64_t n : {1, 7, 255, 256, 257, 1000, 9600}) {
+    Tensor a({n});
+    for (int64_t i = 0; i < n; ++i) a[i] = static_cast<float>(i % 97) * 0.01f;
+    const Tensor same = a;
+    EXPECT_EQ(a, same) << "n=" << n;
+    for (const int64_t at : {int64_t{0}, int64_t{1}, int64_t{128}, int64_t{255}, int64_t{256},
+                             int64_t{511}, int64_t{512}, int64_t{767}, int64_t{768}, n - 2,
+                             n - 1}) {
+      if (at < 0 || at >= n) continue;
+      Tensor b = a;
+      b[at] = std::nextafter(b[at], 2.0f);
+      EXPECT_NE(a, b) << "n=" << n << " at=" << at;
+      b[at] = std::numeric_limits<float>::quiet_NaN();
+      EXPECT_NE(a, b) << "n=" << n << " NaN at=" << at;
+    }
+  }
 }
 
 TEST(Tensor, MaxAbsDiff) {
