@@ -224,7 +224,7 @@ core::FrameFault reference_check(const Image& frame) {
 }
 
 /// Frame sizes with n = 1, 2, 3, 5, 17 and 9600 (60x160) pixels, plus one
-/// whose vector pass leaves a 4-pixel tail.
+/// whose vector pass leaves a 12-pixel scalar tail.
 const std::vector<std::pair<int64_t, int64_t>> kScreenSizes = {
     {1, 1}, {1, 2}, {1, 3}, {1, 5}, {1, 17}, {60, 160}, {60, 161}};
 
